@@ -25,7 +25,11 @@ One kernel runs the rounds: run_seeds advances the S seeds of a scenario in
 lockstep on (S, N, d) arrays and keeps only the running sums the metrics need,
 and run_experiment is the same kernel on one seed, recording the trajectory.
 run_round_full and run_round_bandit take one round of one seed from an
-explicit RunState. All three give each seed the same bits.
+explicit RunState. Both paths take the round through _step, so they give
+each seed the same bits.
+
+The four variants differ in two facts, strong convexity and bandit feedback,
+and in which parameters they need; variant_spec holds all three per variant.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .problems import ConstraintSet, LossOracle, RegressionRound, clipped_subgra
 
 __all__ = [
     "VARIANTS",
+    "VariantSpec",
+    "variant_spec",
     "HyperSchedule",
     "make_schedule",
     "project_ball",
@@ -60,12 +66,42 @@ __all__ = [
     "run_seeds",
 ]
 
-VARIANTS = (
-    "convex-full",
-    "strongly-convex-full",
-    "convex-bandit",
-    "strongly-convex-bandit",
-)
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """What a variant's name decides: its loss class, its feedback, its parameters."""
+
+    strongly_convex: bool
+    bandit: bool
+
+    def check_parameters(self, *, c, a, sigma):
+        """Convex variants need c in (0, 1) and a > 1, strongly convex ones sigma > 0."""
+        if self.strongly_convex:
+            if sigma is None or not sigma > 0.0:
+                raise ValueError(f"strongly convex variants need sigma > 0, got sigma = {sigma}")
+            return
+        if c is None or not 0.0 < c < 1.0:
+            raise ValueError(f"convex variants need c in (0, 1) (c must lie inside), got c = {c}")
+        if not a > 1.0:
+            raise ValueError(f"convex variants need a > 1 (a must be above 1), got a = {a}")
+
+
+_SPECS = {
+    "convex-full": VariantSpec(strongly_convex=False, bandit=False),
+    "strongly-convex-full": VariantSpec(strongly_convex=True, bandit=False),
+    "convex-bandit": VariantSpec(strongly_convex=False, bandit=True),
+    "strongly-convex-bandit": VariantSpec(strongly_convex=True, bandit=True),
+}
+VARIANTS = tuple(_SPECS)
+
+
+def variant_spec(variant: str) -> VariantSpec:
+    """The table entry of a variant name; ValueError names the known variants."""
+    spec = _SPECS.get(variant)
+    if spec is None:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return spec
+
 
 # SeedSequence spawn-key purpose for per-unit sphere directions; the data
 # streams in problems.py use 1 and 2.
@@ -96,11 +132,11 @@ class HyperSchedule:
 
     @property
     def is_bandit(self) -> bool:
-        return self.variant.endswith("bandit")
+        return variant_spec(self.variant).bandit
 
     @property
     def is_strongly_convex(self) -> bool:
-        return self.variant.startswith("strongly")
+        return variant_spec(self.variant).strongly_convex
 
     @property
     def decision_radius(self) -> float:
@@ -153,8 +189,7 @@ def make_schedule(
     sigma: Optional[float] = None,
 ) -> HyperSchedule:
     """Validate parameters and assemble the step schedule for a variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    spec = variant_spec(variant)
     if p < 1:
         raise ValueError("p must be >= 1")
     if not G > 0.0:
@@ -163,19 +198,11 @@ def make_schedule(
         raise ValueError("radius must be > 0")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    strongly = variant.startswith("strongly")
-    bandit = variant.endswith("bandit")
-    if strongly:
-        if sigma is None or not sigma > 0.0:
-            raise ValueError("strongly convex variants need sigma > 0")
-    else:
-        if c is None or not 0.0 < c < 1.0:
-            raise ValueError("convex variants need c in (0, 1)")
-        if not a > 1.0:
-            raise ValueError("convex variants need a > 1")
+    spec.check_parameters(c=c, a=a, sigma=sigma)
+    strongly = spec.strongly_convex
     b = None
     pi = 0.0
-    if bandit:
+    if spec.bandit:
         b = 1.0 / 3.0 if strongly else c / 3.0
         pi = 1.0 / (radius * float(horizon) ** b)
         if not pi < 1.0:
@@ -285,16 +312,11 @@ class UnitState:
 
 @dataclass
 class RunState:
-    """Synchronized state of all units; row i - 1 belongs to unit i.
-
-    violations caches positive_parts_rows(decisions) so a round can record the
-    committed violation without recomputing it.
-    """
+    """Synchronized state of all units; row i - 1 belongs to unit i."""
 
     decisions: np.ndarray  # (N, d)
     duals: np.ndarray  # (N, p)
     rngs: Optional[tuple[np.random.Generator, ...]]
-    violations: Optional[np.ndarray] = None  # (N, p)
 
     def unit(self, i: int) -> UnitState:
         if not 1 <= i <= self.decisions.shape[0]:
@@ -322,12 +344,10 @@ def initial_state(
         if seed is None:
             raise ValueError("bandit runs need a seed")
         rngs = _sphere_rngs(seed, n_units)
-    decisions = np.zeros((n_units, constraints.dimension))
     return RunState(
-        decisions=decisions,
+        decisions=np.zeros((n_units, constraints.dimension)),
         duals=np.zeros((n_units, constraints.count)),
         rngs=rngs,
-        violations=constraints.positive_parts_rows(decisions),
     )
 
 
@@ -341,61 +361,52 @@ class RoundRecord:
     queries: Optional[np.ndarray]  # bandit probes, (N, d)
 
 
-def _probe(committed, directions, eps, round_losses, radius):
-    """Bandit feedback: the probes, the losses observed there, the one-point estimates."""
-    queries = committed + eps * directions
-    _check_in_ball(queries, radius)
-    observed = round_losses.values(queries)
-    estimates = (committed.shape[-1] / eps) * observed[..., None] * directions
-    return queries, observed, estimates
+def _step(committed, duals, round_losses, weights, hyper, constraints, beta, eta, probe):
+    """One round on (..., N, d) decision rows, with its step sizes already evaluated.
 
-
-def _descend(committed, duals, gradients, weights, beta, radius, constraints):
-    """Steps 2-4 of a round and the new violations, on (..., N, d) decision rows.
-
-    beta broadcasts against the rows, so a batch of seeds can carry one step
-    size each. Returns the next decisions and their positive parts.
+    beta and eta broadcast against the rows, so a batch of seeds can carry one
+    step size each. probe is None under full information and (eps, directions)
+    under bandit feedback. Returns the next decisions, duals and violations,
+    then the losses observed at the probes and the probes (None under full
+    information).
     """
+    if probe is None:
+        queries = observed = None
+        gradients = round_losses.gradients(committed)
+    else:
+        eps, directions = probe
+        queries = committed + eps * directions
+        _check_in_ball(queries, hyper.radius)
+        observed = round_losses.values(queries)
+        gradients = (committed.shape[-1] / eps) * observed[..., None] * directions
     d, p = committed.shape[-1], constraints.count
     dual_pull = constraints.weighted_subgradient_rows(
         committed.reshape(-1, d), duals.reshape(-1, p)
     ).reshape(committed.shape)
     y = committed - beta * (gradients + dual_pull)
+    radius = hyper.decision_radius
     nxt = _project_rows(consensus_mix(weights, y), radius)
     _check_in_ball(nxt, radius)
     violations = constraints.positive_parts_rows(nxt.reshape(-1, d))
-    return nxt, violations.reshape(committed.shape[:-1] + (p,))
+    violations = violations.reshape(committed.shape[:-1] + (p,))
+    return nxt, violations / eta, violations, observed, queries
 
 
 def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
     """One round of one seed from an explicit state; directions is None for full information."""
     committed = state.decisions
-    violations = (
-        state.violations
-        if state.violations is not None
-        else constraints.positive_parts_rows(committed)
-    )
-    if directions is None:
-        queries = None
-        losses, gradients = round_losses.values_and_gradients(committed)
-    else:
-        queries, losses, gradients = _probe(
-            committed, directions, hyper.eps(t), round_losses, hyper.radius
-        )
-    nxt, next_violations = _descend(
-        committed, state.duals, gradients, weights, hyper.beta(t), hyper.decision_radius,
-        constraints,
+    probe = None if directions is None else (hyper.eps(t), directions)
+    nxt, duals, _, observed, queries = _step(
+        committed, state.duals, round_losses, weights, hyper, constraints,
+        hyper.beta(t), hyper.eta(t), probe,
     )
     record = RoundRecord(
-        decisions=committed, losses=losses, violations=violations, queries=queries
+        decisions=committed,
+        losses=round_losses.values(committed) if directions is None else observed,
+        violations=constraints.positive_parts_rows(committed),
+        queries=queries,
     )
-    next_state = RunState(
-        decisions=nxt,
-        duals=next_violations / hyper.eta(t),
-        rngs=state.rngs,
-        violations=next_violations,
-    )
-    return next_state, record
+    return RunState(decisions=nxt, duals=duals, rngs=state.rngs), record
 
 
 def run_round_full(
@@ -479,7 +490,8 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         raise ValueError(f"schedule horizon {hyper.horizon} != stream horizon {horizon}")
     if hyper.p != constraints.count:
         raise ValueError("schedule was built for a different constraint count")
-    if hyper.is_bandit:
+    bandit = hyper.is_bandit
+    if bandit:
         if any(seed is None for seed in seeds):
             raise ValueError("bandit runs need a seed")
         rngs = [_sphere_rngs(seed, n) for seed in seeds]
@@ -495,26 +507,17 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         stop = min(start + _BLOCK, horizon)
         features = np.stack([s.features[start:stop] for s in streams], axis=1)
         targets = np.stack([s.targets[start:stop] for s in streams], axis=1)
-        if hyper.is_bandit:
-            directions = _sphere_block(rngs, stop - start, d)
+        directions = _sphere_block(rngs, stop - start, d) if bandit else None
         for k in range(stop - start):
             t = start + k + 1
             round_losses = RegressionRound(features[k], targets[k], first.rho)
             committed = decisions
-            if hyper.is_bandit:
-                queries, observed, gradients = _probe(
-                    committed, directions[k], eps, round_losses, hyper.radius
-                )
-            else:
-                queries = observed = None
-                gradients = round_losses.gradients(committed)
-            decisions, next_violations = _descend(
-                committed, duals, gradients, topology.weights_at(t),
-                betas[t - 1], hyper.decision_radius, constraints,
+            decisions, duals, next_violations, observed, queries = _step(
+                committed, duals, round_losses, topology.weights_at(t), hyper, constraints,
+                betas[t - 1], etas[t - 1], None if directions is None else (eps, directions[k]),
             )
             yield t, round_losses, committed, observed, violations, queries
             violations = next_violations
-            duals = violations / etas[t - 1]
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import HyperSchedule, make_schedule, run_seeds
+from .algorithm import HyperSchedule, make_schedule, run_seeds, variant_spec
 from .metrics import (
     MetricSeries,
     averaged_metrics,
@@ -47,6 +47,7 @@ __all__ = [
     "load_config",
     "list_presets",
     "preset_config",
+    "apply_overrides",
     "validate_scenario",
     "SeedResult",
     "SuiteResult",
@@ -286,26 +287,20 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
 
 
 def _check_variant_parameters(config: ScenarioConfig):
-    if config.variant not in (
-        "convex-full",
-        "strongly-convex-full",
-        "convex-bandit",
-        "strongly-convex-bandit",
-    ):
-        raise ConfigError(f"unknown variant {config.variant!r}")
-    strongly = config.variant.startswith("strongly")
-    if strongly:
+    """The variant's own parameter rules, plus what they mean for the config keys."""
+    try:
+        spec = variant_spec(config.variant)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if spec.strongly_convex:
         if config.rho <= 0.0:
             raise ConfigError("strongly convex variants need rho > 0")
         if config.c is not None:
             raise ConfigError("c is only meaningful for convex variants")
-    else:
-        if config.c is None:
-            raise ConfigError("convex variants need c")
-        if not 0.0 < config.c < 1.0:
-            raise ConfigError("c must lie in (0, 1)")
-        if not config.a > 1.0:
-            raise ConfigError("a must be > 1")
+    try:
+        spec.check_parameters(c=config.c, a=config.a, sigma=2.0 * config.rho)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +362,37 @@ def preset_config(
     catalogue = _presets()
     if name not in catalogue:
         raise ConfigError(f"unknown preset {name!r}; see `netoco presets`")
-    config = catalogue[name]
+    return apply_overrides(
+        catalogue[name], seed_count=seed_count, horizon=horizon, output_dir=output_dir,
+        workers=workers,
+    )
+
+
+def apply_overrides(
+    config: ScenarioConfig,
+    *,
+    seed_count: Optional[int] = None,
+    horizon: Optional[int] = None,
+    output_dir: Optional[str] = None,
+    workers: Optional[int] = None,
+) -> ScenarioConfig:
+    """Replace the seed list with 1..seed_count and set the other values given; None keeps one."""
+    changes = {}
     if seed_count is not None:
         if seed_count < 1:
             raise ConfigError("seed_count must be >= 1")
-        config = replace(config, seeds=tuple(range(1, seed_count + 1)))
+        changes["seeds"] = tuple(range(1, seed_count + 1))
     if horizon is not None:
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        config = replace(config, horizon=horizon)
+        changes["horizon"] = horizon
     if output_dir is not None:
-        config = replace(config, output_dir=output_dir)
+        changes["output_dir"] = output_dir
     if workers is not None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        config = replace(config, workers=workers)
-    return config
+        changes["workers"] = workers
+    return replace(config, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +434,6 @@ def _load_dataset(config: ScenarioConfig):
     return examples, dimension
 
 
-def _effective_geometry(config: ScenarioConfig, dimension: int):
-    radius = config.radius if config.radius is not None else config.upper * math.sqrt(dimension)
-    constraints = BoxConstraintSet(config.lower, config.upper, dimension)
-    return radius, constraints
-
-
 def _checkpoints(config: ScenarioConfig) -> tuple[int, ...]:
     if config.checkpoints is None:
         return checkpoint_grid(config.horizon)
@@ -441,22 +445,36 @@ def _checkpoints(config: ScenarioConfig) -> tuple[int, ...]:
     return kept
 
 
-def validate_scenario(config: ScenarioConfig) -> list[str]:
-    """Pre-round checks; returns human-readable failures (empty means valid)."""
+@dataclass(frozen=True)
+class _Prepared:
+    """What a valid scenario resolves to before its first round."""
+
+    examples: Optional[list]  # parsed dataset examples; None for synthetic data
+    dimension: int
+    radius: float
+    constraints: BoxConstraintSet
+    checkpoints: tuple[int, ...]
+
+
+def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
+    """Pre-round checks and resolution; the failures are empty exactly when the result is set."""
     failures = []
     try:
         _check_variant_parameters(config)
     except ConfigError as exc:
         failures.append(str(exc))
+    variant_ok = not failures
+    if not config.seeds:
+        failures.append("seeds must not be empty")
+    examples, dimension = None, config.dimension
     if config.source == "dataset":
         try:
-            _, dimension = _load_dataset(config)
+            examples, dimension = _load_dataset(config)
         except (ScenarioError, ValueError) as exc:
             failures.append(str(exc))
-            return failures
-    else:
-        dimension = config.dimension
-    radius, constraints = _effective_geometry(config, dimension)
+            return failures, None
+    radius = config.radius if config.radius is not None else config.upper * math.sqrt(dimension)
+    constraints = BoxConstraintSet(config.lower, config.upper, dimension)
     if constraints.max_vertex_norm() > radius + 1e-12:
         failures.append(
             f"decision box leaves the ball: corner norm {constraints.max_vertex_norm():.6g} "
@@ -469,47 +487,52 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     for graph, weights in zip(config.topology.graphs, config.topology.weights):
         report = validate_mixing(weights, graph)
         failures.extend(f"mixing: {v}" for v in report.violations)
+    if config.horizon < 1:
+        failures.append(f"horizon must be >= 1, got {config.horizon}")
+        return failures, None
+    if variant_ok:
+        try:
+            # G only scales step sizes; range checks don't need the data.
+            _schedule(config, constraints, radius, G=1.0, sigma=2.0 * config.rho)
+        except ValueError as exc:
+            failures.append(str(exc))
     try:
-        make_schedule(
-            config.variant,
-            p=constraints.count,
-            G=1.0,  # G only scales step sizes; range checks don't need the data
-            radius=radius,
-            horizon=config.horizon,
-            c=config.c,
-            a=config.a,
-            sigma=2.0 * config.rho if config.variant.startswith("strongly") else None,
-        )
-    except ValueError as exc:
-        failures.append(str(exc))
-    try:
-        _checkpoints(config)
+        checkpoints = _checkpoints(config)
     except ConfigError as exc:
         failures.append(str(exc))
-    return failures
+    if failures:
+        return failures, None
+    return [], _Prepared(examples, dimension, radius, constraints, checkpoints)
 
 
-def _seed_inputs(config, seed, examples, dimension, radius, constraints):
+def validate_scenario(config: ScenarioConfig) -> list[str]:
+    """Pre-round checks; returns human-readable failures (empty means valid)."""
+    return _prepare(config)[0]
+
+
+def _schedule(config, constraints, radius, *, G, sigma) -> HyperSchedule:
+    """The step schedule of a scenario; make_schedule drops sigma for convex variants."""
+    return make_schedule(
+        config.variant, p=constraints.count, G=G, radius=radius, horizon=config.horizon,
+        c=config.c, a=config.a, sigma=sigma,
+    )
+
+
+def _seed_inputs(config, seed, prepared: _Prepared):
     """One seed's stream, its realized bounds G and C, and its step schedule."""
     stream_seed = config.data_seed + seed
     if config.source == "synthetic":
         stream = synthetic_stream(
-            config.n_units, dimension, config.horizon, config.rho, stream_seed
+            config.n_units, prepared.dimension, config.horizon, config.rho, stream_seed
         )
     else:
-        stream = dataset_stream(examples, config.n_units, config.horizon, config.rho, stream_seed)
+        stream = dataset_stream(
+            prepared.examples, config.n_units, config.horizon, config.rho, stream_seed
+        )
+    radius, constraints = prepared.radius, prepared.constraints
     G = max(stream.gradient_bound(radius), constraints.gradient_bound)
     C = stream.value_bound(radius)
-    schedule = make_schedule(
-        config.variant,
-        p=constraints.count,
-        G=G,
-        radius=radius,
-        horizon=config.horizon,
-        c=config.c,
-        a=config.a,
-        sigma=stream.strong_convexity if config.variant.startswith("strongly") else None,
-    )
+    schedule = _schedule(config, constraints, radius, G=G, sigma=stream.strong_convexity)
     return stream, G, C, schedule
 
 
@@ -522,18 +545,11 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     Output directory precedence: out_dir argument, then the NETOCO_OUTPUT_DIR
     environment variable, then the config's output key, then "results".
     """
-    failures = validate_scenario(config)
+    failures, prepared = _prepare(config)
     if failures:
         raise ScenarioError("; ".join(failures))
-    examples, dimension = (None, config.dimension)
-    if config.source == "dataset":
-        examples, dimension = _load_dataset(config)
-    checkpoints = _checkpoints(config)
-    radius, constraints = _effective_geometry(config, dimension)
-    inputs = [
-        _seed_inputs(config, seed, examples, dimension, radius, constraints)
-        for seed in config.seeds
-    ]
+    checkpoints, constraints = prepared.checkpoints, prepared.constraints
+    inputs = [_seed_inputs(config, seed, prepared) for seed in config.seeds]
     streams = [stream for stream, _, _, _ in inputs]
     totals = run_seeds(
         streams,

@@ -8,6 +8,7 @@ import sys
 from .bench import (
     ConfigError,
     ScenarioError,
+    apply_overrides,
     list_presets,
     load_config,
     preset_config,
@@ -60,26 +61,10 @@ def main(argv=None) -> int:
         if (args.config is None) == (args.preset is None):
             print("run needs a config file or --preset (not both)", file=sys.stderr)
             return 2
-        if args.preset is not None:
-            config = preset_config(
-                args.preset,
-                seed_count=args.seed_count,
-                horizon=args.horizon,
-                workers=args.workers,
-            )
-        else:
-            config = load_config(args.config)
-            if args.seed_count is not None or args.horizon is not None or args.workers is not None:
-                from dataclasses import replace
-
-                overrides = {}
-                if args.seed_count is not None:
-                    overrides["seeds"] = tuple(range(1, args.seed_count + 1))
-                if args.horizon is not None:
-                    overrides["horizon"] = args.horizon
-                if args.workers is not None:
-                    overrides["workers"] = args.workers
-                config = replace(config, **overrides)
+        config = preset_config(args.preset) if args.preset is not None else load_config(args.config)
+        config = apply_overrides(
+            config, seed_count=args.seed_count, horizon=args.horizon, workers=args.workers
+        )
         result = run_suite(config, out_dir=args.out)
         final = result.checkpoints[-1]
         print(f"{result.name}: T={final} seeds={len(result.seed_results)}")

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import RunTrajectory
+from .algorithm import RunTrajectory, variant_spec
 from .network import TopologySchedule
 from .problems import RegressionStream
 
@@ -261,16 +261,16 @@ class BoundConstants:
     c: Optional[float]
 
     def sreg_bound(self, T: int) -> float:
-        if self.variant == "convex-full":
-            return self.sreg_constant * float(T) ** max(self.c, 1.0 - self.c)
-        if self.variant == "strongly-convex-full":
+        spec = variant_spec(self.variant)
+        if spec.strongly_convex:
+            if spec.bandit:
+                return self.sreg_constant * float(T) ** (2.0 / 3.0) * math.log(T)
             return self.sreg_constant * math.log(T)
-        if self.variant == "convex-bandit":
-            return self.sreg_constant * float(T) ** max(1.0 - self.c / 3.0, self.c)
-        return self.sreg_constant * float(T) ** (2.0 / 3.0) * math.log(T)
+        exponent = max(1.0 - self.c / 3.0, self.c) if spec.bandit else max(self.c, 1.0 - self.c)
+        return self.sreg_constant * float(T) ** exponent
 
     def cacv_bound(self, T: int) -> float:
-        if self.variant.startswith("strongly"):
+        if variant_spec(self.variant).strongly_convex:
             return self.cacv_constant * math.sqrt(T * math.log(T))
         return self.cacv_constant * float(T) ** (1.0 - self.c / 2.0)
 
@@ -302,30 +302,15 @@ def bound_constants(
     pushes it above one and empties the contraction gap; the resulting
     nonpositive constant is rejected loudly rather than propagated.
     """
-    strongly = variant.startswith("strongly")
-    bandit = variant.endswith("bandit")
-    if variant not in (
-        "convex-full",
-        "strongly-convex-full",
-        "convex-bandit",
-        "strongly-convex-bandit",
-    ):
-        raise ValueError(f"unknown variant {variant!r}")
+    spec = variant_spec(variant)
     if n_units < 1 or window < 1 or p < 1:
         raise ValueError("n_units, window, p must all be >= 1")
     if not 0.0 < zeta <= 1.0:
         raise ValueError("zeta must lie in (0, 1]")
     if not (G > 0.0 and radius > 0.0):
         raise ValueError("G and radius must be > 0")
-    if strongly:
-        if sigma is None or not sigma > 0.0:
-            raise ValueError("strongly convex variants need sigma > 0")
-    else:
-        if c is None or not 0.0 < c < 1.0:
-            raise ValueError("convex variants need c in (0, 1)")
-    if not a > 1.0:
-        raise ValueError("a must be > 1")
-    if bandit:
+    spec.check_parameters(c=c, a=a, sigma=sigma)
+    if spec.bandit:
         if C is None or not C > 0.0 or dimension is None or dimension < 1:
             raise ValueError("bandit variants need C > 0 and the dimension")
 
@@ -342,7 +327,7 @@ def bound_constants(
     if c_hat <= 0.0:
         raise ValueError(f"nonpositive disagreement constant {c_hat:.3e}")
 
-    if variant == "convex-full":
+    if not spec.strongly_convex and not spec.bandit:  # convex, full information
         sreg_c = (
             0.5 * a * p * n * G * G * radius * radius
             + n * (1.0 + c_hat) / (a * p)
@@ -351,12 +336,12 @@ def bound_constants(
         cacv_c = math.sqrt(
             n * n / (a - 1.0) * (1.0 + 2.0 * a * p * G * radius + 0.5 * (a * p * G * radius) ** 2)
         )
-    elif variant == "strongly-convex-full":
+    elif not spec.bandit:  # strongly convex, full information
         sreg_c = n * G * G / (2.0 * sigma) * (4.0 + 4.0 * c_hat + c_hat * c_hat)
         cacv_c = (
             4.0 * p * n * G ** 1.5 / math.sqrt(sigma) * (math.sqrt(radius) + math.sqrt(G / sigma))
         )
-    elif variant == "convex-bandit":
+    elif not spec.strongly_convex:  # convex, bandit
         d = float(dimension)
         sreg_c = (
             3.0 * n * G
@@ -386,5 +371,5 @@ def bound_constants(
         c_hat=c_hat,
         sreg_constant=sreg_c,
         cacv_constant=cacv_c,
-        c=None if strongly else float(c),
+        c=None if spec.strongly_convex else float(c),
     )
