@@ -21,12 +21,12 @@ every probe stays inside the full ball; eps_t <= pi * R is enforced when the
 schedule is built, and every round checks both balls, raising RuntimeError if
 a probe or a decision leaves its ball.
 
-One kernel runs the rounds: run_seeds advances the S seeds of a scenario in
-lockstep on (S, N, d) arrays and keeps only the running sums the metrics need,
-and run_experiment is the same kernel on one seed, recording the trajectory.
-run_round_full and run_round_bandit take one round of one seed from an
-explicit RunState. Both paths take the round through _step, so they give
-each seed the same bits.
+One kernel, _lockstep, runs the S seeds of a scenario in lockstep on (S, N, d)
+arrays and hands out blocks of B rounds; only it loops round by round. run_seeds
+keeps the running sums the metrics need, in O(B S N (d + p) + K S N) memory
+beyond the streams; run_experiment records one seed's trajectory, and
+run_round_full and run_round_bandit take one round from an explicit RunState.
+All take the round through _step, so each seed gets the same bits.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .network import TopologySchedule, WeightMatrix, consensus_mix
-from .problems import ConstraintSet, LossOracle, RegressionRound, clipped_subgradient
+from .problems import ConstraintSet, LossOracle, RegressionRound, _row_dots, clipped_subgradient
 
 __all__ = [
     "VARIANTS",
@@ -63,6 +63,7 @@ __all__ = [
     "RunTrajectory",
     "run_experiment",
     "CheckpointTotals",
+    "check_checkpoints",
     "run_seeds",
 ]
 
@@ -237,19 +238,15 @@ def project_ball(x, radius: float) -> np.ndarray:
     return x * (radius / norm)
 
 
-def _row_squares(rows: np.ndarray) -> np.ndarray:
-    return np.einsum("...d,...d->...", rows, rows)
-
-
 def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     # radius / max(norm, radius) is exactly 1.0 inside the ball.
-    norms = np.sqrt(_row_squares(rows))
+    norms = np.sqrt(_row_dots(rows, rows))
     return rows * (radius / np.maximum(norms, radius))[..., None]
 
 
 def _check_in_ball(rows: np.ndarray, radius: float):
     """Raise unless every row lies in the ball; the tolerance covers rounding only."""
-    largest = float(_row_squares(rows).max())
+    largest = float(_row_dots(rows, rows).max())
     if not largest <= (radius + 1e-12) ** 2:
         raise RuntimeError(
             f"containment broken: a row of norm {np.sqrt(largest):.17g} lies outside "
@@ -462,20 +459,21 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
 
 
 def _lockstep(streams, topology: TopologySchedule, schedules, constraints: ConstraintSet, seeds):
-    """Run every seed of a batch in lockstep on (S, N, d) arrays, one round per yield.
+    """Run every seed of a batch in lockstep on (S, N, d) arrays, one block of rounds per yield.
 
-    Yields (t, round_losses, committed, observed, violations, queries) for
-    t = 1..T: all seeds' losses of round t as one RegressionRound, the
-    committed decisions (S, N, d), the losses observed at the probes (S, N)
-    and the probes (S, N, d) for bandit variants (None otherwise), and the
-    positive parts at the committed decisions (S, N, p). Each seed's numbers
-    are bit for bit those of a run on its own.
+    Yields (start, block_losses, committed, violations, observed, queries) for
+    the block of B <= _BLOCK rounds start + 1..start + B: all seeds' losses of
+    the block as one RegressionRound over (B, S, N, d), the committed decisions
+    (B, S, N, d), the positive parts at them (B, S, N, p), and for bandit
+    variants the losses observed at the probes (B, S, N) and the probes
+    (B, S, N, d) (None otherwise). Only this loop runs round by round. Each
+    seed's numbers are bit for bit those of a run on its own.
     """
     if not streams or len(streams) != len(schedules) or len(streams) != len(seeds):
         raise ValueError("need one stream, schedule and seed per run")
     first = streams[0]
-    n, d, horizon = first.n_units, first.dimension, first.horizon
-    if any((s.n_units, s.dimension, s.horizon, s.rho) != (n, d, horizon, first.rho) for s in streams):
+    n, d, horizon, rho = first.n_units, first.dimension, first.horizon, first.rho
+    if any((s.n_units, s.dimension, s.horizon, s.rho) != (n, d, horizon, rho) for s in streams):
         raise ValueError("the streams of one batch must agree on N, d, T and rho")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -508,16 +506,37 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         features = np.stack([s.features[start:stop] for s in streams], axis=1)
         targets = np.stack([s.targets[start:stop] for s in streams], axis=1)
         directions = _sphere_block(rngs, stop - start, d) if bandit else None
-        for k in range(stop - start):
-            t = start + k + 1
-            round_losses = RegressionRound(features[k], targets[k], first.rho)
-            committed = decisions
-            decisions, duals, next_violations, observed, queries = _step(
-                committed, duals, round_losses, topology.weights_at(t), hyper, constraints,
+        committed, violated = np.empty(features.shape), np.empty((stop - start,) + duals.shape)
+        observed = np.empty(targets.shape) if bandit else None
+        queries = np.empty(features.shape) if bandit else None
+        for k, t in enumerate(range(start + 1, stop + 1)):
+            committed[k], violated[k] = decisions, violations
+            decisions, duals, violations, seen, probes = _step(
+                decisions, duals, RegressionRound(features[k], targets[k], rho),
+                topology.weights_at(t), hyper, constraints,
                 betas[t - 1], etas[t - 1], None if directions is None else (eps, directions[k]),
             )
-            yield t, round_losses, committed, observed, violations, queries
-            violations = next_violations
+            if bandit:
+                observed[k], queries[k] = seen, probes
+        yield start, RegressionRound(features, targets, rho), committed, violated, observed, queries
+
+
+def _running_sums(rows: np.ndarray, carry) -> np.ndarray:
+    """Overwrite rows with carry + their running sums along axis 0, the bits of a += per row."""
+    rows[0] += carry
+    return np.cumsum(rows, axis=0, out=rows)
+
+
+def check_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:
+    """The checkpoints as ints; ValueError unless nonempty, strictly increasing, in 1..horizon."""
+    checkpoints = tuple(int(k) for k in checkpoints)
+    if not checkpoints:
+        raise ValueError("at least one checkpoint required")
+    if list(checkpoints) != sorted(set(checkpoints)):
+        raise ValueError("checkpoints must be strictly increasing")
+    if not 1 <= checkpoints[0] <= checkpoints[-1] <= horizon:
+        raise ValueError(f"checkpoints must lie in 1..{horizon}, the prefix lengths of the run")
+    return checkpoints
 
 
 @dataclass
@@ -563,16 +582,17 @@ def run_experiment(
     losses = np.empty((horizon, n))
     violations = np.empty((horizon, n, constraints.count))
     queries = np.empty((horizon, n, d)) if hyper.is_bandit else None
-    for t, round_losses, committed, observed, committed_violations, probes in _lockstep(
+    for start, block_losses, committed, violated, observed, probes in _lockstep(
         [stream], topology, [hyper], constraints, [seed]
     ):
-        decisions[t - 1] = committed[0]
-        violations[t - 1] = committed_violations[0]
+        rounds = slice(start, start + len(committed))
+        decisions[rounds] = committed[:, 0]
+        violations[rounds] = violated[:, 0]
         if probes is None:
-            losses[t - 1] = round_losses.values(committed)[0]
+            losses[rounds] = block_losses.values(committed)[:, 0]
         else:
-            losses[t - 1] = observed[0]
-            queries[t - 1] = probes[0]
+            losses[rounds] = observed[:, 0]
+            queries[rounds] = probes[:, 0]
     counts = np.array([len(g.edges) for g in topology.graphs], dtype=np.int64)
     return RunTrajectory(
         variant=hyper.variant,
@@ -605,30 +625,25 @@ def run_seeds(
     """Run S seeds in lockstep and keep only the sums that metrics need.
 
     streams[s], schedules[s] and seeds[s] belong to one run; the schedules may
-    differ only in G. Memory stays O(S N d + K S N) on top of the streams: no
-    trajectory is stored. The sums equal those metrics.metric_series takes from
-    each seed's run_experiment trajectory, bit for bit.
+    differ only in G. No trajectory is stored: the kernel hands out blocks of
+    B rounds, their running sums are carried from block to block, and memory
+    stays O(B S N (d + p) + K S N) on top of the streams. The sums equal those
+    metrics.metric_series takes from each seed's run_experiment trajectory,
+    bit for bit.
     """
     if not streams:
         raise ValueError("need at least one seed")
-    checkpoints = tuple(int(k) for k in checkpoints)
-    if not checkpoints or list(checkpoints) != sorted(set(checkpoints)):
-        raise ValueError("checkpoints must be a nonempty strictly increasing sequence")
-    if not (1 <= checkpoints[0] and checkpoints[-1] <= streams[0].horizon):
-        raise ValueError(f"checkpoints must lie in 1..{streams[0].horizon}")
-    marks = {T: k for k, T in enumerate(checkpoints)}
-    n = streams[0].n_units
-    system = np.zeros((len(streams), n))
-    violated = np.zeros(len(streams))
-    system_at = np.empty((len(checkpoints), len(streams), n))
-    violated_at = np.empty((len(checkpoints), len(streams)))
-    for t, round_losses, committed, _, violations, _ in _lockstep(
+    checkpoints = check_checkpoints(checkpoints, streams[0].horizon)
+    index = np.array(checkpoints) - 1
+    system = violated = 0.0
+    system_at, violated_at = [], []
+    for start, block_losses, committed, violations, _, _ in _lockstep(
         streams, topology, schedules, constraints, seeds
     ):
-        system += round_losses.system_values(committed)
-        violated += violations.sum(axis=(1, 2))
-        k = marks.get(t)
-        if k is not None:
-            system_at[k] = system
-            violated_at[k] = violated
-    return CheckpointTotals(system_losses=system_at, violations=violated_at)
+        system_sums = _running_sums(block_losses.system_values(committed), system)
+        violated_sums = _running_sums(violations.sum(axis=(2, 3)), violated)
+        rows = index[(start <= index) & (index < start + len(committed))] - start
+        system_at.append(system_sums[rows])
+        violated_at.append(violated_sums[rows])
+        system, violated = system_sums[-1], violated_sums[-1]
+    return CheckpointTotals(np.concatenate(system_at), np.concatenate(violated_at))

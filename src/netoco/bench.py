@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import HyperSchedule, make_schedule, run_seeds, variant_spec
+from .algorithm import HyperSchedule, check_checkpoints, make_schedule, run_seeds, variant_spec
 from .metrics import (
     MetricSeries,
     averaged_metrics,
@@ -438,11 +438,9 @@ def _checkpoints(config: ScenarioConfig) -> tuple[int, ...]:
     if config.checkpoints is None:
         return checkpoint_grid(config.horizon)
     kept = tuple(k for k in config.checkpoints if k <= config.horizon)
-    if kept != tuple(sorted(set(kept))):
-        raise ConfigError("checkpoints must be strictly increasing")
     if not kept or kept[-1] != config.horizon:
         kept = kept + (config.horizon,)
-    return kept
+    return check_checkpoints(kept, config.horizon)
 
 
 @dataclass(frozen=True)
@@ -490,6 +488,13 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
     if config.horizon < 1:
         failures.append(f"horizon must be >= 1, got {config.horizon}")
         return failures, None
+    need = len(config.seeds) * config.horizon * config.n_units * (dimension + 1) * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:  # run_suite holds every seed's stream at once
+        failures.append(
+            f"horizon = {config.horizon} with {len(config.seeds)} seeds needs {need / 2**30:.4g} "
+            f"GiB of stream data, more than the {memory / 2**30:.4g} GiB of physical memory"
+        )
     if variant_ok:
         try:
             # G only scales step sizes; range checks don't need the data.
@@ -498,7 +503,7 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
             failures.append(str(exc))
     try:
         checkpoints = _checkpoints(config)
-    except ConfigError as exc:
+    except ValueError as exc:
         failures.append(str(exc))
     if failures:
         return failures, None

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import RunTrajectory, variant_spec
+from .algorithm import RunTrajectory, _running_sums, check_checkpoints, variant_spec
 from .network import TopologySchedule
 from .problems import RegressionStream
 
@@ -100,8 +100,8 @@ def offline_comparator(
 
 def _cumulative_system_losses(trajectory: RunTrajectory, stream, T: int) -> np.ndarray:
     """Row t - 1, entry i - 1: sum_{r<=t} sum_j loss_{j,r}(x_i(r)), for t = 1..T."""
-    _check_prefix(trajectory, T)
-    return np.cumsum(stream.rounds(T).system_values(trajectory.decisions[:T]), axis=0)
+    check_checkpoints((T,), trajectory.horizon)
+    return _running_sums(stream.rounds(T).system_values(trajectory.decisions[:T]), 0.0)
 
 
 def system_cumulative_losses(trajectory: RunTrajectory, stream, T: int) -> np.ndarray:
@@ -123,7 +123,7 @@ def sreg(trajectory: RunTrajectory, stream, comparator: Comparator, T: int) -> f
 
 def cacv(trajectory: RunTrajectory, T: int) -> float:
     """Cumulative absolute constraint violation over units, constraints, rounds."""
-    _check_prefix(trajectory, T)
+    check_checkpoints((T,), trajectory.horizon)
     return float(trajectory.violations[:T].sum())
 
 
@@ -181,19 +181,14 @@ def metric_series(
     The comparator is re-solved per checkpoint from the prefix's sufficient
     statistics.
     """
-    checkpoints = tuple(int(k) for k in checkpoints)
-    if not checkpoints:
-        raise ValueError("at least one checkpoint required")
-    if list(checkpoints) != sorted(set(checkpoints)):
-        raise ValueError("checkpoints must be strictly increasing")
-    _check_prefix(trajectory, checkpoints[-1])
+    checkpoints = check_checkpoints(checkpoints, trajectory.horizon)
     index = np.array(checkpoints) - 1
     return checkpoint_series(
         stream,
         constraints,
         checkpoints,
         _cumulative_system_losses(trajectory, stream, checkpoints[-1])[index],
-        np.cumsum(trajectory.violations.sum(axis=(1, 2)))[index],
+        _running_sums(trajectory.violations.sum(axis=(1, 2)), 0.0)[index],
         2 * np.cumsum(trajectory.edge_counts)[index],
     )
 
@@ -242,11 +237,6 @@ def averaged_metrics(series_list) -> MetricSeries:
         cacv=np.mean([s.cacv for s in series_list], axis=0),
         comm_cost=comm.copy(),
     )
-
-
-def _check_prefix(trajectory: RunTrajectory, T: int):
-    if not 1 <= T <= trajectory.horizon:
-        raise ValueError(f"prefix length {T} outside 1..{trajectory.horizon}")
 
 
 @dataclass(frozen=True)

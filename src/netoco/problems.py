@@ -272,10 +272,7 @@ class RegressionRound:
         return r[..., None] * self.features + (2.0 * self.rho) * rows
 
     def values_and_gradients(self, rows):
-        r = _row_dots(self.features, rows) - self.targets
-        values = 0.5 * r * r + self.rho * _row_dots(rows, rows)
-        grads = r[..., None] * self.features + (2.0 * self.rho) * rows
-        return values, grads
+        return self.values(rows), self.gradients(rows)
 
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""

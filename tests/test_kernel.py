@@ -11,6 +11,7 @@ from netoco.algorithm import (
     make_schedule,
     run_experiment,
     run_round_bandit,
+    run_round_full,
     run_seeds,
     sample_unit_sphere,
 )
@@ -20,11 +21,19 @@ from netoco.problems import BoxConstraintSet, synthetic_stream
 
 # Longer than two blocks of the kernel, so block boundaries are crossed.
 HORIZON = 300
+# Shorter than a block, exactly one block, one round past it, and several blocks.
+HORIZONS = (1, 128, 129, HORIZON)
+VARIANTS = ("convex-full", "strongly-convex-full", "convex-bandit", "strongly-convex-bandit")
+
+
+def checkpoints_for(horizon):
+    return tuple(T for T in (1, 7, 128, 129, 256) if T < horizon) + (horizon,)
 
 
 def batch(variant, seeds, horizon=HORIZON):
     box = BoxConstraintSet(-0.15, 0.15, 4)
-    radius = box.max_vertex_norm()
+    # A bandit schedule needs pi = 1 / (R T^b) < 1, so a one-round run needs R > 1.
+    radius = box.max_vertex_norm() if horizon > 1 else 1.5
     rho = 1.0 if variant.startswith("strongly") else 0.0
     streams = [synthetic_stream(6, 4, horizon, rho=rho, seed=40 + s) for s in seeds]
     schedules = [
@@ -72,13 +81,19 @@ class TestSphereBlock:
 
 class TestRunSeeds:
     @pytest.mark.parametrize(
-        "variant", ["convex-full", "strongly-convex-full", "convex-bandit", "strongly-convex-bandit"]
+        ("variant", "horizon"),
+        [
+            # The HORIZON cases keep the ids they had before the horizon was a parameter.
+            pytest.param(v, T, id=v if T == HORIZON else f"{v}-T{T}")
+            for v in VARIANTS
+            for T in HORIZONS
+        ],
     )
-    def test_batch_equals_per_seed_runs(self, variant):
+    def test_batch_equals_per_seed_runs(self, variant, horizon):
         seeds = (1, 2, 5)
-        streams, schedules, box = batch(variant, seeds)
+        streams, schedules, box = batch(variant, seeds, horizon)
         topology = default_ring_6()
-        checkpoints = (1, 7, 128, 129, 256, HORIZON)
+        checkpoints = checkpoints_for(horizon)
         totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
         comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
         for s, seed in enumerate(seeds):
@@ -107,19 +122,32 @@ class TestRunSeeds:
             run_seeds(streams, default_ring_6(), schedules, box, (1,), (10, HORIZON + 1))
 
 
-def test_kernel_run_equals_chained_bandit_rounds():
-    """run_experiment draws sphere directions in blocks; run_round_bandit draws
-    them one round at a time from the same streams."""
-    streams, schedules, box = batch("strongly-convex-bandit", (9,))
+def chained_rounds_equal_the_kernel(variant, seed, horizon, run_round):
+    streams, schedules, box = batch(variant, (seed,), horizon)
     stream, hyper = streams[0], schedules[0]
     topology = default_ring_6()
-    trajectory = run_experiment(stream, topology, hyper, box, seed=9)
-    state = initial_state(6, box, seed=9, bandit=True)
-    for t in range(1, HORIZON + 1):
-        state, record = run_round_bandit(state, stream.round(t), topology.weights_at(t), hyper, box, t)
-        np.testing.assert_array_equal(record.queries, trajectory.queries[t - 1])
+    trajectory = run_experiment(stream, topology, hyper, box, seed=seed)
+    state = initial_state(6, box, seed=seed, bandit=hyper.is_bandit)
+    for t in range(1, horizon + 1):
+        state, record = run_round(state, stream.round(t), topology.weights_at(t), hyper, box, t)
+        if hyper.is_bandit:
+            np.testing.assert_array_equal(record.queries, trajectory.queries[t - 1])
         np.testing.assert_array_equal(record.decisions, trajectory.decisions[t - 1])
         np.testing.assert_array_equal(record.losses, trajectory.losses[t - 1])
+        np.testing.assert_array_equal(record.violations, trajectory.violations[t - 1])
+
+
+@pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
+def test_kernel_run_equals_chained_bandit_rounds(horizon):
+    """run_experiment draws sphere directions in blocks; run_round_bandit draws
+    them one round at a time from the same streams."""
+    chained_rounds_equal_the_kernel("strongly-convex-bandit", 9, horizon, run_round_bandit)
+
+
+@pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
+def test_kernel_run_equals_chained_full_rounds(horizon):
+    """run_experiment evaluates a block's losses in one call; run_round_full one round."""
+    chained_rounds_equal_the_kernel("convex-full", 9, horizon, run_round_full)
 
 
 def test_step_sizes_match_the_per_round_formulas():

@@ -11,6 +11,7 @@ import pytest
 
 import netoco.bench
 from netoco.bench import ScenarioError, preset_config, run_suite, validate_scenario
+from netoco.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +52,33 @@ def test_an_empty_seed_list_is_a_failure_not_an_exception():
     assert validate_scenario(config) == ["seeds must not be empty"]
     with pytest.raises(ScenarioError, match="seeds must not be empty"):
         run_suite(config, write=False)
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(netoco.bench, "synthetic_stream", lambda *args: calls.append(args))
+    return calls
+
+
+def test_streams_larger_than_memory_are_a_failure(stream_calls):
+    config = preset_config("synthetic-sc-bandit-rho1", horizon=10**15)
+    [failure] = validate_scenario(config)
+    # 10 seeds x 10^15 rounds x 6 units x (4 + 1) values x 8 bytes.
+    assert "horizon = 1000000000000000 with 10 seeds" in failure
+    assert "2.235e+09 GiB of stream data" in failure
+    assert "GiB of physical memory" in failure
+    with pytest.raises(ScenarioError, match="physical memory"):
+        run_suite(config, write=False)
+    assert stream_calls == []
+
+
+def test_run_with_a_horizon_too_long_for_memory_exits_2(stream_calls, tmp_path, capsys):
+    argv = ["run", "--preset", "synthetic-convex-c0.5", "--horizon", "1000000000000000"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert stream_calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_containment_check_survives_optimized_mode():
