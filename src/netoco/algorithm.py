@@ -18,15 +18,19 @@ proceeds in lockstep:
 
 Bandit variants commit inside the shrunk ball of radius (1 - pi) * R so that
 every probe stays inside the full ball; eps_t <= pi * R is enforced when the
-schedule is built, and every round checks both balls, raising RuntimeError if
-a probe or a decision leaves its ball.
+schedule is built, and both balls are checked at run time, raising
+RuntimeError that names the round and unit of a probe or a decision outside
+its ball. The kernel checks once per block of rounds, before it hands the
+block out; run_round_full and run_round_bandit check their own round.
 
 One kernel, _lockstep, runs the S seeds of a scenario in lockstep on (S, N, d)
 arrays and hands out blocks of B rounds; only it loops round by round. run_seeds
 keeps the running sums the metrics need, in O(B S N (d + p) + K S N) memory
 beyond the streams; run_experiment records one seed's trajectory, and
 run_round_full and run_round_bandit take one round from an explicit RunState.
-All take the round through _step, so each seed gets the same bits.
+All take the round through _step, which carries only the decisions and the
+dual pull from round to round (steps 2 and 5 meet in
+ConstraintSet.dual_pull_rows), so each seed gets the same bits.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -244,14 +248,23 @@ def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     return rows * (radius / np.maximum(norms, radius))[..., None]
 
 
-def _check_in_ball(rows: np.ndarray, radius: float):
-    """Raise unless every row lies in the ball; the tolerance covers rounding only."""
-    largest = float(_row_dots(rows, rows).max())
-    if not largest <= (radius + 1e-12) ** 2:
-        raise RuntimeError(
-            f"containment broken: a row of norm {np.sqrt(largest):.17g} lies outside "
-            f"the ball of radius {radius:.17g}"
-        )
+def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: str = "row"):
+    """Raise unless every row lies in the ball; the tolerance covers rounding only.
+
+    rows is (N, d) for round first_round, or (B, ..., N, d) for the rounds
+    first_round..first_round + B - 1. The error names the round and the unit
+    of the first row outside the ball; kind says what the rows are.
+    """
+    squares = _row_dots(rows, rows)
+    bound = (radius + 1e-12) ** 2
+    if squares.max() <= bound:
+        return
+    where = np.unravel_index(np.flatnonzero(~(squares <= bound))[0], squares.shape)
+    t = first_round + (where[0] if squares.ndim > 1 else 0)
+    raise RuntimeError(
+        f"containment broken at round {t}: the {kind} of unit {where[-1] + 1} has norm "
+        f"{np.sqrt(squares[where]):.17g}, outside the ball of radius {radius:.17g}"
+    )
 
 
 def sample_unit_sphere(rng: np.random.Generator, dimension: int) -> np.ndarray:
@@ -358,14 +371,17 @@ class RoundRecord:
     queries: Optional[np.ndarray]  # bandit probes, (N, d)
 
 
-def _step(committed, duals, round_losses, weights, hyper, constraints, beta, eta, probe):
+def _step(committed, pull, round_losses, weights, radius, constraints, beta, eta, probe):
     """One round on (..., N, d) decision rows, with its step sizes already evaluated.
 
-    beta and eta broadcast against the rows, so a batch of seeds can carry one
-    step size each. probe is None under full information and (eps, directions)
-    under bandit feedback. Returns the next decisions, duals and violations,
-    then the losses observed at the probes and the probes (None under full
-    information).
+    pull is the dual pull at the committed rows, sum_s lambda_is times the
+    clipped subgradient of constraint s. beta and eta broadcast against the
+    rows, so a batch of seeds can carry one step size each. probe is None
+    under full information and (eps, directions) under bandit feedback.
+    Returns the next decisions (projected onto the ball of the given radius)
+    and the dual pull at them, then the losses observed at the probes and the
+    probes (None under full information). Nothing here checks containment or
+    records violations: the callers do that for a round or a block at once.
     """
     if probe is None:
         queries = observed = None
@@ -373,36 +389,33 @@ def _step(committed, duals, round_losses, weights, hyper, constraints, beta, eta
     else:
         eps, directions = probe
         queries = committed + eps * directions
-        _check_in_ball(queries, hyper.radius)
         observed = round_losses.values(queries)
         gradients = (committed.shape[-1] / eps) * observed[..., None] * directions
-    d, p = committed.shape[-1], constraints.count
-    dual_pull = constraints.weighted_subgradient_rows(
-        committed.reshape(-1, d), duals.reshape(-1, p)
-    ).reshape(committed.shape)
-    y = committed - beta * (gradients + dual_pull)
-    radius = hyper.decision_radius
+    y = committed - beta * (gradients + pull)
     nxt = _project_rows(consensus_mix(weights, y), radius)
-    _check_in_ball(nxt, radius)
-    violations = constraints.positive_parts_rows(nxt.reshape(-1, d))
-    violations = violations.reshape(committed.shape[:-1] + (p,))
-    return nxt, violations / eta, violations, observed, queries
+    return nxt, constraints.dual_pull_rows(nxt, eta), observed, queries
 
 
 def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
     """One round of one seed from an explicit state; directions is None for full information."""
     committed = state.decisions
     probe = None if directions is None else (hyper.eps(t), directions)
-    nxt, duals, _, observed, queries = _step(
-        committed, state.duals, round_losses, weights, hyper, constraints,
-        hyper.beta(t), hyper.eta(t), probe,
+    eta, radius = hyper.eta(t), hyper.decision_radius
+    # A RunState carries the duals, not their pull, so the pull _step returns is dropped.
+    nxt, _, observed, queries = _step(
+        committed, constraints.weighted_subgradient_rows(committed, state.duals),
+        round_losses, weights, radius, constraints, hyper.beta(t), eta, probe,
     )
+    if queries is not None:
+        _check_in_ball(queries, hyper.radius, t, "probe")
+    _check_in_ball(nxt, radius, t + 1, "decision")
     record = RoundRecord(
         decisions=committed,
         losses=round_losses.values(committed) if directions is None else observed,
         violations=constraints.positive_parts_rows(committed),
         queries=queries,
     )
+    duals = constraints.positive_parts_rows(nxt) / eta
     return RunState(decisions=nxt, duals=duals, rngs=state.rngs), record
 
 
@@ -466,7 +479,10 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     the block as one RegressionRound over (B, S, N, d), the committed decisions
     (B, S, N, d), the positive parts at them (B, S, N, p), and for bandit
     variants the losses observed at the probes (B, S, N) and the probes
-    (B, S, N, d) (None otherwise). Only this loop runs round by round. Each
+    (B, S, N, d) (None otherwise). Only this loop runs round by round, and
+    each round carries only the decisions and the dual pull; containment is
+    checked and the violations are computed once per block, before the block
+    is yielded, so a broken row stops the run at most B - 1 rounds late. Each
     seed's numbers are bit for bit those of a run on its own.
     """
     if not streams or len(streams) != len(schedules) or len(streams) != len(seeds):
@@ -498,26 +514,36 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     steps = [h.step_sizes() for h in schedules]
     etas = np.stack([eta for eta, _ in steps], axis=1)[:, :, None, None]  # (T, S, 1, 1)
     betas = np.stack([beta for _, beta in steps], axis=1)[:, :, None, None]
+    # Round t mixes with weights[(t - 1) % period], as weights_at(t) gives, without its range check.
+    weights, radius = topology.weights, hyper.decision_radius
     decisions = np.zeros((len(streams), n, d))
-    duals = np.zeros((len(streams), n, constraints.count))
-    violations = constraints.positive_parts_rows(decisions.reshape(-1, d)).reshape(duals.shape)
+    # The duals start at zero, so round 1 feels no pull even where x = 0 violates a constraint.
+    pull = np.zeros(decisions.shape)
     for start in range(0, horizon, _BLOCK):
         stop = min(start + _BLOCK, horizon)
         features = np.stack([s.features[start:stop] for s in streams], axis=1)
         targets = np.stack([s.targets[start:stop] for s in streams], axis=1)
         directions = _sphere_block(rngs, stop - start, d) if bandit else None
-        committed, violated = np.empty(features.shape), np.empty((stop - start,) + duals.shape)
+        committed = np.empty(features.shape)
         observed = np.empty(targets.shape) if bandit else None
         queries = np.empty(features.shape) if bandit else None
         for k, t in enumerate(range(start + 1, stop + 1)):
-            committed[k], violated[k] = decisions, violations
-            decisions, duals, violations, seen, probes = _step(
-                decisions, duals, RegressionRound(features[k], targets[k], rho),
-                topology.weights_at(t), hyper, constraints,
+            committed[k] = decisions
+            decisions, pull, seen, probes = _step(
+                decisions, pull, RegressionRound(features[k], targets[k], rho),
+                weights[(t - 1) % len(weights)], radius, constraints,
                 betas[t - 1], etas[t - 1], None if directions is None else (eps, directions[k]),
             )
             if bandit:
                 observed[k], queries[k] = seen, probes
+        # Containment of the block, before any of it is handed out: every
+        # committed decision, the decisions left for round stop + 1, every probe.
+        _check_in_ball(committed, radius, start + 1, "decision")
+        _check_in_ball(decisions[None], radius, stop + 1, "decision")
+        if bandit:
+            _check_in_ball(queries, hyper.radius, start + 1, "probe")
+        violated = constraints.positive_parts_rows(committed.reshape(-1, d))
+        violated = violated.reshape(committed.shape[:-1] + (constraints.count,))
         yield start, RegressionRound(features, targets, rho), committed, violated, observed, queries
 
 

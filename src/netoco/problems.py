@@ -123,9 +123,11 @@ class ConstraintSet:
     """Inequality constraints c_s(x) <= 0, s = 1..p, with a shared gradient bound.
 
     The generic implementation evaluates per-constraint callables; vector paths
-    used by the decision loop (positive parts and dual-weighted clipped
-    subgradients over a batch of rows) fall back to loops and are overridden
-    where closed forms exist.
+    used by the decision loop (positive parts, dual-weighted clipped
+    subgradients and the dual pull over a batch of rows) fall back to loops and
+    are overridden where closed forms exist. An override of dual_pull_rows must
+    give the bits of the generic default, which the kernel and the one-round
+    functions rely on to agree.
     """
 
     def __init__(self, dimension, values, gradients, gradient_bound):
@@ -175,6 +177,19 @@ class ConstraintSet:
                     out[i] += lam * self.gradient(row, s)
         return out
 
+    def dual_pull_rows(self, rows, eta) -> np.ndarray:
+        """The dual pull at rows whose duals were just reset with step eta.
+
+        Row i is sum_s (positive_parts(x_i)_s / eta) * clipped_subgradient(x_i, s),
+        that is weighted_subgradient_rows(rows, positive_parts_rows(rows) / eta).
+        rows is (..., d), and eta broadcasts against the (..., p) positive parts,
+        so a batch of seeds can carry one eta each.
+        """
+        rows = np.asarray(rows, dtype=float)
+        flat = rows.reshape(-1, self.dimension)
+        duals = self.positive_parts_rows(flat).reshape(rows.shape[:-1] + (self.count,)) / eta
+        return self.weighted_subgradient_rows(flat, duals.reshape(len(flat), -1)).reshape(rows.shape)
+
     def _check_index(self, s: int):
         if not 1 <= s <= self.count:
             raise IndexError(f"constraint index {s} outside 1..{self.count}")
@@ -217,9 +232,13 @@ class BoxConstraintSet(ConstraintSet):
     def positive_parts_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         # np.clip with no upper bound is np.maximum, minus its call overhead.
-        below = np.maximum(self.lower - rows, 0.0)
-        above = np.maximum(rows - self.upper, 0.0)
-        return np.concatenate([below, above], axis=1)
+        # Both halves are computed in place: the kernel passes a whole block of
+        # rows, and temporaries of that size would raise peak memory.
+        out = np.empty(rows.shape[:-1] + (self.count,))
+        below, above = out[..., : self.dimension], out[..., self.dimension :]
+        np.maximum(np.subtract(self.lower, rows, out=below), 0.0, out=below)
+        np.maximum(np.subtract(rows, self.upper, out=above), 0.0, out=above)
+        return out
 
     def weighted_subgradient_rows(self, rows, duals) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -229,6 +248,18 @@ class BoxConstraintSet(ConstraintSet):
         below = (rows < self.lower).astype(float)
         above = (rows > self.upper).astype(float)
         return duals[:, d:] * above - duals[:, :d] * below
+
+    def dual_pull_rows(self, rows, eta) -> np.ndarray:
+        """The generic dual pull in closed form: (x - clip(x, lower, upper)) / eta.
+
+        At most one side of a coordinate is violated, and x - bound is exactly
+        -(bound - x), so this is the generic pull bit for bit, save one sign:
+        where a lower-side pull underflows, the quotient is -0.0 and the
+        generic pull +0.0. Adding +0.0 turns -0.0 into +0.0 and changes no
+        other value.
+        """
+        rows = np.asarray(rows, dtype=float)
+        return (rows - np.minimum(np.maximum(rows, self.lower), self.upper)) / eta + 0.0
 
     def project(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)

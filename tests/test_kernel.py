@@ -1,8 +1,15 @@
 """The seed-batched round kernel against per-seed runs and the round functions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import netoco.algorithm as algorithm
 from netoco.algorithm import (
     _check_in_ball,
     _sphere_block,
@@ -17,7 +24,9 @@ from netoco.algorithm import (
 )
 from netoco.metrics import checkpoint_series, communication_cost, metric_series
 from netoco.network import default_ring_6
-from netoco.problems import BoxConstraintSet, synthetic_stream
+from netoco.problems import BoxConstraintSet, ConstraintSet, synthetic_stream
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Longer than two blocks of the kernel, so block boundaries are crossed.
 HORIZON = 300
@@ -30,10 +39,13 @@ def checkpoints_for(horizon):
     return tuple(T for T in (1, 7, 128, 129, 256) if T < horizon) + (horizon,)
 
 
-def batch(variant, seeds, horizon=HORIZON):
-    box = BoxConstraintSet(-0.15, 0.15, 4)
+def batch(variant, seeds, horizon=HORIZON, box=None, radius=None):
+    box = BoxConstraintSet(-0.15, 0.15, 4) if box is None else box
     # A bandit schedule needs pi = 1 / (R T^b) < 1, so a one-round run needs R > 1.
-    radius = box.max_vertex_norm() if horizon > 1 else 1.5
+    if horizon == 1:
+        radius = 1.5
+    elif radius is None:  # only a box has vertices
+        radius = box.max_vertex_norm()
     rho = 1.0 if variant.startswith("strongly") else 0.0
     streams = [synthetic_stream(6, 4, horizon, rho=rho, seed=40 + s) for s in seeds]
     schedules = [
@@ -122,8 +134,8 @@ class TestRunSeeds:
             run_seeds(streams, default_ring_6(), schedules, box, (1,), (10, HORIZON + 1))
 
 
-def chained_rounds_equal_the_kernel(variant, seed, horizon, run_round):
-    streams, schedules, box = batch(variant, (seed,), horizon)
+def chained_rounds_equal_the_kernel(variant, seed, horizon, run_round, box=None, radius=None):
+    streams, schedules, box = batch(variant, (seed,), horizon, box, radius)
     stream, hyper = streams[0], schedules[0]
     topology = default_ring_6()
     trajectory = run_experiment(stream, topology, hyper, box, seed=seed)
@@ -135,6 +147,7 @@ def chained_rounds_equal_the_kernel(variant, seed, horizon, run_round):
         np.testing.assert_array_equal(record.decisions, trajectory.decisions[t - 1])
         np.testing.assert_array_equal(record.losses, trajectory.losses[t - 1])
         np.testing.assert_array_equal(record.violations, trajectory.violations[t - 1])
+    return trajectory
 
 
 @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
@@ -148,6 +161,182 @@ def test_kernel_run_equals_chained_bandit_rounds(horizon):
 def test_kernel_run_equals_chained_full_rounds(horizon):
     """run_experiment evaluates a block's losses in one call; run_round_full one round."""
     chained_rounds_equal_the_kernel("convex-full", 9, horizon, run_round_full)
+
+
+def generic_constraints():
+    """Constraints with no closed forms in the kernel, and constraint gradients of
+    norms other than 1; the first is violated at x = 0, so round 1 already has a
+    violation while its duals, and so its pull, are still zero."""
+    a1, a3 = np.array([2.0, 1.0, 0.0, -0.5]), np.array([0.0, 0.0, 3.0, 0.5])
+    return ConstraintSet(
+        4,
+        values=[lambda x: 0.02 - a1 @ x, lambda x: x @ x - 0.01, lambda x: a3 @ x - 0.05],
+        gradients=[lambda x: -a1, lambda x: 2.0 * x, lambda x: a3],
+        gradient_bound=3.1,
+    )
+
+
+CONSTRAINT_SETS = {
+    "generic": lambda: (generic_constraints(), 0.3),
+    # x = 0 lies below every lower face.
+    "box-above-zero": lambda: (BoxConstraintSet(0.05, 0.2, 4), None),
+}
+
+
+@pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
+@pytest.mark.parametrize(
+    ("variant", "run_round"),
+    [("convex-full", run_round_full), ("strongly-convex-bandit", run_round_bandit)],
+    ids=["full", "bandit"],
+)
+@pytest.mark.parametrize("constraints", sorted(CONSTRAINT_SETS))
+def test_kernel_run_equals_chained_rounds_for_other_constraint_sets(constraints, variant, run_round, horizon):
+    """The kernel pulls through dual_pull_rows, the round functions through the
+    duals of the state; both must give the same bits for any constraint set."""
+    box, radius = CONSTRAINT_SETS[constraints]()
+    trajectory = chained_rounds_equal_the_kernel(variant, 9, horizon, run_round, box, radius)
+    # Every constraint gradient is nonzero where its constraint is violated, so
+    # the violation of round 1 makes round 2 pull.
+    assert trajectory.violations[0].max() > 0
+
+
+# The projection of round 199 gives the decisions of round 200, in the kernel's
+# second block of rounds 129..256.
+BROKEN_ROUND, BROKEN_UNIT = 200, 3
+
+
+def push_a_decision_out(monkeypatch, broken_round=BROKEN_ROUND):
+    """Sabotage the projection that yields the decisions of broken_round: one
+    unit's row of every seed lands at twice the radius."""
+    original, calls = algorithm._project_rows, []
+
+    def sabotaged(rows, radius):
+        out = original(rows, radius)
+        calls.append(None)
+        if len(calls) == broken_round - 1:
+            out[..., BROKEN_UNIT - 1, :] = 0.0
+            out[..., BROKEN_UNIT - 1, 0] = 2.0 * radius
+        return out
+
+    monkeypatch.setattr(algorithm, "_project_rows", sabotaged)
+
+
+def record_yielded_blocks(monkeypatch):
+    """The start of every block the kernel hands out, in order."""
+    original, starts = algorithm._lockstep, []
+
+    def recording(*args):
+        for block in original(*args):
+            starts.append(block[0])
+            yield block
+
+    monkeypatch.setattr(algorithm, "_lockstep", recording)
+    return starts
+
+
+class TestDeferredContainment:
+    """Containment is checked once per block; a broken row must still stop the
+    run, with its round and unit named, before its block is handed out."""
+
+    message = f"containment broken at round {BROKEN_ROUND}: the decision of unit {BROKEN_UNIT} "
+
+    def test_run_seeds(self, monkeypatch):
+        streams, schedules, box = batch("convex-full", (1, 2))
+        push_a_decision_out(monkeypatch)
+        starts = record_yielded_blocks(monkeypatch)
+        with pytest.raises(RuntimeError, match=self.message):
+            run_seeds(streams, default_ring_6(), schedules, box, (1, 2), (HORIZON,))
+        assert starts == [0]
+
+    def test_run_experiment(self, monkeypatch):
+        streams, schedules, box = batch("strongly-convex-full", (1,))
+        push_a_decision_out(monkeypatch)
+        starts = record_yielded_blocks(monkeypatch)
+        with pytest.raises(RuntimeError, match=self.message):
+            run_experiment(streams[0], default_ring_6(), schedules[0], box, seed=1)
+        assert starts == [0]
+
+    def test_the_decisions_left_after_the_last_round(self, monkeypatch):
+        streams, schedules, box = batch("convex-full", (1,))
+        push_a_decision_out(monkeypatch, HORIZON + 1)
+        starts = record_yielded_blocks(monkeypatch)
+        with pytest.raises(RuntimeError, match=f"round {HORIZON + 1}: the decision of unit {BROKEN_UNIT} "):
+            run_experiment(streams[0], default_ring_6(), schedules[0], box, seed=1)
+        assert starts == [0, 128]
+
+    def test_a_probe_outside_the_full_ball(self, monkeypatch):
+        seeds = (1, 2)
+        streams, schedules, box = batch("strongly-convex-bandit", seeds)
+        hyper = schedules[0]
+        original, drawn = algorithm._sphere_block, [0]  # rounds drawn so far
+
+        def stretched(rngs, rounds, dimension):
+            directions = original(rngs, rounds, dimension)
+            k = BROKEN_ROUND - drawn[0] - 1
+            if 0 <= k < rounds:
+                # A direction of length 3 R / eps puts the probe x + eps * u at
+                # distance 3 R from a decision inside the ball of radius R.
+                directions[k, 0, BROKEN_UNIT - 1] *= 3.0 * hyper.radius / hyper.eps(1)
+            drawn[0] += rounds
+            return directions
+
+        monkeypatch.setattr(algorithm, "_sphere_block", stretched)
+        starts = record_yielded_blocks(monkeypatch)
+        with pytest.raises(RuntimeError, match=f"round {BROKEN_ROUND}: the probe of unit {BROKEN_UNIT} "):
+            run_seeds(streams, default_ring_6(), schedules, box, seeds, (HORIZON,))
+        assert starts == [0]
+
+    def test_under_optimized_mode(self):
+        script = textwrap.dedent(
+            f"""
+            import netoco.algorithm as algorithm
+            from netoco.network import default_ring_6
+            from netoco.problems import BoxConstraintSet, synthetic_stream
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            original, calls, starts = algorithm._project_rows, [], []
+
+            def sabotaged(rows, radius):
+                out = original(rows, radius)
+                calls.append(None)
+                if len(calls) == {BROKEN_ROUND - 1}:
+                    out[..., {BROKEN_UNIT - 1}, 0] = 2.0 * radius
+                return out
+
+            lockstep = algorithm._lockstep
+
+            def recording(*args):
+                for block in lockstep(*args):
+                    starts.append(block[0])
+                    yield block
+
+            algorithm._project_rows, algorithm._lockstep = sabotaged, recording
+            box = BoxConstraintSet(-0.15, 0.15, 4)
+            stream = synthetic_stream(6, 4, {HORIZON}, rho=0.0, seed=40)
+            hyper = algorithm.make_schedule(
+                "convex-full", p=box.count, G=stream.gradient_bound(0.3), radius=0.3,
+                horizon={HORIZON}, c=0.75,
+            )
+            try:
+                algorithm.run_seeds([stream], default_ring_6(), [hyper], box, [1], [{HORIZON}])
+            except RuntimeError as exc:
+                print(exc)
+                print("yielded", starts)
+            else:
+                raise SystemExit("a decision outside the ball passed")
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        child = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        assert self.message in child.stdout
+        assert "yielded [0]" in child.stdout
 
 
 def test_step_sizes_match_the_per_round_formulas():

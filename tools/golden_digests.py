@@ -3,7 +3,11 @@
 Usage (from the repository root):
 
     PYTHONPATH=src python tools/golden_digests.py          # print them as JSON
+    PYTHONPATH=src python tools/golden_digests.py --check  # compare with tests/golden_digests.json
     PYTHONPATH=src python tools/golden_digests.py --write  # replace tests/golden_digests.json
+
+--check prints each preset whose digest differs from the recorded one (and a
+numpy version mismatch) and exits 1 if there is any, 0 otherwise.
 
 Runs all presets at T = 2048 with seeds 1 and 2 (the shortest horizon every
 preset accepts) with BLAS pinned to one thread: the comparator's Gram matrix
@@ -44,12 +48,31 @@ def digests() -> dict:
     return {"numpy": np.__version__, "horizon": HORIZON, "seed_count": SEED_COUNT, "csv_sha256": csv}
 
 
+def differences(measured: dict, recorded: dict) -> list[str]:
+    """One line per way measured differs from recorded: numpy version, then presets."""
+    lines = []
+    if measured["numpy"] != recorded["numpy"]:
+        lines.append(f"numpy {measured['numpy']} (digests recorded with numpy {recorded['numpy']})")
+    for name in sorted(set(measured["csv_sha256"]) | set(recorded["csv_sha256"])):
+        got, want = measured["csv_sha256"].get(name), recorded["csv_sha256"].get(name)
+        if got != want:
+            lines.append(f"{name}: {got or 'missing'} (recorded {want or 'missing'})")
+    return lines
+
+
 def main(argv) -> int:
-    text = json.dumps(digests(), indent=1, sort_keys=True) + "\n"
+    if argv not in ([], ["--write"], ["--check"]):
+        raise SystemExit(f"usage: {sys.argv[0]} [--check | --write]")
+    measured = digests()
+    if argv == ["--check"]:
+        lines = differences(measured, json.loads(GOLDEN_FILE.read_text(encoding="utf-8")))
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} difference(s) from {GOLDEN_FILE.name}")
+        return 1 if lines else 0
+    text = json.dumps(measured, indent=1, sort_keys=True) + "\n"
     if argv == ["--write"]:
         GOLDEN_FILE.write_text(text, encoding="utf-8")
-    elif argv:
-        raise SystemExit(f"usage: {sys.argv[0]} [--write]")
     else:
         sys.stdout.write(text)
     return 0
