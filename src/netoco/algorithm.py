@@ -58,7 +58,6 @@ __all__ = [
     "augmented_lagrangian",
     "primal_direction",
     "dual_update",
-    "UnitState",
     "RunState",
     "initial_state",
     "RoundRecord",
@@ -311,15 +310,6 @@ def dual_update(constraints: ConstraintSet, x_next, eta: float) -> np.ndarray:
     return constraints.positive_parts(x_next) / eta
 
 
-@dataclass(frozen=True)
-class UnitState:
-    """Per-unit view: decision, dual vector, and the unit's sphere stream."""
-
-    decision: np.ndarray
-    dual: np.ndarray
-    rng: Optional[np.random.Generator]
-
-
 @dataclass
 class RunState:
     """Synchronized state of all units; row i - 1 belongs to unit i."""
@@ -327,15 +317,6 @@ class RunState:
     decisions: np.ndarray  # (N, d)
     duals: np.ndarray  # (N, p)
     rngs: Optional[tuple[np.random.Generator, ...]]
-
-    def unit(self, i: int) -> UnitState:
-        if not 1 <= i <= self.decisions.shape[0]:
-            raise IndexError(f"unit {i} outside 1..{self.decisions.shape[0]}")
-        return UnitState(
-            decision=self.decisions[i - 1],
-            dual=self.duals[i - 1],
-            rng=None if self.rngs is None else self.rngs[i - 1],
-        )
 
 
 def _sphere_rngs(seed: int, n_units: int) -> tuple[np.random.Generator, ...]:

@@ -1,7 +1,9 @@
 """Scenario configuration, preset catalogue, suite runner, and CSV output.
 
 A scenario file is flat key = value INI text with sections [problem],
-[topology], [constraints], [algorithm], [run]; see load_config. One scenario
+[topology], [constraints], [algorithm], [run]; see load_config. A preset is
+the table of keys where it differs from a file's defaults, and preset_config
+reads it through the same loader, so every key has one default. One scenario
 runs its seed list as one lockstep batch, evaluates the metric series per
 seed, averages across seeds, and writes one CSV per scenario with per-seed
 rows plus a seed = "mean" aggregate row per checkpoint. Identical configs
@@ -111,6 +113,14 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return _from_parser(parser, path.stem, path.parent)
+
+
+def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
+    """The config of parsed scenario keys, with every key's default; the only builder of one.
+
+    A relative dataset path resolves against base_dir, the scenario file's directory.
+    """
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -121,7 +131,7 @@ def load_config(path) -> ScenarioConfig:
     def get(section, key, default=None):
         return parser.get(section, key, fallback=default)
 
-    source = (get("problem", "source", "synthetic") or "synthetic").strip()
+    source = (get("problem", "source") or "synthetic").strip()
     if source not in ("synthetic", "dataset"):
         raise ConfigError(f"problem source must be synthetic or dataset, got {source!r}")
     dataset = get("problem", "dataset")
@@ -131,8 +141,8 @@ def load_config(path) -> ScenarioConfig:
         dataset = dataset.strip()
         if dataset not in _BUNDLED_DATASETS:
             candidate = Path(dataset)
-            if not candidate.is_absolute():
-                candidate = path.parent / candidate
+            if not candidate.is_absolute() and base_dir is not None:
+                candidate = base_dir / candidate
             dataset = str(candidate)
         if get("problem", "dimension") is not None:
             raise ConfigError("dimension is inferred from the dataset; remove it")
@@ -193,7 +203,7 @@ def load_config(path) -> ScenarioConfig:
     workers = _parse_int(get("run", "workers", "1"), "workers", minimum=1)
 
     config = ScenarioConfig(
-        name=path.stem,
+        name=name,
         source=source,
         dataset=dataset,
         n_units=n_units,
@@ -242,12 +252,9 @@ def _parse_float(text, key) -> float:
 
 
 def _parse_topology(parser, n_units: int) -> TopologySchedule:
-    if not parser.has_section("topology") or parser.get("topology", "preset", fallback=None):
-        preset = (
-            parser.get("topology", "preset", fallback="default-ring-6")
-            if parser.has_section("topology")
-            else "default-ring-6"
-        ).strip()
+    preset = parser.get("topology", "preset", fallback=None)
+    if preset or not parser.has_section("topology"):
+        preset = (preset or "default-ring-6").strip()
         for key in ("nodes", "window", "graphs"):
             if parser.has_option("topology", key):
                 raise ConfigError("topology preset excludes nodes/window/graphs")
@@ -306,49 +313,36 @@ def _check_variant_parameters(config: ScenarioConfig):
 # ---------------------------------------------------------------------------
 # Presets
 
-_SYNTHETIC_BASE = dict(
-    source="synthetic",
-    dataset=None,
-    n_units=6,
-    dimension=4,
-    data_seed=0,
-    lower=-0.15,
-    upper=0.15,
-    radius=None,
-    a=2.0,
-    horizon=8192,
-    checkpoints=None,
-    seeds=tuple(range(1, 11)),
-    output_dir=None,
-    workers=1,
-)
+def _preset_table() -> dict[str, dict[str, dict[str, str]]]:
+    """Each preset as the scenario keys (section -> key -> text) where it differs from the file
+    defaults; preset_config reads them as load_config reads a file."""
+    table = {}
 
+    def add(name, variant, c=None, **problem):
+        entry = {"problem": problem} if problem else {}
+        entry["algorithm"] = {"variant": variant} if c is None else {"variant": variant, "c": c}
+        table[name] = entry
 
-def _presets() -> dict[str, ScenarioConfig]:
-    catalogue = {}
-
-    def add(name, **kwargs):
-        base = dict(_SYNTHETIC_BASE)
-        base.update(kwargs)
-        catalogue[name] = ScenarioConfig(name=name, topology=default_ring_6(), **base)
-
-    for c in (0.5, 0.75):
-        add(f"synthetic-convex-c{c:g}", variant="convex-full", c=c, rho=0.0)
-        add(f"synthetic-bandit-c{c:g}", variant="convex-bandit", c=c, rho=0.0)
-    for rho in (1.0, 2.0):
-        add(f"synthetic-sc-rho{rho:g}", variant="strongly-convex-full", c=None, rho=rho)
-        add(f"synthetic-sc-bandit-rho{rho:g}", variant="strongly-convex-bandit", c=None, rho=rho)
+    for c in ("0.5", "0.75"):
+        add(f"synthetic-convex-c{c}", "convex-full", c)
+        add(f"synthetic-bandit-c{c}", "convex-bandit", c)
+    for rho in ("1", "2"):
+        add(f"synthetic-sc-rho{rho}", "strongly-convex-full", rho=rho)
+        add(f"synthetic-sc-bandit-rho{rho}", "strongly-convex-bandit", rho=rho)
     for dataset in ("mg", "bodyfat"):
-        common = dict(source="dataset", dataset=dataset, dimension=None)
-        add(f"{dataset}-convex", variant="convex-full", c=0.5, rho=0.0, **common)
-        add(f"{dataset}-bandit", variant="convex-bandit", c=0.5, rho=0.0, **common)
-        add(f"{dataset}-sc", variant="strongly-convex-full", c=None, rho=1.0, **common)
-        add(f"{dataset}-sc-bandit", variant="strongly-convex-bandit", c=None, rho=1.0, **common)
-    return catalogue
+        common = {"source": "dataset", "dataset": dataset}
+        add(f"{dataset}-convex", "convex-full", "0.5", **common)
+        add(f"{dataset}-bandit", "convex-bandit", "0.5", **common)
+        add(f"{dataset}-sc", "strongly-convex-full", rho="1", **common)
+        add(f"{dataset}-sc-bandit", "strongly-convex-bandit", rho="1", **common)
+    return table
+
+
+_PRESETS = _preset_table()
 
 
 def list_presets() -> tuple[str, ...]:
-    return tuple(_presets())
+    return tuple(_PRESETS)
 
 
 def preset_config(
@@ -359,12 +353,14 @@ def preset_config(
     output_dir: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> ScenarioConfig:
-    catalogue = _presets()
-    if name not in catalogue:
+    """A preset's keys read as a scenario file's, then apply_overrides."""
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see `netoco presets`")
+    parser = configparser.ConfigParser()
+    parser.read_dict(_PRESETS[name])
     return apply_overrides(
-        catalogue[name], seed_count=seed_count, horizon=horizon, output_dir=output_dir,
-        workers=workers,
+        _from_parser(parser, name, None), seed_count=seed_count, horizon=horizon,
+        output_dir=output_dir, workers=workers,
     )
 
 
@@ -473,10 +469,18 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
             return failures, None
     radius = config.radius if config.radius is not None else config.upper * math.sqrt(dimension)
     constraints = BoxConstraintSet(config.lower, config.upper, dimension)
-    if constraints.max_vertex_norm() > radius + 1e-12:
+    corner = constraints.max_vertex_norm()
+    # Features lie in [-1, 1]^d for both sources, so this bounds the feature part of G.
+    feature_g = (dimension + 2.0 * config.rho) * radius
+    if not all(map(math.isfinite, (radius, radius * radius, corner, feature_g * feature_g))):
         failures.append(
-            f"decision box leaves the ball: corner norm {constraints.max_vertex_norm():.6g} "
-            f"> radius {radius:.6g}"
+            f"lower/upper/radius/rho too large: radius R = {radius:.6g}, "
+            f"R^2 = {radius * radius:.6g}, corner norm {corner:.6g} and the feature part of G^2, "
+            f"(d R + 2 rho R)^2 = {feature_g * feature_g:.6g}, must be finite"
+        )
+    elif corner > radius + 1e-12:
+        failures.append(
+            f"decision box leaves the ball: corner norm {corner:.6g} > radius {radius:.6g}"
         )
     if config.topology.node_count != config.n_units:
         failures.append("topology node count differs from units")
@@ -535,8 +539,14 @@ def _seed_inputs(config, seed, prepared: _Prepared):
             prepared.examples, config.n_units, config.horizon, config.rho, stream_seed
         )
     radius, constraints = prepared.radius, prepared.constraints
-    G = max(stream.gradient_bound(radius), constraints.gradient_bound)
-    C = stream.value_bound(radius)
+    with np.errstate(over="ignore"):  # an overflow is reported below, by key
+        G = max(stream.gradient_bound(radius), constraints.gradient_bound)
+        C = stream.value_bound(radius)
+    if not all(map(math.isfinite, (G, G * G, C))):
+        raise ScenarioError(
+            f"seed {seed}: realized bounds G = {G:.6g}, G^2 = {G * G:.6g} and C = {C:.6g} must be "
+            "finite; lower/upper/radius, rho or the dataset targets are too large"
+        )
     schedule = _schedule(config, constraints, radius, G=G, sigma=stream.strong_convexity)
     return stream, G, C, schedule
 
@@ -557,12 +567,8 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     inputs = [_seed_inputs(config, seed, prepared) for seed in config.seeds]
     streams = [stream for stream, _, _, _ in inputs]
     totals = run_seeds(
-        streams,
-        config.topology,
-        [schedule for _, _, _, schedule in inputs],
-        constraints,
-        config.seeds,
-        checkpoints,
+        streams, config.topology, [schedule for _, _, _, schedule in inputs], constraints,
+        config.seeds, checkpoints,
     )
     comm_cost = np.array(
         [communication_cost(config.topology, T) for T in checkpoints], dtype=np.int64
@@ -570,23 +576,15 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     seed_results = []
     for s, (seed, (stream, G, C, schedule)) in enumerate(zip(config.seeds, inputs)):
         series = checkpoint_series(
-            stream,
-            constraints,
-            checkpoints,
-            totals.system_losses[:, s],
-            totals.violations[:, s],
+            stream, constraints, checkpoints, totals.system_losses[:, s], totals.violations[:, s],
             comm_cost,
         )
         seed_results.append(SeedResult(seed=seed, series=series, G=G, C=C, schedule=schedule))
     mean = averaged_metrics([r.series for r in seed_results])
     csv_path = None
     if write:
-        directory = Path(
-            out_dir
-            or os.environ.get(OUTPUT_DIR_ENV)
-            or config.output_dir
-            or "results"
-        )
+        env_dir = os.environ.get(OUTPUT_DIR_ENV)
+        directory = Path(out_dir or env_dir or config.output_dir or "results")
         directory.mkdir(parents=True, exist_ok=True)
         csv_path = directory / f"{config.name}.csv"
         csv_path.write_text(_render_csv(config, checkpoints, seed_results, mean), encoding="utf-8")
@@ -606,20 +604,15 @@ def _fmt(value) -> str:
 
 
 def _render_csv(config, checkpoints, seed_results, mean) -> str:
-    n = config.n_units
     header = ["checkpoint_T", "seed", "sreg"]
-    header += [f"reg_unit_{i}" for i in range(1, n + 1)]
+    header += [f"reg_unit_{i}" for i in range(1, config.n_units + 1)]
     header += ["cacv", "comm_cost"]
     lines = [",".join(header)]
+    labelled = [(str(r.seed), r.series) for r in seed_results] + [("mean", mean)]
     for k, T in enumerate(checkpoints):
-        for result in seed_results:
-            s = result.series
-            row = [str(T), str(result.seed), _fmt(s.sreg[k])]
+        for label, s in labelled:
+            row = [str(T), label, _fmt(s.sreg[k])]
             row += [_fmt(v) for v in s.regrets[k]]
             row += [_fmt(s.cacv[k]), _fmt(s.comm_cost[k])]
             lines.append(",".join(row))
-        row = [str(T), "mean", _fmt(mean.sreg[k])]
-        row += [_fmt(v) for v in mean.regrets[k]]
-        row += [_fmt(mean.cacv[k]), _fmt(mean.comm_cost[k])]
-        lines.append(",".join(row))
     return "\n".join(lines) + "\n"

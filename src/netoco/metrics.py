@@ -279,7 +279,6 @@ def bound_constants(
     sigma: Optional[float] = None,
     C: Optional[float] = None,
     dimension: Optional[int] = None,
-    literal_contraction_base: bool = False,
 ) -> BoundConstants:
     """Evaluate the guarantee constants for a variant.
 
@@ -288,9 +287,8 @@ def bound_constants(
 
         c_hat = 2 N (3 N / (psi^(2 + 1/B) (1 - psi^(1/B))) + 4).
 
-    literal_contraction_base=True instead raises psi to the power -2, which
-    pushes it above one and empties the contraction gap; the resulting
-    nonpositive constant is rejected loudly rather than propagated.
+    psi is not raised to the power -2: that base exceeds one and leaves no
+    contraction gap, so c_hat would be nonpositive.
     """
     spec = variant_spec(variant)
     if n_units < 1 or window < 1 or p < 1:
@@ -305,17 +303,11 @@ def bound_constants(
             raise ValueError("bandit variants need C > 0 and the dimension")
 
     n = float(n_units)
-    base = 1.0 - zeta / (4.0 * n * n)
-    psi = base ** (-2.0) if literal_contraction_base else base
+    psi = 1.0 - zeta / (4.0 * n * n)
     gap = 1.0 - psi ** (1.0 / window)
-    if gap <= 0.0:
-        raise ValueError(
-            f"contraction gap 1 - psi^(1/B) = {gap:.3e} is nonpositive for psi = {psi:.6f}; "
-            "the literal base exceeds one"
-        )
+    if gap <= 0.0:  # psi rounds to one when zeta / (4 N^2) is below half an ulp
+        raise ValueError(f"contraction gap 1 - psi^(1/B) = {gap:.3e} is not positive")
     c_hat = 2.0 * n * (3.0 * n / (psi ** (2.0 + 1.0 / window) * gap) + 4.0)
-    if c_hat <= 0.0:
-        raise ValueError(f"nonpositive disagreement constant {c_hat:.3e}")
 
     if not spec.strongly_convex and not spec.bandit:  # convex, full information
         sreg_c = (

@@ -21,6 +21,7 @@ where c_s(x) > 0 and the zero vector where c_s(x) <= 0 (zero at the boundary).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -266,7 +267,7 @@ class BoxConstraintSet(ConstraintSet):
 
     def max_vertex_norm(self) -> float:
         corner = max(abs(self.lower), abs(self.upper))
-        return float(corner * np.sqrt(self.dimension))
+        return corner * math.sqrt(self.dimension)
 
 
 def clipped_subgradient(constraints: ConstraintSet, x, s: int) -> np.ndarray:
@@ -301,9 +302,6 @@ class RegressionRound:
     def gradients(self, rows) -> np.ndarray:
         r = _row_dots(self.features, rows) - self.targets
         return r[..., None] * self.features + (2.0 * self.rho) * rows
-
-    def values_and_gradients(self, rows):
-        return self.values(rows), self.gradients(rows)
 
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""

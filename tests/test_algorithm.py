@@ -536,19 +536,12 @@ class TestRunExperiment:
 
 
 class TestInitialState:
-    def test_zero_start_and_unit_views(self):
+    def test_zero_start(self):
         box = BoxConstraintSet(-0.15, 0.15, 3)
         state = initial_state(4, box)
         np.testing.assert_array_equal(state.decisions, np.zeros((4, 3)))
         np.testing.assert_array_equal(state.duals, np.zeros((4, 6)))
         assert state.rngs is None
-        view = state.unit(2)
-        np.testing.assert_array_equal(view.decision, np.zeros(3))
-        assert view.rng is None
-        with pytest.raises(IndexError):
-            state.unit(0)
-        with pytest.raises(IndexError):
-            state.unit(5)
 
     def test_bandit_gets_independent_per_unit_streams(self):
         box = BoxConstraintSet(-0.15, 0.15, 3)

@@ -1,10 +1,13 @@
 """Scenario configs, presets, the suite runner, CSV output, and the CLI."""
 
+import configparser
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+import netoco.bench
 from netoco.bench import (
     OUTPUT_DIR_ENV,
     ConfigError,
@@ -285,6 +288,39 @@ class TestPresets:
         assert config.horizon == 64
         assert config.output_dir == "elsewhere"
         assert config.workers == 4
+
+    def test_a_lookup_builds_one_topology_and_the_list_none(self, monkeypatch):
+        built = []
+        ring = netoco.bench.default_ring_6
+
+        def counting():
+            built.append(1)
+            return ring()
+
+        monkeypatch.setattr(netoco.bench, "default_ring_6", counting)
+        assert len(list_presets()) == 16
+        assert built == []
+        preset_config("mg-sc-bandit", seed_count=2)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name", list_presets())
+    def test_a_preset_equals_its_keys_loaded_from_a_file(self, tmp_path, name):
+        parser = configparser.ConfigParser()
+        parser.read_dict(netoco.bench._PRESETS[name])
+        path = tmp_path / "keys.ini"
+        with open(path, "w", encoding="utf-8") as handle:
+            parser.write(handle)
+        from_file, preset = load_config(path), preset_config(name)
+        for field in dataclasses.fields(preset):
+            if field.name not in ("name", "topology"):
+                ours, theirs = getattr(from_file, field.name), getattr(preset, field.name)
+                assert (type(ours), ours) == (type(theirs), theirs), field.name
+        ours, theirs = from_file.topology, preset.topology
+        assert ours.window == theirs.window
+        assert [g.edges for g in ours.graphs] == [g.edges for g in theirs.graphs]
+        for w_ours, w_theirs in zip(ours.weights, theirs.weights, strict=True):
+            assert np.array_equal(w_ours.entries, w_theirs.entries)
+            assert w_ours.zeta == w_theirs.zeta
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError, match="unknown preset"):

@@ -336,18 +336,11 @@ class TestBoundConstants:
         )
         assert constants.cacv_constant == pytest.approx(math.sqrt(7.0), rel=1e-12)
 
-    def test_literal_contraction_base_is_rejected(self):
-        with pytest.raises(ValueError, match="literal base exceeds one"):
+    def test_a_network_too_large_for_the_contraction_gap_is_rejected(self):
+        # zeta / (4 N^2) = 1.25e-19 is below half an ulp of one, so psi rounds to 1.
+        with pytest.raises(ValueError, match="contraction gap"):
             bound_constants(
-                "convex-full",
-                n_units=6,
-                window=2,
-                zeta=0.5,
-                p=12,
-                G=1.0,
-                radius=1.0,
-                c=0.5,
-                literal_contraction_base=True,
+                "convex-full", n_units=10**9, window=2, zeta=0.5, p=8, G=1.0, radius=0.3, c=0.5
             )
 
     def test_strongly_convex_constants_hand_computed(self):

@@ -81,6 +81,52 @@ def test_run_with_a_horizon_too_long_for_memory_exits_2(stream_calls, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+BOX_BEYOND_FLOATS = """\
+[constraints]
+lower = -{bound}
+upper = {bound}
+
+[algorithm]
+variant = convex-full
+c = 0.5
+horizon = 64
+
+[run]
+seed_count = 1
+"""
+
+
+# Under the suite's filterwarnings = error, a numpy warning would raise out of main.
+@pytest.mark.parametrize("bound", ["1e308", "1e200"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_box_whose_radius_overflows_exits_2_naming_the_keys(tmp_path, capsys, command, bound):
+    path = tmp_path / "huge-box.ini"
+    path.write_text(BOX_BEYOND_FLOATS.format(bound=bound), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert "lower/upper/radius/rho too large" in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_realized_bounds_that_overflow_exit_2_naming_the_keys(tmp_path, capsys):
+    (tmp_path / "huge-target.libsvm").write_text("1e200 1:0.5 2:1\n0 1:1 2:-1\n", encoding="utf-8")
+    path = tmp_path / "huge-target.ini"
+    path.write_text(
+        "[problem]\nsource = dataset\ndataset = huge-target.libsvm\n"
+        "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 64\n[run]\nseed_count = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "G^2 = inf" in err and "lower/upper/radius, rho" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
 def test_containment_check_survives_optimized_mode():
     script = (
         "import numpy as np\n"

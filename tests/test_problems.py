@@ -178,7 +178,7 @@ class TestRoundPanel:
         for t in range(1, 5):
             panel = stream.round(t)
             rows = rng.uniform(-0.3, 0.3, size=(5, 3))
-            values, grads = panel.values_and_gradients(rows)
+            values, grads = panel.values(rows), panel.gradients(rows)
             for i in range(1, 6):
                 oracle = stream.oracle(i, t)
                 assert values[i - 1] == pytest.approx(oracle.value(rows[i - 1]), rel=1e-12)
