@@ -30,7 +30,10 @@ beyond the streams; run_experiment records one seed's trajectory, and
 run_round_full and run_round_bandit take one round from an explicit RunState.
 All take the round through _step, which carries only the decisions and the
 dual pull from round to round (steps 2 and 5 meet in
-ConstraintSet.dual_pull_rows), so each seed gets the same bits.
+ConstraintSet.dual_pull_rows), so each seed gets the same bits. The kernel
+runs _step in arrays it allocates once per run or block, through the out=
+arguments of _step and its helpers; the round functions get fresh arrays.
+Both keep every operand and its order, so the bits are the same.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -38,6 +41,7 @@ and in which parameters they need; variant_spec holds all three per variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -218,7 +222,7 @@ def make_schedule(
         eps = float(horizon) ** (-b)
         if eps > pi * radius * (1.0 + 1e-12):
             raise ValueError("probe radius exceeds the shrinkage margin")
-    return HyperSchedule(
+    hyper = HyperSchedule(
         variant=variant,
         p=int(p),
         G=float(G),
@@ -230,6 +234,11 @@ def make_schedule(
         b=b,
         pi=pi,
     )
+    # Round 1 has the largest step sizes of every variant.
+    eta, beta = hyper._eta(1.0), hyper._beta(1.0)
+    if not (np.isfinite(eta) and np.isfinite(beta)):
+        raise ValueError(f"step sizes overflow: eta_1 = {eta:.6g} and beta_1 = {beta:.6g} must be finite")
+    return hyper
 
 
 def project_ball(x, radius: float) -> np.ndarray:
@@ -242,9 +251,20 @@ def project_ball(x, radius: float) -> np.ndarray:
 
 
 def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
-    # radius / max(norm, radius) is exactly 1.0 inside the ball.
-    norms = np.sqrt(_row_dots(rows, rows))
-    return rows * (radius / np.maximum(norms, radius))[..., None]
+    """Project every row onto the ball in place and return rows."""
+    # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
+    # row is outside, rows already hold the projection's bits. sqrt rounds
+    # correctly, so it is monotone: a square of at most `inside` has a root of
+    # at most radius.
+    scale = _row_dots(rows, rows)
+    inside = radius * radius
+    while math.sqrt(inside) > radius:
+        inside = math.nextafter(inside, 0.0)
+    if scale.max() <= inside:
+        return rows
+    np.sqrt(scale, scale)
+    np.divide(radius, np.maximum(scale, radius, out=scale), scale)
+    return np.multiply(rows, scale[..., None], rows)
 
 
 def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: str = "row"):
@@ -252,10 +272,13 @@ def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: 
 
     rows is (N, d) for round first_round, or (B, ..., N, d) for the rounds
     first_round..first_round + B - 1. The error names the round and the unit
-    of the first row outside the ball; kind says what the rows are.
+    of the first row outside the ball; kind says what the rows are. Rounding
+    grows with the radius, so the tolerance is 1e-12 times the radius, and
+    1e-12 for radii below 1.
     """
     squares = _row_dots(rows, rows)
-    bound = (radius + 1e-12) ** 2
+    limit = radius + 1e-12 * max(radius, 1.0)
+    bound = limit * limit
     if squares.max() <= bound:
         return
     where = np.unravel_index(np.flatnonzero(~(squares <= bound))[0], squares.shape)
@@ -352,35 +375,55 @@ class RoundRecord:
     queries: Optional[np.ndarray]  # bandit probes, (N, d)
 
 
-def _step(committed, pull, round_losses, weights, radius, constraints, beta, eta, probe):
+def _step(committed, pull, round_losses, weights, radius, constraints, beta, eta, probe, *, out=None):
     """One round on (..., N, d) decision rows, with its step sizes already evaluated.
 
     pull is the dual pull at the committed rows, sum_s lambda_is times the
     clipped subgradient of constraint s. beta and eta broadcast against the
     rows, so a batch of seeds can carry one step size each. probe is None
-    under full information and (eps, directions) under bandit feedback.
-    Returns the next decisions (projected onto the ball of the given radius)
-    and the dual pull at them, then the losses observed at the probes and the
-    probes (None under full information). Nothing here checks containment or
-    records violations: the callers do that for a round or a block at once.
+    under full information and (eps, directions, eps * directions) under
+    bandit feedback. Returns the next decisions (projected onto the ball of
+    the given radius) and the dual pull at them, then the losses observed at
+    the probes and the probes (None under full information). Nothing here
+    checks containment or records violations: the callers do that for a
+    round or a block at once.
+
+    out is None, for four fresh arrays, or the four arrays the results are
+    written into (the last two None under full information); the helpers
+    still allocate a few temporaries of one round's size. The gradient and the descent
+    step beta * (gradient + pull) are built in the decisions' array, and
+    y = committed - that step in the pull's, which is then mixed into the
+    decisions' array. So out's pull may be the pull passed in, which is read
+    before it is overwritten; no out array may share memory with committed or
+    with another out array. Every elementwise step keeps the operands of the
+    update in their order, so the bits do not depend on out.
     """
+    if out is None:
+        observed = queries = None
+        if probe is not None:
+            observed, queries = np.empty(committed.shape[:-1]), np.empty_like(committed)
+        out = np.empty_like(committed), np.empty_like(committed), observed, queries
+    nxt, new_pull, observed, queries = out
     if probe is None:
-        queries = observed = None
-        gradients = round_losses.gradients(committed)
+        gradients = round_losses.gradients(committed, out=nxt)
     else:
-        eps, directions = probe
-        queries = committed + eps * directions
-        observed = round_losses.values(queries)
-        gradients = (committed.shape[-1] / eps) * observed[..., None] * directions
-    y = committed - beta * (gradients + pull)
-    nxt = _project_rows(consensus_mix(weights, y), radius)
-    return nxt, constraints.dual_pull_rows(nxt, eta), observed, queries
+        eps, directions, offsets = probe
+        round_losses.values(np.add(committed, offsets, queries), out=observed)
+        gradients = np.multiply((committed.shape[-1] / eps) * observed[..., None], directions, nxt)
+    descent = np.multiply(beta, np.add(gradients, pull, nxt), nxt)
+    consensus_mix(weights, np.subtract(committed, descent, new_pull), out=nxt)
+    _project_rows(nxt, radius)
+    constraints.dual_pull_rows(nxt, eta, out=new_pull)
+    return nxt, new_pull, observed, queries
 
 
 def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
     """One round of one seed from an explicit state; directions is None for full information."""
     committed = state.decisions
-    probe = None if directions is None else (hyper.eps(t), directions)
+    probe = None
+    if directions is not None:
+        eps = hyper.eps(t)
+        probe = eps, directions, eps * directions
     eta, radius = hyper.eta(t), hyper.decision_radius
     # A RunState carries the duals, not their pull, so the pull _step returns is dropped.
     nxt, _, observed, queries = _step(
@@ -460,11 +503,18 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     the block as one RegressionRound over (B, S, N, d), the committed decisions
     (B, S, N, d), the positive parts at them (B, S, N, p), and for bandit
     variants the losses observed at the probes (B, S, N) and the probes
-    (B, S, N, d) (None otherwise). Only this loop runs round by round, and
-    each round carries only the decisions and the dual pull; containment is
-    checked and the violations are computed once per block, before the block
-    is yielded, so a broken row stops the run at most B - 1 rounds late. Each
-    seed's numbers are bit for bit those of a run on its own.
+    (B, S, N, d) (None otherwise). Every block gets new arrays, so a caller
+    may keep them. Only this loop runs round by round, and each round carries
+    only the decisions and the dual pull; containment is checked and the
+    violations are computed once per block, before the block is yielded, so a
+    broken row stops the run at most B - 1 rounds late. Each seed's numbers
+    are bit for bit those of a run on its own.
+
+    The rounds run in place (see _step): the pull lives in one array for the
+    whole run, and each round writes the next decisions, the probes and the
+    observed losses straight into rows of the block's arrays. The decisions
+    array has one row more than the block, for the decisions left for round
+    start + B + 1, which the next block copies into its first row.
     """
     if not streams or len(streams) != len(schedules) or len(streams) != len(seeds):
         raise ValueError("need one stream, schedule and seed per run")
@@ -500,29 +550,35 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     decisions = np.zeros((len(streams), n, d))
     # The duals start at zero, so round 1 feels no pull even where x = 0 violates a constraint.
     pull = np.zeros(decisions.shape)
+    probe = observed = queries = None
     for start in range(0, horizon, _BLOCK):
         stop = min(start + _BLOCK, horizon)
         features = np.stack([s.features[start:stop] for s in streams], axis=1)
         targets = np.stack([s.targets[start:stop] for s in streams], axis=1)
-        directions = _sphere_block(rngs, stop - start, d) if bandit else None
-        committed = np.empty(features.shape)
-        observed = np.empty(targets.shape) if bandit else None
-        queries = np.empty(features.shape) if bandit else None
-        for k, t in enumerate(range(start + 1, stop + 1)):
-            committed[k] = decisions
-            decisions, pull, seen, probes = _step(
-                decisions, pull, RegressionRound(features[k], targets[k], rho),
-                weights[(t - 1) % len(weights)], radius, constraints,
-                betas[t - 1], etas[t - 1], None if directions is None else (eps, directions[k]),
-            )
+        committed = np.empty((stop - start + 1,) + decisions.shape)
+        committed[0] = decisions
+        # Each round's beta spread over its rows: a broadcast product costs more than the arithmetic.
+        block_betas = np.broadcast_to(betas[start:stop], features.shape).copy()
+        if bandit:
+            directions = _sphere_block(rngs, stop - start, d)
+            offsets = eps * directions
+            observed, queries = np.empty(targets.shape), np.empty(features.shape)
+        rounds = zip(committed, committed[1:], features, targets, block_betas, etas[start:stop])
+        for k, (current, nxt, round_features, round_targets, beta, eta) in enumerate(rounds):
             if bandit:
-                observed[k], queries[k] = seen, probes
+                probe, out = (eps, directions[k], offsets[k]), (nxt, pull, observed[k], queries[k])
+            else:
+                out = nxt, pull, None, None
+            _step(
+                current, pull, RegressionRound(round_features, round_targets, rho),
+                weights[(start + k) % len(weights)], radius, constraints, beta, eta, probe, out=out,
+            )
         # Containment of the block, before any of it is handed out: every
         # committed decision, the decisions left for round stop + 1, every probe.
         _check_in_ball(committed, radius, start + 1, "decision")
-        _check_in_ball(decisions[None], radius, stop + 1, "decision")
         if bandit:
             _check_in_ball(queries, hyper.radius, start + 1, "probe")
+        decisions, committed = committed[-1], committed[:-1]
         violated = constraints.positive_parts_rows(committed.reshape(-1, d))
         violated = violated.reshape(committed.shape[:-1] + (constraints.count,))
         yield start, RegressionRound(features, targets, rho), committed, violated, observed, queries

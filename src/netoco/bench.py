@@ -40,7 +40,7 @@ from .network import (
     validate_mixing,
     verify_window_connectivity,
 )
-from .problems import BoxConstraintSet, dataset_stream, parse_libsvm, synthetic_stream
+from .problems import BoxConstraintSet, RegressionStream, dataset_stream, parse_libsvm, synthetic_stream
 
 __all__ = [
     "ConfigError",
@@ -460,7 +460,7 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
     variant_ok = not failures
     if not config.seeds:
         failures.append("seeds must not be empty")
-    examples, dimension = None, config.dimension
+    examples, dimension, bounds = None, config.dimension, None
     if config.source == "dataset":
         try:
             examples, dimension = _load_dataset(config)
@@ -478,10 +478,20 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
             f"R^2 = {radius * radius:.6g}, corner norm {corner:.6g} and the feature part of G^2, "
             f"(d R + 2 rho R)^2 = {feature_g * feature_g:.6g}, must be finite"
         )
-    elif corner > radius + 1e-12:
-        failures.append(
-            f"decision box leaves the ball: corner norm {corner:.6g} > radius {radius:.6g}"
-        )
+    else:
+        if corner > radius + 1e-12:
+            failures.append(
+                f"decision box leaves the ball: corner norm {corner:.6g} > radius {radius:.6g}"
+            )
+        try:
+            bounds = _realized_bounds(
+                _bounding_stream(config, examples, dimension), constraints, radius,
+                "the largest synthetic draw" if examples is None else "dataset rows",
+            )
+        except ScenarioError as exc:
+            failures.append(str(exc))
+        except ValueError as exc:  # rows that rescale to non-finite values
+            failures.append(f"dataset rows after rescaling: {exc}")
     if config.topology.node_count != config.n_units:
         failures.append("topology node count differs from units")
     if not verify_window_connectivity(config.topology):
@@ -501,10 +511,14 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
         )
     if variant_ok:
         try:
-            # G only scales step sizes; range checks don't need the data.
-            _schedule(config, constraints, radius, G=1.0, sigma=2.0 * config.rho)
+            # Range checks need no data; the step sizes must stay finite at the largest G.
+            G = 1.0 if bounds is None else bounds[0]
+            hyper = _schedule(config, constraints, radius, G=G, sigma=2.0 * config.rho)
         except ValueError as exc:
             failures.append(str(exc))
+        else:
+            if bounds is not None:
+                failures.extend(_overflow_failures(config, hyper, dimension, *bounds))
     try:
         checkpoints = _checkpoints(config)
     except ValueError as exc:
@@ -512,6 +526,48 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
     if failures:
         return failures, None
     return [], _Prepared(examples, dimension, radius, constraints, checkpoints)
+
+
+# A standard normal draw beyond 40 has probability below 1e-340.
+_NOISE_BOUND = 40.0
+
+
+def _bounding_stream(config: ScenarioConfig, examples, dimension: int) -> RegressionStream:
+    """A stream whose G and C bound those of every seed's stream from above.
+
+    A dataset is judged by all its rows: one stream deals each row once.
+    Synthetic features lie in [-1, 1]^d and targets are a.xbar + N(0, 1) noise
+    with |a.xbar| <= d // 2, so the corner of the cube with the largest target
+    bounds every draw, save noise beyond _NOISE_BOUND.
+    """
+    if examples is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite data
+            return dataset_stream(examples, 1, len(examples), config.rho, 0)
+    target = dimension // 2 + _NOISE_BOUND
+    return RegressionStream(np.ones((1, 1, dimension)), np.full((1, 1), target), config.rho)
+
+
+def _overflow_failures(
+    config: ScenarioConfig, hyper: HyperSchedule, dimension: int, G: float, C: float
+) -> list[str]:
+    """The run's arithmetic at losses bounded by G and C: the first update and the loss sums.
+
+    beta_t times the dual pull is at most the radius R (beta_t / eta_t <= 1 / 2
+    and the pull's violation is at most 2 R), so no update leaves the ball of
+    radius 2 R + beta_1 g, with g the largest gradient: G, or (d / eps) C
+    under bandit feedback. A regret is the difference of two sums of at most
+    N T losses, each at most C.
+    """
+    gradient = dimension * C / hyper.eps(1) if hyper.is_bandit else G
+    reach = 2.0 * hyper.radius + hyper.beta(1) * gradient
+    sums = 2.0 * config.n_units * config.horizon * C
+    if all(map(math.isfinite, (reach * reach, sums))):
+        return []
+    return [
+        f"the run's arithmetic overflows: updates reach 2 R + beta_1 g = {reach:.6g}, squared "
+        f"{reach * reach:.6g}, and the loss sums 2 N T C = {sums:.6g}, which must be finite; "
+        "lower/upper/radius, rho, a, c or the data are too large"
+    ]
 
 
 def validate_scenario(config: ScenarioConfig) -> list[str]:
@@ -539,16 +595,25 @@ def _seed_inputs(config, seed, prepared: _Prepared):
             prepared.examples, config.n_units, config.horizon, config.rho, stream_seed
         )
     radius, constraints = prepared.radius, prepared.constraints
+    G, C = _realized_bounds(stream, constraints, radius, f"seed {seed}")
+    try:
+        schedule = _schedule(config, constraints, radius, G=G, sigma=stream.strong_convexity)
+    except ValueError as exc:  # step sizes past _prepare's bound, from noise beyond _NOISE_BOUND
+        raise ScenarioError(f"seed {seed}: {exc}") from None
+    return stream, G, C, schedule
+
+
+def _realized_bounds(stream, constraints, radius, rows: str) -> tuple[float, float]:
+    """G and C over a stream's rows; ScenarioError, naming the rows, unless G, G^2 and C are finite."""
     with np.errstate(over="ignore"):  # an overflow is reported below, by key
         G = max(stream.gradient_bound(radius), constraints.gradient_bound)
         C = stream.value_bound(radius)
     if not all(map(math.isfinite, (G, G * G, C))):
         raise ScenarioError(
-            f"seed {seed}: realized bounds G = {G:.6g}, G^2 = {G * G:.6g} and C = {C:.6g} must be "
+            f"{rows}: realized bounds G = {G:.6g}, G^2 = {G * G:.6g} and C = {C:.6g} must be "
             "finite; lower/upper/radius, rho or the dataset targets are too large"
         )
-    schedule = _schedule(config, constraints, radius, G=G, sigma=stream.strong_convexity)
-    return stream, G, C, schedule
+    return G, C
 
 
 def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> SuiteResult:

@@ -247,18 +247,20 @@ def verify_window_connectivity(schedule: TopologySchedule) -> bool:
     return True
 
 
-def consensus_mix(matrix: WeightMatrix, vectors) -> np.ndarray:
+def consensus_mix(matrix: WeightMatrix, vectors, out=None) -> np.ndarray:
     """Mix unit vectors: row i of the result is sum_j a_ij * vectors[j].
 
     vectors is (N,), (N, d), or (..., N, d) for a batch of independent
-    networks that share the round's weights; each is mixed on its own.
+    networks that share the round's weights; each is mixed on its own. With
+    out, a C-contiguous array of the result's shape that shares no memory
+    with vectors, the product is written there and out is returned.
     """
     stacked = np.asarray(vectors, dtype=float)
     if stacked.ndim == 1:
         stacked = stacked[:, None]
     if stacked.shape[-2] != matrix.node_count:
         raise ValueError("one vector per node required")
-    return matrix.entries @ stacked
+    return np.matmul(matrix.entries, stacked, out=out)
 
 def product_deviation(schedule: TopologySchedule, t: int, m: int) -> float:
     """Max |entry - 1/N| of the backward product A(t) A(t-1) ... A(m)."""

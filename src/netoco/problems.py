@@ -27,6 +27,11 @@ from typing import Callable
 
 import numpy as np
 
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 __all__ = [
     "RegressionExample",
     "LossOracle",
@@ -178,18 +183,24 @@ class ConstraintSet:
                     out[i] += lam * self.gradient(row, s)
         return out
 
-    def dual_pull_rows(self, rows, eta) -> np.ndarray:
+    def dual_pull_rows(self, rows, eta, out=None) -> np.ndarray:
         """The dual pull at rows whose duals were just reset with step eta.
 
         Row i is sum_s (positive_parts(x_i)_s / eta) * clipped_subgradient(x_i, s),
         that is weighted_subgradient_rows(rows, positive_parts_rows(rows) / eta).
         rows is (..., d), and eta broadcasts against the (..., p) positive parts,
-        so a batch of seeds can carry one eta each.
+        so a batch of seeds can carry one eta each. With out, an array shaped
+        like rows and distinct from it, the pull is written there and out is
+        returned.
         """
         rows = np.asarray(rows, dtype=float)
         flat = rows.reshape(-1, self.dimension)
         duals = self.positive_parts_rows(flat).reshape(rows.shape[:-1] + (self.count,)) / eta
-        return self.weighted_subgradient_rows(flat, duals.reshape(len(flat), -1)).reshape(rows.shape)
+        pull = self.weighted_subgradient_rows(flat, duals.reshape(len(flat), -1)).reshape(rows.shape)
+        if out is None:
+            return pull
+        out[...] = pull
+        return out
 
     def _check_index(self, s: int):
         if not 1 <= s <= self.count:
@@ -250,17 +261,19 @@ class BoxConstraintSet(ConstraintSet):
         above = (rows > self.upper).astype(float)
         return duals[:, d:] * above - duals[:, :d] * below
 
-    def dual_pull_rows(self, rows, eta) -> np.ndarray:
+    def dual_pull_rows(self, rows, eta, out=None) -> np.ndarray:
         """The generic dual pull in closed form: (x - clip(x, lower, upper)) / eta.
 
         At most one side of a coordinate is violated, and x - bound is exactly
         -(bound - x), so this is the generic pull bit for bit, save one sign:
         where a lower-side pull underflows, the quotient is -0.0 and the
         generic pull +0.0. Adding +0.0 turns -0.0 into +0.0 and changes no
-        other value.
+        other value. With out (shaped like rows, distinct from it) every
+        step writes there, with the same operands in the same order.
         """
         rows = np.asarray(rows, dtype=float)
-        return (rows - np.minimum(np.maximum(rows, self.lower), self.upper)) / eta + 0.0
+        clipped = np.minimum(np.maximum(rows, self.lower, out=out), self.upper, out=out)
+        return np.add(np.divide(np.subtract(rows, clipped, out), eta, out), 0.0, out)
 
     def project(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -278,8 +291,14 @@ def clipped_subgradient(constraints: ConstraintSet, x, s: int) -> np.ndarray:
     return np.zeros(constraints.dimension)
 
 
-def _row_dots(a, b) -> np.ndarray:
-    return np.einsum("...d,...d->...", a, b)
+def _row_dots(a, b, out=None) -> np.ndarray:
+    # np.einsum with optimize=False (its default) forwards to c_einsum;
+    # calling that directly skips the Python wrapper, not a bit of the result.
+    # (The round's helpers pass out to ufuncs positionally for the same
+    # reason: at one round's size the keyword costs more than the arithmetic.)
+    if out is None:
+        return _c_einsum("...d,...d->...", a, b)
+    return _c_einsum("...d,...d->...", a, b, out=out)
 
 
 class RegressionRound:
@@ -287,7 +306,10 @@ class RegressionRound:
 
     Leading axes batch independent rounds: features (..., N, d) and targets
     (..., N) hold one round per batch entry, and each batch entry's result is
-    bit for bit the one its own RegressionRound gives.
+    bit for bit the one its own RegressionRound gives. values and gradients
+    take an optional out, shaped like their result and distinct from rows:
+    every step of the formula writes there, with the same operands in the
+    same order, so out holds the bits of the fresh result.
     """
 
     def __init__(self, features, targets, rho):
@@ -295,13 +317,14 @@ class RegressionRound:
         self.targets = targets  # (..., N)
         self.rho = rho
 
-    def values(self, rows) -> np.ndarray:
-        r = _row_dots(self.features, rows) - self.targets
-        return 0.5 * r * r + self.rho * _row_dots(rows, rows)
+    def values(self, rows, out=None) -> np.ndarray:
+        r = np.subtract(_row_dots(self.features, rows, out), self.targets, out)
+        return np.add(np.multiply(0.5 * r, r, out), self.rho * _row_dots(rows, rows), out)
 
-    def gradients(self, rows) -> np.ndarray:
-        r = _row_dots(self.features, rows) - self.targets
-        return r[..., None] * self.features + (2.0 * self.rho) * rows
+    def gradients(self, rows, out=None) -> np.ndarray:
+        r = _row_dots(self.features, rows)
+        r -= self.targets
+        return np.add(np.multiply(r[..., None], self.features, out), (2.0 * self.rho) * rows, out)
 
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""

@@ -163,6 +163,41 @@ def test_kernel_run_equals_chained_full_rounds(horizon):
     chained_rounds_equal_the_kernel("convex-full", 9, horizon, run_round_full)
 
 
+@pytest.mark.parametrize(
+    ("variant", "run_round"),
+    [("convex-full", run_round_full), ("strongly-convex-bandit", run_round_bandit)],
+    ids=["full", "bandit"],
+)
+def test_kept_blocks_equal_per_seed_runs_and_chained_rounds(variant, run_round):
+    """The kernel runs its rounds in buffers; every block it yields must still
+    hold its own rounds after later blocks were computed, so no array is
+    reused across yields."""
+    seeds = (1, 2)
+    streams, schedules, box = batch(variant, seeds)
+    topology = default_ring_6()
+    blocks = list(algorithm._lockstep(streams, topology, schedules, box, seeds))
+    assert [block[0] for block in blocks] == [0, 128, 256]
+    for s, seed in enumerate(seeds):
+        stream, hyper = streams[s], schedules[s]
+        trajectory = run_experiment(stream, topology, hyper, box, seed=seed)
+        state = initial_state(6, box, seed=seed, bandit=hyper.is_bandit)
+        for start, block_losses, committed, violated, observed, queries in blocks:
+            losses = block_losses.values(committed) if queries is None else observed
+            for k in range(len(committed)):
+                t = start + k + 1
+                state, record = run_round(state, stream.round(t), topology.weights_at(t), hyper, box, t)
+                kept = [
+                    (committed[k, s], trajectory.decisions[t - 1], record.decisions),
+                    (violated[k, s], trajectory.violations[t - 1], record.violations),
+                    (losses[k, s], trajectory.losses[t - 1], record.losses),
+                ]
+                if queries is not None:
+                    kept.append((queries[k, s], trajectory.queries[t - 1], record.queries))
+                for block_rows, alone, chained in kept:
+                    np.testing.assert_array_equal(block_rows, alone)
+                    np.testing.assert_array_equal(block_rows, chained)
+
+
 def generic_constraints():
     """Constraints with no closed forms in the kernel, and constraint gradients of
     norms other than 1; the first is violated at x = 0, so round 1 already has a

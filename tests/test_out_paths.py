@@ -1,0 +1,131 @@
+"""The round's in-place paths against their fresh-array paths, bit for bit.
+
+The kernel runs each round in buffers it allocates once (out= on the helpers,
+_project_rows scaling in place); the one-round functions get fresh arrays.
+Both must give the same bits, signed zeros included, and _row_dots, which
+calls c_einsum directly, those of np.einsum.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from netoco.algorithm import _project_rows
+from netoco.network import WeightMatrix, consensus_mix
+from netoco.problems import BoxConstraintSet, ConstraintSet, RegressionRound, _row_dots
+
+SMALLEST_SUBNORMAL = 5e-324
+
+# Signed zeros, subnormals, and values far from 1 on either side.
+entries = st.one_of(
+    st.sampled_from([0.0, -0.0, SMALLEST_SUBNORMAL, -SMALLEST_SUBNORMAL, 1e-310, -1e-310]),
+    st.floats(-1e100, 1e100),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def shapes(draw):
+    """A batch of seeds, units and the decision dimension, as the kernel's (S, N, d)."""
+    return draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+
+def filled(draw, shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(entries, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def garbage(shape):
+    """An out buffer whose old contents must not leak into the result."""
+    return np.full(shape, np.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_dots_are_the_bits_of_np_einsum(data):
+    shape = data.draw(shapes())
+    a, b = filled(data.draw, shape), filled(data.draw, shape)
+    expected = np.einsum("...d,...d->...", a, b)
+    assert_same_bits(_row_dots(a, b), expected)
+    out = garbage(shape[:-1])
+    assert _row_dots(a, b, out) is out
+    assert_same_bits(out, expected)
+    # One row broadcast against a batch, as a unit's features against a block of rows.
+    assert_same_bits(_row_dots(a[0], b), np.einsum("...d,...d->...", a[0], b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([0.0, 1.0, 2.0, 0.37]))
+def test_loss_values_and_gradients_in_place(data, rho):
+    shape = data.draw(shapes())
+    round_losses = RegressionRound(filled(data.draw, shape), filled(data.draw, shape[:-1]), rho)
+    rows = filled(data.draw, shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e100 overflow alike on both paths
+        for method, result_shape in (("values", shape[:-1]), ("gradients", shape)):
+            fresh = getattr(round_losses, method)(rows)
+            out = garbage(result_shape)
+            assert getattr(round_losses, method)(rows, out=out) is out
+            assert_same_bits(out, fresh)
+
+
+def generic_set(d):
+    """No closed forms; the first constraint is violated at x = 0."""
+    return ConstraintSet(
+        d,
+        values=[lambda x: 0.02 - x.sum(), lambda x: x @ x - 0.01],
+        gradients=[lambda x: -np.ones(d), lambda x: 2.0 * x],
+        gradient_bound=2.0 * np.sqrt(d),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["generic", "box"]))
+def test_dual_pull_in_place(data, kind):
+    seeds, units, d = data.draw(shapes())
+    rows = filled(data.draw, (seeds, units, d))
+    eta = np.array(
+        data.draw(st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), min_size=seeds, max_size=seeds))
+    )[:, None, None]
+    if kind == "box":
+        lower, upper = sorted(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2, unique=True)))
+        constraints = BoxConstraintSet(lower, upper, d)
+    else:
+        constraints = generic_set(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge pull over a tiny eta, alike on both paths
+        fresh = constraints.dual_pull_rows(rows, eta)
+        out = garbage(rows.shape)
+        assert constraints.dual_pull_rows(rows, eta, out=out) is out
+    assert_same_bits(out, fresh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_consensus_mix_in_place(data):
+    seeds, units, d = data.draw(shapes())
+    weights = WeightMatrix(np.abs(filled(data.draw, (units, units))) / 1e100, zeta=0.5)
+    vectors = filled(data.draw, (seeds, units, d))
+    fresh = consensus_mix(weights, vectors)
+    out = garbage(vectors.shape)
+    assert consensus_mix(weights, vectors, out=out) is out
+    assert_same_bits(out, fresh)
+
+
+# Radii whose squares round, underflow to a subnormal or zero, or overflow.
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([0.3, 1.5, 1e-160, 1e-200, 1e200]))
+def test_projection_in_place_is_the_fresh_formula(data, radius):
+    """_project_rows skips the scaling when every factor is 1.0; on the
+    boundary and one ulp outside it must still give the formula's bits."""
+    rows = filled(data.draw, data.draw(shapes())) / 1e60  # keeps the squared norms finite
+    on_sphere = data.draw(st.sampled_from([None, radius, np.nextafter(radius, np.inf)]))
+    if on_sphere is not None:
+        rows[..., -1, :] = 0.0
+        rows[..., -1, 0] = on_sphere
+    fresh = rows * (radius / np.maximum(np.sqrt(np.einsum("...d,...d->...", rows, rows)), radius))[..., None]
+    assert _project_rows(rows, radius) is rows
+    assert_same_bits(rows, fresh)

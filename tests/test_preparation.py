@@ -1,15 +1,22 @@
 """Scenario preparation: invalid configs come back as failures, data is parsed once,
 and the round contracts hold without assertions."""
 
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import netoco.bench
+from netoco.algorithm import VARIANTS, variant_spec
 from netoco.bench import ScenarioError, preset_config, run_suite, validate_scenario
 from netoco.cli import main
 
@@ -125,6 +132,116 @@ def test_realized_bounds_that_overflow_exit_2_naming_the_keys(tmp_path, capsys):
     assert "G^2 = inf" in err and "lower/upper/radius, rho" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
+
+
+def test_validate_rejects_dataset_targets_that_overflow_as_run_does(tmp_path, capsys):
+    (tmp_path / "huge.libsvm").write_text("1e200 1:0.5 2:1\n1 1:1 2:-1\n2 1:0 2:0.25\n", encoding="utf-8")
+    path = tmp_path / "huge.ini"
+    path.write_text(
+        "[problem]\nsource = dataset\ndataset = huge.libsvm\n"
+        "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 64\n[run]\nseed_count = 1\n",
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 2
+    validated = capsys.readouterr()
+    assert validated.out == ""
+    [failure] = validated.err.splitlines()
+    assert failure.startswith("fail: dataset rows: realized bounds G = ")
+    assert "G^2 = inf and C = inf" in failure
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: " + failure[len("fail: "):] + "\n"
+    assert not out.exists()
+
+
+# The keys item 4 of the roadmap names, by section.
+DRAWN_KEYS = {"lower": "constraints", "upper": "constraints", "radius": "constraints",
+              "rho": "problem", "a": "algorithm", "c": "algorithm"}
+
+
+def signed_magnitudes(usual_sign):
+    """Log-uniform from 1e-300 to 1e300, with either sign; the key's usual sign three times in four."""
+    signs = st.sampled_from([usual_sign] * 3 + [-usual_sign])
+    return st.tuples(signs, st.floats(-300.0, 300.0)).map(lambda drawn: drawn[0] * 10.0 ** drawn[1])
+
+
+DRAWN_VALUES = {key: signed_magnitudes(-1.0 if key == "lower" else 1.0) for key in DRAWN_KEYS}
+
+
+@st.composite
+def scenario_files(draw):
+    """INI text: synthetic data, one seed, T <= 64, any variant, drawn keys.
+
+    A key the variant needs (c for convex variants, rho for strongly convex
+    ones) is always drawn and one it refuses (c for strongly convex ones) never
+    written, so that a fair share of files pass validate; each other key is
+    drawn or left at its default.
+    """
+    variant = draw(st.sampled_from(VARIANTS))
+    strongly = variant_spec(variant).strongly_convex
+    needed = {"rho"} if strongly else {"c"}
+    optional = set(DRAWN_KEYS) - needed - ({"c"} if strongly else set())
+    drawn = draw(
+        st.fixed_dictionaries(
+            {key: DRAWN_VALUES[key] for key in sorted(needed)},
+            optional={key: DRAWN_VALUES[key] for key in sorted(optional)},
+        )
+    )
+    sections = {
+        "problem": {},
+        "constraints": {},
+        "algorithm": {"variant": variant, "horizon": str(draw(st.integers(1, 64)))},
+        "run": {"seed_count": "1"},
+    }
+    for key, value in drawn.items():
+        sections[DRAWN_KEYS[key]][key] = repr(value)
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def main_output(argv):
+    """Exit code and standard error of netoco's main, run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_files())
+# Rounding at radius 1e5 exceeded an absolute containment tolerance of 1e-12.
+@example("[problem]\nrho = 1.0\n[constraints]\nradius = 100000.0\n[algorithm]\n"
+         "variant = strongly-convex-bandit\nhorizon = 5\n[run]\nseed_count = 1\n")
+# eta_1 = 2 p G^2 / (2 rho) overflowed at the realized G; validate had checked G = 1.
+@example("[problem]\nrho = 1e-195\n[constraints]\nradius = 1e+56\n[algorithm]\n"
+         "variant = strongly-convex-full\nhorizon = 1\n[run]\nseed_count = 1\n")
+def test_validate_accepts_exactly_what_run_can_run(text):
+    """What validate passes, run runs to a CSV of finite numbers; what it fails,
+    run fails with the same message; neither prints a traceback or a warning."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "drawn.ini"
+        path.write_text(text, encoding="utf-8")
+        out = Path(directory) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning raises out of main
+            validated, validate_err = main_output(["validate", str(path)])
+            ran, run_err = main_output(["run", str(path), "--out", str(out)])
+        assert "Traceback" not in validate_err + run_err and "Warning" not in validate_err + run_err
+        if validated == 0:
+            assert (ran, run_err) == (0, "")
+            rows = (out / "drawn.csv").read_text(encoding="utf-8").splitlines()[1:]
+            values = [float(v) for row in rows for v in row.split(",") if v != "mean"]
+            assert values and all(math.isfinite(v) for v in values)
+        else:
+            assert (validated, ran) == (2, 2)
+            if validate_err.startswith("error: "):  # the file itself was rejected
+                assert run_err == validate_err
+            else:
+                failures = [line.removeprefix("fail: ") for line in validate_err.splitlines()]
+                assert run_err == "error: " + "; ".join(failures) + "\n"
+            assert not out.exists()
 
 
 def test_containment_check_survives_optimized_mode():
