@@ -26,6 +26,7 @@ from .metrics import (
     communication_cost,
     metric_series,
     offline_comparator,
+    offline_comparators,
     regret,
     sreg,
 )

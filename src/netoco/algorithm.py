@@ -41,6 +41,7 @@ and in which parameters they need; variant_spec holds all three per variant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -244,26 +245,48 @@ def make_schedule(
 def project_ball(x, radius: float) -> np.ndarray:
     """Euclidean projection onto the origin-centered ball; identity inside it."""
     x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
     if norm <= radius:
         return x
+    if math.isinf(norm):  # the squared norm overflowed; radius / inf would give the origin
+        return x * float(_overflow_factors(x, radius))
     return x * (radius / norm)
+
+
+@functools.lru_cache(maxsize=64)
+def _ball_threshold(radius: float) -> float:
+    """The largest square whose correctly rounded root is at most radius.
+
+    sqrt rounds correctly, so it is monotone: a square of at most this has a
+    root of at most radius.
+    """
+    inside = radius * radius
+    while math.sqrt(inside) > radius:
+        inside = math.nextafter(inside, 0.0)
+    return inside
+
+
+def _overflow_factors(rows: np.ndarray, radius: float) -> np.ndarray:
+    """min(radius / ||row||, 1) for rows whose squared norm overflows, from the rows scaled to a peak of 1."""
+    peaks = np.abs(rows).max(axis=-1)
+    unit = rows / peaks[..., None]
+    return np.minimum(radius / peaks / np.sqrt(_row_dots(unit, unit)), 1.0)
 
 
 def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     """Project every row onto the ball in place and return rows."""
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
-    # row is outside, rows already hold the projection's bits. sqrt rounds
-    # correctly, so it is monotone: a square of at most `inside` has a root of
-    # at most radius.
+    # row is outside, rows already hold the projection's bits.
     scale = _row_dots(rows, rows)
-    inside = radius * radius
-    while math.sqrt(inside) > radius:
-        inside = math.nextafter(inside, 0.0)
-    if scale.max() <= inside:
+    largest = scale.max()
+    if largest <= _ball_threshold(radius):
         return rows
+    overflowed = np.isinf(scale) if largest == math.inf else None
     np.sqrt(scale, scale)
     np.divide(radius, np.maximum(scale, radius, out=scale), scale)
+    if overflowed is not None:  # as in project_ball
+        scale[overflowed] = _overflow_factors(rows[overflowed], radius)
     return np.multiply(rows, scale[..., None], rows)
 
 

@@ -11,8 +11,12 @@ all rounds; it never decreases with T. Communication cost counts two directed
 messages per undirected edge per round.
 
 The comparator minimum is computed by projected gradient descent on the
-accumulated quadratic, rebuilt at every checkpoint because the hindsight
-optimum depends on the horizon prefix.
+accumulated quadratic of each checkpoint's prefix, because the hindsight
+optimum depends on the horizon prefix. The prefixes' statistics are built one
+checkpoint at a time, and up to 64 prefixes are then solved together in one
+loop on stacked iterates (offline_comparators), each row with the bits of a
+solve of its prefix alone. Over a box, each comparator also carries its Frank-Wolfe
+gap, an upper bound on how far its objective lies above the true minimum.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import numpy as np
 
 from .algorithm import RunTrajectory, _running_sums, check_checkpoints, variant_spec
 from .network import TopologySchedule
-from .problems import RegressionStream
+from .problems import BoxConstraintSet, RegressionStream
 
 __all__ = [
     "Comparator",
     "offline_comparator",
+    "offline_comparators",
     "system_cumulative_losses",
     "regret",
     "sreg",
@@ -47,12 +52,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Comparator:
-    """Hindsight minimizer over the constraint region for one prefix length."""
+    """Hindsight minimizer over the constraint region for one prefix length.
+
+    gap is the Frank-Wolfe gap at point over a box, max_s grad(point).(point - s)
+    for s in the box, which bounds objective minus the true minimum from above;
+    it is nan for constraint sets that are not boxes.
+    """
 
     point: np.ndarray
     objective: float
     residual: float
     iterations: int
+    gap: float = math.nan
+
+
+# Prefixes solved in one loop at most. The loop stacks each prefix's d x d
+# statistics, so a group bounds that stack (about 100 KB at d = 14) whatever
+# the number of checkpoints, as the kernel's blocks bound its arrays; a whole
+# stack of 512 prefixes raised perfbench's peak memory on dense-checkpoints.
+_GROUP = 64
 
 
 def offline_comparator(
@@ -63,38 +81,104 @@ def offline_comparator(
     tol: float = 1e-9,
     max_iters: int = 100_000,
 ) -> Comparator:
-    """Minimize the accumulated loss over the constraint region.
+    """Minimize the accumulated loss over the constraint region; see offline_comparators."""
+    return offline_comparators(stream, constraints, (T,), tol=tol, max_iters=max_iters)[0]
 
-    Projected gradient descent on the quadratic built from the stream's
-    sufficient statistics, step 1/(sum ||a||^2 + 2 rho N T), stopping when the
-    iterate moves by at most tol.
+
+def offline_comparators(
+    stream: RegressionStream,
+    constraints,
+    checkpoints,
+    *,
+    tol: float = 1e-9,
+    max_iters: int = 100_000,
+) -> tuple[Comparator, ...]:
+    """Minimize the accumulated loss over the constraint region for every prefix length.
+
+    Projected gradient descent on each prefix's quadratic, built from the
+    stream's sufficient statistics, with step 1/(sum ||a||^2 + 2 rho N T); a
+    prefix stops when its iterate moves by at most tol. Up to _GROUP
+    prefixes run as one loop on stacked iterates, and a row leaves the loop
+    when it stops, so each row takes exactly the steps a solve of its prefix
+    alone would take: gram @ x is one gemv per row and the move's norm one
+    dot per row, the BLAS calls of the one-vector formulas, and every
+    elementwise step keeps its operands and their order. constraints.project
+    must act row by row on (..., d) arrays. Prefixes without curvature
+    (all-zero features and rho = 0) have a constant objective and return the
+    projected origin after 0 iterations. A prefix that does not stop within
+    max_iters raises RuntimeError naming the first such checkpoint.
     """
     if not hasattr(constraints, "project"):
         raise ValueError("the comparator needs a constraint set with a projection")
-    stats = stream.sufficient_statistics(T)
-    gram = stats.gram
-    cross = stats.cross
-    reg = 2.0 * stats.rho * stats.count
+    checkpoints = tuple(int(T) for T in checkpoints)
+    return tuple(
+        comparator
+        for start in range(0, len(checkpoints), _GROUP)
+        for comparator in _solve_group(stream, constraints, checkpoints[start : start + _GROUP], tol, max_iters)
+    )
 
-    def objective(x):
-        return float(
-            0.5 * (x @ gram @ x) - cross @ x + 0.5 * stats.target_square_sum
-        ) + 0.5 * reg * float(x @ x)
 
-    x = constraints.project(np.zeros(stream.dimension))
-    curvature = float(np.trace(gram)) + reg
-    if curvature <= 0.0:  # all-zero features and rho = 0: objective is constant
-        return Comparator(point=x, objective=objective(x), residual=0.0, iterations=0)
-    step = 1.0 / curvature
+def _solve_group(stream, constraints, checkpoints, tol, max_iters) -> tuple[Comparator, ...]:
+    """offline_comparators for one group of checkpoints, in one loop on (K, d) iterates."""
+    K, d = len(checkpoints), stream.dimension
+    # The group's statistics, stacked; each prefix's own arrays are dropped as they are copied in.
+    gram, cross = np.empty((K, d, d)), np.empty((K, d))
+    halved_square_sums, reg, step = np.empty(K), np.empty((K, 1)), np.ones((K, 1))
+    curved = np.zeros(K, dtype=bool)
+    for k, T in enumerate(checkpoints):
+        stats = stream.sufficient_statistics(T)
+        gram[k], cross[k] = stats.gram, stats.cross
+        halved_square_sums[k] = 0.5 * stats.target_square_sum
+        reg[k] = 2.0 * stats.rho * stats.count
+        curvature = float(np.trace(stats.gram)) + reg[k, 0]
+        if curvature > 0.0:
+            curved[k], step[k] = True, 1.0 / curvature
+
+    points = constraints.project(np.zeros((K, d)))
+    residuals, iterations = np.zeros(K), np.zeros(K, dtype=np.int64)
+    active = np.flatnonzero(curved)
+    x, g, c, r, s = points[active], gram[active], cross[active], reg[active], step[active]
+    residual = np.full(len(active), np.inf)
     for iteration in range(1, max_iters + 1):
-        grad = gram @ x - cross + reg * x
-        x_next = constraints.project(x - step * grad)
-        residual = float(np.linalg.norm(x_next - x))
+        if not len(active):
+            break
+        grad = np.matmul(g, x[..., None])[..., 0] - c + r * x
+        x_next = constraints.project(x - s * grad)
+        move = x_next - x
+        residual = np.sqrt(np.matmul(move[:, None, :], move[..., None])[:, 0, 0])
         x = x_next
-        if residual <= tol:
-            return Comparator(point=x, objective=objective(x), residual=residual, iterations=iteration)
-    raise RuntimeError(
-        f"comparator did not converge: residual {residual:.3e} after {max_iters} iterations"
+        done = residual <= tol
+        if done.any():
+            finished = active[done]
+            points[finished], residuals[finished], iterations[finished] = x[done], residual[done], iteration
+            keep = ~done
+            active, x, g, c, r, s, residual = (
+                active[keep], x[keep], g[keep], c[keep], r[keep], s[keep], residual[keep]
+            )
+    if len(active):
+        raise RuntimeError(
+            f"comparator did not converge at checkpoint T = {checkpoints[active[0]]}: "
+            f"residual {residual[0]:.3e} after {max_iters} iterations"
+        )
+
+    gaps = np.full(K, math.nan)
+    if isinstance(constraints, BoxConstraintSet):
+        grad = np.matmul(gram, points[..., None])[..., 0] - cross + reg * points
+        # Each term is >= 0 inside the box; + 0.0 turns the -0.0 of a zero gap into +0.0.
+        gaps = np.maximum(
+            grad * (points - constraints.lower), grad * (points - constraints.upper)
+        ).sum(axis=1) + 0.0
+    return tuple(
+        Comparator(
+            point=points[k],
+            objective=float(
+                0.5 * (points[k] @ gram[k] @ points[k]) - cross[k] @ points[k] + halved_square_sums[k]
+            ) + 0.5 * reg[k, 0] * float(points[k] @ points[k]),
+            residual=float(residuals[k]),
+            iterations=int(iterations[k]),
+            gap=float(gaps[k]),
+        )
+        for k in range(K)
     )
 
 
@@ -178,8 +262,8 @@ def metric_series(
 ) -> MetricSeries:
     """Evaluate regret, violation, and communication at each checkpoint.
 
-    The comparator is re-solved per checkpoint from the prefix's sufficient
-    statistics.
+    The comparator is solved per checkpoint from the prefix's sufficient
+    statistics, up to 64 checkpoints in one batched loop.
     """
     checkpoints = check_checkpoints(checkpoints, trajectory.horizon)
     index = np.array(checkpoints) - 1
@@ -202,9 +286,8 @@ def checkpoint_series(
     checkpoints[k], violations[k] the cumulative violation and comm_cost[k]
     the messages sent by then; regret subtracts the comparator of each prefix.
     """
-    regrets = np.empty(np.shape(system_losses))
-    for k, T in enumerate(checkpoints):
-        regrets[k] = system_losses[k] - offline_comparator(stream, constraints, T).objective
+    comparators = offline_comparators(stream, constraints, checkpoints)
+    regrets = system_losses - np.array([c.objective for c in comparators])[:, None]
     return MetricSeries(
         checkpoints=tuple(checkpoints),
         sreg=regrets.max(axis=1),

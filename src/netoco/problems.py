@@ -29,8 +29,10 @@ import numpy as np
 
 try:
     from numpy._core.multiarray import c_einsum as _c_einsum
+    from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum as _c_einsum
+    from numpy.core.umath import clip as _clip
 
 __all__ = [
     "RegressionExample",
@@ -268,11 +270,14 @@ class BoxConstraintSet(ConstraintSet):
         -(bound - x), so this is the generic pull bit for bit, save one sign:
         where a lower-side pull underflows, the quotient is -0.0 and the
         generic pull +0.0. Adding +0.0 turns -0.0 into +0.0 and changes no
-        other value. With out (shaped like rows, distinct from it) every
-        step writes there, with the same operands in the same order.
+        other value. The clip is the bare ufunc that np.clip calls; where it
+        picks a zero of either sign, x - clip(x) is a zero or x itself, so
+        that sign never reaches the pull. With out (shaped like rows, distinct
+        from it) every step writes there, with the same operands in the same
+        order.
         """
         rows = np.asarray(rows, dtype=float)
-        clipped = np.minimum(np.maximum(rows, self.lower, out=out), self.upper, out=out)
+        clipped = _clip(rows, self.lower, self.upper, out)
         return np.add(np.divide(np.subtract(rows, clipped, out), eta, out), 0.0, out)
 
     def project(self, x) -> np.ndarray:
@@ -310,6 +315,12 @@ class RegressionRound:
     take an optional out, shaped like their result and distinct from rows:
     every step of the formula writes there, with the same operands in the
     same order, so out holds the bits of the fresh result.
+
+    With rho == 0.0 both skip the rho term, 0.0 * x, which is a zero for
+    finite rows. In values it would be added to 0.5 r^2, which is never -0.0,
+    so no bit changes. In gradients it can only change the sign of a zero
+    entry; the round step adds the dual pull next, whose zeros are +0.0
+    (dual_pull_rows), and that sum has the same bits with either sign.
     """
 
     def __init__(self, features, targets, rho):
@@ -319,12 +330,18 @@ class RegressionRound:
 
     def values(self, rows, out=None) -> np.ndarray:
         r = np.subtract(_row_dots(self.features, rows, out), self.targets, out)
-        return np.add(np.multiply(0.5 * r, r, out), self.rho * _row_dots(rows, rows), out)
+        values = np.multiply(0.5 * r, r, out)
+        if self.rho == 0.0:
+            return values
+        return np.add(values, self.rho * _row_dots(rows, rows), out)
 
     def gradients(self, rows, out=None) -> np.ndarray:
         r = _row_dots(self.features, rows)
         r -= self.targets
-        return np.add(np.multiply(r[..., None], self.features, out), (2.0 * self.rho) * rows, out)
+        gradients = np.multiply(r[..., None], self.features, out)
+        if self.rho == 0.0:
+            return gradients
+        return np.add(gradients, (2.0 * self.rho) * rows, out)
 
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from netoco.algorithm import (
     VARIANTS,
+    _project_rows,
     augmented_lagrangian,
     dual_update,
     initial_state,
@@ -143,6 +144,17 @@ class TestProjection:
         out = project_ball(np.array([3.0, 4.0]), 1.0)
         np.testing.assert_allclose(out, [0.6, 0.8], rtol=1e-15)
         assert np.linalg.norm(out) == pytest.approx(1.0)
+
+    def test_a_row_whose_square_overflows_lands_on_the_sphere(self):
+        """(3e154, 4e154) . (3e154, 4e154) overflows; the row still has norm
+        5e154 and projects to (0.6, 0.8), not to the origin."""
+        np.testing.assert_allclose(project_ball(np.array([3e154, 4e154]), 1.0), [0.6, 0.8], rtol=1e-15)
+        rows = _project_rows(np.array([[3e154, 4e154], [3.0, 4.0]]), 1.0)
+        np.testing.assert_allclose(rows, [[0.6, 0.8], [0.6, 0.8]], rtol=1e-15)
+        # Inside a ball larger than its norm, such a row stays where it is.
+        np.testing.assert_array_equal(project_ball(np.array([3e154, 4e154]), 1e200), [3e154, 4e154])
+        rows = _project_rows(np.array([[3e154, 4e154], [3e200, 0.0]]), 1e200)
+        np.testing.assert_allclose(rows, [[3e154, 4e154], [1e200, 0.0]], rtol=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -1,0 +1,196 @@
+"""The batched comparator solver against the one-prefix loop it replaced, and its gap.
+
+offline_comparators solves the checkpoints' prefixes in groups, each group in
+one projected-gradient loop on (K, d) iterates. Each row must take the steps
+the one-prefix solver takes and stop at the same iteration, so every field of
+every Comparator is compared bit for bit with that solver, kept here as the
+oracle.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from netoco import bench, metrics
+from netoco.metrics import Comparator, checkpoint_grid, offline_comparator, offline_comparators
+from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
+
+
+def scalar_comparator(stream, constraints, T, *, tol=1e-9, max_iters=100_000):
+    """One prefix on one vector: the solver offline_comparators replaced."""
+    stats = stream.sufficient_statistics(T)
+    gram = stats.gram
+    cross = stats.cross
+    reg = 2.0 * stats.rho * stats.count
+
+    def objective(x):
+        return float(
+            0.5 * (x @ gram @ x) - cross @ x + 0.5 * stats.target_square_sum
+        ) + 0.5 * reg * float(x @ x)
+
+    x = constraints.project(np.zeros(stream.dimension))
+    curvature = float(np.trace(gram)) + reg
+    if curvature <= 0.0:
+        return Comparator(point=x, objective=objective(x), residual=0.0, iterations=0)
+    step = 1.0 / curvature
+    for iteration in range(1, max_iters + 1):
+        grad = gram @ x - cross + reg * x
+        x_next = constraints.project(x - step * grad)
+        residual = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if residual <= tol:
+            return Comparator(point=x, objective=objective(x), residual=residual, iterations=iteration)
+    raise RuntimeError(f"did not converge: residual {residual:.3e} after {max_iters} iterations")
+
+
+def assert_equals_the_oracle(stream, constraints, checkpoints):
+    batched = offline_comparators(stream, constraints, checkpoints)
+    assert len(batched) == len(checkpoints)
+    for T, got in zip(checkpoints, batched):
+        want = scalar_comparator(stream, constraints, T)
+        assert np.array_equal(got.point, want.point), T
+        assert np.array_equal(np.signbit(got.point), np.signbit(want.point)), T
+        assert got.objective.hex() == want.objective.hex(), T
+        assert got.residual.hex() == want.residual.hex(), T
+        assert got.iterations == want.iterations, T
+    return batched
+
+
+def preset_streams(name, seeds, **changes):
+    """The streams and the box a preset's run uses, with config fields replaced."""
+    config = dataclasses.replace(bench.preset_config(name), **changes)
+    failures, prepared = bench._prepare(config)
+    assert failures == []
+    streams = [bench._seed_inputs(config, seed, prepared)[0] for seed in seeds]
+    return streams, prepared.constraints, prepared.checkpoints
+
+
+@pytest.mark.parametrize(
+    "n_units, dimension, rho, lower, upper",
+    [
+        (6, 4, 0.0, -0.15, 0.15),  # optimum on the box
+        (6, 4, 1.0, -0.15, 0.15),
+        (3, 2, 0.0, -5.0, 5.0),  # interior optimum
+        (2, 5, 0.5, 0.05, 0.3),  # the projected origin is not the origin
+    ],
+)
+def test_synthetic_streams_equal_the_oracle(n_units, dimension, rho, lower, upper):
+    T = 300
+    stream = synthetic_stream(n_units, dimension, T, rho, seed=7)
+    box = BoxConstraintSet(lower, upper, dimension)
+    assert_equals_the_oracle(stream, box, checkpoint_grid(T))
+    assert_equals_the_oracle(stream, box, (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300))
+
+
+@pytest.mark.parametrize("name", ["bodyfat-convex", "bodyfat-sc", "mg-convex", "mg-sc"])
+def test_bundled_datasets_equal_the_oracle(name):
+    streams, box, checkpoints = preset_streams(name, (1, 2), horizon=1024)
+    for stream in streams:
+        assert_equals_the_oracle(stream, box, checkpoints)
+
+
+def test_a_first_checkpoint_of_hundreds_of_iterations_equals_the_oracle():
+    """bodyfat, seed 1, a checkpoint every 16 rounds: the first prefix takes
+    hundreds of iterations while the others stop within a few. The 128
+    checkpoints span two groups of the solver."""
+    (stream,), box, checkpoints = preset_streams(
+        "bodyfat-convex", (1,), horizon=2048, checkpoints=tuple(range(16, 2049, 16))
+    )
+    assert len(checkpoints) > metrics._GROUP
+    comparators = assert_equals_the_oracle(stream, box, checkpoints)
+    iterations = [c.iterations for c in comparators]
+    assert iterations[0] >= 500
+    assert sorted(iterations)[len(iterations) // 2] <= 5
+
+
+def zero_start_stream(flat_rounds, horizon, rho=0.0, seed=11):
+    """A synthetic stream whose first flat_rounds rounds have all-zero features."""
+    stream = synthetic_stream(3, 4, horizon, rho, seed)
+    features = stream.features.copy()
+    features[:flat_rounds] = 0.0
+    return RegressionStream(features, stream.targets, rho)
+
+
+@pytest.mark.parametrize("lower, upper", [(-0.15, 0.15), (0.05, 0.3)])
+def test_zero_curvature_rows_mixed_with_normal_rows(lower, upper):
+    stream = zero_start_stream(3, 40)
+    box = BoxConstraintSet(lower, upper, 4)
+    comparators = assert_equals_the_oracle(stream, box, (1, 2, 3, 4, 7, 20, 40))
+    origin = box.project(np.zeros(4))
+    for c in comparators[:3]:
+        assert c.iterations == 0 and c.residual == 0.0
+        assert np.array_equal(c.point, origin)
+    assert all(c.iterations > 0 for c in comparators[3:])
+
+
+def test_exhausted_iterations_name_the_checkpoint():
+    """The zero-curvature prefix needs no iteration; the next one cannot
+    reach tol = 0 in three steps on a wide box, and the error names it."""
+    stream = zero_start_stream(3, 8)
+    box = BoxConstraintSet(-5.0, 5.0, 4)
+    with pytest.raises(RuntimeError, match=r"did not converge at checkpoint T = 6: .* after 3 iterations"):
+        offline_comparators(stream, box, (2, 6, 8), tol=0.0, max_iters=3)
+    with pytest.raises(RuntimeError, match=r"did not converge at checkpoint T = 8\b"):
+        offline_comparator(stream, box, 8, tol=0.0, max_iters=3)
+    with pytest.raises(RuntimeError):
+        scalar_comparator(stream, box, 6, tol=0.0, max_iters=3)
+    # The first group stops; the second names its first prefix that does not.
+    stream = zero_start_stream(metrics._GROUP + 6, metrics._GROUP + 12)
+    checkpoints = tuple(range(1, metrics._GROUP + 7)) + (metrics._GROUP + 9, metrics._GROUP + 12)
+    with pytest.raises(RuntimeError, match=rf"did not converge at checkpoint T = {metrics._GROUP + 9}:"):
+        offline_comparators(stream, box, checkpoints, tol=0.0, max_iters=3)
+
+
+def test_no_checkpoints_no_comparators():
+    stream = synthetic_stream(2, 2, 4, 0.0, seed=1)
+    assert offline_comparators(stream, BoxConstraintSet(-1.0, 1.0, 2), ()) == ()
+
+
+def reference_point(stats, box, start):
+    """A tight solve of the prefix's box QP: Newton steps on the coordinates
+    not held at a bound, from start, until the point stops moving."""
+    hessian = stats.gram + 2.0 * stats.rho * stats.count * np.eye(len(start))
+    x = start.copy()
+    for _ in range(50):
+        grad = hessian @ x - stats.cross
+        free = ~(((x <= box.lower) & (grad > 0.0)) | ((x >= box.upper) & (grad < 0.0)))
+        y = x.copy()
+        y[free] -= np.linalg.solve(hessian[np.ix_(free, free)], grad[free])
+        y = np.clip(y, box.lower, box.upper)
+        if np.array_equal(y, x):
+            break
+        x = y
+    grad = hessian @ x - stats.cross
+    gap = np.maximum(grad * (x - box.lower), grad * (x - box.upper)).sum()
+    return x, gap
+
+
+def objective(stats, x):
+    reg = 2.0 * stats.rho * stats.count
+    return float(
+        0.5 * (x @ stats.gram @ x) - stats.cross @ x + 0.5 * stats.target_square_sum
+    ) + 0.5 * reg * float(x @ x)
+
+
+@pytest.mark.parametrize("name", bench.list_presets())
+def test_the_gap_bounds_the_distance_to_a_tight_solve(name):
+    """Frank-Wolfe: objective - min <= gap. The reference's own gap shows it is tight."""
+    streams, box, checkpoints = preset_streams(name, (1, 2), horizon=2048)
+    for stream in streams:
+        for T, c in zip(checkpoints, offline_comparators(stream, box, checkpoints)):
+            stats = stream.sufficient_statistics(T)
+            reference, reference_gap = reference_point(stats, box, c.point)
+            assert reference_gap <= 1e-11
+            assert np.isfinite(c.gap) and c.gap >= 0.0
+            assert c.gap >= c.objective - objective(stats, reference), (T, c.gap)
+
+
+def test_the_gap_is_nan_off_a_box():
+    class Ball:
+        def project(self, x):
+            return x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1.0)
+
+    stream = synthetic_stream(2, 3, 20, 1.0, seed=3)
+    comparators = offline_comparators(stream, Ball(), (5, 20))
+    assert all(np.isnan(c.gap) and c.iterations > 0 for c in comparators)

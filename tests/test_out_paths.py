@@ -6,6 +6,8 @@ Both must give the same bits, signed zeros included, and _row_dots, which
 calls c_einsum directly, those of np.einsum.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -73,6 +75,25 @@ def test_loss_values_and_gradients_in_place(data, rho):
             assert_same_bits(out, fresh)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["generic", "box"]))
+def test_zero_rho_skips_only_bits_the_pull_restores(data, kind):
+    """With rho == 0.0, values and gradients skip the 0.0 * x term. values
+    keeps every bit of the formula with it; gradients may differ in the sign
+    of a zero, and adding a dual pull (whose zeros are +0.0) erases that."""
+    seeds, units, d = data.draw(shapes())
+    features, rows = filled(data.draw, (seeds, units, d)), filled(data.draw, (seeds, units, d))
+    round_losses = RegressionRound(features, filled(data.draw, (seeds, units)), 0.0)
+    constraints = BoxConstraintSet(-0.5, 0.25, d) if kind == "box" else generic_set(d)
+    eta = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e100 overflow alike on both paths
+        r = _row_dots(features, rows) - round_losses.targets
+        assert_same_bits(round_losses.values(rows), np.add(np.multiply(0.5 * r, r), 0.0 * _row_dots(rows, rows)))
+        with_term = np.add(np.multiply(r[..., None], features), (2.0 * 0.0) * rows)
+        for pull in (np.zeros(rows.shape), constraints.dual_pull_rows(rows, eta)):
+            assert_same_bits(round_losses.gradients(rows) + pull, with_term + pull)
+
+
 def generic_set(d):
     """No closed forms; the first constraint is violated at x = 0."""
     return ConstraintSet(
@@ -126,6 +147,12 @@ def test_projection_in_place_is_the_fresh_formula(data, radius):
     if on_sphere is not None:
         rows[..., -1, :] = 0.0
         rows[..., -1, 0] = on_sphere
-    fresh = rows * (radius / np.maximum(np.sqrt(np.einsum("...d,...d->...", rows, rows)), radius))[..., None]
+    squares = np.einsum("...d,...d->...", rows, rows)
+    norms = np.sqrt(squares)
+    # An overflowed square (the on-sphere row at radius 1e200) says nothing of
+    # the norm, so such a row is measured without squaring.
+    overflowed = np.isinf(squares)
+    norms[overflowed] = [math.hypot(*row) for row in rows[overflowed]]
+    fresh = rows * (radius / np.maximum(norms, radius))[..., None]
     assert _project_rows(rows, radius) is rows
     assert_same_bits(rows, fresh)
