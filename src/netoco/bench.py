@@ -40,7 +40,15 @@ from .network import (
     validate_mixing,
     verify_window_connectivity,
 )
-from .problems import BoxConstraintSet, RegressionStream, dataset_stream, parse_libsvm, synthetic_stream
+from .problems import (
+    BoxConstraintSet,
+    ParseError,
+    RegressionStream,
+    _memory_failure,
+    dataset_stream,
+    parse_libsvm,
+    synthetic_stream,
+)
 
 __all__ = [
     "ConfigError",
@@ -198,6 +206,8 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
             raise ConfigError("seeds must be distinct")
     else:
         count = _parse_int(seed_count_text or "10", "seed_count", minimum=1)
+        if seed_count_text is not None:
+            _check_seed_count(count, horizon, n_units, dimension)
         seeds = tuple(range(1, count + 1))
     output_dir = get("run", "output")
     workers = _parse_int(get("run", "workers", "1"), "workers", minimum=1)
@@ -252,12 +262,13 @@ def _parse_float(text, key) -> float:
 
 
 def _parse_topology(parser, n_units: int) -> TopologySchedule:
+    """The preset schedule, unless nodes, window or graphs make it explicit."""
     preset = parser.get("topology", "preset", fallback=None)
-    if preset or not parser.has_section("topology"):
+    explicit = any(parser.has_option("topology", key) for key in ("nodes", "window", "graphs"))
+    if preset or not explicit:
         preset = (preset or "default-ring-6").strip()
-        for key in ("nodes", "window", "graphs"):
-            if parser.has_option("topology", key):
-                raise ConfigError("topology preset excludes nodes/window/graphs")
+        if explicit:
+            raise ConfigError("topology preset excludes nodes/window/graphs")
         if preset != "default-ring-6":
             raise ConfigError(f"unknown topology preset {preset!r}")
         topology = default_ring_6()
@@ -290,6 +301,12 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
             raise ConfigError(f"bad graph {segment.strip()!r}: {exc}") from None
     if not graphs:
         raise ConfigError("explicit topology needs at least one graph")
+    failure = _memory_failure(
+        len(graphs) * nodes * nodes * 8,
+        f"explicit topology: {len(graphs)} graph(s) on units = {nodes} nodes", "mixing weights",
+    )
+    if failure:
+        raise ConfigError(failure)
     return schedule_from_graphs(graphs, window=window)
 
 
@@ -374,14 +391,17 @@ def apply_overrides(
 ) -> ScenarioConfig:
     """Replace the seed list with 1..seed_count and set the other values given; None keeps one."""
     changes = {}
-    if seed_count is not None:
-        if seed_count < 1:
-            raise ConfigError("seed_count must be >= 1")
-        changes["seeds"] = tuple(range(1, seed_count + 1))
     if horizon is not None:
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
         changes["horizon"] = horizon
+    if seed_count is not None:
+        if seed_count < 1:
+            raise ConfigError("seed_count must be >= 1")
+        _check_seed_count(
+            seed_count, changes.get("horizon", config.horizon), config.n_units, config.dimension
+        )
+        changes["seeds"] = tuple(range(1, seed_count + 1))
     if output_dir is not None:
         changes["output_dir"] = output_dir
     if workers is not None:
@@ -389,6 +409,22 @@ def apply_overrides(
             raise ConfigError("workers must be >= 1")
         changes["workers"] = workers
     return replace(config, **changes)
+
+
+def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension: Optional[int]):
+    """The failure when the streams of every seed, which run_suite holds at once, exceed
+    physical memory; else None. A dataset's unknown dimension (None) counts as 1."""
+    width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"
+    need = seeds * horizon * n_units * ((dimension or 1) + 1) * 8
+    return _memory_failure(need, f"{lead}, units = {n_units} and {width}", "stream data")
+
+
+def _check_seed_count(count: int, horizon: int, n_units: int, dimension: Optional[int]):
+    """ConfigError before 1..count is built, if that many seeds' streams exceed physical memory."""
+    lead = f"seed_count = {count} with horizon = {horizon}"
+    failure = _stream_failure(lead, count, horizon, n_units, dimension)
+    if failure:
+        raise ConfigError(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +458,10 @@ def _load_dataset(config: ScenarioConfig):
             text = Path(config.dataset).read_text(encoding="utf-8")
         except OSError as exc:
             raise ScenarioError(f"cannot read dataset {config.dataset}: {exc}") from None
-    examples, dimension = parse_libsvm(text)
+    try:
+        examples, dimension = parse_libsvm(text)
+    except ParseError as exc:
+        raise ScenarioError(f"dataset {config.dataset}: {exc}") from None
     if not examples:
         raise ScenarioError(f"dataset {config.dataset} is empty")
     if dimension < 1:
@@ -467,6 +506,11 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
         except (ScenarioError, ValueError) as exc:
             failures.append(str(exc))
             return failures, None
+    # Estimated before the bounding stream, which is as wide as a seed's stream.
+    too_large = _stream_failure(
+        f"horizon = {config.horizon} with {len(config.seeds)} seeds", len(config.seeds),
+        config.horizon, config.n_units, dimension,
+    )
     radius = config.radius if config.radius is not None else config.upper * math.sqrt(dimension)
     constraints = BoxConstraintSet(config.lower, config.upper, dimension)
     corner = constraints.max_vertex_norm()
@@ -483,15 +527,16 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
             failures.append(
                 f"decision box leaves the ball: corner norm {corner:.6g} > radius {radius:.6g}"
             )
-        try:
-            bounds = _realized_bounds(
-                _bounding_stream(config, examples, dimension), constraints, radius,
-                "the largest synthetic draw" if examples is None else "dataset rows",
-            )
-        except ScenarioError as exc:
-            failures.append(str(exc))
-        except ValueError as exc:  # rows that rescale to non-finite values
-            failures.append(f"dataset rows after rescaling: {exc}")
+        if not too_large:
+            try:
+                bounds = _realized_bounds(
+                    _bounding_stream(config, examples, dimension), constraints, radius,
+                    "the largest synthetic draw" if examples is None else "dataset rows",
+                )
+            except ScenarioError as exc:
+                failures.append(str(exc))
+            except ValueError as exc:  # rows that rescale to non-finite values
+                failures.append(f"dataset rows after rescaling: {exc}")
     if config.topology.node_count != config.n_units:
         failures.append("topology node count differs from units")
     if not verify_window_connectivity(config.topology):
@@ -502,13 +547,8 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
     if config.horizon < 1:
         failures.append(f"horizon must be >= 1, got {config.horizon}")
         return failures, None
-    need = len(config.seeds) * config.horizon * config.n_units * (dimension + 1) * 8
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:  # run_suite holds every seed's stream at once
-        failures.append(
-            f"horizon = {config.horizon} with {len(config.seeds)} seeds needs {need / 2**30:.4g} "
-            f"GiB of stream data, more than the {memory / 2**30:.4g} GiB of physical memory"
-        )
+    if too_large:
+        failures.append(too_large)
     if variant_ok:
         try:
             # Range checks need no data; the step sizes must stay finite at the largest G.

@@ -22,6 +22,7 @@ where c_s(x) > 0 and the zero vector where c_s(x) <= 0 (zero at the boundary).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,7 +131,8 @@ def regression_loss(example: RegressionExample, rho: float) -> LossOracle:
 class ConstraintSet:
     """Inequality constraints c_s(x) <= 0, s = 1..p, with a shared gradient bound.
 
-    The generic implementation evaluates per-constraint callables; vector paths
+    The generic implementation evaluates per-constraint callables; a set
+    without them overrides count, value, gradient and values. Vector paths
     used by the decision loop (positive parts, dual-weighted clipped
     subgradients and the dual pull over a batch of rows) fall back to loops and
     are overridden where closed forms exist. An override of dual_pull_rows must
@@ -210,34 +212,38 @@ class ConstraintSet:
 
 
 class BoxConstraintSet(ConstraintSet):
-    """Box lower <= x_m <= upper as 2d one-sided constraints.
+    """Box lower <= x_m <= upper as 2d one-sided constraints, in closed form.
 
     Constraints 1..d are the lower sides (lower - x_m), constraints d+1..2d the
     upper sides (x_m - upper). Every constraint gradient is a signed unit
-    vector, so the shared gradient bound is exactly 1.
+    vector, so the shared gradient bound is exactly 1. The set holds only its
+    dimension and bounds; the dual-weighted subgradients take the generic loop.
     """
 
     def __init__(self, lower: float, upper: float, dimension: int):
         if not lower < upper:
             raise ValueError("need lower < upper")
-        d = int(dimension)
-
-        def make_lower(m):
-            grad = np.zeros(d)
-            grad[m] = -1.0
-            grad.flags.writeable = False
-            return (lambda x, m=m: lower - x[m]), (lambda x, g=grad: g)
-
-        def make_upper(m):
-            grad = np.zeros(d)
-            grad[m] = 1.0
-            grad.flags.writeable = False
-            return (lambda x, m=m: x[m] - upper), (lambda x, g=grad: g)
-
-        pairs = [make_lower(m) for m in range(d)] + [make_upper(m) for m in range(d)]
-        super().__init__(d, [p[0] for p in pairs], [p[1] for p in pairs], 1.0)
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        self.dimension = int(dimension)
         self.lower = float(lower)
         self.upper = float(upper)
+        self.gradient_bound = 1.0
+
+    @property
+    def count(self) -> int:
+        return 2 * self.dimension
+
+    def value(self, x, s: int) -> float:
+        self._check_index(s)
+        return float(self.values(x)[s - 1])
+
+    def gradient(self, x, s: int) -> np.ndarray:
+        """A fresh -e_m for the lower side of coordinate m, +e_m for its upper side."""
+        self._check_index(s)
+        grad = np.zeros(self.dimension)
+        grad[(s - 1) % self.dimension] = -1.0 if s <= self.dimension else 1.0
+        return grad
 
     def values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -253,15 +259,6 @@ class BoxConstraintSet(ConstraintSet):
         np.maximum(np.subtract(self.lower, rows, out=below), 0.0, out=below)
         np.maximum(np.subtract(rows, self.upper, out=above), 0.0, out=above)
         return out
-
-    def weighted_subgradient_rows(self, rows, duals) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        duals = np.asarray(duals, dtype=float)
-        d = self.dimension
-        # Strict violation only: the subgradient is clipped to zero on the boundary.
-        below = (rows < self.lower).astype(float)
-        above = (rows > self.upper).astype(float)
-        return duals[:, d:] * above - duals[:, :d] * below
 
     def dual_pull_rows(self, rows, eta, out=None) -> np.ndarray:
         """The generic dual pull in closed form: (x - clip(x, lower, upper)) / eta.
@@ -502,16 +499,28 @@ def dataset_stream(examples, n_units: int, horizon: int, rho: float, seed: int) 
     return RegressionStream(scaled[dealt], targets[dealt], rho)
 
 
+def _memory_failure(need: int, what: str, kind: str):
+    """The failure message when what needs more than physical memory, need bytes of kind; else None."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need <= memory:
+        return None
+    return (
+        f"{what} needs {need / 2**30:.4g} GiB of {kind}, "
+        f"more than the {memory / 2**30:.4g} GiB of physical memory"
+    )
+
+
 class ParseError(ValueError):
-    """Malformed sparse-text input; the message names the offending line."""
+    """Malformed or oversized sparse-text input; the message names the offending line."""
 
 
 def parse_libsvm(text) -> tuple[list[RegressionExample], int]:
     """Parse sparse regression text: one "<label> <idx>:<val> ..." per line.
 
     Indices are 1-based and must be strictly increasing within a line; missing
-    indices are zero. The inferred dimension is the largest index seen. Accepts
-    str or UTF-8 bytes, LF or CRLF; blank lines are skipped.
+    indices are zero. The inferred dimension is the largest index seen; input
+    whose dense rows would not fit in physical memory is refused before they
+    are built. Accepts str or UTF-8 bytes, LF or CRLF; blank lines are skipped.
     """
     if isinstance(text, bytes):
         try:
@@ -519,7 +528,7 @@ def parse_libsvm(text) -> tuple[list[RegressionExample], int]:
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     rows = []
-    dimension = 0
+    dimension = widest = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -554,8 +563,15 @@ def parse_libsvm(text) -> tuple[list[RegressionExample], int]:
                 raise ParseError(f"line {line_no}: non-finite value in {token!r}")
             previous = index
             pairs.append((index, value))
-            dimension = max(dimension, index)
+            if index > dimension:
+                dimension, widest = index, line_no
         rows.append((label, pairs))
+    failure = _memory_failure(
+        len(rows) * dimension * 8, f"index {dimension} on line {widest}, over {len(rows)} rows,",
+        "dense features",
+    )
+    if failure:
+        raise ParseError(failure)
     examples = []
     for label, pairs in rows:
         features = np.zeros(dimension)

@@ -248,6 +248,14 @@ workers = 2
         assert len(topology.graph_at(1).edges) == 1
         assert len(topology.graph_at(2).edges) == 0
 
+    def test_empty_topology_section_is_the_default_preset(self, tmp_path):
+        path = write_config(
+            tmp_path, "[algorithm]\nvariant = convex-full\nc = 0.5\n[topology]\n"
+        )
+        topology, ring = load_config(path).topology, netoco.bench.default_ring_6()
+        assert (topology.graphs, topology.window) == (ring.graphs, ring.window)
+        assert [w.entries.tolist() for w in topology.weights] == [w.entries.tolist() for w in ring.weights]
+
 
 class TestPresets:
     def test_catalogue_names(self):

@@ -1,0 +1,89 @@
+"""Sizes that would exhaust memory exit 2 before anything of that size is allocated.
+
+Each case runs the command line in a child process whose address space is
+capped at 2 GiB, so a check that stops working ends in that child's
+MemoryError rather than in the host running out of memory. The sizes are far
+beyond any host's memory, so the outcome does not depend on where this runs.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ADDRESS_SPACE = 2 << 30
+
+SMALL_RUN = "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 64\n"
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def netoco(tmp_path, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "netoco.cli", *argv], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=120, preexec_fn=cap_address_space,
+    )
+
+
+CASES = {
+    "seed_count key": (
+        {"case.ini": SMALL_RUN + "[run]\nseed_count = 100000000000\n"},
+        ["validate", "case.ini"],
+        ["error: seed_count = 100000000000 with horizon = 64", "GiB of stream data"],
+    ),
+    "seed_count override": (
+        {"case.ini": SMALL_RUN + "[run]\nseed_count = 1\n"},
+        ["run", "case.ini", "--seed-count", "100000000000", "--out", "out"],
+        ["error: seed_count = 100000000000 with horizon = 64", "GiB of stream data"],
+    ),
+    "explicit topology": (
+        {"case.ini": "[problem]\nunits = 10000000\n[topology]\ngraphs = 1-2\n" + SMALL_RUN},
+        ["validate", "case.ini"],
+        ["error: explicit topology: 1 graph(s) on units = 10000000 nodes", "GiB of mixing weights"],
+    ),
+    "dataset width": (
+        {
+            "wide.libsvm": "1 4000000000000:1\n",
+            "case.ini": "[problem]\nsource = dataset\ndataset = wide.libsvm\n" + SMALL_RUN
+            + "[run]\nseeds = 1\n",
+        },
+        ["validate", "case.ini"],
+        ["fail: dataset wide.libsvm: index 4000000000000 on line 1", "GiB of dense features"],
+    ),
+    "dimension with seed_count": (
+        {"case.ini": "[problem]\ndimension = 1000000000000\n" + SMALL_RUN + "[run]\nseed_count = 1\n"},
+        ["validate", "case.ini"],
+        ["error: seed_count = 1 with horizon = 64, units = 6 and dimension = 1000000000000"],
+    ),
+    "dimension with seeds": (
+        {"case.ini": "[problem]\ndimension = 1000000000000\n" + SMALL_RUN + "[run]\nseeds = 1\n"},
+        ["validate", "case.ini"],
+        ["fail: horizon = 64 with 1 seeds, units = 6 and dimension = 1000000000000"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_size_beyond_memory_exits_2_naming_its_key(tmp_path, case):
+    files, argv, expected = CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    child = netoco(tmp_path, *argv)
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    for text in expected:
+        assert text in child.stderr
+    assert "GiB of physical memory" in child.stderr
+    assert not (tmp_path / "out").exists()
+
