@@ -41,7 +41,6 @@ and in which parameters they need; variant_spec holds all three per variant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -254,19 +253,6 @@ def project_ball(x, radius: float) -> np.ndarray:
     return x * (radius / norm)
 
 
-@functools.lru_cache(maxsize=64)
-def _ball_threshold(radius: float) -> float:
-    """The largest square whose correctly rounded root is at most radius.
-
-    sqrt rounds correctly, so it is monotone: a square of at most this has a
-    root of at most radius.
-    """
-    inside = radius * radius
-    while math.sqrt(inside) > radius:
-        inside = math.nextafter(inside, 0.0)
-    return inside
-
-
 def _overflow_factors(rows: np.ndarray, radius: float) -> np.ndarray:
     """min(radius / ||row||, 1) for rows whose squared norm overflows, from the rows scaled to a peak of 1."""
     peaks = np.abs(rows).max(axis=-1)
@@ -277,10 +263,11 @@ def _overflow_factors(rows: np.ndarray, radius: float) -> np.ndarray:
 def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     """Project every row onto the ball in place and return rows."""
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
-    # row is outside, rows already hold the projection's bits.
+    # row is outside, rows already hold the projection's bits. sqrt rounds
+    # correctly, so it is monotone: the largest root is the root of the largest.
     scale = _row_dots(rows, rows)
     largest = scale.max()
-    if largest <= _ball_threshold(radius):
+    if math.sqrt(largest) <= radius:
         return rows
     overflowed = np.isinf(scale) if largest == math.inf else None
     np.sqrt(scale, scale)

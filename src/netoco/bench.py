@@ -24,7 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import HyperSchedule, check_checkpoints, make_schedule, run_seeds, variant_spec
+from .algorithm import (
+    _BLOCK, HyperSchedule, check_checkpoints, make_schedule, run_seeds, variant_spec
+)
 from .metrics import (
     MetricSeries,
     averaged_metrics,
@@ -127,7 +129,9 @@ def load_config(path) -> ScenarioConfig:
 def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
     """The config of parsed scenario keys, with every key's default; the only builder of one.
 
-    A relative dataset path resolves against base_dir, the scenario file's directory.
+    Here: text to values, section and key names, keys that exclude each other, and sizes
+    checked before allocation; the rules on the values are _rule_failures'. A relative
+    dataset path resolves against base_dir, the scenario file's directory.
     """
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -140,44 +144,24 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
         return parser.get(section, key, fallback=default)
 
     source = (get("problem", "source") or "synthetic").strip()
-    if source not in ("synthetic", "dataset"):
-        raise ConfigError(f"problem source must be synthetic or dataset, got {source!r}")
     dataset = get("problem", "dataset")
-    if source == "dataset":
-        if not dataset:
-            raise ConfigError("source = dataset needs a dataset name or path")
+    if dataset is not None:
         dataset = dataset.strip()
-        if dataset not in _BUNDLED_DATASETS:
-            candidate = Path(dataset)
-            if not candidate.is_absolute() and base_dir is not None:
-                candidate = base_dir / candidate
-            dataset = str(candidate)
-        if get("problem", "dimension") is not None:
-            raise ConfigError("dimension is inferred from the dataset; remove it")
-    elif dataset is not None:
-        raise ConfigError("dataset is only valid with source = dataset")
+        if source == "dataset" and dataset and dataset not in _BUNDLED_DATASETS:
+            dataset = str(Path(dataset) if base_dir is None else base_dir / dataset)
 
-    n_units = _parse_int(get("problem", "units", "6"), "units", minimum=1)
-    dimension = (
-        None
-        if source == "dataset"
-        else _parse_int(get("problem", "dimension", "4"), "dimension", minimum=1)
-    )
+    n_units = _parse_int(get("problem", "units", "6"), "units")
+    dimension_text = get("problem", "dimension", None if source == "dataset" else "4")
+    dimension = None if dimension_text is None else _parse_int(dimension_text, "dimension")
     rho = _parse_float(get("problem", "rho", "0"), "rho")
-    if rho < 0.0:
-        raise ConfigError("rho must be >= 0")
-    data_seed = _parse_int(get("problem", "seed", "0"), "seed", minimum=0)
+    data_seed = _parse_int(get("problem", "seed", "0"), "seed")
 
     topology = _parse_topology(parser, n_units)
 
     lower = _parse_float(get("constraints", "lower", "-0.15"), "lower")
     upper = _parse_float(get("constraints", "upper", "0.15"), "upper")
-    if not lower < upper:
-        raise ConfigError("need lower < upper")
     radius_text = get("constraints", "radius")
     radius = None if radius_text is None else _parse_float(radius_text, "radius")
-    if radius is not None and not radius > 0.0:
-        raise ConfigError("radius must be > 0")
 
     variant = get("algorithm", "variant")
     if not variant:
@@ -186,12 +170,12 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
     c_text = get("algorithm", "c")
     c = None if c_text is None else _parse_float(c_text, "c")
     a = _parse_float(get("algorithm", "a", "2.0"), "a")
-    horizon = _parse_int(get("algorithm", "horizon", "8192"), "horizon", minimum=1)
+    horizon = _parse_int(get("algorithm", "horizon", "8192"), "horizon")
     checkpoints_text = get("algorithm", "checkpoints")
     checkpoints = (
         None
         if checkpoints_text is None
-        else tuple(_parse_int(tok, "checkpoints", minimum=1) for tok in _tokens(checkpoints_text))
+        else tuple(_parse_int(tok, "checkpoints") for tok in _tokens(checkpoints_text))
     )
 
     seeds_text = get("run", "seeds")
@@ -199,18 +183,14 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
     if seeds_text is not None and seed_count_text is not None:
         raise ConfigError("give either seeds or seed_count, not both")
     if seeds_text is not None:
-        seeds = tuple(_parse_int(tok, "seeds", minimum=0) for tok in _tokens(seeds_text))
-        if not seeds:
-            raise ConfigError("seeds must not be empty")
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("seeds must be distinct")
+        seeds = tuple(_parse_int(tok, "seeds") for tok in _tokens(seeds_text))
     else:
         count = _parse_int(seed_count_text or "10", "seed_count", minimum=1)
         if seed_count_text is not None:
             _check_seed_count(count, horizon, n_units, dimension)
         seeds = tuple(range(1, count + 1))
     output_dir = get("run", "output")
-    workers = _parse_int(get("run", "workers", "1"), "workers", minimum=1)
+    workers = _parse_int(get("run", "workers", "1"), "workers")
 
     config = ScenarioConfig(
         name=name,
@@ -233,7 +213,9 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
         workers=workers,
         topology=topology,
     )
-    _check_variant_parameters(config)
+    failures = _rule_failures(config)
+    if failures:
+        raise ConfigError("; ".join(failures))
     return config
 
 
@@ -253,12 +235,9 @@ def _parse_int(text, key, minimum=None) -> int:
 
 def _parse_float(text, key) -> float:
     try:
-        value = float(str(text).strip())
+        return float(str(text).strip())
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite")
-    return value
 
 
 def _parse_topology(parser, n_units: int) -> TopologySchedule:
@@ -271,13 +250,8 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
             raise ConfigError("topology preset excludes nodes/window/graphs")
         if preset != "default-ring-6":
             raise ConfigError(f"unknown topology preset {preset!r}")
-        topology = default_ring_6()
-        if topology.node_count != n_units:
-            raise ConfigError(
-                f"topology preset has {topology.node_count} nodes but units = {n_units}"
-            )
-        return topology
-    nodes = _parse_int(parser.get("topology", "nodes", fallback=str(n_units)), "nodes", minimum=1)
+        return default_ring_6()
+    nodes = _parse_int(parser.get("topology", "nodes", fallback=str(n_units)), "nodes")
     if nodes != n_units:
         raise ConfigError(f"topology nodes = {nodes} but units = {n_units}")
     window = _parse_int(parser.get("topology", "window", fallback="1"), "window", minimum=1)
@@ -301,8 +275,9 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
             raise ConfigError(f"bad graph {segment.strip()!r}: {exc}") from None
     if not graphs:
         raise ConfigError("explicit topology needs at least one graph")
+    # Each graph's weights are built, then copied by WeightMatrix: one matrix more than the period.
     failure = _memory_failure(
-        len(graphs) * nodes * nodes * 8,
+        (len(graphs) + 1) * nodes * nodes * 8,
         f"explicit topology: {len(graphs)} graph(s) on units = {nodes} nodes", "mixing weights",
     )
     if failure:
@@ -310,21 +285,57 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
     return schedule_from_graphs(graphs, window=window)
 
 
-def _check_variant_parameters(config: ScenarioConfig):
-    """The variant's own parameter rules, plus what they mean for the config keys."""
+def _rule_failures(config: ScenarioConfig) -> list[str]:
+    """Every rule on a config's own field values, in the order of the file's keys.
+
+    Their one home: load_config raises these failures and validate_scenario
+    returns them before any data work, so a replaced field fails as its key does.
+    """
+    failures = []
+
+    def rule(holds, message):
+        if not holds:
+            failures.append(message)
+
+    def at_least(key, value, minimum):
+        rule(value is not None and value >= minimum, f"{key} must be >= {minimum}, got {value}")
+
+    source = config.source
+    known = source in ("synthetic", "dataset")
+    rule(known, f"problem source must be synthetic or dataset, got {source!r}")
+    if source == "dataset":
+        rule(config.dataset, "source = dataset needs a dataset name or path")
+        rule(config.dimension is None, "dimension is inferred from the dataset; remove it")
+    else:
+        rule(config.dataset is None, "dataset is only valid with source = dataset")
+    at_least("units", config.n_units, 1)
+    if source == "synthetic":
+        at_least("dimension", config.dimension, 1)
+    for key in ("rho", "lower", "upper", "radius", "c", "a"):
+        value = getattr(config, key)
+        rule(value is None or math.isfinite(value), f"{key} must be finite")
+    rule(config.rho >= 0.0, "rho must be >= 0")
+    at_least("seed", config.data_seed, 0)
+    nodes = config.topology.node_count
+    rule(nodes == config.n_units, f"topology has {nodes} nodes but units = {config.n_units}")
+    rule(config.lower < config.upper, "need lower < upper")
+    rule(config.radius is None or config.radius > 0.0, "radius must be > 0")
     try:
         spec = variant_spec(config.variant)
+        if spec.strongly_convex:
+            rule(config.rho > 0.0, "strongly convex variants need rho > 0")
+            rule(config.c is None, "c is only meaningful for convex variants")
+        else:
+            spec.check_parameters(c=config.c, a=config.a, sigma=None)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if spec.strongly_convex:
-        if config.rho <= 0.0:
-            raise ConfigError("strongly convex variants need rho > 0")
-        if config.c is not None:
-            raise ConfigError("c is only meaningful for convex variants")
-    try:
-        spec.check_parameters(c=config.c, a=config.a, sigma=2.0 * config.rho)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        failures.append(str(exc))
+    at_least("horizon", config.horizon, 1)
+    at_least("checkpoints", min(config.checkpoints or (), default=1), 1)
+    rule(config.seeds, "seeds must not be empty")
+    rule(len(set(config.seeds)) == len(config.seeds), "seeds must be distinct")
+    at_least("seeds", min(config.seeds, default=0), 0)
+    at_least("workers", config.workers, 1)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +423,19 @@ def apply_overrides(
 
 
 def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension: Optional[int]):
-    """The failure when the streams of every seed, which run_suite holds at once, exceed
-    physical memory; else None. A dataset's unknown dimension (None) counts as 1."""
+    """The failure when what run_suite holds at once exceeds physical memory; else None.
+
+    Per seed and unit: the stream, T (d + 1) values, and one block of B = min(T, 128)
+    rounds: the kernel's features, targets, betas, decisions, 2 d violations and (for
+    every variant) bandit probes, B (8 d + 2) values, and RegressionRound.system_values'
+    two (B, S, N, N) arrays, B 2 N. A dataset's unknown dimension (None) counts as 1.
+    """
     width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"
-    need = seeds * horizon * n_units * ((dimension or 1) + 1) * 8
-    return _memory_failure(need, f"{lead}, units = {n_units} and {width}", "stream data")
+    d, block = dimension or 1, min(horizon, _BLOCK)
+    need = 8 * seeds * n_units * (horizon * (d + 1) + block * (8 * d + 2 + 2 * n_units))
+    return _memory_failure(
+        need, f"{lead}, units = {n_units} and {width}", "stream data and block arrays"
+    )
 
 
 def _check_seed_count(count: int, horizon: int, n_units: int, dimension: Optional[int]):
@@ -490,22 +509,17 @@ class _Prepared:
 
 
 def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
-    """Pre-round checks and resolution; the failures are empty exactly when the result is set."""
-    failures = []
-    try:
-        _check_variant_parameters(config)
-    except ConfigError as exc:
-        failures.append(str(exc))
-    variant_ok = not failures
-    if not config.seeds:
-        failures.append("seeds must not be empty")
+    """Pre-round checks and resolution; the failures are empty exactly when the result is set.
+    The field rules come first, and their failures return before any data work."""
+    failures = _rule_failures(config)
+    if failures:
+        return failures, None
     examples, dimension, bounds = None, config.dimension, None
     if config.source == "dataset":
         try:
             examples, dimension = _load_dataset(config)
         except (ScenarioError, ValueError) as exc:
-            failures.append(str(exc))
-            return failures, None
+            return [str(exc)], None
     # Estimated before the bounding stream, which is as wide as a seed's stream.
     too_large = _stream_failure(
         f"horizon = {config.horizon} with {len(config.seeds)} seeds", len(config.seeds),
@@ -537,28 +551,22 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
                 failures.append(str(exc))
             except ValueError as exc:  # rows that rescale to non-finite values
                 failures.append(f"dataset rows after rescaling: {exc}")
-    if config.topology.node_count != config.n_units:
-        failures.append("topology node count differs from units")
     if not verify_window_connectivity(config.topology):
         failures.append(f"union over windows of {config.topology.window} is not connected")
     for graph, weights in zip(config.topology.graphs, config.topology.weights):
         report = validate_mixing(weights, graph)
         failures.extend(f"mixing: {v}" for v in report.violations)
-    if config.horizon < 1:
-        failures.append(f"horizon must be >= 1, got {config.horizon}")
-        return failures, None
     if too_large:
         failures.append(too_large)
-    if variant_ok:
-        try:
-            # Range checks need no data; the step sizes must stay finite at the largest G.
-            G = 1.0 if bounds is None else bounds[0]
-            hyper = _schedule(config, constraints, radius, G=G, sigma=2.0 * config.rho)
-        except ValueError as exc:
-            failures.append(str(exc))
-        else:
-            if bounds is not None:
-                failures.extend(_overflow_failures(config, hyper, dimension, *bounds))
+    try:
+        # Range checks need no data; the step sizes must stay finite at the largest G.
+        G = 1.0 if bounds is None else bounds[0]
+        hyper = _schedule(config, constraints, radius, G=G, sigma=2.0 * config.rho)
+    except ValueError as exc:
+        failures.append(str(exc))
+    else:
+        if bounds is not None:
+            failures.extend(_overflow_failures(config, hyper, dimension, *bounds))
     try:
         checkpoints = _checkpoints(config)
     except ValueError as exc:
