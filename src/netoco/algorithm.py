@@ -71,6 +71,7 @@ __all__ = [
     "run_experiment",
     "CheckpointTotals",
     "check_checkpoints",
+    "block_bytes",
     "run_seeds",
 ]
 
@@ -483,6 +484,19 @@ def run_round_bandit(
 
 # Rounds per block of stacked stream data and pre-drawn sphere directions.
 _BLOCK = 128
+
+
+def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
+    """Bytes of the arrays run_seeds holds for one block of B = min(T, _BLOCK) rounds.
+
+    Per seed, unit and round of the block: _lockstep's features, committed
+    decisions, spread betas and bandit directions, offsets and probes, 6 d
+    floats, with p constraint violations, targets and observed losses (the
+    bandit arrays are counted for every variant); and the product and
+    residuals that RegressionRound.system_values builds, 2 N floats.
+    """
+    block = min(horizon, _BLOCK)
+    return 8 * seeds * units * block * (6 * dimension + constraints + 2 + 2 * units)
 
 
 def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .algorithm import (
-    _BLOCK, HyperSchedule, check_checkpoints, make_schedule, run_seeds, variant_spec
+    HyperSchedule, block_bytes, check_checkpoints, make_schedule, run_seeds, variant_spec
 )
 from .metrics import (
     MetricSeries,
@@ -183,12 +183,9 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
     if seeds_text is not None and seed_count_text is not None:
         raise ConfigError("give either seeds or seed_count, not both")
     if seeds_text is not None:
-        seeds = tuple(_parse_int(tok, "seeds") for tok in _tokens(seeds_text))
-    else:
-        count = _parse_int(seed_count_text or "10", "seed_count", minimum=1)
-        if seed_count_text is not None:
-            _check_seed_count(count, horizon, n_units, dimension)
-        seeds = tuple(range(1, count + 1))
+        seeds, count = tuple(_parse_int(tok, "seeds") for tok in _tokens(seeds_text)), None
+    else:  # seed 1 stands in for 1..count until the rules have passed
+        seeds, count = (1,), _parse_int(seed_count_text or "10", "seed_count", minimum=1)
     output_dir = get("run", "output")
     workers = _parse_int(get("run", "workers", "1"), "workers")
 
@@ -213,10 +210,10 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
         workers=workers,
         topology=topology,
     )
-    failures = _rule_failures(config)
-    if failures:
-        raise ConfigError("; ".join(failures))
-    return config
+    if seed_count_text is not None:  # the rules, then the size check
+        return apply_overrides(config, seed_count=count)
+    _raise_rule_failures(config)
+    return config if count is None else replace(config, seeds=tuple(range(1, count + 1)))
 
 
 def _tokens(text: str) -> list[str]:
@@ -254,6 +251,8 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
     nodes = _parse_int(parser.get("topology", "nodes", fallback=str(n_units)), "nodes")
     if nodes != n_units:
         raise ConfigError(f"topology nodes = {nodes} but units = {n_units}")
+    if nodes < 1:
+        raise ConfigError(f"explicit topology needs units >= 1 nodes, got units = {nodes}")
     window = _parse_int(parser.get("topology", "window", fallback="1"), "window", minimum=1)
     graphs_text = parser.get("topology", "graphs", fallback=None)
     if not graphs_text:
@@ -338,6 +337,13 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
     return failures
 
 
+def _raise_rule_failures(config: ScenarioConfig):
+    """ConfigError joining every rule config fails, if any."""
+    failures = _rule_failures(config)
+    if failures:
+        raise ConfigError("; ".join(failures))
+
+
 # ---------------------------------------------------------------------------
 # Presets
 
@@ -400,50 +406,46 @@ def apply_overrides(
     output_dir: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> ScenarioConfig:
-    """Replace the seed list with 1..seed_count and set the other values given; None keeps one."""
+    """Replace the seed list with 1..seed_count and set the other values given; None keeps one.
+    The size check made before 1..seed_count is built runs after the rules, which it needs."""
     changes = {}
     if horizon is not None:
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
         changes["horizon"] = horizon
-    if seed_count is not None:
-        if seed_count < 1:
-            raise ConfigError("seed_count must be >= 1")
-        _check_seed_count(
-            seed_count, changes.get("horizon", config.horizon), config.n_units, config.dimension
-        )
-        changes["seeds"] = tuple(range(1, seed_count + 1))
+    if seed_count is not None and seed_count < 1:
+        raise ConfigError("seed_count must be >= 1")
     if output_dir is not None:
         changes["output_dir"] = output_dir
     if workers is not None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         changes["workers"] = workers
-    return replace(config, **changes)
+    if seed_count is None:
+        return replace(config, **changes)
+    config = replace(config, seeds=(1,), **changes)
+    _raise_rule_failures(config)
+    failure = _stream_failure(
+        f"seed_count = {seed_count} with horizon = {config.horizon}", seed_count, config.horizon,
+        config.n_units, config.dimension,
+    )
+    if failure:  # raised before 1..seed_count is built
+        raise ConfigError(failure)
+    return replace(config, seeds=tuple(range(1, seed_count + 1)))
 
 
 def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension: Optional[int]):
     """The failure when what run_suite holds at once exceeds physical memory; else None.
 
-    Per seed and unit: the stream, T (d + 1) values, and one block of B = min(T, 128)
-    rounds: the kernel's features, targets, betas, decisions, 2 d violations and (for
-    every variant) bandit probes, B (8 d + 2) values, and RegressionRound.system_values'
-    two (B, S, N, N) arrays, B 2 N. A dataset's unknown dimension (None) counts as 1.
+    For values that pass the rules: every seed's stream, S N T (d + 1) floats, and one block
+    of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
     """
     width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"
-    d, block = dimension or 1, min(horizon, _BLOCK)
-    need = 8 * seeds * n_units * (horizon * (d + 1) + block * (8 * d + 2 + 2 * n_units))
+    d = dimension or 1
+    need = 8 * seeds * n_units * horizon * (d + 1) + block_bytes(seeds, n_units, d, 2 * d, horizon)
     return _memory_failure(
         need, f"{lead}, units = {n_units} and {width}", "stream data and block arrays"
     )
-
-
-def _check_seed_count(count: int, horizon: int, n_units: int, dimension: Optional[int]):
-    """ConfigError before 1..count is built, if that many seeds' streams exceed physical memory."""
-    lead = f"seed_count = {count} with horizon = {horizon}"
-    failure = _stream_failure(lead, count, horizon, n_units, dimension)
-    if failure:
-        raise ConfigError(failure)
 
 
 # ---------------------------------------------------------------------------

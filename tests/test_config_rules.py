@@ -55,7 +55,7 @@ CASES = {
 def scenario_text(keys):
     sections = {name: dict(values) for name, values in BASE_KEYS.items()}
     for name, values in keys.items():
-        sections[name].update(values)
+        sections.setdefault(name, {}).update(values)
     return "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
         for name, values in sections.items()
@@ -76,3 +76,26 @@ def test_a_replaced_field_fails_as_its_file_key_does(tmp_path, case):
     with pytest.raises(ConfigError) as raised:
         load_config(path)
     assert str(raised.value) == "; ".join(expected)
+
+
+# Values the loader cannot take as far as the rules: each failure still names its key.
+FILE_ONLY_CASES = {
+    "no units under explicit graphs": (
+        {"problem": {"units": "0"}, "topology": {"graphs": "1-2"}},
+        "explicit topology needs units >= 1 nodes, got units = 0",
+    ),
+    "dataset dimension that is no integer": (
+        {"problem": {"source": "dataset", "dataset": "mg", "dimension": "abc"}},
+        "dimension must be an integer, got 'abc'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_ONLY_CASES))
+def test_a_key_the_loader_stops_at_is_named(tmp_path, case):
+    keys, expected = FILE_ONLY_CASES[case]
+    path = tmp_path / "case.ini"
+    path.write_text(scenario_text(keys), encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value) == expected

@@ -24,16 +24,21 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def netoco(tmp_path, *argv):
+def python(tmp_path, *argv):
+    """sys.executable with argv, src on the path, one BLAS thread and the address space capped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     env["OPENBLAS_NUM_THREADS"] = "1"
     return subprocess.run(
-        [sys.executable, "-m", "netoco.cli", *argv], cwd=tmp_path, env=env, capture_output=True,
-        text=True, timeout=120, preexec_fn=cap_address_space,
+        [sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=cap_address_space,
     )
+
+
+def netoco(tmp_path, *argv):
+    return python(tmp_path, "-m", "netoco.cli", *argv)
 
 
 CASES = {
@@ -86,4 +91,52 @@ def test_a_size_beyond_memory_exits_2_naming_its_key(tmp_path, case):
         assert text in child.stderr
     assert "GiB of physical memory" in child.stderr
     assert not (tmp_path / "out").exists()
+
+
+# Rules that fail beside a seed_count far beyond memory, as more [algorithm] keys or a
+# [problem] section: the rules are checked first, so the size estimate never sees a
+# horizon, unit count or dimension below 1.
+RULE_CASES = {
+    "zero horizon": ("horizon = 0\n", "error: horizon must be >= 1, got 0"),
+    "negative horizon": ("horizon = -3\n", "error: horizon must be >= 1, got -3"),
+    "zero units": ("[problem]\nunits = 0\n", "error: units must be >= 1, got 0"),
+    "negative dimension": ("[problem]\ndimension = -2\n", "error: dimension must be >= 1, got -2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_CASES))
+def test_a_rule_failure_comes_before_the_seed_list(tmp_path, case):
+    keys, expected = RULE_CASES[case]
+    (tmp_path / "case.ini").write_text(
+        "[algorithm]\nvariant = convex-full\nc = 0.5\n" + keys
+        + "[run]\nseed_count = 100000000000\n",
+        encoding="utf-8",
+    )
+    child = netoco(tmp_path, "validate", "case.ini")
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    assert child.stderr.startswith(expected)
+
+
+REPLACED_OVERRIDE = """\
+import sys
+from dataclasses import replace
+from netoco.bench import ConfigError, apply_overrides, preset_config
+
+config = replace(preset_config("synthetic-convex-c0.5", seed_count=1), {field}=0)
+try:
+    apply_overrides(config, seed_count=100000000000)
+except ConfigError as exc:
+    sys.exit(f"error: {{exc}}")
+"""
+
+
+@pytest.mark.parametrize(
+    ("field", "expected"),
+    [("horizon", "horizon must be >= 1, got 0"), ("n_units", "units must be >= 1, got 0")],
+)
+def test_a_seed_count_override_checks_the_rules_of_a_replaced_config(tmp_path, field, expected):
+    child = python(tmp_path, "-c", REPLACED_OVERRIDE.format(field=field))
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.startswith(f"error: {expected}")
 

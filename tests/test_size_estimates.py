@@ -3,9 +3,15 @@ and the copy an explicit topology's weights make while they are built."""
 
 import math
 import os
+import tracemalloc
+from dataclasses import replace
+
+import pytest
 
 import netoco.bench
-from netoco.bench import load_config, validate_scenario
+from netoco.algorithm import block_bytes, run_seeds
+from netoco.bench import _prepare, _seed_inputs, load_config, preset_config, validate_scenario
+from netoco.network import Graph, schedule_from_graphs
 
 SMALL_RUN = "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 128\n[run]\nseeds = 1\n"
 
@@ -29,6 +35,32 @@ def test_the_pairwise_residuals_of_a_block_count_against_memory(tmp_path):
     assert f"horizon = 128 with 1 seeds, units = {units} and dimension = 4 needs" in failure
     assert "GiB of stream data and block arrays" in failure
     assert "GiB of physical memory" in failure
+
+
+@pytest.mark.parametrize("preset", ["synthetic-convex-c0.5", "synthetic-sc-bandit-rho1"])
+def test_block_bytes_is_what_run_seeds_allocates(preset):
+    # 64 units on a ring: the (B, S, N, N) arrays of a block are most of it, as at scale.
+    units = 64
+    edges = tuple((i, i % units + 1) for i in range(1, units + 1))
+    topology = schedule_from_graphs([Graph(units, edges)], window=1)
+    config = replace(
+        preset_config(preset, seed_count=2, horizon=512), n_units=units, topology=topology
+    )
+    failures, prepared = _prepare(config)
+    assert failures == []
+    inputs = [_seed_inputs(config, seed, prepared) for seed in config.seeds]
+    tracemalloc.start()
+    try:
+        run_seeds(
+            [stream for stream, _, _, _ in inputs], config.topology,
+            [schedule for _, _, _, schedule in inputs], prepared.constraints, config.seeds,
+            prepared.checkpoints,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = block_bytes(2, units, 4, prepared.constraints.count, 512)
+    assert 0.8 * estimate <= peak <= 1.25 * estimate
 
 
 def test_an_explicit_topology_counts_one_matrix_more_than_its_graphs(tmp_path, monkeypatch):
