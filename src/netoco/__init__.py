@@ -18,6 +18,7 @@ from .algorithm import (
 from .bench import ScenarioConfig, list_presets, load_config, preset_config, run_suite
 from .metrics import (
     BoundConstants,
+    ConvergenceError,
     MetricSeries,
     averaged_metrics,
     bound_constants,
@@ -45,6 +46,7 @@ from .network import (
 from .problems import (
     BoxConstraintSet,
     ConstraintSet,
+    DatasetTable,
     LossOracle,
     RegressionExample,
     RegressionStream,

@@ -48,7 +48,9 @@ from typing import Optional
 import numpy as np
 
 from .network import TopologySchedule, WeightMatrix, consensus_mix
-from .problems import ConstraintSet, LossOracle, RegressionRound, _row_dots, clipped_subgradient
+from .problems import (
+    _BLOCK, ConstraintSet, LossOracle, RegressionRound, _blocks, _row_dots, clipped_subgradient
+)
 
 __all__ = [
     "VARIANTS",
@@ -482,10 +484,6 @@ def run_round_bandit(
     return _round(state, round_losses, weights, hyper, constraints, t, directions)
 
 
-# Rounds per block of stacked stream data and pre-drawn sphere directions.
-_BLOCK = 128
-
-
 def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
     """Bytes of the arrays run_seeds holds for one block of B = min(T, _BLOCK) rounds.
 
@@ -493,7 +491,8 @@ def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizo
     decisions, spread betas and bandit directions, offsets and probes, 6 d
     floats, with p constraint violations, targets and observed losses (the
     bandit arrays are counted for every variant); and the product and
-    residuals that RegressionRound.system_values builds, 2 N floats.
+    residuals that RegressionRound.system_values builds, 2 N floats. The
+    block's eta_t and beta_t, 2 floats per seed and round, are left out.
     """
     block = min(horizon, _BLOCK)
     return 8 * seeds * units * block * (6 * dimension + constraints + 2 + 2 * units)
@@ -519,6 +518,21 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
     return draws
 
 
+def _block_steps(schedules, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eta_t, beta_t) of every schedule for t = start + 1..stop, each (B, S, 1, 1).
+
+    The formulas of HyperSchedule.step_sizes, evaluated on the block's rounds
+    only: each entry is one elementwise evaluation at its t, so it has the
+    bits of the whole-horizon arrays.
+    """
+    t = np.arange(start + 1, stop + 1, dtype=float)
+    etas, betas = np.empty((2, len(t), len(schedules), 1, 1))
+    for s, h in enumerate(schedules):
+        etas[:, s, 0, 0] = h._eta(t)
+        betas[:, s, 0, 0] = h._beta(t)
+    return etas, betas
+
+
 def _lockstep(streams, topology: TopologySchedule, schedules, constraints: ConstraintSet, seeds):
     """Run every seed of a batch in lockstep on (S, N, d) arrays, one block of rounds per yield.
 
@@ -538,7 +552,8 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     whole run, and each round writes the next decisions, the probes and the
     observed losses straight into rows of the block's arrays. The decisions
     array has one row more than the block, for the decisions left for round
-    start + B + 1, which the next block copies into its first row.
+    start + B + 1, which the next block copies into its first row. Nothing
+    here grows with T: the step sizes, too, are evaluated a block at a time.
     """
     if not streams or len(streams) != len(schedules) or len(streams) != len(seeds):
         raise ValueError("need one stream, schedule and seed per run")
@@ -566,28 +581,26 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         rngs = [_sphere_rngs(seed, n) for seed in seeds]
         eps = hyper.eps(1)
 
-    steps = [h.step_sizes() for h in schedules]
-    etas = np.stack([eta for eta, _ in steps], axis=1)[:, :, None, None]  # (T, S, 1, 1)
-    betas = np.stack([beta for _, beta in steps], axis=1)[:, :, None, None]
     # Round t mixes with weights[(t - 1) % period], as weights_at(t) gives, without its range check.
     weights, radius = topology.weights, hyper.decision_radius
     decisions = np.zeros((len(streams), n, d))
     # The duals start at zero, so round 1 feels no pull even where x = 0 violates a constraint.
     pull = np.zeros(decisions.shape)
     probe = observed = queries = None
-    for start in range(0, horizon, _BLOCK):
-        stop = min(start + _BLOCK, horizon)
+    for block in _blocks(horizon):
+        start, stop = block.start, block.stop
         features = np.stack([s.features[start:stop] for s in streams], axis=1)
         targets = np.stack([s.targets[start:stop] for s in streams], axis=1)
         committed = np.empty((stop - start + 1,) + decisions.shape)
         committed[0] = decisions
+        etas, betas = _block_steps(schedules, start, stop)
         # Each round's beta spread over its rows: a broadcast product costs more than the arithmetic.
-        block_betas = np.broadcast_to(betas[start:stop], features.shape).copy()
+        block_betas = np.broadcast_to(betas, features.shape).copy()
         if bandit:
             directions = _sphere_block(rngs, stop - start, d)
             offsets = eps * directions
             observed, queries = np.empty(targets.shape), np.empty(features.shape)
-        rounds = zip(committed, committed[1:], features, targets, block_betas, etas[start:stop])
+        rounds = zip(committed, committed[1:], features, targets, block_betas, etas)
         for k, (current, nxt, round_features, round_targets, beta, eta) in enumerate(rounds):
             if bandit:
                 probe, out = (eps, directions[k], offsets[k]), (nxt, pull, observed[k], queries[k])

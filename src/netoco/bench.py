@@ -28,6 +28,7 @@ from .algorithm import (
     HyperSchedule, block_bytes, check_checkpoints, make_schedule, run_seeds, variant_spec
 )
 from .metrics import (
+    ConvergenceError,
     MetricSeries,
     averaged_metrics,
     checkpoint_grid,
@@ -44,6 +45,7 @@ from .network import (
 )
 from .problems import (
     BoxConstraintSet,
+    DatasetTable,
     ParseError,
     RegressionStream,
     _memory_failure,
@@ -77,7 +79,7 @@ class ConfigError(ValueError):
 
 
 class ScenarioError(RuntimeError):
-    """A scenario failed validation before its first round."""
+    """A scenario failed validation before its first round, or a comparator did not converge."""
 
 
 @dataclass(frozen=True)
@@ -439,6 +441,15 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
 
     For values that pass the rules: every seed's stream, S N T (d + 1) floats, and one block
     of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
+    Nothing else a run keeps grows with T: the bounds, the dealing of dataset rows and the step
+    sizes take one 128-round block at a time, the finiteness check makes no temporary, a
+    synthetic stream is drawn one unit at a time, and the metrics keep a few rows per checkpoint. Warm tracemalloc peak of run_suite over this
+    estimate at T = 8192 (tests/test_run_memory.py holds each to 1.25):
+
+        bodyfat-convex, 1 seed              1.05
+        mg-sc, 1 seed                       1.09
+        synthetic-sc-bandit-rho1, 1 seed    1.07
+        synthetic-convex-c0.5, 3 seeds      1.01
     """
     width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"
     d = dimension or 1
@@ -487,7 +498,8 @@ def _load_dataset(config: ScenarioConfig):
         raise ScenarioError(f"dataset {config.dataset} is empty")
     if dimension < 1:
         raise ScenarioError(f"dataset {config.dataset} has no features")
-    return examples, dimension
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite data by the bounds
+        return DatasetTable.from_examples(examples), dimension
 
 
 def _checkpoints(config: ScenarioConfig) -> tuple[int, ...]:
@@ -503,7 +515,7 @@ def _checkpoints(config: ScenarioConfig) -> tuple[int, ...]:
 class _Prepared:
     """What a valid scenario resolves to before its first round."""
 
-    examples: Optional[list]  # parsed dataset examples; None for synthetic data
+    dataset: Optional[DatasetTable]  # the rescaled rows, built once; None for synthetic data
     dimension: int
     radius: float
     constraints: BoxConstraintSet
@@ -516,10 +528,10 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
     failures = _rule_failures(config)
     if failures:
         return failures, None
-    examples, dimension, bounds = None, config.dimension, None
+    dataset, dimension, bounds = None, config.dimension, None
     if config.source == "dataset":
         try:
-            examples, dimension = _load_dataset(config)
+            dataset, dimension = _load_dataset(config)
         except (ScenarioError, ValueError) as exc:
             return [str(exc)], None
     # Estimated before the bounding stream, which is as wide as a seed's stream.
@@ -546,8 +558,8 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
         if not too_large:
             try:
                 bounds = _realized_bounds(
-                    _bounding_stream(config, examples, dimension), constraints, radius,
-                    "the largest synthetic draw" if examples is None else "dataset rows",
+                    _bounding_stream(config, dataset, dimension), constraints, radius,
+                    "the largest synthetic draw" if dataset is None else "dataset rows",
                 )
             except ScenarioError as exc:
                 failures.append(str(exc))
@@ -575,24 +587,23 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
         failures.append(str(exc))
     if failures:
         return failures, None
-    return [], _Prepared(examples, dimension, radius, constraints, checkpoints)
+    return [], _Prepared(dataset, dimension, radius, constraints, checkpoints)
 
 
 # A standard normal draw beyond 40 has probability below 1e-340.
 _NOISE_BOUND = 40.0
 
 
-def _bounding_stream(config: ScenarioConfig, examples, dimension: int) -> RegressionStream:
+def _bounding_stream(config: ScenarioConfig, dataset, dimension: int) -> RegressionStream:
     """A stream whose G and C bound those of every seed's stream from above.
 
-    A dataset is judged by all its rows: one stream deals each row once.
-    Synthetic features lie in [-1, 1]^d and targets are a.xbar + N(0, 1) noise
-    with |a.xbar| <= d // 2, so the corner of the cube with the largest target
-    bounds every draw, save noise beyond _NOISE_BOUND.
+    A dataset is judged by all its rows: one unit sees each rescaled row once,
+    a view of the table. Synthetic features lie in [-1, 1]^d and targets are
+    a.xbar + N(0, 1) noise with |a.xbar| <= d // 2, so the corner of the cube
+    with the largest target bounds every draw, save noise beyond _NOISE_BOUND.
     """
-    if examples is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite data
-            return dataset_stream(examples, 1, len(examples), config.rho, 0)
+    if dataset is not None:
+        return RegressionStream(dataset.features[:, None, :], dataset.targets[:, None], config.rho)
     target = dimension // 2 + _NOISE_BOUND
     return RegressionStream(np.ones((1, 1, dimension)), np.full((1, 1), target), config.rho)
 
@@ -642,7 +653,7 @@ def _seed_inputs(config, seed, prepared: _Prepared):
         )
     else:
         stream = dataset_stream(
-            prepared.examples, config.n_units, config.horizon, config.rho, stream_seed
+            prepared.dataset, config.n_units, config.horizon, config.rho, stream_seed
         )
     radius, constraints = prepared.radius, prepared.constraints
     G, C = _realized_bounds(stream, constraints, radius, f"seed {seed}")
@@ -656,8 +667,8 @@ def _seed_inputs(config, seed, prepared: _Prepared):
 def _realized_bounds(stream, constraints, radius, rows: str) -> tuple[float, float]:
     """G and C over a stream's rows; ScenarioError, naming the rows, unless G, G^2 and C are finite."""
     with np.errstate(over="ignore"):  # an overflow is reported below, by key
-        G = max(stream.gradient_bound(radius), constraints.gradient_bound)
-        C = stream.value_bound(radius)
+        G, C = stream.bounds(radius)
+    G = max(G, constraints.gradient_bound)
     if not all(map(math.isfinite, (G, G * G, C))):
         raise ScenarioError(
             f"{rows}: realized bounds G = {G:.6g}, G^2 = {G * G:.6g} and C = {C:.6g} must be "
@@ -670,7 +681,9 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     """Run every seed of a scenario, average, and (by default) write its CSV.
 
     All seeds run in lockstep as one batch (algorithm.run_seeds); the workers
-    setting is accepted but changes neither the output nor the work done.
+    setting is accepted but changes neither the output nor the work done. A
+    hindsight comparator that does not converge raises ScenarioError naming
+    the scenario, the seed, the checkpoint and the residual.
 
     Output directory precedence: out_dir argument, then the NETOCO_OUTPUT_DIR
     environment variable, then the config's output key, then "results".
@@ -690,10 +703,13 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     )
     seed_results = []
     for s, (seed, (stream, G, C, schedule)) in enumerate(zip(config.seeds, inputs)):
-        series = checkpoint_series(
-            stream, constraints, checkpoints, totals.system_losses[:, s], totals.violations[:, s],
-            comm_cost,
-        )
+        try:
+            series = checkpoint_series(
+                stream, constraints, checkpoints, totals.system_losses[:, s],
+                totals.violations[:, s], comm_cost,
+            )
+        except ConvergenceError as exc:
+            raise ScenarioError(f"{config.name}: seed {seed}: {exc}") from None
         seed_results.append(SeedResult(seed=seed, series=series, G=G, C=C, schedule=schedule))
     mean = averaged_metrics([r.series for r in seed_results])
     csv_path = None

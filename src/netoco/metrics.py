@@ -33,6 +33,7 @@ from .problems import BoxConstraintSet, RegressionStream
 
 __all__ = [
     "Comparator",
+    "ConvergenceError",
     "offline_comparator",
     "offline_comparators",
     "system_cumulative_losses",
@@ -64,6 +65,10 @@ class Comparator:
     residual: float
     iterations: int
     gap: float = math.nan
+
+
+class ConvergenceError(RuntimeError):
+    """A comparator's prefix did not stop within max_iters; the message names its checkpoint."""
 
 
 # Prefixes solved in one loop at most. The loop stacks each prefix's d x d
@@ -106,7 +111,7 @@ def offline_comparators(
     must act row by row on (..., d) arrays. Prefixes without curvature
     (all-zero features and rho = 0) have a constant objective and return the
     projected origin after 0 iterations. A prefix that does not stop within
-    max_iters raises RuntimeError naming the first such checkpoint.
+    max_iters raises ConvergenceError naming the first such checkpoint.
     """
     if not hasattr(constraints, "project"):
         raise ValueError("the comparator needs a constraint set with a projection")
@@ -156,7 +161,7 @@ def _solve_group(stream, constraints, checkpoints, tol, max_iters) -> tuple[Comp
                 active[keep], x[keep], g[keep], c[keep], r[keep], s[keep], residual[keep]
             )
     if len(active):
-        raise RuntimeError(
+        raise ConvergenceError(
             f"comparator did not converge at checkpoint T = {checkpoints[active[0]]}: "
             f"residual {residual[0]:.3e} after {max_iters} iterations"
         )

@@ -46,6 +46,7 @@ __all__ = [
     "RegressionStream",
     "SufficientStats",
     "synthetic_stream",
+    "DatasetTable",
     "dataset_stream",
     "ParseError",
     "parse_libsvm",
@@ -55,6 +56,16 @@ __all__ = [
 # SeedSequence spawn-key purposes; the decision-loop sphere sampler uses 3.
 _SPAWN_DATA = 1
 _SPAWN_SHUFFLE = 2
+
+# Rounds per block: the kernel's stacked stream data and sphere directions, and
+# every pass of a stream's set-up over its rounds, take at most this many at once.
+_BLOCK = 128
+
+
+def _blocks(horizon: int):
+    """Slices of rounds 0..horizon - 1 (0-based), _BLOCK at a time."""
+    for start in range(0, horizon, _BLOCK):
+        yield slice(start, min(start + _BLOCK, horizon))
 
 
 @dataclass(frozen=True)
@@ -293,6 +304,12 @@ def clipped_subgradient(constraints: ConstraintSet, x, s: int) -> np.ndarray:
     return np.zeros(constraints.dimension)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite, with no temporary: a NaN propagates through min and max,
+    and an infinity is the min or the max."""
+    return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
+
+
 def _row_dots(a, b, out=None) -> np.ndarray:
     # np.einsum with optimize=False (its default) forwards to c_einsum;
     # calling that directly skips the Python wrapper, not a bit of the result.
@@ -365,7 +382,9 @@ class RegressionStream:
     """Per-(unit, round) regression examples with closed-form bound maxima.
 
     features has shape (T, N, d) and targets shape (T, N); slot (i, t) holds
-    the loss unit i sees at round t.
+    the loss unit i sees at round t. The finiteness check makes no temporary
+    and the bounds pass over the stream in blocks of _BLOCK rounds, so no
+    temporary of theirs is larger than one block's.
     """
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, rho: float):
@@ -377,7 +396,7 @@ class RegressionStream:
             raise ValueError("targets must have shape (T, N)")
         if rho < 0.0:
             raise ValueError("rho must be >= 0")
-        if not (np.all(np.isfinite(features)) and np.all(np.isfinite(targets))):
+        if not (_all_finite(features) and _all_finite(targets)):
             raise ValueError("non-finite stream data")
         self.features = features
         self.targets = targets
@@ -417,14 +436,31 @@ class RegressionStream:
             raise IndexError(f"round {T} outside 1..{self.horizon}")
         return RegressionRound(self.features[:T], self.targets[:T], self.rho)
 
+    def bounds(self, radius: float) -> tuple[float, float]:
+        """(gradient_bound(radius), value_bound(radius)) from one pass over blocks of rounds.
+
+        Each slot's reach is ||a|| R + |b|, with ||a|| from np.linalg.norm over
+        a block, so every slot has the bits of the whole-stream formula; the
+        maxima of the blocks' maxima are the whole stream's maxima.
+        """
+        gradients, values = [], []
+        for rounds in _blocks(self.horizon):
+            norms = np.linalg.norm(self.features[rounds], axis=2)
+            reach = norms * radius + np.abs(self.targets[rounds])
+            gradients.append((reach * norms).max())
+            values.append((reach * reach).max())
+        return (
+            float(np.max(gradients)) + 2.0 * self.rho * radius,
+            0.5 * float(np.max(values)) + self.rho * radius * radius,
+        )
+
     def gradient_bound(self, radius: float) -> float:
-        norms = np.linalg.norm(self.features, axis=2)
-        per_slot = (norms * radius + np.abs(self.targets)) * norms
-        return float(per_slot.max()) + 2.0 * self.rho * radius
+        """The largest gradient norm over the ball, max over slots of (||a|| R + |b|) ||a|| + 2 rho R."""
+        return self.bounds(radius)[0]
 
     def value_bound(self, radius: float) -> float:
-        reach = np.linalg.norm(self.features, axis=2) * radius + np.abs(self.targets)
-        return 0.5 * float((reach * reach).max()) + self.rho * radius * radius
+        """The largest loss over the ball, max over slots of 0.5 (||a|| R + |b|)^2 + rho R^2."""
+        return self.bounds(radius)[1]
 
     def sufficient_statistics(self, T: int) -> SufficientStats:
         if not 1 <= T <= self.horizon:
@@ -451,7 +487,11 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
 
     xbar has ones in the first floor(d/2) coordinates and zeros elsewhere.
     Each unit draws from its own SeedSequence-spawned stream, so the result is
-    bitwise reproducible and independent of evaluation order.
+    bitwise reproducible and independent of evaluation order. One unit's
+    draws are the only temporaries, and only until they are stored: a.xbar
+    is computed from the stored features straight into the targets (the same
+    gemv as on the unit's own (T, d) draw, with a row stride), and the noise
+    is added there.
     """
     if n_units < 1 or dimension < 1 or horizon < 1:
         raise ValueError("n_units, dimension, horizon must all be >= 1")
@@ -461,42 +501,63 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
     targets = np.empty((horizon, n_units))
     for i in range(1, n_units + 1):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SPAWN_DATA, i)))
-        a = rng.uniform(-1.0, 1.0, size=(horizon, dimension))
-        noise = rng.standard_normal(horizon)
-        features[:, i - 1, :] = a
-        targets[:, i - 1] = a @ xbar + noise
+        features[:, i - 1, :] = rng.uniform(-1.0, 1.0, size=(horizon, dimension))
+        np.matmul(features[:, i - 1, :], xbar, out=targets[:, i - 1])
+        targets[:, i - 1] += rng.standard_normal(horizon)
     return RegressionStream(features, targets, rho)
 
 
-def dataset_stream(examples, n_units: int, horizon: int, rho: float, seed: int) -> RegressionStream:
+@dataclass(frozen=True)
+class DatasetTable:
+    """A dataset's rows rescaled once: features (rows, d) in [-1, 1] and targets (rows,).
+
+    Features are rescaled coordinate-wise to [-1, 1] over the dataset
+    (constant coordinates map to 0); targets are left as-is.
+    """
+
+    features: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def from_examples(cls, examples) -> DatasetTable:
+        examples = list(examples)
+        if not examples:
+            raise ValueError("empty dataset")
+        dimension = examples[0].dimension
+        if any(e.dimension != dimension for e in examples):
+            raise ValueError("examples disagree on dimension")
+        table = np.stack([e.features for e in examples])
+        low = table.min(axis=0)
+        high = table.max(axis=0)
+        span = high - low
+        scaled = np.zeros_like(table)
+        varying = span > 0.0
+        scaled[:, varying] = 2.0 * (table[:, varying] - low[varying]) / span[varying] - 1.0
+        return cls(scaled, np.array([e.target for e in examples]))
+
+
+def dataset_stream(dataset, n_units: int, horizon: int, rho: float, seed: int) -> RegressionStream:
     """Deal dataset rows to the (unit, round) grid after coordinate rescaling.
 
-    Features are rescaled coordinate-wise to [-1, 1] over the dataset (constant
-    coordinates map to 0); targets are left as-is. Rows are shuffled once with
-    the seeded stream and dealt round-robin across units, cycling when the grid
-    is larger than the dataset.
+    dataset is a DatasetTable or the examples to build one from. Rows are
+    shuffled once with the seeded stream and dealt round-robin across units,
+    cycling when the grid is larger than the dataset, one block of rounds at
+    a time straight into the stream's arrays.
     """
-    examples = list(examples)
-    if not examples:
-        raise ValueError("empty dataset")
+    if not isinstance(dataset, DatasetTable):
+        dataset = DatasetTable.from_examples(dataset)
     if n_units < 1 or horizon < 1:
         raise ValueError("n_units and horizon must be >= 1")
-    dimension = examples[0].dimension
-    if any(e.dimension != dimension for e in examples):
-        raise ValueError("examples disagree on dimension")
-    table = np.stack([e.features for e in examples])
-    targets = np.array([e.target for e in examples])
-    low = table.min(axis=0)
-    high = table.max(axis=0)
-    span = high - low
-    scaled = np.zeros_like(table)
-    varying = span > 0.0
-    scaled[:, varying] = 2.0 * (table[:, varying] - low[varying]) / span[varying] - 1.0
+    rows, dimension = dataset.features.shape
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SPAWN_SHUFFLE, 0)))
-    order = rng.permutation(len(examples))
-    slots = np.arange(horizon * n_units) % len(examples)
-    dealt = order[slots].reshape(horizon, n_units)
-    return RegressionStream(scaled[dealt], targets[dealt], rho)
+    order = rng.permutation(rows)
+    features = np.empty((horizon, n_units, dimension))
+    targets = np.empty((horizon, n_units))
+    for rounds in _blocks(horizon):
+        dealt = order[np.arange(rounds.start * n_units, rounds.stop * n_units) % rows]
+        features[rounds] = dataset.features[dealt].reshape(-1, n_units, dimension)
+        targets[rounds] = dataset.targets[dealt].reshape(-1, n_units)
+    return RegressionStream(features, targets, rho)
 
 
 def _memory_failure(need: int, what: str, kind: str):

@@ -8,11 +8,13 @@ oracle.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from netoco import bench, metrics
+from netoco.cli import main
 from netoco.metrics import Comparator, checkpoint_grid, offline_comparator, offline_comparators
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
 
@@ -194,3 +196,23 @@ def test_the_gap_is_nan_off_a_box():
     stream = synthetic_stream(2, 3, 20, 1.0, seed=3)
     comparators = offline_comparators(stream, Ball(), (5, 20))
     assert all(np.isnan(c.gap) and c.iterations > 0 for c in comparators)
+
+
+def test_a_comparator_that_does_not_converge_exits_2_naming_seed_and_checkpoint(
+    tmp_path, monkeypatch, capsys
+):
+    solve = metrics.offline_comparators
+
+    def few_iterations(*args, **kwargs):
+        return solve(*args, **{**kwargs, "max_iters": 2})
+
+    monkeypatch.setattr(metrics, "offline_comparators", few_iterations)
+    argv = ["run", "--preset", "synthetic-convex-c0.5", "--seed-count", "2", "--horizon", "64"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: synthetic-convex-c0\.5: seed 1: comparator did not converge at checkpoint "
+        r"T = 4: residual \d\.\d{3}e[+-]\d+ after 2 iterations\n",
+        err,
+    ), err
+    assert list(tmp_path.iterdir()) == []
