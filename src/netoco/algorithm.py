@@ -24,16 +24,19 @@ its ball. The kernel checks once per block of rounds, before it hands the
 block out; run_round_full and run_round_bandit check their own round.
 
 One kernel, _lockstep, runs the S seeds of a scenario in lockstep on (S, N, d)
-arrays and hands out blocks of B rounds; only it loops round by round. run_seeds
-keeps the running sums the metrics need, in O(B S N (d + p) + K S N) memory
-beyond the streams; run_experiment records one seed's trajectory, and
-run_round_full and run_round_bandit take one round from an explicit RunState.
-All take the round through _step, which carries only the decisions and the
-dual pull from round to round (steps 2 and 5 meet in
-ConstraintSet.dual_pull_rows), so each seed gets the same bits. The kernel
-runs _step in arrays it allocates once per run or block, through the out=
-arguments of _step and its helpers; the round functions get fresh arrays.
-Both keep every operand and its order, so the bits are the same.
+arrays and hands out blocks of B rounds; run_seeds keeps the running sums the
+metrics need, in O(B S N (d + p) + K S N) memory beyond the streams, and
+run_experiment records one seed's trajectory. One loop, _run_block, runs the
+rounds themselves: the kernel calls it once per block, and run_round_full and
+run_round_bandit call it on a block of one round from an explicit RunState,
+so the round has one body. It carries only the decisions and the dual pull
+from round to round (steps 2 and 5 meet in ConstraintSet.dual_pull_rows).
+Each step is a bare ufunc, c_einsum or matmul call that writes into arrays
+allocated once per run (the pull and _scratch) or once per block, so a round
+makes views of those arrays but no arrays or loss objects of its own. Three
+hooks are called by name every round, and allocate what they need:
+consensus_mix, _project_rows and constraints.dual_pull_rows. Every step keeps the operands of its formula in
+their order, so each seed gets the bits of the same round on fresh arrays.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -49,7 +52,8 @@ import numpy as np
 
 from .network import TopologySchedule, WeightMatrix, consensus_mix
 from .problems import (
-    _BLOCK, ConstraintSet, LossOracle, RegressionRound, _blocks, _row_dots, clipped_subgradient
+    _BLOCK, _DOTS, ConstraintSet, LossOracle, RegressionRound, _blocks, _c_einsum, _loss_gradients, _loss_values,
+    _row_dots, clipped_subgradient,
 )
 
 __all__ = [
@@ -268,8 +272,8 @@ def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
     # row is outside, rows already hold the projection's bits. sqrt rounds
     # correctly, so it is monotone: the largest root is the root of the largest.
-    scale = _row_dots(rows, rows)
-    largest = scale.max()
+    scale = _c_einsum(_DOTS, rows, rows)
+    largest = np.maximum.reduce(scale, None)  # what scale.max() calls, without its Python wrapper
     if math.sqrt(largest) <= radius:
         return rows
     overflowed = np.isinf(scale) if largest == math.inf else None
@@ -388,68 +392,96 @@ class RoundRecord:
     queries: Optional[np.ndarray]  # bandit probes, (N, d)
 
 
-def _step(committed, pull, round_losses, weights, radius, constraints, beta, eta, probe, *, out=None):
-    """One round on (..., N, d) decision rows, with its step sizes already evaluated.
+def _scratch(shape) -> tuple[np.ndarray, ...]:
+    """The per-run scratch of _run_block for decision rows of the given (..., N, d) shape.
 
-    pull is the dual pull at the committed rows, sum_s lambda_is times the
-    clipped subgradient of constraint s. beta and eta broadcast against the
-    rows, so a batch of seeds can carry one step size each. probe is None
-    under full information and (eps, directions, eps * directions) under
-    bandit feedback. Returns the next decisions (projected onto the ball of
-    the given radius) and the dual pull at them, then the losses observed at
-    the probes and the probes (None under full information). Nothing here
-    checks containment or records violations: the callers do that for a
-    round or a block at once.
-
-    out is None, for four fresh arrays, or the four arrays the results are
-    written into (the last two None under full information); the helpers
-    still allocate a few temporaries of one round's size. The gradient and the descent
-    step beta * (gradient + pull) are built in the decisions' array, and
-    y = committed - that step in the pull's, which is then mixed into the
-    decisions' array. So out's pull may be the pull passed in, which is read
-    before it is overwritten; no out array may share memory with committed or
-    with another out array. Every elementwise step keeps the operands of the
-    update in their order, so the bits do not depend on out.
+    (residuals, their (..., N, 1) view, half residuals, squared norms, scaled
+    observations, their (..., N, 1) view, the rho term): one entry per row,
+    or per row and coordinate for the rho term.
     """
-    if out is None:
-        observed = queries = None
-        if probe is not None:
-            observed, queries = np.empty(committed.shape[:-1]), np.empty_like(committed)
-        out = np.empty_like(committed), np.empty_like(committed), observed, queries
-    nxt, new_pull, observed, queries = out
-    if probe is None:
-        gradients = round_losses.gradients(committed, out=nxt)
-    else:
-        eps, directions, offsets = probe
-        round_losses.values(np.add(committed, offsets, queries), out=observed)
-        gradients = np.multiply((committed.shape[-1] / eps) * observed[..., None], directions, nxt)
-    descent = np.multiply(beta, np.add(gradients, pull, nxt), nxt)
-    consensus_mix(weights, np.subtract(committed, descent, new_pull), out=nxt)
-    _project_rows(nxt, radius)
-    constraints.dual_pull_rows(nxt, eta, out=new_pull)
-    return nxt, new_pull, observed, queries
+    residuals, half, squares, scaled = np.empty((4,) + shape[:-1])
+    return residuals, residuals[..., None], half, squares, scaled, scaled[..., None], np.empty(shape)
+
+
+def _run_block(
+    committed, pull, features, targets, rho, betas, etas, weights, start, radius, constraints, probes, scratch
+):
+    """Rounds start + 1..start + B of (..., N, d) decision rows, in place, one round after another.
+
+    committed is (B + 1, ..., N, d): row 0 holds the decisions of round
+    start + 1, and round start + k writes the decisions it leaves, projected
+    onto the ball of the given radius, into row k. pull holds the dual pull at
+    row 0 and is left holding the pull at row B. features (B, ..., N, d) and
+    targets (B, ..., N) are the block's losses, betas (B, ..., N, d) each
+    round's beta spread over its rows, and etas each round's eta_t, which
+    broadcasts against the (..., N, p) positive parts. Round t mixes with
+    weights[(t - 1) % len(weights)]. probes is None under full information
+    and, under bandit feedback, (d / eps, directions, eps * directions,
+    observed, queries), the last two written round by round. scratch is
+    _scratch(pull.shape). Nothing here checks containment or records
+    violations: the callers do that for the block at once.
+
+    Each step is a bare ufunc, c_einsum or matmul call writing into these
+    arrays, with the operands of the update in their order, so the bits are
+    those of the same formulas on fresh arrays. Three hooks are looked up by
+    name on every round: consensus_mix mixes, _project_rows projects, and
+    constraints.dual_pull_rows resets the duals and returns their pull. The
+    gradient and the descent step beta * (gradient + pull) are built in the
+    next decisions' row, y = committed - that step in pull, and y is mixed
+    back into the next decisions' row.
+    """
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    residuals, column, half, squares, scaled, scaled_column, rho_term = scratch
+    period = len(weights)
+    if probes is not None:
+        dimension_over_eps, directions, offsets, observed, queries = probes
+    current = committed[0]
+    rounds = zip(committed[1:], features, targets, betas, etas)
+    for k, (nxt, round_features, round_targets, beta, eta) in enumerate(rounds):
+        if probes is None:
+            _loss_gradients(round_features, round_targets, rho, current, nxt, residuals, column, rho_term)
+        else:
+            probe, seen = queries[k], observed[k]
+            _loss_values(round_features, round_targets, rho, add(current, offsets[k], probe), seen, half, squares)
+            multiply(dimension_over_eps, seen, scaled)
+            multiply(scaled_column, directions[k], nxt)
+        multiply(beta, add(nxt, pull, nxt), nxt)
+        consensus_mix(weights[(start + k) % period], subtract(current, nxt, pull), nxt)
+        _project_rows(nxt, radius)
+        constraints.dual_pull_rows(nxt, eta, pull)
+        current = nxt
 
 
 def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
-    """One round of one seed from an explicit state; directions is None for full information."""
-    committed = state.decisions
-    probe = None
+    """One round of one seed from an explicit state, run as a block of one round.
+
+    directions is None for full information.
+    """
+    rows = state.decisions
+    committed = np.empty((2,) + rows.shape)
+    committed[0] = rows
+    probes = queries = None
     if directions is not None:
         eps = hyper.eps(t)
-        probe = eps, directions, eps * directions
+        observed, queries = np.empty((1,) + rows.shape[:-1]), np.empty((1,) + rows.shape)
+        probes = rows.shape[-1] / eps, directions[None], (eps * directions)[None], observed, queries
     eta, radius = hyper.eta(t), hyper.decision_radius
-    # A RunState carries the duals, not their pull, so the pull _step returns is dropped.
-    nxt, _, observed, queries = _step(
-        committed, constraints.weighted_subgradient_rows(committed, state.duals),
-        round_losses, weights, radius, constraints, hyper.beta(t), eta, probe,
+    # A RunState carries the duals, not their pull, so the pull left in this array is dropped.
+    pull = constraints.weighted_subgradient_rows(rows, state.duals)
+    _run_block(
+        committed, pull, round_losses.features[None], round_losses.targets[None], round_losses.rho,
+        np.full(committed[1:].shape, hyper.beta(t)), (eta,), (weights,), 0, radius, constraints, probes,
+        _scratch(rows.shape),
     )
+    nxt = committed[1]
     if queries is not None:
+        queries = queries[0]
         _check_in_ball(queries, hyper.radius, t, "probe")
     _check_in_ball(nxt, radius, t + 1, "decision")
     record = RoundRecord(
-        decisions=committed,
-        losses=round_losses.values(committed) if directions is None else observed,
-        violations=constraints.positive_parts_rows(committed),
+        decisions=rows,
+        losses=round_losses.values(rows) if directions is None else observed[0],
+        violations=constraints.positive_parts_rows(rows),
         queries=queries,
     )
     duals = constraints.positive_parts_rows(nxt) / eta
@@ -521,15 +553,16 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
 def _block_steps(schedules, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(eta_t, beta_t) of every schedule for t = start + 1..stop, each (B, S, 1, 1).
 
-    The formulas of HyperSchedule.step_sizes, evaluated on the block's rounds
-    only: each entry is one elementwise evaluation at its t, so it has the
-    bits of the whole-horizon arrays.
+    The schedules differ only in G, so the formulas of HyperSchedule.step_sizes
+    run once, on a schedule whose G is the column of every schedule's G: each
+    entry is one elementwise evaluation at its t and G, so it has the bits of
+    the whole-horizon arrays.
     """
-    t = np.arange(start + 1, stop + 1, dtype=float)
+    t = np.arange(start + 1, stop + 1, dtype=float)[:, None, None, None]
+    batch = replace(schedules[0], G=np.array([h.G for h in schedules])[:, None, None])
     etas, betas = np.empty((2, len(t), len(schedules), 1, 1))
-    for s, h in enumerate(schedules):
-        etas[:, s, 0, 0] = h._eta(t)
-        betas[:, s, 0, 0] = h._beta(t)
+    etas[...] = batch._eta(t)
+    betas[...] = batch._beta(t)
     return etas, betas
 
 
@@ -542,18 +575,18 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     (B, S, N, d), the positive parts at them (B, S, N, p), and for bandit
     variants the losses observed at the probes (B, S, N) and the probes
     (B, S, N, d) (None otherwise). Every block gets new arrays, so a caller
-    may keep them. Only this loop runs round by round, and each round carries
-    only the decisions and the dual pull; containment is checked and the
-    violations are computed once per block, before the block is yielded, so a
-    broken row stops the run at most B - 1 rounds late. Each seed's numbers
-    are bit for bit those of a run on its own.
+    may keep them. Each round carries only the decisions and the dual pull;
+    containment is checked and the violations are computed once per block,
+    before the block is yielded, so a broken row stops the run at most B - 1
+    rounds late. Each seed's numbers are bit for bit those of a run on its own.
 
-    The rounds run in place (see _step): the pull lives in one array for the
-    whole run, and each round writes the next decisions, the probes and the
-    observed losses straight into rows of the block's arrays. The decisions
-    array has one row more than the block, for the decisions left for round
-    start + B + 1, which the next block copies into its first row. Nothing
-    here grows with T: the step sizes, too, are evaluated a block at a time.
+    The rounds run in place, one _run_block call per block: the pull and the
+    scratch live in arrays allocated once per run, and each round writes the
+    next decisions, the probes and the observed losses straight into rows of
+    the block's arrays. The decisions array has one row more than the block,
+    for the decisions left for round start + B + 1, which the next block
+    copies into its first row. Nothing here grows with T: the step sizes, too,
+    are evaluated a block at a time.
     """
     if not streams or len(streams) != len(schedules) or len(streams) != len(seeds):
         raise ValueError("need one stream, schedule and seed per run")
@@ -581,12 +614,12 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         rngs = [_sphere_rngs(seed, n) for seed in seeds]
         eps = hyper.eps(1)
 
-    # Round t mixes with weights[(t - 1) % period], as weights_at(t) gives, without its range check.
     weights, radius = topology.weights, hyper.decision_radius
     decisions = np.zeros((len(streams), n, d))
     # The duals start at zero, so round 1 feels no pull even where x = 0 violates a constraint.
     pull = np.zeros(decisions.shape)
-    probe = observed = queries = None
+    scratch = _scratch(decisions.shape)
+    probes = observed = queries = None
     for block in _blocks(horizon):
         start, stop = block.start, block.stop
         features = np.stack([s.features[start:stop] for s in streams], axis=1)
@@ -595,21 +628,14 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         committed[0] = decisions
         etas, betas = _block_steps(schedules, start, stop)
         # Each round's beta spread over its rows: a broadcast product costs more than the arithmetic.
-        block_betas = np.broadcast_to(betas, features.shape).copy()
+        betas = np.broadcast_to(betas, features.shape).copy()
         if bandit:
             directions = _sphere_block(rngs, stop - start, d)
-            offsets = eps * directions
             observed, queries = np.empty(targets.shape), np.empty(features.shape)
-        rounds = zip(committed, committed[1:], features, targets, block_betas, etas)
-        for k, (current, nxt, round_features, round_targets, beta, eta) in enumerate(rounds):
-            if bandit:
-                probe, out = (eps, directions[k], offsets[k]), (nxt, pull, observed[k], queries[k])
-            else:
-                out = nxt, pull, None, None
-            _step(
-                current, pull, RegressionRound(round_features, round_targets, rho),
-                weights[(start + k) % len(weights)], radius, constraints, beta, eta, probe, out=out,
-            )
+            probes = d / eps, directions, eps * directions, observed, queries
+        _run_block(
+            committed, pull, features, targets, rho, betas, etas, weights, start, radius, constraints, probes, scratch
+        )
         # Containment of the block, before any of it is handed out: every
         # committed decision, the decisions left for round stop + 1, every probe.
         _check_in_ball(committed, radius, start + 1, "decision")

@@ -491,15 +491,15 @@ def _load_dataset(config: ScenarioConfig):
         except OSError as exc:
             raise ScenarioError(f"cannot read dataset {config.dataset}: {exc}") from None
     try:
-        examples, dimension = parse_libsvm(text)
+        rows, dimension = parse_libsvm(text)
     except ParseError as exc:
         raise ScenarioError(f"dataset {config.dataset}: {exc}") from None
-    if not examples:
+    if not rows:
         raise ScenarioError(f"dataset {config.dataset} is empty")
     if dimension < 1:
         raise ScenarioError(f"dataset {config.dataset} has no features")
     with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite data by the bounds
-        return DatasetTable.from_examples(examples), dimension
+        return DatasetTable.rescaled(rows.features, rows.targets), dimension
 
 
 def _checkpoints(config: ScenarioConfig) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,6 +50,7 @@ __all__ = [
     "DatasetTable",
     "dataset_stream",
     "ParseError",
+    "LibsvmRows",
     "parse_libsvm",
     "serialize_libsvm",
 ]
@@ -310,14 +312,49 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
 
 
+_DOTS = "...d,...d->..."
+
+
 def _row_dots(a, b, out=None) -> np.ndarray:
     # np.einsum with optimize=False (its default) forwards to c_einsum;
     # calling that directly skips the Python wrapper, not a bit of the result.
     # (The round's helpers pass out to ufuncs positionally for the same
     # reason: at one round's size the keyword costs more than the arithmetic.)
     if out is None:
-        return _c_einsum("...d,...d->...", a, b)
-    return _c_einsum("...d,...d->...", a, b, out=out)
+        return _c_einsum(_DOTS, a, b)
+    return _c_einsum(_DOTS, a, b, out=out)
+
+
+def _loss_values(features, targets, rho, rows, out, half, squares) -> np.ndarray:
+    """0.5 (a.x - b)^2 + rho ||x||^2 at each row, written into out and returned.
+
+    half and squares are scratch shaped like out. Every step writes into an
+    array it is given, so the caller decides what is allocated; the kernel
+    passes arrays it holds for the whole run. None of them may share memory
+    with rows, features or targets.
+    """
+    _c_einsum(_DOTS, features, rows, out=out)
+    np.subtract(out, targets, out)
+    np.multiply(0.5, out, half)
+    np.multiply(half, out, out)
+    if rho == 0.0:
+        return out
+    _c_einsum(_DOTS, rows, rows, out=squares)
+    return np.add(out, np.multiply(rho, squares, squares), out)
+
+
+def _loss_gradients(features, targets, rho, rows, out, residuals, column, rho_term) -> np.ndarray:
+    """(a.x - b) a + 2 rho x at each row, written into out and returned.
+
+    residuals is scratch with one entry per row, column its (..., 1) view, and
+    rho_term scratch shaped like out; the same rules as for _loss_values hold.
+    """
+    _c_einsum(_DOTS, features, rows, out=residuals)
+    np.subtract(residuals, targets, residuals)
+    np.multiply(column, features, out)
+    if rho == 0.0:
+        return out
+    return np.add(out, np.multiply(2.0 * rho, rows, rho_term), out)
 
 
 class RegressionRound:
@@ -326,9 +363,10 @@ class RegressionRound:
     Leading axes batch independent rounds: features (..., N, d) and targets
     (..., N) hold one round per batch entry, and each batch entry's result is
     bit for bit the one its own RegressionRound gives. values and gradients
-    take an optional out, shaped like their result and distinct from rows:
-    every step of the formula writes there, with the same operands in the
-    same order, so out holds the bits of the fresh result.
+    take an optional out, shaped like their result and distinct from rows.
+    Both run _loss_values or _loss_gradients, the formulas the round loop
+    runs on its per-run scratch, here on fresh scratch, so out and the loop
+    get the bits of the fresh result.
 
     With rho == 0.0 both skip the rho term, 0.0 * x, which is a zero for
     finite rows. In values it would be added to 0.5 r^2, which is never -0.0,
@@ -343,19 +381,19 @@ class RegressionRound:
         self.rho = rho
 
     def values(self, rows, out=None) -> np.ndarray:
-        r = np.subtract(_row_dots(self.features, rows, out), self.targets, out)
-        values = np.multiply(0.5 * r, r, out)
-        if self.rho == 0.0:
-            return values
-        return np.add(values, self.rho * _row_dots(rows, rows), out)
+        shape = np.broadcast_shapes(np.shape(self.features), np.shape(rows))[:-1]
+        half, squares = np.empty((2,) + shape)
+        return _loss_values(
+            self.features, self.targets, self.rho, rows, np.empty(shape) if out is None else out, half, squares
+        )
 
     def gradients(self, rows, out=None) -> np.ndarray:
-        r = _row_dots(self.features, rows)
-        r -= self.targets
-        gradients = np.multiply(r[..., None], self.features, out)
-        if self.rho == 0.0:
-            return gradients
-        return np.add(gradients, (2.0 * self.rho) * rows, out)
+        shape = np.broadcast_shapes(np.shape(self.features), np.shape(rows))
+        residuals = np.empty(shape[:-1])
+        return _loss_gradients(
+            self.features, self.targets, self.rho, rows, np.empty(shape) if out is None else out,
+            residuals, residuals[..., None], np.empty(shape),
+        )
 
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""
@@ -526,14 +564,18 @@ class DatasetTable:
         dimension = examples[0].dimension
         if any(e.dimension != dimension for e in examples):
             raise ValueError("examples disagree on dimension")
-        table = np.stack([e.features for e in examples])
+        return cls.rescaled(np.stack([e.features for e in examples]), np.array([e.target for e in examples]))
+
+    @classmethod
+    def rescaled(cls, table: np.ndarray, targets: np.ndarray) -> DatasetTable:
+        """The table of raw (rows, d) features rescaled, beside its (rows,) targets."""
         low = table.min(axis=0)
         high = table.max(axis=0)
         span = high - low
         scaled = np.zeros_like(table)
         varying = span > 0.0
         scaled[:, varying] = 2.0 * (table[:, varying] - low[varying]) / span[varying] - 1.0
-        return cls(scaled, np.array([e.target for e in examples]))
+        return cls(scaled, targets)
 
 
 def dataset_stream(dataset, n_units: int, horizon: int, rho: float, seed: int) -> RegressionStream:
@@ -575,20 +617,40 @@ class ParseError(ValueError):
     """Malformed or oversized sparse-text input; the message names the offending line."""
 
 
-def parse_libsvm(text) -> tuple[list[RegressionExample], int]:
+class LibsvmRows(Sequence):
+    """Parsed rows as one dense table: raw features (rows, d) and targets (rows,).
+
+    Item i is row i as a RegressionExample, so the rows read as a list of
+    examples; DatasetTable.rescaled takes the table itself, with no restacking.
+    """
+
+    def __init__(self, features: np.ndarray, targets: np.ndarray):
+        self.features = features
+        self.targets = targets
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, i: int) -> RegressionExample:
+        return RegressionExample(self.features[i], self.targets[i])
+
+
+def parse_libsvm(text) -> tuple[LibsvmRows, int]:
     """Parse sparse regression text: one "<label> <idx>:<val> ..." per line.
 
     Indices are 1-based and must be strictly increasing within a line; missing
     indices are zero. The inferred dimension is the largest index seen; input
     whose dense rows would not fit in physical memory is refused before they
     are built. Accepts str or UTF-8 bytes, LF or CRLF; blank lines are skipped.
+    One pass checks every number and collects the entries, which then fill
+    the zero table in one scatter.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    rows = []
+    labels, rows, columns, values = [], [], [], []
     dimension = widest = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -598,9 +660,9 @@ def parse_libsvm(text) -> tuple[list[RegressionExample], int]:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {line_no}: bad label {tokens[0]!r}") from None
-        if not np.isfinite(label):
+        if not math.isfinite(label):
             raise ParseError(f"line {line_no}: non-finite label {tokens[0]!r}")
-        pairs = []
+        row = len(labels)
         previous = 0
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
@@ -620,26 +682,24 @@ def parse_libsvm(text) -> tuple[list[RegressionExample], int]:
                 value = float(tail)
             except ValueError:
                 raise ParseError(f"line {line_no}: bad value in {token!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(f"line {line_no}: non-finite value in {token!r}")
             previous = index
-            pairs.append((index, value))
+            rows.append(row)
+            columns.append(index - 1)
+            values.append(value)
             if index > dimension:
                 dimension, widest = index, line_no
-        rows.append((label, pairs))
+        labels.append(label)
     failure = _memory_failure(
-        len(rows) * dimension * 8, f"index {dimension} on line {widest}, over {len(rows)} rows,",
+        len(labels) * dimension * 8, f"index {dimension} on line {widest}, over {len(labels)} rows,",
         "dense features",
     )
     if failure:
         raise ParseError(failure)
-    examples = []
-    for label, pairs in rows:
-        features = np.zeros(dimension)
-        for index, value in pairs:
-            features[index - 1] = value
-        examples.append(RegressionExample(features, label))
-    return examples, dimension
+    features = np.zeros((len(labels), dimension))
+    features[np.array(rows, dtype=np.intp), np.array(columns, dtype=np.intp)] = values
+    return LibsvmRows(features, np.array(labels, dtype=float)), dimension
 
 
 def serialize_libsvm(examples) -> str:

@@ -1,9 +1,10 @@
 """The round's in-place paths against their fresh-array paths, bit for bit.
 
-The kernel runs each round in buffers it allocates once (out= on the helpers,
-_project_rows scaling in place); the one-round functions get fresh arrays.
-Both must give the same bits, signed zeros included, and _row_dots, which
-calls c_einsum directly, those of np.einsum.
+The round loop runs in buffers allocated once per run or block (out= on the
+helpers, _project_rows scaling in place); RegressionRound, consensus_mix and
+dual_pull_rows also give fresh arrays. Both must give the same bits, signed
+zeros included, and _row_dots, which calls c_einsum directly, those of
+np.einsum.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from netoco.algorithm import _project_rows
+from netoco.algorithm import _project_rows, _run_block, _scratch
 from netoco.network import WeightMatrix, consensus_mix
 from netoco.problems import BoxConstraintSet, ConstraintSet, RegressionRound, _row_dots
 
@@ -156,3 +157,71 @@ def test_projection_in_place_is_the_fresh_formula(data, radius):
     fresh = rows * (radius / np.maximum(norms, radius))[..., None]
     assert _project_rows(rows, radius) is rows
     assert_same_bits(rows, fresh)
+
+
+def sprinkled(rng, shape, low, high):
+    """Uniform entries with signed zeros and subnormals in about a fifth of the places."""
+    values = rng.uniform(low, high, shape)
+    special = rng.random(shape) < 0.2
+    values[special] = rng.choice([0.0, -0.0, SMALLEST_SUBNORMAL, -SMALLEST_SUBNORMAL, 1e-310], special.sum())
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3]),
+    st.sampled_from([0.0, 0.37]),
+    st.booleans(),
+    st.sampled_from(["generic", "box"]),
+)
+def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandit, kind):
+    """_run_block on its per-run scratch against one round at a time on fresh
+    arrays: RegressionRound.values or gradients, consensus_mix, _project_rows
+    and dual_pull_rows, with the operands of the update in their order. The
+    scratch starts as NaN, so a value left from another round or read across
+    seeds shows."""
+    rng = np.random.default_rng(seed)
+    rounds, units, d = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    shape = (seeds, units, d)
+    features = sprinkled(rng, (rounds,) + shape, -1.0, 1.0)
+    targets = sprinkled(rng, (rounds, seeds, units), -2.0, 2.0)
+    decisions, pull = sprinkled(rng, shape, -0.5, 0.5), sprinkled(rng, shape, -3.0, 3.0)
+    etas = 10.0 ** rng.uniform(-2.0, 2.0, (rounds, seeds, 1, 1))
+    betas = np.broadcast_to(10.0 ** rng.uniform(-3.0, 0.0, (rounds, seeds, 1, 1)), (rounds,) + shape).copy()
+    weights = tuple(WeightMatrix(rng.random((units, units)), zeta=0.5) for _ in range(2))
+    start, radius = int(rng.integers(0, 4)), float(rng.choice([0.3, 1.5]))
+    constraints = BoxConstraintSet(-0.5, 0.25, d) if kind == "box" else generic_set(d)
+    eps = 0.1
+    directions = sprinkled(rng, (rounds,) + shape, -1.0, 1.0)
+
+    committed = np.empty((rounds + 1,) + shape)
+    committed[0] = decisions
+    probes = None
+    if bandit:
+        observed, queries = garbage((rounds, seeds, units)), garbage((rounds,) + shape)
+        probes = d / eps, directions, eps * directions, observed, queries
+    scratch = _scratch(shape)
+    for array in scratch:
+        array[...] = np.nan
+    loop_pull = pull.copy()
+    _run_block(
+        committed, loop_pull, features, targets, rho, betas, etas, weights, start, radius, constraints, probes, scratch
+    )
+
+    current = decisions
+    for k in range(rounds):
+        losses = RegressionRound(features[k], targets[k], rho)
+        if bandit:
+            probe = current + (eps * directions)[k]
+            seen = losses.values(probe)
+            assert_same_bits(queries[k], probe)
+            assert_same_bits(observed[k], seen)
+            gradients = (d / eps) * seen[..., None] * directions[k]
+        else:
+            gradients = losses.gradients(current)
+        mixed = consensus_mix(weights[(start + k) % 2], current - betas[k] * (gradients + pull))
+        current = _project_rows(mixed, radius)
+        pull = constraints.dual_pull_rows(current, etas[k])
+        assert_same_bits(committed[k + 1], current)
+    assert_same_bits(loop_pull, pull)

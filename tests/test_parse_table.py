@@ -1,0 +1,99 @@
+"""parse_libsvm fills one dense table in a single pass: the same errors, the same tables.
+
+The bundled datasets' rescaled tables must be those that DatasetTable.from_examples
+builds from examples parsed row by row, bit for bit, and input too wide for
+memory must still be refused before its table is allocated.
+"""
+
+import re
+import tracemalloc
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from netoco.bench import _load_dataset, preset_config
+from netoco.problems import DatasetTable, LibsvmRows, ParseError, RegressionExample, parse_libsvm
+
+MALFORMED = [
+    ("1 1:2\nx 1:2\n", "line 2: bad label 'x'"),
+    ("nan 1:1\n", "line 1: non-finite label 'nan'"),
+    ("1 -inf\n", "line 1: token '-inf' is not idx:val"),
+    ("1 15\n", "line 1: token '15' is not idx:val"),
+    ("1 a:1\n", "line 1: bad index in 'a:1'"),
+    ("1 1:2 :3\n", "line 1: bad index in ':3'"),
+    ("1 0:3\n", "line 1: index 0 < 1"),
+    ("1 -2:3\n", "line 1: index -2 < 1"),
+    ("1 1:1\n1 1:1 2:2\n1 2:2 2:3\n", "line 3: index 2 not increasing after 2"),
+    ("1 3:1 3:2\n", "line 1: index 3 not increasing after 3"),
+    ("1 1:zzz\n", "line 1: bad value in '1:zzz'"),
+    ("1 1:2:3\n", "line 1: bad value in '1:2:3'"),
+    ("1 1:inf\n", "line 1: non-finite value in '1:inf'"),
+    ("1 2:nan\n", "line 1: non-finite value in '2:nan'"),
+    # Blank lines count: the bad token is on line 5 of the text.
+    ("\n\n1 1:2\r\n\n2 3:x\n", "line 5: bad value in '3:x'"),
+    (b"\xff\xfe1 1:2\n", "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize(("text", "message"), MALFORMED)
+def test_malformed_input_raises_its_message(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_libsvm(text)
+
+
+def test_an_oversized_index_is_refused_before_the_table_is_allocated():
+    tracemalloc.start()
+    try:
+        refused = r"^index 99999999999999 on line 1, over 2 rows, needs .* GiB of dense features"
+        with pytest.raises(ParseError, match=refused):
+            parse_libsvm("1 99999999999999:1\n2 1:1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def row_by_row(text):
+    """The bundled files' examples, one dense row per line, filled entry by entry."""
+    lines = [line.split() for line in text.splitlines() if line.split()]
+    dimension = max(int(token.split(":")[0]) for tokens in lines for token in tokens[1:])
+    examples = []
+    for tokens in lines:
+        features = np.zeros(dimension)
+        for token in tokens[1:]:
+            index, value = token.split(":")
+            features[int(index) - 1] = float(value)
+        examples.append(RegressionExample(features, float(tokens[0])))
+    return examples, dimension
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@pytest.mark.parametrize(("preset", "name"), [("mg-sc", "mg"), ("bodyfat-convex", "bodyfat")])
+def test_bundled_tables_are_the_tables_of_examples_parsed_row_by_row(preset, name):
+    text = resources.files("netoco").joinpath("data", f"{name}.libsvm").read_text(encoding="utf-8")
+    examples, dimension = row_by_row(text)
+    expected = DatasetTable.from_examples(examples)
+    table, parsed_dimension = _load_dataset(preset_config(preset))
+    assert parsed_dimension == dimension
+    assert_same_bits(table.features, expected.features)
+    assert_same_bits(table.targets, expected.targets)
+    rows, _ = parse_libsvm(text)
+    assert_same_bits(DatasetTable.from_examples(rows).features, expected.features)
+
+
+def test_parsed_rows_read_as_a_list_of_examples():
+    rows, dimension = parse_libsvm("1.5 1:0.5 3:-0.0\n\n-2 2:4\n")
+    assert isinstance(rows, LibsvmRows)
+    assert (len(rows), dimension) == (2, 3)
+    assert [e.target for e in rows] == [1.5, -2.0]
+    assert_same_bits(rows[0].features, np.array([0.5, 0.0, -0.0]))
+    assert_same_bits(rows[-1].features, np.array([0.0, 4.0, 0.0]))
+    with pytest.raises(IndexError):
+        rows[2]
+    assert parse_libsvm("\n")[0].features.shape == (0, 0)
