@@ -6,15 +6,7 @@ or one-point bandit feedback, and are scored by system regret and cumulative
 absolute constraint violation.
 """
 
-from .algorithm import (
-    HyperSchedule,
-    RunTrajectory,
-    make_schedule,
-    one_point_estimator,
-    project_ball,
-    run_experiment,
-    sample_unit_sphere,
-)
+from .algorithm import HyperSchedule, RunTrajectory, make_schedule, run_experiment
 from .bench import ScenarioConfig, list_presets, load_config, preset_config, run_suite
 from .metrics import (
     BoundConstants,
@@ -22,14 +14,10 @@ from .metrics import (
     MetricSeries,
     averaged_metrics,
     bound_constants,
-    cacv,
     checkpoint_grid,
     communication_cost,
     metric_series,
-    offline_comparator,
     offline_comparators,
-    regret,
-    sreg,
 )
 from .network import (
     Graph,
@@ -47,15 +35,24 @@ from .problems import (
     BoxConstraintSet,
     ConstraintSet,
     DatasetTable,
-    LossOracle,
     RegressionExample,
     RegressionStream,
-    clipped_subgradient,
     dataset_stream,
     parse_libsvm,
-    regression_loss,
     serialize_libsvm,
     synthetic_stream,
+)
+from .reference import (
+    LossOracle,
+    cacv,
+    clipped_subgradient,
+    offline_comparator,
+    one_point_estimator,
+    project_ball,
+    regression_loss,
+    regret,
+    sample_unit_sphere,
+    sreg,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ proceeds in lockstep:
      with u_i uniform on the unit sphere and forms the one-point gradient
      estimate from the observed value alone);
   2. descend on the violation-augmented objective,
-     y_i = x_i - beta_t * (g_i + sum_s lambda_is * clipped_subgradient(x_i, s));
+     y_i = x_i - beta_t * (g_i + sum_s lambda_is * (clipped subgradient of c_s at x_i));
   3. mix with the neighbors' y-vectors through the round's weight matrix;
   4. project back onto the decision ball;
   5. reset each multiplier to the new violation over eta_t,
@@ -18,25 +18,23 @@ proceeds in lockstep:
 
 Bandit variants commit inside the shrunk ball of radius (1 - pi) * R so that
 every probe stays inside the full ball; eps_t <= pi * R is enforced when the
-schedule is built, and both balls are checked at run time, raising
-RuntimeError that names the round and unit of a probe or a decision outside
-its ball. The kernel checks once per block of rounds, before it hands the
-block out; run_round_full and run_round_bandit check their own round.
+schedule is built, and both balls are checked at run time, once per block of
+rounds before the kernel hands the block out, raising RuntimeError that names
+the round and unit of a probe or a decision outside its ball.
 
 One kernel, _lockstep, runs the S seeds of a scenario in lockstep on (S, N, d)
 arrays and hands out blocks of B rounds; run_seeds keeps the running sums the
 metrics need, in O(B S N (d + p) + K S N) memory beyond the streams, and
 run_experiment records one seed's trajectory. One loop, _run_block, runs the
-rounds themselves: the kernel calls it once per block, and run_round_full and
-run_round_bandit call it on a block of one round from an explicit RunState,
-so the round has one body. It carries only the decisions and the dual pull
-from round to round (steps 2 and 5 meet in ConstraintSet.dual_pull_rows).
+rounds of a block. It carries only the decisions and the dual pull from round
+to round (steps 2 and 5 meet in ConstraintSet.dual_pull_rows).
 Each step is a bare ufunc, c_einsum or matmul call that writes into arrays
 allocated once per run (the pull and _scratch) or once per block, so a round
 makes views of those arrays but no arrays or loss objects of its own. Three
 hooks are called by name every round, and allocate what they need:
-consensus_mix, _project_rows and constraints.dual_pull_rows. Every step keeps the operands of its formula in
-their order, so each seed gets the bits of the same round on fresh arrays.
+consensus_mix, _project_rows and constraints.dual_pull_rows. Every step keeps
+the operands of its formula in their order, so each seed gets the bits of the
+same round on fresh arrays. netoco.reference states the same round per unit.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -50,10 +48,9 @@ from typing import Optional
 
 import numpy as np
 
-from .network import TopologySchedule, WeightMatrix, consensus_mix
+from .network import TopologySchedule, consensus_mix
 from .problems import (
-    _BLOCK, _DOTS, ConstraintSet, LossOracle, RegressionRound, _blocks, _c_einsum, _loss_gradients, _loss_values,
-    _row_dots, clipped_subgradient,
+    _BLOCK, _DOTS, ConstraintSet, RegressionRound, _blocks, _c_einsum, _loss_gradients, _loss_values, _row_dots,
 )
 
 __all__ = [
@@ -62,17 +59,6 @@ __all__ = [
     "variant_spec",
     "HyperSchedule",
     "make_schedule",
-    "project_ball",
-    "sample_unit_sphere",
-    "one_point_estimator",
-    "augmented_lagrangian",
-    "primal_direction",
-    "dual_update",
-    "RunState",
-    "initial_state",
-    "RoundRecord",
-    "run_round_full",
-    "run_round_bandit",
     "RunTrajectory",
     "run_experiment",
     "CheckpointTotals",
@@ -166,11 +152,6 @@ class HyperSchedule:
         self._check_round(t)
         return float(self._beta(t))
 
-    def step_sizes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eta_t, beta_t) for t = 1..T as two (T,) arrays, from the formulas of eta and beta."""
-        t = np.arange(1, self.horizon + 1, dtype=float)
-        return np.broadcast_to(self._eta(t), t.shape), np.broadcast_to(self._beta(t), t.shape)
-
     def _eta(self, t):
         if self.is_strongly_convex:
             return 2.0 * self.p * self.G * self.G / (self.sigma * t)
@@ -241,23 +222,12 @@ def make_schedule(
         b=b,
         pi=pi,
     )
-    # Round 1 has the largest step sizes of every variant.
+    # Round 1 has the largest step sizes of every variant. A product that
+    # overflows in a denominator leaves a step of 0.0, not inf.
     eta, beta = hyper._eta(1.0), hyper._beta(1.0)
-    if not (np.isfinite(eta) and np.isfinite(beta)):
-        raise ValueError(f"step sizes overflow: eta_1 = {eta:.6g} and beta_1 = {beta:.6g} must be finite")
+    if not (0.0 < eta < math.inf and 0.0 < beta < math.inf):
+        raise ValueError(f"step sizes overflow: eta_1 = {eta:.6g} and beta_1 = {beta:.6g} must be finite and positive")
     return hyper
-
-
-def project_ball(x, radius: float) -> np.ndarray:
-    """Euclidean projection onto the origin-centered ball; identity inside it."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    if norm <= radius:
-        return x
-    if math.isinf(norm):  # the squared norm overflowed; radius / inf would give the origin
-        return x * float(_overflow_factors(x, radius))
-    return x * (radius / norm)
 
 
 def _overflow_factors(rows: np.ndarray, radius: float) -> np.ndarray:
@@ -268,7 +238,12 @@ def _overflow_factors(rows: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
-    """Project every row onto the ball in place and return rows."""
+    """Project every row onto the ball in place and return rows.
+
+    rows is (..., N, d), at least two-dimensional: the in-place steps write
+    each row's norm into the array of row dots, which a single (d,) vector
+    reduces to a scalar. A single vector goes through reference.project_ball.
+    """
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
     # row is outside, rows already hold the projection's bits. sqrt rounds
     # correctly, so it is monotone: the largest root is the root of the largest.
@@ -279,7 +254,7 @@ def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     overflowed = np.isinf(scale) if largest == math.inf else None
     np.sqrt(scale, scale)
     np.divide(radius, np.maximum(scale, radius, out=scale), scale)
-    if overflowed is not None:  # as in project_ball
+    if overflowed is not None:  # as in reference.project_ball
         scale[overflowed] = _overflow_factors(rows[overflowed], radius)
     return np.multiply(rows, scale[..., None], rows)
 
@@ -306,90 +281,11 @@ def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: 
     )
 
 
-def sample_unit_sphere(rng: np.random.Generator, dimension: int) -> np.ndarray:
-    """Uniform direction on the unit sphere via normalized Gaussians."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    while True:
-        g = rng.standard_normal(dimension)
-        norm = float(np.linalg.norm(g))
-        if norm > 0.0:  # zero draw has probability zero; resample defensively
-            return g / norm
-
-
-def one_point_estimator(value: float, direction, dimension: int, eps: float) -> np.ndarray:
-    """Gradient estimate (d / eps) * observed_value * direction from one probe."""
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
-    return (dimension / eps) * float(value) * np.asarray(direction, dtype=float)
-
-
-def augmented_lagrangian(
-    oracle: LossOracle, constraints: ConstraintSet, x, lam, eta: float
-) -> float:
-    """Round objective: loss + dual-weighted violations - (eta/2) ||lambda||^2."""
-    lam = np.asarray(lam, dtype=float)
-    violation = constraints.positive_parts(x)
-    return float(oracle.value(np.asarray(x, dtype=float))) + float(lam @ violation) - 0.5 * eta * float(lam @ lam)
-
-
-def primal_direction(x, lam, gradient, constraints: ConstraintSet) -> np.ndarray:
-    """Descent direction: loss gradient plus dual-weighted clipped subgradients."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.asarray(gradient, dtype=float).copy()
-    for s in range(1, constraints.count + 1):
-        if lam[s - 1] != 0.0:
-            out += lam[s - 1] * clipped_subgradient(constraints, x, s)
-    return out
-
-
-def dual_update(constraints: ConstraintSet, x_next, eta: float) -> np.ndarray:
-    """Exact argmax of the augmented Lagrangian over lambda >= 0."""
-    if not eta > 0.0:
-        raise ValueError("eta must be > 0")
-    return constraints.positive_parts(x_next) / eta
-
-
-@dataclass
-class RunState:
-    """Synchronized state of all units; row i - 1 belongs to unit i."""
-
-    decisions: np.ndarray  # (N, d)
-    duals: np.ndarray  # (N, p)
-    rngs: Optional[tuple[np.random.Generator, ...]]
-
-
 def _sphere_rngs(seed: int, n_units: int) -> tuple[np.random.Generator, ...]:
     return tuple(
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SPAWN_SPHERE, i)))
         for i in range(1, n_units + 1)
     )
-
-
-def initial_state(
-    n_units: int, constraints: ConstraintSet, *, seed: Optional[int] = None, bandit: bool = False
-) -> RunState:
-    """All decisions and duals start at zero; bandit runs get per-unit streams."""
-    rngs = None
-    if bandit:
-        if seed is None:
-            raise ValueError("bandit runs need a seed")
-        rngs = _sphere_rngs(seed, n_units)
-    return RunState(
-        decisions=np.zeros((n_units, constraints.dimension)),
-        duals=np.zeros((n_units, constraints.count)),
-        rngs=rngs,
-    )
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """What round t leaves behind for metrics."""
-
-    decisions: np.ndarray  # committed x_i(t), (N, d)
-    losses: np.ndarray  # incurred (bandit: observed at the probe), (N,)
-    violations: np.ndarray  # positive parts at the committed decisions, (N, p)
-    queries: Optional[np.ndarray]  # bandit probes, (N, d)
 
 
 def _scratch(shape) -> tuple[np.ndarray, ...]:
@@ -452,70 +348,6 @@ def _run_block(
         current = nxt
 
 
-def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
-    """One round of one seed from an explicit state, run as a block of one round.
-
-    directions is None for full information.
-    """
-    rows = state.decisions
-    committed = np.empty((2,) + rows.shape)
-    committed[0] = rows
-    probes = queries = None
-    if directions is not None:
-        eps = hyper.eps(t)
-        observed, queries = np.empty((1,) + rows.shape[:-1]), np.empty((1,) + rows.shape)
-        probes = rows.shape[-1] / eps, directions[None], (eps * directions)[None], observed, queries
-    eta, radius = hyper.eta(t), hyper.decision_radius
-    # A RunState carries the duals, not their pull, so the pull left in this array is dropped.
-    pull = constraints.weighted_subgradient_rows(rows, state.duals)
-    _run_block(
-        committed, pull, round_losses.features[None], round_losses.targets[None], round_losses.rho,
-        np.full(committed[1:].shape, hyper.beta(t)), (eta,), (weights,), 0, radius, constraints, probes,
-        _scratch(rows.shape),
-    )
-    nxt = committed[1]
-    if queries is not None:
-        queries = queries[0]
-        _check_in_ball(queries, hyper.radius, t, "probe")
-    _check_in_ball(nxt, radius, t + 1, "decision")
-    record = RoundRecord(
-        decisions=rows,
-        losses=round_losses.values(rows) if directions is None else observed[0],
-        violations=constraints.positive_parts_rows(rows),
-        queries=queries,
-    )
-    duals = constraints.positive_parts_rows(nxt) / eta
-    return RunState(decisions=nxt, duals=duals, rngs=state.rngs), record
-
-
-def run_round_full(
-    state: RunState,
-    round_losses,
-    weights: WeightMatrix,
-    hyper: HyperSchedule,
-    constraints: ConstraintSet,
-    t: int,
-) -> tuple[RunState, RoundRecord]:
-    """One synchronized full-information round; see the module docstring."""
-    return _round(state, round_losses, weights, hyper, constraints, t, None)
-
-
-def run_round_bandit(
-    state: RunState,
-    round_losses,
-    weights: WeightMatrix,
-    hyper: HyperSchedule,
-    constraints: ConstraintSet,
-    t: int,
-) -> tuple[RunState, RoundRecord]:
-    """One synchronized one-point bandit round; see the module docstring."""
-    if state.rngs is None:
-        raise ValueError("bandit rounds need per-unit rng streams")
-    dimension = state.decisions.shape[1]
-    directions = np.stack([sample_unit_sphere(rng, dimension) for rng in state.rngs])
-    return _round(state, round_losses, weights, hyper, constraints, t, directions)
-
-
 def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
     """Bytes of the arrays run_seeds holds for one block of B = min(T, _BLOCK) rounds.
 
@@ -534,10 +366,10 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
     """Directions for the next `rounds` rounds, indexed [round, seed, unit].
 
     rngs[s][i] is unit i + 1's stream for seed s. A block draw takes the same
-    Gaussians as one sample_unit_sphere call per round, and the row dot below
-    rounds exactly like np.linalg.norm on one row, so the directions match the
-    scalar sampler bit for bit. The scalar sampler redraws a zero vector; a
-    block cannot, so it raises instead of diverging.
+    Gaussians as one reference.sample_unit_sphere call per round, and the row
+    dot below rounds exactly like np.linalg.norm on one row, so the directions
+    match the scalar sampler bit for bit. The scalar sampler redraws a zero
+    vector; a block cannot, so it raises instead of diverging.
     """
     draws = np.empty((rounds, len(rngs), len(rngs[0]), dimension))
     for s, unit_rngs in enumerate(rngs):
@@ -553,10 +385,10 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
 def _block_steps(schedules, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(eta_t, beta_t) of every schedule for t = start + 1..stop, each (B, S, 1, 1).
 
-    The schedules differ only in G, so the formulas of HyperSchedule.step_sizes
-    run once, on a schedule whose G is the column of every schedule's G: each
-    entry is one elementwise evaluation at its t and G, so it has the bits of
-    the whole-horizon arrays.
+    The schedules differ only in G, so the formulas of HyperSchedule.eta and
+    .beta run once, on a schedule whose G is the column of every schedule's G:
+    each entry is one elementwise evaluation at its t and G, so it has the bits
+    of its schedule's eta(t) and beta(t).
     """
     t = np.arange(start + 1, stop + 1, dtype=float)[:, None, None, None]
     batch = replace(schedules[0], G=np.array([h.G for h in schedules])[:, None, None])

@@ -3,7 +3,7 @@
 System regret charges unit i the losses of every unit evaluated at unit i's
 own committed decisions, minus the best fixed feasible point in hindsight:
 
-    regret(i, T) = sum_{t<=T} sum_j loss_{j,t}(x_i(t)) - min_x sum_{t<=T} sum_j loss_{j,t}(x)
+    Reg_i(T) = sum_{t<=T} sum_j loss_{j,t}(x_i(t)) - min_x sum_{t<=T} sum_j loss_{j,t}(x)
 
 with the minimum taken over the constraint region. The violation measure adds
 the positive parts of every constraint at every unit's committed decision over
@@ -34,12 +34,7 @@ from .problems import BoxConstraintSet, RegressionStream
 __all__ = [
     "Comparator",
     "ConvergenceError",
-    "offline_comparator",
     "offline_comparators",
-    "system_cumulative_losses",
-    "regret",
-    "sreg",
-    "cacv",
     "communication_cost",
     "checkpoint_grid",
     "MetricSeries",
@@ -76,18 +71,6 @@ class ConvergenceError(RuntimeError):
 # the number of checkpoints, as the kernel's blocks bound its arrays; a whole
 # stack of 512 prefixes raised perfbench's peak memory on dense-checkpoints.
 _GROUP = 64
-
-
-def offline_comparator(
-    stream: RegressionStream,
-    constraints,
-    T: int,
-    *,
-    tol: float = 1e-9,
-    max_iters: int = 100_000,
-) -> Comparator:
-    """Minimize the accumulated loss over the constraint region; see offline_comparators."""
-    return offline_comparators(stream, constraints, (T,), tol=tol, max_iters=max_iters)[0]
 
 
 def offline_comparators(
@@ -191,29 +174,6 @@ def _cumulative_system_losses(trajectory: RunTrajectory, stream, T: int) -> np.n
     """Row t - 1, entry i - 1: sum_{r<=t} sum_j loss_{j,r}(x_i(r)), for t = 1..T."""
     check_checkpoints((T,), trajectory.horizon)
     return _running_sums(stream.rounds(T).system_values(trajectory.decisions[:T]), 0.0)
-
-
-def system_cumulative_losses(trajectory: RunTrajectory, stream, T: int) -> np.ndarray:
-    """Entry i - 1: sum_{t<=T} sum_j loss_{j,t}(x_i(t)) at the committed decisions."""
-    return _cumulative_system_losses(trajectory, stream, T)[T - 1]
-
-
-def regret(trajectory: RunTrajectory, stream, comparator: Comparator, i: int, T: int) -> float:
-    """System regret of unit i against a comparator solved for the same T."""
-    if not 1 <= i <= trajectory.n_units:
-        raise IndexError(f"unit {i} outside 1..{trajectory.n_units}")
-    return float(system_cumulative_losses(trajectory, stream, T)[i - 1] - comparator.objective)
-
-
-def sreg(trajectory: RunTrajectory, stream, comparator: Comparator, T: int) -> float:
-    """Largest per-unit system regret."""
-    return float((system_cumulative_losses(trajectory, stream, T) - comparator.objective).max())
-
-
-def cacv(trajectory: RunTrajectory, T: int) -> float:
-    """Cumulative absolute constraint violation over units, constraints, rounds."""
-    check_checkpoints((T,), trajectory.horizon)
-    return float(trajectory.violations[:T].sum())
 
 
 def communication_cost(schedule: TopologySchedule, T: int) -> int:

@@ -1,18 +1,19 @@
-"""Loss oracles, constraint sets, and data streams for networked online regression.
+"""Losses, constraint sets, and data streams for networked online regression.
 
 The loss family is regularized scalar regression on the ball of radius R:
 
     value(x)    = 0.5 * (a.x - b)^2 + rho * ||x||^2
     gradient(x) = (a.x - b) * a + 2 * rho * x
 
-with analytic sups over ||x|| <= R:
+with analytic sups of the gradient norm and of the value over ||x|| <= R:
 
-    gradient_bound(R) = (||a|| R + |b|) ||a|| + 2 rho R
-    value_bound(R)    = 0.5 * (||a|| R + |b|)^2 + rho R^2
+    G(R) = (||a|| R + |b|) ||a|| + 2 rho R
+    V(R) = 0.5 * (||a|| R + |b|)^2 + rho R^2
 
 and strong convexity modulus 2 * rho. Streams assign one example to every
-(unit, round) slot and expose the same bounds as maxima over the realized
-data, since Gaussian targets admit no a-priori bound.
+(unit, round) slot, and RegressionStream.bounds takes the same bounds as
+maxima over the realized data, since Gaussian targets admit no a-priori bound.
+One example's loss oracle lives in netoco.reference.
 
 Long-term constraints are inequality functions c_s(x) <= 0 whose violated
 part enters the updates through the clipped subgradient: the gradient of c_s
@@ -25,7 +26,6 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,11 +38,8 @@ except ImportError:  # numpy < 2
 
 __all__ = [
     "RegressionExample",
-    "LossOracle",
-    "regression_loss",
     "ConstraintSet",
     "BoxConstraintSet",
-    "clipped_subgradient",
     "RegressionRound",
     "RegressionStream",
     "SufficientStats",
@@ -95,52 +92,6 @@ class RegressionExample:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class LossOracle:
-    """Single-round loss: evaluators plus sups over the ball of a given radius.
-
-    gradient_bound and value_bound are callables of the ball radius so that a
-    stream can be built before the decision radius is fixed.
-    """
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    gradient_bound: Callable[[float], float]
-    value_bound: Callable[[float], float]
-    strong_convexity: float
-
-
-def regression_loss(example: RegressionExample, rho: float) -> LossOracle:
-    """Regularized least-squares loss for one example."""
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
-    a = example.features
-    b = example.target
-    a_norm = float(np.linalg.norm(a))
-
-    def value(x):
-        r = float(a @ x) - b
-        return 0.5 * r * r + rho * float(x @ x)
-
-    def gradient(x):
-        return (float(a @ x) - b) * a + (2.0 * rho) * np.asarray(x, dtype=float)
-
-    def gradient_bound(radius):
-        return (a_norm * radius + abs(b)) * a_norm + 2.0 * rho * radius
-
-    def value_bound(radius):
-        reach = a_norm * radius + abs(b)
-        return 0.5 * reach * reach + rho * radius * radius
-
-    return LossOracle(
-        value=value,
-        gradient=gradient,
-        gradient_bound=gradient_bound,
-        value_bound=value_bound,
-        strong_convexity=2.0 * rho,
-    )
-
-
 class ConstraintSet:
     """Inequality constraints c_s(x) <= 0, s = 1..p, with a shared gradient bound.
 
@@ -150,7 +101,7 @@ class ConstraintSet:
     subgradients and the dual pull over a batch of rows) fall back to loops and
     are overridden where closed forms exist. An override of dual_pull_rows must
     give the bits of the generic default, which the kernel and the one-round
-    functions rely on to agree.
+    functions of netoco.reference rely on to agree.
     """
 
     def __init__(self, dimension, values, gradients, gradient_bound):
@@ -296,14 +247,6 @@ class BoxConstraintSet(ConstraintSet):
     def max_vertex_norm(self) -> float:
         corner = max(abs(self.lower), abs(self.upper))
         return corner * math.sqrt(self.dimension)
-
-
-def clipped_subgradient(constraints: ConstraintSet, x, s: int) -> np.ndarray:
-    """Subgradient of max(c_s(x), 0): grad c_s where c_s(x) > 0, else zero."""
-    x = np.asarray(x, dtype=float)
-    if constraints.value(x, s) > 0.0:
-        return constraints.gradient(x, s)
-    return np.zeros(constraints.dimension)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -460,9 +403,6 @@ class RegressionStream:
         self._check_slot(i, t)
         return RegressionExample(self.features[t - 1, i - 1], float(self.targets[t - 1, i - 1]))
 
-    def oracle(self, i: int, t: int) -> LossOracle:
-        return regression_loss(self.example(i, t), self.rho)
-
     def round(self, t: int) -> RegressionRound:
         if not 1 <= t <= self.horizon:
             raise IndexError(f"round {t} outside 1..{self.horizon}")
@@ -475,7 +415,7 @@ class RegressionStream:
         return RegressionRound(self.features[:T], self.targets[:T], self.rho)
 
     def bounds(self, radius: float) -> tuple[float, float]:
-        """(gradient_bound(radius), value_bound(radius)) from one pass over blocks of rounds.
+        """(G(radius), V(radius)) of the module docstring, maxima over slots, from one pass over blocks of rounds.
 
         Each slot's reach is ||a|| R + |b|, with ||a|| from np.linalg.norm over
         a block, so every slot has the bits of the whole-stream formula; the
@@ -491,14 +431,6 @@ class RegressionStream:
             float(np.max(gradients)) + 2.0 * self.rho * radius,
             0.5 * float(np.max(values)) + self.rho * radius * radius,
         )
-
-    def gradient_bound(self, radius: float) -> float:
-        """The largest gradient norm over the ball, max over slots of (||a|| R + |b|) ||a|| + 2 rho R."""
-        return self.bounds(radius)[0]
-
-    def value_bound(self, radius: float) -> float:
-        """The largest loss over the ball, max over slots of 0.5 (||a|| R + |b|)^2 + rho R^2."""
-        return self.bounds(radius)[1]
 
     def sufficient_statistics(self, T: int) -> SufficientStats:
         if not 1 <= T <= self.horizon:

@@ -14,18 +14,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from netoco.algorithm import (
-    initial_state,
-    make_schedule,
-    one_point_estimator,
-    project_ball,
-    run_experiment,
-    run_round_full,
-    sample_unit_sphere,
-)
+from netoco.algorithm import make_schedule, run_experiment
 from netoco.bench import list_presets, preset_config, run_suite
 from netoco.cli import main
-from netoco.metrics import bound_constants, offline_comparator
+from netoco.metrics import bound_constants
 from netoco.network import (
     Graph,
     default_ring_6,
@@ -37,10 +29,19 @@ from netoco.network import (
 from netoco.problems import (
     BoxConstraintSet,
     RegressionRound,
-    clipped_subgradient,
     parse_libsvm,
     serialize_libsvm,
     synthetic_stream,
+)
+from netoco.reference import (
+    clipped_subgradient,
+    initial_state,
+    offline_comparator,
+    one_point_estimator,
+    project_ball,
+    regression_loss,
+    run_round_full,
+    sample_unit_sphere,
 )
 
 
@@ -135,7 +136,7 @@ def test_criterion_04_dual_update_vs_grid():
     """The dual reset must match a brute-force grid argmax of
     lambda -> sum_s lambda_s v_s - (eta/2) ||lambda||^2 with v = positive parts.
     The objective is separable, so the joint argmax factors per coordinate."""
-    from netoco.algorithm import dual_update
+    from netoco.reference import dual_update
 
     box = BoxConstraintSet(-0.15, 0.15, 3)
     rng = np.random.default_rng(101)
@@ -255,7 +256,7 @@ def test_criterion_07_bandit_containment():
     hyper = make_schedule(
         "convex-bandit",
         p=box.count,
-        G=max(stream.gradient_bound(radius), box.gradient_bound),
+        G=max(stream.bounds(radius)[0], box.gradient_bound),
         radius=radius,
         horizon=horizon,
         c=0.5,
@@ -284,7 +285,7 @@ def centralized_reference(stream, hyper, constraints, horizon):
     lam = np.zeros(constraints.count)
     states = []
     for t in range(1, horizon + 1):
-        oracle = stream.oracle(1, t)
+        oracle = regression_loss(stream.example(1, t), stream.rho)
         step = oracle.gradient(x).copy()
         for s in range(1, constraints.count + 1):
             if lam[s - 1] != 0.0:
@@ -308,7 +309,7 @@ def test_criterion_08_centralized_reduction():
         hyper = make_schedule(
             variant,
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             c=0.5 if variant == "convex-full" else None,

@@ -4,33 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netoco.algorithm import (
-    VARIANTS,
-    _project_rows,
-    augmented_lagrangian,
-    dual_update,
-    initial_state,
-    make_schedule,
-    one_point_estimator,
-    primal_direction,
-    project_ball,
-    run_experiment,
-    run_round_bandit,
-    run_round_full,
-    sample_unit_sphere,
-)
+from netoco.algorithm import VARIANTS, _project_rows, make_schedule, run_experiment
 from netoco.network import (
     Graph,
     default_ring_6,
     max_degree_weights,
     schedule_from_graphs,
 )
-from netoco.problems import (
-    BoxConstraintSet,
-    RegressionStream,
+from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
+from netoco.reference import (
+    augmented_lagrangian,
     clipped_subgradient,
+    dual_update,
+    initial_state,
+    one_point_estimator,
+    primal_direction,
+    project_ball,
     regression_loss,
-    synthetic_stream,
+    run_round_bandit,
+    run_round_full,
+    sample_unit_sphere,
 )
 
 
@@ -304,7 +297,7 @@ def reference_single_unit_run(stream, hyper, constraints, horizon):
     decisions = []
     for t in range(1, horizon + 1):
         decisions.append(x.copy())
-        oracle = stream.oracle(1, t)
+        oracle = regression_loss(stream.example(1, t), stream.rho)
         direction = oracle.gradient(x).copy()
         for s in range(1, constraints.count + 1):
             direction = direction + lam[s - 1] * clipped_subgradient(constraints, x, s)
@@ -325,7 +318,7 @@ class TestRoundReductions:
         hyper = make_schedule(
             "strongly-convex-full",
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             sigma=stream.strong_convexity,
@@ -408,7 +401,7 @@ class TestBanditRounds:
         hyper = make_schedule(
             "strongly-convex-bandit",
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             sigma=stream.strong_convexity,
@@ -419,7 +412,7 @@ class TestBanditRounds:
         # Observed losses equal the loss at the probe point.
         for t in (1, 17, 128):
             for i in (1, 2):
-                expected = stream.oracle(i, t).value(trajectory.queries[t - 1, i - 1])
+                expected = regression_loss(stream.example(i, t), stream.rho).value(trajectory.queries[t - 1, i - 1])
                 assert trajectory.losses[t - 1, i - 1] == pytest.approx(expected, rel=1e-12)
 
     def test_containment_with_room_to_violate(self):
@@ -430,7 +423,7 @@ class TestBanditRounds:
         hyper = make_schedule(
             "strongly-convex-bandit",
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             sigma=stream.strong_convexity,
@@ -470,7 +463,7 @@ class TestRunExperiment:
         hyper = make_schedule(
             "strongly-convex-full",
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             sigma=stream.strong_convexity,
@@ -505,7 +498,7 @@ class TestRunExperiment:
         hyper = make_schedule(
             "strongly-convex-bandit",
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             sigma=stream.strong_convexity,

@@ -15,8 +15,9 @@ import pytest
 
 from netoco import bench, metrics
 from netoco.cli import main
-from netoco.metrics import Comparator, checkpoint_grid, offline_comparator, offline_comparators
+from netoco.metrics import Comparator, checkpoint_grid, offline_comparators
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
+from netoco.reference import offline_comparator
 
 
 def scalar_comparator(stream, constraints, T, *, tol=1e-9, max_iters=100_000):

@@ -10,21 +10,11 @@ import numpy as np
 import pytest
 
 import netoco.algorithm as algorithm
-from netoco.algorithm import (
-    _check_in_ball,
-    _sphere_block,
-    _sphere_rngs,
-    initial_state,
-    make_schedule,
-    run_experiment,
-    run_round_bandit,
-    run_round_full,
-    run_seeds,
-    sample_unit_sphere,
-)
+from netoco.algorithm import _check_in_ball, _sphere_block, _sphere_rngs, make_schedule, run_experiment, run_seeds
 from netoco.metrics import checkpoint_series, communication_cost, metric_series
 from netoco.network import default_ring_6
 from netoco.problems import BoxConstraintSet, ConstraintSet, synthetic_stream
+from netoco.reference import initial_state, run_round_bandit, run_round_full, sample_unit_sphere
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,7 +42,7 @@ def batch(variant, seeds, horizon=HORIZON, box=None, radius=None):
         make_schedule(
             variant,
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             c=None if variant.startswith("strongly") else 0.75,
@@ -350,7 +340,7 @@ class TestDeferredContainment:
             box = BoxConstraintSet(-0.15, 0.15, 4)
             stream = synthetic_stream(6, 4, {HORIZON}, rho=0.0, seed=40)
             hyper = algorithm.make_schedule(
-                "convex-full", p=box.count, G=stream.gradient_bound(0.3), radius=0.3,
+                "convex-full", p=box.count, G=stream.bounds(0.3)[0], radius=0.3,
                 horizon={HORIZON}, c=0.75,
             )
             try:
@@ -372,11 +362,3 @@ class TestDeferredContainment:
         assert child.returncode == 0, child.stderr
         assert self.message in child.stdout
         assert "yielded [0]" in child.stdout
-
-
-def test_step_sizes_match_the_per_round_formulas():
-    for variant, extra in (("convex-bandit", {"c": 0.75}), ("strongly-convex-full", {"sigma": 2.0})):
-        hyper = make_schedule(variant, p=8, G=3.7, radius=0.3, horizon=HORIZON, **extra)
-        etas, betas = hyper.step_sizes()
-        assert etas.tolist() == [hyper.eta(t) for t in range(1, HORIZON + 1)]
-        assert betas.tolist() == [hyper.beta(t) for t in range(1, HORIZON + 1)]

@@ -10,17 +10,13 @@ from netoco.metrics import (
     MetricSeries,
     averaged_metrics,
     bound_constants,
-    cacv,
     checkpoint_grid,
     communication_cost,
     metric_series,
-    offline_comparator,
-    regret,
-    sreg,
-    system_cumulative_losses,
 )
 from netoco.network import Graph, default_ring_6, schedule_from_graphs
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
+from netoco.reference import cacv, offline_comparator, regret, sreg, system_cumulative_losses
 
 
 def constant_trajectory(point, horizon, n_units, constraints, edges_per_round=3):
@@ -226,7 +222,7 @@ class TestMetricSeries:
         hyper = make_schedule(
             "strongly-convex-full",
             p=box.count,
-            G=max(stream.gradient_bound(radius), box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius,
             horizon=horizon,
             sigma=stream.strong_convexity,

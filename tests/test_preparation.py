@@ -217,6 +217,9 @@ def main_output(argv):
 # eta_1 = 2 p G^2 / (2 rho) overflowed at the realized G; validate had checked G = 1.
 @example("[problem]\nrho = 1e-195\n[constraints]\nradius = 1e+56\n[algorithm]\n"
          "variant = strongly-convex-full\nhorizon = 1\n[run]\nseed_count = 1\n")
+# a p G^2 overflowed in beta_1's denominator, so beta_1 passed the check as 0.0.
+@example("[problem]\n[constraints]\nupper = 1e+153\n[algorithm]\nvariant = convex-full\nhorizon = 1\n"
+         "c = 0.1\na = 10.0\n[run]\nseed_count = 1\n")
 def test_validate_accepts_exactly_what_run_can_run(text):
     """What validate passes, run runs to a CSV of finite numbers; what it fails,
     run fails with the same message; neither prints a traceback or a warning."""

@@ -9,13 +9,12 @@ from netoco.problems import (
     ConstraintSet,
     ParseError,
     RegressionExample,
-    clipped_subgradient,
     dataset_stream,
     parse_libsvm,
-    regression_loss,
     serialize_libsvm,
     synthetic_stream,
 )
+from netoco.reference import clipped_subgradient, regression_loss
 
 
 def random_example(rng, dimension=4):
@@ -180,7 +179,7 @@ class TestRoundPanel:
             rows = rng.uniform(-0.3, 0.3, size=(5, 3))
             values, grads = panel.values(rows), panel.gradients(rows)
             for i in range(1, 6):
-                oracle = stream.oracle(i, t)
+                oracle = regression_loss(stream.example(i, t), stream.rho)
                 assert values[i - 1] == pytest.approx(oracle.value(rows[i - 1]), rel=1e-12)
                 np.testing.assert_allclose(
                     grads[i - 1], oracle.gradient(rows[i - 1]), rtol=1e-12, atol=1e-15
@@ -188,7 +187,7 @@ class TestRoundPanel:
             points = rng.uniform(-0.3, 0.3, size=(2, 3))
             system = panel.system_values(points)
             for k, point in enumerate(points):
-                direct = sum(stream.oracle(i, t).value(point) for i in range(1, 6))
+                direct = sum(regression_loss(stream.example(i, t), stream.rho).value(point) for i in range(1, 6))
                 assert system[k] == pytest.approx(direct, rel=1e-12)
 
     def test_sufficient_statistics_match_direct_accumulation(self):
@@ -248,17 +247,17 @@ class TestSyntheticStream:
         stream = synthetic_stream(3, 4, 64, 0.5, seed=16)
         radius = 0.3
         per_oracle = max(
-            stream.oracle(i, t).gradient_bound(radius)
+            regression_loss(stream.example(i, t), stream.rho).gradient_bound(radius)
             for i in range(1, 4)
             for t in range(1, 65)
         )
-        assert stream.gradient_bound(radius) == pytest.approx(per_oracle, rel=1e-12)
+        assert stream.bounds(radius)[0] == pytest.approx(per_oracle, rel=1e-12)
         per_value = max(
-            stream.oracle(i, t).value_bound(radius)
+            regression_loss(stream.example(i, t), stream.rho).value_bound(radius)
             for i in range(1, 4)
             for t in range(1, 65)
         )
-        assert stream.value_bound(radius) == pytest.approx(per_value, rel=1e-12)
+        assert stream.bounds(radius)[1] == pytest.approx(per_value, rel=1e-12)
 
 
 class TestDatasetStream:

@@ -43,7 +43,7 @@ def round_cost(variant: str) -> float:
     streams = [synthetic_stream(UNITS, DIMENSION, HORIZON, rho, seed) for seed in SEEDS]
     schedules = [
         make_schedule(
-            variant, p=box.count, G=max(stream.gradient_bound(radius), box.gradient_bound),
+            variant, p=box.count, G=max(stream.bounds(radius)[0], box.gradient_bound),
             radius=radius, horizon=HORIZON, c=None if strongly else 0.5,
             sigma=stream.strong_convexity if strongly else None,
         )

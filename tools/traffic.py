@@ -13,6 +13,13 @@ when any statement of its own body ran; nested functions are judged apart.
 Prints one `module.qualname (file:line)` per function that never ran, then
 their number. Reads perfbench/ and writes nothing there. A pass took 11 s on
 a 2-core x86-64 host.
+
+    PYTHONPATH=src python tools/traffic.py --check
+
+also exits 1, naming them, when never-run functions lie outside
+netoco.reference (the per-unit oracle the tests compare the kernel with) and
+outside LIBRARY_API: the run-path modules hold what the benchmark runs, and
+what it does not run is declared there as library API or a safety branch.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import os
 # The pins must be in the environment before numpy loads its BLAS.
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
+import argparse
 import ast
 import contextlib
 import io
@@ -34,6 +42,58 @@ from pathlib import Path
 SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 HORIZON = 2048
 SEED_COUNT = 2
+
+# Never-run functions the run-path modules keep on purpose.
+LIBRARY_API = (
+    # Overflow branches the benchmark's finite data never reach.
+    "netoco.algorithm._overflow_factors",
+    # Step sizes, trajectories, metrics and bounds of one run, for library use (README).
+    "netoco.algorithm.HyperSchedule.eta",
+    "netoco.algorithm.RunTrajectory.horizon",
+    "netoco.algorithm.RunTrajectory.n_units",
+    "netoco.algorithm.RunTrajectory.dimension",
+    "netoco.algorithm.run_experiment",
+    "netoco.metrics._cumulative_system_losses",
+    "netoco.metrics.MetricSeries.max_over_units",
+    "netoco.metrics.metric_series",
+    "netoco.metrics.BoundConstants.sreg_bound",
+    "netoco.metrics.BoundConstants.cacv_bound",
+    "netoco.metrics.bound_constants",
+    # Graph facts for checking a topology by hand.
+    "netoco.network.Graph.degree",
+    "netoco.network.Graph.neighbors",
+    "netoco.network.Graph.max_degree",
+    "netoco.network.TopologySchedule.zeta",
+    "netoco.network.TopologySchedule.weights_at",
+    "netoco.network.product_deviation",
+    # The constraint interface the kernel duck-types; the generic set and the
+    # box's per-constraint forms are the reference for the box's closed forms.
+    "netoco.problems.ConstraintSet.__init__",
+    "netoco.problems.ConstraintSet.count",
+    "netoco.problems.ConstraintSet.value",
+    "netoco.problems.ConstraintSet.gradient",
+    "netoco.problems.ConstraintSet.values",
+    "netoco.problems.ConstraintSet.positive_parts",
+    "netoco.problems.ConstraintSet.positive_parts_rows",
+    "netoco.problems.ConstraintSet.weighted_subgradient_rows",
+    "netoco.problems.ConstraintSet.dual_pull_rows",
+    "netoco.problems.ConstraintSet._check_index",
+    "netoco.problems.BoxConstraintSet.value",
+    "netoco.problems.BoxConstraintSet.gradient",
+    "netoco.problems.BoxConstraintSet.values",
+    # Examples, rounds and rows one at a time, over the arrays the run uses whole.
+    "netoco.problems.RegressionExample.__post_init__",
+    "netoco.problems.RegressionExample.dimension",
+    "netoco.problems.RegressionRound.values",
+    "netoco.problems.RegressionRound.gradients",
+    "netoco.problems.RegressionStream.example",
+    "netoco.problems.RegressionStream.round",
+    "netoco.problems.RegressionStream.rounds",
+    "netoco.problems.RegressionStream._check_slot",
+    "netoco.problems.DatasetTable.from_examples",
+    "netoco.problems.LibsvmRows.__getitem__",
+    "netoco.problems.serialize_libsvm",
+)
 
 
 def traffic():
@@ -84,6 +144,11 @@ def functions(path: Path):
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="List the functions of netoco that the benchmark never runs.")
+    parser.add_argument(
+        "--check", action="store_true", help="exit 1 if one lies outside netoco.reference and LIBRARY_API"
+    )
+    check = parser.parse_args().check
     paths = sysconfig.get_paths()
     tracer = trace.Trace(
         count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix, paths["stdlib"], paths["purelib"]]
@@ -95,16 +160,24 @@ def main() -> int:
     executed = {}
     for (filename, line), _ in tracer.results().counts.items():
         executed.setdefault(Path(filename).resolve(), set()).add(line)
-    never = []
+    never, undeclared = [], []
     for path in sorted(package.glob("*.py")):
         module = f"netoco.{path.stem}" if path.stem != "__init__" else "netoco"
         ran = executed.get(path, set())
         for qualname, line, body in functions(path):
             if not body & ran:
-                never.append(f"{module}.{qualname} ({path.relative_to(package.parent)}:{line})")
+                entry = f"{module}.{qualname} ({path.relative_to(package.parent)}:{line})"
+                never.append(entry)
+                if module != "netoco.reference" and f"{module}.{qualname}" not in LIBRARY_API:
+                    undeclared.append(entry)
     for entry in never:
         print(entry)
     print(f"{len(never)} function(s) never executed")
+    if check and undeclared:
+        print(f"{len(undeclared)} of them outside netoco.reference and LIBRARY_API:")
+        for entry in undeclared:
+            print(entry)
+        return 1
     return 0
 
 
