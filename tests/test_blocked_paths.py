@@ -45,8 +45,6 @@ def assert_same_bounds(stream, radius):
     got = stream.bounds(radius)
     want = whole_stream_bounds(stream, radius)
     assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert stream.bounds(radius)[0].hex() == want[0].hex()
-    assert stream.bounds(radius)[1].hex() == want[1].hex()
 
 
 def bundled_examples(name):
@@ -127,7 +125,7 @@ SCHEDULES = [
 
 @pytest.mark.parametrize("T", HORIZONS + (2048,))
 @pytest.mark.parametrize("variant, extra", SCHEDULES)
-def test_block_step_sizes_equal_the_whole_horizon_arrays(T, variant, extra):
+def test_block_step_sizes_equal_the_per_round_eta_and_beta(T, variant, extra):
     # Two seeds whose realized G differ, as the schedules of one batch may.
     schedules = [
         make_schedule(variant, p=8, G=G, radius=10.0, horizon=T, **extra) for G in (3.7, 41.0)

@@ -14,12 +14,12 @@ Prints one `module.qualname (file:line)` per function that never ran, then
 their number. Reads perfbench/ and writes nothing there. A pass took 11 s on
 a 2-core x86-64 host.
 
-    PYTHONPATH=src python tools/traffic.py --check
-
-also exits 1, naming them, when never-run functions lie outside
-netoco.reference (the per-unit oracle the tests compare the kernel with) and
-outside LIBRARY_API: the run-path modules hold what the benchmark runs, and
-what it does not run is declared there as library API or a safety branch.
+Exits 1, naming them, when a never-run function lies outside netoco.reference
+(the per-unit oracle the tests compare the kernel with) and outside
+LIBRARY_API, or when a LIBRARY_API name is not a never-run function (it was
+renamed, deleted or now runs): the run-path modules hold what the benchmark
+runs, and what it does not run is declared there as library API or a safety
+branch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import os
 # The pins must be in the environment before numpy loads its BLAS.
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-import argparse
 import ast
 import contextlib
 import io
@@ -144,11 +143,6 @@ def functions(path: Path):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="List the functions of netoco that the benchmark never runs.")
-    parser.add_argument(
-        "--check", action="store_true", help="exit 1 if one lies outside netoco.reference and LIBRARY_API"
-    )
-    check = parser.parse_args().check
     paths = sysconfig.get_paths()
     tracer = trace.Trace(
         count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix, paths["stdlib"], paths["purelib"]]
@@ -160,7 +154,7 @@ def main() -> int:
     executed = {}
     for (filename, line), _ in tracer.results().counts.items():
         executed.setdefault(Path(filename).resolve(), set()).add(line)
-    never, undeclared = [], []
+    never, undeclared, declared = [], [], set()
     for path in sorted(package.glob("*.py")):
         module = f"netoco.{path.stem}" if path.stem != "__init__" else "netoco"
         ran = executed.get(path, set())
@@ -168,17 +162,23 @@ def main() -> int:
             if not body & ran:
                 entry = f"{module}.{qualname} ({path.relative_to(package.parent)}:{line})"
                 never.append(entry)
-                if module != "netoco.reference" and f"{module}.{qualname}" not in LIBRARY_API:
+                if f"{module}.{qualname}" in LIBRARY_API:
+                    declared.add(f"{module}.{qualname}")
+                elif module != "netoco.reference":
                     undeclared.append(entry)
     for entry in never:
         print(entry)
     print(f"{len(never)} function(s) never executed")
-    if check and undeclared:
+    stale = [name for name in LIBRARY_API if name not in declared]
+    if undeclared:
         print(f"{len(undeclared)} of them outside netoco.reference and LIBRARY_API:")
         for entry in undeclared:
             print(entry)
-        return 1
-    return 0
+    if stale:
+        print(f"{len(stale)} LIBRARY_API name(s) not a never-run function:")
+        for name in stale:
+            print(name)
+    return 1 if undeclared or stale else 0
 
 
 if __name__ == "__main__":
