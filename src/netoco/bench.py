@@ -482,24 +482,25 @@ class SuiteResult:
 
 def _load_dataset(config: ScenarioConfig):
     if config.dataset in _BUNDLED_DATASETS:
-        text = (
+        data = (
             resources.files("netoco").joinpath("data").joinpath(_BUNDLED_DATASETS[config.dataset])
-        ).read_text(encoding="utf-8")
+        ).read_bytes()
     else:
         try:
-            text = Path(config.dataset).read_text(encoding="utf-8")
+            data = Path(config.dataset).read_bytes()
         except OSError as exc:
             raise ScenarioError(f"cannot read dataset {config.dataset}: {exc}") from None
     try:
-        rows, dimension = parse_libsvm(text)
+        table = parse_libsvm(data)
     except ParseError as exc:
         raise ScenarioError(f"dataset {config.dataset}: {exc}") from None
-    if not rows:
+    rows, dimension = table.features.shape
+    if rows == 0:
         raise ScenarioError(f"dataset {config.dataset} is empty")
     if dimension < 1:
         raise ScenarioError(f"dataset {config.dataset} has no features")
     with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite data by the bounds
-        return DatasetTable.rescaled(rows.features, rows.targets), dimension
+        return table.rescaled(), dimension
 
 
 def _checkpoints(config: ScenarioConfig) -> tuple[int, ...]:

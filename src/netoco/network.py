@@ -256,9 +256,7 @@ def consensus_mix(matrix: WeightMatrix, vectors, out=None) -> np.ndarray:
     with vectors, the product is written there and out is returned.
     """
     entries, stacked = matrix.entries, np.asarray(vectors, dtype=float)
-    if stacked.ndim == 1:
-        stacked = stacked[:, None]
-    if stacked.shape[-2] != len(entries):
+    if stacked.shape[-2 if stacked.ndim > 1 else 0] != len(entries):
         raise ValueError("one vector per node required")
     # out goes in positionally: the kernel mixes every round, where the keyword costs a tenth of the product.
     return np.matmul(entries, stacked, out)

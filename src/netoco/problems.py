@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "DatasetTable",
     "dataset_stream",
     "ParseError",
-    "LibsvmRows",
     "parse_libsvm",
     "serialize_libsvm",
 ]
@@ -258,14 +256,12 @@ def _all_finite(a: np.ndarray) -> bool:
 _DOTS = "...d,...d->..."
 
 
-def _row_dots(a, b, out=None) -> np.ndarray:
+def _row_dots(a, b) -> np.ndarray:
     # np.einsum with optimize=False (its default) forwards to c_einsum;
     # calling that directly skips the Python wrapper, not a bit of the result.
     # (The round's helpers pass out to ufuncs positionally for the same
     # reason: at one round's size the keyword costs more than the arithmetic.)
-    if out is None:
-        return _c_einsum(_DOTS, a, b)
-    return _c_einsum(_DOTS, a, b, out=out)
+    return _c_einsum(_DOTS, a, b)
 
 
 def _loss_values(features, targets, rho, rows, out, half, squares) -> np.ndarray:
@@ -306,10 +302,8 @@ class RegressionRound:
     Leading axes batch independent rounds: features (..., N, d) and targets
     (..., N) hold one round per batch entry, and each batch entry's result is
     bit for bit the one its own RegressionRound gives. values and gradients
-    take an optional out, shaped like their result and distinct from rows.
-    Both run _loss_values or _loss_gradients, the formulas the round loop
-    runs on its per-run scratch, here on fresh scratch, so out and the loop
-    get the bits of the fresh result.
+    run _loss_values and _loss_gradients, the formulas the round loop runs on
+    its per-run scratch, here on fresh arrays, so the loop gets their bits.
 
     With rho == 0.0 both skip the rho term, 0.0 * x, which is a zero for
     finite rows. In values it would be added to 0.5 r^2, which is never -0.0,
@@ -323,19 +317,17 @@ class RegressionRound:
         self.targets = targets  # (..., N)
         self.rho = rho
 
-    def values(self, rows, out=None) -> np.ndarray:
+    def values(self, rows) -> np.ndarray:
         shape = np.broadcast_shapes(np.shape(self.features), np.shape(rows))[:-1]
         half, squares = np.empty((2,) + shape)
-        return _loss_values(
-            self.features, self.targets, self.rho, rows, np.empty(shape) if out is None else out, half, squares
-        )
+        return _loss_values(self.features, self.targets, self.rho, rows, np.empty(shape), half, squares)
 
-    def gradients(self, rows, out=None) -> np.ndarray:
+    def gradients(self, rows) -> np.ndarray:
         shape = np.broadcast_shapes(np.shape(self.features), np.shape(rows))
         residuals = np.empty(shape[:-1])
         return _loss_gradients(
-            self.features, self.targets, self.rho, rows, np.empty(shape) if out is None else out,
-            residuals, residuals[..., None], np.empty(shape),
+            self.features, self.targets, self.rho, rows, np.empty(shape), residuals, residuals[..., None],
+            np.empty(shape),
         )
 
     def system_values(self, points) -> np.ndarray:
@@ -479,50 +471,42 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
 
 @dataclass(frozen=True)
 class DatasetTable:
-    """A dataset's rows rescaled once: features (rows, d) in [-1, 1] and targets (rows,).
+    """A dataset as one table: features (rows, d) and targets (rows,).
 
-    Features are rescaled coordinate-wise to [-1, 1] over the dataset
-    (constant coordinates map to 0); targets are left as-is.
+    parse_libsvm gives the raw table, and rescaled() the one that streams
+    are dealt from.
     """
 
     features: np.ndarray
     targets: np.ndarray
 
-    @classmethod
-    def from_examples(cls, examples) -> DatasetTable:
-        examples = list(examples)
-        if not examples:
-            raise ValueError("empty dataset")
-        dimension = examples[0].dimension
-        if any(e.dimension != dimension for e in examples):
-            raise ValueError("examples disagree on dimension")
-        return cls.rescaled(np.stack([e.features for e in examples]), np.array([e.target for e in examples]))
+    def rescaled(self) -> DatasetTable:
+        """The table with its features rescaled coordinate-wise to [-1, 1] over the rows.
 
-    @classmethod
-    def rescaled(cls, table: np.ndarray, targets: np.ndarray) -> DatasetTable:
-        """The table of raw (rows, d) features rescaled, beside its (rows,) targets."""
+        Constant coordinates map to 0; the targets are kept as they are.
+        """
+        table = self.features
         low = table.min(axis=0)
         high = table.max(axis=0)
         span = high - low
         scaled = np.zeros_like(table)
         varying = span > 0.0
         scaled[:, varying] = 2.0 * (table[:, varying] - low[varying]) / span[varying] - 1.0
-        return cls(scaled, targets)
+        return DatasetTable(scaled, self.targets)
 
 
-def dataset_stream(dataset, n_units: int, horizon: int, rho: float, seed: int) -> RegressionStream:
-    """Deal dataset rows to the (unit, round) grid after coordinate rescaling.
+def dataset_stream(dataset: DatasetTable, n_units: int, horizon: int, rho: float, seed: int) -> RegressionStream:
+    """Deal the rows of a rescaled DatasetTable to the (unit, round) grid.
 
-    dataset is a DatasetTable or the examples to build one from. Rows are
-    shuffled once with the seeded stream and dealt round-robin across units,
-    cycling when the grid is larger than the dataset, one block of rounds at
-    a time straight into the stream's arrays.
+    Rows are shuffled once with the seeded stream and dealt round-robin
+    across units, cycling when the grid is larger than the dataset, one
+    block of rounds at a time straight into the stream's arrays.
     """
-    if not isinstance(dataset, DatasetTable):
-        dataset = DatasetTable.from_examples(dataset)
     if n_units < 1 or horizon < 1:
         raise ValueError("n_units and horizon must be >= 1")
     rows, dimension = dataset.features.shape
+    if rows == 0:
+        raise ValueError("empty dataset")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SPAWN_SHUFFLE, 0)))
     order = rng.permutation(rows)
     features = np.empty((horizon, n_units, dimension))
@@ -549,29 +533,11 @@ class ParseError(ValueError):
     """Malformed or oversized sparse-text input; the message names the offending line."""
 
 
-class LibsvmRows(Sequence):
-    """Parsed rows as one dense table: raw features (rows, d) and targets (rows,).
-
-    Item i is row i as a RegressionExample, so the rows read as a list of
-    examples; DatasetTable.rescaled takes the table itself, with no restacking.
-    """
-
-    def __init__(self, features: np.ndarray, targets: np.ndarray):
-        self.features = features
-        self.targets = targets
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def __getitem__(self, i: int) -> RegressionExample:
-        return RegressionExample(self.features[i], self.targets[i])
-
-
-def parse_libsvm(text) -> tuple[LibsvmRows, int]:
-    """Parse sparse regression text: one "<label> <idx>:<val> ..." per line.
+def parse_libsvm(text) -> DatasetTable:
+    """Parse sparse regression text into the raw table: one "<label> <idx>:<val> ..." per line.
 
     Indices are 1-based and must be strictly increasing within a line; missing
-    indices are zero. The inferred dimension is the largest index seen; input
+    indices are zero. The table's width is the largest index seen; input
     whose dense rows would not fit in physical memory is refused before they
     are built. Accepts str or UTF-8 bytes, LF or CRLF; blank lines are skipped.
     One pass checks every number and collects the entries, which then fill
@@ -631,20 +597,20 @@ def parse_libsvm(text) -> tuple[LibsvmRows, int]:
         raise ParseError(failure)
     features = np.zeros((len(labels), dimension))
     features[np.array(rows, dtype=np.intp), np.array(columns, dtype=np.intp)] = values
-    return LibsvmRows(features, np.array(labels, dtype=float)), dimension
+    return DatasetTable(features, np.array(labels, dtype=float))
 
 
-def serialize_libsvm(examples) -> str:
+def serialize_libsvm(table: DatasetTable) -> str:
     """Inverse of parse_libsvm up to zero entries: zeros are omitted.
 
     Values use shortest round-trip decimal formatting, so parse -> serialize ->
-    parse is a fixed point on the parsed structure.
+    parse is a fixed point on the parsed table.
     """
     lines = []
-    for example in examples:
-        parts = [repr(float(example.target))]
-        for index, value in enumerate(example.features, start=1):
+    for target, features in zip(table.targets.tolist(), table.features.tolist()):
+        parts = [repr(target)]
+        for index, value in enumerate(features, start=1):
             if value != 0.0:
-                parts.append(f"{index}:{float(value)!r}")
+                parts.append(f"{index}:{value!r}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -434,19 +434,14 @@ def test_criterion_10_data_pipeline():
     ok = True
     for name, (rows, dims) in expected.items():
         text = resources.files("netoco").joinpath(f"data/{name}.libsvm").read_text("utf-8")
-        examples, dimension = parse_libsvm(text)
-        round_trip, rt_dimension = parse_libsvm(serialize_libsvm(examples))
-        same = (
-            len(round_trip) == len(examples)
-            and rt_dimension == dimension
-            and all(
-                before.target == after.target
-                and np.array_equal(before.features, after.features)
-                for before, after in zip(examples, round_trip)
-            )
+        table = parse_libsvm(text)
+        round_trip = parse_libsvm(serialize_libsvm(table))
+        same = np.array_equal(round_trip.features, table.features) and np.array_equal(
+            round_trip.targets, table.targets
         )
-        ok = ok and len(examples) == rows and dimension == dims and same
-        details.append(f"{name}: {len(examples)} x {dimension} (want {rows} x {dims}), round-trip {'exact' if same else 'BROKEN'}")
+        parsed_rows, dimension = table.features.shape
+        ok = ok and (parsed_rows, dimension) == (rows, dims) and same
+        details.append(f"{name}: {parsed_rows} x {dimension} (want {rows} x {dims}), round-trip {'exact' if same else 'BROKEN'}")
     report(10, ok, "; ".join(details))
 
 

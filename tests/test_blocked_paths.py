@@ -19,7 +19,6 @@ from netoco.problems import (
     _BLOCK,
     _SPAWN_DATA,
     _SPAWN_SHUFFLE,
-    DatasetTable,
     RegressionStream,
     dataset_stream,
     parse_libsvm,
@@ -47,23 +46,22 @@ def assert_same_bounds(stream, radius):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-def bundled_examples(name):
+def bundled_table(name):
     text = resources.files("netoco").joinpath("data", f"{name}.libsvm").read_text(encoding="utf-8")
-    return parse_libsvm(text)[0]
+    return parse_libsvm(text)
 
 
-def whole_dataset_stream_arrays(examples, n_units, horizon, seed):
-    """Rescale the stacked rows and deal them as one (T, N) index array."""
-    table = np.stack([e.features for e in examples])
-    targets = np.array([e.target for e in examples])
+def whole_dataset_stream_arrays(raw, n_units, horizon, seed):
+    """Rescale the raw table's rows and deal them as one (T, N) index array."""
+    table, targets = raw.features, raw.targets
     low, high = table.min(axis=0), table.max(axis=0)
     span = high - low
     scaled = np.zeros_like(table)
     varying = span > 0.0
     scaled[:, varying] = 2.0 * (table[:, varying] - low[varying]) / span[varying] - 1.0
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SPAWN_SHUFFLE, 0)))
-    order = rng.permutation(len(examples))
-    dealt = order[np.arange(horizon * n_units) % len(examples)].reshape(horizon, n_units)
+    order = rng.permutation(len(targets))
+    dealt = order[np.arange(horizon * n_units) % len(targets)].reshape(horizon, n_units)
     return scaled[dealt], targets[dealt]
 
 
@@ -79,14 +77,13 @@ def test_synthetic_bounds_have_the_whole_stream_bits(T, rho):
 @pytest.mark.parametrize("T", HORIZONS)
 @pytest.mark.parametrize("name", ["mg", "bodyfat"])
 def test_dataset_streams_are_dealt_and_bounded_with_the_whole_stream_bits(T, name):
-    examples = bundled_examples(name)
-    table = DatasetTable.from_examples(examples)
+    raw = bundled_table(name)
+    table = raw.rescaled()
     for seed in (0, 5):
-        features, targets = whole_dataset_stream_arrays(examples, N, T, seed)
-        for dataset in (examples, table):
-            stream = dataset_stream(dataset, N, T, 1.0, seed)
-            assert np.array_equal(stream.features, features)
-            assert np.array_equal(stream.targets, targets)
+        features, targets = whole_dataset_stream_arrays(raw, N, T, seed)
+        stream = dataset_stream(table, N, T, 1.0, seed)
+        assert np.array_equal(stream.features, features)
+        assert np.array_equal(stream.targets, targets)
         assert_same_bounds(stream, 0.15 * np.sqrt(table.features.shape[1]))
 
 

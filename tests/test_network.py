@@ -208,10 +208,17 @@ class TestConsensusMix:
         mixed = consensus_mix(schedule.weights_at(1), vectors)
         np.testing.assert_allclose(mixed.sum(axis=0), vectors.sum(axis=0), atol=1e-10, rtol=0)
 
+    def test_mixes_one_value_per_node_into_one_value_per_node(self):
+        weights = default_ring_6().weights[0]
+        mixed = consensus_mix(weights, np.arange(6.0))
+        assert mixed.shape == (6,)
+        np.testing.assert_array_equal(mixed, consensus_mix(weights, np.arange(6.0)[:, None])[:, 0])
+
     def test_rejects_wrong_row_count(self):
         w = max_degree_weights(Graph(2, ((1, 2),)))
-        with pytest.raises(ValueError, match="per node"):
-            consensus_mix(w, np.ones((3, 2)))
+        for vectors in (np.ones((3, 2)), np.ones(3), np.ones((4, 3, 2))):
+            with pytest.raises(ValueError, match="per node"):
+                consensus_mix(w, vectors)
 
 
 def contraction_bound(schedule, gap):

@@ -1,19 +1,25 @@
 """parse_libsvm fills one dense table in a single pass: the same errors, the same tables.
 
-The bundled datasets' rescaled tables must be those that DatasetTable.from_examples
-builds from examples parsed row by row, bit for bit, and input too wide for
-memory must still be refused before its table is allocated.
+The bundled datasets' tables must be those filled row by row, bit for bit,
+input too wide for memory must still be refused before its table is
+allocated, and the bundled files must be what tools/make_datasets.py writes.
 """
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netoco.bench import _load_dataset, preset_config
-from netoco.problems import DatasetTable, LibsvmRows, ParseError, RegressionExample, parse_libsvm
+from netoco.problems import DatasetTable, ParseError, parse_libsvm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MALFORMED = [
     ("1 1:2\nx 1:2\n", "line 2: bad label 'x'"),
@@ -55,17 +61,15 @@ def test_an_oversized_index_is_refused_before_the_table_is_allocated():
 
 
 def row_by_row(text):
-    """The bundled files' examples, one dense row per line, filled entry by entry."""
+    """The bundled files' raw table, one dense row per line, filled entry by entry."""
     lines = [line.split() for line in text.splitlines() if line.split()]
     dimension = max(int(token.split(":")[0]) for tokens in lines for token in tokens[1:])
-    examples = []
-    for tokens in lines:
-        features = np.zeros(dimension)
+    features = np.zeros((len(lines), dimension))
+    for row, tokens in zip(features, lines):
         for token in tokens[1:]:
             index, value = token.split(":")
-            features[int(index) - 1] = float(value)
-        examples.append(RegressionExample(features, float(tokens[0])))
-    return examples, dimension
+            row[int(index) - 1] = float(value)
+    return DatasetTable(features, np.array([float(tokens[0]) for tokens in lines]))
 
 
 def assert_same_bits(actual, expected):
@@ -75,25 +79,37 @@ def assert_same_bits(actual, expected):
 
 
 @pytest.mark.parametrize(("preset", "name"), [("mg-sc", "mg"), ("bodyfat-convex", "bodyfat")])
-def test_bundled_tables_are_the_tables_of_examples_parsed_row_by_row(preset, name):
+def test_bundled_tables_are_the_tables_filled_row_by_row(preset, name):
     text = resources.files("netoco").joinpath("data", f"{name}.libsvm").read_text(encoding="utf-8")
-    examples, dimension = row_by_row(text)
-    expected = DatasetTable.from_examples(examples)
-    table, parsed_dimension = _load_dataset(preset_config(preset))
-    assert parsed_dimension == dimension
+    raw = row_by_row(text)
+    parsed = parse_libsvm(text)
+    assert_same_bits(parsed.features, raw.features)
+    assert_same_bits(parsed.targets, raw.targets)
+    expected = raw.rescaled()
+    table, dimension = _load_dataset(preset_config(preset))
+    assert dimension == raw.features.shape[1]
     assert_same_bits(table.features, expected.features)
     assert_same_bits(table.targets, expected.targets)
-    rows, _ = parse_libsvm(text)
-    assert_same_bits(DatasetTable.from_examples(rows).features, expected.features)
 
 
-def test_parsed_rows_read_as_a_list_of_examples():
-    rows, dimension = parse_libsvm("1.5 1:0.5 3:-0.0\n\n-2 2:4\n")
-    assert isinstance(rows, LibsvmRows)
-    assert (len(rows), dimension) == (2, 3)
-    assert [e.target for e in rows] == [1.5, -2.0]
-    assert_same_bits(rows[0].features, np.array([0.5, 0.0, -0.0]))
-    assert_same_bits(rows[-1].features, np.array([0.0, 4.0, 0.0]))
-    with pytest.raises(IndexError):
-        rows[2]
-    assert parse_libsvm("\n")[0].features.shape == (0, 0)
+def test_parsed_rows_are_one_raw_table():
+    table = parse_libsvm("1.5 1:0.5 3:-0.0\n\n-2 2:4\n")
+    assert isinstance(table, DatasetTable)
+    assert_same_bits(table.features, np.array([[0.5, 0.0, -0.0], [0.0, 4.0, 0.0]]))
+    assert_same_bits(table.targets, np.array([1.5, -2.0]))
+    assert parse_libsvm("\n").features.shape == (0, 0)
+
+
+def test_the_generator_writes_the_bundled_files(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "make_datasets.py"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    for name in ("mg", "bodyfat"):
+        written = (tmp_path / f"{name}.libsvm").read_bytes()
+        assert written == (ROOT / "src" / "netoco" / "data" / f"{name}.libsvm").read_bytes()

@@ -154,6 +154,24 @@ def test_validate_rejects_dataset_targets_that_overflow_as_run_does(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_dataset_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
+    data = tmp_path / "utf16.libsvm"
+    data.write_bytes(b"\xff\xfe1 1:2\n")
+    path = tmp_path / "utf16.ini"
+    path.write_text(
+        "[problem]\nsource = dataset\ndataset = utf16.libsvm\n"
+        "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 64\n[run]\nseed_count = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main([command, str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dataset {data}: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff" in captured.err
+    assert not out.exists()
+
+
 # The keys item 4 of the roadmap names, by section.
 DRAWN_KEYS = {"lower": "constraints", "upper": "constraints", "radius": "constraints",
               "rho": "problem", "a": "algorithm", "c": "algorithm"}

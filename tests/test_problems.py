@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from netoco.problems import (
     BoxConstraintSet,
     ConstraintSet,
+    DatasetTable,
     ParseError,
     RegressionExample,
     dataset_stream,
@@ -260,21 +261,20 @@ class TestSyntheticStream:
         assert stream.bounds(radius)[1] == pytest.approx(per_value, rel=1e-12)
 
 
+def rescaled(features, targets):
+    return DatasetTable(np.array(features, dtype=float), np.array(targets, dtype=float)).rescaled()
+
+
 class TestDatasetStream:
     def test_single_example_fills_every_slot(self):
-        example = RegressionExample(np.array([2.0, -1.0]), 5.0)
-        stream = dataset_stream([example], n_units=2, horizon=3, rho=0.0, seed=0)
+        stream = dataset_stream(rescaled([[2.0, -1.0]], [5.0]), n_units=2, horizon=3, rho=0.0, seed=0)
         # One row: every coordinate is constant, so rescaling sends it to zero.
         np.testing.assert_array_equal(stream.features, np.zeros((3, 2, 2)))
         np.testing.assert_array_equal(stream.targets, np.full((3, 2), 5.0))
 
     def test_rescaling_hits_both_endpoints(self):
-        examples = [
-            RegressionExample(np.array([0.0, 10.0]), 1.0),
-            RegressionExample(np.array([5.0, 30.0]), 2.0),
-            RegressionExample(np.array([10.0, 20.0]), 3.0),
-        ]
-        stream = dataset_stream(examples, n_units=1, horizon=3, rho=0.0, seed=1)
+        table = rescaled([[0.0, 10.0], [5.0, 30.0], [10.0, 20.0]], [1.0, 2.0, 3.0])
+        stream = dataset_stream(table, n_units=1, horizon=3, rho=0.0, seed=1)
         flat = stream.features.reshape(-1, 2)
         assert flat.min() == -1.0
         assert flat.max() == 1.0
@@ -282,52 +282,44 @@ class TestDatasetStream:
 
     def test_no_repeats_until_the_dataset_is_exhausted(self):
         rng = np.random.default_rng(6)
-        examples = [RegressionExample(rng.uniform(-1, 1, 3), float(k)) for k in range(12)]
-        stream = dataset_stream(examples, n_units=3, horizon=4, rho=0.0, seed=2)
+        table = rescaled(rng.uniform(-1, 1, (12, 3)), range(12))
+        stream = dataset_stream(table, n_units=3, horizon=4, rho=0.0, seed=2)
         assert sorted(stream.targets.reshape(-1).tolist()) == list(map(float, range(12)))
 
     def test_cycling_balances_usage(self):
-        examples = [RegressionExample(np.array([float(k)]), float(k)) for k in range(5)]
-        stream = dataset_stream(examples, n_units=2, horizon=6, rho=0.0, seed=3)
+        table = rescaled(np.arange(5.0)[:, None], range(5))
+        stream = dataset_stream(table, n_units=2, horizon=6, rho=0.0, seed=3)
         _, counts = np.unique(stream.targets, return_counts=True)
         assert counts.max() - counts.min() <= 1
 
     def test_deterministic_for_a_seed(self):
         rng = np.random.default_rng(7)
-        examples = [RegressionExample(rng.uniform(-1, 1, 3), float(k)) for k in range(9)]
-        one = dataset_stream(examples, 2, 5, 0.0, seed=4)
-        two = dataset_stream(examples, 2, 5, 0.0, seed=4)
+        table = rescaled(rng.uniform(-1, 1, (9, 3)), range(9))
+        one = dataset_stream(table, 2, 5, 0.0, seed=4)
+        two = dataset_stream(table, 2, 5, 0.0, seed=4)
         np.testing.assert_array_equal(one.features, two.features)
         assert not np.array_equal(
-            one.features, dataset_stream(examples, 2, 5, 0.0, seed=5).features
+            one.features, dataset_stream(table, 2, 5, 0.0, seed=5).features
         )
 
-    def test_rejects_empty_and_ragged_input(self):
+    def test_rejects_an_empty_table(self):
         with pytest.raises(ValueError, match="empty"):
-            dataset_stream([], 1, 1, 0.0, seed=0)
-        ragged = [
-            RegressionExample(np.zeros(2), 0.0),
-            RegressionExample(np.zeros(3), 0.0),
-        ]
-        with pytest.raises(ValueError, match="dimension"):
-            dataset_stream(ragged, 1, 1, 0.0, seed=0)
+            dataset_stream(DatasetTable(np.zeros((0, 2)), np.zeros(0)), 1, 1, 0.0, seed=0)
 
 
 class TestParseLibsvm:
     def test_parses_labels_sparsity_and_dimension(self):
         text = "1.5 1:0.5 3:-2\n-0.25 2:4\n\n7 \n"
-        examples, dimension = parse_libsvm(text)
-        assert dimension == 3
-        assert len(examples) == 3
-        np.testing.assert_array_equal(examples[0].features, [0.5, 0.0, -2.0])
-        np.testing.assert_array_equal(examples[1].features, [0.0, 4.0, 0.0])
-        np.testing.assert_array_equal(examples[2].features, [0.0, 0.0, 0.0])
-        assert [e.target for e in examples] == [1.5, -0.25, 7.0]
+        table = parse_libsvm(text)
+        np.testing.assert_array_equal(
+            table.features, [[0.5, 0.0, -2.0], [0.0, 4.0, 0.0], [0.0, 0.0, 0.0]], strict=True
+        )
+        np.testing.assert_array_equal(table.targets, [1.5, -0.25, 7.0], strict=True)
 
     def test_accepts_bytes_and_crlf(self):
-        examples, dimension = parse_libsvm(b"1 1:2\r\n2 2:3\r\n")
-        assert dimension == 2
-        assert [e.target for e in examples] == [1.0, 2.0]
+        table = parse_libsvm(b"1 1:2\r\n2 2:3\r\n")
+        assert table.features.shape == (2, 2)
+        assert table.targets.tolist() == [1.0, 2.0]
 
     def test_rejects_bad_label_with_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -363,13 +355,10 @@ class TestParseLibsvm:
 
     def test_round_trip_is_a_fixed_point(self):
         text = "1.5 1:0.5 3:-2\n-0.25 2:4\n7\n"
-        examples, dimension = parse_libsvm(text)
-        again, dimension2 = parse_libsvm(serialize_libsvm(examples))
-        assert dimension2 == dimension
-        assert len(again) == len(examples)
-        for before, after in zip(examples, again):
-            assert before.target == after.target
-            np.testing.assert_array_equal(before.features, after.features)
+        table = parse_libsvm(text)
+        again = parse_libsvm(serialize_libsvm(table))
+        np.testing.assert_array_equal(again.features, table.features, strict=True)
+        np.testing.assert_array_equal(again.targets, table.targets, strict=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -381,15 +370,11 @@ class TestParseLibsvm:
         finite = st.floats(
             min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
         )
-        rows = []
-        for r in range(n_rows):
-            features = np.array(data.draw(st.lists(finite, min_size=dimension, max_size=dimension)))
-            if r == 0:
-                features[-1] = features[-1] if features[-1] != 0.0 else 1.0
-            rows.append(RegressionExample(features, data.draw(finite)))
-        text = serialize_libsvm(rows)
-        parsed, parsed_dim = parse_libsvm(text)
-        assert parsed_dim == dimension
-        for before, after in zip(rows, parsed):
-            assert before.target == after.target
-            np.testing.assert_array_equal(before.features, after.features)
+        size = n_rows * dimension
+        features = np.array(data.draw(st.lists(finite, min_size=size, max_size=size))).reshape(n_rows, dimension)
+        if features[0, -1] == 0.0:
+            features[0, -1] = 1.0
+        targets = np.array(data.draw(st.lists(finite, min_size=n_rows, max_size=n_rows)))
+        parsed = parse_libsvm(serialize_libsvm(DatasetTable(features, targets)))
+        np.testing.assert_array_equal(parsed.features, features, strict=True)
+        np.testing.assert_array_equal(parsed.targets, targets, strict=True)

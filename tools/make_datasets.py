@@ -9,9 +9,12 @@ the package depends on the values beyond shape and finiteness.
 mg mirrors the original construction: a Mackey-Glass delay series, windowed so
 six consecutive samples predict the next one. bodyfat is a seeded synthetic
 anthropometric table whose target is a noisy linear read-out of a latent
-adiposity factor.
+adiposity factor. Values are rounded to 6 decimals and written by
+netoco.problems.serialize_libsvm.
 
-Usage: python tools/make_datasets.py [output_dir]
+Usage (from the repository root):
+
+    PYTHONPATH=src python tools/make_datasets.py [output_dir]
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from netoco.problems import DatasetTable, serialize_libsvm
 
 MG_ROWS = 1385
 MG_FEATURES = 6
@@ -39,17 +44,14 @@ def mackey_glass(length: int, *, tau: int = 17, beta: float = 0.2, gamma: float 
     return series[burn_in:]
 
 
-def make_mg() -> list[tuple[float, np.ndarray]]:
+def make_mg() -> DatasetTable:
+    """Each row is six consecutive samples; its target is the next sample."""
     series = mackey_glass(MG_ROWS + MG_FEATURES)
-    rows = []
-    for start in range(MG_ROWS):
-        window = series[start : start + MG_FEATURES]
-        label = series[start + MG_FEATURES]
-        rows.append((float(label), np.asarray(window, dtype=float)))
-    return rows
+    windows = np.lib.stride_tricks.sliding_window_view(series[:-1], MG_FEATURES)
+    return DatasetTable(windows, series[MG_FEATURES:])
 
 
-def make_bodyfat() -> list[tuple[float, np.ndarray]]:
+def make_bodyfat() -> DatasetTable:
     rng = np.random.default_rng(np.random.SeedSequence(252))
     adiposity = rng.normal(0.0, 1.0, BODYFAT_ROWS)
     frame = rng.normal(0.0, 1.0, BODYFAT_ROWS)
@@ -69,32 +71,26 @@ def make_bodyfat() -> list[tuple[float, np.ndarray]]:
     density = 1.0554 - 0.019 * adiposity + rng.normal(0, 0.002, BODYFAT_ROWS)
     table = np.column_stack([density, age, weight, height] + circumferences)
     fat = np.clip(19.0 + 8.0 * adiposity + rng.normal(0, 1.2, BODYFAT_ROWS), 0.0, 47.5)
-    return [(float(fat[i]), table[i]) for i in range(BODYFAT_ROWS)]
+    return DatasetTable(table, fat)
 
 
-def write_sparse(rows, path: Path):
-    lines = []
-    for label, features in rows:
-        parts = [repr(round(float(label), 6))]
-        for index, value in enumerate(features, start=1):
-            value = round(float(value), 6)
-            if value != 0.0:
-                parts.append(f"{index}:{value!r}")
-        lines.append(" ".join(parts))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def rounded(values: np.ndarray) -> np.ndarray:
+    """Each value rounded to 6 decimals by Python's round, which rounds the exact decimal."""
+    return np.array([round(value, 6) for value in values.ravel().tolist()]).reshape(values.shape)
 
 
 def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "netoco" / "data"
     out.mkdir(parents=True, exist_ok=True)
-    mg = make_mg()
-    assert len(mg) == MG_ROWS and all(len(f) == MG_FEATURES for _, f in mg)
-    write_sparse(mg, out / "mg.libsvm")
-    bodyfat = make_bodyfat()
-    assert len(bodyfat) == BODYFAT_ROWS and all(len(f) == BODYFAT_FEATURES for _, f in bodyfat)
-    write_sparse(bodyfat, out / "bodyfat.libsvm")
-    print(f"wrote {out / 'mg.libsvm'} ({MG_ROWS} x {MG_FEATURES})")
-    print(f"wrote {out / 'bodyfat.libsvm'} ({BODYFAT_ROWS} x {BODYFAT_FEATURES})")
+    for name, table, shape in (
+        ("mg", make_mg(), (MG_ROWS, MG_FEATURES)),
+        ("bodyfat", make_bodyfat(), (BODYFAT_ROWS, BODYFAT_FEATURES)),
+    ):
+        assert table.features.shape == shape and table.targets.shape == shape[:1]
+        path = out / f"{name}.libsvm"
+        text = serialize_libsvm(DatasetTable(rounded(table.features), rounded(table.targets)))
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path} ({shape[0]} x {shape[1]})")
     return 0
 
 

@@ -89,8 +89,6 @@ LIBRARY_API = (
     "netoco.problems.RegressionStream.round",
     "netoco.problems.RegressionStream.rounds",
     "netoco.problems.RegressionStream._check_slot",
-    "netoco.problems.DatasetTable.from_examples",
-    "netoco.problems.LibsvmRows.__getitem__",
     "netoco.problems.serialize_libsvm",
 )
 
