@@ -30,7 +30,12 @@ rounds of a block. It carries only the decisions and the dual pull from round
 to round (steps 2 and 5 meet in ConstraintSet.dual_pull_rows).
 Each step is a bare ufunc, c_einsum or matmul call that writes into arrays
 allocated once per run (the pull and _scratch) or once per block, so a round
-makes views of those arrays but no arrays or loss objects of its own. Three
+makes views of those arrays but no arrays or loss objects of its own. At a
+round's size numpy's dispatch costs more than the arithmetic, so each step
+takes its cheapest path: the block's eta_t and beta_t come spread over the
+rows, so that the descent step and the dual pull's divide see operands of one
+shape, the numbers of the formulas are float64 0-d arrays rather than Python
+floats, and _project_rows finds its largest row norm in a Python list. Three
 hooks are called by name every round, and allocate what they need:
 consensus_mix, _project_rows and constraints.dual_pull_rows. Every step keeps
 the operands of its formula in their order, so each seed gets the bits of the
@@ -243,15 +248,23 @@ def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     rows is (..., N, d), at least two-dimensional: the in-place steps write
     each row's norm into the array of row dots, which a single (d,) vector
     reduces to a scalar. A single vector goes through reference.project_ball.
+    When every row lies in the ball, rows are returned untouched, which are
+    the formula's bits; any other rows, NaN and overflowing ones included,
+    are scaled, an overflowing row from its entries scaled to a peak of 1.
     """
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
     # row is outside, rows already hold the projection's bits. sqrt rounds
     # correctly, so it is monotone: the largest root is the root of the largest.
+    # The squares are read as a list, whose max and sum cost less than one
+    # ufunc reduction at a round's size. max passes over a NaN that is not
+    # first; the sum of the squares is NaN exactly when one of them is, so a
+    # NaN row, like an infinite one, takes the scaling path.
     scale = _c_einsum(_DOTS, rows, rows)
-    largest = np.maximum.reduce(scale, None)  # what scale.max() calls, without its Python wrapper
-    if math.sqrt(largest) <= radius:
+    squares = scale.ravel().tolist()
+    total = sum(squares)
+    if total == total and math.sqrt(max(squares)) <= radius:
         return rows
-    overflowed = np.isinf(scale) if largest == math.inf else None
+    overflowed = np.isinf(scale) if math.inf in squares else None
     np.sqrt(scale, scale)
     np.divide(radius, np.maximum(scale, radius, out=scale), scale)
     if overflowed is not None:  # as in reference.project_ball
@@ -308,34 +321,38 @@ def _run_block(
     start + 1, and round start + k writes the decisions it leaves, projected
     onto the ball of the given radius, into row k. pull holds the dual pull at
     row 0 and is left holding the pull at row B. features (B, ..., N, d) and
-    targets (B, ..., N) are the block's losses, betas (B, ..., N, d) each
-    round's beta spread over its rows, and etas each round's eta_t, which
-    broadcasts against the (..., N, p) positive parts. Round t mixes with
-    weights[(t - 1) % len(weights)]. probes is None under full information
-    and, under bandit feedback, (d / eps, directions, eps * directions,
-    observed, queries), the last two written round by round. scratch is
-    _scratch(pull.shape). Nothing here checks containment or records
-    violations: the callers do that for the block at once.
+    targets (B, ..., N) are the block's losses, and betas and etas
+    (B, ..., N, d) each round's beta_t and eta_t spread over its rows. Round t
+    mixes with weights[(t - 1) % len(weights)]. probes is None under full
+    information and, under bandit feedback, (d / eps, directions,
+    eps * directions, observed, queries), the last two written round by round.
+    scratch is _scratch(pull.shape). Nothing here checks containment or
+    records violations: the callers do that for the block at once.
 
     Each step is a bare ufunc, c_einsum or matmul call writing into these
     arrays, with the operands of the update in their order, so the bits are
-    those of the same formulas on fresh arrays. Three hooks are looked up by
-    name on every round: consensus_mix mixes, _project_rows projects, and
-    constraints.dual_pull_rows resets the duals and returns their pull. The
-    gradient and the descent step beta * (gradient + pull) are built in the
-    next decisions' row, y = committed - that step in pull, and y is mixed
-    back into the next decisions' row.
+    those of the same formulas on fresh arrays. The descent step and the dual
+    pull's divide take operands of one shape (the spread betas and etas), so
+    neither pays for a broadcast, and rho, 2 rho and d / eps become float64
+    0-d arrays once per block, so no call converts a Python float. Three hooks
+    are looked up by name on every round: consensus_mix mixes, _project_rows
+    projects, and constraints.dual_pull_rows resets the duals and returns
+    their pull. The gradient and the descent step beta * (gradient + pull) are
+    built in the next decisions' row, y = committed - that step in pull, and y
+    is mixed back into the next decisions' row.
     """
     add, multiply, subtract = np.add, np.multiply, np.subtract
     residuals, column, half, squares, scaled, scaled_column, rho_term = scratch
     period = len(weights)
+    rho, twice_rho = np.array(rho), np.array(2.0 * rho)
     if probes is not None:
         dimension_over_eps, directions, offsets, observed, queries = probes
+        dimension_over_eps = np.array(dimension_over_eps)
     current = committed[0]
     rounds = zip(committed[1:], features, targets, betas, etas)
     for k, (nxt, round_features, round_targets, beta, eta) in enumerate(rounds):
         if probes is None:
-            _loss_gradients(round_features, round_targets, rho, current, nxt, residuals, column, rho_term)
+            _loss_gradients(round_features, round_targets, twice_rho, current, nxt, residuals, column, rho_term)
         else:
             probe, seen = queries[k], observed[k]
             _loss_values(round_features, round_targets, rho, add(current, offsets[k], probe), seen, half, squares)
@@ -352,14 +369,13 @@ def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizo
     """Bytes of the arrays run_seeds holds for one block of B = min(T, _BLOCK) rounds.
 
     Per seed, unit and round of the block: _lockstep's features, committed
-    decisions, spread betas and bandit directions, offsets and probes, 6 d
-    floats, with p constraint violations, targets and observed losses (the
-    bandit arrays are counted for every variant); and the product and
-    residuals that RegressionRound.system_values builds, 2 N floats. The
-    block's eta_t and beta_t, 2 floats per seed and round, are left out.
+    decisions, spread etas and betas and bandit directions, offsets and
+    probes, 7 d floats, with p constraint violations, targets and observed
+    losses (the bandit arrays are counted for every variant); and the product
+    and residuals that RegressionRound.system_values builds, 2 N floats.
     """
     block = min(horizon, _BLOCK)
-    return 8 * seeds * units * block * (6 * dimension + constraints + 2 + 2 * units)
+    return 8 * seeds * units * block * (7 * dimension + constraints + 2 + 2 * units)
 
 
 def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
@@ -382,17 +398,24 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
     return draws
 
 
-def _block_steps(schedules, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(eta_t, beta_t) of every schedule for t = start + 1..stop, each (B, S, 1, 1).
+def _batched(schedules) -> HyperSchedule:
+    """The schedules of one batch as one, whose G is the (S, 1, 1) column of every schedule's G.
 
     The schedules differ only in G, so the formulas of HyperSchedule.eta and
-    .beta run once, on a schedule whose G is the column of every schedule's G:
-    each entry is one elementwise evaluation at its t and G, so it has the bits
-    of its schedule's eta(t) and beta(t).
+    .beta evaluated on it give every schedule's step sizes at once.
+    """
+    return replace(schedules[0], G=np.array([h.G for h in schedules])[:, None, None])
+
+
+def _block_steps(batch: HyperSchedule, start: int, stop: int, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(eta_t, beta_t) for t = start + 1..stop, each (B, S, N, d), spread over the rows of shape (S, N, d).
+
+    batch is _batched(schedules). Each entry is one elementwise evaluation of
+    the formula at its t and G, so it has the bits of its schedule's eta(t)
+    and beta(t).
     """
     t = np.arange(start + 1, stop + 1, dtype=float)[:, None, None, None]
-    batch = replace(schedules[0], G=np.array([h.G for h in schedules])[:, None, None])
-    etas, betas = np.empty((2, len(t), len(schedules), 1, 1))
+    etas, betas = np.empty((2, len(t)) + shape)
     etas[...] = batch._eta(t)
     betas[...] = batch._beta(t)
     return etas, betas
@@ -445,6 +468,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
             raise ValueError("bandit runs need a seed")
         rngs = [_sphere_rngs(seed, n) for seed in seeds]
         eps = hyper.eps(1)
+    batch = _batched(schedules)
 
     weights, radius = topology.weights, hyper.decision_radius
     decisions = np.zeros((len(streams), n, d))
@@ -458,9 +482,8 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         targets = np.stack([s.targets[start:stop] for s in streams], axis=1)
         committed = np.empty((stop - start + 1,) + decisions.shape)
         committed[0] = decisions
-        etas, betas = _block_steps(schedules, start, stop)
-        # Each round's beta spread over its rows: a broadcast product costs more than the arithmetic.
-        betas = np.broadcast_to(betas, features.shape).copy()
+        # Each round's eta and beta spread over its rows: a broadcast operand costs more than the arithmetic.
+        etas, betas = _block_steps(batch, start, stop, decisions.shape)
         if bandit:
             directions = _sphere_block(rngs, stop - start, d)
             observed, queries = np.empty(targets.shape), np.empty(features.shape)

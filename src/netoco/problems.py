@@ -58,6 +58,10 @@ _SPAWN_SHUFFLE = 2
 # every pass of a stream's set-up over its rounds, take at most this many at once.
 _BLOCK = 128
 
+# The round's constants as float64 0-d arrays: a ufunc takes those on its
+# fast path, and converts a Python float on every call.
+_HALF, _ZERO = np.array(0.5), np.array(0.0)
+
 
 def _blocks(horizon: int):
     """Slices of rounds 0..horizon - 1 (0-based), _BLOCK at a time."""
@@ -154,12 +158,17 @@ class ConstraintSet:
 
         Row i is sum_s (positive_parts(x_i)_s / eta) * clipped_subgradient(x_i, s),
         that is weighted_subgradient_rows(rows, positive_parts_rows(rows) / eta).
-        rows is (..., d), and eta broadcasts against the (..., p) positive parts,
-        so a batch of seeds can carry one eta each. With out, an array shaped
-        like rows and distinct from it, the pull is written there and out is
-        returned.
+        rows is (..., d). eta is a number or an array that broadcasts against
+        rows and is constant along its last axis, so a batch of seeds can
+        carry one eta each and the kernel can spread each round's eta over
+        its rows, shaped like them; only eta[..., :1] is read. With out, an
+        array shaped like rows and distinct from it, the pull is written there
+        and out is returned.
         """
         rows = np.asarray(rows, dtype=float)
+        eta = np.asarray(eta, dtype=float)
+        if eta.ndim:
+            eta = eta[..., :1]
         flat = rows.reshape(-1, self.dimension)
         duals = self.positive_parts_rows(flat).reshape(rows.shape[:-1] + (self.count,)) / eta
         pull = self.weighted_subgradient_rows(flat, duals.reshape(len(flat), -1)).reshape(rows.shape)
@@ -191,6 +200,8 @@ class BoxConstraintSet(ConstraintSet):
         self.lower = float(lower)
         self.upper = float(upper)
         self.gradient_bound = 1.0
+        # The bounds of dual_pull_rows's clip as float64 0-d arrays, which take the ufunc's fast path.
+        self._clip_bounds = np.array(self.lower), np.array(self.upper)
 
     @property
     def count(self) -> int:
@@ -233,11 +244,12 @@ class BoxConstraintSet(ConstraintSet):
         picks a zero of either sign, x - clip(x) is a zero or x itself, so
         that sign never reaches the pull. With out (shaped like rows, distinct
         from it) every step writes there, with the same operands in the same
-        order.
+        order. eta is read as the generic pull reads it; an eta shaped like
+        rows, as the kernel passes, makes the divide a same-shape ufunc call.
         """
         rows = np.asarray(rows, dtype=float)
-        clipped = _clip(rows, self.lower, self.upper, out)
-        return np.add(np.divide(np.subtract(rows, clipped, out), eta, out), 0.0, out)
+        clipped = _clip(rows, *self._clip_bounds, out)
+        return np.add(np.divide(np.subtract(rows, clipped, out), eta, out), _ZERO, out)
 
     def project(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -270,30 +282,32 @@ def _loss_values(features, targets, rho, rows, out, half, squares) -> np.ndarray
     half and squares are scratch shaped like out. Every step writes into an
     array it is given, so the caller decides what is allocated; the kernel
     passes arrays it holds for the whole run. None of them may share memory
-    with rows, features or targets.
+    with rows, features or targets. rho is a float or, from the kernel, a
+    float64 0-d array; the term is skipped when rho is zero.
     """
     _c_einsum(_DOTS, features, rows, out=out)
     np.subtract(out, targets, out)
-    np.multiply(0.5, out, half)
+    np.multiply(_HALF, out, half)
     np.multiply(half, out, out)
-    if rho == 0.0:
+    if not rho:
         return out
     _c_einsum(_DOTS, rows, rows, out=squares)
     return np.add(out, np.multiply(rho, squares, squares), out)
 
 
-def _loss_gradients(features, targets, rho, rows, out, residuals, column, rho_term) -> np.ndarray:
-    """(a.x - b) a + 2 rho x at each row, written into out and returned.
+def _loss_gradients(features, targets, twice_rho, rows, out, residuals, column, rho_term) -> np.ndarray:
+    """(a.x - b) a + twice_rho x at each row, written into out and returned.
 
     residuals is scratch with one entry per row, column its (..., 1) view, and
-    rho_term scratch shaped like out; the same rules as for _loss_values hold.
+    rho_term scratch shaped like out; the same rules as for _loss_values hold,
+    with twice_rho = 2 rho in place of rho.
     """
     _c_einsum(_DOTS, features, rows, out=residuals)
     np.subtract(residuals, targets, residuals)
     np.multiply(column, features, out)
-    if rho == 0.0:
+    if not twice_rho:
         return out
-    return np.add(out, np.multiply(2.0 * rho, rows, rho_term), out)
+    return np.add(out, np.multiply(twice_rho, rows, rho_term), out)
 
 
 class RegressionRound:
@@ -326,7 +340,7 @@ class RegressionRound:
         shape = np.broadcast_shapes(np.shape(self.features), np.shape(rows))
         residuals = np.empty(shape[:-1])
         return _loss_gradients(
-            self.features, self.targets, self.rho, rows, np.empty(shape), residuals, residuals[..., None],
+            self.features, self.targets, 2.0 * self.rho, rows, np.empty(shape), residuals, residuals[..., None],
             np.empty(shape),
         )
 
@@ -539,9 +553,12 @@ def parse_libsvm(text) -> DatasetTable:
     Indices are 1-based and must be strictly increasing within a line; missing
     indices are zero. The table's width is the largest index seen; input
     whose dense rows would not fit in physical memory is refused before they
-    are built. Accepts str or UTF-8 bytes, LF or CRLF; blank lines are skipped.
-    One pass checks every number and collects the entries, which then fill
-    the zero table in one scatter.
+    are built. Accepts str or UTF-8 bytes, LF or CRLF, with or without a
+    leading byte-order mark; blank lines are skipped. Numbers are ASCII
+    without digit separators: Python's int and float also read "1_0" and
+    non-ASCII digits, so a line holding "_" or any non-ASCII character is
+    refused. One pass checks every number and collects the entries, which
+    then fill the zero table in one scatter.
     """
     if isinstance(text, bytes):
         try:
@@ -550,10 +567,14 @@ def parse_libsvm(text) -> DatasetTable:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     labels, rows, columns, values = [], [], [], []
     dimension = widest = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
+        if not line.isascii():
+            raise ParseError(f"line {line_no}: non-ASCII character in {line!r}")
+        if "_" in line:
+            raise ParseError(f"line {line_no}: digit separator '_' in {line!r}")
         try:
             label = float(tokens[0])
         except ValueError:

@@ -196,8 +196,8 @@ def _round(state: RunState, round_losses, weights, hyper, constraints, t, direct
     pull = constraints.weighted_subgradient_rows(rows, state.duals)
     _run_block(
         committed, pull, round_losses.features[None], round_losses.targets[None], round_losses.rho,
-        np.full(committed[1:].shape, hyper.beta(t)), (eta,), (weights,), 0, radius, constraints, probes,
-        _scratch(rows.shape),
+        np.full(committed[1:].shape, hyper.beta(t)), np.full(committed[1:].shape, eta), (weights,), 0, radius,
+        constraints, probes, _scratch(rows.shape),
     )
     nxt = committed[1]
     if queries is not None:

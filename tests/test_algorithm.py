@@ -148,6 +148,10 @@ class TestProjection:
         np.testing.assert_array_equal(project_ball(np.array([3e154, 4e154]), 1e200), [3e154, 4e154])
         rows = _project_rows(np.array([[3e154, 4e154], [3e200, 0.0]]), 1e200)
         np.testing.assert_allclose(rows, [[3e154, 4e154], [1e200, 0.0]], rtol=1e-15)
+        # A NaN row ahead of it does not hide the overflow.
+        rows = _project_rows(np.array([[np.nan, 0.0], [3e154, 4e154]]), 1.0)
+        assert np.isnan(rows[0]).all()
+        np.testing.assert_allclose(rows[1], [0.6, 0.8], rtol=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(

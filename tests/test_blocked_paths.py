@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from netoco.algorithm import _block_steps, make_schedule
+from netoco.algorithm import _batched, _block_steps, make_schedule
 from netoco.bench import _bounding_stream, _load_dataset, preset_config
 from netoco.problems import (
     _BLOCK,
@@ -127,15 +127,17 @@ def test_block_step_sizes_equal_the_per_round_eta_and_beta(T, variant, extra):
     schedules = [
         make_schedule(variant, p=8, G=G, radius=10.0, horizon=T, **extra) for G in (3.7, 41.0)
     ]
-    blocks = [_block_steps(schedules, start, min(start + _BLOCK, T)) for start in range(0, T, _BLOCK)]
+    batch = _batched(schedules)
+    blocks = [_block_steps(batch, start, min(start + _BLOCK, T), (2, 3, 4)) for start in range(0, T, _BLOCK)]
     etas = np.concatenate([eta for eta, _ in blocks])
     betas = np.concatenate([beta for _, beta in blocks])
-    assert etas.shape == betas.shape == (T, 2, 1, 1)
+    assert etas.shape == betas.shape == (T, 2, 3, 4)
     for s, hyper in enumerate(schedules):
         want_etas = [hyper.eta(t) for t in range(1, T + 1)]
         want_betas = [hyper.beta(t) for t in range(1, T + 1)]
-        assert np.array_equal(etas[:, s, 0, 0], want_etas)
-        assert np.array_equal(betas[:, s, 0, 0], want_betas)
+        # Every row of a seed, and every coordinate of a row, carries its round's step.
+        assert np.array_equal(etas[:, s], np.broadcast_to(np.array(want_etas)[:, None, None], (T, 3, 4)))
+        assert np.array_equal(betas[:, s], np.broadcast_to(np.array(want_betas)[:, None, None], (T, 3, 4)))
 
 
 def whole_synthetic_arrays(n_units, dimension, horizon, seed):

@@ -131,14 +131,38 @@ def test_projection_in_place_is_the_fresh_formula(data, radius):
     if on_sphere is not None:
         rows[..., -1, :] = 0.0
         rows[..., -1, 0] = on_sphere
+    fresh = fresh_projection(rows, radius)
+    assert _project_rows(rows, radius) is rows
+    assert_same_bits(rows, fresh)
+
+
+def fresh_projection(rows, radius):
+    """rows * (radius / max(norm, radius)), each row's factor on fresh arrays."""
     squares = np.einsum("...d,...d->...", rows, rows)
     norms = np.sqrt(squares)
     # An overflowed square (the on-sphere row at radius 1e200) says nothing of
     # the norm, so such a row is measured without squaring.
     overflowed = np.isinf(squares)
     norms[overflowed] = [math.hypot(*row) for row in rows[overflowed]]
-    fresh = rows * (radius / np.maximum(norms, radius))[..., None]
-    assert _project_rows(rows, radius) is rows
+    return rows * (radius / np.maximum(norms, radius))[..., None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([0.3, 1.5, 1e-160, 1e150]), st.sampled_from([math.nan, 1e300]))
+def test_a_nan_or_overflowing_row_after_the_first_is_scaled(data, radius, odd):
+    """Every row lies inside the ball but one, not the first, which holds a
+    NaN or an entry whose square overflows to +inf. The early exit must not
+    be taken: a NaN row is NaN throughout, as in the formula, and an
+    overflowing row is measured without squaring. Python's max passes over a
+    NaN that is not first, so an exit on max alone fails here."""
+    shape = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))
+    # Entries of at most radius / 8, so every row of at most 6 entries lies inside the ball.
+    rows = filled(data.draw, shape) / 1e100 * (radius / 8.0)
+    flat = rows.reshape(-1, shape[-1])
+    flat[data.draw(st.integers(1, len(flat) - 1)), data.draw(st.integers(0, shape[-1] - 1))] = odd
+    with np.errstate(over="ignore", invalid="ignore"):  # the odd row's square, on both paths
+        fresh = fresh_projection(rows, radius)
+        assert _project_rows(rows, radius) is rows
     assert_same_bits(rows, fresh)
 
 

@@ -39,6 +39,13 @@ MALFORMED = [
     # Blank lines count: the bad token is on line 5 of the text.
     ("\n\n1 1:2\r\n\n2 3:x\n", "line 5: bad value in '3:x'"),
     (b"\xff\xfe1 1:2\n", "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    # int and float read digit separators and non-ASCII digits; no libsvm file holds them.
+    ("1 1:2\n1_0 1_0:2_5\n", "line 2: digit separator '_' in '1_0 1_0:2_5'"),
+    ("1 1:2_5\n", "line 1: digit separator '_' in '1 1:2_5'"),
+    ("\u0661 1:2\n", "line 1: non-ASCII character in '\u0661 1:2'"),
+    ("1 1:2\n2 \u0661:2\n", "line 2: non-ASCII character in '2 \u0661:2'"),
+    # Only a leading byte-order mark is skipped.
+    ("1 1:2\n\ufeff2 1:3\n", "line 2: non-ASCII character in '\\ufeff2 1:3'"),
 ]
 
 
@@ -98,6 +105,14 @@ def test_parsed_rows_are_one_raw_table():
     assert_same_bits(table.features, np.array([[0.5, 0.0, -0.0], [0.0, 4.0, 0.0]]))
     assert_same_bits(table.targets, np.array([1.5, -2.0]))
     assert parse_libsvm("\n").features.shape == (0, 0)
+
+
+@pytest.mark.parametrize("text", [b"1.5 1:0.5 3:-0.0\r\n-2 2:4\n", "1.5 1:0.5 3:-0.0\r\n-2 2:4\n"])
+def test_a_leading_byte_order_mark_is_skipped(text):
+    mark = b"\xef\xbb\xbf" if isinstance(text, bytes) else "\ufeff"
+    table, plain = parse_libsvm(mark + text), parse_libsvm(text)
+    assert_same_bits(table.features, plain.features)
+    assert_same_bits(table.targets, plain.targets)
 
 
 def test_the_generator_writes_the_bundled_files(tmp_path):
