@@ -502,12 +502,6 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         yield start, RegressionRound(features, targets, rho), committed, violated, observed, queries
 
 
-def _running_sums(rows: np.ndarray, carry) -> np.ndarray:
-    """Overwrite rows with carry + their running sums along axis 0, the bits of a += per row."""
-    rows[0] += carry
-    return np.cumsum(rows, axis=0, out=rows)
-
-
 def check_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:
     """The checkpoints as ints; ValueError unless nonempty, strictly increasing, in 1..horizon."""
     checkpoints = tuple(int(k) for k in checkpoints)
@@ -595,6 +589,29 @@ class CheckpointTotals:
     violations: np.ndarray  # (K, S): positive parts summed over units, constraints, rounds
 
 
+def _checkpoint_totals(blocks, checkpoints) -> CheckpointTotals:
+    """A run's running sums at the checkpoints, carried from block to block, so added round by round.
+
+    blocks yields (start, block_losses, committed, violations) for rounds start + 1..start + B
+    in order: the losses as one RegressionRound over (B, S, N, d), the committed decisions
+    (B, S, N, d) and their positive parts (B, S, N, p).
+    """
+    index = np.array(checkpoints) - 1
+    system = violated = 0.0
+    system_at, violated_at = [], []
+    for start, block_losses, committed, violations in blocks:
+        system_sums, violated_sums = block_losses.system_values(committed), violations.sum(axis=(2, 3))
+        system_sums[0] += system  # the carry, then a cumsum: the bits of one += per round
+        violated_sums[0] += violated
+        np.cumsum(system_sums, axis=0, out=system_sums)
+        np.cumsum(violated_sums, axis=0, out=violated_sums)
+        rows = index[(start <= index) & (index < start + len(committed))] - start
+        system_at.append(system_sums[rows])
+        violated_at.append(violated_sums[rows])
+        system, violated = system_sums[-1], violated_sums[-1]
+    return CheckpointTotals(np.concatenate(system_at), np.concatenate(violated_at))
+
+
 def run_seeds(
     streams,
     topology: TopologySchedule,
@@ -606,25 +623,12 @@ def run_seeds(
     """Run S seeds in lockstep and keep only the sums that metrics need.
 
     streams[s], schedules[s] and seeds[s] belong to one run; the schedules may
-    differ only in G. No trajectory is stored: the kernel hands out blocks of
-    B rounds, their running sums are carried from block to block, and memory
-    stays O(B S N (d + p) + K S N) on top of the streams. The sums equal those
-    metrics.metric_series takes from each seed's run_experiment trajectory,
-    bit for bit.
+    differ only in G. No trajectory is stored: _checkpoint_totals sums the
+    kernel's blocks as they come, in O(B S N (d + p) + K S N) memory on top of
+    the streams, as metrics.metric_series sums a stored trajectory, so the sums
+    are bit for bit those of each seed's run_experiment trajectory.
     """
     if not streams:
         raise ValueError("need at least one seed")
     checkpoints = check_checkpoints(checkpoints, streams[0].horizon)
-    index = np.array(checkpoints) - 1
-    system = violated = 0.0
-    system_at, violated_at = [], []
-    for start, block_losses, committed, violations, _, _ in _lockstep(
-        streams, topology, schedules, constraints, seeds
-    ):
-        system_sums = _running_sums(block_losses.system_values(committed), system)
-        violated_sums = _running_sums(violations.sum(axis=(2, 3)), violated)
-        rows = index[(start <= index) & (index < start + len(committed))] - start
-        system_at.append(system_sums[rows])
-        violated_at.append(violated_sums[rows])
-        system, violated = system_sums[-1], violated_sums[-1]
-    return CheckpointTotals(np.concatenate(system_at), np.concatenate(violated_at))
+    return _checkpoint_totals((b[:4] for b in _lockstep(streams, topology, schedules, constraints, seeds)), checkpoints)

@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import RunTrajectory, _running_sums, check_checkpoints, variant_spec
+from .algorithm import RunTrajectory, _checkpoint_totals, check_checkpoints, variant_spec
 from .network import TopologySchedule
-from .problems import BoxConstraintSet, RegressionStream
+from .problems import BoxConstraintSet, RegressionRound, RegressionStream, _blocks
 
 __all__ = [
     "Comparator",
@@ -170,12 +170,6 @@ def _solve_group(stream, constraints, checkpoints, tol, max_iters) -> tuple[Comp
     )
 
 
-def _cumulative_system_losses(trajectory: RunTrajectory, stream, T: int) -> np.ndarray:
-    """Row t - 1, entry i - 1: sum_{r<=t} sum_j loss_{j,r}(x_i(r)), for t = 1..T."""
-    check_checkpoints((T,), trajectory.horizon)
-    return _running_sums(stream.rounds(T).system_values(trajectory.decisions[:T]), 0.0)
-
-
 def communication_cost(schedule: TopologySchedule, T: int) -> int:
     """Messages exchanged through round T: two per undirected edge per round."""
     if T < 0:
@@ -227,19 +221,19 @@ def metric_series(
 ) -> MetricSeries:
     """Evaluate regret, violation, and communication at each checkpoint.
 
-    The comparator is solved per checkpoint from the prefix's sufficient
-    statistics, up to 64 checkpoints in one batched loop.
+    The trajectory is summed a block at a time, as one seed, by run_seeds' helper (_checkpoint_totals);
+    the comparators come from the prefixes' sufficient statistics, up to 64 checkpoints in one loop.
     """
     checkpoints = check_checkpoints(checkpoints, trajectory.horizon)
-    index = np.array(checkpoints) - 1
-    return checkpoint_series(
-        stream,
-        constraints,
-        checkpoints,
-        _cumulative_system_losses(trajectory, stream, checkpoints[-1])[index],
-        _running_sums(trajectory.violations.sum(axis=(1, 2)), 0.0)[index],
-        2 * np.cumsum(trajectory.edge_counts)[index],
+    blocks = (
+        (b.start, RegressionRound(stream.features[b, None], stream.targets[b, None], stream.rho),
+         trajectory.decisions[b, None], trajectory.violations[b, None])
+        for b in _blocks(checkpoints[-1])
     )
+    totals = _checkpoint_totals(blocks, checkpoints)
+    comm_cost = 2 * np.cumsum(trajectory.edge_counts)[np.array(checkpoints) - 1]
+    system_losses, violations = totals.system_losses[:, 0], totals.violations[:, 0]
+    return checkpoint_series(stream, constraints, checkpoints, system_losses, violations, comm_cost)
 
 
 def checkpoint_series(

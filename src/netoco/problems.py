@@ -381,8 +381,8 @@ class RegressionStream:
             raise ValueError("features must have shape (T, N, d)")
         if targets.shape != features.shape[:2]:
             raise ValueError("targets must have shape (T, N)")
-        if rho < 0.0:
-            raise ValueError("rho must be >= 0")
+        if not 0.0 <= rho < math.inf:  # NaN fails every comparison
+            raise ValueError(f"rho must be finite and >= 0, got rho = {rho}")
         if not (_all_finite(features) and _all_finite(targets)):
             raise ValueError("non-finite stream data")
         self.features = features
@@ -413,12 +413,6 @@ class RegressionStream:
         if not 1 <= t <= self.horizon:
             raise IndexError(f"round {t} outside 1..{self.horizon}")
         return RegressionRound(self.features[t - 1], self.targets[t - 1], self.rho)
-
-    def rounds(self, T: int) -> RegressionRound:
-        """Rounds 1..T as one RegressionRound batched along a leading axis."""
-        if not 1 <= T <= self.horizon:
-            raise IndexError(f"round {T} outside 1..{self.horizon}")
-        return RegressionRound(self.features[:T], self.targets[:T], self.rho)
 
     def bounds(self, radius: float) -> tuple[float, float]:
         """(G(radius), V(radius)) of the module docstring, maxima over slots, from one pass over blocks of rounds.

@@ -5,8 +5,8 @@ vector's ball projection, sphere direction and one-point estimate; the round's
 augmented Lagrangian, primal direction and dual reset; one synchronized round
 of all units from an explicit RunState (run_round_full and run_round_bandit
 run the kernel's loop, algorithm._run_block, on a block of one round, so the
-round has one body); and one run's regret and violation at one prefix length.
-The run-path modules never import this one.
+round has one body); and one run's regret and violation at one prefix length,
+its system loss added round by round. The run-path modules never import this one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .algorithm import (
     HyperSchedule, RunTrajectory, _check_in_ball, _overflow_factors, _run_block, _scratch, _sphere_rngs,
     check_checkpoints,
 )
-from .metrics import Comparator, _cumulative_system_losses, offline_comparators
+from .metrics import Comparator, offline_comparators
 from .network import WeightMatrix
 from .problems import ConstraintSet, RegressionExample, RegressionStream
 
@@ -50,8 +50,8 @@ class LossOracle:
 
 def regression_loss(example: RegressionExample, rho: float) -> LossOracle:
     """Regularized least-squares loss for one example."""
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
+    if not 0.0 <= rho < math.inf:  # NaN fails every comparison
+        raise ValueError(f"rho must be finite and >= 0, got rho = {rho}")
     a = example.features
     b = example.target
     a_norm = float(np.linalg.norm(a))
@@ -255,8 +255,9 @@ def offline_comparator(
 
 
 def system_cumulative_losses(trajectory: RunTrajectory, stream, T: int) -> np.ndarray:
-    """Entry i - 1: sum_{t<=T} sum_j loss_{j,t}(x_i(t)) at the committed decisions."""
-    return _cumulative_system_losses(trajectory, stream, T)[T - 1]
+    """Entry i - 1: sum_{t<=T} sum_j loss_{j,t}(x_i(t)) at the committed decisions, added round by round."""
+    check_checkpoints((T,), trajectory.horizon)
+    return sum(stream.round(t).system_values(trajectory.decisions[t - 1]) for t in range(1, T + 1))
 
 
 def regret(trajectory: RunTrajectory, stream, comparator: Comparator, i: int, T: int) -> float:

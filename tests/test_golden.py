@@ -5,7 +5,8 @@ presets (T = 2048, seeds 1 and 2) and the numpy version that produced them.
 The presets run in a child process, because the tool pins BLAS to one thread
 before numpy loads. Floating-point results can change in the last bit between
 numpy builds, so a different numpy version fails the test by name instead of
-skipping it.
+skipping it. The bytes also depend on the OpenBLAS kernel picked for the CPU,
+which the thread pin does not fix, so a failing digest names the kernel it ran on.
 """
 
 import json
@@ -44,5 +45,6 @@ def test_csv_matches_recorded_digest(measured, name):
         f"digests were recorded with numpy {RECORDED['numpy']}, this is numpy {measured['numpy']}"
     )
     assert measured["csv_sha256"].get(name) == RECORDED["csv_sha256"][name], (
-        f"{name}: CSV bytes differ from the recorded run"
+        f"{name}: CSV bytes differ from the recorded run, on OpenBLAS core {measured['blas_core']} "
+        "(the digests hold on one BLAS thread and the kernel they were recorded on)"
     )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from netoco.algorithm import RunTrajectory, make_schedule, run_experiment
+from netoco.algorithm import VARIANTS, RunTrajectory, make_schedule, run_experiment
 from netoco.metrics import (
     MetricSeries,
     averaged_metrics,
@@ -250,6 +250,30 @@ class TestMetricSeries:
             assert series.comm_cost[k] == communication_cost(topology, T)
         np.testing.assert_array_equal(series.max_over_units(), series.regrets.max(axis=1))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_the_per_round_sums_bit_for_bit(self, variant):
+        """Dual route, exactly: metric_series sums a stored run a 128-round
+        block at a time, reference adds it round by round. T = 300 spans three
+        blocks, the last partial, with checkpoints in each. CACV is summed in
+        another order by reference.cacv (one pairwise sum), so it is approximate."""
+        horizon, checkpoints = 300, (50, 128, 129, 200, 256, 300)
+        strongly = variant.startswith("strongly")
+        stream = synthetic_stream(6, 4, horizon, rho=1.0 if strongly else 0.0, seed=41)
+        box = BoxConstraintSet(-0.15, 0.15, 4)
+        # Radius 1 keeps the bandit shrinkage 1 / (R T^b) below 1.
+        hyper = make_schedule(
+            variant, p=box.count, G=max(stream.bounds(1.0)[0], box.gradient_bound), radius=1.0,
+            horizon=horizon, c=None if strongly else 0.75, sigma=stream.strong_convexity if strongly else None,
+        )
+        trajectory = run_experiment(stream, default_ring_6(), hyper, box, seed=3)
+        series = metric_series(trajectory, stream, box, checkpoints)
+        for k, T in enumerate(checkpoints):
+            comparator = offline_comparator(stream, box, T)
+            for i in range(1, 7):
+                assert series.regrets[k, i - 1] == regret(trajectory, stream, comparator, i, T), (T, i)
+            assert series.sreg[k] == sreg(trajectory, stream, comparator, T), T
+            assert series.cacv[k] == pytest.approx(cacv(trajectory, T), rel=1e-12)
+
     def test_checkpoint_validation(self):
         trajectory, stream, box, _ = self.make_run(horizon=8)
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -260,6 +284,15 @@ class TestMetricSeries:
             metric_series(trajectory, stream, box, ())
         with pytest.raises(ValueError, match="prefix"):
             metric_series(trajectory, stream, box, (2, 9))
+
+    def test_checkpoints_past_the_streams_rounds_are_rejected(self):
+        # The last block holds one round of this stream, which would broadcast over the block's
+        # 44 decisions; the prefix's comparator rejects the checkpoint instead.
+        trajectory, stream, box, _ = self.make_run(horizon=300)
+        short = RegressionStream(stream.features[:257], stream.targets[:257], stream.rho)
+        with pytest.raises(ValueError, match="prefix"):
+            metric_series(trajectory, short, box, (100, 300))
+        assert metric_series(trajectory, short, box, (100, 257)).checkpoints == (100, 257)
 
 
 class TestAveragedMetrics:

@@ -87,6 +87,13 @@ class TestRegressionLoss:
         with pytest.raises(ValueError, match="rho"):
             regression_loss(RegressionExample(np.zeros(2), 0.0), rho=-0.1)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_loss_and_stream_reject_a_non_finite_rho_by_name(self, rho):
+        with pytest.raises(ValueError, match=f"rho must be finite and >= 0, got rho = {rho}"):
+            regression_loss(RegressionExample(np.zeros(2), 0.0), rho=rho)
+        with pytest.raises(ValueError, match=f"rho must be finite and >= 0, got rho = {rho}"):
+            synthetic_stream(6, 4, 64, rho, 1)
+
     def test_example_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             RegressionExample(np.array([1.0, np.inf]), 0.0)

@@ -10,10 +10,12 @@ Usage (from the repository root):
 numpy version mismatch) and exits 1 if there is any, 0 otherwise.
 
 Runs all presets at T = 2048 with seeds 1 and 2 (the shortest horizon every
-preset accepts) with BLAS pinned to one thread: the comparator's Gram matrix
-is a BLAS product whose rounding depends on the thread count, so pinning
-makes the digests independent of the host's core count. Write new digests
-only from a commit whose CSV output is known to be right, and say why.
+preset accepts) with BLAS pinned to one thread. The comparator's Gram matrix
+is a BLAS product whose rounding depends on the thread count and on the
+OpenBLAS kernel picked for the CPU, which the pin does not fix: the digests
+hold on one thread and the kernel they were recorded on. The output and the
+--check summary name the kernel that ran (blas_core). Write new digests only
+from a commit whose CSV output is known to be right, and say why.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 # The pins must be in the environment before numpy loads its BLAS.
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -38,6 +41,17 @@ HORIZON = 2048
 SEED_COUNT = 2
 
 
+def blas_core() -> str:
+    """The kernel of numpy's bundled OpenBLAS (SkylakeX, Haswell, ...), or "unknown" without one."""
+    try:
+        [lib] = (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError):  # no bundled library, several, or no such symbol
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def digests() -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
         csv = {}
@@ -45,7 +59,7 @@ def digests() -> dict:
             config = preset_config(name, seed_count=SEED_COUNT, horizon=HORIZON)
             path = run_suite(config, out_dir=out_dir).csv_path
             csv[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"numpy": np.__version__, "horizon": HORIZON, "seed_count": SEED_COUNT, "csv_sha256": csv}
+    return dict(numpy=np.__version__, blas_core=blas_core(), horizon=HORIZON, seed_count=SEED_COUNT, csv_sha256=csv)
 
 
 def differences(measured: dict, recorded: dict) -> list[str]:
@@ -68,7 +82,7 @@ def main(argv) -> int:
         lines = differences(measured, json.loads(GOLDEN_FILE.read_text(encoding="utf-8")))
         for line in lines:
             print(line)
-        print(f"{len(lines)} difference(s) from {GOLDEN_FILE.name}")
+        print(f"{len(lines)} difference(s) from {GOLDEN_FILE.name} on OpenBLAS core {measured['blas_core']}")
         return 1 if lines else 0
     text = json.dumps(measured, indent=1, sort_keys=True) + "\n"
     if argv == ["--write"]:

@@ -52,7 +52,6 @@ LIBRARY_API = (
     "netoco.algorithm.RunTrajectory.n_units",
     "netoco.algorithm.RunTrajectory.dimension",
     "netoco.algorithm.run_experiment",
-    "netoco.metrics._cumulative_system_losses",
     "netoco.metrics.MetricSeries.max_over_units",
     "netoco.metrics.metric_series",
     "netoco.metrics.BoundConstants.sreg_bound",
@@ -87,7 +86,6 @@ LIBRARY_API = (
     "netoco.problems.RegressionRound.gradients",
     "netoco.problems.RegressionStream.example",
     "netoco.problems.RegressionStream.round",
-    "netoco.problems.RegressionStream.rounds",
     "netoco.problems.RegressionStream._check_slot",
     "netoco.problems.serialize_libsvm",
 )
