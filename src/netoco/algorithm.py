@@ -48,7 +48,7 @@ and in which parameters they need; variant_spec holds all three per variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -398,26 +398,17 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
     return draws
 
 
-def _batched(schedules) -> HyperSchedule:
-    """The schedules of one batch as one, whose G is the (S, 1, 1) column of every schedule's G.
-
-    The schedules differ only in G, so the formulas of HyperSchedule.eta and
-    .beta evaluated on it give every schedule's step sizes at once.
-    """
-    return replace(schedules[0], G=np.array([h.G for h in schedules])[:, None, None])
-
-
-def _block_steps(batch: HyperSchedule, start: int, stop: int, shape) -> tuple[np.ndarray, np.ndarray]:
+def _block_steps(schedules, start: int, stop: int, shape) -> tuple[np.ndarray, np.ndarray]:
     """(eta_t, beta_t) for t = start + 1..stop, each (B, S, N, d), spread over the rows of shape (S, N, d).
 
-    batch is _batched(schedules). Each entry is one elementwise evaluation of
-    the formula at its t and G, so it has the bits of its schedule's eta(t)
-    and beta(t).
+    Seed s's rows come from schedules[s]'s own formulas, evaluated elementwise at
+    each t, so every entry has the bits of that schedule's eta(t) and beta(t).
     """
-    t = np.arange(start + 1, stop + 1, dtype=float)[:, None, None, None]
+    t = np.arange(start + 1, stop + 1, dtype=float)[:, None, None]
     etas, betas = np.empty((2, len(t)) + shape)
-    etas[...] = batch._eta(t)
-    betas[...] = batch._beta(t)
+    for s, hyper in enumerate(schedules):
+        etas[:, s] = hyper._eta(t)
+        betas[:, s] = hyper._beta(t)
     return etas, betas
 
 
@@ -434,6 +425,11 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     containment is checked and the violations are computed once per block,
     before the block is yielded, so a broken row stops the run at most B - 1
     rounds late. Each seed's numbers are bit for bit those of a run on its own.
+
+    schedules[s] gives seed s its eta_t and beta_t. The rest is read from
+    schedules[0]: the feedback, p, T, R and b, which with T and R fixes pi,
+    eps and the decision radius, so the schedules must agree on those and may
+    differ in G, c, a and sigma.
 
     The rounds run in place, one _run_block call per block: the pull and the
     scratch live in arrays allocated once per run, and each round writes the
@@ -456,8 +452,13 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     if constraints.dimension != d:
         raise ValueError("constraint dimension does not match the stream")
     hyper = schedules[0]
-    if len({replace(h, G=1.0) for h in schedules}) != 1:
-        raise ValueError("the schedules of one batch may differ only in G")
+    shared = [{"bandit": h.is_bandit, "p": h.p, "T": h.horizon, "R": h.radius, "b": h.b} for h in schedules]
+    for k, values in enumerate(shared):
+        if values != shared[0]:
+            raise ValueError(
+                "the schedules of one batch must agree on the feedback, p, T, R and b: "
+                f"schedule {k} has {values}, schedule 0 has {shared[0]}"
+            )
     if hyper.horizon != horizon:
         raise ValueError(f"schedule horizon {hyper.horizon} != stream horizon {horizon}")
     if hyper.p != constraints.count:
@@ -468,7 +469,6 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
             raise ValueError("bandit runs need a seed")
         rngs = [_sphere_rngs(seed, n) for seed in seeds]
         eps = hyper.eps(1)
-    batch = _batched(schedules)
 
     weights, radius = topology.weights, hyper.decision_radius
     decisions = np.zeros((len(streams), n, d))
@@ -483,7 +483,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         committed = np.empty((stop - start + 1,) + decisions.shape)
         committed[0] = decisions
         # Each round's eta and beta spread over its rows: a broadcast operand costs more than the arithmetic.
-        etas, betas = _block_steps(batch, start, stop, decisions.shape)
+        etas, betas = _block_steps(schedules, start, stop, decisions.shape)
         if bandit:
             directions = _sphere_block(rngs, stop - start, d)
             observed, queries = np.empty(targets.shape), np.empty(features.shape)
@@ -518,9 +518,6 @@ def check_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:
 class RunTrajectory:
     """Everything one run produced, indexed [t - 1] on the first axis."""
 
-    variant: str
-    decision_radius: float
-    pi: float
     decisions: np.ndarray  # (T, N, d) committed decisions
     losses: np.ndarray  # (T, N) incurred/observed loss values
     violations: np.ndarray  # (T, N, p) positive parts at committed decisions
@@ -570,9 +567,6 @@ def run_experiment(
             queries[rounds] = probes[:, 0]
     counts = np.array([len(g.edges) for g in topology.graphs], dtype=np.int64)
     return RunTrajectory(
-        variant=hyper.variant,
-        decision_radius=hyper.decision_radius,
-        pi=hyper.pi,
         decisions=decisions,
         losses=losses,
         violations=violations,
@@ -623,10 +617,11 @@ def run_seeds(
     """Run S seeds in lockstep and keep only the sums that metrics need.
 
     streams[s], schedules[s] and seeds[s] belong to one run; the schedules may
-    differ only in G. No trajectory is stored: _checkpoint_totals sums the
-    kernel's blocks as they come, in O(B S N (d + p) + K S N) memory on top of
-    the streams, as metrics.metric_series sums a stored trajectory, so the sums
-    are bit for bit those of each seed's run_experiment trajectory.
+    differ in what enters only the step sizes (G, c, a and sigma), see _lockstep.
+    No trajectory is stored: _checkpoint_totals sums the kernel's blocks as
+    they come, in O(B S N (d + p) + K S N) memory on top of the streams, as
+    metrics.metric_series sums a stored trajectory, so the sums are bit for
+    bit those of each seed's run_experiment trajectory.
     """
     if not streams:
         raise ValueError("need at least one seed")

@@ -466,9 +466,8 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
 class SeedResult:
     seed: int
     series: MetricSeries
-    G: float
     C: float
-    schedule: HyperSchedule
+    schedule: HyperSchedule  # its G is the seed's realized gradient bound
 
 
 @dataclass
@@ -703,7 +702,7 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
         [communication_cost(config.topology, T) for T in checkpoints], dtype=np.int64
     )
     seed_results = []
-    for s, (seed, (stream, G, C, schedule)) in enumerate(zip(config.seeds, inputs)):
+    for s, (seed, (stream, _, C, schedule)) in enumerate(zip(config.seeds, inputs)):
         try:
             series = checkpoint_series(
                 stream, constraints, checkpoints, totals.system_losses[:, s],
@@ -711,7 +710,7 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
             )
         except ConvergenceError as exc:
             raise ScenarioError(f"{config.name}: seed {seed}: {exc}") from None
-        seed_results.append(SeedResult(seed=seed, series=series, G=G, C=C, schedule=schedule))
+        seed_results.append(SeedResult(seed=seed, series=series, C=C, schedule=schedule))
     mean = averaged_metrics([r.series for r in seed_results])
     csv_path = None
     if write:

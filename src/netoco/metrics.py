@@ -225,6 +225,11 @@ def metric_series(
     the comparators come from the prefixes' sufficient statistics, up to 64 checkpoints in one loop.
     """
     checkpoints = check_checkpoints(checkpoints, trajectory.horizon)
+    if (stream.n_units, stream.dimension) != (trajectory.n_units, trajectory.dimension):
+        raise ValueError(
+            f"the stream has N = {stream.n_units} units in d = {stream.dimension} dimensions, "
+            f"the trajectory N = {trajectory.n_units} in d = {trajectory.dimension}"
+        )
     blocks = (
         (b.start, RegressionRound(stream.features[b, None], stream.targets[b, None], stream.rho),
          trajectory.decisions[b, None], trajectory.violations[b, None])

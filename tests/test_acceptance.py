@@ -358,7 +358,7 @@ def strictest_bounds(result, variant, fn):
             window=2,
             zeta=0.5,
             p=8,
-            G=r.G,
+            G=r.schedule.G,
             radius=radius,
             c=r.schedule.c,
             a=r.schedule.a,

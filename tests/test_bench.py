@@ -466,7 +466,7 @@ class TestRunSuite:
         result = run_suite(config, write=False)
         assert result.csv_path is None
         assert len(result.seed_results) == 2
-        assert result.seed_results[0].G > 0
+        assert result.seed_results[0].schedule.G > 0
         assert result.seed_results[0].C > 0
 
     def test_explicit_checkpoints_are_capped_at_the_horizon(self, tmp_path):

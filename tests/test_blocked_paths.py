@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from netoco.algorithm import _batched, _block_steps, make_schedule
+from netoco.algorithm import _block_steps, make_schedule
 from netoco.bench import _bounding_stream, _load_dataset, preset_config
 from netoco.problems import (
     _BLOCK,
@@ -113,22 +113,19 @@ def test_a_non_finite_entry_in_the_last_block_is_still_found(T):
 
 
 SCHEDULES = [
-    ("convex-full", {"c": 0.5}),
-    ("convex-bandit", {"c": 0.75}),
-    ("strongly-convex-full", {"sigma": 2.0}),
-    ("strongly-convex-bandit", {"sigma": 0.7}),
+    ("convex-full", [{"G": 3.7, "c": 0.5}, {"G": 41.0, "c": 0.75}]),
+    ("convex-bandit", [{"G": 3.7, "c": 0.75}, {"G": 41.0, "c": 0.75, "a": 3.0}]),
+    ("strongly-convex-full", [{"G": 3.7, "sigma": 2.0}, {"G": 41.0, "sigma": 0.5}]),
+    ("strongly-convex-bandit", [{"G": 3.7, "sigma": 0.7}, {"G": 41.0, "sigma": 3.0}]),
 ]
 
 
 @pytest.mark.parametrize("T", HORIZONS + (2048,))
 @pytest.mark.parametrize("variant, extra", SCHEDULES)
 def test_block_step_sizes_equal_the_per_round_eta_and_beta(T, variant, extra):
-    # Two seeds whose realized G differ, as the schedules of one batch may.
-    schedules = [
-        make_schedule(variant, p=8, G=G, radius=10.0, horizon=T, **extra) for G in (3.7, 41.0)
-    ]
-    batch = _batched(schedules)
-    blocks = [_block_steps(batch, start, min(start + _BLOCK, T), (2, 3, 4)) for start in range(0, T, _BLOCK)]
+    # Two seeds whose G and step constants differ, as the schedules of one batch may.
+    schedules = [make_schedule(variant, p=8, radius=10.0, horizon=T, **fields) for fields in extra]
+    blocks = [_block_steps(schedules, start, min(start + _BLOCK, T), (2, 3, 4)) for start in range(0, T, _BLOCK)]
     etas = np.concatenate([eta for eta, _ in blocks])
     betas = np.concatenate([beta for _, beta in blocks])
     assert etas.shape == betas.shape == (T, 2, 3, 4)

@@ -109,14 +109,58 @@ class TestRunSeeds:
             np.testing.assert_array_equal(batched.cacv, alone.cacv)
             np.testing.assert_array_equal(batched.comm_cost, alone.comm_cost)
 
-    def test_schedules_may_differ_only_in_g(self):
-        streams, schedules, box = batch("convex-full", (1, 2))
-        other = make_schedule(
-            "convex-full", p=box.count, G=schedules[1].G, radius=schedules[1].radius,
-            horizon=HORIZON, c=0.5,
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_schedules_may_differ_in_what_enters_only_the_steps(self, variant):
+        """Seed 2's schedule has another G, and another a (convex) or sigma (strongly convex),
+        than its stream gives; each seed of the batch still runs as it does alone."""
+        seeds = (1, 2)
+        streams, schedules, box = batch(variant, seeds)
+        strongly = variant.startswith("strongly")
+        first = schedules[0]
+        schedules[1] = make_schedule(
+            variant, p=first.p, G=1.5 * schedules[1].G, radius=first.radius, horizon=HORIZON, c=first.c,
+            a=3.0, sigma=5.0 * schedules[1].sigma if strongly else None,
         )
-        with pytest.raises(ValueError, match="only in G"):
-            run_seeds(streams, default_ring_6(), [schedules[0], other], box, (1, 2), (HORIZON,))
+        topology, checkpoints = default_ring_6(), checkpoints_for(HORIZON)
+        totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
+        comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
+        for s, seed in enumerate(seeds):
+            alone = run_seeds(streams[s:s + 1], topology, schedules[s:s + 1], box, (seed,), checkpoints)
+            np.testing.assert_array_equal(totals.system_losses[:, s], alone.system_losses[:, 0])
+            np.testing.assert_array_equal(totals.violations[:, s], alone.violations[:, 0])
+            trajectory = run_experiment(streams[s], topology, schedules[s], box, seed=seed)
+            stored = metric_series(trajectory, streams[s], box, checkpoints)
+            batched = checkpoint_series(
+                streams[s], box, checkpoints, totals.system_losses[:, s], totals.violations[:, s], comm
+            )
+            np.testing.assert_array_equal(batched.regrets, stored.regrets)
+            np.testing.assert_array_equal(batched.cacv, stored.cacv)
+
+    @pytest.mark.parametrize(
+        ("key", "variant", "changes", "value"),
+        [
+            ("bandit", "convex-full", {"variant": "convex-bandit"}, True),
+            ("p", "convex-full", {"p": 9}, 9),
+            ("T", "strongly-convex-full", {"horizon": HORIZON + 1}, HORIZON + 1),
+            ("R", "strongly-convex-bandit", {"radius": 0.5}, 0.5),
+            ("b", "convex-bandit", {"c": 0.9}, 0.9 / 3.0),
+        ],
+        ids=["feedback", "p", "T", "R", "b"],
+    )
+    def test_schedules_must_agree_on_what_the_rounds_share(self, key, variant, changes, value):
+        """The rounds read the feedback, p, T, R and b (so pi, eps and the decision radius)
+        from the first schedule; a batch whose schedules disagree on one is refused."""
+        streams, schedules, box = batch(variant, (1, 2))
+        first = schedules[0]
+        fields = dict(p=first.p, G=first.G, radius=first.radius, horizon=HORIZON, c=first.c, sigma=first.sigma)
+        fields.update(changes)
+        other = make_schedule(fields.pop("variant", variant), **fields)
+        with pytest.raises(ValueError, match="must agree on the feedback, p, T, R and b") as caught:
+            run_seeds(streams, default_ring_6(), [first, other], box, (1, 2), (HORIZON,))
+        # The message names the disagreeing value of schedule 1, and schedule 0's shared values.
+        theirs, ours = str(caught.value).split("schedule 0 has")
+        assert f"'{key}': {value!r}" in theirs.split("schedule 1 has")[1]
+        assert f"'{key}': {value!r}" not in ours
 
     def test_checkpoints_past_the_horizon_are_rejected(self):
         streams, schedules, box = batch("convex-full", (1,))

@@ -25,9 +25,6 @@ def constant_trajectory(point, horizon, n_units, constraints, edges_per_round=3)
     decisions = np.tile(point, (horizon, n_units, 1))
     violation = constraints.positive_parts(point)
     return RunTrajectory(
-        variant="convex-full",
-        decision_radius=1.0,
-        pi=0.0,
         decisions=decisions,
         losses=np.zeros((horizon, n_units)),
         violations=np.tile(violation, (horizon, n_units, 1)),
@@ -158,9 +155,6 @@ class TestCacv:
         rng = np.random.default_rng(34)
         violations = rng.uniform(0, 1, size=(6, 2, 3))
         trajectory = RunTrajectory(
-            variant="convex-full",
-            decision_radius=1.0,
-            pi=0.0,
             decisions=np.zeros((6, 2, 1)),
             losses=np.zeros((6, 2)),
             violations=violations,
@@ -284,6 +278,13 @@ class TestMetricSeries:
             metric_series(trajectory, stream, box, ())
         with pytest.raises(ValueError, match="prefix"):
             metric_series(trajectory, stream, box, (2, 9))
+
+    @pytest.mark.parametrize("units, dimension", [(3, 4), (6, 2)], ids=["units", "dimension"])
+    def test_a_stream_of_another_shape_is_rejected(self, units, dimension):
+        trajectory, _, box, _ = self.make_run(horizon=64)
+        other = synthetic_stream(units, dimension, 64, 1.0, 2)
+        with pytest.raises(ValueError, match=rf"N = {units} units in d = {dimension} dimensions, the trajectory N = 6 in d = 4"):
+            metric_series(trajectory, other, box, (32, 64))
 
     def test_checkpoints_past_the_streams_rounds_are_rejected(self):
         # The last block holds one round of this stream, which would broadcast over the block's

@@ -5,6 +5,7 @@ input too wide for memory must still be refused before its table is
 allocated, and the bundled files must be what tools/make_datasets.py writes.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -128,3 +129,16 @@ def test_the_generator_writes_the_bundled_files(tmp_path):
     for name in ("mg", "bodyfat"):
         written = (tmp_path / f"{name}.libsvm").read_bytes()
         assert written == (ROOT / "src" / "netoco" / "data" / f"{name}.libsvm").read_bytes()
+
+
+def test_the_generator_refuses_a_table_of_the_wrong_shape(tmp_path, monkeypatch):
+    # A raise, not an assert, so the check holds under python -O as well.
+    spec = importlib.util.spec_from_file_location("make_datasets", ROOT / "tools" / "make_datasets.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    mg = tool.make_mg()
+    monkeypatch.setattr(tool, "make_mg", lambda: DatasetTable(mg.features[:-1], mg.targets[:-1]))
+    monkeypatch.setattr(sys, "argv", ["make_datasets.py", str(tmp_path)])
+    with pytest.raises(ValueError, match=re.escape("mg: built features (1384, 6) and targets (1384,), expected (1385, 6) and (1385,)")):
+        tool.main()
+    assert not (tmp_path / "mg.libsvm").exists()

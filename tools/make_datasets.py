@@ -86,7 +86,11 @@ def main() -> int:
         ("mg", make_mg(), (MG_ROWS, MG_FEATURES)),
         ("bodyfat", make_bodyfat(), (BODYFAT_ROWS, BODYFAT_FEATURES)),
     ):
-        assert table.features.shape == shape and table.targets.shape == shape[:1]
+        if table.features.shape != shape or table.targets.shape != shape[:1]:
+            raise ValueError(
+                f"{name}: built features {table.features.shape} and targets {table.targets.shape}, "
+                f"expected {shape} and {shape[:1]}"
+            )
         path = out / f"{name}.libsvm"
         text = serialize_libsvm(DatasetTable(rounded(table.features), rounded(table.targets)))
         path.write_text(text, encoding="utf-8")

@@ -4,13 +4,12 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tools/round_cost.py
 
-Each variant runs S = 3 seeds in lockstep through algorithm.run_seeds on
-synthetic data (N = 6 units on the default ring, d = 4, T = 2048, the box
-[-0.15, 0.15]^4 in the ball of its corner norm, the preset parameters c = 0.5
-or rho = 1) with BLAS pinned to one thread. The streams and schedules are
-built once and are not timed. A run is one run_seeds call; the figure is the
-median of five runs divided by S * T. The host's speed drifts, so compare only
-figures taken side by side on one machine.
+Each variant runs the 3 seeds of one synthetic preset at T = 2048 in lockstep
+through algorithm.run_seeds, with BLAS pinned to one thread. The streams and
+schedules are built once, as run_suite builds them, and are not timed. A run
+is one run_seeds call; the figure is the median of five runs divided by S * T.
+The host's speed drifts, so compare only figures taken side by side on one
+machine.
 """
 
 from __future__ import annotations
@@ -24,45 +23,37 @@ import statistics
 import sys
 import time
 
-from netoco.algorithm import VARIANTS, make_schedule, run_seeds, variant_spec
-from netoco.metrics import checkpoint_grid
-from netoco.network import default_ring_6
-from netoco.problems import BoxConstraintSet, synthetic_stream
+from netoco.algorithm import run_seeds
+from netoco.bench import _prepare, _seed_inputs, preset_config
 
-SEEDS = (1, 2, 3)
-UNITS, DIMENSION, HORIZON = 6, 4, 2048
+PRESETS = ("synthetic-convex-c0.5", "synthetic-sc-rho1", "synthetic-bandit-c0.5", "synthetic-sc-bandit-rho1")
+SEED_COUNT, HORIZON = 3, 2048
 RUNS = 5
 
 
-def round_cost(variant: str) -> float:
-    """Median microseconds per seed-round of run_seeds over RUNS runs."""
-    strongly = variant_spec(variant).strongly_convex
-    box = BoxConstraintSet(-0.15, 0.15, DIMENSION)
-    radius = box.max_vertex_norm()
-    rho = 1.0 if strongly else 0.0
-    streams = [synthetic_stream(UNITS, DIMENSION, HORIZON, rho, seed) for seed in SEEDS]
-    schedules = [
-        make_schedule(
-            variant, p=box.count, G=max(stream.bounds(radius)[0], box.gradient_bound),
-            radius=radius, horizon=HORIZON, c=None if strongly else 0.5,
-            sigma=stream.strong_convexity if strongly else None,
-        )
-        for stream in streams
-    ]
-    topology, checkpoints = default_ring_6(), checkpoint_grid(HORIZON)
+def round_cost(preset: str) -> tuple[str, float]:
+    """The preset's variant and the median microseconds per seed-round of run_seeds over RUNS runs."""
+    config = preset_config(preset, seed_count=SEED_COUNT, horizon=HORIZON)
+    failures, prepared = _prepare(config)
+    if failures:
+        raise SystemExit(f"{preset}: " + "; ".join(failures))
+    inputs = [_seed_inputs(config, seed, prepared) for seed in config.seeds]
+    streams = [stream for stream, _, _, _ in inputs]
+    schedules = [schedule for _, _, _, schedule in inputs]
     times = []
     for _ in range(RUNS):
         start = time.perf_counter()
-        run_seeds(streams, topology, schedules, box, SEEDS, checkpoints)
+        run_seeds(streams, config.topology, schedules, prepared.constraints, config.seeds, prepared.checkpoints)
         times.append(time.perf_counter() - start)
-    return statistics.median(times) / (len(SEEDS) * HORIZON) * 1e6
+    return config.variant, statistics.median(times) / (SEED_COUNT * HORIZON) * 1e6
 
 
 def main(argv) -> int:
     if argv:
         raise SystemExit(f"usage: {sys.argv[0]}")
-    for variant in VARIANTS:
-        print(f"{variant:<24} {round_cost(variant):6.1f} us per seed-round")
+    for preset in PRESETS:
+        variant, cost = round_cost(preset)
+        print(f"{variant:<24} {cost:6.1f} us per seed-round")
     return 0
 
 
