@@ -20,26 +20,31 @@ Bandit variants commit inside the shrunk ball of radius (1 - pi) * R so that
 every probe stays inside the full ball; eps_t <= pi * R is enforced when the
 schedule is built, and both balls are checked at run time, once per block of
 rounds before the kernel hands the block out, raising RuntimeError that names
-the round and unit of a probe or a decision outside its ball.
+the round, the unit and the seed of a probe or a decision outside its ball.
 
 One kernel, _lockstep, runs the S seeds of a scenario in lockstep on (S, N, d)
 arrays and hands out blocks of B rounds; run_seeds keeps the running sums the
 metrics need, in O(B S N (d + p) + K S N) memory beyond the streams, and
 run_experiment records one seed's trajectory. One loop, _run_block, runs the
 rounds of a block. It carries only the decisions and the dual pull from round
-to round (steps 2 and 5 meet in ConstraintSet.dual_pull_rows).
-Each step is a bare ufunc, c_einsum or matmul call that writes into arrays
-allocated once per run (the pull and _scratch) or once per block, so a round
-makes views of those arrays but no arrays or loss objects of its own. At a
-round's size numpy's dispatch costs more than the arithmetic, so each step
-takes its cheapest path: the block's eta_t and beta_t come spread over the
-rows, so that the descent step and the dual pull's divide see operands of one
-shape, the numbers of the formulas are float64 0-d arrays rather than Python
-floats, and _project_rows finds its largest row norm in a Python list. Three
-hooks are called by name every round, and allocate what they need:
-consensus_mix, _project_rows and constraints.dual_pull_rows. Every step keeps
-the operands of its formula in their order, so each seed gets the bits of the
-same round on fresh arrays. netoco.reference states the same round per unit.
+to round (steps 2 and 5 meet in the dual pull). _lockstep allocates the block's
+arrays once per run and refills them for each block; each round's views of
+them are built once per run too (_round_views), and the blocks handed out are
+fresh copies, so a caller may keep every block. A round makes only the
+formula's numpy calls, each a bare ufunc, c_einsum or matmul that writes into
+those arrays: the loss step of RegressionRound.gradients (or .values under
+bandit feedback), the descent step, the mix as np.matmul on the round's weight
+entries and, for a BoxConstraintSet, its closed-form dual pull. At a round's
+size numpy's dispatch costs more than the arithmetic, so each step takes its
+cheapest path: the block's eta_t and beta_t come spread over the rows, so that
+the descent step and the dual pull's divide see operands of one shape, the
+numbers of the formulas are float64 0-d arrays rather than Python floats, and
+_project_rows finds its largest row norm in a Python list. _project_rows is
+the one hook called by name every round; a constraint set other than the box
+pulls through its own dual_pull_rows. Every step keeps the operands of its
+formula in their order, so each seed gets the bits of the same round on fresh
+arrays (network.consensus_mix for the mix). netoco.reference states the same
+round per unit.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -49,13 +54,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice, repeat
 from typing import Optional
 
 import numpy as np
 
-from .network import TopologySchedule, consensus_mix
+from .network import TopologySchedule
 from .problems import (
-    _BLOCK, _DOTS, ConstraintSet, RegressionRound, _blocks, _c_einsum, _loss_gradients, _loss_values, _row_dots,
+    _BLOCK, _DOTS, _ZERO, BoxConstraintSet, ConstraintSet, RegressionRound, _blocks, _c_einsum, _clip, _row_dots,
 )
 
 __all__ = [
@@ -272,14 +278,15 @@ def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     return np.multiply(rows, scale[..., None], rows)
 
 
-def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: str = "row"):
+def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: str = "row", seeds=None):
     """Raise unless every row lies in the ball; the tolerance covers rounding only.
 
     rows is (N, d) for round first_round, or (B, ..., N, d) for the rounds
     first_round..first_round + B - 1. The error names the round and the unit
-    of the first row outside the ball; kind says what the rows are. Rounding
-    grows with the radius, so the tolerance is 1e-12 times the radius, and
-    1e-12 for radii below 1.
+    of the first row outside the ball; kind says what the rows are. With
+    seeds, rows is (B, S, N, d) and the error names seeds[s] of that row as
+    well, unless it is None. Rounding grows with the radius, so the tolerance
+    is 1e-12 times the radius, and 1e-12 for radii below 1.
     """
     squares = _row_dots(rows, rows)
     limit = radius + 1e-12 * max(radius, 1.0)
@@ -288,8 +295,10 @@ def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: 
         return
     where = np.unravel_index(np.flatnonzero(~(squares <= bound))[0], squares.shape)
     t = first_round + (where[0] if squares.ndim > 1 else 0)
+    seed = None if seeds is None else seeds[where[-2]]
+    of_seed = "" if seed is None else f" of seed {seed}"
     raise RuntimeError(
-        f"containment broken at round {t}: the {kind} of unit {where[-1] + 1} has norm "
+        f"containment broken at round {t}: the {kind} of unit {where[-1] + 1}{of_seed} has norm "
         f"{np.sqrt(squares[where]):.17g}, outside the ball of radius {radius:.17g}"
     )
 
@@ -312,70 +321,108 @@ def _scratch(shape) -> tuple[np.ndarray, ...]:
     return residuals, residuals[..., None], half, squares, scaled, scaled[..., None], np.empty(shape)
 
 
-def _run_block(
-    committed, pull, features, targets, rho, betas, etas, weights, start, radius, constraints, probes, scratch
-):
-    """Rounds start + 1..start + B of (..., N, d) decision rows, in place, one round after another.
+def _round_views(committed, features, targets, betas, etas, probes=None) -> tuple[tuple, ...]:
+    """Each round's views of a block's arrays, the rounds _run_block walks.
 
-    committed is (B + 1, ..., N, d): row 0 holds the decisions of round
-    start + 1, and round start + k writes the decisions it leaves, projected
-    onto the ball of the given radius, into row k. pull holds the dual pull at
-    row 0 and is left holding the pull at row B. features (B, ..., N, d) and
-    targets (B, ..., N) are the block's losses, and betas and etas
-    (B, ..., N, d) each round's beta_t and eta_t spread over its rows. Round t
-    mixes with weights[(t - 1) % len(weights)]. probes is None under full
-    information and, under bandit feedback, (d / eps, directions,
-    eps * directions, observed, queries), the last two written round by round.
-    scratch is _scratch(pull.shape). Nothing here checks containment or
-    records violations: the callers do that for the block at once.
-
-    Each step is a bare ufunc, c_einsum or matmul call writing into these
-    arrays, with the operands of the update in their order, so the bits are
-    those of the same formulas on fresh arrays. The descent step and the dual
-    pull's divide take operands of one shape (the spread betas and etas), so
-    neither pays for a broadcast, and rho, 2 rho and d / eps become float64
-    0-d arrays once per block, so no call converts a Python float. Three hooks
-    are looked up by name on every round: consensus_mix mixes, _project_rows
-    projects, and constraints.dual_pull_rows resets the duals and returns
-    their pull. The gradient and the descent step beta * (gradient + pull) are
-    built in the next decisions' row, y = committed - that step in pull, and y
-    is mixed back into the next decisions' row.
+    committed is (B + 1, ..., N, d), and features, targets, betas and etas
+    have B rows. Round k's entry is (committed[k], committed[k + 1],
+    features[k], targets[k], betas[k], etas[k], probe), where probe is None
+    under full information and, for probes = (directions, offsets, observed,
+    queries) under bandit feedback, (directions[k], offsets[k], observed[k],
+    queries[k]). The first b entries are the views of a block of b rounds.
     """
-    add, multiply, subtract = np.add, np.multiply, np.subtract
+    per_round = repeat(None) if probes is None else zip(*probes)
+    return tuple(zip(committed[:-1], committed[1:], features, targets, betas, etas, per_round))
+
+
+def _box_bounds(constraints: ConstraintSet):
+    """The (lower, upper) clip bounds of a set whose dual pull is the box's closed form, else None."""
+    if type(constraints).dual_pull_rows is BoxConstraintSet.dual_pull_rows:
+        return constraints._clip_bounds
+    return None
+
+
+# 0.5 of the loss value as a float64 0-d array, which takes the ufunc's fast path.
+_HALF = np.array(0.5)
+
+
+def _run_block(rounds, pull, start, weights, radius, rho, constraints, bounds, scratch, dimension_over_eps=None):
+    """Rounds start + 1, start + 2, ... of (..., N, d) decision rows, in place, one after another.
+
+    rounds is _round_views of the block's arrays, one entry per round: round
+    start + k + 1 reads its decisions from committed[k] and writes the
+    decisions it leaves, projected onto the ball of the given radius, into
+    committed[k + 1], under bandit feedback also its probes and the losses
+    observed there. It mixes with weights[(start + k) % len(weights)], the
+    entries of a WeightMatrix. pull holds the dual pull at committed[0] and is
+    left holding the pull at the last row. rho is the stream's; bounds is
+    _box_bounds(constraints); dimension_over_eps is d / eps under bandit
+    feedback; scratch is _scratch(pull.shape). Nothing here checks
+    containment or records violations: the callers do that for the block at
+    once.
+
+    A round makes only the formula's numpy calls, each a bare ufunc, c_einsum
+    or matmul writing into these arrays with the operands of the update in
+    their order, so the bits are those of RegressionRound.gradients or
+    .values, network.consensus_mix and dual_pull_rows on fresh arrays. The
+    gradient and the descent step beta * (gradient + pull) are built in the
+    next decisions' row, y = committed - that step in pull, and y is mixed
+    back into that row. rho, 2 rho and d / eps become float64 0-d arrays, and
+    whether rho is zero is decided, once per block. _project_rows is looked
+    up by name every round; a box pulls through the steps of
+    BoxConstraintSet.dual_pull_rows written out, any other set through its
+    own dual_pull_rows.
+    """
+    add, divide, multiply, subtract, matmul, einsum = np.add, np.divide, np.multiply, np.subtract, np.matmul, _c_einsum
     residuals, column, half, squares, scaled, scaled_column, rho_term = scratch
-    period = len(weights)
+    with_rho = bool(rho)
     rho, twice_rho = np.array(rho), np.array(2.0 * rho)
-    if probes is not None:
-        dimension_over_eps, directions, offsets, observed, queries = probes
+    if dimension_over_eps is not None:
         dimension_over_eps = np.array(dimension_over_eps)
-    current = committed[0]
-    rounds = zip(committed[1:], features, targets, betas, etas)
-    for k, (nxt, round_features, round_targets, beta, eta) in enumerate(rounds):
-        if probes is None:
-            _loss_gradients(round_features, round_targets, twice_rho, current, nxt, residuals, column, rho_term)
-        else:
-            probe, seen = queries[k], observed[k]
-            _loss_values(round_features, round_targets, rho, add(current, offsets[k], probe), seen, half, squares)
+    if bounds is not None:
+        lower, upper = bounds
+    mixing = islice(cycle(weights), start % len(weights), None)
+    for (current, nxt, features, targets, beta, eta, probe), entries in zip(rounds, mixing):
+        if probe is None:  # (a.x - b) a + 2 rho x at the decisions
+            einsum(_DOTS, features, current, out=residuals)
+            subtract(residuals, targets, residuals)
+            multiply(column, features, nxt)
+            if with_rho:
+                add(nxt, multiply(twice_rho, current, rho_term), nxt)
+        else:  # (d / eps) u times 0.5 (a.q - b)^2 + rho ||q||^2 at the probe q = x + eps u
+            direction, offset, seen, query = probe
+            add(current, offset, query)
+            einsum(_DOTS, features, query, out=seen)
+            subtract(seen, targets, seen)
+            multiply(_HALF, seen, half)
+            multiply(half, seen, seen)
+            if with_rho:
+                einsum(_DOTS, query, query, out=squares)
+                add(seen, multiply(rho, squares, squares), seen)
             multiply(dimension_over_eps, seen, scaled)
-            multiply(scaled_column, directions[k], nxt)
+            multiply(scaled_column, direction, nxt)
         multiply(beta, add(nxt, pull, nxt), nxt)
-        consensus_mix(weights[(start + k) % period], subtract(current, nxt, pull), nxt)
+        matmul(entries, subtract(current, nxt, pull), nxt)
         _project_rows(nxt, radius)
-        constraints.dual_pull_rows(nxt, eta, pull)
-        current = nxt
+        if bounds is None:
+            constraints.dual_pull_rows(nxt, eta, pull)
+        else:  # (x - clip(x, lower, upper)) / eta + 0.0
+            add(divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull), _ZERO, pull)
 
 
 def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
     """Bytes of the arrays run_seeds holds for one block of B = min(T, _BLOCK) rounds.
 
-    Per seed, unit and round of the block: _lockstep's features, committed
-    decisions, spread etas and betas and bandit directions, offsets and
-    probes, 7 d floats, with p constraint violations, targets and observed
-    losses (the bandit arrays are counted for every variant); and the product
-    and residuals that RegressionRound.system_values builds, 2 N floats.
+    Per seed, unit and round of the block: _lockstep's per-run arrays, the
+    features, decisions, spread etas and betas and bandit directions, offsets
+    and probes, 7 d floats, with the targets and observed losses; the fresh
+    copies it hands out of the features, decisions and probes, 3 d floats,
+    with the targets, observed losses and p constraint violations (the bandit
+    arrays are counted for every variant); and the product and residuals that
+    RegressionRound.system_values builds, 2 N floats.
     """
     block = min(horizon, _BLOCK)
-    return 8 * seeds * units * block * (7 * dimension + constraints + 2 + 2 * units)
+    return 8 * seeds * units * block * (10 * dimension + constraints + 4 + 2 * units)
 
 
 def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
@@ -420,24 +467,26 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     the block as one RegressionRound over (B, S, N, d), the committed decisions
     (B, S, N, d), the positive parts at them (B, S, N, p), and for bandit
     variants the losses observed at the probes (B, S, N) and the probes
-    (B, S, N, d) (None otherwise). Every block gets new arrays, so a caller
+    (B, S, N, d) (None otherwise). Every block gets fresh arrays, so a caller
     may keep them. Each round carries only the decisions and the dual pull;
     containment is checked and the violations are computed once per block,
     before the block is yielded, so a broken row stops the run at most B - 1
-    rounds late. Each seed's numbers are bit for bit those of a run on its own.
+    rounds late, and the error names the seed of the row. Each seed's numbers
+    are bit for bit those of a run on its own.
 
     schedules[s] gives seed s its eta_t and beta_t. The rest is read from
     schedules[0]: the feedback, p, T, R and b, which with T and R fixes pi,
     eps and the decision radius, so the schedules must agree on those and may
     differ in G, c, a and sigma.
 
-    The rounds run in place, one _run_block call per block: the pull and the
-    scratch live in arrays allocated once per run, and each round writes the
-    next decisions, the probes and the observed losses straight into rows of
-    the block's arrays. The decisions array has one row more than the block,
-    for the decisions left for round start + B + 1, which the next block
-    copies into its first row. Nothing here grows with T: the step sizes, too,
-    are evaluated a block at a time.
+    The block's arrays are allocated once per run and refilled for each
+    block: the decisions, with one row more than the block for the decisions
+    left for the next block, which it copies into its first row; the
+    features, targets and spread eta_t and beta_t; and under bandit feedback
+    the directions, their eps multiples, the observed losses and the probes.
+    The rounds' views of them (_round_views) are built once per run too; a
+    shorter last block takes the first of them. The rounds run in place, one
+    _run_block call per block, so nothing here grows with T.
     """
     if not streams or len(streams) != len(schedules) or len(streams) != len(seeds):
         raise ValueError("need one stream, schedule and seed per run")
@@ -464,42 +513,55 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     if hyper.p != constraints.count:
         raise ValueError("schedule was built for a different constraint count")
     bandit = hyper.is_bandit
+    dimension_over_eps = None
     if bandit:
         if any(seed is None for seed in seeds):
             raise ValueError("bandit runs need a seed")
         rngs = [_sphere_rngs(seed, n) for seed in seeds]
         eps = hyper.eps(1)
+        dimension_over_eps = d / eps
 
-    weights, radius = topology.weights, hyper.decision_radius
-    decisions = np.zeros((len(streams), n, d))
-    # The duals start at zero, so round 1 feels no pull even where x = 0 violates a constraint.
-    pull = np.zeros(decisions.shape)
-    scratch = _scratch(decisions.shape)
-    probes = observed = queries = None
+    weights = tuple(w.entries for w in topology.weights)
+    radius, bounds = hyper.decision_radius, _box_bounds(constraints)
+    shape = (len(streams), n, d)
+    length = min(horizon, _BLOCK)
+    # Zero decisions for round 1. The duals start at zero, so round 1 feels no
+    # pull even where x = 0 violates a constraint.
+    committed = np.zeros((length + 1,) + shape)
+    pull = np.zeros(shape)
+    features, etas, betas = np.empty((3, length) + shape)
+    targets = np.empty((length,) + shape[:-1])
+    probes = None
+    if bandit:
+        directions, offsets, queries = np.empty((3, length) + shape)
+        observed = np.empty(targets.shape)
+        probes = directions, offsets, observed, queries
+    rounds = _round_views(committed, features, targets, betas, etas, probes)
+    scratch = _scratch(shape)
     for block in _blocks(horizon):
         start, stop = block.start, block.stop
-        features = np.stack([s.features[start:stop] for s in streams], axis=1)
-        targets = np.stack([s.targets[start:stop] for s in streams], axis=1)
-        committed = np.empty((stop - start + 1,) + decisions.shape)
-        committed[0] = decisions
+        b = stop - start
+        for s, stream in enumerate(streams):
+            features[:b, s] = stream.features[block]
+            targets[:b, s] = stream.targets[block]
         # Each round's eta and beta spread over its rows: a broadcast operand costs more than the arithmetic.
-        etas, betas = _block_steps(schedules, start, stop, decisions.shape)
+        etas[:b], betas[:b] = _block_steps(schedules, start, stop, shape)
         if bandit:
-            directions = _sphere_block(rngs, stop - start, d)
-            observed, queries = np.empty(targets.shape), np.empty(features.shape)
-            probes = d / eps, directions, eps * directions, observed, queries
-        _run_block(
-            committed, pull, features, targets, rho, betas, etas, weights, start, radius, constraints, probes, scratch
-        )
+            directions[:b] = _sphere_block(rngs, b, d)
+            np.multiply(eps, directions[:b], offsets[:b])
+        _run_block(rounds[:b], pull, start, weights, radius, rho, constraints, bounds, scratch, dimension_over_eps)
         # Containment of the block, before any of it is handed out: every
         # committed decision, the decisions left for round stop + 1, every probe.
-        _check_in_ball(committed, radius, start + 1, "decision")
+        _check_in_ball(committed[: b + 1], radius, start + 1, "decision", seeds)
+        seen = probed = None
         if bandit:
-            _check_in_ball(queries, hyper.radius, start + 1, "probe")
-        decisions, committed = committed[-1], committed[:-1]
-        violated = constraints.positive_parts_rows(committed.reshape(-1, d))
-        violated = violated.reshape(committed.shape[:-1] + (constraints.count,))
-        yield start, RegressionRound(features, targets, rho), committed, violated, observed, queries
+            _check_in_ball(queries[:b], hyper.radius, start + 1, "probe", seeds)
+            seen, probed = observed[:b].copy(), queries[:b].copy()
+        decided = committed[:b].copy()
+        committed[0] = committed[b]
+        violated = constraints.positive_parts_rows(decided.reshape(-1, d))
+        violated = violated.reshape(decided.shape[:-1] + (constraints.count,))
+        yield start, RegressionRound(features[:b].copy(), targets[:b].copy(), rho), decided, violated, seen, probed
 
 
 def check_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:

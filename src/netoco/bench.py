@@ -446,10 +446,10 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
     synthetic stream is drawn one unit at a time, and the metrics keep a few rows per checkpoint. Warm tracemalloc peak of run_suite over this
     estimate at T = 8192 (tests/test_run_memory.py holds each to 1.25):
 
-        bodyfat-convex, 1 seed              1.05
-        mg-sc, 1 seed                       1.09
-        synthetic-sc-bandit-rho1, 1 seed    1.07
-        synthetic-convex-c0.5, 3 seeds      1.01
+        bodyfat-convex, 1 seed              1.02
+        mg-sc, 1 seed                       1.05
+        synthetic-sc-bandit-rho1, 1 seed    1.13
+        synthetic-convex-c0.5, 3 seeds      1.00
     """
     width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"
     d = dimension or 1
@@ -645,7 +645,7 @@ def _schedule(config, constraints, radius, *, G, sigma) -> HyperSchedule:
 
 
 def _seed_inputs(config, seed, prepared: _Prepared):
-    """One seed's stream, its realized bounds G and C, and its step schedule."""
+    """One seed's stream, realized value bound C and step schedule; schedule.G is the realized gradient bound."""
     stream_seed = config.data_seed + seed
     if config.source == "synthetic":
         stream = synthetic_stream(
@@ -661,7 +661,7 @@ def _seed_inputs(config, seed, prepared: _Prepared):
         schedule = _schedule(config, constraints, radius, G=G, sigma=stream.strong_convexity)
     except ValueError as exc:  # step sizes past _prepare's bound, from noise beyond _NOISE_BOUND
         raise ScenarioError(f"seed {seed}: {exc}") from None
-    return stream, G, C, schedule
+    return stream, C, schedule
 
 
 def _realized_bounds(stream, constraints, radius, rows: str) -> tuple[float, float]:
@@ -693,16 +693,16 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
         raise ScenarioError("; ".join(failures))
     checkpoints, constraints = prepared.checkpoints, prepared.constraints
     inputs = [_seed_inputs(config, seed, prepared) for seed in config.seeds]
-    streams = [stream for stream, _, _, _ in inputs]
+    streams = [stream for stream, _, _ in inputs]
     totals = run_seeds(
-        streams, config.topology, [schedule for _, _, _, schedule in inputs], constraints,
+        streams, config.topology, [schedule for _, _, schedule in inputs], constraints,
         config.seeds, checkpoints,
     )
     comm_cost = np.array(
         [communication_cost(config.topology, T) for T in checkpoints], dtype=np.int64
     )
     seed_results = []
-    for s, (seed, (stream, _, C, schedule)) in enumerate(zip(config.seeds, inputs)):
+    for s, (seed, (stream, C, schedule)) in enumerate(zip(config.seeds, inputs)):
         try:
             series = checkpoint_series(
                 stream, constraints, checkpoints, totals.system_losses[:, s],
@@ -728,22 +728,18 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _render_csv(config, checkpoints, seed_results, mean) -> str:
+    """The CSV text: a row per checkpoint and seed, then the mean's; floats by repr, counts by str.
+
+    A row's sreg, regrets and cacv become Python floats in one tolist() call.
+    """
     header = ["checkpoint_T", "seed", "sreg"]
     header += [f"reg_unit_{i}" for i in range(1, config.n_units + 1)]
     header += ["cacv", "comm_cost"]
     lines = [",".join(header)]
     labelled = [(str(r.seed), r.series) for r in seed_results] + [("mean", mean)]
+    series = [(label, np.column_stack((s.sreg, s.regrets, s.cacv)), s.comm_cost.tolist()) for label, s in labelled]
     for k, T in enumerate(checkpoints):
-        for label, s in labelled:
-            row = [str(T), label, _fmt(s.sreg[k])]
-            row += [_fmt(v) for v in s.regrets[k]]
-            row += [_fmt(s.cacv[k]), _fmt(s.comm_cost[k])]
-            lines.append(",".join(row))
+        for label, values, counts in series:
+            lines.append(f"{T},{label},{','.join(map(repr, values[k].tolist()))},{counts[k]}")
     return "\n".join(lines) + "\n"

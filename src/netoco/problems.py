@@ -58,9 +58,9 @@ _SPAWN_SHUFFLE = 2
 # every pass of a stream's set-up over its rounds, take at most this many at once.
 _BLOCK = 128
 
-# The round's constants as float64 0-d arrays: a ufunc takes those on its
-# fast path, and converts a Python float on every call.
-_HALF, _ZERO = np.array(0.5), np.array(0.0)
+# The box pull's +0.0 as a float64 0-d array: a ufunc takes that on its fast
+# path, and converts a Python float on every call.
+_ZERO = np.array(0.0)
 
 
 def _blocks(horizon: int):
@@ -200,7 +200,8 @@ class BoxConstraintSet(ConstraintSet):
         self.lower = float(lower)
         self.upper = float(upper)
         self.gradient_bound = 1.0
-        # The bounds of dual_pull_rows's clip as float64 0-d arrays, which take the ufunc's fast path.
+        # The bounds of the pull's clip as float64 0-d arrays, which take the ufunc's fast path; the
+        # round loop (algorithm._run_block) writes this pull out and reads them too.
         self._clip_bounds = np.array(self.lower), np.array(self.upper)
 
     @property
@@ -245,7 +246,8 @@ class BoxConstraintSet(ConstraintSet):
         that sign never reaches the pull. With out (shaped like rows, distinct
         from it) every step writes there, with the same operands in the same
         order. eta is read as the generic pull reads it; an eta shaped like
-        rows, as the kernel passes, makes the divide a same-shape ufunc call.
+        rows makes the divide a same-shape ufunc call. algorithm._run_block
+        runs these steps written out, on the same operands in the same order.
         """
         rows = np.asarray(rows, dtype=float)
         clipped = _clip(rows, *self._clip_bounds, out)
@@ -271,43 +273,9 @@ _DOTS = "...d,...d->..."
 def _row_dots(a, b) -> np.ndarray:
     # np.einsum with optimize=False (its default) forwards to c_einsum;
     # calling that directly skips the Python wrapper, not a bit of the result.
-    # (The round's helpers pass out to ufuncs positionally for the same
-    # reason: at one round's size the keyword costs more than the arithmetic.)
+    # (The round loop passes out to ufuncs positionally for the same reason:
+    # at one round's size the keyword costs more than the arithmetic.)
     return _c_einsum(_DOTS, a, b)
-
-
-def _loss_values(features, targets, rho, rows, out, half, squares) -> np.ndarray:
-    """0.5 (a.x - b)^2 + rho ||x||^2 at each row, written into out and returned.
-
-    half and squares are scratch shaped like out. Every step writes into an
-    array it is given, so the caller decides what is allocated; the kernel
-    passes arrays it holds for the whole run. None of them may share memory
-    with rows, features or targets. rho is a float or, from the kernel, a
-    float64 0-d array; the term is skipped when rho is zero.
-    """
-    _c_einsum(_DOTS, features, rows, out=out)
-    np.subtract(out, targets, out)
-    np.multiply(_HALF, out, half)
-    np.multiply(half, out, out)
-    if not rho:
-        return out
-    _c_einsum(_DOTS, rows, rows, out=squares)
-    return np.add(out, np.multiply(rho, squares, squares), out)
-
-
-def _loss_gradients(features, targets, twice_rho, rows, out, residuals, column, rho_term) -> np.ndarray:
-    """(a.x - b) a + twice_rho x at each row, written into out and returned.
-
-    residuals is scratch with one entry per row, column its (..., 1) view, and
-    rho_term scratch shaped like out; the same rules as for _loss_values hold,
-    with twice_rho = 2 rho in place of rho.
-    """
-    _c_einsum(_DOTS, features, rows, out=residuals)
-    np.subtract(residuals, targets, residuals)
-    np.multiply(column, features, out)
-    if not twice_rho:
-        return out
-    return np.add(out, np.multiply(twice_rho, rows, rho_term), out)
 
 
 class RegressionRound:
@@ -316,8 +284,9 @@ class RegressionRound:
     Leading axes batch independent rounds: features (..., N, d) and targets
     (..., N) hold one round per batch entry, and each batch entry's result is
     bit for bit the one its own RegressionRound gives. values and gradients
-    run _loss_values and _loss_gradients, the formulas the round loop runs on
-    its per-run scratch, here on fresh arrays, so the loop gets their bits.
+    are the loss formulas on fresh arrays; algorithm._run_block writes the
+    same steps, with the same operands in the same order, into its per-run
+    arrays, so the round loop gets their bits.
 
     With rho == 0.0 both skip the rho term, 0.0 * x, which is a zero for
     finite rows. In values it would be added to 0.5 r^2, which is never -0.0,
@@ -332,17 +301,20 @@ class RegressionRound:
         self.rho = rho
 
     def values(self, rows) -> np.ndarray:
-        shape = np.broadcast_shapes(np.shape(self.features), np.shape(rows))[:-1]
-        half, squares = np.empty((2,) + shape)
-        return _loss_values(self.features, self.targets, self.rho, rows, np.empty(shape), half, squares)
+        """0.5 (a.x - b)^2 + rho ||x||^2 at each row."""
+        residuals = _row_dots(self.features, rows) - self.targets
+        values = 0.5 * residuals * residuals
+        if not self.rho:
+            return values
+        return values + self.rho * _row_dots(rows, rows)
 
     def gradients(self, rows) -> np.ndarray:
-        shape = np.broadcast_shapes(np.shape(self.features), np.shape(rows))
-        residuals = np.empty(shape[:-1])
-        return _loss_gradients(
-            self.features, self.targets, 2.0 * self.rho, rows, np.empty(shape), residuals, residuals[..., None],
-            np.empty(shape),
-        )
+        """(a.x - b) a + 2 rho x at each row."""
+        residuals = _row_dots(self.features, rows) - self.targets
+        gradients = residuals[..., None] * self.features
+        if not self.rho:
+            return gradients
+        return gradients + (2.0 * self.rho) * np.asarray(rows)
 
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algorithm import (
-    HyperSchedule, RunTrajectory, _check_in_ball, _overflow_factors, _run_block, _scratch, _sphere_rngs,
-    check_checkpoints,
+    HyperSchedule, RunTrajectory, _box_bounds, _check_in_ball, _overflow_factors, _round_views, _run_block, _scratch,
+    _sphere_rngs, check_checkpoints,
 )
 from .metrics import Comparator, offline_comparators
 from .network import WeightMatrix
@@ -186,18 +186,22 @@ def _round(state: RunState, round_losses, weights, hyper, constraints, t, direct
     rows = state.decisions
     committed = np.empty((2,) + rows.shape)
     committed[0] = rows
-    probes = queries = None
+    probes = queries = dimension_over_eps = None
     if directions is not None:
         eps = hyper.eps(t)
         observed, queries = np.empty((1,) + rows.shape[:-1]), np.empty((1,) + rows.shape)
-        probes = rows.shape[-1] / eps, directions[None], (eps * directions)[None], observed, queries
+        probes = directions[None], (eps * directions)[None], observed, queries
+        dimension_over_eps = rows.shape[-1] / eps
     eta, radius = hyper.eta(t), hyper.decision_radius
     # A RunState carries the duals, not their pull, so the pull left in this array is dropped.
     pull = constraints.weighted_subgradient_rows(rows, state.duals)
+    views = _round_views(
+        committed, round_losses.features[None], round_losses.targets[None],
+        np.full(committed[1:].shape, hyper.beta(t)), np.full(committed[1:].shape, eta), probes,
+    )
     _run_block(
-        committed, pull, round_losses.features[None], round_losses.targets[None], round_losses.rho,
-        np.full(committed[1:].shape, hyper.beta(t)), np.full(committed[1:].shape, eta), (weights,), 0, radius,
-        constraints, probes, _scratch(rows.shape),
+        views, pull, 0, (weights.entries,), radius, round_losses.rho, constraints, _box_bounds(constraints),
+        _scratch(rows.shape), dimension_over_eps,
     )
     nxt = committed[1]
     if queries is not None:

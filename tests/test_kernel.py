@@ -274,17 +274,19 @@ def test_kernel_run_equals_chained_rounds_for_other_constraint_sets(constraints,
 BROKEN_ROUND, BROKEN_UNIT = 200, 3
 
 
-def push_a_decision_out(monkeypatch, broken_round=BROKEN_ROUND):
+def push_a_decision_out(monkeypatch, broken_round=BROKEN_ROUND, seed_index=None):
     """Sabotage the projection that yields the decisions of broken_round: one
-    unit's row of every seed lands at twice the radius."""
+    unit's row of every seed, or of the seed at seed_index only, lands at
+    twice the radius."""
     original, calls = algorithm._project_rows, []
 
     def sabotaged(rows, radius):
         out = original(rows, radius)
         calls.append(None)
         if len(calls) == broken_round - 1:
-            out[..., BROKEN_UNIT - 1, :] = 0.0
-            out[..., BROKEN_UNIT - 1, 0] = 2.0 * radius
+            pushed = out if seed_index is None else out[seed_index]
+            pushed[..., BROKEN_UNIT - 1, :] = 0.0
+            pushed[..., BROKEN_UNIT - 1, 0] = 2.0 * radius
         return out
 
     monkeypatch.setattr(algorithm, "_project_rows", sabotaged)
@@ -316,6 +318,14 @@ class TestDeferredContainment:
         with pytest.raises(RuntimeError, match=self.message):
             run_seeds(streams, default_ring_6(), schedules, box, (1, 2), (HORIZON,))
         assert starts == [0]
+
+    def test_the_seed_of_the_broken_row_is_named(self, monkeypatch):
+        """Only the second seed of a batch leaves the ball; the error names that seed."""
+        seeds = (1, 2)
+        streams, schedules, box = batch("convex-full", seeds)
+        push_a_decision_out(monkeypatch, seed_index=1)
+        with pytest.raises(RuntimeError, match=self.message + "of seed 2 has norm"):
+            run_seeds(streams, default_ring_6(), schedules, box, seeds, (HORIZON,))
 
     def test_run_experiment(self, monkeypatch):
         streams, schedules, box = batch("strongly-convex-full", (1,))

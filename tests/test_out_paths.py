@@ -1,7 +1,7 @@
 """The round's in-place paths against their fresh-array paths, bit for bit.
 
-The round loop runs in buffers allocated once per run or block (out= on the
-helpers, _project_rows scaling in place); RegressionRound gives fresh arrays,
+The round loop runs in buffers allocated once per run (bare calls with out,
+_project_rows scaling in place); RegressionRound gives fresh arrays,
 and consensus_mix and dual_pull_rows give either. Both must give the same
 bits, signed zeros included, and _row_dots, which calls c_einsum directly,
 those of np.einsum.
@@ -12,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from netoco.algorithm import _project_rows, _run_block, _scratch
+from netoco.algorithm import _box_bounds, _project_rows, _round_views, _run_block, _scratch
 from netoco.network import WeightMatrix, consensus_mix
 from netoco.problems import BoxConstraintSet, ConstraintSet, RegressionRound, _row_dots
 
@@ -207,13 +207,15 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     probes = None
     if bandit:
         observed, queries = garbage((rounds, seeds, units)), garbage((rounds,) + shape)
-        probes = d / eps, directions, eps * directions, observed, queries
+        probes = directions, eps * directions, observed, queries
     scratch = _scratch(shape)
     for array in scratch:
         array[...] = np.nan
     loop_pull = pull.copy()
     _run_block(
-        committed, loop_pull, features, targets, rho, betas, etas, weights, start, radius, constraints, probes, scratch
+        _round_views(committed, features, targets, betas, etas, probes), loop_pull, start,
+        tuple(w.entries for w in weights), radius, rho, constraints, _box_bounds(constraints), scratch,
+        d / eps if bandit else None,
     )
 
     current = decisions

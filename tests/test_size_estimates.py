@@ -52,8 +52,8 @@ def test_block_bytes_is_what_run_seeds_allocates(preset):
     tracemalloc.start()
     try:
         run_seeds(
-            [stream for stream, _, _, _ in inputs], config.topology,
-            [schedule for _, _, _, schedule in inputs], prepared.constraints, config.seeds,
+            [stream for stream, _, _ in inputs], config.topology,
+            [schedule for _, _, schedule in inputs], prepared.constraints, config.seeds,
             prepared.checkpoints,
         )
         peak = tracemalloc.get_traced_memory()[1]

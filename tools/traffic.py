@@ -79,6 +79,10 @@ LIBRARY_API = (
     "netoco.problems.BoxConstraintSet.value",
     "netoco.problems.BoxConstraintSet.gradient",
     "netoco.problems.BoxConstraintSet.values",
+    # The mix and the box's dual pull as calls on fresh or given arrays; the
+    # round loop writes both out, with their bits.
+    "netoco.network.consensus_mix",
+    "netoco.problems.BoxConstraintSet.dual_pull_rows",
     # Examples, rounds and rows one at a time, over the arrays the run uses whole.
     "netoco.problems.RegressionExample.__post_init__",
     "netoco.problems.RegressionExample.dimension",
