@@ -27,24 +27,23 @@ arrays and hands out blocks of B rounds; run_seeds keeps the running sums the
 metrics need, in O(B S N (d + p) + K S N) memory beyond the streams, and
 run_experiment records one seed's trajectory. One loop, _run_block, runs the
 rounds of a block. It carries only the decisions and the dual pull from round
-to round (steps 2 and 5 meet in the dual pull). _lockstep allocates the block's
-arrays once per run and refills them for each block; each round's views of
-them are built once per run too (_round_views), and the blocks handed out are
-fresh copies, so a caller may keep every block. A round makes only the
-formula's numpy calls, each a bare ufunc, c_einsum or matmul that writes into
-those arrays: the loss step of RegressionRound.gradients (or .values under
-bandit feedback), the descent step, the mix as np.matmul on the round's weight
-entries and, for a BoxConstraintSet, its closed-form dual pull. At a round's
-size numpy's dispatch costs more than the arithmetic, so each step takes its
-cheapest path: the block's eta_t and beta_t come spread over the rows, so that
-the descent step and the dual pull's divide see operands of one shape, the
-numbers of the formulas are float64 0-d arrays rather than Python floats, and
-_project_rows finds its largest row norm in a Python list. _project_rows is
-the one hook called by name every round; a constraint set other than the box
-pulls through its own dual_pull_rows. Every step keeps the operands of its
-formula in their order, so each seed gets the bits of the same round on fresh
-arrays (network.consensus_mix for the mix). netoco.reference states the same
-round per unit.
+to round (steps 2 and 5 meet in the dual pull). _lockstep allocates one set of
+block arrays per run, refills them in place for each block and lends each block
+as views of them; each round's views are built once per run too (_round_views).
+A round makes only the formula's numpy calls, each a bare ufunc, c_einsum or
+matmul that writes into those arrays: the loss step of
+RegressionRound.gradients (or .values under bandit feedback), the descent step,
+the mix as np.matmul on the round's weight entries and, for a BoxConstraintSet,
+its closed-form dual pull. At a round's size numpy's dispatch costs more than
+the arithmetic, so each step takes its cheapest path: the block's eta_t and
+beta_t come spread over the rows, so that the descent step and the dual pull's
+divide see operands of one shape, the numbers of the formulas are float64 0-d
+arrays rather than Python floats, and _project_rows finds its largest row norm
+in a Python list. _project_rows is the one hook called by name every round; a
+constraint set other than the box pulls through its own dual_pull_rows. Every
+step keeps the operands of its formula in their order, so each seed gets the
+bits of the same round on fresh arrays (network.consensus_mix for the mix).
+netoco.reference states the same round per unit.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -413,20 +412,19 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, bounds, s
 def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
     """Bytes of the arrays run_seeds holds for one block of B = min(T, _BLOCK) rounds.
 
-    Per seed, unit and round of the block: _lockstep's per-run arrays, the
-    features, decisions, spread etas and betas and bandit directions, offsets
-    and probes, 7 d floats, with the targets and observed losses; the fresh
-    copies it hands out of the features, decisions and probes, 3 d floats,
-    with the targets, observed losses and p constraint violations (the bandit
-    arrays are counted for every variant); and the product and residuals that
+    Per seed, unit and round of the block: _lockstep's one set of block
+    arrays, the features, decisions, spread etas and betas and bandit
+    directions, offsets and probes, 7 d floats, with the targets and observed
+    losses (the bandit arrays are counted for every variant); the p constraint
+    violations at the lent decisions; and the product and residuals that
     RegressionRound.system_values builds, 2 N floats.
     """
     block = min(horizon, _BLOCK)
-    return 8 * seeds * units * block * (10 * dimension + constraints + 4 + 2 * units)
+    return 8 * seeds * units * block * (7 * dimension + constraints + 2 + 2 * units)
 
 
-def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
-    """Directions for the next `rounds` rounds, indexed [round, seed, unit].
+def _sphere_block(rngs, draws: np.ndarray):
+    """Fill draws, (B, S, N, d), with the directions of the next B rounds, indexed [round, seed, unit].
 
     rngs[s][i] is unit i + 1's stream for seed s. A block draw takes the same
     Gaussians as one reference.sample_unit_sphere call per round, and the row
@@ -434,29 +432,26 @@ def _sphere_block(rngs, rounds: int, dimension: int) -> np.ndarray:
     match the scalar sampler bit for bit. The scalar sampler redraws a zero
     vector; a block cannot, so it raises instead of diverging.
     """
-    draws = np.empty((rounds, len(rngs), len(rngs[0]), dimension))
     for s, unit_rngs in enumerate(rngs):
         for i, rng in enumerate(unit_rngs):
-            draws[:, s, i] = rng.standard_normal((rounds, dimension))
+            draws[:, s, i] = rng.standard_normal((len(draws), draws.shape[-1]))
     norms = np.sqrt(draws[..., None, :] @ draws[..., :, None])[..., 0]
     if not norms.all():
         raise RuntimeError("a sphere direction drew the zero vector; it has no direction")
-    draws /= norms
-    return draws
+    np.divide(draws, norms, draws)
 
 
-def _block_steps(schedules, start: int, stop: int, shape) -> tuple[np.ndarray, np.ndarray]:
-    """(eta_t, beta_t) for t = start + 1..stop, each (B, S, N, d), spread over the rows of shape (S, N, d).
+def _block_steps(schedules, start: int, etas: np.ndarray, betas: np.ndarray):
+    """Fill etas and betas, each (B, S, N, d), with eta_t and beta_t for t = start + 1..start + B.
 
     Seed s's rows come from schedules[s]'s own formulas, evaluated elementwise at
-    each t, so every entry has the bits of that schedule's eta(t) and beta(t).
+    each t and spread over its (N, d) rows, so every entry has the bits of that
+    schedule's eta(t) and beta(t).
     """
-    t = np.arange(start + 1, stop + 1, dtype=float)[:, None, None]
-    etas, betas = np.empty((2, len(t)) + shape)
+    t = np.arange(start + 1, start + len(etas) + 1, dtype=float)[:, None, None]
     for s, hyper in enumerate(schedules):
         etas[:, s] = hyper._eta(t)
         betas[:, s] = hyper._beta(t)
-    return etas, betas
 
 
 def _lockstep(streams, topology: TopologySchedule, schedules, constraints: ConstraintSet, seeds):
@@ -467,21 +462,22 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     the block as one RegressionRound over (B, S, N, d), the committed decisions
     (B, S, N, d), the positive parts at them (B, S, N, p), and for bandit
     variants the losses observed at the probes (B, S, N) and the probes
-    (B, S, N, d) (None otherwise). Every block gets fresh arrays, so a caller
-    may keep them. Each round carries only the decisions and the dual pull;
-    containment is checked and the violations are computed once per block,
-    before the block is yielded, so a broken row stops the run at most B - 1
-    rounds late, and the error names the seed of the row. Each seed's numbers
-    are bit for bit those of a run on its own.
+    (B, S, N, d) (None otherwise). All but the violations are views of the
+    kernel's own arrays, lent until the next block is asked for, which
+    refills them: a caller copies what it keeps. Each round carries only the
+    decisions and the dual pull; containment is checked and the violations
+    are computed once per block, before the block is yielded, so a broken row
+    stops the run at most B - 1 rounds late, and the error names the seed of
+    the row. Each seed's numbers are bit for bit those of a run on its own.
 
     schedules[s] gives seed s its eta_t and beta_t. The rest is read from
     schedules[0]: the feedback, p, T, R and b, which with T and R fixes pi,
     eps and the decision radius, so the schedules must agree on those and may
     differ in G, c, a and sigma.
 
-    The block's arrays are allocated once per run and refilled for each
-    block: the decisions, with one row more than the block for the decisions
-    left for the next block, which it copies into its first row; the
+    The block's arrays are allocated once per run and refilled in place:
+    the decisions, with one row more than the block for the decisions left
+    for the next block, moved into its first row after the yield; the
     features, targets and spread eta_t and beta_t; and under bandit feedback
     the directions, their eps multiples, the observed losses and the probes.
     The rounds' views of them (_round_views) are built once per run too; a
@@ -539,29 +535,28 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     rounds = _round_views(committed, features, targets, betas, etas, probes)
     scratch = _scratch(shape)
     for block in _blocks(horizon):
-        start, stop = block.start, block.stop
-        b = stop - start
+        start, b = block.start, block.stop - block.start
         for s, stream in enumerate(streams):
             features[:b, s] = stream.features[block]
             targets[:b, s] = stream.targets[block]
         # Each round's eta and beta spread over its rows: a broadcast operand costs more than the arithmetic.
-        etas[:b], betas[:b] = _block_steps(schedules, start, stop, shape)
+        _block_steps(schedules, start, etas[:b], betas[:b])
         if bandit:
-            directions[:b] = _sphere_block(rngs, b, d)
+            _sphere_block(rngs, directions[:b])
             np.multiply(eps, directions[:b], offsets[:b])
         _run_block(rounds[:b], pull, start, weights, radius, rho, constraints, bounds, scratch, dimension_over_eps)
         # Containment of the block, before any of it is handed out: every
-        # committed decision, the decisions left for round stop + 1, every probe.
+        # committed decision, the decisions left for round start + b + 1, every probe.
         _check_in_ball(committed[: b + 1], radius, start + 1, "decision", seeds)
         seen = probed = None
         if bandit:
             _check_in_ball(queries[:b], hyper.radius, start + 1, "probe", seeds)
-            seen, probed = observed[:b].copy(), queries[:b].copy()
-        decided = committed[:b].copy()
-        committed[0] = committed[b]
+            seen, probed = observed[:b], queries[:b]
+        decided = committed[:b]
         violated = constraints.positive_parts_rows(decided.reshape(-1, d))
         violated = violated.reshape(decided.shape[:-1] + (constraints.count,))
-        yield start, RegressionRound(features[:b].copy(), targets[:b].copy(), rho), decided, violated, seen, probed
+        yield start, RegressionRound(features[:b], targets[:b], rho), decided, violated, seen, probed
+        committed[0] = committed[b]  # the carry, once the lent block is done with
 
 
 def check_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:

@@ -331,6 +331,7 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
     except ValueError as exc:
         failures.append(str(exc))
     at_least("horizon", config.horizon, 1)
+    rule(config.checkpoints != (), "checkpoints must not be empty; omit the key for the default grid")
     at_least("checkpoints", min(config.checkpoints or (), default=1), 1)
     rule(config.seeds, "seeds must not be empty")
     rule(len(set(config.seeds)) == len(config.seeds), "seeds must be distinct")
@@ -443,12 +444,13 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
     of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
     Nothing else a run keeps grows with T: the bounds, the dealing of dataset rows and the step
     sizes take one 128-round block at a time, the finiteness check makes no temporary, a
-    synthetic stream is drawn one unit at a time, and the metrics keep a few rows per checkpoint. Warm tracemalloc peak of run_suite over this
-    estimate at T = 8192 (tests/test_run_memory.py holds each to 1.25):
+    synthetic stream is drawn one unit at a time, and the metrics keep a few rows per checkpoint.
+    Warm tracemalloc peak of run_suite over this estimate at T = 8192 (tests/test_run_memory.py
+    holds each to 1.25):
 
         bodyfat-convex, 1 seed              1.02
-        mg-sc, 1 seed                       1.05
-        synthetic-sc-bandit-rho1, 1 seed    1.13
+        mg-sc, 1 seed                       1.06
+        synthetic-sc-bandit-rho1, 1 seed    1.11
         synthetic-convex-c0.5, 3 seeds      1.00
     """
     width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"

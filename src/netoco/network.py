@@ -247,19 +247,17 @@ def verify_window_connectivity(schedule: TopologySchedule) -> bool:
     return True
 
 
-def consensus_mix(matrix: WeightMatrix, vectors, out=None) -> np.ndarray:
+def consensus_mix(matrix: WeightMatrix, vectors) -> np.ndarray:
     """Mix unit vectors: row i of the result is sum_j a_ij * vectors[j].
 
     vectors is (N,), (N, d), or (..., N, d) for a batch of independent
-    networks that share the round's weights; each is mixed on its own. With
-    out, a C-contiguous array of the result's shape that shares no memory
-    with vectors, the product is written there and out is returned.
+    networks that share the round's weights; each is mixed on its own.
     """
     entries, stacked = matrix.entries, np.asarray(vectors, dtype=float)
     if stacked.shape[-2 if stacked.ndim > 1 else 0] != len(entries):
         raise ValueError("one vector per node required")
-    # out goes in positionally: the kernel mixes every round, where the keyword costs a tenth of the product.
-    return np.matmul(entries, stacked, out)
+    return np.matmul(entries, stacked)
+
 
 def product_deviation(schedule: TopologySchedule, t: int, m: int) -> float:
     """Max |entry - 1/N| of the backward product A(t) A(t-1) ... A(m)."""

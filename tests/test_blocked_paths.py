@@ -125,10 +125,9 @@ SCHEDULES = [
 def test_block_step_sizes_equal_the_per_round_eta_and_beta(T, variant, extra):
     # Two seeds whose G and step constants differ, as the schedules of one batch may.
     schedules = [make_schedule(variant, p=8, radius=10.0, horizon=T, **fields) for fields in extra]
-    blocks = [_block_steps(schedules, start, min(start + _BLOCK, T), (2, 3, 4)) for start in range(0, T, _BLOCK)]
-    etas = np.concatenate([eta for eta, _ in blocks])
-    betas = np.concatenate([beta for _, beta in blocks])
-    assert etas.shape == betas.shape == (T, 2, 3, 4)
+    etas, betas = np.full((2, T, 2, 3, 4), np.nan)
+    for start in range(0, T, _BLOCK):
+        assert _block_steps(schedules, start, etas[start : start + _BLOCK], betas[start : start + _BLOCK]) is None
     for s, hyper in enumerate(schedules):
         want_etas = [hyper.eta(t) for t in range(1, T + 1)]
         want_betas = [hyper.beta(t) for t in range(1, T + 1)]

@@ -34,6 +34,11 @@ CASES = {
         ["problem source must be synthetic or dataset, got 'bogus'"],
     ),
     "repeated seed": ({"seeds": (1, 1)}, {"run": {"seeds": "1 1"}}, ["seeds must be distinct"]),
+    "empty checkpoints": (
+        {"checkpoints": ()},
+        {"algorithm": {"checkpoints": ""}},
+        ["checkpoints must not be empty; omit the key for the default grid"],
+    ),
     "no workers": ({"workers": 0}, {"run": {"workers": "0"}}, ["workers must be >= 1, got 0"]),
     "empty box": (
         {"lower": 1.0, "upper": 0.0},

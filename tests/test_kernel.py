@@ -66,7 +66,8 @@ class TestContainmentCheck:
 class TestSphereBlock:
     def test_matches_the_scalar_sampler(self):
         seeds = (3, 4)
-        block = _sphere_block([_sphere_rngs(seed, 6) for seed in seeds], 50, 4)
+        block = np.empty((50, 2, 6, 4))
+        assert _sphere_block([_sphere_rngs(seed, 6) for seed in seeds], block) is None
         for s, seed in enumerate(seeds):
             for i, rng in enumerate(_sphere_rngs(seed, 6)):
                 scalar = np.stack([sample_unit_sphere(rng, 4) for _ in range(50)])
@@ -78,7 +79,7 @@ class TestSphereBlock:
                 return np.zeros(size)
 
         with pytest.raises(RuntimeError, match="zero vector"):
-            _sphere_block([[ZeroGaussians()]], 3, 4)
+            _sphere_block([[ZeroGaussians()]], np.empty((3, 1, 1, 4)))
 
 
 class TestRunSeeds:
@@ -202,24 +203,29 @@ def test_kernel_run_equals_chained_full_rounds(horizon):
     [("convex-full", run_round_full), ("strongly-convex-bandit", run_round_bandit)],
     ids=["full", "bandit"],
 )
-def test_kept_blocks_equal_per_seed_runs_and_chained_rounds(variant, run_round):
-    """The kernel runs its rounds in buffers; every block it yields must still
-    hold its own rounds after later blocks were computed, so no array is
-    reused across yields."""
+def test_each_lent_block_equals_per_seed_runs_and_chained_rounds(variant, run_round):
+    """Each block the kernel lends, read as it arrives, holds the rounds of each
+    seed's run_experiment trajectory and of the chained round functions."""
     seeds = (1, 2)
     streams, schedules, box = batch(variant, seeds)
     topology = default_ring_6()
-    blocks = list(algorithm._lockstep(streams, topology, schedules, box, seeds))
-    assert [block[0] for block in blocks] == [0, 128, 256]
-    for s, seed in enumerate(seeds):
-        stream, hyper = streams[s], schedules[s]
-        trajectory = run_experiment(stream, topology, hyper, box, seed=seed)
-        state = initial_state(6, box, seed=seed, bandit=hyper.is_bandit)
-        for start, block_losses, committed, violated, observed, queries in blocks:
-            losses = block_losses.values(committed) if queries is None else observed
+    trajectories = [
+        run_experiment(stream, topology, hyper, box, seed=seed)
+        for stream, hyper, seed in zip(streams, schedules, seeds)
+    ]
+    states = [
+        initial_state(6, box, seed=seed, bandit=hyper.is_bandit) for hyper, seed in zip(schedules, seeds)
+    ]
+    starts = []
+    for start, block_losses, committed, violated, observed, queries in algorithm._lockstep(
+        streams, topology, schedules, box, seeds
+    ):
+        starts.append(start)
+        losses = block_losses.values(committed) if queries is None else observed
+        for s, (stream, hyper, trajectory) in enumerate(zip(streams, schedules, trajectories)):
             for k in range(len(committed)):
                 t = start + k + 1
-                state, record = run_round(state, stream.round(t), topology.weights_at(t), hyper, box, t)
+                states[s], record = run_round(states[s], stream.round(t), topology.weights_at(t), hyper, box, t)
                 kept = [
                     (committed[k, s], trajectory.decisions[t - 1], record.decisions),
                     (violated[k, s], trajectory.violations[t - 1], record.violations),
@@ -230,6 +236,24 @@ def test_kept_blocks_equal_per_seed_runs_and_chained_rounds(variant, run_round):
                 for block_rows, alone, chained in kept:
                     np.testing.assert_array_equal(block_rows, alone)
                     np.testing.assert_array_equal(block_rows, chained)
+    assert starts == [0, 128, 256]
+
+
+@pytest.mark.parametrize("variant", ["convex-full", "strongly-convex-bandit"])
+def test_successive_blocks_are_lent_from_one_set_of_arrays(variant):
+    """The kernel refills its block arrays in place: two blocks in a row are
+    views of the same memory, not copies."""
+    seeds = (1, 2)
+    streams, schedules, box = batch(variant, seeds)
+    blocks = algorithm._lockstep(streams, default_ring_6(), schedules, box, seeds)
+    _, first_losses, first, _, first_observed, first_queries = next(blocks)
+    _, second_losses, second, _, second_observed, second_queries = next(blocks)
+    assert np.shares_memory(first, second)
+    assert np.shares_memory(first_losses.features, second_losses.features)
+    assert np.shares_memory(first_losses.targets, second_losses.targets)
+    if variant.endswith("bandit"):
+        assert np.shares_memory(first_observed, second_observed)
+        assert np.shares_memory(first_queries, second_queries)
 
 
 def generic_constraints():
@@ -349,15 +373,15 @@ class TestDeferredContainment:
         hyper = schedules[0]
         original, drawn = algorithm._sphere_block, [0]  # rounds drawn so far
 
-        def stretched(rngs, rounds, dimension):
-            directions = original(rngs, rounds, dimension)
+        def stretched(rngs, directions):
+            original(rngs, directions)
+            rounds = len(directions)
             k = BROKEN_ROUND - drawn[0] - 1
             if 0 <= k < rounds:
                 # A direction of length 3 R / eps puts the probe x + eps * u at
                 # distance 3 R from a decision inside the ball of radius R.
                 directions[k, 0, BROKEN_UNIT - 1] *= 3.0 * hyper.radius / hyper.eps(1)
             drawn[0] += rounds
-            return directions
 
         monkeypatch.setattr(algorithm, "_sphere_block", stretched)
         starts = record_yielded_blocks(monkeypatch)

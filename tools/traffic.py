@@ -11,8 +11,8 @@ to a temporary directory), plus one `netoco presets` call. The standard
 library's trace module counts the lines executed. A function counts as run
 when any statement of its own body ran; nested functions are judged apart.
 Prints one `module.qualname (file:line)` per function that never ran, then
-their number. Reads perfbench/ and writes nothing there. A pass took 11 s on
-a 2-core x86-64 host.
+their number. Reads perfbench/ and writes nothing there. A pass took 4.5 to
+5.4 s on a 2-core x86-64 host.
 
 Exits 1, naming them, when a never-run function lies outside netoco.reference
 (the per-unit oracle the tests compare the kernel with) and outside
