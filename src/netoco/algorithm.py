@@ -334,18 +334,11 @@ def _round_views(committed, features, targets, betas, etas, probes=None) -> tupl
     return tuple(zip(committed[:-1], committed[1:], features, targets, betas, etas, per_round))
 
 
-def _box_bounds(constraints: ConstraintSet):
-    """The (lower, upper) clip bounds of a set whose dual pull is the box's closed form, else None."""
-    if type(constraints).dual_pull_rows is BoxConstraintSet.dual_pull_rows:
-        return constraints._clip_bounds
-    return None
-
-
 # 0.5 of the loss value as a float64 0-d array, which takes the ufunc's fast path.
 _HALF = np.array(0.5)
 
 
-def _run_block(rounds, pull, start, weights, radius, rho, constraints, bounds, scratch, dimension_over_eps=None):
+def _run_block(rounds, pull, start, weights, radius, rho, constraints, scratch, dimension_over_eps=None):
     """Rounds start + 1, start + 2, ... of (..., N, d) decision rows, in place, one after another.
 
     rounds is _round_views of the block's arrays, one entry per round: round
@@ -354,11 +347,10 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, bounds, s
     committed[k + 1], under bandit feedback also its probes and the losses
     observed there. It mixes with weights[(start + k) % len(weights)], the
     entries of a WeightMatrix. pull holds the dual pull at committed[0] and is
-    left holding the pull at the last row. rho is the stream's; bounds is
-    _box_bounds(constraints); dimension_over_eps is d / eps under bandit
-    feedback; scratch is _scratch(pull.shape). Nothing here checks
-    containment or records violations: the callers do that for the block at
-    once.
+    left holding the pull at the last row. rho is the stream's;
+    dimension_over_eps is d / eps under bandit feedback; scratch is
+    _scratch(pull.shape). Nothing here checks containment or records
+    violations: the callers do that for the block at once.
 
     A round makes only the formula's numpy calls, each a bare ufunc, c_einsum
     or matmul writing into these arrays with the operands of the update in
@@ -368,8 +360,9 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, bounds, s
     next decisions' row, y = committed - that step in pull, and y is mixed
     back into that row. rho, 2 rho and d / eps become float64 0-d arrays, and
     whether rho is zero is decided, once per block. _project_rows is looked
-    up by name every round; a box pulls through the steps of
-    BoxConstraintSet.dual_pull_rows written out, any other set through its
+    up by name every round. A set whose dual_pull_rows is the box's, decided
+    once per block too, pulls through the steps of
+    BoxConstraintSet.dual_pull_rows written out; any other set through its
     own dual_pull_rows.
     """
     add, divide, multiply, subtract, matmul, einsum = np.add, np.divide, np.multiply, np.subtract, np.matmul, _c_einsum
@@ -378,8 +371,9 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, bounds, s
     rho, twice_rho = np.array(rho), np.array(2.0 * rho)
     if dimension_over_eps is not None:
         dimension_over_eps = np.array(dimension_over_eps)
-    if bounds is not None:
-        lower, upper = bounds
+    box = type(constraints).dual_pull_rows is BoxConstraintSet.dual_pull_rows
+    if box:
+        lower, upper = constraints._clip_bounds
     mixing = islice(cycle(weights), start % len(weights), None)
     for (current, nxt, features, targets, beta, eta, probe), entries in zip(rounds, mixing):
         if probe is None:  # (a.x - b) a + 2 rho x at the decisions
@@ -403,10 +397,10 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, bounds, s
         multiply(beta, add(nxt, pull, nxt), nxt)
         matmul(entries, subtract(current, nxt, pull), nxt)
         _project_rows(nxt, radius)
-        if bounds is None:
-            constraints.dual_pull_rows(nxt, eta, pull)
-        else:  # (x - clip(x, lower, upper)) / eta + 0.0
+        if box:  # (x - clip(x, lower, upper)) / eta + 0.0
             add(divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull), _ZERO, pull)
+        else:
+            constraints.dual_pull_rows(nxt, eta, pull)
 
 
 def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
@@ -472,8 +466,9 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
 
     schedules[s] gives seed s its eta_t and beta_t. The rest is read from
     schedules[0]: the feedback, p, T, R and b, which with T and R fixes pi,
-    eps and the decision radius, so the schedules must agree on those and may
-    differ in G, c, a and sigma.
+    eps and the decision radius, so the schedules must agree on those. They
+    may differ in G, a and sigma, and in c only under full information: under
+    bandit feedback c fixes b = c / 3, which they share.
 
     The block's arrays are allocated once per run and refilled in place:
     the decisions, with one row more than the block for the decisions left
@@ -518,7 +513,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         dimension_over_eps = d / eps
 
     weights = tuple(w.entries for w in topology.weights)
-    radius, bounds = hyper.decision_radius, _box_bounds(constraints)
+    radius = hyper.decision_radius
     shape = (len(streams), n, d)
     length = min(horizon, _BLOCK)
     # Zero decisions for round 1. The duals start at zero, so round 1 feels no
@@ -544,7 +539,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
         if bandit:
             _sphere_block(rngs, directions[:b])
             np.multiply(eps, directions[:b], offsets[:b])
-        _run_block(rounds[:b], pull, start, weights, radius, rho, constraints, bounds, scratch, dimension_over_eps)
+        _run_block(rounds[:b], pull, start, weights, radius, rho, constraints, scratch, dimension_over_eps)
         # Containment of the block, before any of it is handed out: every
         # committed decision, the decisions left for round start + b + 1, every probe.
         _check_in_ball(committed[: b + 1], radius, start + 1, "decision", seeds)
@@ -674,7 +669,8 @@ def run_seeds(
     """Run S seeds in lockstep and keep only the sums that metrics need.
 
     streams[s], schedules[s] and seeds[s] belong to one run; the schedules may
-    differ in what enters only the step sizes (G, c, a and sigma), see _lockstep.
+    differ in what enters only the step sizes (G, a and sigma, and c under full
+    information only, as under bandit feedback c fixes the shared b), see _lockstep.
     No trajectory is stored: _checkpoint_totals sums the kernel's blocks as
     they come, in O(B S N (d + p) + K S N) memory on top of the streams, as
     metrics.metric_series sums a stored trajectory, so the sums are bit for

@@ -131,9 +131,9 @@ def load_config(path) -> ScenarioConfig:
 def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
     """The config of parsed scenario keys, with every key's default; the only builder of one.
 
-    Here: text to values, section and key names, keys that exclude each other, and sizes
-    checked before allocation; the rules on the values are _rule_failures'. A relative
-    dataset path resolves against base_dir, the scenario file's directory.
+    Here: text to values, section and key names, and keys that exclude each other; the
+    config ends in apply_overrides, which checks the rules and the seed count's size. A
+    relative dataset path resolves against base_dir, the scenario file's directory.
     """
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -186,12 +186,12 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
         raise ConfigError("give either seeds or seed_count, not both")
     if seeds_text is not None:
         seeds, count = tuple(_parse_int(tok, "seeds") for tok in _tokens(seeds_text)), None
-    else:  # seed 1 stands in for 1..count until the rules have passed
-        seeds, count = (1,), _parse_int(seed_count_text or "10", "seed_count", minimum=1)
+    else:  # apply_overrides builds 1..count
+        seeds, count = (), _parse_int(seed_count_text or "10", "seed_count")
     output_dir = get("run", "output")
     workers = _parse_int(get("run", "workers", "1"), "workers")
 
-    config = ScenarioConfig(
+    return apply_overrides(ScenarioConfig(
         name=name,
         source=source,
         dataset=dataset,
@@ -211,11 +211,7 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
         output_dir=output_dir,
         workers=workers,
         topology=topology,
-    )
-    if seed_count_text is not None:  # the rules, then the size check
-        return apply_overrides(config, seed_count=count)
-    _raise_rule_failures(config)
-    return config if count is None else replace(config, seeds=tuple(range(1, count + 1)))
+    ), seed_count=count)
 
 
 def _tokens(text: str) -> list[str]:
@@ -289,8 +285,9 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
 def _rule_failures(config: ScenarioConfig) -> list[str]:
     """Every rule on a config's own field values, in the order of the file's keys.
 
-    Their one home: load_config raises these failures and validate_scenario
-    returns them before any data work, so a replaced field fails as its key does.
+    Their one home: apply_overrides, which every config passes through, raises these
+    failures and validate_scenario returns them before any data work, so a value fails in
+    the same words from a file key, a preset override or a replaced field.
     """
     failures = []
 
@@ -340,13 +337,6 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
     return failures
 
 
-def _raise_rule_failures(config: ScenarioConfig):
-    """ConfigError joining every rule config fails, if any."""
-    failures = _rule_failures(config)
-    if failures:
-        raise ConfigError("; ".join(failures))
-
-
 # ---------------------------------------------------------------------------
 # Presets
 
@@ -387,7 +377,6 @@ def preset_config(
     *,
     seed_count: Optional[int] = None,
     horizon: Optional[int] = None,
-    output_dir: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> ScenarioConfig:
     """A preset's keys read as a scenario file's, then apply_overrides."""
@@ -396,8 +385,7 @@ def preset_config(
     parser = configparser.ConfigParser()
     parser.read_dict(_PRESETS[name])
     return apply_overrides(
-        _from_parser(parser, name, None), seed_count=seed_count, horizon=horizon,
-        output_dir=output_dir, workers=workers,
+        _from_parser(parser, name, None), seed_count=seed_count, horizon=horizon, workers=workers
     )
 
 
@@ -406,28 +394,25 @@ def apply_overrides(
     *,
     seed_count: Optional[int] = None,
     horizon: Optional[int] = None,
-    output_dir: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> ScenarioConfig:
     """Replace the seed list with 1..seed_count and set the other values given; None keeps one.
-    The size check made before 1..seed_count is built runs after the rules, which it needs."""
-    changes = {}
-    if horizon is not None:
-        if horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        changes["horizon"] = horizon
+
+    ConfigError joins every rule the result fails (_rule_failures), a seed_count below 1
+    among them; the size check made before 1..seed_count is built runs after the rules,
+    which it needs.
+    """
+    # Seed 1 stands in for 1..seed_count until the checks pass.
+    seeds = None if seed_count is None else (1,)
+    changes = {"horizon": horizon, "workers": workers, "seeds": seeds}
+    config = replace(config, **{key: value for key, value in changes.items() if value is not None})
+    failures = _rule_failures(config)
     if seed_count is not None and seed_count < 1:
-        raise ConfigError("seed_count must be >= 1")
-    if output_dir is not None:
-        changes["output_dir"] = output_dir
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
-        changes["workers"] = workers
+        failures.append(f"seed_count must be >= 1, got {seed_count}")
+    if failures:
+        raise ConfigError("; ".join(failures))
     if seed_count is None:
-        return replace(config, **changes)
-    config = replace(config, seeds=(1,), **changes)
-    _raise_rule_failures(config)
+        return config
     failure = _stream_failure(
         f"seed_count = {seed_count} with horizon = {config.horizon}", seed_count, config.horizon,
         config.n_units, config.dimension,
@@ -443,8 +428,8 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
     For values that pass the rules: every seed's stream, S N T (d + 1) floats, and one block
     of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
     Nothing else a run keeps grows with T: the bounds, the dealing of dataset rows and the step
-    sizes take one 128-round block at a time, the finiteness check makes no temporary, a
-    synthetic stream is drawn one unit at a time, and the metrics keep a few rows per checkpoint.
+    sizes take one 128-round block at a time, as do a synthetic stream's draws, the finiteness
+    check makes no temporary, and the metrics keep a few rows per checkpoint.
     Warm tracemalloc peak of run_suite over this estimate at T = 8192 (tests/test_run_memory.py
     holds each to 1.25):
 
@@ -518,7 +503,6 @@ class _Prepared:
     """What a valid scenario resolves to before its first round."""
 
     dataset: Optional[DatasetTable]  # the rescaled rows, built once; None for synthetic data
-    dimension: int
     radius: float
     constraints: BoxConstraintSet
     checkpoints: tuple[int, ...]
@@ -589,7 +573,7 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
         failures.append(str(exc))
     if failures:
         return failures, None
-    return [], _Prepared(dataset, dimension, radius, constraints, checkpoints)
+    return [], _Prepared(dataset, radius, constraints, checkpoints)
 
 
 # A standard normal draw beyond 40 has probability below 1e-340.
@@ -651,7 +635,7 @@ def _seed_inputs(config, seed, prepared: _Prepared):
     stream_seed = config.data_seed + seed
     if config.source == "synthetic":
         stream = synthetic_stream(
-            config.n_units, prepared.dimension, config.horizon, config.rho, stream_seed
+            config.n_units, prepared.constraints.dimension, config.horizon, config.rho, stream_seed
         )
     else:
         stream = dataset_stream(

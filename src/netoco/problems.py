@@ -429,11 +429,12 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
 
     xbar has ones in the first floor(d/2) coordinates and zeros elsewhere.
     Each unit draws from its own SeedSequence-spawned stream, so the result is
-    bitwise reproducible and independent of evaluation order. One unit's
-    draws are the only temporaries, and only until they are stored: a.xbar
-    is computed from the stored features straight into the targets (the same
-    gemv as on the unit's own (T, d) draw, with a row stride), and the noise
-    is added there.
+    bitwise reproducible and independent of evaluation order. A unit draws
+    its uniforms, then its normals, one _BLOCK-round block at a time, the
+    same numbers as one draw of each; a block's draw is the only temporary,
+    and only until it is stored. a.xbar is computed from the stored features
+    straight into the targets (the same gemv as on the unit's own (T, d)
+    draw, with a row stride), and the noise is added there.
     """
     if n_units < 1 or dimension < 1 or horizon < 1:
         raise ValueError("n_units, dimension, horizon must all be >= 1")
@@ -443,9 +444,12 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
     targets = np.empty((horizon, n_units))
     for i in range(1, n_units + 1):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SPAWN_DATA, i)))
-        features[:, i - 1, :] = rng.uniform(-1.0, 1.0, size=(horizon, dimension))
-        np.matmul(features[:, i - 1, :], xbar, out=targets[:, i - 1])
-        targets[:, i - 1] += rng.standard_normal(horizon)
+        unit_features, unit_targets = features[:, i - 1, :], targets[:, i - 1]
+        for block in _blocks(horizon):
+            unit_features[block] = rng.uniform(-1.0, 1.0, size=unit_features[block].shape)
+        np.matmul(unit_features, xbar, out=unit_targets)
+        for block in _blocks(horizon):
+            unit_targets[block] += rng.standard_normal(len(unit_targets[block]))
     return RegressionStream(features, targets, rho)
 
 

@@ -6,7 +6,8 @@ augmented Lagrangian, primal direction and dual reset; one synchronized round
 of all units from an explicit RunState (run_round_full and run_round_bandit
 run the kernel's loop, algorithm._run_block, on a block of one round, so the
 round has one body); and one run's regret and violation at one prefix length,
-its system loss added round by round. The run-path modules never import this one.
+its system loss added round by round, and the hindsight comparator of that
+prefix, solved on one vector. The run-path modules never import this one.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algorithm import (
-    HyperSchedule, RunTrajectory, _box_bounds, _check_in_ball, _overflow_factors, _round_views, _run_block, _scratch,
+    HyperSchedule, RunTrajectory, _check_in_ball, _overflow_factors, _round_views, _run_block, _scratch,
     _sphere_rngs, check_checkpoints,
 )
-from .metrics import Comparator, offline_comparators
+from .metrics import Comparator, ConvergenceError
 from .network import WeightMatrix
 from .problems import ConstraintSet, RegressionExample, RegressionStream
 
@@ -200,8 +201,8 @@ def _round(state: RunState, round_losses, weights, hyper, constraints, t, direct
         np.full(committed[1:].shape, hyper.beta(t)), np.full(committed[1:].shape, eta), probes,
     )
     _run_block(
-        views, pull, 0, (weights.entries,), radius, round_losses.rho, constraints, _box_bounds(constraints),
-        _scratch(rows.shape), dimension_over_eps,
+        views, pull, 0, (weights.entries,), radius, round_losses.rho, constraints, _scratch(rows.shape),
+        dimension_over_eps,
     )
     nxt = committed[1]
     if queries is not None:
@@ -254,8 +255,40 @@ def offline_comparator(
     tol: float = 1e-9,
     max_iters: int = 100_000,
 ) -> Comparator:
-    """Minimize the accumulated loss over the constraint region; see offline_comparators."""
-    return offline_comparators(stream, constraints, (T,), tol=tol, max_iters=max_iters)[0]
+    """Minimize the accumulated loss over the constraint region for one prefix, on one vector.
+
+    Projected gradient descent on the prefix's quadratic from the projected
+    origin, with step 1/(sum ||a||^2 + 2 rho N T), until the iterate moves by
+    at most tol: the solver metrics.offline_comparators takes for each of its
+    rows. A prefix without curvature returns the projected origin after 0
+    iterations. The gap is left nan. ConvergenceError, naming T, if max_iters
+    iterations do not stop.
+    """
+    if not hasattr(constraints, "project"):
+        raise ValueError("the comparator needs a constraint set with a projection")
+    stats = stream.sufficient_statistics(T)
+    gram, cross = stats.gram, stats.cross
+    reg = 2.0 * stats.rho * stats.count
+    x = constraints.project(np.zeros(stream.dimension))
+    residual, iterations = 0.0, 0
+    curvature = float(np.trace(gram)) + reg
+    if curvature > 0.0:
+        step, residual = 1.0 / curvature, math.inf
+        for iterations in range(1, max_iters + 1):
+            x_next = constraints.project(x - step * (gram @ x - cross + reg * x))
+            residual = float(np.linalg.norm(x_next - x))
+            x = x_next
+            if residual <= tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"comparator did not converge at checkpoint T = {T}: "
+                f"residual {residual:.3e} after {max_iters} iterations"
+            )
+    objective = float(
+        0.5 * (x @ gram @ x) - cross @ x + 0.5 * stats.target_square_sum
+    ) + 0.5 * reg * float(x @ x)
+    return Comparator(point=x, objective=objective, residual=residual, iterations=iterations)
 
 
 def system_cumulative_losses(trajectory: RunTrajectory, stream, T: int) -> np.ndarray:

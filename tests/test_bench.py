@@ -289,12 +289,9 @@ class TestPresets:
             assert config.seeds == tuple(range(1, 11))
 
     def test_overrides(self):
-        config = preset_config(
-            "synthetic-sc-rho1", seed_count=3, horizon=64, output_dir="elsewhere", workers=4
-        )
+        config = preset_config("synthetic-sc-rho1", seed_count=3, horizon=64, workers=4)
         assert config.seeds == (1, 2, 3)
         assert config.horizon == 64
-        assert config.output_dir == "elsewhere"
         assert config.workers == 4
 
     def test_a_lookup_builds_one_topology_and_the_list_none(self, monkeypatch):

@@ -1,5 +1,6 @@
 """One set of rules for a config's fields: a config made with dataclasses.replace
-fails validate_scenario and run_suite in the words a scenario file fails load_config."""
+fails validate_scenario, run_suite and apply_overrides in the words a scenario
+file fails load_config."""
 
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from netoco.bench import (
     ConfigError,
     ScenarioError,
+    apply_overrides,
     load_config,
     preset_config,
     run_suite,
@@ -76,6 +78,9 @@ def test_a_replaced_field_fails_as_its_file_key_does(tmp_path, case):
         run_suite(config, out_dir=tmp_path / "out")
     assert str(raised.value) == "; ".join(expected)
     assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError) as raised:
+        apply_overrides(config, horizon=8)
+    assert str(raised.value) == "; ".join(expected)
     path = tmp_path / "case.ini"
     path.write_text(scenario_text(keys), encoding="utf-8")
     with pytest.raises(ConfigError) as raised:

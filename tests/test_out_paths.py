@@ -12,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from netoco.algorithm import _box_bounds, _project_rows, _round_views, _run_block, _scratch
+from netoco.algorithm import _project_rows, _round_views, _run_block, _scratch
 from netoco.network import WeightMatrix, consensus_mix
 from netoco.problems import BoxConstraintSet, ConstraintSet, RegressionRound, _row_dots
 
@@ -202,8 +202,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     loop_pull = pull.copy()
     _run_block(
         _round_views(committed, features, targets, betas, etas, probes), loop_pull, start,
-        tuple(w.entries for w in weights), radius, rho, constraints, _box_bounds(constraints), scratch,
-        d / eps if bandit else None,
+        tuple(w.entries for w in weights), radius, rho, constraints, scratch, d / eps if bandit else None,
     )
 
     current = decisions

@@ -1,4 +1,5 @@
-"""`netoco run` on a scenario file checks its overrides exactly as on a preset."""
+"""`netoco run` on a scenario file checks its overrides exactly as on a preset,
+and a zero override fails in the words of the zero key it replaces."""
 
 import pytest
 
@@ -15,6 +16,17 @@ seeds = 4 5 6
 """
 
 
+# The scenario with one key of [algorithm] or [run] set to zero.
+ZERO_KEY = """\
+[algorithm]
+variant = convex-full
+c = 0.5
+{algorithm}
+[run]
+{run}
+"""
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.ini"
@@ -23,22 +35,27 @@ def scenario_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("flag", "message"),
+    ("flag", "section", "message"),
     [
-        ("--seed-count", "seed_count must be >= 1"),
-        ("--horizon", "horizon must be >= 1"),
-        ("--workers", "workers must be >= 1"),
+        ("--seed-count", "run", "seed_count must be >= 1, got 0"),
+        ("--horizon", "algorithm", "horizon must be >= 1, got 0"),
+        ("--workers", "run", "workers must be >= 1, got 0"),
     ],
 )
 def test_file_run_rejects_a_zero_override_like_a_preset_run(
-    scenario_file, tmp_path, capsys, flag, message
+    scenario_file, tmp_path, capsys, flag, section, message
 ):
     out = str(tmp_path / "out")
     assert main(["run", "--preset", "mg-sc", flag, "0", "--out", out]) == 2
     preset_error = capsys.readouterr().err
     assert main(["run", str(scenario_file), flag, "0", "--out", out]) == 2
     file_error = capsys.readouterr().err
-    assert file_error == preset_error == f"error: {message}\n"
+    keyed = tmp_path / "keyed.ini"
+    key = flag[2:].replace("-", "_") + " = 0"
+    keyed.write_text(ZERO_KEY.format(**{"algorithm": "", "run": "", section: key}), encoding="utf-8")
+    assert main(["run", str(keyed), "--out", out]) == 2
+    key_error = capsys.readouterr().err
+    assert file_error == preset_error == key_error == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

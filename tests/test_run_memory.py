@@ -4,7 +4,9 @@ The size check (bench._stream_failure) estimates a run as its streams plus one
 128-round block of the kernel. The bounds, the dealing of dataset rows and
 the step sizes work a block at a time and the finiteness check makes no
 temporary, so the traced peak of a warm run stays close to that estimate,
-and validate cannot pass a scenario that run cannot hold. metric_series sums a
+and validate cannot pass a scenario that run cannot hold. A synthetic stream
+is drawn a block at a time, so drawing it holds no more than its own arrays
+and one block's draw. metric_series sums a
 stored trajectory a block at a time, so it holds one block's products.
 """
 
@@ -73,3 +75,17 @@ def test_metric_series_holds_one_block_of_a_stored_run():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("horizon", [8192, 32768])
+def test_a_synthetic_stream_holds_one_blocks_draw_above_its_arrays(horizon):
+    """A unit's whole (T, d) uniform draw would take 256 KiB at T = 8192 and 1 MiB at 32768."""
+    synthetic_stream(1, 4, horizon, rho=0.0, seed=1)  # warm-up
+    tracemalloc.start()
+    try:
+        stream = synthetic_stream(1, 4, horizon, rho=0.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    above = peak - stream.features.nbytes - stream.targets.nbytes
+    assert above <= 64 * 2**10, f"{above / 2**10:.1f} KiB above the stream's arrays"
