@@ -5,11 +5,12 @@ A scenario file is flat key = value INI text with sections [problem],
 the table of keys where it differs from a file's defaults, and preset_config
 reads it through the same loader, so every key has one default. One scenario
 runs its seed list as one lockstep batch, evaluates the metric series per
-seed, averages across seeds, and writes one CSV per scenario with per-seed
-rows plus a seed = "mean" aggregate row per checkpoint. Identical configs
-produce byte-identical CSVs for any worker count: every seed's stream,
-schedule, and numbers depend only on its own integers (batching changes no
-bit of them), and assembly is ordered.
+seed with one comparator solve for the batch, averages across seeds, and
+writes one CSV per scenario with per-seed rows plus a seed = "mean"
+aggregate row per checkpoint. Identical configs produce byte-identical CSVs
+for any worker count: every seed's stream, schedule, and numbers depend only
+on its own integers (batching changes no bit of them), and assembly is
+ordered.
 """
 
 from __future__ import annotations
@@ -114,8 +115,18 @@ _SECTIONS = {
 }
 
 
-def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario file; unknown sections or keys are errors."""
+def load_config(
+    path,
+    *,
+    seed_count: Optional[int] = None,
+    horizon: Optional[int] = None,
+    workers: Optional[int] = None,
+) -> ScenarioConfig:
+    """Parse and validate a scenario file; unknown sections or keys are errors.
+
+    seed_count, horizon and workers, where given, replace the file's values
+    before the config's one check (apply_overrides).
+    """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -125,15 +136,20 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return _from_parser(parser, path.stem, path.parent)
+    return _from_parser(
+        parser, path.stem, path.parent, seed_count=seed_count, horizon=horizon, workers=workers
+    )
 
 
-def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
+def _from_parser(
+    parser, name: str, base_dir: Optional[Path], *, seed_count=None, horizon=None, workers=None
+) -> ScenarioConfig:
     """The config of parsed scenario keys, with every key's default; the only builder of one.
 
     Here: text to values, section and key names, and keys that exclude each other; the
-    config ends in apply_overrides, which checks the rules and the seed count's size. A
-    relative dataset path resolves against base_dir, the scenario file's directory.
+    config ends in one apply_overrides call, given the overrides that are not None in place
+    of the keys' values, which checks the rules and the seed count's size once. A relative
+    dataset path resolves against base_dir, the scenario file's directory.
     """
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -172,7 +188,7 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
     c_text = get("algorithm", "c")
     c = None if c_text is None else _parse_float(c_text, "c")
     a = _parse_float(get("algorithm", "a", "2.0"), "a")
-    horizon = _parse_int(get("algorithm", "horizon", "8192"), "horizon")
+    horizon_key = _parse_int(get("algorithm", "horizon", "8192"), "horizon")
     checkpoints_text = get("algorithm", "checkpoints")
     checkpoints = (
         None
@@ -189,7 +205,7 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
     else:  # apply_overrides builds 1..count
         seeds, count = (), _parse_int(seed_count_text or "10", "seed_count")
     output_dir = get("run", "output")
-    workers = _parse_int(get("run", "workers", "1"), "workers")
+    workers_key = _parse_int(get("run", "workers", "1"), "workers")
 
     return apply_overrides(ScenarioConfig(
         name=name,
@@ -205,13 +221,13 @@ def _from_parser(parser, name: str, base_dir: Optional[Path]) -> ScenarioConfig:
         variant=variant,
         c=c,
         a=a,
-        horizon=horizon,
+        horizon=horizon_key,
         checkpoints=checkpoints,
         seeds=seeds,
         output_dir=output_dir,
-        workers=workers,
+        workers=workers_key,
         topology=topology,
-    ), seed_count=count)
+    ), seed_count=count if seed_count is None else seed_count, horizon=horizon, workers=workers)
 
 
 def _tokens(text: str) -> list[str]:
@@ -379,14 +395,12 @@ def preset_config(
     horizon: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> ScenarioConfig:
-    """A preset's keys read as a scenario file's, then apply_overrides."""
+    """A preset's keys read as a scenario file's, with the overrides as load_config takes them."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see `netoco presets`")
     parser = configparser.ConfigParser()
     parser.read_dict(_PRESETS[name])
-    return apply_overrides(
-        _from_parser(parser, name, None), seed_count=seed_count, horizon=horizon, workers=workers
-    )
+    return _from_parser(parser, name, None, seed_count=seed_count, horizon=horizon, workers=workers)
 
 
 def apply_overrides(
@@ -428,8 +442,8 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
     For values that pass the rules: every seed's stream, S N T (d + 1) floats, and one block
     of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
     Nothing else a run keeps grows with T: the bounds, the dealing of dataset rows and the step
-    sizes take one 128-round block at a time, as do a synthetic stream's draws, the finiteness
-    check makes no temporary, and the metrics keep a few rows per checkpoint.
+    sizes take one 128-round block at a time, a synthetic stream's draws one 1024-round chunk,
+    the finiteness check makes no temporary, and the metrics keep a few rows per checkpoint.
     Warm tracemalloc peak of run_suite over this estimate at T = 8192 (tests/test_run_memory.py
     holds each to 1.25):
 
@@ -667,9 +681,11 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     """Run every seed of a scenario, average, and (by default) write its CSV.
 
     All seeds run in lockstep as one batch (algorithm.run_seeds); the workers
-    setting is accepted but changes neither the output nor the work done. A
-    hindsight comparator that does not converge raises ScenarioError naming
-    the scenario, the seed, the checkpoint and the residual.
+    setting is accepted but changes neither the output nor the work done. The
+    hindsight comparators of every seed's checkpoints are solved together, in
+    one stacked solve (metrics.checkpoint_series); one that does not converge
+    raises ScenarioError naming the scenario, the first such seed, its
+    checkpoint and the residual.
 
     Output directory precedence: out_dir argument, then the NETOCO_OUTPUT_DIR
     environment variable, then the config's output key, then "results".
@@ -687,16 +703,16 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     comm_cost = np.array(
         [communication_cost(config.topology, T) for T in checkpoints], dtype=np.int64
     )
-    seed_results = []
-    for s, (seed, (stream, C, schedule)) in enumerate(zip(config.seeds, inputs)):
-        try:
-            series = checkpoint_series(
-                stream, constraints, checkpoints, totals.system_losses[:, s],
-                totals.violations[:, s], comm_cost,
-            )
-        except ConvergenceError as exc:
-            raise ScenarioError(f"{config.name}: seed {seed}: {exc}") from None
-        seed_results.append(SeedResult(seed=seed, series=series, C=C, schedule=schedule))
+    try:
+        series = checkpoint_series(
+            streams, constraints, checkpoints, totals.system_losses, totals.violations, comm_cost
+        )
+    except ConvergenceError as exc:
+        raise ScenarioError(f"{config.name}: seed {config.seeds[exc.stream]}: {exc}") from None
+    seed_results = [
+        SeedResult(seed=seed, series=seed_series, C=C, schedule=schedule)
+        for seed, seed_series, (_, C, schedule) in zip(config.seeds, series, inputs)
+    ]
     mean = averaged_metrics([r.series for r in seed_results])
     csv_path = None
     if write:

@@ -8,7 +8,6 @@ import sys
 from .bench import (
     ConfigError,
     ScenarioError,
-    apply_overrides,
     list_presets,
     load_config,
     preset_config,
@@ -61,10 +60,11 @@ def main(argv=None) -> int:
         if (args.config is None) == (args.preset is None):
             print("run needs a config file or --preset (not both)", file=sys.stderr)
             return 2
-        config = preset_config(args.preset) if args.preset is not None else load_config(args.config)
-        config = apply_overrides(
-            config, seed_count=args.seed_count, horizon=args.horizon, workers=args.workers
-        )
+        overrides = {"seed_count": args.seed_count, "horizon": args.horizon, "workers": args.workers}
+        if args.preset is not None:
+            config = preset_config(args.preset, **overrides)
+        else:
+            config = load_config(args.config, **overrides)
         result = run_suite(config, out_dir=args.out)
         final = result.checkpoints[-1]
         print(f"{result.name}: T={final} seeds={len(result.seed_results)}")

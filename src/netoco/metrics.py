@@ -12,11 +12,13 @@ messages per undirected edge per round.
 
 The comparator minimum is computed by projected gradient descent on the
 accumulated quadratic of each checkpoint's prefix, because the hindsight
-optimum depends on the horizon prefix. The prefixes' statistics are built one
-checkpoint at a time, and up to 64 prefixes are then solved together in one
-loop on stacked iterates (offline_comparators), each row with the bits of a
-solve of its prefix alone. Over a box, each comparator also carries its Frank-Wolfe
-gap, an upper bound on how far its objective lies above the true minimum.
+optimum depends on the horizon prefix. A scenario's prefixes are every
+(seed, checkpoint) pair, stacked across its seeds in seed-major order; their
+statistics are built one prefix at a time, and up to 64 prefixes are then
+solved together in one loop on stacked iterates (offline_comparators), each
+row with the bits of a solve of its prefix alone. Over a box, each comparator
+also carries its Frank-Wolfe gap, an upper bound on how far its objective lies
+above the true minimum.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .algorithm import RunTrajectory, _checkpoint_totals, check_checkpoints, variant_spec
 from .network import TopologySchedule
-from .problems import BoxConstraintSet, RegressionRound, RegressionStream, _blocks
+from .problems import BoxConstraintSet, RegressionRound, _blocks
 
 __all__ = [
     "Comparator",
@@ -63,58 +65,76 @@ class Comparator:
 
 
 class ConvergenceError(RuntimeError):
-    """A comparator's prefix did not stop within max_iters; the message names its checkpoint."""
+    """A comparator's prefix did not stop within max_iters.
+
+    The message names its checkpoint, and stream is the index of its stream in
+    the batch that offline_comparators was given (0 for a single stream).
+    """
+
+    def __init__(self, message: str, stream: int = 0):
+        super().__init__(message)
+        self.stream = stream
 
 
 # Prefixes solved in one loop at most. The loop stacks each prefix's d x d
 # statistics, so a group bounds that stack (about 100 KB at d = 14) whatever
-# the number of checkpoints, as the kernel's blocks bound its arrays; a whole
-# stack of 512 prefixes raised perfbench's peak memory on dense-checkpoints.
+# the number of seeds and checkpoints, as the kernel's blocks bound its arrays;
+# a whole stack of 512 prefixes raised perfbench's peak memory on dense-checkpoints.
 _GROUP = 64
 
 
 def offline_comparators(
-    stream: RegressionStream,
+    streams,
     constraints,
     checkpoints,
     *,
     tol: float = 1e-9,
     max_iters: int = 100_000,
-) -> tuple[Comparator, ...]:
-    """Minimize the accumulated loss over the constraint region for every prefix length.
+) -> tuple[tuple[Comparator, ...], ...]:
+    """Minimize the accumulated loss over the constraint region for every stream and prefix length.
 
-    Projected gradient descent on each prefix's quadratic, built from the
-    stream's sufficient statistics, with step 1/(sum ||a||^2 + 2 rho N T); a
-    prefix stops when its iterate moves by at most tol. Up to _GROUP
-    prefixes run as one loop on stacked iterates, and a row leaves the loop
-    when it stops, so each row takes exactly the steps a solve of its prefix
-    alone would take: gram @ x is one gemv per row and the move's norm one
-    dot per row, the BLAS calls of the one-vector formulas, and every
-    elementwise step keeps its operands and their order. constraints.project
-    must act row by row on (..., d) arrays. Prefixes without curvature
-    (all-zero features and rho = 0) have a constant objective and return the
-    projected origin after 0 iterations. A prefix that does not stop within
-    max_iters raises ConvergenceError naming the first such checkpoint.
+    Returns one tuple per stream, a Comparator per checkpoint. Projected
+    gradient descent on each prefix's quadratic, built from the stream's
+    sufficient statistics, with step 1/(sum ||a||^2 + 2 rho N T); a prefix
+    stops when its iterate moves by at most tol. The prefixes are every
+    (stream, checkpoint) pair in stream-major order, and up to _GROUP of them
+    run as one loop on stacked iterates, so a group may span two streams. A row
+    leaves the loop when it stops, so each row takes exactly the steps a solve
+    of its prefix alone would take: gram @ x is one gemv per row and the
+    move's norm one dot per row, the BLAS calls of the one-vector formulas,
+    and every elementwise step keeps its operands and their order.
+    constraints.project must act row by row on (..., d) arrays. Prefixes
+    without curvature (all-zero features and rho = 0) have a constant
+    objective and return the projected origin after 0 iterations. A prefix
+    that does not stop within max_iters raises ConvergenceError naming the
+    first such prefix in stream-major order: its checkpoint in the message,
+    its stream's index as .stream.
     """
     if not hasattr(constraints, "project"):
         raise ValueError("the comparator needs a constraint set with a projection")
+    streams = tuple(streams)
+    if len({stream.dimension for stream in streams}) > 1:
+        raise ValueError("the streams of one batch must share their dimension")
     checkpoints = tuple(int(T) for T in checkpoints)
-    return tuple(
+    prefixes = [(s, T) for s in range(len(streams)) for T in checkpoints]
+    solved = [
         comparator
-        for start in range(0, len(checkpoints), _GROUP)
-        for comparator in _solve_group(stream, constraints, checkpoints[start : start + _GROUP], tol, max_iters)
-    )
+        for start in range(0, len(prefixes), _GROUP)
+        for comparator in _solve_group(streams, constraints, prefixes[start : start + _GROUP], tol, max_iters)
+    ]
+    K = len(checkpoints)
+    return tuple(tuple(solved[s * K : (s + 1) * K]) for s in range(len(streams)))
 
 
-def _solve_group(stream, constraints, checkpoints, tol, max_iters) -> tuple[Comparator, ...]:
-    """offline_comparators for one group of checkpoints, in one loop on (K, d) iterates."""
-    K, d = len(checkpoints), stream.dimension
+def _solve_group(streams, constraints, prefixes, tol, max_iters) -> tuple[Comparator, ...]:
+    """offline_comparators for one group of (stream index, T) prefixes, in one loop on (K, d) iterates."""
+    K, d = len(prefixes), streams[prefixes[0][0]].dimension
     # The group's statistics, stacked; each prefix's own arrays are dropped as they are copied in.
     gram, cross = np.empty((K, d, d)), np.empty((K, d))
     halved_square_sums, reg, step = np.empty(K), np.empty((K, 1)), np.ones((K, 1))
     curved = np.zeros(K, dtype=bool)
-    for k, T in enumerate(checkpoints):
-        stats = stream.sufficient_statistics(T)
+    for k, (index, T) in enumerate(prefixes):
+        stats = streams[index].sufficient_statistics(T)
         gram[k], cross[k] = stats.gram, stats.cross
         halved_square_sums[k] = 0.5 * stats.target_square_sum
         reg[k] = 2.0 * stats.rho * stats.count
@@ -144,9 +164,11 @@ def _solve_group(stream, constraints, checkpoints, tol, max_iters) -> tuple[Comp
                 active[keep], x[keep], g[keep], c[keep], r[keep], s[keep], residual[keep]
             )
     if len(active):
+        index, T = prefixes[active[0]]
         raise ConvergenceError(
-            f"comparator did not converge at checkpoint T = {checkpoints[active[0]]}: "
-            f"residual {residual[0]:.3e} after {max_iters} iterations"
+            f"comparator did not converge at checkpoint T = {T}: "
+            f"residual {residual[0]:.3e} after {max_iters} iterations",
+            index,
         )
 
     gaps = np.full(K, math.nan)
@@ -222,7 +244,7 @@ def metric_series(
     """Evaluate regret, violation, and communication at each checkpoint.
 
     The trajectory is summed a block at a time, as one seed, by run_seeds' helper (_checkpoint_totals);
-    the comparators come from the prefixes' sufficient statistics, up to 64 checkpoints in one loop.
+    the scoring is checkpoint_series on a batch of one, whose prefixes stack up to 64 in one loop.
     """
     checkpoints = check_checkpoints(checkpoints, trajectory.horizon)
     if (stream.n_units, stream.dimension) != (trajectory.n_units, trajectory.dimension):
@@ -237,28 +259,35 @@ def metric_series(
     )
     totals = _checkpoint_totals(blocks, checkpoints)
     comm_cost = 2 * np.cumsum(trajectory.edge_counts)[np.array(checkpoints) - 1]
-    system_losses, violations = totals.system_losses[:, 0], totals.violations[:, 0]
-    return checkpoint_series(stream, constraints, checkpoints, system_losses, violations, comm_cost)
+    (series,) = checkpoint_series(
+        [stream], constraints, checkpoints, totals.system_losses, totals.violations, comm_cost
+    )
+    return series
 
 
 def checkpoint_series(
-    stream, constraints, checkpoints, system_losses, violations, comm_cost
-) -> MetricSeries:
-    """One seed's metric series from its running sums at the checkpoints.
+    streams, constraints, checkpoints, system_losses, violations, comm_cost
+) -> list[MetricSeries]:
+    """Each seed's metric series from a batch's running sums at the checkpoints.
 
-    system_losses[k, i - 1] is unit i's cumulative system loss through round
-    checkpoints[k], violations[k] the cumulative violation and comm_cost[k]
-    the messages sent by then; regret subtracts the comparator of each prefix.
+    system_losses[k, s, i - 1] is unit i's cumulative system loss in the run
+    on streams[s] through round checkpoints[k], violations[k, s] its
+    cumulative violation, and comm_cost[k] the messages sent by then, shared
+    by the seeds. Regret subtracts the comparator of each prefix; the
+    prefixes of every seed stack in one solve (offline_comparators), and a
+    ConvergenceError's .stream names the seed index s.
     """
-    comparators = offline_comparators(stream, constraints, checkpoints)
-    regrets = system_losses - np.array([c.objective for c in comparators])[:, None]
-    return MetricSeries(
-        checkpoints=tuple(checkpoints),
-        sreg=regrets.max(axis=1),
-        regrets=regrets,
-        cacv=violations,
-        comm_cost=comm_cost,
-    )
+    series = []
+    for s, comparators in enumerate(offline_comparators(streams, constraints, checkpoints)):
+        regrets = system_losses[:, s] - np.array([c.objective for c in comparators])[:, None]
+        series.append(MetricSeries(
+            checkpoints=tuple(checkpoints),
+            sreg=regrets.max(axis=1),
+            regrets=regrets,
+            cacv=violations[:, s],
+            comm_cost=comm_cost,
+        ))
+    return series
 
 
 def averaged_metrics(series_list) -> MetricSeries:

@@ -55,18 +55,23 @@ _SPAWN_DATA = 1
 _SPAWN_SHUFFLE = 2
 
 # Rounds per block: the kernel's stacked stream data and sphere directions, and
-# every pass of a stream's set-up over its rounds, take at most this many at once.
+# every pass of a stream's set-up over its rounds but the synthetic draws, take
+# at most this many at once.
 _BLOCK = 128
+
+# Rounds per draw of a synthetic unit's uniforms or normals: few Generator calls per
+# stream, and a temporary of at most this many rows (32 KiB at d = 4) whatever T is.
+_DRAW_CHUNK = 1024
 
 # The box pull's +0.0 as a float64 0-d array: a ufunc takes that on its fast
 # path, and converts a Python float on every call.
 _ZERO = np.array(0.0)
 
 
-def _blocks(horizon: int):
-    """Slices of rounds 0..horizon - 1 (0-based), _BLOCK at a time."""
-    for start in range(0, horizon, _BLOCK):
-        yield slice(start, min(start + _BLOCK, horizon))
+def _blocks(horizon: int, length: int = _BLOCK):
+    """Slices of rounds 0..horizon - 1 (0-based), length (_BLOCK) at a time."""
+    for start in range(0, horizon, length):
+        yield slice(start, min(start + length, horizon))
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,9 @@ class BoxConstraintSet(ConstraintSet):
         return np.add(np.divide(np.subtract(rows, clipped, out), eta, out), _ZERO, out)
 
     def project(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        # The bare ufunc that np.clip calls, on the float64 bounds, which also make the result float64:
+        # the comparator's loop projects on every iteration.
+        return _clip(x, *self._clip_bounds)
 
     def max_vertex_norm(self) -> float:
         corner = max(abs(self.lower), abs(self.upper))
@@ -430,11 +437,11 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
     xbar has ones in the first floor(d/2) coordinates and zeros elsewhere.
     Each unit draws from its own SeedSequence-spawned stream, so the result is
     bitwise reproducible and independent of evaluation order. A unit draws
-    its uniforms, then its normals, one _BLOCK-round block at a time, the
-    same numbers as one draw of each; a block's draw is the only temporary,
-    and only until it is stored. a.xbar is computed from the stored features
-    straight into the targets (the same gemv as on the unit's own (T, d)
-    draw, with a row stride), and the noise is added there.
+    its uniforms, then its normals, one _DRAW_CHUNK-round chunk at a time,
+    the same numbers as one draw of each; a chunk's draw is the only
+    temporary, and only until it is stored. a.xbar is computed from the
+    stored features straight into the targets (the same gemv as on the
+    unit's own (T, d) draw, with a row stride), and the noise is added there.
     """
     if n_units < 1 or dimension < 1 or horizon < 1:
         raise ValueError("n_units, dimension, horizon must all be >= 1")
@@ -445,11 +452,11 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
     for i in range(1, n_units + 1):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SPAWN_DATA, i)))
         unit_features, unit_targets = features[:, i - 1, :], targets[:, i - 1]
-        for block in _blocks(horizon):
-            unit_features[block] = rng.uniform(-1.0, 1.0, size=unit_features[block].shape)
+        for chunk in _blocks(horizon, _DRAW_CHUNK):
+            unit_features[chunk] = rng.uniform(-1.0, 1.0, size=unit_features[chunk].shape)
         np.matmul(unit_features, xbar, out=unit_targets)
-        for block in _blocks(horizon):
-            unit_targets[block] += rng.standard_normal(len(unit_targets[block]))
+        for chunk in _blocks(horizon, _DRAW_CHUNK):
+            unit_targets[chunk] += rng.standard_normal(len(unit_targets[chunk]))
     return RegressionStream(features, targets, rho)
 
 

@@ -1,10 +1,11 @@
 """The batched comparator solver against the one-prefix loop it replaced, and its gap.
 
-offline_comparators solves the checkpoints' prefixes in groups, each group in
-one projected-gradient loop on (K, d) iterates. Each row must take the steps
-the one-prefix solver, reference.offline_comparator, takes and stop at the
-same iteration, so every field of every Comparator but the gap is compared bit
-for bit with that solver.
+offline_comparators solves every (stream, checkpoint) prefix of a batch in
+stream-major groups, each group in one projected-gradient loop on (K, d)
+iterates, so a group may span two streams. Each row must take the steps the
+one-prefix solver, reference.offline_comparator, takes and stop at the same
+iteration, so every field of every Comparator but the gap is compared bit for
+bit with that solver.
 """
 
 import dataclasses
@@ -21,15 +22,22 @@ from netoco.reference import offline_comparator
 
 
 def assert_equals_the_oracle(stream, constraints, checkpoints):
-    batched = offline_comparators(stream, constraints, checkpoints)
-    assert len(batched) == len(checkpoints)
-    for T, got in zip(checkpoints, batched):
-        want = offline_comparator(stream, constraints, T)
-        assert np.array_equal(got.point, want.point), T
-        assert np.array_equal(np.signbit(got.point), np.signbit(want.point)), T
-        assert got.objective.hex() == want.objective.hex(), T
-        assert got.residual.hex() == want.residual.hex(), T
-        assert got.iterations == want.iterations, T
+    (batched,) = assert_batch_equals_the_oracle([stream], constraints, checkpoints)
+    return batched
+
+
+def assert_batch_equals_the_oracle(streams, constraints, checkpoints):
+    batched = offline_comparators(streams, constraints, checkpoints)
+    assert len(batched) == len(streams)
+    for s, (stream, comparators) in enumerate(zip(streams, batched)):
+        assert len(comparators) == len(checkpoints)
+        for T, got in zip(checkpoints, comparators):
+            want = offline_comparator(stream, constraints, T)
+            assert np.array_equal(got.point, want.point), (s, T)
+            assert np.array_equal(np.signbit(got.point), np.signbit(want.point)), (s, T)
+            assert got.objective.hex() == want.objective.hex(), (s, T)
+            assert got.residual.hex() == want.residual.hex(), (s, T)
+            assert got.iterations == want.iterations, (s, T)
     return batched
 
 
@@ -80,6 +88,16 @@ def test_a_first_checkpoint_of_hundreds_of_iterations_equals_the_oracle():
     assert sorted(iterations)[len(iterations) // 2] <= 5
 
 
+def test_a_group_spanning_two_seeds_equals_the_oracle():
+    """Three seeds of 30 checkpoints: rows 0..63 form the first group, which
+    ends inside seed 3 (rows 60..89), and the rest of seed 3 is the second."""
+    streams, box, _ = preset_streams("synthetic-convex-c0.5", (1, 2, 3), horizon=240)
+    checkpoints = tuple(range(8, 241, 8))
+    assert len(streams) * len(checkpoints) > metrics._GROUP > 2 * len(checkpoints)
+    batched = assert_batch_equals_the_oracle(streams, box, checkpoints)
+    assert all(c.iterations > 0 for comparators in batched for c in comparators)
+
+
 def zero_start_stream(flat_rounds, horizon, rho=0.0, seed=11):
     """A synthetic stream whose first flat_rounds rounds have all-zero features."""
     stream = synthetic_stream(3, 4, horizon, rho, seed)
@@ -106,19 +124,46 @@ def test_exhausted_iterations_name_the_checkpoint():
     stream = zero_start_stream(3, 8)
     box = BoxConstraintSet(-5.0, 5.0, 4)
     with pytest.raises(RuntimeError, match=r"did not converge at checkpoint T = 6: .* after 3 iterations"):
-        offline_comparators(stream, box, (2, 6, 8), tol=0.0, max_iters=3)
+        offline_comparators([stream], box, (2, 6, 8), tol=0.0, max_iters=3)
     with pytest.raises(ConvergenceError, match=r"did not converge at checkpoint T = 6: .* after 3 iterations"):
         offline_comparator(stream, box, 6, tol=0.0, max_iters=3)
     # The first group stops; the second names its first prefix that does not.
     stream = zero_start_stream(metrics._GROUP + 6, metrics._GROUP + 12)
     checkpoints = tuple(range(1, metrics._GROUP + 7)) + (metrics._GROUP + 9, metrics._GROUP + 12)
     with pytest.raises(RuntimeError, match=rf"did not converge at checkpoint T = {metrics._GROUP + 9}:"):
-        offline_comparators(stream, box, checkpoints, tol=0.0, max_iters=3)
+        offline_comparators([stream], box, checkpoints, tol=0.0, max_iters=3)
+
+
+def test_of_two_seeds_that_do_not_converge_the_error_names_the_first():
+    """Stream 0 stops: its prefixes have no curvature. Streams 1 and 2 cannot
+    reach tol = 0 in three steps; the error names stream 1's first checkpoint
+    that does not stop, though stream 2's T = 2 comes before it in the
+    checkpoints."""
+    box = BoxConstraintSet(-5.0, 5.0, 4)
+    streams = [zero_start_stream(8, 8), zero_start_stream(3, 8, seed=12), zero_start_stream(1, 8, seed=13)]
+    with pytest.raises(ConvergenceError, match=r"did not converge at checkpoint T = 6: .* after 3 iterations") as caught:
+        offline_comparators(streams, box, (2, 6, 8), tol=0.0, max_iters=3)
+    assert caught.value.stream == 1
+    # Alone, stream 2 names its own first checkpoint, as stream 0 of its batch.
+    with pytest.raises(ConvergenceError, match=r"did not converge at checkpoint T = 2:") as caught:
+        offline_comparators(streams[2:], box, (2, 6, 8), tol=0.0, max_iters=3)
+    assert caught.value.stream == 0
 
 
 def test_no_checkpoints_no_comparators():
     stream = synthetic_stream(2, 2, 4, 0.0, seed=1)
-    assert offline_comparators(stream, BoxConstraintSet(-1.0, 1.0, 2), ()) == ()
+    box = BoxConstraintSet(-1.0, 1.0, 2)
+    assert offline_comparators([stream], box, ()) == ((),)
+    assert offline_comparators([stream, stream], box, ()) == ((), ())
+    assert offline_comparators([], box, (1, 2)) == ()
+
+
+def test_the_streams_of_a_batch_share_their_dimension():
+    with pytest.raises(ValueError, match="share their dimension"):
+        offline_comparators(
+            [synthetic_stream(2, 2, 4, 0.0, seed=1), synthetic_stream(2, 3, 4, 0.0, seed=1)],
+            BoxConstraintSet(-1.0, 1.0, 2), (4,),
+        )
 
 
 def reference_point(stats, box, start):
@@ -152,7 +197,8 @@ def test_the_gap_bounds_the_distance_to_a_tight_solve(name):
     """Frank-Wolfe: objective - min <= gap. The reference's own gap shows it is tight."""
     streams, box, checkpoints = preset_streams(name, (1, 2), horizon=2048)
     for stream in streams:
-        for T, c in zip(checkpoints, offline_comparators(stream, box, checkpoints)):
+        (comparators,) = offline_comparators([stream], box, checkpoints)
+        for T, c in zip(checkpoints, comparators):
             stats = stream.sufficient_statistics(T)
             reference, reference_gap = reference_point(stats, box, c.point)
             assert reference_gap <= 1e-11
@@ -166,7 +212,7 @@ def test_the_gap_is_nan_off_a_box():
             return x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1.0)
 
     stream = synthetic_stream(2, 3, 20, 1.0, seed=3)
-    comparators = offline_comparators(stream, Ball(), (5, 20))
+    (comparators,) = offline_comparators([stream], Ball(), (5, 20))
     assert all(np.isnan(c.gap) and c.iterations > 0 for c in comparators)
 
 

@@ -99,12 +99,11 @@ class TestRunSeeds:
         checkpoints = checkpoints_for(horizon)
         totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
         comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
-        for s, seed in enumerate(seeds):
+        series = checkpoint_series(streams, box, checkpoints, totals.system_losses, totals.violations, comm)
+        assert len(series) == len(seeds)
+        for s, (seed, batched) in enumerate(zip(seeds, series)):
             trajectory = run_experiment(streams[s], topology, schedules[s], box, seed=seed)
             alone = metric_series(trajectory, streams[s], box, checkpoints)
-            batched = checkpoint_series(
-                streams[s], box, checkpoints, totals.system_losses[:, s], totals.violations[:, s], comm
-            )
             np.testing.assert_array_equal(batched.regrets, alone.regrets)
             np.testing.assert_array_equal(batched.sreg, alone.sreg)
             np.testing.assert_array_equal(batched.cacv, alone.cacv)
@@ -125,15 +124,13 @@ class TestRunSeeds:
         topology, checkpoints = default_ring_6(), checkpoints_for(HORIZON)
         totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
         comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
-        for s, seed in enumerate(seeds):
+        series = checkpoint_series(streams, box, checkpoints, totals.system_losses, totals.violations, comm)
+        for s, (seed, batched) in enumerate(zip(seeds, series)):
             alone = run_seeds(streams[s:s + 1], topology, schedules[s:s + 1], box, (seed,), checkpoints)
             np.testing.assert_array_equal(totals.system_losses[:, s], alone.system_losses[:, 0])
             np.testing.assert_array_equal(totals.violations[:, s], alone.violations[:, 0])
             trajectory = run_experiment(streams[s], topology, schedules[s], box, seed=seed)
             stored = metric_series(trajectory, streams[s], box, checkpoints)
-            batched = checkpoint_series(
-                streams[s], box, checkpoints, totals.system_losses[:, s], totals.violations[:, s], comm
-            )
             np.testing.assert_array_equal(batched.regrets, stored.regrets)
             np.testing.assert_array_equal(batched.cacv, stored.cacv)
 

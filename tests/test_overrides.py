@@ -1,8 +1,13 @@
 """`netoco run` on a scenario file checks its overrides exactly as on a preset,
-and a zero override fails in the words of the zero key it replaces."""
+and a zero override fails in the words of the zero key it replaces. The loader
+takes the overrides, so a config is checked once, with them in place."""
+
+import os
 
 import pytest
 
+from netoco import bench
+from netoco.bench import ConfigError, load_config
 from netoco.cli import main
 
 SCENARIO = """\
@@ -69,3 +74,51 @@ def test_file_run_applies_the_overrides(scenario_file, tmp_path, capsys):
     assert "scenario: T=8 seeds=2" in capsys.readouterr().out
     rows = (out / "scenario.csv").read_text(encoding="utf-8").splitlines()
     assert {row.split(",")[1] for row in rows[1:]} == {"1", "2", "mean"}
+
+
+# A file without a seed key, so the loader's default is 10 seeds.
+NO_SEED_KEY = """\
+[algorithm]
+variant = convex-full
+c = 0.5
+horizon = {horizon}
+"""
+
+
+def test_the_loader_checks_a_seed_count_override_in_place_of_the_default_ten(tmp_path):
+    """At this horizon one seed's stream takes a third of physical memory: ten seeds do not
+    fit, and a seed_count of 1 is checked as one seed, not after ten were refused."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    path = tmp_path / "scenario.ini"
+    path.write_text(NO_SEED_KEY.format(horizon=memory // (3 * 8 * 6 * 5)), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^seed_count = 10 with horizon = \d+, units = 6"):
+        load_config(path)
+    assert load_config(path, seed_count=1).seeds == (1,)
+
+
+def test_a_file_run_checks_its_overrides_not_the_keys_they_replace(tmp_path, capsys):
+    """No host holds ten seeds at T = 10^12; the run's one seed at T = 16 is what is checked."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(NO_SEED_KEY.format(horizon=10**12), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--seed-count", "1", "--horizon", "16", "--out", str(out)]) == 0
+    assert "scenario: T=16 seeds=1" in capsys.readouterr().out
+
+
+def test_a_preset_with_overrides_is_checked_once(monkeypatch):
+    calls = {"rules": 0, "size": 0}
+    rules, size = bench._rule_failures, bench._stream_failure
+
+    def counted_rules(config):
+        calls["rules"] += 1
+        return rules(config)
+
+    def counted_size(*args):
+        calls["size"] += 1
+        return size(*args)
+
+    monkeypatch.setattr(bench, "_rule_failures", counted_rules)
+    monkeypatch.setattr(bench, "_stream_failure", counted_size)
+    config = bench.preset_config("mg-sc", seed_count=2, horizon=64, workers=1)
+    assert (config.seeds, config.horizon) == ((1, 2), 64)
+    assert calls == {"rules": 1, "size": 1}

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import netoco.bench
 from netoco.algorithm import VARIANTS, variant_spec
-from netoco.bench import ScenarioError, preset_config, run_suite, validate_scenario
+from netoco.bench import ConfigError, ScenarioError, preset_config, run_suite, validate_scenario
 from netoco.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,7 +69,11 @@ def stream_calls(monkeypatch):
 
 
 def test_streams_larger_than_memory_are_a_failure(stream_calls):
-    config = preset_config("synthetic-sc-bandit-rho1", horizon=10**15)
+    # The horizon as an override is checked with the default ten seeds in the loader; as a
+    # replaced field it reaches validation.
+    with pytest.raises(ConfigError, match="seed_count = 10 with horizon = 1000000000000000"):
+        preset_config("synthetic-sc-bandit-rho1", horizon=10**15)
+    config = replace(preset_config("synthetic-sc-bandit-rho1"), horizon=10**15)
     [failure] = validate_scenario(config)
     # 10 seeds x 10^15 rounds x 6 units x (4 + 1) values x 8 bytes.
     assert "horizon = 1000000000000000 with 10 seeds" in failure

@@ -5,9 +5,9 @@ The size check (bench._stream_failure) estimates a run as its streams plus one
 the step sizes work a block at a time and the finiteness check makes no
 temporary, so the traced peak of a warm run stays close to that estimate,
 and validate cannot pass a scenario that run cannot hold. A synthetic stream
-is drawn a block at a time, so drawing it holds no more than its own arrays
-and one block's draw. metric_series sums a
-stored trajectory a block at a time, so it holds one block's products.
+is drawn a 1024-round chunk at a time, so drawing it holds no more than its
+own arrays and one chunk's draw. metric_series sums a stored trajectory a
+block at a time, so it holds one block's products.
 """
 
 import tracemalloc
@@ -78,8 +78,9 @@ def test_metric_series_holds_one_block_of_a_stored_run():
 
 
 @pytest.mark.parametrize("horizon", [8192, 32768])
-def test_a_synthetic_stream_holds_one_blocks_draw_above_its_arrays(horizon):
-    """A unit's whole (T, d) uniform draw would take 256 KiB at T = 8192 and 1 MiB at 32768."""
+def test_a_synthetic_stream_holds_one_chunks_draw_above_its_arrays(horizon):
+    """A chunk's (1024, d) uniform draw takes 32 KiB at d = 4; a unit's whole (T, d) draw
+    would take 256 KiB at T = 8192 and 1 MiB at 32768."""
     synthetic_stream(1, 4, horizon, rho=0.0, seed=1)  # warm-up
     tracemalloc.start()
     try:

@@ -46,6 +46,8 @@ SEED_COUNT = 2
 LIBRARY_API = (
     # Overflow branches the benchmark's finite data never reach.
     "netoco.algorithm._overflow_factors",
+    # The error of a comparator solve that does not converge; the benchmark's solves all do.
+    "netoco.metrics.ConvergenceError.__init__",
     # Step sizes, trajectories, metrics and bounds of one run, for library use (README).
     "netoco.algorithm.HyperSchedule.eta",
     "netoco.algorithm.RunTrajectory.horizon",
