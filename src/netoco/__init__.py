@@ -6,7 +6,7 @@ or one-point bandit feedback, and are scored by system regret and cumulative
 absolute constraint violation.
 """
 
-from .algorithm import HyperSchedule, RunTrajectory, make_schedule, run_experiment
+from .algorithm import HyperSchedule, make_schedule, run_seeds
 from .bench import ScenarioConfig, list_presets, load_config, preset_config, run_suite
 from .metrics import (
     BoundConstants,
@@ -15,15 +15,14 @@ from .metrics import (
     averaged_metrics,
     bound_constants,
     checkpoint_grid,
+    checkpoint_series,
     communication_cost,
-    metric_series,
     offline_comparators,
 )
 from .network import (
     Graph,
     TopologySchedule,
     WeightMatrix,
-    consensus_mix,
     default_ring_6,
     max_degree_weights,
     product_deviation,
@@ -46,6 +45,7 @@ from .reference import (
     LossOracle,
     cacv,
     clipped_subgradient,
+    consensus_mix,
     offline_comparator,
     one_point_estimator,
     project_ball,

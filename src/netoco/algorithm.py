@@ -24,26 +24,27 @@ the round, the unit and the seed of a probe or a decision outside its ball.
 
 One kernel, _lockstep, runs the S seeds of a scenario in lockstep on (S, N, d)
 arrays and hands out blocks of B rounds; run_seeds keeps the running sums the
-metrics need, in O(B S N (d + p) + K S N) memory beyond the streams, and
-run_experiment records one seed's trajectory. One loop, _run_block, runs the
+metrics need, in O(B S N (d + p) + K S N) memory beyond the streams, and is the
+one way to run a scenario, of one seed or many. One loop, _run_block, runs the
 rounds of a block. It carries only the decisions and the dual pull from round
 to round (steps 2 and 5 meet in the dual pull). _lockstep allocates one set of
 block arrays per run, refills them in place for each block and lends each block
 as views of them; each round's views are built once per run too (_round_views).
 A round makes only the formula's numpy calls, each a bare ufunc, c_einsum or
-matmul that writes into those arrays: the loss step of
-RegressionRound.gradients (or .values under bandit feedback), the descent step,
-the mix as np.matmul on the round's weight entries and, for a BoxConstraintSet,
-its closed-form dual pull. At a round's size numpy's dispatch costs more than
-the arithmetic, so each step takes its cheapest path: the block's eta_t and
-beta_t come spread over the rows, so that the descent step and the dual pull's
-divide see operands of one shape, the numbers of the formulas are float64 0-d
-arrays rather than Python floats, and _project_rows finds its largest row norm
-in a Python list. _project_rows is the one hook called by name every round; a
-constraint set other than the box pulls through its own dual_pull_rows. Every
-step keeps the operands of its formula in their order, so each seed gets the
-bits of the same round on fresh arrays (network.consensus_mix for the mix).
-netoco.reference states the same round per unit.
+matmul that writes into those arrays: the loss step (the formulas of
+reference.loss_gradients, or reference.loss_values under bandit feedback), the
+descent step, the mix as np.matmul on the round's weight entries and, for a
+BoxConstraintSet, its closed-form dual pull. At a round's size numpy's dispatch
+costs more than the arithmetic, so each step takes its cheapest path: the
+block's eta_t and beta_t come spread over the rows, so that the descent step
+and the dual pull's divide see operands of one shape, the numbers of the
+formulas are float64 0-d arrays rather than Python floats, and _project_rows
+finds its largest row norm in a Python list. _project_rows is the one hook
+called by name every round; a constraint set other than the box pulls through
+its own dual_pull_rows. Every step keeps the operands of its formula in their
+order, so each seed gets the bits of the same round on fresh arrays
+(reference.consensus_mix for the mix). netoco.reference states the same round
+per unit.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -69,8 +70,6 @@ __all__ = [
     "variant_spec",
     "HyperSchedule",
     "make_schedule",
-    "RunTrajectory",
-    "run_experiment",
     "CheckpointTotals",
     "check_checkpoints",
     "block_bytes",
@@ -354,8 +353,8 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, scratch, 
 
     A round makes only the formula's numpy calls, each a bare ufunc, c_einsum
     or matmul writing into these arrays with the operands of the update in
-    their order, so the bits are those of RegressionRound.gradients or
-    .values, network.consensus_mix and dual_pull_rows on fresh arrays. The
+    their order, so the bits are those of reference.loss_gradients or
+    loss_values, reference.consensus_mix and dual_pull_rows on fresh arrays. The
     gradient and the descent step beta * (gradient + pull) are built in the
     next decisions' row, y = committed - that step in pull, and y is mixed
     back into that row. rho, 2 rho and d / eps become float64 0-d arrays, and
@@ -566,67 +565,6 @@ def check_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:
     return checkpoints
 
 
-@dataclass
-class RunTrajectory:
-    """Everything one run produced, indexed [t - 1] on the first axis."""
-
-    decisions: np.ndarray  # (T, N, d) committed decisions
-    losses: np.ndarray  # (T, N) incurred/observed loss values
-    violations: np.ndarray  # (T, N, p) positive parts at committed decisions
-    queries: Optional[np.ndarray]  # (T, N, d) bandit probes, None otherwise
-    edge_counts: np.ndarray  # (T,) undirected edges active per round
-
-    @property
-    def horizon(self) -> int:
-        return self.decisions.shape[0]
-
-    @property
-    def n_units(self) -> int:
-        return self.decisions.shape[1]
-
-    @property
-    def dimension(self) -> int:
-        return self.decisions.shape[2]
-
-
-def run_experiment(
-    stream,
-    topology: TopologySchedule,
-    hyper: HyperSchedule,
-    constraints: ConstraintSet,
-    seed: Optional[int] = None,
-) -> RunTrajectory:
-    """Run all rounds of one seed and collect the trajectory.
-
-    The stream fixes N, d, and T; the topology and schedule must agree with
-    them. Identical inputs produce bitwise identical trajectories.
-    """
-    n, d, horizon = stream.n_units, stream.dimension, stream.horizon
-    decisions = np.empty((horizon, n, d))
-    losses = np.empty((horizon, n))
-    violations = np.empty((horizon, n, constraints.count))
-    queries = np.empty((horizon, n, d)) if hyper.is_bandit else None
-    for start, block_losses, committed, violated, observed, probes in _lockstep(
-        [stream], topology, [hyper], constraints, [seed]
-    ):
-        rounds = slice(start, start + len(committed))
-        decisions[rounds] = committed[:, 0]
-        violations[rounds] = violated[:, 0]
-        if probes is None:
-            losses[rounds] = block_losses.values(committed)[:, 0]
-        else:
-            losses[rounds] = observed[:, 0]
-            queries[rounds] = probes[:, 0]
-    counts = np.array([len(g.edges) for g in topology.graphs], dtype=np.int64)
-    return RunTrajectory(
-        decisions=decisions,
-        losses=losses,
-        violations=violations,
-        queries=queries,
-        edge_counts=counts[np.arange(horizon) % topology.period],
-    )
-
-
 @dataclass(frozen=True)
 class CheckpointTotals:
     """Running sums of a batch of seeds, taken at each of K checkpoints."""
@@ -672,9 +610,10 @@ def run_seeds(
     differ in what enters only the step sizes (G, a and sigma, and c under full
     information only, as under bandit feedback c fixes the shared b), see _lockstep.
     No trajectory is stored: _checkpoint_totals sums the kernel's blocks as
-    they come, in O(B S N (d + p) + K S N) memory on top of the streams, as
-    metrics.metric_series sums a stored trajectory, so the sums are bit for
-    bit those of each seed's run_experiment trajectory.
+    they come, in O(B S N (d + p) + K S N) memory on top of the streams, and
+    each seed's sums are bit for bit those of run_seeds on that seed alone.
+    metrics.checkpoint_series scores the sums; netoco.reference records one
+    seed's run round by round, which the tests compare the kernel with.
     """
     if not streams:
         raise ValueError("need at least one seed")

@@ -427,12 +427,11 @@ def apply_overrides(
         raise ConfigError("; ".join(failures))
     if seed_count is None:
         return config
-    failure = _stream_failure(
-        f"seed_count = {seed_count} with horizon = {config.horizon}", seed_count, config.horizon,
-        config.n_units, config.dimension,
-    )
+    sizes = config.horizon, config.n_units, config.dimension
+    failure = _stream_failure(f"seed_count = {seed_count} with horizon = {config.horizon}", seed_count, *sizes)
     if failure:  # raised before 1..seed_count is built
-        raise ConfigError(failure)
+        # When one seed alone does not fit, the horizon is at fault, not a seed count the user may not have given.
+        raise ConfigError(_stream_failure(f"horizon = {config.horizon} for one seed", 1, *sizes) or failure)
     return replace(config, seeds=tuple(range(1, seed_count + 1)))
 
 

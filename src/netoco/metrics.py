@@ -29,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import RunTrajectory, _checkpoint_totals, check_checkpoints, variant_spec
+from .algorithm import variant_spec
 from .network import TopologySchedule
-from .problems import BoxConstraintSet, RegressionRound, _blocks
+from .problems import BoxConstraintSet
 
 __all__ = [
     "Comparator",
@@ -40,7 +40,6 @@ __all__ = [
     "communication_cost",
     "checkpoint_grid",
     "MetricSeries",
-    "metric_series",
     "checkpoint_series",
     "averaged_metrics",
     "BoundConstants",
@@ -221,7 +220,7 @@ class MetricSeries:
 
     On a per-seed series, sreg[k] is the max of regrets[k] over units. On an
     averaged series, sreg is the across-seed mean of per-seed maxima
-    (mean-of-max), while max_over_units() gives the max of the across-seed
+    (mean-of-max), while regrets.max(axis=1) gives the max of the across-seed
     per-unit means (max-of-mean); the two aggregates are reported distinctly.
     """
 
@@ -230,39 +229,6 @@ class MetricSeries:
     regrets: np.ndarray  # (K, N)
     cacv: np.ndarray  # (K,)
     comm_cost: np.ndarray  # (K,), int64
-
-    def max_over_units(self) -> np.ndarray:
-        return self.regrets.max(axis=1)
-
-
-def metric_series(
-    trajectory: RunTrajectory,
-    stream,
-    constraints,
-    checkpoints,
-) -> MetricSeries:
-    """Evaluate regret, violation, and communication at each checkpoint.
-
-    The trajectory is summed a block at a time, as one seed, by run_seeds' helper (_checkpoint_totals);
-    the scoring is checkpoint_series on a batch of one, whose prefixes stack up to 64 in one loop.
-    """
-    checkpoints = check_checkpoints(checkpoints, trajectory.horizon)
-    if (stream.n_units, stream.dimension) != (trajectory.n_units, trajectory.dimension):
-        raise ValueError(
-            f"the stream has N = {stream.n_units} units in d = {stream.dimension} dimensions, "
-            f"the trajectory N = {trajectory.n_units} in d = {trajectory.dimension}"
-        )
-    blocks = (
-        (b.start, RegressionRound(stream.features[b, None], stream.targets[b, None], stream.rho),
-         trajectory.decisions[b, None], trajectory.violations[b, None])
-        for b in _blocks(checkpoints[-1])
-    )
-    totals = _checkpoint_totals(blocks, checkpoints)
-    comm_cost = 2 * np.cumsum(trajectory.edge_counts)[np.array(checkpoints) - 1]
-    (series,) = checkpoint_series(
-        [stream], constraints, checkpoints, totals.system_losses, totals.violations, comm_cost
-    )
-    return series
 
 
 def checkpoint_series(
@@ -273,15 +239,33 @@ def checkpoint_series(
     system_losses[k, s, i - 1] is unit i's cumulative system loss in the run
     on streams[s] through round checkpoints[k], violations[k, s] its
     cumulative violation, and comm_cost[k] the messages sent by then, shared
-    by the seeds. Regret subtracts the comparator of each prefix; the
-    prefixes of every seed stack in one solve (offline_comparators), and a
-    ConvergenceError's .stream names the seed index s.
+    by the seeds: run_seeds gives the first two, communication_cost the
+    third. ValueError, naming both shapes, unless they are (K, S, N), (K, S)
+    and (K,) for K checkpoints and S streams of N units. Regret subtracts the
+    comparator of each prefix; the prefixes of every seed stack in one solve
+    (offline_comparators), and a ConvergenceError's .stream names the seed
+    index s.
     """
+    streams, checkpoints = tuple(streams), tuple(checkpoints)
+    units = {stream.n_units for stream in streams}
+    if len(units) != 1:
+        raise ValueError(f"need one or more streams of one unit count, got unit counts {sorted(units)}")
+    K, S, N = len(checkpoints), len(streams), units.pop()
+    for name, array, shape in (
+        ("system_losses", system_losses, (K, S, N)),
+        ("violations", violations, (K, S)),
+        ("comm_cost", comm_cost, (K,)),
+    ):
+        if np.shape(array) != shape:
+            raise ValueError(
+                f"{name} has shape {np.shape(array)}, not {shape} for K = {K} checkpoints "
+                f"and S = {S} streams of N = {N} units"
+            )
     series = []
     for s, comparators in enumerate(offline_comparators(streams, constraints, checkpoints)):
         regrets = system_losses[:, s] - np.array([c.objective for c in comparators])[:, None]
         series.append(MetricSeries(
-            checkpoints=tuple(checkpoints),
+            checkpoints=checkpoints,
             sreg=regrets.max(axis=1),
             regrets=regrets,
             cacv=violations[:, s],
@@ -294,7 +278,8 @@ def averaged_metrics(series_list) -> MetricSeries:
     """Across-seed means on a shared checkpoint grid.
 
     The sreg entries average the per-seed maxima (mean-of-max); per-unit means
-    live in regrets, whose row maxima give the max-of-mean aggregate.
+    live in regrets, whose row maxima, regrets.max(axis=1), give the
+    max-of-mean aggregate.
     """
     series_list = list(series_list)
     if not series_list:

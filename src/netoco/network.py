@@ -21,7 +21,6 @@ __all__ = [
     "max_degree_weights",
     "validate_mixing",
     "verify_window_connectivity",
-    "consensus_mix",
     "product_deviation",
     "schedule_from_graphs",
     "default_ring_6",
@@ -245,18 +244,6 @@ def verify_window_connectivity(schedule: TopologySchedule) -> bool:
         if len(reached) != n:
             return False
     return True
-
-
-def consensus_mix(matrix: WeightMatrix, vectors) -> np.ndarray:
-    """Mix unit vectors: row i of the result is sum_j a_ij * vectors[j].
-
-    vectors is (N,), (N, d), or (..., N, d) for a batch of independent
-    networks that share the round's weights; each is mixed on its own.
-    """
-    entries, stacked = matrix.entries, np.asarray(vectors, dtype=float)
-    if stacked.shape[-2 if stacked.ndim > 1 else 0] != len(entries):
-        raise ValueError("one vector per node required")
-    return np.matmul(entries, stacked)
 
 
 def product_deviation(schedule: TopologySchedule, t: int, m: int) -> float:

@@ -290,38 +290,16 @@ class RegressionRound:
 
     Leading axes batch independent rounds: features (..., N, d) and targets
     (..., N) hold one round per batch entry, and each batch entry's result is
-    bit for bit the one its own RegressionRound gives. values and gradients
-    are the loss formulas on fresh arrays; algorithm._run_block writes the
-    same steps, with the same operands in the same order, into its per-run
-    arrays, so the round loop gets their bits.
-
-    With rho == 0.0 both skip the rho term, 0.0 * x, which is a zero for
-    finite rows. In values it would be added to 0.5 r^2, which is never -0.0,
-    so no bit changes. In gradients it can only change the sign of a zero
-    entry; the round step adds the dual pull next, whose zeros are +0.0
-    (dual_pull_rows), and that sum has the same bits with either sign.
+    bit for bit the one its own RegressionRound gives. The loss and its
+    gradient at each row are reference.loss_values and loss_gradients;
+    algorithm._run_block writes their steps, with the same operands in the
+    same order, into its per-run arrays, so the round loop gets their bits.
     """
 
     def __init__(self, features, targets, rho):
         self.features = features  # (..., N, d)
         self.targets = targets  # (..., N)
         self.rho = rho
-
-    def values(self, rows) -> np.ndarray:
-        """0.5 (a.x - b)^2 + rho ||x||^2 at each row."""
-        residuals = _row_dots(self.features, rows) - self.targets
-        values = 0.5 * residuals * residuals
-        if not self.rho:
-            return values
-        return values + self.rho * _row_dots(rows, rows)
-
-    def gradients(self, rows) -> np.ndarray:
-        """(a.x - b) a + 2 rho x at each row."""
-        residuals = _row_dots(self.features, rows) - self.targets
-        gradients = residuals[..., None] * self.features
-        if not self.rho:
-            return gradients
-        return gradients + (2.0 * self.rho) * np.asarray(rows)
 
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""

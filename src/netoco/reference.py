@@ -1,13 +1,16 @@
 """The paper's algorithm and metrics stated per unit: the oracle the kernel is tested against.
 
-One example's loss oracle and one constraint's clipped subgradient; one
-vector's ball projection, sphere direction and one-point estimate; the round's
-augmented Lagrangian, primal direction and dual reset; one synchronized round
-of all units from an explicit RunState (run_round_full and run_round_bandit
-run the kernel's loop, algorithm._run_block, on a block of one round, so the
-round has one body); and one run's regret and violation at one prefix length,
-its system loss added round by round, and the hindsight comparator of that
-prefix, solved on one vector. The run-path modules never import this one.
+One example's loss oracle and one constraint's clipped subgradient; a round's
+loss values and gradients and the consensus mix on fresh arrays, whose bits
+the kernel's in-place round keeps; one vector's ball projection, sphere
+direction and one-point estimate; the round's augmented Lagrangian, primal
+direction and dual reset; one synchronized round of all units from an explicit
+RunState (run_round_full and run_round_bandit run the kernel's loop,
+algorithm._run_block, on a block of one round, so the round has one body), and
+one seed's run recorded by chaining them (record_run); and that run's regret
+and violation at one prefix length, its system loss added round by round, and
+the hindsight comparator of that prefix, solved on one vector. The run-path
+modules never import this one.
 """
 
 from __future__ import annotations
@@ -19,18 +22,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algorithm import (
-    HyperSchedule, RunTrajectory, _check_in_ball, _overflow_factors, _round_views, _run_block, _scratch,
-    _sphere_rngs, check_checkpoints,
+    HyperSchedule, _check_in_ball, _overflow_factors, _round_views, _run_block, _scratch, _sphere_rngs,
+    check_checkpoints,
 )
 from .metrics import Comparator, ConvergenceError
-from .network import WeightMatrix
-from .problems import ConstraintSet, RegressionExample, RegressionStream
+from .network import TopologySchedule, WeightMatrix
+from .problems import ConstraintSet, RegressionExample, RegressionStream, _row_dots
 
 __all__ = [
-    "LossOracle", "regression_loss", "clipped_subgradient",
+    "LossOracle", "regression_loss", "clipped_subgradient", "loss_values", "loss_gradients", "consensus_mix",
     "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian", "primal_direction",
     "dual_update", "RunState", "initial_state", "RoundRecord", "run_round_full", "run_round_bandit",
-    "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
+    "record_run", "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
 ]
 
 
@@ -86,6 +89,47 @@ def clipped_subgradient(constraints: ConstraintSet, x, s: int) -> np.ndarray:
     if constraints.value(x, s) > 0.0:
         return constraints.gradient(x, s)
     return np.zeros(constraints.dimension)
+
+
+def loss_values(losses, rows) -> np.ndarray:
+    """0.5 (a.x - b)^2 + rho ||x||^2 at each row, for a RegressionRound's losses, on fresh arrays.
+
+    With rho == 0.0 the rho term is skipped: 0.0 * ||x||^2 is a zero for a
+    finite row, and 0.5 r^2, which it would be added to, is never -0.0, so no
+    bit changes.
+    """
+    residuals = _row_dots(losses.features, rows) - losses.targets
+    values = 0.5 * residuals * residuals
+    if not losses.rho:
+        return values
+    return values + losses.rho * _row_dots(rows, rows)
+
+
+def loss_gradients(losses, rows) -> np.ndarray:
+    """(a.x - b) a + 2 rho x at each row, for a RegressionRound's losses, on fresh arrays.
+
+    With rho == 0.0 the rho term, 0.0 * x, is skipped. That can only change
+    the sign of a zero entry; the round step adds the dual pull next, whose
+    zeros are +0.0 (dual_pull_rows), and that sum has the same bits with
+    either sign.
+    """
+    residuals = _row_dots(losses.features, rows) - losses.targets
+    gradients = residuals[..., None] * losses.features
+    if not losses.rho:
+        return gradients
+    return gradients + (2.0 * losses.rho) * np.asarray(rows)
+
+
+def consensus_mix(matrix: WeightMatrix, vectors) -> np.ndarray:
+    """Mix unit vectors: row i of the result is sum_j a_ij * vectors[j].
+
+    vectors is (N,), (N, d), or (..., N, d) for a batch of independent
+    networks that share the round's weights; each is mixed on its own.
+    """
+    entries, stacked = matrix.entries, np.asarray(vectors, dtype=float)
+    if stacked.shape[-2 if stacked.ndim > 1 else 0] != len(entries):
+        raise ValueError("one vector per node required")
+    return np.matmul(entries, stacked)
 
 
 def project_ball(x, radius: float) -> np.ndarray:
@@ -171,7 +215,7 @@ def initial_state(
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What round t leaves behind for metrics."""
+    """What round t leaves behind for metrics; record_run stacks a run's records on a first axis of T rounds."""
 
     decisions: np.ndarray  # committed x_i(t), (N, d)
     losses: np.ndarray  # incurred (bandit: observed at the probe), (N,)
@@ -211,7 +255,7 @@ def _round(state: RunState, round_losses, weights, hyper, constraints, t, direct
     _check_in_ball(nxt, radius, t + 1, "decision")
     record = RoundRecord(
         decisions=rows,
-        losses=round_losses.values(rows) if directions is None else observed[0],
+        losses=loss_values(round_losses, rows) if directions is None else observed[0],
         violations=constraints.positive_parts_rows(rows),
         queries=queries,
     )
@@ -245,6 +289,29 @@ def run_round_bandit(
     dimension = state.decisions.shape[1]
     directions = np.stack([sample_unit_sphere(rng, dimension) for rng in state.rngs])
     return _round(state, round_losses, weights, hyper, constraints, t, directions)
+
+
+def record_run(
+    stream: RegressionStream,
+    topology: TopologySchedule,
+    hyper: HyperSchedule,
+    constraints: ConstraintSet,
+    seed: Optional[int] = None,
+) -> RoundRecord:
+    """One seed's run through every round of the stream, its rounds chained from the initial state.
+
+    Round t is run_round_bandit under bandit feedback, run_round_full
+    otherwise, on the stream's round t and the topology's weights at t; the
+    records of the rounds are stacked, indexed [t - 1] on the first axis.
+    """
+    state = initial_state(stream.n_units, constraints, seed=seed, bandit=hyper.is_bandit)
+    run_round = run_round_bandit if hyper.is_bandit else run_round_full
+    records = []
+    for t in range(1, stream.horizon + 1):
+        state, record = run_round(state, stream.round(t), topology.weights_at(t), hyper, constraints, t)
+        records.append(record)
+    columns = zip(*((r.decisions, r.losses, r.violations, r.queries) for r in records))
+    return RoundRecord(*(None if column[0] is None else np.stack(column) for column in columns))
 
 
 def offline_comparator(
@@ -291,25 +358,26 @@ def offline_comparator(
     return Comparator(point=x, objective=objective, residual=residual, iterations=iterations)
 
 
-def system_cumulative_losses(trajectory: RunTrajectory, stream, T: int) -> np.ndarray:
-    """Entry i - 1: sum_{t<=T} sum_j loss_{j,t}(x_i(t)) at the committed decisions, added round by round."""
-    check_checkpoints((T,), trajectory.horizon)
-    return sum(stream.round(t).system_values(trajectory.decisions[t - 1]) for t in range(1, T + 1))
+def system_cumulative_losses(record: RoundRecord, stream, T: int) -> np.ndarray:
+    """Entry i - 1: sum_{t<=T} sum_j loss_{j,t}(x_i(t)) at a record's committed decisions, added round by round."""
+    check_checkpoints((T,), len(record.decisions))
+    return sum(stream.round(t).system_values(record.decisions[t - 1]) for t in range(1, T + 1))
 
 
-def regret(trajectory: RunTrajectory, stream, comparator: Comparator, i: int, T: int) -> float:
+def regret(record: RoundRecord, stream, comparator: Comparator, i: int, T: int) -> float:
     """System regret of unit i against a comparator solved for the same T."""
-    if not 1 <= i <= trajectory.n_units:
-        raise IndexError(f"unit {i} outside 1..{trajectory.n_units}")
-    return float(system_cumulative_losses(trajectory, stream, T)[i - 1] - comparator.objective)
+    n_units = record.decisions.shape[1]
+    if not 1 <= i <= n_units:
+        raise IndexError(f"unit {i} outside 1..{n_units}")
+    return float(system_cumulative_losses(record, stream, T)[i - 1] - comparator.objective)
 
 
-def sreg(trajectory: RunTrajectory, stream, comparator: Comparator, T: int) -> float:
+def sreg(record: RoundRecord, stream, comparator: Comparator, T: int) -> float:
     """Largest per-unit system regret."""
-    return float((system_cumulative_losses(trajectory, stream, T) - comparator.objective).max())
+    return float((system_cumulative_losses(record, stream, T) - comparator.objective).max())
 
 
-def cacv(trajectory: RunTrajectory, T: int) -> float:
+def cacv(record: RoundRecord, T: int) -> float:
     """Cumulative absolute constraint violation over units, constraints, rounds."""
-    check_checkpoints((T,), trajectory.horizon)
-    return float(trajectory.violations[:T].sum())
+    check_checkpoints((T,), len(record.decisions))
+    return float(record.violations[:T].sum())

@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from netoco.algorithm import make_schedule, run_experiment
+from netoco.algorithm import _lockstep, make_schedule
 from netoco.bench import list_presets, preset_config, run_suite
 from netoco.cli import main
 from netoco.metrics import bound_constants
@@ -261,9 +261,11 @@ def test_criterion_07_bandit_containment():
         horizon=horizon,
         c=0.5,
     )
-    trajectory = run_experiment(stream, default_ring_6(), hyper, box, seed=1)
-    query_max = float(np.linalg.norm(trajectory.queries, axis=2).max())
-    decision_max = float(np.linalg.norm(trajectory.decisions, axis=2).max())
+    # Every committed decision and probe of the run, block by block as the kernel lends them.
+    query_max = decision_max = 0.0
+    for _, _, committed, _, _, queries in _lockstep([stream], default_ring_6(), [hyper], box, [1]):
+        query_max = max(query_max, float(np.linalg.norm(queries, axis=-1).max()))
+        decision_max = max(decision_max, float(np.linalg.norm(committed, axis=-1).max()))
     shrunk = (1.0 - hyper.pi) * radius
     ok = query_max <= radius + 1e-12 and decision_max <= shrunk + 1e-12
     report(

@@ -1,10 +1,12 @@
-"""Step schedules, the primal-dual round updates, and full runs."""
+"""Step schedules, the primal-dual round updates, and full runs: the kernel's (run_seeds) and the
+reference's chained rounds (record_run)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netoco.algorithm import VARIANTS, _project_rows, make_schedule, run_experiment
+import netoco.algorithm as algorithm
+from netoco.algorithm import VARIANTS, _project_rows, make_schedule, run_seeds
 from netoco.network import (
     Graph,
     default_ring_6,
@@ -20,6 +22,7 @@ from netoco.reference import (
     one_point_estimator,
     primal_direction,
     project_ball,
+    record_run,
     regression_loss,
     run_round_bandit,
     run_round_full,
@@ -327,14 +330,14 @@ class TestRoundReductions:
             horizon=horizon,
             sigma=stream.strong_convexity,
         )
-        trajectory = run_experiment(stream, single_node_topology(), hyper, box)
+        record = record_run(stream, single_node_topology(), hyper, box)
         reference = reference_single_unit_run(stream, hyper, box, horizon)
         np.testing.assert_allclose(
-            trajectory.decisions[:, 0, :], reference, rtol=0, atol=1e-12
+            record.decisions[:, 0, :], reference, rtol=0, atol=1e-12
         )
         # The large early steps must actually leave the box, so the dual path
         # is exercised rather than vacuously zero.
-        assert trajectory.violations.max() > 0
+        assert record.violations.max() > 0
 
     def test_two_units_average_on_the_complete_pair(self):
         """One round on K2 with uniform weights: both units move to the
@@ -359,10 +362,10 @@ class TestRoundReductions:
         box = BoxConstraintSet(-0.15, 0.15, 2)
         topology = schedule_from_graphs([Graph(3, [(1, 2), (2, 3)])], window=1)
         hyper = make_schedule("convex-full", p=4, G=1.0, radius=0.2, horizon=8, c=0.5)
-        trajectory = run_experiment(stream, topology, hyper, box)
-        np.testing.assert_array_equal(trajectory.decisions, np.zeros((8, 3, 2)))
-        np.testing.assert_array_equal(trajectory.losses, np.zeros((8, 3)))
-        np.testing.assert_array_equal(trajectory.violations, np.zeros((8, 3, 4)))
+        record = record_run(stream, topology, hyper, box)
+        np.testing.assert_array_equal(record.decisions, np.zeros((8, 3, 2)))
+        np.testing.assert_array_equal(record.losses, np.zeros((8, 3)))
+        np.testing.assert_array_equal(record.violations, np.zeros((8, 3, 4)))
 
     def test_dual_vectors_track_the_new_violation(self):
         horizon = 4
@@ -389,12 +392,12 @@ class TestBanditRounds:
         hyper = make_schedule(
             "strongly-convex-bandit", p=6, G=1.0, radius=1.0, horizon=16, sigma=1.0
         )
-        trajectory = run_experiment(stream, pair_topology(), hyper, box, seed=7)
-        np.testing.assert_array_equal(trajectory.decisions, np.zeros((16, 2, 3)))
+        record = record_run(stream, pair_topology(), hyper, box, seed=7)
+        np.testing.assert_array_equal(record.decisions, np.zeros((16, 2, 3)))
         # Probes still wander at distance eps from each origin-committed point.
         eps = hyper.eps(1)
         np.testing.assert_allclose(
-            np.linalg.norm(trajectory.queries, axis=2), eps, rtol=1e-12
+            np.linalg.norm(record.queries, axis=2), eps, rtol=1e-12
         )
 
     def test_queries_sit_eps_from_the_committed_decision(self):
@@ -410,14 +413,14 @@ class TestBanditRounds:
             horizon=horizon,
             sigma=stream.strong_convexity,
         )
-        trajectory = run_experiment(stream, pair_topology(), hyper, box, seed=8)
-        offsets = np.linalg.norm(trajectory.queries - trajectory.decisions, axis=2)
+        record = record_run(stream, pair_topology(), hyper, box, seed=8)
+        offsets = np.linalg.norm(record.queries - record.decisions, axis=2)
         np.testing.assert_allclose(offsets, hyper.eps(1), rtol=1e-12)
         # Observed losses equal the loss at the probe point.
         for t in (1, 17, 128):
             for i in (1, 2):
-                expected = regression_loss(stream.example(i, t), stream.rho).value(trajectory.queries[t - 1, i - 1])
-                assert trajectory.losses[t - 1, i - 1] == pytest.approx(expected, rel=1e-12)
+                expected = regression_loss(stream.example(i, t), stream.rho).value(record.queries[t - 1, i - 1])
+                assert record.losses[t - 1, i - 1] == pytest.approx(expected, rel=1e-12)
 
     def test_containment_with_room_to_violate(self):
         horizon = 128
@@ -432,9 +435,9 @@ class TestBanditRounds:
             horizon=horizon,
             sigma=stream.strong_convexity,
         )
-        trajectory = run_experiment(stream, pair_topology(), hyper, box, seed=9)
-        decision_norms = np.linalg.norm(trajectory.decisions, axis=2)
-        query_norms = np.linalg.norm(trajectory.queries, axis=2)
+        record = record_run(stream, pair_topology(), hyper, box, seed=9)
+        decision_norms = np.linalg.norm(record.decisions, axis=2)
+        query_norms = np.linalg.norm(record.queries, axis=2)
         assert float(decision_norms.max()) <= hyper.decision_radius + 1e-12
         assert float(query_norms.max()) <= radius + 1e-12
         assert hyper.decision_radius < radius
@@ -446,7 +449,7 @@ class TestBanditRounds:
             "strongly-convex-bandit", p=4, G=1.0, radius=1.0, horizon=8, sigma=1.0
         )
         with pytest.raises(ValueError, match="seed"):
-            run_experiment(stream, pair_topology(), hyper, box)
+            run_seeds([stream], pair_topology(), [hyper], box, [None], (8,))
 
     def test_bandit_state_without_rngs_is_rejected(self):
         box = BoxConstraintSet(-0.15, 0.15, 2)
@@ -459,7 +462,7 @@ class TestBanditRounds:
             run_round_bandit(state, stream.round(1), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, 1)
 
 
-class TestRunExperiment:
+class TestRunSeedsOnOneSeed:
     def make_inputs(self, horizon=12, seed=25):
         stream = synthetic_stream(6, 4, horizon, rho=1.0, seed=seed)
         box = BoxConstraintSet(-0.15, 0.15, 4)
@@ -474,24 +477,17 @@ class TestRunExperiment:
         )
         return stream, default_ring_6(), hyper, box
 
-    def test_shapes_and_edge_counts(self):
+    def test_shapes(self):
         stream, topology, hyper, box = self.make_inputs()
-        trajectory = run_experiment(stream, topology, hyper, box)
-        assert trajectory.decisions.shape == (12, 6, 4)
-        assert trajectory.losses.shape == (12, 6)
-        assert trajectory.violations.shape == (12, 6, 8)
-        assert trajectory.queries is None
-        np.testing.assert_array_equal(trajectory.edge_counts, np.full(12, 3))
-        assert trajectory.horizon == 12
-        assert trajectory.n_units == 6
-        assert trajectory.dimension == 4
+        totals = run_seeds([stream], topology, [hyper], box, [None], (4, 12))
+        assert totals.system_losses.shape == (2, 1, 6)
+        assert totals.violations.shape == (2, 1)
 
     def test_bitwise_deterministic(self):
         stream, topology, hyper, box = self.make_inputs()
-        one = run_experiment(stream, topology, hyper, box)
-        two = run_experiment(stream, topology, hyper, box)
-        np.testing.assert_array_equal(one.decisions, two.decisions)
-        np.testing.assert_array_equal(one.losses, two.losses)
+        one = run_seeds([stream], topology, [hyper], box, [None], (4, 12))
+        two = run_seeds([stream], topology, [hyper], box, [None], (4, 12))
+        np.testing.assert_array_equal(one.system_losses, two.system_losses)
         np.testing.assert_array_equal(one.violations, two.violations)
 
     def test_bandit_bitwise_deterministic_per_seed(self):
@@ -507,41 +503,40 @@ class TestRunExperiment:
             horizon=horizon,
             sigma=stream.strong_convexity,
         )
-        one = run_experiment(stream, default_ring_6(), hyper, box, seed=3)
-        two = run_experiment(stream, default_ring_6(), hyper, box, seed=3)
-        other = run_experiment(stream, default_ring_6(), hyper, box, seed=4)
-        np.testing.assert_array_equal(one.queries, two.queries)
-        np.testing.assert_array_equal(one.decisions, two.decisions)
-        assert not np.array_equal(one.queries, other.queries)
+        one, two, other = (
+            run_seeds([stream], default_ring_6(), [hyper], box, [seed], (64, 128)) for seed in (3, 3, 4)
+        )
+        np.testing.assert_array_equal(one.system_losses, two.system_losses)
+        np.testing.assert_array_equal(one.violations, two.violations)
+        assert not np.array_equal(one.system_losses, other.system_losses)
 
     def test_mismatched_inputs_are_rejected(self):
         stream, topology, hyper, box = self.make_inputs()
         with pytest.raises(ValueError, match="nodes"):
-            run_experiment(stream, pair_topology(), hyper, box)
+            run_seeds([stream], pair_topology(), [hyper], box, [None], (12,))
         with pytest.raises(ValueError, match="constraint dimension"):
-            run_experiment(stream, topology, hyper, BoxConstraintSet(-0.15, 0.15, 3))
+            run_seeds([stream], topology, [hyper], BoxConstraintSet(-0.15, 0.15, 3), [None], (12,))
         short = synthetic_stream(6, 4, 5, rho=1.0, seed=25)
         with pytest.raises(ValueError, match="horizon"):
-            run_experiment(short, topology, hyper, box)
+            run_seeds([short], topology, [hyper], box, [None], (5,))
         wrong_p = make_schedule(
             "strongly-convex-full", p=5, G=hyper.G, radius=hyper.radius,
             horizon=12, sigma=hyper.sigma,
         )
         with pytest.raises(ValueError, match="constraint count"):
-            run_experiment(stream, topology, wrong_p, box)
+            run_seeds([stream], topology, [wrong_p], box, [None], (12,))
 
     def test_full_information_containment(self):
         stream, topology, hyper, box = self.make_inputs(horizon=64)
-        hyper = make_schedule(
-            "strongly-convex-full", p=box.count, G=hyper.G, radius=hyper.radius,
-            horizon=64, sigma=hyper.sigma,
-        )
-        trajectory = run_experiment(stream, topology, hyper, box)
-        norms = np.linalg.norm(trajectory.decisions, axis=2)
-        assert float(norms.max()) <= hyper.radius + 1e-12
+        # The blocks run_seeds sums, as the kernel lends them.
+        norms = [
+            float(np.linalg.norm(committed, axis=-1).max())
+            for _, _, committed, *_ in algorithm._lockstep([stream], topology, [hyper], box, [None])
+        ]
+        assert max(norms) <= hyper.radius + 1e-12
         # Large strongly convex first steps push to the ball boundary, so the
         # projection is active at least once.
-        assert float(norms.max()) > 0.9 * hyper.radius
+        assert max(norms) > 0.9 * hyper.radius
 
 
 class TestInitialState:

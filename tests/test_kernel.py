@@ -1,4 +1,4 @@
-"""The seed-batched round kernel against per-seed runs and the round functions."""
+"""The seed-batched round kernel against one-seed runs and the reference's chained rounds."""
 
 import os
 import subprocess
@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import netoco.algorithm as algorithm
-from netoco.algorithm import _check_in_ball, _sphere_block, _sphere_rngs, make_schedule, run_experiment, run_seeds
-from netoco.metrics import checkpoint_series, communication_cost, metric_series
+from netoco.algorithm import _check_in_ball, _sphere_block, _sphere_rngs, make_schedule, run_seeds
+from netoco.metrics import checkpoint_series, communication_cost
 from netoco.network import default_ring_6
 from netoco.problems import BoxConstraintSet, ConstraintSet, synthetic_stream
-from netoco.reference import initial_state, run_round_bandit, run_round_full, sample_unit_sphere
+from netoco.reference import loss_values, record_run, sample_unit_sphere
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,6 +82,20 @@ class TestSphereBlock:
             _sphere_block([[ZeroGaussians()]], np.empty((3, 1, 1, 4)))
 
 
+def assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints, comm):
+    """Each seed's sums and scores in a batch are bit for bit those of run_seeds on that seed alone."""
+    assert len(series) == len(seeds)
+    for s, (seed, batched) in enumerate(zip(seeds, series)):
+        alone = run_seeds(streams[s:s + 1], topology, schedules[s:s + 1], box, (seed,), checkpoints)
+        np.testing.assert_array_equal(totals.system_losses[:, s], alone.system_losses[:, 0])
+        np.testing.assert_array_equal(totals.violations[:, s], alone.violations[:, 0])
+        (scored,) = checkpoint_series(
+            streams[s:s + 1], box, checkpoints, alone.system_losses, alone.violations, comm
+        )
+        for field in ("regrets", "sreg", "cacv", "comm_cost"):
+            np.testing.assert_array_equal(getattr(batched, field), getattr(scored, field))
+
+
 class TestRunSeeds:
     @pytest.mark.parametrize(
         ("variant", "horizon"),
@@ -100,14 +114,7 @@ class TestRunSeeds:
         totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
         comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
         series = checkpoint_series(streams, box, checkpoints, totals.system_losses, totals.violations, comm)
-        assert len(series) == len(seeds)
-        for s, (seed, batched) in enumerate(zip(seeds, series)):
-            trajectory = run_experiment(streams[s], topology, schedules[s], box, seed=seed)
-            alone = metric_series(trajectory, streams[s], box, checkpoints)
-            np.testing.assert_array_equal(batched.regrets, alone.regrets)
-            np.testing.assert_array_equal(batched.sreg, alone.sreg)
-            np.testing.assert_array_equal(batched.cacv, alone.cacv)
-            np.testing.assert_array_equal(batched.comm_cost, alone.comm_cost)
+        assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints, comm)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_schedules_may_differ_in_what_enters_only_the_steps(self, variant):
@@ -125,14 +132,7 @@ class TestRunSeeds:
         totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
         comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
         series = checkpoint_series(streams, box, checkpoints, totals.system_losses, totals.violations, comm)
-        for s, (seed, batched) in enumerate(zip(seeds, series)):
-            alone = run_seeds(streams[s:s + 1], topology, schedules[s:s + 1], box, (seed,), checkpoints)
-            np.testing.assert_array_equal(totals.system_losses[:, s], alone.system_losses[:, 0])
-            np.testing.assert_array_equal(totals.violations[:, s], alone.violations[:, 0])
-            trajectory = run_experiment(streams[s], topology, schedules[s], box, seed=seed)
-            stored = metric_series(trajectory, streams[s], box, checkpoints)
-            np.testing.assert_array_equal(batched.regrets, stored.regrets)
-            np.testing.assert_array_equal(batched.cacv, stored.cacv)
+        assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints, comm)
 
     @pytest.mark.parametrize(
         ("key", "variant", "changes", "value"),
@@ -166,74 +166,47 @@ class TestRunSeeds:
             run_seeds(streams, default_ring_6(), schedules, box, (1,), (10, HORIZON + 1))
 
 
-def chained_rounds_equal_the_kernel(variant, seed, horizon, run_round, box=None, radius=None):
-    streams, schedules, box = batch(variant, (seed,), horizon, box, radius)
-    stream, hyper = streams[0], schedules[0]
+def lent_blocks_equal_the_recorded_runs(variant, seeds, horizon=HORIZON, box=None, radius=None):
+    """Each block the kernel lends for a batch of seeds, read as it arrives, holds the
+    rounds of each seed's run recorded by chaining the reference's round functions
+    (reference.record_run). Returns the records."""
+    streams, schedules, box = batch(variant, seeds, horizon, box, radius)
     topology = default_ring_6()
-    trajectory = run_experiment(stream, topology, hyper, box, seed=seed)
-    state = initial_state(6, box, seed=seed, bandit=hyper.is_bandit)
-    for t in range(1, horizon + 1):
-        state, record = run_round(state, stream.round(t), topology.weights_at(t), hyper, box, t)
-        if hyper.is_bandit:
-            np.testing.assert_array_equal(record.queries, trajectory.queries[t - 1])
-        np.testing.assert_array_equal(record.decisions, trajectory.decisions[t - 1])
-        np.testing.assert_array_equal(record.losses, trajectory.losses[t - 1])
-        np.testing.assert_array_equal(record.violations, trajectory.violations[t - 1])
-    return trajectory
-
-
-@pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
-def test_kernel_run_equals_chained_bandit_rounds(horizon):
-    """run_experiment draws sphere directions in blocks; run_round_bandit draws
-    them one round at a time from the same streams."""
-    chained_rounds_equal_the_kernel("strongly-convex-bandit", 9, horizon, run_round_bandit)
-
-
-@pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
-def test_kernel_run_equals_chained_full_rounds(horizon):
-    """run_experiment evaluates a block's losses in one call; run_round_full one round."""
-    chained_rounds_equal_the_kernel("convex-full", 9, horizon, run_round_full)
-
-
-@pytest.mark.parametrize(
-    ("variant", "run_round"),
-    [("convex-full", run_round_full), ("strongly-convex-bandit", run_round_bandit)],
-    ids=["full", "bandit"],
-)
-def test_each_lent_block_equals_per_seed_runs_and_chained_rounds(variant, run_round):
-    """Each block the kernel lends, read as it arrives, holds the rounds of each
-    seed's run_experiment trajectory and of the chained round functions."""
-    seeds = (1, 2)
-    streams, schedules, box = batch(variant, seeds)
-    topology = default_ring_6()
-    trajectories = [
-        run_experiment(stream, topology, hyper, box, seed=seed)
-        for stream, hyper, seed in zip(streams, schedules, seeds)
-    ]
-    states = [
-        initial_state(6, box, seed=seed, bandit=hyper.is_bandit) for hyper, seed in zip(schedules, seeds)
-    ]
+    records = [record_run(stream, topology, hyper, box, seed) for stream, hyper, seed in zip(streams, schedules, seeds)]
     starts = []
     for start, block_losses, committed, violated, observed, queries in algorithm._lockstep(
         streams, topology, schedules, box, seeds
     ):
         starts.append(start)
-        losses = block_losses.values(committed) if queries is None else observed
-        for s, (stream, hyper, trajectory) in enumerate(zip(streams, schedules, trajectories)):
-            for k in range(len(committed)):
-                t = start + k + 1
-                states[s], record = run_round(states[s], stream.round(t), topology.weights_at(t), hyper, box, t)
-                kept = [
-                    (committed[k, s], trajectory.decisions[t - 1], record.decisions),
-                    (violated[k, s], trajectory.violations[t - 1], record.violations),
-                    (losses[k, s], trajectory.losses[t - 1], record.losses),
-                ]
-                if queries is not None:
-                    kept.append((queries[k, s], trajectory.queries[t - 1], record.queries))
-                for block_rows, alone, chained in kept:
-                    np.testing.assert_array_equal(block_rows, alone)
-                    np.testing.assert_array_equal(block_rows, chained)
-    assert starts == [0, 128, 256]
+        rounds = slice(start, start + len(committed))
+        losses = loss_values(block_losses, committed) if queries is None else observed
+        for s, record in enumerate(records):
+            np.testing.assert_array_equal(committed[:, s], record.decisions[rounds])
+            np.testing.assert_array_equal(violated[:, s], record.violations[rounds])
+            np.testing.assert_array_equal(losses[:, s], record.losses[rounds])
+            if queries is not None:
+                np.testing.assert_array_equal(queries[:, s], record.queries[rounds])
+    assert starts == list(range(0, horizon, 128))
+    return records
+
+
+@pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
+def test_kernel_run_equals_chained_bandit_rounds(horizon):
+    """The kernel draws sphere directions in blocks; run_round_bandit draws
+    them one round at a time from the same streams."""
+    lent_blocks_equal_the_recorded_runs("strongly-convex-bandit", (9,), horizon)
+
+
+@pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
+def test_kernel_run_equals_chained_full_rounds(horizon):
+    """The kernel runs a block of rounds in one call; run_round_full one round."""
+    lent_blocks_equal_the_recorded_runs("convex-full", (9,), horizon)
+
+
+@pytest.mark.parametrize("variant", ["convex-full", "strongly-convex-bandit"], ids=["full", "bandit"])
+def test_each_lent_block_equals_per_seed_runs_and_chained_rounds(variant):
+    """A batch of two seeds: each block holds the rounds of each seed's own chained run."""
+    lent_blocks_equal_the_recorded_runs(variant, (1, 2))
 
 
 @pytest.mark.parametrize("variant", ["convex-full", "strongly-convex-bandit"])
@@ -274,20 +247,16 @@ CONSTRAINT_SETS = {
 
 
 @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
-@pytest.mark.parametrize(
-    ("variant", "run_round"),
-    [("convex-full", run_round_full), ("strongly-convex-bandit", run_round_bandit)],
-    ids=["full", "bandit"],
-)
+@pytest.mark.parametrize("variant", ["convex-full", "strongly-convex-bandit"], ids=["full", "bandit"])
 @pytest.mark.parametrize("constraints", sorted(CONSTRAINT_SETS))
-def test_kernel_run_equals_chained_rounds_for_other_constraint_sets(constraints, variant, run_round, horizon):
+def test_kernel_run_equals_chained_rounds_for_other_constraint_sets(constraints, variant, horizon):
     """The kernel pulls through dual_pull_rows, the round functions through the
     duals of the state; both must give the same bits for any constraint set."""
     box, radius = CONSTRAINT_SETS[constraints]()
-    trajectory = chained_rounds_equal_the_kernel(variant, 9, horizon, run_round, box, radius)
+    (record,) = lent_blocks_equal_the_recorded_runs(variant, (9,), horizon, box, radius)
     # Every constraint gradient is nonzero where its constraint is violated, so
     # the violation of round 1 makes round 2 pull.
-    assert trajectory.violations[0].max() > 0
+    assert record.violations[0].max() > 0
 
 
 # The projection of round 199 gives the decisions of round 200, in the kernel's
@@ -348,12 +317,12 @@ class TestDeferredContainment:
         with pytest.raises(RuntimeError, match=self.message + "of seed 2 has norm"):
             run_seeds(streams, default_ring_6(), schedules, box, seeds, (HORIZON,))
 
-    def test_run_experiment(self, monkeypatch):
+    def test_one_seed(self, monkeypatch):
         streams, schedules, box = batch("strongly-convex-full", (1,))
         push_a_decision_out(monkeypatch)
         starts = record_yielded_blocks(monkeypatch)
-        with pytest.raises(RuntimeError, match=self.message):
-            run_experiment(streams[0], default_ring_6(), schedules[0], box, seed=1)
+        with pytest.raises(RuntimeError, match=self.message + "of seed 1 has norm"):
+            run_seeds(streams, default_ring_6(), schedules, box, (1,), (HORIZON,))
         assert starts == [0]
 
     def test_the_decisions_left_after_the_last_round(self, monkeypatch):
@@ -361,7 +330,7 @@ class TestDeferredContainment:
         push_a_decision_out(monkeypatch, HORIZON + 1)
         starts = record_yielded_blocks(monkeypatch)
         with pytest.raises(RuntimeError, match=f"round {HORIZON + 1}: the decision of unit {BROKEN_UNIT} "):
-            run_experiment(streams[0], default_ring_6(), schedules[0], box, seed=1)
+            run_seeds(streams, default_ring_6(), schedules, box, (1,), (HORIZON,))
         assert starts == [0, 128]
 
     def test_a_probe_outside_the_full_ball(self, monkeypatch):

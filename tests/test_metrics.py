@@ -1,36 +1,46 @@
 """Regret/violation accounting, the hindsight comparator, and bound constants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from netoco.algorithm import VARIANTS, RunTrajectory, make_schedule, run_experiment
+from netoco.algorithm import VARIANTS, make_schedule, run_seeds
 from netoco.metrics import (
     MetricSeries,
     averaged_metrics,
     bound_constants,
     checkpoint_grid,
+    checkpoint_series,
     communication_cost,
-    metric_series,
 )
 from netoco.network import Graph, default_ring_6, schedule_from_graphs
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
-from netoco.reference import cacv, offline_comparator, regret, sreg, system_cumulative_losses
+from netoco.reference import (
+    RoundRecord, cacv, offline_comparator, record_run, regret, sreg, system_cumulative_losses,
+)
 
 
-def constant_trajectory(point, horizon, n_units, constraints, edges_per_round=3):
-    """A fabricated run that commits the same point every round."""
+def constant_record(point, horizon, n_units, constraints):
+    """A fabricated run record that commits the same point every round."""
     point = np.asarray(point, dtype=float)
-    decisions = np.tile(point, (horizon, n_units, 1))
     violation = constraints.positive_parts(point)
-    return RunTrajectory(
-        decisions=decisions,
+    return RoundRecord(
+        decisions=np.tile(point, (horizon, n_units, 1)),
         losses=np.zeros((horizon, n_units)),
         violations=np.tile(violation, (horizon, n_units, 1)),
         queries=None,
-        edge_counts=np.full(horizon, edges_per_round, dtype=np.int64),
     )
+
+
+def score_one_seed(stream, topology, hyper, box, checkpoints, seed=None, scored_on=None):
+    """run_seeds on one seed, scored by checkpoint_series against the stream or scored_on."""
+    totals = run_seeds([stream], topology, [hyper], box, [seed], checkpoints)
+    comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
+    scored = stream if scored_on is None else scored_on
+    (series,) = checkpoint_series([scored], box, checkpoints, totals.system_losses, totals.violations, comm)
+    return series
 
 
 class TestOfflineComparator:
@@ -100,68 +110,67 @@ class TestRegret:
         self.comparator = offline_comparator(self.stream, self.box, 10)
 
     def test_zero_at_the_comparator_point(self):
-        trajectory = constant_trajectory(self.comparator.point, 10, 2, self.box)
+        record = constant_record(self.comparator.point, 10, 2, self.box)
         for i in (1, 2):
-            assert abs(regret(trajectory, self.stream, self.comparator, i, 10)) <= 1e-7
-        assert abs(sreg(trajectory, self.stream, self.comparator, 10)) <= 1e-7
+            assert abs(regret(record, self.stream, self.comparator, i, 10)) <= 1e-7
+        assert abs(sreg(record, self.stream, self.comparator, 10)) <= 1e-7
 
     def test_positive_away_from_the_optimum(self):
         corner = np.array([0.15, -0.15])
-        trajectory = constant_trajectory(corner, 10, 2, self.box)
-        value = regret(trajectory, self.stream, self.comparator, 1, 10)
+        record = constant_record(corner, 10, 2, self.box)
+        value = regret(record, self.stream, self.comparator, 1, 10)
         direct = sum(
             self.stream.round(t).system_values(corner[None, :])[0] for t in range(1, 11)
         )
         assert value == pytest.approx(direct - self.comparator.objective, rel=1e-12)
         assert value > 0
 
-    def test_sreg_is_the_max_over_units(self):
-        trajectory = constant_trajectory(self.comparator.point, 10, 2, self.box)
+    def test_sreg_is_the_largest_unit_regret(self):
+        record = constant_record(self.comparator.point, 10, 2, self.box)
         # Move unit 2's decisions somewhere worse.
-        trajectory.decisions[:, 1, :] = np.array([0.15, 0.15])
-        values = [regret(trajectory, self.stream, self.comparator, i, 10) for i in (1, 2)]
-        assert sreg(trajectory, self.stream, self.comparator, 10) == pytest.approx(
+        record.decisions[:, 1, :] = np.array([0.15, 0.15])
+        values = [regret(record, self.stream, self.comparator, i, 10) for i in (1, 2)]
+        assert sreg(record, self.stream, self.comparator, 10) == pytest.approx(
             max(values), rel=1e-12
         )
-        totals = system_cumulative_losses(trajectory, self.stream, 10)
+        totals = system_cumulative_losses(record, self.stream, 10)
         np.testing.assert_allclose(
             totals - self.comparator.objective, values, rtol=1e-12
         )
 
     def test_unit_index_is_checked(self):
-        trajectory = constant_trajectory(self.comparator.point, 10, 2, self.box)
+        record = constant_record(self.comparator.point, 10, 2, self.box)
         with pytest.raises(IndexError):
-            regret(trajectory, self.stream, self.comparator, 0, 10)
+            regret(record, self.stream, self.comparator, 0, 10)
         with pytest.raises(IndexError):
-            regret(trajectory, self.stream, self.comparator, 3, 10)
+            regret(record, self.stream, self.comparator, 3, 10)
 
     def test_prefix_range_is_checked(self):
-        trajectory = constant_trajectory(self.comparator.point, 10, 2, self.box)
+        record = constant_record(self.comparator.point, 10, 2, self.box)
         with pytest.raises(ValueError, match="prefix"):
-            system_cumulative_losses(trajectory, self.stream, 11)
+            system_cumulative_losses(record, self.stream, 11)
         with pytest.raises(ValueError, match="prefix"):
-            cacv(trajectory, 0)
+            cacv(record, 0)
 
 
 class TestCacv:
     def test_hand_computed_totals(self):
         box = BoxConstraintSet(-0.15, 0.15, 1)
-        trajectory = constant_trajectory(np.array([0.25]), 4, 3, box)
+        record = constant_record(np.array([0.25]), 4, 3, box)
         # Violation 0.1 on the upper constraint, per unit per round.
-        assert cacv(trajectory, 1) == pytest.approx(0.3)
-        assert cacv(trajectory, 4) == pytest.approx(1.2)
+        assert cacv(record, 1) == pytest.approx(0.3)
+        assert cacv(record, 4) == pytest.approx(1.2)
 
     def test_monotone_in_the_prefix(self):
         rng = np.random.default_rng(34)
         violations = rng.uniform(0, 1, size=(6, 2, 3))
-        trajectory = RunTrajectory(
+        record = RoundRecord(
             decisions=np.zeros((6, 2, 1)),
             losses=np.zeros((6, 2)),
             violations=violations,
             queries=None,
-            edge_counts=np.ones(6, dtype=np.int64),
         )
-        values = [cacv(trajectory, T) for T in range(1, 7)]
+        values = [cacv(record, T) for T in range(1, 7)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(float(violations.sum()))
 
@@ -208,7 +217,7 @@ class TestCheckpointGrid:
             checkpoint_grid(0)
 
 
-class TestMetricSeries:
+class TestCheckpointSeries:
     def make_run(self, horizon=24):
         stream = synthetic_stream(6, 4, horizon, rho=1.0, seed=35)
         box = BoxConstraintSet(-0.15, 0.15, 4)
@@ -221,35 +230,35 @@ class TestMetricSeries:
             horizon=horizon,
             sigma=stream.strong_convexity,
         )
-        topology = default_ring_6()
-        return run_experiment(stream, topology, hyper, box), stream, box, topology
+        return stream, default_ring_6(), hyper, box
 
     def test_matches_standalone_metrics_checkpoint_by_checkpoint(self):
         """Dual route: the single-pass series must equal independent regret,
         cacv, and communication computations at every checkpoint."""
-        trajectory, stream, box, topology = self.make_run()
+        stream, topology, hyper, box = self.make_run()
         checkpoints = (3, 8, 24)
-        series = metric_series(trajectory, stream, box, checkpoints)
+        series = score_one_seed(stream, topology, hyper, box, checkpoints)
+        record = record_run(stream, topology, hyper, box)
         assert series.checkpoints == checkpoints
         for k, T in enumerate(checkpoints):
             comparator = offline_comparator(stream, box, T)
             for i in range(1, 7):
                 assert series.regrets[k, i - 1] == pytest.approx(
-                    regret(trajectory, stream, comparator, i, T), rel=1e-10, abs=1e-10
+                    regret(record, stream, comparator, i, T), rel=1e-10, abs=1e-10
                 )
             assert series.sreg[k] == pytest.approx(
-                sreg(trajectory, stream, comparator, T), rel=1e-10, abs=1e-10
+                sreg(record, stream, comparator, T), rel=1e-10, abs=1e-10
             )
-            assert series.cacv[k] == pytest.approx(cacv(trajectory, T), rel=1e-12)
+            assert series.cacv[k] == pytest.approx(cacv(record, T), rel=1e-12)
             assert series.comm_cost[k] == communication_cost(topology, T)
-        np.testing.assert_array_equal(series.max_over_units(), series.regrets.max(axis=1))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_equals_the_per_round_sums_bit_for_bit(self, variant):
-        """Dual route, exactly: metric_series sums a stored run a 128-round
-        block at a time, reference adds it round by round. T = 300 spans three
-        blocks, the last partial, with checkpoints in each. CACV is summed in
-        another order by reference.cacv (one pairwise sum), so it is approximate."""
+        """Dual route, exactly: run_seeds sums the kernel's run a 128-round
+        block at a time, reference adds the chained rounds' record round by
+        round. T = 300 spans three blocks, the last partial, with checkpoints in
+        each. CACV is summed in another order by reference.cacv (one pairwise
+        sum), so it is approximate."""
         horizon, checkpoints = 300, (50, 128, 129, 200, 256, 300)
         strongly = variant.startswith("strongly")
         stream = synthetic_stream(6, 4, horizon, rho=1.0 if strongly else 0.0, seed=41)
@@ -259,41 +268,68 @@ class TestMetricSeries:
             variant, p=box.count, G=max(stream.bounds(1.0)[0], box.gradient_bound), radius=1.0,
             horizon=horizon, c=None if strongly else 0.75, sigma=stream.strong_convexity if strongly else None,
         )
-        trajectory = run_experiment(stream, default_ring_6(), hyper, box, seed=3)
-        series = metric_series(trajectory, stream, box, checkpoints)
+        series = score_one_seed(stream, default_ring_6(), hyper, box, checkpoints, seed=3)
+        record = record_run(stream, default_ring_6(), hyper, box, seed=3)
         for k, T in enumerate(checkpoints):
             comparator = offline_comparator(stream, box, T)
             for i in range(1, 7):
-                assert series.regrets[k, i - 1] == regret(trajectory, stream, comparator, i, T), (T, i)
-            assert series.sreg[k] == sreg(trajectory, stream, comparator, T), T
-            assert series.cacv[k] == pytest.approx(cacv(trajectory, T), rel=1e-12)
+                assert series.regrets[k, i - 1] == regret(record, stream, comparator, i, T), (T, i)
+            assert series.sreg[k] == sreg(record, stream, comparator, T), T
+            assert series.cacv[k] == pytest.approx(cacv(record, T), rel=1e-12)
 
     def test_checkpoint_validation(self):
-        trajectory, stream, box, _ = self.make_run(horizon=8)
+        stream, topology, hyper, box = self.make_run(horizon=8)
         with pytest.raises(ValueError, match="strictly increasing"):
-            metric_series(trajectory, stream, box, (4, 2))
+            run_seeds([stream], topology, [hyper], box, [None], (4, 2))
         with pytest.raises(ValueError, match="strictly increasing"):
-            metric_series(trajectory, stream, box, (2, 2, 4))
+            run_seeds([stream], topology, [hyper], box, [None], (2, 2, 4))
         with pytest.raises(ValueError, match="at least one"):
-            metric_series(trajectory, stream, box, ())
+            run_seeds([stream], topology, [hyper], box, [None], ())
         with pytest.raises(ValueError, match="prefix"):
-            metric_series(trajectory, stream, box, (2, 9))
+            run_seeds([stream], topology, [hyper], box, [None], (2, 9))
 
-    @pytest.mark.parametrize("units, dimension", [(3, 4), (6, 2)], ids=["units", "dimension"])
-    def test_a_stream_of_another_shape_is_rejected(self, units, dimension):
-        trajectory, _, box, _ = self.make_run(horizon=64)
-        other = synthetic_stream(units, dimension, 64, 1.0, 2)
-        with pytest.raises(ValueError, match=rf"N = {units} units in d = {dimension} dimensions, the trajectory N = 6 in d = 4"):
-            metric_series(trajectory, other, box, (32, 64))
+    @pytest.mark.parametrize(
+        "case", ["fewer units in the sums", "more units in the sums", "violations per unit", "comm_cost per seed"]
+    )
+    def test_sums_of_another_shape_are_rejected(self, case):
+        """The sums must be (K, S, N), (K, S) and (K,) for the streams scored;
+        sums of another unit count would broadcast against the comparators."""
+        stream, topology, hyper, box = self.make_run(horizon=64)
+        checkpoints = (32, 64)
+        totals = run_seeds([stream], topology, [hyper], box, [None], checkpoints)
+        sums = {
+            "system_losses": totals.system_losses,
+            "violations": totals.violations,
+            "comm_cost": np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64),
+        }
+        streams = [stream]
+        if case == "fewer units in the sums":
+            name, sums["system_losses"] = "system_losses", totals.system_losses[..., :3]
+        elif case == "more units in the sums":
+            name, streams = "system_losses", [synthetic_stream(3, 4, 64, 1.0, 2)]
+        elif case == "violations per unit":
+            name, sums["violations"] = "violations", np.zeros((2, 1, 6))
+        else:
+            name, sums["comm_cost"] = "comm_cost", sums["comm_cost"][:, None]
+        expected = {"system_losses": (2, 1, streams[0].n_units), "violations": (2, 1), "comm_cost": (2,)}[name]
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {sums[name].shape}, not {expected}")):
+            checkpoint_series(streams, box, checkpoints, **sums)
+
+    def test_streams_of_two_unit_counts_are_rejected(self):
+        streams = [synthetic_stream(6, 4, 8, 1.0, 1), synthetic_stream(3, 4, 8, 1.0, 2)]
+        with pytest.raises(ValueError, match=r"one unit count, got unit counts \[3, 6\]"):
+            checkpoint_series(
+                streams, BoxConstraintSet(-0.15, 0.15, 4), (8,), np.zeros((1, 2, 6)), np.zeros((1, 2)),
+                np.zeros(1, dtype=np.int64),
+            )
 
     def test_checkpoints_past_the_streams_rounds_are_rejected(self):
-        # The last block holds one round of this stream, which would broadcast over the block's
-        # 44 decisions; the prefix's comparator rejects the checkpoint instead.
-        trajectory, stream, box, _ = self.make_run(horizon=300)
+        """A checkpoint past the scored stream's rounds has no prefix to solve a comparator on."""
+        stream, topology, hyper, box = self.make_run(horizon=300)
         short = RegressionStream(stream.features[:257], stream.targets[:257], stream.rho)
         with pytest.raises(ValueError, match="prefix"):
-            metric_series(trajectory, short, box, (100, 300))
-        assert metric_series(trajectory, short, box, (100, 257)).checkpoints == (100, 257)
+            score_one_seed(stream, topology, hyper, box, (100, 300), scored_on=short)
+        assert score_one_seed(stream, topology, hyper, box, (100, 257), scored_on=short).checkpoints == (100, 257)
 
 
 class TestAveragedMetrics:
@@ -322,7 +358,7 @@ class TestAveragedMetrics:
         two = self.series([10.0, 10.0], [[10.0, 0.0], [10.0, 0.0]], [0.0, 0.0])
         mean = averaged_metrics([one, two])
         np.testing.assert_allclose(mean.sreg, [10.0, 10.0])  # mean of maxima
-        np.testing.assert_allclose(mean.max_over_units(), [5.0, 5.0])  # max of means
+        np.testing.assert_allclose(mean.regrets.max(axis=1), [5.0, 5.0])  # max of means
 
     def test_mismatches_are_rejected(self):
         base = self.series([1.0, 2.0], [[1.0, 0.5], [2.0, 1.0]], [0.0, 4.0])

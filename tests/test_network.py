@@ -8,7 +8,6 @@ from netoco.network import (
     Graph,
     TopologySchedule,
     WeightMatrix,
-    consensus_mix,
     default_ring_6,
     max_degree_weights,
     product_deviation,
@@ -16,6 +15,7 @@ from netoco.network import (
     validate_mixing,
     verify_window_connectivity,
 )
+from netoco.reference import consensus_mix
 
 
 class TestGraph:

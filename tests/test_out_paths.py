@@ -1,8 +1,8 @@
 """The round's in-place paths against their fresh-array paths, bit for bit.
 
 The round loop runs in buffers allocated once per run (bare calls with out,
-_project_rows scaling in place); RegressionRound and consensus_mix give
-fresh arrays, and dual_pull_rows gives either. Both must give the same bits,
+_project_rows scaling in place); reference.loss_values, loss_gradients and
+consensus_mix give fresh arrays, and dual_pull_rows gives either. Both must give the same bits,
 signed zeros included, and _row_dots, which calls c_einsum directly, those
 of np.einsum.
 """
@@ -13,8 +13,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from netoco.algorithm import _project_rows, _round_views, _run_block, _scratch
-from netoco.network import WeightMatrix, consensus_mix
+from netoco.network import WeightMatrix
 from netoco.problems import BoxConstraintSet, ConstraintSet, RegressionRound, _row_dots
+from netoco.reference import consensus_mix, loss_gradients, loss_values
 
 SMALLEST_SUBNORMAL = 5e-324
 
@@ -72,10 +73,10 @@ def test_zero_rho_skips_only_bits_the_pull_restores(data, kind):
     eta = 10.0 ** data.draw(st.floats(-3.0, 3.0))
     with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e100 overflow alike on both paths
         r = _row_dots(features, rows) - round_losses.targets
-        assert_same_bits(round_losses.values(rows), np.add(np.multiply(0.5 * r, r), 0.0 * _row_dots(rows, rows)))
+        assert_same_bits(loss_values(round_losses, rows), np.add(np.multiply(0.5 * r, r), 0.0 * _row_dots(rows, rows)))
         with_term = np.add(np.multiply(r[..., None], features), (2.0 * 0.0) * rows)
         for pull in (np.zeros(rows.shape), constraints.dual_pull_rows(rows, eta)):
-            assert_same_bits(round_losses.gradients(rows) + pull, with_term + pull)
+            assert_same_bits(loss_gradients(round_losses, rows) + pull, with_term + pull)
 
 
 def generic_set(d):
@@ -172,7 +173,7 @@ def sprinkled(rng, shape, low, high):
 )
 def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandit, kind):
     """_run_block on its per-run scratch against one round at a time on fresh
-    arrays: RegressionRound.values or gradients, consensus_mix, _project_rows
+    arrays: reference.loss_values or loss_gradients, consensus_mix, _project_rows
     and dual_pull_rows, with the operands of the update in their order. The
     scratch starts as NaN, so a value left from another round or read across
     seeds shows."""
@@ -210,12 +211,12 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
         losses = RegressionRound(features[k], targets[k], rho)
         if bandit:
             probe = current + (eps * directions)[k]
-            seen = losses.values(probe)
+            seen = loss_values(losses, probe)
             assert_same_bits(queries[k], probe)
             assert_same_bits(observed[k], seen)
             gradients = (d / eps) * seen[..., None] * directions[k]
         else:
-            gradients = losses.gradients(current)
+            gradients = loss_gradients(losses, current)
         mixed = consensus_mix(weights[(start + k) % 2], current - betas[k] * (gradients + pull))
         current = _project_rows(mixed, radius)
         pull = constraints.dual_pull_rows(current, etas[k])

@@ -69,9 +69,9 @@ def stream_calls(monkeypatch):
 
 
 def test_streams_larger_than_memory_are_a_failure(stream_calls):
-    # The horizon as an override is checked with the default ten seeds in the loader; as a
-    # replaced field it reaches validation.
-    with pytest.raises(ConfigError, match="seed_count = 10 with horizon = 1000000000000000"):
+    # The horizon as an override is checked in the loader, where one seed alone does not fit;
+    # as a replaced field it reaches validation.
+    with pytest.raises(ConfigError, match="horizon = 1000000000000000 for one seed, units = 6"):
         preset_config("synthetic-sc-bandit-rho1", horizon=10**15)
     config = replace(preset_config("synthetic-sc-bandit-rho1"), horizon=10**15)
     [failure] = validate_scenario(config)
@@ -81,6 +81,18 @@ def test_streams_larger_than_memory_are_a_failure(stream_calls):
     assert "GiB of physical memory" in failure
     with pytest.raises(ScenarioError, match="physical memory"):
         run_suite(config, write=False)
+    assert stream_calls == []
+
+
+def test_a_horizon_too_long_for_one_seed_names_no_seed_count(stream_calls):
+    """The default ten seeds were never given: the error names the horizon for one seed.
+    A count that does not fit where one seed does is still named."""
+    with pytest.raises(ConfigError) as caught:
+        preset_config("synthetic-convex-c0.5", horizon=10**15)
+    assert str(caught.value).startswith("horizon = 1000000000000000 for one seed, units = 6 and dimension = 4 needs")
+    assert "seed_count" not in str(caught.value)
+    with pytest.raises(ConfigError, match="^seed_count = 100000000000 with horizon = 64, units = 6"):
+        preset_config("synthetic-convex-c0.5", seed_count=10**11, horizon=64)
     assert stream_calls == []
 
 

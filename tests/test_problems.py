@@ -15,7 +15,7 @@ from netoco.problems import (
     serialize_libsvm,
     synthetic_stream,
 )
-from netoco.reference import clipped_subgradient, regression_loss
+from netoco.reference import clipped_subgradient, loss_gradients, loss_values, regression_loss
 
 
 def random_example(rng, dimension=4):
@@ -185,7 +185,7 @@ class TestRoundPanel:
         for t in range(1, 5):
             panel = stream.round(t)
             rows = rng.uniform(-0.3, 0.3, size=(5, 3))
-            values, grads = panel.values(rows), panel.gradients(rows)
+            values, grads = loss_values(panel, rows), loss_gradients(panel, rows)
             for i in range(1, 6):
                 oracle = regression_loss(stream.example(i, t), stream.rho)
                 assert values[i - 1] == pytest.approx(oracle.value(rows[i - 1]), rel=1e-12)

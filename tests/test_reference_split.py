@@ -1,6 +1,7 @@
 """netoco.reference holds the per-unit algorithm and metrics that the kernel is
 tested against, and only there: no run-path module imports it or keeps a copy
-of what it defines, and the package exports the same names as before the split.
+of what it defines, and the package exports its library API, the one run and
+score (run_seeds, checkpoint_series) among it.
 """
 
 import ast
@@ -10,26 +11,30 @@ from pathlib import Path
 import pytest
 
 import netoco
+from netoco.problems import RegressionRound
 
 PACKAGE = Path(netoco.__file__).resolve().parent
 RUN_PATH = ("algorithm", "problems", "metrics", "network", "bench", "cli")
 
-# What reference.py took from algorithm, then from metrics, then from problems.
+# What reference.py took from algorithm, then from metrics, then from problems, then the
+# fresh-array forms of a round's loss values and gradients (RegressionRound's methods before)
+# and of the mix (from network).
 MOVED = (
     "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian", "primal_direction",
     "dual_update", "RunState", "initial_state", "RoundRecord", "_round", "run_round_full", "run_round_bandit",
     "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
     "LossOracle", "regression_loss", "clipped_subgradient",
+    "loss_values", "loss_gradients", "consensus_mix",
 )
 
 EXPORTS = {
     "BoundConstants", "BoxConstraintSet", "ConstraintSet", "ConvergenceError", "DatasetTable", "Graph",
-    "HyperSchedule", "LossOracle", "MetricSeries", "RegressionExample", "RegressionStream", "RunTrajectory",
+    "HyperSchedule", "LossOracle", "MetricSeries", "RegressionExample", "RegressionStream",
     "ScenarioConfig", "TopologySchedule", "WeightMatrix", "averaged_metrics", "bound_constants", "cacv",
-    "checkpoint_grid", "clipped_subgradient", "communication_cost", "consensus_mix", "dataset_stream",
-    "default_ring_6", "list_presets", "load_config", "make_schedule", "max_degree_weights", "metric_series",
+    "checkpoint_grid", "checkpoint_series", "clipped_subgradient", "communication_cost", "consensus_mix",
+    "dataset_stream", "default_ring_6", "list_presets", "load_config", "make_schedule", "max_degree_weights",
     "offline_comparator", "offline_comparators", "one_point_estimator", "parse_libsvm", "preset_config",
-    "product_deviation", "project_ball", "regression_loss", "regret", "run_experiment", "run_suite",
+    "product_deviation", "project_ball", "regression_loss", "regret", "run_seeds", "run_suite",
     "sample_unit_sphere", "schedule_from_graphs", "serialize_libsvm", "sreg", "synthetic_stream",
     "validate_mixing", "verify_window_connectivity",
 }
@@ -98,7 +103,13 @@ def test_the_reference_defines_every_moved_name_once():
     assert sorted(name for name in defined if name in MOVED) == sorted(MOVED)
 
 
-def test_the_package_exports_the_same_names():
+def test_no_run_path_class_keeps_the_moved_loss_forms():
+    """RegressionRound keeps only the system sums the run needs; the loss values and
+    gradients on fresh arrays are reference.loss_values and loss_gradients."""
+    assert not hasattr(RegressionRound, "values") and not hasattr(RegressionRound, "gradients")
+
+
+def test_the_package_exports_its_library_api():
     exported = {
         name for name in dir(netoco)
         if not name.startswith("_") and not isinstance(getattr(netoco, name), types.ModuleType)

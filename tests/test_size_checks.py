@@ -69,12 +69,12 @@ CASES = {
     "dimension with seed_count": (
         {"case.ini": "[problem]\ndimension = 1000000000000\n" + SMALL_RUN + "[run]\nseed_count = 1\n"},
         ["validate", "case.ini"],
-        ["error: seed_count = 1 with horizon = 64, units = 6 and dimension = 1000000000000"],
+        ["error: horizon = 64 for one seed, units = 6 and dimension = 1000000000000"],
     ),
     "dimension with the default seed count": (
         {"case.ini": "[problem]\ndimension = 1000000000000\n" + SMALL_RUN},
         ["validate", "case.ini"],
-        ["error: seed_count = 10 with horizon = 64, units = 6 and dimension = 1000000000000"],
+        ["error: horizon = 64 for one seed, units = 6 and dimension = 1000000000000"],
     ),
     "dimension with seeds": (
         {"case.ini": "[problem]\ndimension = 1000000000000\n" + SMALL_RUN + "[run]\nseeds = 1\n"},

@@ -16,10 +16,11 @@ their number. Reads perfbench/ and writes nothing there. A pass took 4.5 to
 
 Exits 1, naming them, when a never-run function lies outside netoco.reference
 (the per-unit oracle the tests compare the kernel with) and outside
-LIBRARY_API, or when a LIBRARY_API name is not a never-run function (it was
-renamed, deleted or now runs): the run-path modules hold what the benchmark
-runs, and what it does not run is declared there as library API or a safety
-branch.
+LIBRARY_API, when a LIBRARY_API name is not a never-run function (it was
+renamed, deleted or now runs), or when a LIBRARY_API name lies in
+netoco.reference, which needs no declaration: the run-path modules hold what
+the benchmark runs, and what it does not run is declared there as library API
+or a safety branch.
 """
 
 from __future__ import annotations
@@ -42,20 +43,15 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 HORIZON = 2048
 SEED_COUNT = 2
 
-# Never-run functions the run-path modules keep on purpose.
+# Never-run functions the run-path modules keep on purpose, each group under its reason.
+# netoco.reference needs no entry: none of its functions has to run.
 LIBRARY_API = (
     # Overflow branches the benchmark's finite data never reach.
     "netoco.algorithm._overflow_factors",
     # The error of a comparator solve that does not converge; the benchmark's solves all do.
     "netoco.metrics.ConvergenceError.__init__",
-    # Step sizes, trajectories, metrics and bounds of one run, for library use (README).
+    # A step size by round and the guarantee bounds, for library use (README).
     "netoco.algorithm.HyperSchedule.eta",
-    "netoco.algorithm.RunTrajectory.horizon",
-    "netoco.algorithm.RunTrajectory.n_units",
-    "netoco.algorithm.RunTrajectory.dimension",
-    "netoco.algorithm.run_experiment",
-    "netoco.metrics.MetricSeries.max_over_units",
-    "netoco.metrics.metric_series",
     "netoco.metrics.BoundConstants.sreg_bound",
     "netoco.metrics.BoundConstants.cacv_bound",
     "netoco.metrics.bound_constants",
@@ -66,8 +62,7 @@ LIBRARY_API = (
     "netoco.network.TopologySchedule.zeta",
     "netoco.network.TopologySchedule.weights_at",
     "netoco.network.product_deviation",
-    # The constraint interface the kernel duck-types; the generic set and the
-    # box's per-constraint forms are the reference for the box's closed forms.
+    # The constraint interface the kernel duck-types, and the box's per-constraint forms.
     "netoco.problems.ConstraintSet.__init__",
     "netoco.problems.ConstraintSet.count",
     "netoco.problems.ConstraintSet.value",
@@ -81,18 +76,15 @@ LIBRARY_API = (
     "netoco.problems.BoxConstraintSet.value",
     "netoco.problems.BoxConstraintSet.gradient",
     "netoco.problems.BoxConstraintSet.values",
-    # The mix and the box's dual pull as calls on fresh or given arrays; the
-    # round loop writes both out, with their bits.
-    "netoco.network.consensus_mix",
+    # The box's dual pull as a call; the round loop writes it out, and picks it by its identity.
     "netoco.problems.BoxConstraintSet.dual_pull_rows",
-    # Examples, rounds and rows one at a time, over the arrays the run uses whole.
+    # Examples and rounds one at a time, over the arrays the run uses whole.
     "netoco.problems.RegressionExample.__post_init__",
     "netoco.problems.RegressionExample.dimension",
-    "netoco.problems.RegressionRound.values",
-    "netoco.problems.RegressionRound.gradients",
     "netoco.problems.RegressionStream.example",
     "netoco.problems.RegressionStream.round",
     "netoco.problems.RegressionStream._check_slot",
+    # The libsvm writer that tools/make_datasets.py writes the bundled datasets through.
     "netoco.problems.serialize_libsvm",
 )
 
@@ -172,6 +164,7 @@ def main() -> int:
         print(entry)
     print(f"{len(never)} function(s) never executed")
     stale = [name for name in LIBRARY_API if name not in declared]
+    redundant = [name for name in LIBRARY_API if name.startswith("netoco.reference.")]
     if undeclared:
         print(f"{len(undeclared)} of them outside netoco.reference and LIBRARY_API:")
         for entry in undeclared:
@@ -180,7 +173,11 @@ def main() -> int:
         print(f"{len(stale)} LIBRARY_API name(s) not a never-run function:")
         for name in stale:
             print(name)
-    return 1 if undeclared or stale else 0
+    if redundant:
+        print(f"{len(redundant)} LIBRARY_API name(s) in netoco.reference, which needs no declaration:")
+        for name in redundant:
+            print(name)
+    return 1 if undeclared or stale or redundant else 0
 
 
 if __name__ == "__main__":
