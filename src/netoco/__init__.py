@@ -25,7 +25,6 @@ from .network import (
     WeightMatrix,
     default_ring_6,
     max_degree_weights,
-    product_deviation,
     schedule_from_graphs,
     validate_mixing,
     verify_window_connectivity,
@@ -34,7 +33,6 @@ from .problems import (
     BoxConstraintSet,
     ConstraintSet,
     DatasetTable,
-    RegressionExample,
     RegressionStream,
     dataset_stream,
     parse_libsvm,
@@ -48,6 +46,7 @@ from .reference import (
     consensus_mix,
     offline_comparator,
     one_point_estimator,
+    product_deviation,
     project_ball,
     regression_loss,
     regret,

@@ -430,8 +430,7 @@ def apply_overrides(
     sizes = config.horizon, config.n_units, config.dimension
     failure = _stream_failure(f"seed_count = {seed_count} with horizon = {config.horizon}", seed_count, *sizes)
     if failure:  # raised before 1..seed_count is built
-        # When one seed alone does not fit, the horizon is at fault, not a seed count the user may not have given.
-        raise ConfigError(_stream_failure(f"horizon = {config.horizon} for one seed", 1, *sizes) or failure)
+        raise ConfigError(failure)
     return replace(config, seeds=tuple(range(1, seed_count + 1)))
 
 
@@ -440,6 +439,8 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
 
     For values that pass the rules: every seed's stream, S N T (d + 1) floats, and one block
     of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
+    When the seeds do not fit, the message leads with "horizon = T for one seed" if one seed alone
+    does not fit either, since the seed count is then not at fault, and with the caller's lead if it does.
     Nothing else a run keeps grows with T: the bounds, the dealing of dataset rows and the step
     sizes take one 128-round block at a time, a synthetic stream's draws one 1024-round chunk,
     the finiteness check makes no temporary, and the metrics keep a few rows per checkpoint.
@@ -453,10 +454,13 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
     """
     width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"
     d = dimension or 1
-    need = 8 * seeds * n_units * horizon * (d + 1) + block_bytes(seeds, n_units, d, 2 * d, horizon)
-    return _memory_failure(
-        need, f"{lead}, units = {n_units} and {width}", "stream data and block arrays"
-    )
+
+    def failure(count, what):
+        need = 8 * count * n_units * horizon * (d + 1) + block_bytes(count, n_units, d, 2 * d, horizon)
+        return _memory_failure(need, f"{what}, units = {n_units} and {width}", "stream data and block arrays")
+
+    too_many = failure(seeds, lead)
+    return too_many and (failure(1, f"horizon = {horizon} for one seed") or too_many)
 
 
 # ---------------------------------------------------------------------------

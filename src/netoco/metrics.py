@@ -107,13 +107,17 @@ def offline_comparators(
     objective and return the projected origin after 0 iterations. A prefix
     that does not stop within max_iters raises ConvergenceError naming the
     first such prefix in stream-major order: its checkpoint in the message,
-    its stream's index as .stream.
+    its stream's index as .stream. ValueError if the constraints' dimension
+    is not the streams'.
     """
     if not hasattr(constraints, "project"):
         raise ValueError("the comparator needs a constraint set with a projection")
     streams = tuple(streams)
-    if len({stream.dimension for stream in streams}) > 1:
+    dimensions = {stream.dimension for stream in streams}
+    if len(dimensions) > 1:
         raise ValueError("the streams of one batch must share their dimension")
+    if dimensions - {constraints.dimension}:
+        raise ValueError("constraint dimension does not match the stream")
     checkpoints = tuple(int(T) for T in checkpoints)
     prefixes = [(s, T) for s in range(len(streams)) for T in checkpoints]
     solved = [

@@ -21,7 +21,6 @@ __all__ = [
     "max_degree_weights",
     "validate_mixing",
     "verify_window_connectivity",
-    "product_deviation",
     "schedule_from_graphs",
     "default_ring_6",
 ]
@@ -51,21 +50,6 @@ class Graph:
             seen.add(key)
             canonical.append(key)
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
-
-    def degree(self, i: int) -> int:
-        return int(self._degrees()[i - 1]) if 1 <= i <= self.node_count else 0
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [v if u == i else u for u, v in self.edges if i in (u, v)]
-        return tuple(sorted(out))
-
-    def max_degree(self) -> int:
-        return int(self._degrees().max())
-
-    def _degrees(self) -> np.ndarray:
-        """Every node's degree, node i at index i - 1, from one pass over the edges."""
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1)
-        return np.bincount(ends - 1, minlength=self.node_count)
 
 
 @dataclass(frozen=True)
@@ -102,9 +86,9 @@ def max_degree_weights(graph: Graph) -> WeightMatrix:
     """
     n = graph.node_count
     entries = np.zeros((n, n))
-    degrees = graph._degrees()
-    share = 1.0 / (1.0 + int(degrees.max()))
     ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2) - 1
+    degrees = np.bincount(ends.reshape(-1), minlength=n)
+    share = 1.0 / (1.0 + int(degrees.max()))
     entries[ends[:, 0], ends[:, 1]] = share
     entries[ends[:, 1], ends[:, 0]] = share
     np.fill_diagonal(entries, 1.0 - degrees * share)
@@ -244,16 +228,6 @@ def verify_window_connectivity(schedule: TopologySchedule) -> bool:
         if len(reached) != n:
             return False
     return True
-
-
-def product_deviation(schedule: TopologySchedule, t: int, m: int) -> float:
-    """Max |entry - 1/N| of the backward product A(t) A(t-1) ... A(m)."""
-    if not 1 <= m <= t:
-        raise ValueError("need 1 <= m <= t")
-    product = schedule.weights_at(m).entries
-    for r in range(m + 1, t + 1):
-        product = schedule.weights_at(r).entries @ product
-    return float(np.abs(product - 1.0 / schedule.node_count).max())
 
 
 def default_ring_6() -> TopologySchedule:

@@ -10,10 +10,11 @@ with analytic sups of the gradient norm and of the value over ||x|| <= R:
     G(R) = (||a|| R + |b|) ||a|| + 2 rho R
     V(R) = 0.5 * (||a|| R + |b|)^2 + rho R^2
 
-and strong convexity modulus 2 * rho. Streams assign one example to every
-(unit, round) slot, and RegressionStream.bounds takes the same bounds as
-maxima over the realized data, since Gaussian targets admit no a-priori bound.
-One example's loss oracle lives in netoco.reference.
+and strong convexity modulus 2 * rho. A stream's (T, N, d) features and
+(T, N) targets hold one example per (unit, round) slot, and
+RegressionStream.bounds takes the same bounds as maxima over the realized
+data, since Gaussian targets admit no a-priori bound. One slot's loss oracle
+is reference.regression_loss.
 
 Long-term constraints are inequality functions c_s(x) <= 0 whose violated
 part enters the updates through the clipped subgradient: the gradient of c_s
@@ -36,7 +37,6 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 __all__ = [
-    "RegressionExample",
     "ConstraintSet",
     "BoxConstraintSet",
     "RegressionRound",
@@ -72,31 +72,6 @@ def _blocks(horizon: int, length: int = _BLOCK):
     """Slices of rounds 0..horizon - 1 (0-based), length (_BLOCK) at a time."""
     for start in range(0, horizon, length):
         yield slice(start, min(start + length, horizon))
-
-
-@dataclass(frozen=True)
-class RegressionExample:
-    """One (features, target) pair; entries must be finite."""
-
-    features: np.ndarray
-    target: float
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        if features.ndim != 1:
-            raise ValueError("features must be a 1-D vector")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("non-finite feature")
-        if not np.isfinite(self.target):
-            raise ValueError("non-finite target")
-        features = features.copy()
-        features.flags.writeable = False
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "target", float(self.target))
-
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[0]
 
 
 class ConstraintSet:
@@ -289,11 +264,12 @@ class RegressionRound:
     """All units' losses for one round, vectorized over the unit axis.
 
     Leading axes batch independent rounds: features (..., N, d) and targets
-    (..., N) hold one round per batch entry, and each batch entry's result is
-    bit for bit the one its own RegressionRound gives. The loss and its
-    gradient at each row are reference.loss_values and loss_gradients;
-    algorithm._run_block writes their steps, with the same operands in the
-    same order, into its per-run arrays, so the round loop gets their bits.
+    (..., N) hold one round per batch entry, such as a stream's features[t - 1]
+    and targets[t - 1] for round t, and each batch entry's result is bit for
+    bit the one its own RegressionRound gives. The loss and its gradient at
+    each row are reference.loss_values and loss_gradients; algorithm._run_block
+    writes their steps, with the same operands in the same order, into its
+    per-run arrays, so the round loop gets their bits.
     """
 
     def __init__(self, features, targets, rho):
@@ -362,15 +338,6 @@ class RegressionStream:
     def strong_convexity(self) -> float:
         return 2.0 * self.rho
 
-    def example(self, i: int, t: int) -> RegressionExample:
-        self._check_slot(i, t)
-        return RegressionExample(self.features[t - 1, i - 1], float(self.targets[t - 1, i - 1]))
-
-    def round(self, t: int) -> RegressionRound:
-        if not 1 <= t <= self.horizon:
-            raise IndexError(f"round {t} outside 1..{self.horizon}")
-        return RegressionRound(self.features[t - 1], self.targets[t - 1], self.rho)
-
     def bounds(self, radius: float) -> tuple[float, float]:
         """(G(radius), V(radius)) of the module docstring, maxima over slots, from one pass over blocks of rounds.
 
@@ -401,12 +368,6 @@ class RegressionStream:
             count=rows.shape[0],
             rho=self.rho,
         )
-
-    def _check_slot(self, i: int, t: int):
-        if not 1 <= i <= self.n_units:
-            raise IndexError(f"unit {i} outside 1..{self.n_units}")
-        if not 1 <= t <= self.horizon:
-            raise IndexError(f"round {t} outside 1..{self.horizon}")
 
 
 def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, seed: int) -> RegressionStream:

@@ -1,16 +1,16 @@
 """The paper's algorithm and metrics stated per unit: the oracle the kernel is tested against.
 
-One example's loss oracle and one constraint's clipped subgradient; a round's
+One slot's loss oracle and one constraint's clipped subgradient; a round's
 loss values and gradients and the consensus mix on fresh arrays, whose bits
-the kernel's in-place round keeps; one vector's ball projection, sphere
-direction and one-point estimate; the round's augmented Lagrangian, primal
-direction and dual reset; one synchronized round of all units from an explicit
-RunState (run_round_full and run_round_bandit run the kernel's loop,
-algorithm._run_block, on a block of one round, so the round has one body), and
-one seed's run recorded by chaining them (record_run); and that run's regret
-and violation at one prefix length, its system loss added round by round, and
-the hindsight comparator of that prefix, solved on one vector. The run-path
-modules never import this one.
+the kernel's in-place round keeps, and a product of mixing matrices' distance
+from the average; one vector's ball projection, sphere direction and one-point
+estimate; the round's augmented Lagrangian, primal direction and dual reset;
+one synchronized round of all units from an explicit RunState (run_round_full
+and run_round_bandit run the kernel's loop, algorithm._run_block, on a block
+of one round, so the round has one body), and one seed's run recorded by
+chaining them (record_run); and that run's regret and violation at one prefix
+length, its system loss added round by round, and the hindsight comparator of
+that prefix, solved on one vector. The run-path modules never import this one.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from .algorithm import (
 )
 from .metrics import Comparator, ConvergenceError
 from .network import TopologySchedule, WeightMatrix
-from .problems import ConstraintSet, RegressionExample, RegressionStream, _row_dots
+from .problems import ConstraintSet, RegressionRound, RegressionStream, _row_dots
 
 __all__ = [
     "LossOracle", "regression_loss", "clipped_subgradient", "loss_values", "loss_gradients", "consensus_mix",
-    "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian", "primal_direction",
-    "dual_update", "RunState", "initial_state", "RoundRecord", "run_round_full", "run_round_bandit",
-    "record_run", "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
+    "product_deviation", "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian",
+    "primal_direction", "dual_update", "RunState", "initial_state", "RoundRecord", "run_round_full",
+    "run_round_bandit", "record_run", "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
 ]
 
 
@@ -52,12 +52,12 @@ class LossOracle:
     strong_convexity: float
 
 
-def regression_loss(example: RegressionExample, rho: float) -> LossOracle:
-    """Regularized least-squares loss for one example."""
+def regression_loss(features, target, rho: float) -> LossOracle:
+    """Regularized least-squares loss for one slot: its feature row a and target b."""
     if not 0.0 <= rho < math.inf:  # NaN fails every comparison
         raise ValueError(f"rho must be finite and >= 0, got rho = {rho}")
-    a = example.features
-    b = example.target
+    a = np.asarray(features, dtype=float)
+    b = float(target)
     a_norm = float(np.linalg.norm(a))
 
     def value(x):
@@ -132,6 +132,16 @@ def consensus_mix(matrix: WeightMatrix, vectors) -> np.ndarray:
     return np.matmul(entries, stacked)
 
 
+def product_deviation(schedule: TopologySchedule, t: int, m: int) -> float:
+    """Max |entry - 1/N| of the backward product A(t) A(t-1) ... A(m)."""
+    if not 1 <= m <= t:
+        raise ValueError("need 1 <= m <= t")
+    product = schedule.weights_at(m).entries
+    for r in range(m + 1, t + 1):
+        product = schedule.weights_at(r).entries @ product
+    return float(np.abs(product - 1.0 / schedule.node_count).max())
+
+
 def project_ball(x, radius: float) -> np.ndarray:
     """Euclidean projection onto the origin-centered ball; identity inside it."""
     x = np.asarray(x, dtype=float)
@@ -186,6 +196,11 @@ def dual_update(constraints: ConstraintSet, x_next, eta: float) -> np.ndarray:
     if not eta > 0.0:
         raise ValueError("eta must be > 0")
     return constraints.positive_parts(x_next) / eta
+
+
+def _round_losses(stream: RegressionStream, t: int) -> RegressionRound:
+    """All units' losses at round t of the stream."""
+    return RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
 
 
 @dataclass
@@ -308,7 +323,7 @@ def record_run(
     run_round = run_round_bandit if hyper.is_bandit else run_round_full
     records = []
     for t in range(1, stream.horizon + 1):
-        state, record = run_round(state, stream.round(t), topology.weights_at(t), hyper, constraints, t)
+        state, record = run_round(state, _round_losses(stream, t), topology.weights_at(t), hyper, constraints, t)
         records.append(record)
     columns = zip(*((r.decisions, r.losses, r.violations, r.queries) for r in records))
     return RoundRecord(*(None if column[0] is None else np.stack(column) for column in columns))
@@ -329,10 +344,12 @@ def offline_comparator(
     at most tol: the solver metrics.offline_comparators takes for each of its
     rows. A prefix without curvature returns the projected origin after 0
     iterations. The gap is left nan. ConvergenceError, naming T, if max_iters
-    iterations do not stop.
+    iterations do not stop. ValueError if the constraints' dimension is not the stream's.
     """
     if not hasattr(constraints, "project"):
         raise ValueError("the comparator needs a constraint set with a projection")
+    if constraints.dimension != stream.dimension:
+        raise ValueError("constraint dimension does not match the stream")
     stats = stream.sufficient_statistics(T)
     gram, cross = stats.gram, stats.cross
     reg = 2.0 * stats.rho * stats.count
@@ -361,7 +378,7 @@ def offline_comparator(
 def system_cumulative_losses(record: RoundRecord, stream, T: int) -> np.ndarray:
     """Entry i - 1: sum_{t<=T} sum_j loss_{j,t}(x_i(t)) at a record's committed decisions, added round by round."""
     check_checkpoints((T,), len(record.decisions))
-    return sum(stream.round(t).system_values(record.decisions[t - 1]) for t in range(1, T + 1))
+    return sum(_round_losses(stream, t).system_values(record.decisions[t - 1]) for t in range(1, T + 1))
 
 
 def regret(record: RoundRecord, stream, comparator: Comparator, i: int, T: int) -> float:

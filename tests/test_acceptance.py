@@ -21,7 +21,6 @@ from netoco.metrics import bound_constants
 from netoco.network import (
     Graph,
     default_ring_6,
-    product_deviation,
     schedule_from_graphs,
     validate_mixing,
     verify_window_connectivity,
@@ -38,6 +37,7 @@ from netoco.reference import (
     initial_state,
     offline_comparator,
     one_point_estimator,
+    product_deviation,
     project_ball,
     regression_loss,
     run_round_full,
@@ -287,7 +287,7 @@ def centralized_reference(stream, hyper, constraints, horizon):
     lam = np.zeros(constraints.count)
     states = []
     for t in range(1, horizon + 1):
-        oracle = regression_loss(stream.example(1, t), stream.rho)
+        oracle = regression_loss(stream.features[t - 1, 0], stream.targets[t - 1, 0], stream.rho)
         step = oracle.gradient(x).copy()
         for s in range(1, constraints.count + 1):
             if lam[s - 1] != 0.0:
@@ -321,7 +321,8 @@ def test_criterion_08_centralized_reduction():
         state = initial_state(1, box)
         for t in range(1, horizon + 1):
             state, _ = run_round_full(
-                state, stream.round(t), single.weights_at(t), hyper, box, t
+                state, RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho),
+                single.weights_at(t), hyper, box, t,
             )
             ref_x, ref_lam = reference[t - 1]
             worst = max(
@@ -460,7 +461,7 @@ def test_criterion_11_comparator_vs_grid():
         points = np.stack([xs.ravel(), ys.ravel()], axis=1)
         totals = np.zeros(len(points))
         for t in range(1, 6):
-            totals += stream.round(t).system_values(points)
+            totals += RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho).system_values(points)
         worst = max(worst, abs(float(totals.min()) - comparator.objective))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 5.0

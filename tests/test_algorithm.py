@@ -13,7 +13,7 @@ from netoco.network import (
     max_degree_weights,
     schedule_from_graphs,
 )
-from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
+from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
 from netoco.reference import (
     augmented_lagrangian,
     clipped_subgradient,
@@ -43,6 +43,11 @@ def zero_stream(n_units, dimension, horizon, rho=0.0):
     return RegressionStream(
         np.zeros((horizon, n_units, dimension)), np.zeros((horizon, n_units)), rho
     )
+
+
+def round_losses(stream, t):
+    """All units' losses at round t, on the stream's arrays."""
+    return RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
 
 
 class TestSchedules:
@@ -231,9 +236,7 @@ class TestDualUpdate:
         """The update is the exact argmax over lambda >= 0: every nonnegative
         perturbation scores no higher, and a fine per-coordinate grid agrees."""
         rng = np.random.default_rng(4)
-        oracle = regression_loss(
-            type("E", (), {"features": np.array([1.0, -1.0]), "target": 0.5})(), 0.0
-        )
+        oracle = regression_loss(np.array([1.0, -1.0]), 0.5, 0.0)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 2)
             eta = float(rng.uniform(0.05, 1.0))
@@ -266,9 +269,7 @@ class TestDualUpdate:
 class TestAugmentedLagrangian:
     def test_hand_computed_value(self):
         box = BoxConstraintSet(-0.15, 0.15, 1)
-        oracle = regression_loss(
-            type("E", (), {"features": np.array([2.0]), "target": 1.0})(), 0.0
-        )
+        oracle = regression_loss(np.array([2.0]), 1.0, 0.0)
         x = np.array([0.25])  # loss = 0.5 * (0.5 - 1)^2 = 0.125
         lam = np.array([0.5, 2.0])  # violations: lower 0, upper 0.1
         # 0.125 + (0.5*0 + 2*0.1) - (0.3/2)(0.25 + 4) = 0.325 - 0.6375
@@ -304,7 +305,7 @@ def reference_single_unit_run(stream, hyper, constraints, horizon):
     decisions = []
     for t in range(1, horizon + 1):
         decisions.append(x.copy())
-        oracle = regression_loss(stream.example(1, t), stream.rho)
+        oracle = regression_loss(stream.features[t - 1, 0], stream.targets[t - 1, 0], stream.rho)
         direction = oracle.gradient(x).copy()
         for s in range(1, constraints.count + 1):
             direction = direction + lam[s - 1] * clipped_subgradient(constraints, x, s)
@@ -350,7 +351,7 @@ class TestRoundReductions:
         state.violations = box.positive_parts_rows(state.decisions)
         weights = max_degree_weights(Graph(2, [(1, 2)]))
         np.testing.assert_array_equal(weights.entries, np.full((2, 2), 0.5))
-        next_state, record = run_round_full(state, stream.round(1), weights, hyper, box, 1)
+        next_state, record = run_round_full(state, round_losses(stream, 1), weights, hyper, box, 1)
         # Zero loss and zero duals: y = x, so both land on the average.
         np.testing.assert_allclose(next_state.decisions, np.full((2, 2), [0.2, 0.4]))
         np.testing.assert_array_equal(record.decisions, [[0.4, 0.0], [0.0, 0.8]])
@@ -377,7 +378,7 @@ class TestRoundReductions:
         )
         state = initial_state(2, box)
         for t in range(1, horizon + 1):
-            state, _ = run_round_full(state, stream.round(t), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, t)
+            state, _ = run_round_full(state, round_losses(stream, t), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, t)
             np.testing.assert_allclose(
                 state.duals,
                 box.positive_parts_rows(state.decisions) / hyper.eta(t),
@@ -419,7 +420,8 @@ class TestBanditRounds:
         # Observed losses equal the loss at the probe point.
         for t in (1, 17, 128):
             for i in (1, 2):
-                expected = regression_loss(stream.example(i, t), stream.rho).value(record.queries[t - 1, i - 1])
+                oracle = regression_loss(stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1], stream.rho)
+                expected = oracle.value(record.queries[t - 1, i - 1])
                 assert record.losses[t - 1, i - 1] == pytest.approx(expected, rel=1e-12)
 
     def test_containment_with_room_to_violate(self):
@@ -459,7 +461,7 @@ class TestBanditRounds:
         )
         state = initial_state(2, box)  # no rng streams
         with pytest.raises(ValueError, match="rng"):
-            run_round_bandit(state, stream.round(1), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, 1)
+            run_round_bandit(state, round_losses(stream, 1), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, 1)
 
 
 class TestRunSeedsOnOneSeed:

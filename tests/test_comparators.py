@@ -16,7 +16,7 @@ import pytest
 
 from netoco import bench, metrics
 from netoco.cli import main
-from netoco.metrics import ConvergenceError, checkpoint_grid, offline_comparators
+from netoco.metrics import ConvergenceError, checkpoint_grid, checkpoint_series, offline_comparators
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
 from netoco.reference import offline_comparator
 
@@ -166,6 +166,18 @@ def test_the_streams_of_a_batch_share_their_dimension():
         )
 
 
+def test_both_comparators_refuse_constraints_of_another_dimension():
+    """A box's projection is an elementwise clip, so a 4-dimensional box would clip a
+    2-dimensional iterate by broadcasting; the comparators refuse it as _lockstep does."""
+    stream, box = synthetic_stream(6, 2, 16, 1.0, 1), BoxConstraintSet(-0.15, 0.15, 4)
+    with pytest.raises(ValueError, match="^constraint dimension does not match the stream$"):
+        checkpoint_series([stream], box, (8, 16), np.zeros((2, 1, 6)), np.zeros((2, 1)), np.zeros(2))
+    with pytest.raises(ValueError, match="^constraint dimension does not match the stream$"):
+        offline_comparators([stream, stream], box, (8,))
+    with pytest.raises(ValueError, match="^constraint dimension does not match the stream$"):
+        offline_comparator(stream, box, 8)
+
+
 def reference_point(stats, box, start):
     """A tight solve of the prefix's box QP: Newton steps on the coordinates
     not held at a bound, from start, until the point stops moving."""
@@ -208,6 +220,8 @@ def test_the_gap_bounds_the_distance_to_a_tight_solve(name):
 
 def test_the_gap_is_nan_off_a_box():
     class Ball:
+        dimension = 3
+
         def project(self, x):
             return x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1.0)
 

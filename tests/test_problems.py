@@ -9,7 +9,7 @@ from netoco.problems import (
     ConstraintSet,
     DatasetTable,
     ParseError,
-    RegressionExample,
+    RegressionRound,
     dataset_stream,
     parse_libsvm,
     serialize_libsvm,
@@ -19,7 +19,8 @@ from netoco.reference import clipped_subgradient, loss_gradients, loss_values, r
 
 
 def random_example(rng, dimension=4):
-    return RegressionExample(rng.uniform(-1, 1, dimension), float(rng.normal()))
+    """One slot's (features, target)."""
+    return rng.uniform(-1, 1, dimension), float(rng.normal())
 
 
 class TestRegressionLoss:
@@ -30,7 +31,7 @@ class TestRegressionLoss:
         step = 1e-6
         for _ in range(20):
             example = random_example(rng)
-            oracle = regression_loss(example, rho=float(rng.uniform(0, 2)))
+            oracle = regression_loss(*example, rho=float(rng.uniform(0, 2)))
             x = rng.uniform(-0.5, 0.5, 4)
             grad = oracle.gradient(x)
             for m in range(4):
@@ -40,7 +41,7 @@ class TestRegressionLoss:
                 assert abs(numeric - grad[m]) <= 1e-5 * max(1.0, abs(grad[m]))
 
     def test_pure_ridge_case(self):
-        oracle = regression_loss(RegressionExample(np.zeros(3), 0.0), rho=1.0)
+        oracle = regression_loss(np.zeros(3), 0.0, rho=1.0)
         x = np.array([0.5, -0.25, 0.25])
         assert oracle.value(x) == pytest.approx(float(x @ x))
         np.testing.assert_allclose(oracle.gradient(x), 2 * x)
@@ -53,7 +54,7 @@ class TestRegressionLoss:
         radius = 0.3
         for _ in range(5):
             example = random_example(rng)
-            oracle = regression_loss(example, rho=float(rng.uniform(0, 2)))
+            oracle = regression_loss(*example, rho=float(rng.uniform(0, 2)))
             g_bound = oracle.gradient_bound(radius)
             v_bound = oracle.value_bound(radius)
             directions = rng.normal(size=(2000, 4))
@@ -69,7 +70,7 @@ class TestRegressionLoss:
         rng = np.random.default_rng(2)
         example = random_example(rng)
         rho = 1.5
-        oracle = regression_loss(example, rho=rho)
+        oracle = regression_loss(*example, rho=rho)
         sigma = oracle.strong_convexity
         assert sigma == pytest.approx(2 * rho)
         for _ in range(1000):
@@ -85,20 +86,14 @@ class TestRegressionLoss:
 
     def test_rejects_negative_rho(self):
         with pytest.raises(ValueError, match="rho"):
-            regression_loss(RegressionExample(np.zeros(2), 0.0), rho=-0.1)
+            regression_loss(np.zeros(2), 0.0, rho=-0.1)
 
     @pytest.mark.parametrize("rho", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     def test_loss_and_stream_reject_a_non_finite_rho_by_name(self, rho):
         with pytest.raises(ValueError, match=f"rho must be finite and >= 0, got rho = {rho}"):
-            regression_loss(RegressionExample(np.zeros(2), 0.0), rho=rho)
+            regression_loss(np.zeros(2), 0.0, rho=rho)
         with pytest.raises(ValueError, match=f"rho must be finite and >= 0, got rho = {rho}"):
             synthetic_stream(6, 4, 64, rho, 1)
-
-    def test_example_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            RegressionExample(np.array([1.0, np.inf]), 0.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            RegressionExample(np.ones(2), float("nan"))
 
 
 class TestBoxConstraints:
@@ -183,11 +178,11 @@ class TestRoundPanel:
         stream = synthetic_stream(n_units=5, dimension=3, horizon=4, rho=0.7, seed=11)
         rng = np.random.default_rng(5)
         for t in range(1, 5):
-            panel = stream.round(t)
+            panel = RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
             rows = rng.uniform(-0.3, 0.3, size=(5, 3))
             values, grads = loss_values(panel, rows), loss_gradients(panel, rows)
             for i in range(1, 6):
-                oracle = regression_loss(stream.example(i, t), stream.rho)
+                oracle = regression_loss(stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1], stream.rho)
                 assert values[i - 1] == pytest.approx(oracle.value(rows[i - 1]), rel=1e-12)
                 np.testing.assert_allclose(
                     grads[i - 1], oracle.gradient(rows[i - 1]), rtol=1e-12, atol=1e-15
@@ -195,7 +190,10 @@ class TestRoundPanel:
             points = rng.uniform(-0.3, 0.3, size=(2, 3))
             system = panel.system_values(points)
             for k, point in enumerate(points):
-                direct = sum(regression_loss(stream.example(i, t), stream.rho).value(point) for i in range(1, 6))
+                direct = sum(
+                    regression_loss(stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1], stream.rho).value(point)
+                    for i in range(1, 6)
+                )
                 assert system[k] == pytest.approx(direct, rel=1e-12)
 
     def test_sufficient_statistics_match_direct_accumulation(self):
@@ -206,10 +204,10 @@ class TestRoundPanel:
         tss = 0.0
         for t in range(1, 6):
             for i in range(1, 4):
-                example = stream.example(i, t)
-                gram += np.outer(example.features, example.features)
-                cross += example.features * example.target
-                tss += example.target**2
+                features, target = stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1]
+                gram += np.outer(features, features)
+                cross += features * target
+                tss += target**2
         np.testing.assert_allclose(stats.gram, gram, rtol=1e-12)
         np.testing.assert_allclose(stats.cross, cross, rtol=1e-12)
         assert stats.target_square_sum == pytest.approx(tss, rel=1e-12)
@@ -255,13 +253,13 @@ class TestSyntheticStream:
         stream = synthetic_stream(3, 4, 64, 0.5, seed=16)
         radius = 0.3
         per_oracle = max(
-            regression_loss(stream.example(i, t), stream.rho).gradient_bound(radius)
+            regression_loss(stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1], stream.rho).gradient_bound(radius)
             for i in range(1, 4)
             for t in range(1, 65)
         )
         assert stream.bounds(radius)[0] == pytest.approx(per_oracle, rel=1e-12)
         per_value = max(
-            regression_loss(stream.example(i, t), stream.rho).value_bound(radius)
+            regression_loss(stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1], stream.rho).value_bound(radius)
             for i in range(1, 4)
             for t in range(1, 65)
         )

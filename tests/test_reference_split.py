@@ -18,18 +18,19 @@ RUN_PATH = ("algorithm", "problems", "metrics", "network", "bench", "cli")
 
 # What reference.py took from algorithm, then from metrics, then from problems, then the
 # fresh-array forms of a round's loss values and gradients (RegressionRound's methods before)
-# and of the mix (from network).
+# and of the mix (from network), then the contraction of mixing products (from network).
 MOVED = (
     "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian", "primal_direction",
     "dual_update", "RunState", "initial_state", "RoundRecord", "_round", "run_round_full", "run_round_bandit",
     "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
     "LossOracle", "regression_loss", "clipped_subgradient",
     "loss_values", "loss_gradients", "consensus_mix",
+    "product_deviation",
 )
 
 EXPORTS = {
     "BoundConstants", "BoxConstraintSet", "ConstraintSet", "ConvergenceError", "DatasetTable", "Graph",
-    "HyperSchedule", "LossOracle", "MetricSeries", "RegressionExample", "RegressionStream",
+    "HyperSchedule", "LossOracle", "MetricSeries", "RegressionStream",
     "ScenarioConfig", "TopologySchedule", "WeightMatrix", "averaged_metrics", "bound_constants", "cacv",
     "checkpoint_grid", "checkpoint_series", "clipped_subgradient", "communication_cost", "consensus_mix",
     "dataset_stream", "default_ring_6", "list_presets", "load_config", "make_schedule", "max_degree_weights",

@@ -79,7 +79,12 @@ CASES = {
     "dimension with seeds": (
         {"case.ini": "[problem]\ndimension = 1000000000000\n" + SMALL_RUN + "[run]\nseeds = 1\n"},
         ["validate", "case.ini"],
-        ["fail: horizon = 64 with 1 seeds, units = 6 and dimension = 1000000000000"],
+        ["fail: horizon = 64 for one seed, units = 6 and dimension = 1000000000000"],
+    ),
+    "dimension with several seeds": (
+        {"case.ini": "[problem]\ndimension = 1000000000000\n" + SMALL_RUN + "[run]\nseeds = 1 2 3\n"},
+        ["validate", "case.ini"],
+        ["fail: horizon = 64 for one seed, units = 6 and dimension = 1000000000000"],
     ),
 }
 

@@ -32,7 +32,7 @@ def test_the_pairwise_residuals_of_a_block_count_against_memory(tmp_path):
         encoding="utf-8",
     )
     [failure] = validate_scenario(load_config(path))
-    assert f"horizon = 128 with 1 seeds, units = {units} and dimension = 4 needs" in failure
+    assert f"horizon = 128 for one seed, units = {units} and dimension = 4 needs" in failure
     assert "GiB of stream data and block arrays" in failure
     assert "GiB of physical memory" in failure
 
