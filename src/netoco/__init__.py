@@ -6,7 +6,7 @@ or one-point bandit feedback, and are scored by system regret and cumulative
 absolute constraint violation.
 """
 
-from .algorithm import HyperSchedule, make_schedule, run_seeds
+from .algorithm import HyperSchedule, make_schedule
 from .bench import ScenarioConfig, list_presets, load_config, preset_config, run_suite
 from .metrics import (
     BoundConstants,

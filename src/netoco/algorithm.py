@@ -25,9 +25,10 @@ the round, the unit and the seed of a probe or a decision outside its ball.
 One kernel, _lockstep, runs the S seeds of a scenario in lockstep on (S, N, d)
 arrays and hands out blocks of B rounds; run_seeds keeps the running sums the
 metrics need, in O(B S N (d + p) + K S N) memory beyond the streams, and is the
-one way to run a scenario, of one seed or many. One loop, _run_block, runs the
-rounds of a block. It carries only the decisions and the dual pull from round
-to round (steps 2 and 5 meet in the dual pull). _lockstep allocates one set of
+one way to run a scenario, of one seed or many: metrics.checkpoint_series runs
+and scores a batch through it. One loop, _run_block, runs the rounds of a
+block. It carries only the decisions and the dual pull from round to round
+(steps 2 and 5 meet in the dual pull). _lockstep allocates one set of
 block arrays per run, refills them in place for each block and lends each block
 as views of them; each round's views are built once per run too (_round_views).
 A round makes only the formula's numpy calls, each a bare ufunc, c_einsum or
@@ -59,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import TopologySchedule
+from .network import TopologySchedule, _integer
 from .problems import (
     _BLOCK, _DOTS, _ZERO, BoxConstraintSet, ConstraintSet, RegressionRound, _blocks, _c_einsum, _clip, _row_dots,
 )
@@ -554,8 +555,8 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
 
 
 def check_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:
-    """The checkpoints as ints; ValueError unless nonempty, strictly increasing, in 1..horizon."""
-    checkpoints = tuple(int(k) for k in checkpoints)
+    """The checkpoints as ints; ValueError unless integers, nonempty, strictly increasing, in 1..horizon."""
+    checkpoints = tuple(_integer(k, "checkpoint") for k in checkpoints)
     if not checkpoints:
         raise ValueError("at least one checkpoint required")
     if list(checkpoints) != sorted(set(checkpoints)):
@@ -612,8 +613,9 @@ def run_seeds(
     No trajectory is stored: _checkpoint_totals sums the kernel's blocks as
     they come, in O(B S N (d + p) + K S N) memory on top of the streams, and
     each seed's sums are bit for bit those of run_seeds on that seed alone.
-    metrics.checkpoint_series scores the sums; netoco.reference records one
-    seed's run round by round, which the tests compare the kernel with.
+    metrics.checkpoint_series, which takes these arguments, runs the batch here
+    and scores the sums; netoco.reference records one seed's run round by
+    round, which the tests compare the kernel with.
     """
     if not streams:
         raise ValueError("need at least one seed")

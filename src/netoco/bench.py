@@ -25,17 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import (
-    HyperSchedule, block_bytes, check_checkpoints, make_schedule, run_seeds, variant_spec
-)
-from .metrics import (
-    ConvergenceError,
-    MetricSeries,
-    averaged_metrics,
-    checkpoint_grid,
-    checkpoint_series,
-    communication_cost,
-)
+from .algorithm import HyperSchedule, block_bytes, check_checkpoints, make_schedule, variant_spec
+from .metrics import ConvergenceError, MetricSeries, averaged_metrics, checkpoint_grid, checkpoint_series
 from .network import (
     Graph,
     TopologySchedule,
@@ -683,12 +674,12 @@ def _realized_bounds(stream, constraints, radius, rows: str) -> tuple[float, flo
 def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> SuiteResult:
     """Run every seed of a scenario, average, and (by default) write its CSV.
 
-    All seeds run in lockstep as one batch (algorithm.run_seeds); the workers
-    setting is accepted but changes neither the output nor the work done. The
-    hindsight comparators of every seed's checkpoints are solved together, in
-    one stacked solve (metrics.checkpoint_series); one that does not converge
-    raises ScenarioError naming the scenario, the first such seed, its
-    checkpoint and the residual.
+    One call, metrics.checkpoint_series, runs all seeds in lockstep as one
+    batch and scores them; the workers setting is accepted but changes neither
+    the output nor the work done. The hindsight comparators of every seed's
+    checkpoints are solved together, in one stacked solve; one that does not
+    converge raises ScenarioError naming the scenario, the first such seed,
+    its checkpoint and the residual.
 
     Output directory precedence: out_dir argument, then the NETOCO_OUTPUT_DIR
     environment variable, then the config's output key, then "results".
@@ -696,19 +687,12 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
     failures, prepared = _prepare(config)
     if failures:
         raise ScenarioError("; ".join(failures))
-    checkpoints, constraints = prepared.checkpoints, prepared.constraints
+    checkpoints = prepared.checkpoints
     inputs = [_seed_inputs(config, seed, prepared) for seed in config.seeds]
-    streams = [stream for stream, _, _ in inputs]
-    totals = run_seeds(
-        streams, config.topology, [schedule for _, _, schedule in inputs], constraints,
-        config.seeds, checkpoints,
-    )
-    comm_cost = np.array(
-        [communication_cost(config.topology, T) for T in checkpoints], dtype=np.int64
-    )
     try:
         series = checkpoint_series(
-            streams, constraints, checkpoints, totals.system_losses, totals.violations, comm_cost
+            [stream for stream, _, _ in inputs], config.topology, [schedule for _, _, schedule in inputs],
+            prepared.constraints, config.seeds, checkpoints,
         )
     except ConvergenceError as exc:
         raise ScenarioError(f"{config.name}: seed {config.seeds[exc.stream]}: {exc}") from None

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import variant_spec
+from .algorithm import check_checkpoints, run_seeds, variant_spec
 from .network import TopologySchedule
 from .problems import BoxConstraintSet
 
@@ -235,44 +235,30 @@ class MetricSeries:
     comm_cost: np.ndarray  # (K,), int64
 
 
-def checkpoint_series(
-    streams, constraints, checkpoints, system_losses, violations, comm_cost
-) -> list[MetricSeries]:
-    """Each seed's metric series from a batch's running sums at the checkpoints.
+def checkpoint_series(streams, topology, schedules, constraints, seeds, checkpoints) -> list[MetricSeries]:
+    """Run a batch of seeds and score each one's metric series at the checkpoints.
 
-    system_losses[k, s, i - 1] is unit i's cumulative system loss in the run
-    on streams[s] through round checkpoints[k], violations[k, s] its
-    cumulative violation, and comm_cost[k] the messages sent by then, shared
-    by the seeds: run_seeds gives the first two, communication_cost the
-    third. ValueError, naming both shapes, unless they are (K, S, N), (K, S)
-    and (K,) for K checkpoints and S streams of N units. Regret subtracts the
-    comparator of each prefix; the prefixes of every seed stack in one solve
+    Takes run_seeds' arguments, and runs the batch through it: streams[s],
+    schedules[s] and seeds[s] belong to one run, and its ValueErrors are
+    raised as they are. Seed s's regrets are its cumulative system losses
+    minus the comparator of each prefix, its cacv the cumulative violation,
+    and comm_cost the messages sent by each checkpoint (communication_cost),
+    shared by the seeds. The prefixes of every seed stack in one solve
     (offline_comparators), and a ConvergenceError's .stream names the seed
     index s.
     """
     streams, checkpoints = tuple(streams), tuple(checkpoints)
-    units = {stream.n_units for stream in streams}
-    if len(units) != 1:
-        raise ValueError(f"need one or more streams of one unit count, got unit counts {sorted(units)}")
-    K, S, N = len(checkpoints), len(streams), units.pop()
-    for name, array, shape in (
-        ("system_losses", system_losses, (K, S, N)),
-        ("violations", violations, (K, S)),
-        ("comm_cost", comm_cost, (K,)),
-    ):
-        if np.shape(array) != shape:
-            raise ValueError(
-                f"{name} has shape {np.shape(array)}, not {shape} for K = {K} checkpoints "
-                f"and S = {S} streams of N = {N} units"
-            )
+    totals = run_seeds(streams, topology, schedules, constraints, seeds, checkpoints)
+    checkpoints = check_checkpoints(checkpoints, streams[0].horizon)
+    comm_cost = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
     series = []
     for s, comparators in enumerate(offline_comparators(streams, constraints, checkpoints)):
-        regrets = system_losses[:, s] - np.array([c.objective for c in comparators])[:, None]
+        regrets = totals.system_losses[:, s] - np.array([c.objective for c in comparators])[:, None]
         series.append(MetricSeries(
             checkpoints=checkpoints,
             sreg=regrets.max(axis=1),
             regrets=regrets,
-            cacv=violations[:, s],
+            cacv=totals.violations[:, s],
             comm_cost=comm_cost,
         ))
     return series

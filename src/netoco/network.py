@@ -9,6 +9,7 @@ uniformly positive diagonal and edge entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, if it is one (a numpy integer too); ValueError naming it where int() would truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on nodes 1..node_count with canonical (min, max) edges."""
@@ -34,30 +43,31 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.node_count < 1:
+        n = _integer(self.node_count, "node_count")
+        if n < 1:
             raise ValueError("node_count must be >= 1")
         canonical = []
         seen = set()
         for edge in self.edges:
-            i, j = int(edge[0]), int(edge[1])
+            i, j = (_integer(end, f"an end of edge {tuple(edge)}") for end in edge[:2])
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
-            if not (1 <= i <= self.node_count and 1 <= j <= self.node_count):
-                raise ValueError(f"edge ({i}, {j}) leaves 1..{self.node_count}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge ({i}, {j}) leaves 1..{n}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
             canonical.append(key)
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Doubly stochastic mixing matrix with zeta = its smallest positive entry."""
+    """Doubly stochastic mixing matrix, held as its entries (read-only)."""
 
     entries: np.ndarray
-    zeta: float
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -92,16 +102,15 @@ def max_degree_weights(graph: Graph) -> WeightMatrix:
     entries[ends[:, 0], ends[:, 1]] = share
     entries[ends[:, 1], ends[:, 0]] = share
     np.fill_diagonal(entries, 1.0 - degrees * share)
-    positive = entries[entries > 0.0]
-    return WeightMatrix(entries=entries, zeta=float(positive.min()))
+    return WeightMatrix(entries)
 
 
 def validate_mixing(matrix: WeightMatrix, graph: Graph, tol: float = 1e-12) -> ValidationReport:
     """Check the mixing conditions of a weight matrix against its graph.
 
     Required: square shape matching the graph, nonnegative entries, row and
-    column sums within tol of one, support exactly the graph's edges plus the
-    diagonal, and every positive entry at least the stored zeta.
+    column sums within tol of one, and support exactly the graph's edges plus
+    the diagonal.
     """
     violations = []
     a = matrix.entries
@@ -128,15 +137,6 @@ def validate_mixing(matrix: WeightMatrix, graph: Graph, tol: float = 1e-12) -> V
         violations.append("edge with nonpositive weight")
     if np.any(np.diag(a) <= 0.0):
         violations.append("nonpositive diagonal entry")
-    positive = a[a > 0.0]
-    if positive.size:
-        min_positive = float(positive.min())
-        if not math.isclose(min_positive, matrix.zeta, rel_tol=0.0, abs_tol=tol):
-            violations.append(
-                f"stored zeta {matrix.zeta!r} != smallest positive entry {min_positive!r}"
-            )
-        if min_positive < matrix.zeta - tol:
-            violations.append("entry below zeta")
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -176,7 +176,8 @@ class TopologySchedule:
 
     @property
     def zeta(self) -> float:
-        return min(w.zeta for w in self.weights)
+        """The smallest positive entry over the schedule's weights."""
+        return min(float(w.entries[w.entries > 0.0].min()) for w in self.weights)
 
     def graph_at(self, t: int) -> Graph:
         if t < 1:

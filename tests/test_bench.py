@@ -325,7 +325,7 @@ class TestPresets:
         assert [g.edges for g in ours.graphs] == [g.edges for g in theirs.graphs]
         for w_ours, w_theirs in zip(ours.weights, theirs.weights, strict=True):
             assert np.array_equal(w_ours.entries, w_theirs.entries)
-            assert w_ours.zeta == w_theirs.zeta
+        assert ours.zeta == theirs.zeta
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError, match="unknown preset"):

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from netoco import bench, metrics
+from netoco.algorithm import make_schedule
 from netoco.cli import main
 from netoco.metrics import ConvergenceError, checkpoint_grid, checkpoint_series, offline_comparators
+from netoco.network import default_ring_6
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
 from netoco.reference import offline_comparator
 
@@ -170,8 +172,9 @@ def test_both_comparators_refuse_constraints_of_another_dimension():
     """A box's projection is an elementwise clip, so a 4-dimensional box would clip a
     2-dimensional iterate by broadcasting; the comparators refuse it as _lockstep does."""
     stream, box = synthetic_stream(6, 2, 16, 1.0, 1), BoxConstraintSet(-0.15, 0.15, 4)
+    hyper = make_schedule("convex-full", p=box.count, G=1.0, radius=1.0, horizon=16, c=0.5)
     with pytest.raises(ValueError, match="^constraint dimension does not match the stream$"):
-        checkpoint_series([stream], box, (8, 16), np.zeros((2, 1, 6)), np.zeros((2, 1)), np.zeros(2))
+        checkpoint_series([stream], default_ring_6(), [hyper], box, [None], (8, 16))
     with pytest.raises(ValueError, match="^constraint dimension does not match the stream$"):
         offline_comparators([stream, stream], box, (8,))
     with pytest.raises(ValueError, match="^constraint dimension does not match the stream$"):

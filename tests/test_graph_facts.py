@@ -74,7 +74,7 @@ def schedules(draw):
     period = draw(st.integers(1, 4))
     members = tuple(draw(graphs(n)) for _ in range(period))
     # Weights play no part in connectivity; identity matrices keep the schedule valid.
-    weights = tuple(WeightMatrix(np.eye(n), 1.0) for _ in members)
+    weights = tuple(WeightMatrix(np.eye(n)) for _ in members)
     return TopologySchedule(members, weights, window=draw(st.integers(1, 4)))
 
 
@@ -85,7 +85,7 @@ def test_degrees_and_weights_equal_the_per_node_scan(graph):
     weights = max_degree_weights(graph)
     entries, zeta = scan_weights(graph)
     assert np.array_equal(weights.entries.view(np.int64), entries.view(np.int64))
-    assert weights.zeta == zeta
+    assert TopologySchedule((graph,), (weights,), window=1).zeta == zeta
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 
 import netoco.algorithm as algorithm
 from netoco.algorithm import _check_in_ball, _sphere_block, _sphere_rngs, make_schedule, run_seeds
-from netoco.metrics import checkpoint_series, communication_cost
+from netoco.metrics import checkpoint_series
 from netoco.network import default_ring_6
 from netoco.problems import BoxConstraintSet, ConstraintSet, synthetic_stream
 from netoco.reference import loss_values, record_run, sample_unit_sphere
@@ -82,16 +82,14 @@ class TestSphereBlock:
             _sphere_block([[ZeroGaussians()]], np.empty((3, 1, 1, 4)))
 
 
-def assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints, comm):
+def assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints):
     """Each seed's sums and scores in a batch are bit for bit those of run_seeds on that seed alone."""
     assert len(series) == len(seeds)
     for s, (seed, batched) in enumerate(zip(seeds, series)):
         alone = run_seeds(streams[s:s + 1], topology, schedules[s:s + 1], box, (seed,), checkpoints)
         np.testing.assert_array_equal(totals.system_losses[:, s], alone.system_losses[:, 0])
         np.testing.assert_array_equal(totals.violations[:, s], alone.violations[:, 0])
-        (scored,) = checkpoint_series(
-            streams[s:s + 1], box, checkpoints, alone.system_losses, alone.violations, comm
-        )
+        (scored,) = checkpoint_series(streams[s:s + 1], topology, schedules[s:s + 1], box, (seed,), checkpoints)
         for field in ("regrets", "sreg", "cacv", "comm_cost"):
             np.testing.assert_array_equal(getattr(batched, field), getattr(scored, field))
 
@@ -112,9 +110,8 @@ class TestRunSeeds:
         topology = default_ring_6()
         checkpoints = checkpoints_for(horizon)
         totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
-        comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
-        series = checkpoint_series(streams, box, checkpoints, totals.system_losses, totals.violations, comm)
-        assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints, comm)
+        series = checkpoint_series(streams, topology, schedules, box, seeds, checkpoints)
+        assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_schedules_may_differ_in_what_enters_only_the_steps(self, variant):
@@ -130,9 +127,8 @@ class TestRunSeeds:
         )
         topology, checkpoints = default_ring_6(), checkpoints_for(HORIZON)
         totals = run_seeds(streams, topology, schedules, box, seeds, checkpoints)
-        comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
-        series = checkpoint_series(streams, box, checkpoints, totals.system_losses, totals.violations, comm)
-        assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints, comm)
+        series = checkpoint_series(streams, topology, schedules, box, seeds, checkpoints)
+        assert_each_seed_runs_as_alone(totals, series, streams, topology, schedules, box, seeds, checkpoints)
 
     @pytest.mark.parametrize(
         ("key", "variant", "changes", "value"),

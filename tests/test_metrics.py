@@ -1,12 +1,11 @@
 """Regret/violation accounting, the hindsight comparator, and bound constants."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 
-from netoco.algorithm import VARIANTS, make_schedule, run_seeds
+from netoco.algorithm import VARIANTS, check_checkpoints, make_schedule, run_seeds
 from netoco.metrics import (
     MetricSeries,
     averaged_metrics,
@@ -34,12 +33,9 @@ def constant_record(point, horizon, n_units, constraints):
     )
 
 
-def score_one_seed(stream, topology, hyper, box, checkpoints, seed=None, scored_on=None):
-    """run_seeds on one seed, scored by checkpoint_series against the stream or scored_on."""
-    totals = run_seeds([stream], topology, [hyper], box, [seed], checkpoints)
-    comm = np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64)
-    scored = stream if scored_on is None else scored_on
-    (series,) = checkpoint_series([scored], box, checkpoints, totals.system_losses, totals.violations, comm)
+def score_one_seed(stream, topology, hyper, box, checkpoints, seed=None):
+    """One seed run and scored by checkpoint_series."""
+    (series,) = checkpoint_series([stream], topology, [hyper], box, [seed], checkpoints)
     return series
 
 
@@ -289,49 +285,33 @@ class TestCheckpointSeries:
             run_seeds([stream], topology, [hyper], box, [None], ())
         with pytest.raises(ValueError, match="prefix"):
             run_seeds([stream], topology, [hyper], box, [None], (2, 9))
-
-    @pytest.mark.parametrize(
-        "case", ["fewer units in the sums", "more units in the sums", "violations per unit", "comm_cost per seed"]
-    )
-    def test_sums_of_another_shape_are_rejected(self, case):
-        """The sums must be (K, S, N), (K, S) and (K,) for the streams scored;
-        sums of another unit count would broadcast against the comparators."""
-        stream, topology, hyper, box = self.make_run(horizon=64)
-        checkpoints = (32, 64)
-        totals = run_seeds([stream], topology, [hyper], box, [None], checkpoints)
-        sums = {
-            "system_losses": totals.system_losses,
-            "violations": totals.violations,
-            "comm_cost": np.array([communication_cost(topology, T) for T in checkpoints], dtype=np.int64),
-        }
-        streams = [stream]
-        if case == "fewer units in the sums":
-            name, sums["system_losses"] = "system_losses", totals.system_losses[..., :3]
-        elif case == "more units in the sums":
-            name, streams = "system_losses", [synthetic_stream(3, 4, 64, 1.0, 2)]
-        elif case == "violations per unit":
-            name, sums["violations"] = "violations", np.zeros((2, 1, 6))
-        else:
-            name, sums["comm_cost"] = "comm_cost", sums["comm_cost"][:, None]
-        expected = {"system_losses": (2, 1, streams[0].n_units), "violations": (2, 1), "comm_cost": (2,)}[name]
-        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {sums[name].shape}, not {expected}")):
-            checkpoint_series(streams, box, checkpoints, **sums)
+        with pytest.raises(ValueError, match="prefix"):
+            checkpoint_series([stream], topology, [hyper], box, [None], (2, 9))
 
     def test_streams_of_two_unit_counts_are_rejected(self):
-        streams = [synthetic_stream(6, 4, 8, 1.0, 1), synthetic_stream(3, 4, 8, 1.0, 2)]
-        with pytest.raises(ValueError, match=r"one unit count, got unit counts \[3, 6\]"):
-            checkpoint_series(
-                streams, BoxConstraintSet(-0.15, 0.15, 4), (8,), np.zeros((1, 2, 6)), np.zeros((1, 2)),
-                np.zeros(1, dtype=np.int64),
-            )
+        stream, topology, hyper, box = self.make_run(horizon=8)
+        streams = [stream, synthetic_stream(3, 4, 8, 1.0, 2)]
+        with pytest.raises(ValueError, match="must agree on N, d, T and rho"):
+            checkpoint_series(streams, topology, [hyper, hyper], box, [None, None], (8,))
 
-    def test_checkpoints_past_the_streams_rounds_are_rejected(self):
-        """A checkpoint past the scored stream's rounds has no prefix to solve a comparator on."""
-        stream, topology, hyper, box = self.make_run(horizon=300)
-        short = RegressionStream(stream.features[:257], stream.targets[:257], stream.rho)
-        with pytest.raises(ValueError, match="prefix"):
-            score_one_seed(stream, topology, hyper, box, (100, 300), scored_on=short)
-        assert score_one_seed(stream, topology, hyper, box, (100, 257), scored_on=short).checkpoints == (100, 257)
+    def test_non_integral_checkpoints_are_refused(self):
+        """int() would truncate 16.9 to 16 and the series would still carry the label 16.9;
+        ints and numpy integers pass, as ints."""
+        stream, topology, hyper, box = self.make_run(horizon=64)
+        with pytest.raises(ValueError, match=r"checkpoint must be an integer, got 2\.5"):
+            check_checkpoints((2.5, 9.99, 12.2), 20)
+        with pytest.raises(ValueError, match=r"checkpoint must be an integer, got 16\.9"):
+            checkpoint_series([stream], topology, [hyper], box, [None], (16.9, 64.0))
+        checked = check_checkpoints(np.array([16, 64]), 64)
+        assert checked == (16, 64) and all(type(T) is int for T in checked)
+        assert score_one_seed(stream, topology, hyper, box, np.array([16, 64])).checkpoints == (16, 64)
+
+    def test_checkpoints_may_come_from_a_generator(self):
+        """The checkpoints are read once, so a one-shot iterable both runs and labels the series."""
+        stream, topology, hyper, box = self.make_run()
+        series = score_one_seed(stream, topology, hyper, box, (T for T in (8, 24)))
+        assert series.checkpoints == (8, 24)
+        assert np.array_equal(series.regrets, score_one_seed(stream, topology, hyper, box, (8, 24)).regrets)
 
 
 class TestAveragedMetrics:

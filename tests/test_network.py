@@ -34,6 +34,15 @@ class TestGraph:
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, ((1, 2), (2, 1)))
 
+    def test_rejects_non_integral_input(self):
+        """int() would build edge (1, 2) from (1.5, 2.9), and keep a node count of 3.7."""
+        with pytest.raises(ValueError, match=r"an end of edge \(1\.5, 2\.9\) must be an integer, got 1\.5"):
+            Graph(3, ((1.5, 2.9),))
+        with pytest.raises(ValueError, match=r"node_count must be an integer, got 3\.7"):
+            Graph(3.7, ((1, 2),))
+        graph = Graph(np.int64(3), ((np.int64(2), np.int64(1)),))
+        assert (graph.node_count, graph.edges) == (3, ((1, 2),)) and type(graph.node_count) is int
+
 
 class TestMaxDegreeWeights:
     def test_three_node_path(self):
@@ -47,17 +56,14 @@ class TestMaxDegreeWeights:
             ]
         )
         np.testing.assert_allclose(w.entries, expected, rtol=0, atol=1e-15)
-        assert w.zeta == pytest.approx(1 / 3, abs=1e-15)
 
     def test_single_edge_pair(self):
         w = max_degree_weights(Graph(2, ((1, 2),)))
         np.testing.assert_array_equal(w.entries, np.full((2, 2), 0.5))
-        assert w.zeta == 0.5
 
     def test_empty_graph_is_identity(self):
         w = max_degree_weights(Graph(3, ()))
         np.testing.assert_array_equal(w.entries, np.eye(3))
-        assert w.zeta == 1.0
 
     def test_complete_triangle_is_uniform(self):
         w = max_degree_weights(Graph(3, ((1, 2), (1, 3), (2, 3))))
@@ -66,8 +72,8 @@ class TestMaxDegreeWeights:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_random_graphs_give_doubly_stochastic_weights(self, data):
-        """Rows and columns sum to one, support matches the graph, zeta is the
-        smallest positive entry."""
+        """Rows and columns sum to one, support matches the graph, and the schedule's zeta
+        is the smallest positive entry."""
         n = data.draw(st.integers(2, 7))
         possible = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         chosen = data.draw(st.sets(st.sampled_from(possible), max_size=len(possible)))
@@ -76,7 +82,7 @@ class TestMaxDegreeWeights:
         np.testing.assert_allclose(w.entries.sum(axis=0), np.ones(n), atol=1e-12, rtol=0)
         np.testing.assert_allclose(w.entries.sum(axis=1), np.ones(n), atol=1e-12, rtol=0)
         np.testing.assert_array_equal(w.entries, w.entries.T)
-        assert w.zeta == w.entries[w.entries > 0].min()
+        assert TopologySchedule((g,), (w,), window=1).zeta == w.entries[w.entries > 0].min()
         report = validate_mixing(w, g)
         assert report.passed, report.violations
 
@@ -89,26 +95,21 @@ class TestValidateMixing:
     def test_detects_broken_row_sum(self):
         entries = self.good.entries.copy()
         entries[0, 0] += 1e-6
-        report = validate_mixing(WeightMatrix(entries, self.good.zeta), self.graph)
+        report = validate_mixing(WeightMatrix(entries), self.graph)
         assert not report.passed
         assert any("row sums" in v for v in report.violations)
 
     def test_detects_off_support_weight(self):
         entries = np.full((3, 3), 1 / 3)  # positive on the absent edge (1, 3)
-        report = validate_mixing(WeightMatrix(entries, 1 / 3), self.graph)
+        report = validate_mixing(WeightMatrix(entries), self.graph)
         assert not report.passed
         assert any("off the edge support" in v for v in report.violations)
 
     def test_detects_zero_diagonal(self):
         entries = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        report = validate_mixing(WeightMatrix(entries, 1.0), Graph(3, ((1, 2),)))
+        report = validate_mixing(WeightMatrix(entries), Graph(3, ((1, 2),)))
         assert not report.passed
         assert any("diagonal" in v for v in report.violations)
-
-    def test_detects_wrong_zeta(self):
-        report = validate_mixing(WeightMatrix(self.good.entries, 0.25), self.graph)
-        assert not report.passed
-        assert any("zeta" in v for v in report.violations)
 
     def test_detects_shape_mismatch(self):
         report = validate_mixing(self.good, Graph(4, ((1, 2),)))
@@ -122,7 +123,6 @@ class TestDefaultRing6:
         assert schedule.window == 2
         assert schedule.zeta == 0.5
         for w in schedule.weights:
-            assert w.zeta == 0.5
             positive = w.entries[w.entries > 0]
             np.testing.assert_array_equal(positive, np.full(positive.shape, 0.5))
 
@@ -158,6 +158,14 @@ class TestSchedule:
         pair = Graph(3, ((1, 2),))  # zeta 1/2
         schedule = schedule_from_graphs((path, pair), window=2)
         assert schedule.zeta == pytest.approx(1 / 3, abs=1e-15)
+
+    def test_zeta_is_the_smallest_positive_entry_of_the_weights_given(self):
+        """Weights need not follow the max-degree rule; zeros do not count."""
+        pair = Graph(2, ((1, 2),))
+        skewed = WeightMatrix(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        identity = WeightMatrix(np.eye(2))
+        assert TopologySchedule((pair, Graph(2, ())), (skewed, identity), window=2).zeta == 0.2
+        assert TopologySchedule((Graph(2, ()),), (identity,), window=1).zeta == 1.0
 
 
 class TestWindowConnectivity:

@@ -185,7 +185,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     decisions, pull = sprinkled(rng, shape, -0.5, 0.5), sprinkled(rng, shape, -3.0, 3.0)
     etas = 10.0 ** rng.uniform(-2.0, 2.0, (rounds, seeds, 1, 1))
     betas = np.broadcast_to(10.0 ** rng.uniform(-3.0, 0.0, (rounds, seeds, 1, 1)), (rounds,) + shape).copy()
-    weights = tuple(WeightMatrix(rng.random((units, units)), zeta=0.5) for _ in range(2))
+    weights = tuple(WeightMatrix(rng.random((units, units))) for _ in range(2))
     start, radius = int(rng.integers(0, 4)), float(rng.choice([0.3, 1.5]))
     constraints = BoxConstraintSet(-0.5, 0.25, d) if kind == "box" else generic_set(d)
     eps = 0.1

@@ -1,7 +1,7 @@
 """netoco.reference holds the per-unit algorithm and metrics that the kernel is
 tested against, and only there: no run-path module imports it or keeps a copy
-of what it defines, and the package exports its library API, the one run and
-score (run_seeds, checkpoint_series) among it.
+of what it defines, and the package exports its library API, the one call
+that runs and scores a batch (checkpoint_series) among it.
 """
 
 import ast
@@ -35,7 +35,7 @@ EXPORTS = {
     "checkpoint_grid", "checkpoint_series", "clipped_subgradient", "communication_cost", "consensus_mix",
     "dataset_stream", "default_ring_6", "list_presets", "load_config", "make_schedule", "max_degree_weights",
     "offline_comparator", "offline_comparators", "one_point_estimator", "parse_libsvm", "preset_config",
-    "product_deviation", "project_ball", "regression_loss", "regret", "run_seeds", "run_suite",
+    "product_deviation", "project_ball", "regression_loss", "regret", "run_suite",
     "sample_unit_sphere", "schedule_from_graphs", "serialize_libsvm", "sreg", "synthetic_stream",
     "validate_mixing", "verify_window_connectivity",
 }

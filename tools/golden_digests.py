@@ -10,12 +10,16 @@ Usage (from the repository root):
 numpy version mismatch) and exits 1 if there is any, 0 otherwise.
 
 Runs all presets at T = 2048 with seeds 1 and 2 (the shortest horizon every
-preset accepts) with BLAS pinned to one thread. The comparator's Gram matrix
-is a BLAS product whose rounding depends on the thread count and on the
-OpenBLAS kernel picked for the CPU, which the pin does not fix: the digests
-hold on one thread and the kernel they were recorded on. The output and the
---check summary name the kernel that ran (blas_core). Write new digests only
-from a commit whose CSV output is known to be right, and say why.
+preset accepts) with BLAS pinned to one thread. Four BLAS calls on the path
+to a CSV round by the OpenBLAS kernel picked for the CPU, which the pin does
+not fix (the README's "Determinism" section has the measurements): the
+comparator's Gram product and cross term, whose rounding also depends on the
+thread count; the row dot of the bandit directions (algorithm._sphere_block);
+the mix's np.matmul on the round's weights; and synthetic_stream's per-unit
+gemv for the targets. So the digests hold on one thread and the kernel they
+were recorded on. The output and the --check summary name the kernel that
+ran (blas_core). Write new digests only from a commit whose CSV output is
+known to be right, and say why.
 """
 
 from __future__ import annotations
