@@ -43,9 +43,10 @@ formulas are float64 0-d arrays rather than Python floats, and _project_rows
 finds its largest row norm in a Python list. _project_rows is the one hook
 called by name every round; a constraint set other than the box pulls through
 its own dual_pull_rows. Every step keeps the operands of its formula in their
-order, so each seed gets the bits of the same round on fresh arrays
-(reference.consensus_mix for the mix). netoco.reference states the same round
-per unit.
+order, so each seed gets the bits of the same round on fresh arrays,
+reference.round_step: two statements of the round, sharing only _project_rows,
+which the tests hold to the same bits, and a literal per-unit loop over
+netoco.reference's one-vector functions agrees with both within 1e-12.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -354,8 +355,9 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, scratch, 
 
     A round makes only the formula's numpy calls, each a bare ufunc, c_einsum
     or matmul writing into these arrays with the operands of the update in
-    their order, so the bits are those of reference.loss_gradients or
-    loss_values, reference.consensus_mix and dual_pull_rows on fresh arrays. The
+    their order, so the bits are those of reference.round_step, then
+    dual_pull_rows, on fresh arrays: the statement of the round this loop is
+    tested against, which shares only _project_rows with it. The
     gradient and the descent step beta * (gradient + pull) are built in the
     next decisions' row, y = committed - that step in pull, and y is mixed
     back into that row. rho, 2 rho and d / eps become float64 0-d arrays, and

@@ -85,7 +85,7 @@ class ScenarioConfig:
     data_seed: int
     lower: float
     upper: float
-    radius: Optional[float]  # None: upper * sqrt(dimension) once d is known
+    radius: Optional[float]  # None: the box's corner norm, max(|lower|, |upper|) * sqrt(d), once d is known
     variant: str
     c: Optional[float]
     a: float
@@ -533,9 +533,9 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
         f"horizon = {config.horizon} with {len(config.seeds)} seeds", len(config.seeds),
         config.horizon, config.n_units, dimension,
     )
-    radius = config.radius if config.radius is not None else config.upper * math.sqrt(dimension)
     constraints = BoxConstraintSet(config.lower, config.upper, dimension)
     corner = constraints.max_vertex_norm()
+    radius = corner if config.radius is None else config.radius
     # Features lie in [-1, 1]^d for both sources, so this bounds the feature part of G.
     feature_g = (dimension + 2.0 * config.rho) * radius
     if not all(map(math.isfinite, (radius, radius * radius, corner, feature_g * feature_g))):

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .algorithm import check_checkpoints, run_seeds, variant_spec
-from .network import TopologySchedule
+from .network import TopologySchedule, _integer
 from .problems import BoxConstraintSet
 
 __all__ = [
@@ -118,7 +118,7 @@ def offline_comparators(
         raise ValueError("the streams of one batch must share their dimension")
     if dimensions - {constraints.dimension}:
         raise ValueError("constraint dimension does not match the stream")
-    checkpoints = tuple(int(T) for T in checkpoints)
+    checkpoints = tuple(_integer(T, "checkpoint") for T in checkpoints)
     prefixes = [(s, T) for s in range(len(streams)) for T in checkpoints]
     solved = [
         comparator

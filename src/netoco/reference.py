@@ -1,16 +1,18 @@
 """The paper's algorithm and metrics stated per unit: the oracle the kernel is tested against.
 
 One slot's loss oracle and one constraint's clipped subgradient; a round's
-loss values and gradients and the consensus mix on fresh arrays, whose bits
-the kernel's in-place round keeps, and a product of mixing matrices' distance
-from the average; one vector's ball projection, sphere direction and one-point
-estimate; the round's augmented Lagrangian, primal direction and dual reset;
-one synchronized round of all units from an explicit RunState (run_round_full
-and run_round_bandit run the kernel's loop, algorithm._run_block, on a block
-of one round, so the round has one body), and one seed's run recorded by
-chaining them (record_run); and that run's regret and violation at one prefix
-length, its system loss added round by round, and the hindsight comparator of
-that prefix, solved on one vector. The run-path modules never import this one.
+loss values and gradients and the consensus mix on fresh arrays, and a
+product of mixing matrices' distance from the average; one vector's ball
+projection, sphere direction and one-point estimate; the round's augmented
+Lagrangian, primal direction and dual reset; a round's steps on fresh arrays
+(round_step), one synchronized round of all units from an explicit RunState
+(run_round_full, run_round_bandit) and one seed's run chained from them
+(record_run); and that run's regret and violation at one prefix length, its
+system loss added round by round, and the hindsight comparator of that
+prefix, solved on one vector. round_step and the kernel's in-place loop
+(algorithm._run_block) are two statements of a round that the tests hold to
+the same bits, and a literal per-unit loop to within 1e-12. The run-path
+modules never import this one.
 """
 
 from __future__ import annotations
@@ -21,10 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algorithm import (
-    HyperSchedule, _check_in_ball, _overflow_factors, _round_views, _run_block, _scratch, _sphere_rngs,
-    check_checkpoints,
-)
+from .algorithm import HyperSchedule, _check_in_ball, _overflow_factors, _project_rows, _sphere_rngs, check_checkpoints
 from .metrics import Comparator, ConvergenceError
 from .network import TopologySchedule, WeightMatrix
 from .problems import ConstraintSet, RegressionRound, RegressionStream, _row_dots
@@ -32,7 +31,7 @@ from .problems import ConstraintSet, RegressionRound, RegressionStream, _row_dot
 __all__ = [
     "LossOracle", "regression_loss", "clipped_subgradient", "loss_values", "loss_gradients", "consensus_mix",
     "product_deviation", "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian",
-    "primal_direction", "dual_update", "RunState", "initial_state", "RoundRecord", "run_round_full",
+    "primal_direction", "dual_update", "round_step", "RunState", "initial_state", "RoundRecord", "run_round_full",
     "run_round_bandit", "record_run", "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
 ]
 
@@ -203,6 +202,27 @@ def _round_losses(stream: RegressionStream, t: int) -> RegressionRound:
     return RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
 
 
+def round_step(rows, pull, losses, weights: WeightMatrix, beta, radius, directions=None, eps=None):
+    """Steps 1-4 of a round on fresh (..., N, d) arrays: (next rows, observed losses, probes).
+
+    The gradient is loss_gradients at the rows or, under bandit feedback
+    (directions given, with eps), the one-point estimate (d / eps) f(q) u at
+    the probes q = rows + eps u, whose losses f(q) are the observed ones. The
+    rows descend by beta times the gradient plus the dual pull, are mixed by
+    consensus_mix and projected onto the ball of the given radius. observed and
+    probes are None under full information.
+    """
+    observed = probes = None
+    if directions is None:
+        gradients = loss_gradients(losses, rows)
+    else:
+        probes = rows + eps * directions
+        observed = loss_values(losses, probes)
+        gradients = (rows.shape[-1] / eps) * observed[..., None] * directions
+    mixed = consensus_mix(weights, rows - beta * (gradients + pull))
+    return _project_rows(mixed, radius), observed, probes
+
+
 @dataclass
 class RunState:
     """Synchronized state of all units; row i - 1 belongs to unit i."""
@@ -239,38 +259,17 @@ class RoundRecord:
 
 
 def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
-    """One round of one seed from an explicit state, run as a block of one round.
-
-    directions is None for full information.
-    """
-    rows = state.decisions
-    committed = np.empty((2,) + rows.shape)
-    committed[0] = rows
-    probes = queries = dimension_over_eps = None
-    if directions is not None:
-        eps = hyper.eps(t)
-        observed, queries = np.empty((1,) + rows.shape[:-1]), np.empty((1,) + rows.shape)
-        probes = directions[None], (eps * directions)[None], observed, queries
-        dimension_over_eps = rows.shape[-1] / eps
-    eta, radius = hyper.eta(t), hyper.decision_radius
-    # A RunState carries the duals, not their pull, so the pull left in this array is dropped.
+    """One round of one seed from an explicit state; directions is None for full information."""
+    rows, radius, eta = state.decisions, hyper.decision_radius, hyper.eta(t)
+    eps = None if directions is None else hyper.eps(t)
     pull = constraints.weighted_subgradient_rows(rows, state.duals)
-    views = _round_views(
-        committed, round_losses.features[None], round_losses.targets[None],
-        np.full(committed[1:].shape, hyper.beta(t)), np.full(committed[1:].shape, eta), probes,
-    )
-    _run_block(
-        views, pull, 0, (weights.entries,), radius, round_losses.rho, constraints, _scratch(rows.shape),
-        dimension_over_eps,
-    )
-    nxt = committed[1]
+    nxt, observed, queries = round_step(rows, pull, round_losses, weights, hyper.beta(t), radius, directions, eps)
     if queries is not None:
-        queries = queries[0]
         _check_in_ball(queries, hyper.radius, t, "probe")
     _check_in_ball(nxt, radius, t + 1, "decision")
     record = RoundRecord(
         decisions=rows,
-        losses=loss_values(round_losses, rows) if directions is None else observed[0],
+        losses=loss_values(round_losses, rows) if observed is None else observed,
         violations=constraints.positive_parts_rows(rows),
         queries=queries,
     )

@@ -296,29 +296,47 @@ class TestPrimalDirection:
         )
 
 
-def reference_single_unit_run(stream, hyper, constraints, horizon):
-    """Independent scalar-loop reference: projected gradient descent on the
-    violation-augmented loss with exact dual resets, for one unit and an
-    identity mixing matrix."""
-    x = np.zeros(stream.dimension)
-    lam = np.zeros(constraints.count)
+def literal_run(stream, topology, hyper, constraints, seed=None):
+    """Independent per-unit reference, one vector at a time: each unit descends on
+    its violation-augmented loss (its gradient, or a one-point estimate from its
+    own sphere stream under bandit feedback, plus dual-weighted clipped
+    subgradients), mixes sum_j W_ij y_j, projects onto the ball and resets its
+    duals to positive_parts / eta. Returns the committed decisions, (T, N, d)."""
+    n, d, bandit = stream.n_units, stream.dimension, hyper.is_bandit
+    rngs = algorithm._sphere_rngs(seed, n) if bandit else None
+    x = [np.zeros(d) for _ in range(n)]
+    lam = [np.zeros(constraints.count) for _ in range(n)]
     decisions = []
-    for t in range(1, horizon + 1):
-        decisions.append(x.copy())
-        oracle = regression_loss(stream.features[t - 1, 0], stream.targets[t - 1, 0], stream.rho)
-        direction = oracle.gradient(x).copy()
-        for s in range(1, constraints.count + 1):
-            direction = direction + lam[s - 1] * clipped_subgradient(constraints, x, s)
-        y = x - hyper.beta(t) * direction
-        x = project_ball(y, hyper.decision_radius)
-        lam = constraints.positive_parts(x) / hyper.eta(t)
+    for t in range(1, stream.horizon + 1):
+        decisions.append(np.stack(x))
+        y = []
+        for i in range(n):
+            oracle = regression_loss(stream.features[t - 1, i], stream.targets[t - 1, i], stream.rho)
+            if bandit:
+                u, eps = sample_unit_sphere(rngs[i], d), hyper.eps(t)
+                direction = one_point_estimator(oracle.value(x[i] + eps * u), u, d, eps)
+            else:
+                direction = oracle.gradient(x[i])
+            for s in range(1, constraints.count + 1):
+                direction = direction + lam[i][s - 1] * clipped_subgradient(constraints, x[i], s)
+            y.append(x[i] - hyper.beta(t) * direction)
+        w = topology.weights_at(t).entries
+        x = [project_ball(sum(w[i, j] * y[j] for j in range(n)), hyper.decision_radius) for i in range(n)]
+        lam = [constraints.positive_parts(x[i]) / hyper.eta(t) for i in range(n)]
     return np.stack(decisions)
+
+
+def period_3_topology():
+    """Three graphs on six nodes, none connected alone, their union a ring."""
+    return schedule_from_graphs(
+        [Graph(6, [(1, 2), (4, 5)]), Graph(6, [(2, 3), (5, 6)]), Graph(6, [(3, 4), (6, 1)])], window=3
+    )
 
 
 class TestRoundReductions:
     def test_single_unit_equals_projected_primal_dual_descent(self):
         """On one node the consensus step is the identity, so the run must
-        match an independently coded single-unit loop to machine precision."""
+        match the literal per-unit loop to machine precision."""
         horizon = 60
         stream = synthetic_stream(1, 3, horizon, rho=1.0, seed=21)
         box = BoxConstraintSet(-0.15, 0.15, 3)
@@ -332,13 +350,36 @@ class TestRoundReductions:
             sigma=stream.strong_convexity,
         )
         record = record_run(stream, single_node_topology(), hyper, box)
-        reference = reference_single_unit_run(stream, hyper, box, horizon)
-        np.testing.assert_allclose(
-            record.decisions[:, 0, :], reference, rtol=0, atol=1e-12
-        )
+        reference = literal_run(stream, single_node_topology(), hyper, box)
+        np.testing.assert_allclose(record.decisions, reference, rtol=0, atol=1e-12)
         # The large early steps must actually leave the box, so the dual path
         # is exercised rather than vacuously zero.
         assert record.violations.max() > 0
+
+    @pytest.mark.parametrize("topology", [default_ring_6, period_3_topology], ids=["ring6", "period3"])
+    @pytest.mark.parametrize("rho", [0.0, 0.5], ids=["rho0", "rho0.5"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chained_rounds_equal_the_literal_per_unit_loop(self, variant, rho, topology):
+        """Six units over more than two of the kernel's blocks: record_run's decisions
+        within 1e-12 of the literal loop, for every variant, with and without the ridge term."""
+        horizon, topology = 300, topology()
+        stream = synthetic_stream(6, 4, horizon, rho=rho, seed=24)
+        box = BoxConstraintSet(0.02, 0.15, 4)  # the origin lies below every lower face
+        radius = 1.0  # a bandit schedule at T = 300 needs pi = 1 / (R T^b) < 1
+        strongly = variant.startswith("strongly")
+        hyper = make_schedule(
+            variant,
+            p=box.count,
+            G=max(stream.bounds(radius)[0], box.gradient_bound),
+            radius=radius,
+            horizon=horizon,
+            c=None if strongly else 0.5,
+            sigma=(stream.strong_convexity or 1.0) if strongly else None,
+        )
+        record = record_run(stream, topology, hyper, box, seed=5)
+        reference = literal_run(stream, topology, hyper, box, seed=5)
+        np.testing.assert_allclose(record.decisions, reference, rtol=0, atol=1e-12)
+        assert record.violations.max() > 0  # the duals pull
 
     def test_two_units_average_on_the_complete_pair(self):
         """One round on K2 with uniform weights: both units move to the
@@ -348,7 +389,6 @@ class TestRoundReductions:
         hyper = make_schedule("convex-full", p=4, G=1.0, radius=5.0, horizon=1, c=0.5)
         state = initial_state(2, box)
         state.decisions[:] = np.array([[0.4, 0.0], [0.0, 0.8]])
-        state.violations = box.positive_parts_rows(state.decisions)
         weights = max_degree_weights(Graph(2, [(1, 2)]))
         np.testing.assert_array_equal(weights.entries, np.full((2, 2), 0.5))
         next_state, record = run_round_full(state, round_losses(stream, 1), weights, hyper, box, 1)

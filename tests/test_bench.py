@@ -19,6 +19,7 @@ from netoco.bench import (
     validate_scenario,
 )
 from netoco.cli import main
+from netoco.problems import BoxConstraintSet
 
 SC_SCENARIO = """\
 [problem]
@@ -348,6 +349,17 @@ class TestValidateScenario:
         config = load_config(write_config(tmp_path, body))
         failures = validate_scenario(config)
         assert any("leaves the ball" in f for f in failures)
+
+    @pytest.mark.parametrize(("lower", "upper"), [(-0.3, 0.15), (-0.3, -0.1)], ids=["wider-below", "below-zero"])
+    def test_the_default_radius_holds_any_box(self, tmp_path, lower, upper):
+        """With no radius set, the ball is the one through the box's farthest corner,
+        max(|lower|, |upper|) * sqrt(d), also for a box that reaches further below zero
+        than above it, or lies below zero."""
+        body = SC_SCENARIO + f"[constraints]\nlower = {lower}\nupper = {upper}\n"
+        config = load_config(write_config(tmp_path, body))
+        failures, prepared = netoco.bench._prepare(config)
+        assert failures == []
+        assert prepared.radius == BoxConstraintSet(lower, upper, 3).max_vertex_norm()
 
     def test_bandit_shrinkage_failure_is_reported(self, tmp_path):
         body = "[algorithm]\nvariant = convex-bandit\nc = 0.5\nhorizon = 8\n"

@@ -160,6 +160,13 @@ def test_no_checkpoints_no_comparators():
     assert offline_comparators([], box, (1, 2)) == ()
 
 
+def test_non_integral_checkpoints_are_refused():
+    """A checkpoint is a prefix length; 16.9 is not truncated to T = 16."""
+    stream, box = synthetic_stream(2, 2, 32, 0.0, seed=1), BoxConstraintSet(-1.0, 1.0, 2)
+    with pytest.raises(ValueError, match="checkpoint must be an integer, got 16.9"):
+        offline_comparators([stream], box, (16.9,))
+
+
 def test_the_streams_of_a_batch_share_their_dimension():
     with pytest.raises(ValueError, match="share their dimension"):
         offline_comparators(

@@ -1,8 +1,9 @@
 """The round's in-place paths against their fresh-array paths, bit for bit.
 
 The round loop runs in buffers allocated once per run (bare calls with out,
-_project_rows scaling in place); reference.loss_values, loss_gradients and
-consensus_mix give fresh arrays, and dual_pull_rows gives either. Both must give the same bits,
+_project_rows scaling in place); reference.round_step states the same round
+on fresh arrays, from reference.loss_values or loss_gradients and
+consensus_mix, and dual_pull_rows gives either. Both must give the same bits,
 signed zeros included, and _row_dots, which calls c_einsum directly, those
 of np.einsum.
 """
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from netoco.algorithm import _project_rows, _round_views, _run_block, _scratch
 from netoco.network import WeightMatrix
 from netoco.problems import BoxConstraintSet, ConstraintSet, RegressionRound, _row_dots
-from netoco.reference import consensus_mix, loss_gradients, loss_values
+from netoco.reference import loss_gradients, loss_values, round_step
 
 SMALLEST_SUBNORMAL = 5e-324
 
@@ -173,10 +174,8 @@ def sprinkled(rng, shape, low, high):
 )
 def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandit, kind):
     """_run_block on its per-run scratch against one round at a time on fresh
-    arrays: reference.loss_values or loss_gradients, consensus_mix, _project_rows
-    and dual_pull_rows, with the operands of the update in their order. The
-    scratch starts as NaN, so a value left from another round or read across
-    seeds shows."""
+    arrays: reference.round_step, then dual_pull_rows. The scratch starts as
+    NaN, so a value left from another round or read across seeds shows."""
     rng = np.random.default_rng(seed)
     rounds, units, d = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
     shape = (seeds, units, d)
@@ -208,17 +207,13 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
 
     current = decisions
     for k in range(rounds):
-        losses = RegressionRound(features[k], targets[k], rho)
+        current, seen, probe = round_step(
+            current, pull, RegressionRound(features[k], targets[k], rho), weights[(start + k) % 2], betas[k],
+            radius, directions[k] if bandit else None, eps,
+        )
         if bandit:
-            probe = current + (eps * directions)[k]
-            seen = loss_values(losses, probe)
             assert_same_bits(queries[k], probe)
             assert_same_bits(observed[k], seen)
-            gradients = (d / eps) * seen[..., None] * directions[k]
-        else:
-            gradients = loss_gradients(losses, current)
-        mixed = consensus_mix(weights[(start + k) % 2], current - betas[k] * (gradients + pull))
-        current = _project_rows(mixed, radius)
         pull = constraints.dual_pull_rows(current, etas[k])
         assert_same_bits(committed[k + 1], current)
     assert_same_bits(loop_pull, pull)

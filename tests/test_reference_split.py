@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import netoco
+from netoco import reference
 from netoco.problems import RegressionRound
 
 PACKAGE = Path(netoco.__file__).resolve().parent
@@ -18,7 +19,8 @@ RUN_PATH = ("algorithm", "problems", "metrics", "network", "bench", "cli")
 
 # What reference.py took from algorithm, then from metrics, then from problems, then the
 # fresh-array forms of a round's loss values and gradients (RegressionRound's methods before)
-# and of the mix (from network), then the contraction of mixing products (from network).
+# and of the mix (from network), then the contraction of mixing products (from network), then
+# the round's steps on fresh arrays, which the kernel's loop is checked against.
 MOVED = (
     "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian", "primal_direction",
     "dual_update", "RunState", "initial_state", "RoundRecord", "_round", "run_round_full", "run_round_bandit",
@@ -26,7 +28,11 @@ MOVED = (
     "LossOracle", "regression_loss", "clipped_subgradient",
     "loss_values", "loss_gradients", "consensus_mix",
     "product_deviation",
+    "round_step",
 )
+
+# The kernel's loop and its private block layout, which the reference's round does not run.
+KERNEL_LOOP = {"_run_block", "_round_views", "_scratch"}
 
 EXPORTS = {
     "BoundConstants", "BoxConstraintSet", "ConstraintSet", "ConvergenceError", "DatasetTable", "Graph",
@@ -94,6 +100,23 @@ def test_no_run_path_module_imports_the_reference(module):
 @pytest.mark.parametrize("module", RUN_PATH)
 def test_no_moved_name_is_left_in_a_run_path_module(module):
     assert top_level_names(parsed(module)) & set(MOVED) == set()
+
+
+def test_the_reference_does_not_import_the_kernel_loop():
+    """Neither imported nor reached as an attribute of the algorithm module."""
+    named = {
+        getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(parsed("reference"))
+    }
+    assert named & KERNEL_LOOP == set()
+
+
+def test_the_reference_lists_every_public_definition_in_its_all():
+    defined = {
+        node.name for node in parsed("reference").body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert set(reference.__all__) == defined
 
 
 def test_the_reference_defines_every_moved_name_once():
