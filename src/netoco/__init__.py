@@ -31,7 +31,6 @@ from .network import (
 )
 from .problems import (
     BoxConstraintSet,
-    ConstraintSet,
     DatasetTable,
     RegressionStream,
     dataset_stream,
@@ -40,6 +39,7 @@ from .problems import (
     synthetic_stream,
 )
 from .reference import (
+    ConstraintSet,
     LossOracle,
     cacv,
     clipped_subgradient,

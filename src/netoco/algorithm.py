@@ -34,19 +34,20 @@ as views of them; each round's views are built once per run too (_round_views).
 A round makes only the formula's numpy calls, each a bare ufunc, c_einsum or
 matmul that writes into those arrays: the loss step (the formulas of
 reference.loss_gradients, or reference.loss_values under bandit feedback), the
-descent step, the mix as np.matmul on the round's weight entries and, for a
-BoxConstraintSet, its closed-form dual pull. At a round's size numpy's dispatch
-costs more than the arithmetic, so each step takes its cheapest path: the
-block's eta_t and beta_t come spread over the rows, so that the descent step
-and the dual pull's divide see operands of one shape, the numbers of the
-formulas are float64 0-d arrays rather than Python floats, and _project_rows
-finds its largest row norm in a Python list. _project_rows is the one hook
-called by name every round; a constraint set other than the box pulls through
-its own dual_pull_rows. Every step keeps the operands of its formula in their
-order, so each seed gets the bits of the same round on fresh arrays,
-reference.round_step: two statements of the round, sharing only _project_rows,
-which the tests hold to the same bits, and a literal per-unit loop over
-netoco.reference's one-vector functions agrees with both within 1e-12.
+descent step, the mix as np.matmul on the round's weight entries and the
+closed-form dual pull of the box, the one constraint set the kernel takes. At
+a round's size numpy's dispatch costs more than the arithmetic, so each step
+takes its cheapest path: the block's eta_t and beta_t come spread over the
+rows, so that the descent step and the dual pull's divide see operands of one
+shape, the numbers of the formulas are float64 0-d arrays rather than Python
+floats, and _project_rows finds its largest row norm in a Python list.
+_project_rows is the one hook called by name every round. Every step keeps
+the operands of its formula in their order, so each seed gets the bits of the
+same round on fresh arrays, reference.round_step, then the generic pull of
+the box stated constraint by constraint (reference.box_constraints): two
+statements of the round, sharing only _project_rows, which the tests hold to
+the same bits, and a literal per-unit loop over netoco.reference's one-vector
+functions agrees with both within 1e-12.
 
 The four variants differ in two facts, strong convexity and bandit feedback,
 and in which parameters they need; variant_spec holds all three per variant.
@@ -63,7 +64,7 @@ import numpy as np
 
 from .network import TopologySchedule, _integer
 from .problems import (
-    _BLOCK, _DOTS, _ZERO, BoxConstraintSet, ConstraintSet, RegressionRound, _blocks, _c_einsum, _clip, _row_dots,
+    _BLOCK, _DOTS, BoxConstraintSet, RegressionRound, _blocks, _c_einsum, _check_box, _clip, _row_dots,
 )
 
 __all__ = [
@@ -335,11 +336,12 @@ def _round_views(committed, features, targets, betas, etas, probes=None) -> tupl
     return tuple(zip(committed[:-1], committed[1:], features, targets, betas, etas, per_round))
 
 
-# 0.5 of the loss value as a float64 0-d array, which takes the ufunc's fast path.
-_HALF = np.array(0.5)
+# 0.5 of the loss value and the dual pull's +0.0 as float64 0-d arrays: a ufunc
+# takes those on its fast path, and converts a Python float on every call.
+_HALF, _ZERO = np.array(0.5), np.array(0.0)
 
 
-def _run_block(rounds, pull, start, weights, radius, rho, constraints, scratch, dimension_over_eps=None):
+def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, dimension_over_eps=None):
     """Rounds start + 1, start + 2, ... of (..., N, d) decision rows, in place, one after another.
 
     rounds is _round_views of the block's arrays, one entry per round: round
@@ -355,17 +357,24 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, scratch, 
 
     A round makes only the formula's numpy calls, each a bare ufunc, c_einsum
     or matmul writing into these arrays with the operands of the update in
-    their order, so the bits are those of reference.round_step, then
-    dual_pull_rows, on fresh arrays: the statement of the round this loop is
-    tested against, which shares only _project_rows with it. The
+    their order, so the bits are those of reference.round_step, then the
+    generic dual pull, on fresh arrays: the statement of the round this loop
+    is tested against, which shares only _project_rows with it. The
     gradient and the descent step beta * (gradient + pull) are built in the
     next decisions' row, y = committed - that step in pull, and y is mixed
     back into that row. rho, 2 rho and d / eps become float64 0-d arrays, and
     whether rho is zero is decided, once per block. _project_rows is looked
-    up by name every round. A set whose dual_pull_rows is the box's, decided
-    once per block too, pulls through the steps of
-    BoxConstraintSet.dual_pull_rows written out; any other set through its
-    own dual_pull_rows.
+    up by name every round.
+
+    The dual pull is the closed form of the BoxConstraintSet box,
+    (x - clip(x, lower, upper)) / eta, the one copy of it. At most one side of a coordinate is violated, and
+    x - bound is exactly -(bound - x), so it is the generic pull
+    sum_s (positive_parts(x)_s / eta) * clipped_subgradient(x, s) bit for bit,
+    save one sign: where a lower-side pull underflows, the quotient is -0.0
+    and the generic pull +0.0. Adding +0.0 turns -0.0 into +0.0 and changes
+    no other value. The clip is the bare ufunc that np.clip calls; where it
+    picks a zero of either sign, x - clip(x) is a zero or x itself, so that
+    sign never reaches the pull.
     """
     add, divide, multiply, subtract, matmul, einsum = np.add, np.divide, np.multiply, np.subtract, np.matmul, _c_einsum
     residuals, column, half, squares, scaled, scaled_column, rho_term = scratch
@@ -373,9 +382,7 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, scratch, 
     rho, twice_rho = np.array(rho), np.array(2.0 * rho)
     if dimension_over_eps is not None:
         dimension_over_eps = np.array(dimension_over_eps)
-    box = type(constraints).dual_pull_rows is BoxConstraintSet.dual_pull_rows
-    if box:
-        lower, upper = constraints._clip_bounds
+    lower, upper = box._clip_bounds
     mixing = islice(cycle(weights), start % len(weights), None)
     for (current, nxt, features, targets, beta, eta, probe), entries in zip(rounds, mixing):
         if probe is None:  # (a.x - b) a + 2 rho x at the decisions
@@ -399,10 +406,8 @@ def _run_block(rounds, pull, start, weights, radius, rho, constraints, scratch, 
         multiply(beta, add(nxt, pull, nxt), nxt)
         matmul(entries, subtract(current, nxt, pull), nxt)
         _project_rows(nxt, radius)
-        if box:  # (x - clip(x, lower, upper)) / eta + 0.0
-            add(divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull), _ZERO, pull)
-        else:
-            constraints.dual_pull_rows(nxt, eta, pull)
+        # (x - clip(x, lower, upper)) / eta + 0.0
+        add(divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull), _ZERO, pull)
 
 
 def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
@@ -450,7 +455,7 @@ def _block_steps(schedules, start: int, etas: np.ndarray, betas: np.ndarray):
         betas[:, s] = hyper._beta(t)
 
 
-def _lockstep(streams, topology: TopologySchedule, schedules, constraints: ConstraintSet, seeds):
+def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxConstraintSet, seeds):
     """Run every seed of a batch in lockstep on (S, N, d) arrays, one block of rounds per yield.
 
     Yields (start, block_losses, committed, violations, observed, queries) for
@@ -479,8 +484,10 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: Const
     the directions, their eps multiples, the observed losses and the probes.
     The rounds' views of them (_round_views) are built once per run too; a
     shorter last block takes the first of them. The rounds run in place, one
-    _run_block call per block, so nothing here grows with T.
+    _run_block call per block, so nothing here grows with T. ValueError,
+    naming its type, for constraints that are not a BoxConstraintSet.
     """
+    _check_box(constraints, "the round kernel")
     if not streams or len(streams) != len(schedules) or len(streams) != len(seeds):
         raise ValueError("need one stream, schedule and seed per run")
     first = streams[0]
@@ -603,7 +610,7 @@ def run_seeds(
     streams,
     topology: TopologySchedule,
     schedules,
-    constraints: ConstraintSet,
+    constraints: BoxConstraintSet,
     seeds,
     checkpoints,
 ) -> CheckpointTotals:

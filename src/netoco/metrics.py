@@ -16,9 +16,9 @@ optimum depends on the horizon prefix. A scenario's prefixes are every
 (seed, checkpoint) pair, stacked across its seeds in seed-major order; their
 statistics are built one prefix at a time, and up to 64 prefixes are then
 solved together in one loop on stacked iterates (offline_comparators), each
-row with the bits of a solve of its prefix alone. Over a box, each comparator
-also carries its Frank-Wolfe gap, an upper bound on how far its objective lies
-above the true minimum.
+row with the bits of a solve of its prefix alone. The constraint region is a
+box (BoxConstraintSet), and each comparator also carries its Frank-Wolfe gap
+over it, an upper bound on how far its objective lies above the true minimum.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .algorithm import check_checkpoints, run_seeds, variant_spec
 from .network import TopologySchedule, _integer
-from .problems import BoxConstraintSet
+from .problems import _check_box
 
 __all__ = [
     "Comparator",
@@ -51,16 +51,15 @@ __all__ = [
 class Comparator:
     """Hindsight minimizer over the constraint region for one prefix length.
 
-    gap is the Frank-Wolfe gap at point over a box, max_s grad(point).(point - s)
-    for s in the box, which bounds objective minus the true minimum from above;
-    it is nan for constraint sets that are not boxes.
+    gap is the Frank-Wolfe gap at point over the box, max_s grad(point).(point - s)
+    for s in the box, which bounds objective minus the true minimum from above.
     """
 
     point: np.ndarray
     objective: float
     residual: float
     iterations: int
-    gap: float = math.nan
+    gap: float
 
 
 class ConvergenceError(RuntimeError):
@@ -102,16 +101,16 @@ def offline_comparators(
     of its prefix alone would take: gram @ x is one gemv per row and the
     move's norm one dot per row, the BLAS calls of the one-vector formulas,
     and every elementwise step keeps its operands and their order.
-    constraints.project must act row by row on (..., d) arrays. Prefixes
+    The box's projection acts row by row on (..., d) arrays. Prefixes
     without curvature (all-zero features and rho = 0) have a constant
     objective and return the projected origin after 0 iterations. A prefix
     that does not stop within max_iters raises ConvergenceError naming the
     first such prefix in stream-major order: its checkpoint in the message,
     its stream's index as .stream. ValueError if the constraints' dimension
-    is not the streams'.
+    is not the streams', and, naming its type, if they are not a
+    BoxConstraintSet.
     """
-    if not hasattr(constraints, "project"):
-        raise ValueError("the comparator needs a constraint set with a projection")
+    _check_box(constraints, "the comparator")
     streams = tuple(streams)
     dimensions = {stream.dimension for stream in streams}
     if len(dimensions) > 1:
@@ -174,13 +173,11 @@ def _solve_group(streams, constraints, prefixes, tol, max_iters) -> tuple[Compar
             index,
         )
 
-    gaps = np.full(K, math.nan)
-    if isinstance(constraints, BoxConstraintSet):
-        grad = np.matmul(gram, points[..., None])[..., 0] - cross + reg * points
-        # Each term is >= 0 inside the box; + 0.0 turns the -0.0 of a zero gap into +0.0.
-        gaps = np.maximum(
-            grad * (points - constraints.lower), grad * (points - constraints.upper)
-        ).sum(axis=1) + 0.0
+    grad = np.matmul(gram, points[..., None])[..., 0] - cross + reg * points
+    # Each term is >= 0 inside the box; + 0.0 turns the -0.0 of a zero gap into +0.0.
+    gaps = np.maximum(
+        grad * (points - constraints.lower), grad * (points - constraints.upper)
+    ).sum(axis=1) + 0.0
     return tuple(
         Comparator(
             point=points[k],

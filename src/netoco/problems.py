@@ -1,4 +1,4 @@
-"""Losses, constraint sets, and data streams for networked online regression.
+"""Losses, the box constraint set, and data streams for networked online regression.
 
 The loss family is regularized scalar regression on the ball of radius R:
 
@@ -19,6 +19,9 @@ is reference.regression_loss.
 Long-term constraints are inequality functions c_s(x) <= 0 whose violated
 part enters the updates through the clipped subgradient: the gradient of c_s
 where c_s(x) > 0 and the zero vector where c_s(x) <= 0 (zero at the boundary).
+The run path takes one set of them, the box, in closed form
+(BoxConstraintSet); the general statement, one callable per constraint, is
+reference.ConstraintSet.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 __all__ = [
-    "ConstraintSet",
     "BoxConstraintSet",
     "RegressionRound",
     "RegressionStream",
@@ -63,10 +65,6 @@ _BLOCK = 128
 # stream, and a temporary of at most this many rows (32 KiB at d = 4) whatever T is.
 _DRAW_CHUNK = 1024
 
-# The box pull's +0.0 as a float64 0-d array: a ufunc takes that on its fast
-# path, and converts a Python float on every call.
-_ZERO = np.array(0.0)
-
 
 def _blocks(horizon: int, length: int = _BLOCK):
     """Slices of rounds 0..horizon - 1 (0-based), length (_BLOCK) at a time."""
@@ -74,101 +72,16 @@ def _blocks(horizon: int, length: int = _BLOCK):
         yield slice(start, min(start + length, horizon))
 
 
-class ConstraintSet:
-    """Inequality constraints c_s(x) <= 0, s = 1..p, with a shared gradient bound.
-
-    The generic implementation evaluates per-constraint callables; a set
-    without them overrides count, value, gradient and values. Vector paths
-    used by the decision loop (positive parts, dual-weighted clipped
-    subgradients and the dual pull over a batch of rows) fall back to loops and
-    are overridden where closed forms exist. An override of dual_pull_rows must
-    give the bits of the generic default, which the kernel and the one-round
-    functions of netoco.reference rely on to agree.
-    """
-
-    def __init__(self, dimension, values, gradients, gradient_bound):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dimension = int(dimension)
-        self._values = tuple(values)
-        self._gradients = tuple(gradients)
-        if len(self._values) != len(self._gradients):
-            raise ValueError("values and gradients differ in length")
-        if not self._values:
-            raise ValueError("at least one constraint required")
-        self.gradient_bound = float(gradient_bound)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    def value(self, x, s: int) -> float:
-        self._check_index(s)
-        return float(self._values[s - 1](np.asarray(x, dtype=float)))
-
-    def gradient(self, x, s: int) -> np.ndarray:
-        self._check_index(s)
-        return np.asarray(self._gradients[s - 1](np.asarray(x, dtype=float)), dtype=float)
-
-    def values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([f(x) for f in self._values], dtype=float)
-
-    def positive_parts(self, x) -> np.ndarray:
-        return np.clip(self.values(x), 0.0, None)
-
-    def positive_parts_rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        return np.stack([self.positive_parts(row) for row in rows])
-
-    def weighted_subgradient_rows(self, rows, duals) -> np.ndarray:
-        """Row i of the result is sum_s duals[i, s] * clipped_subgradient(x_i, s)."""
-        rows = np.asarray(rows, dtype=float)
-        duals = np.asarray(duals, dtype=float)
-        out = np.zeros_like(rows)
-        for i, row in enumerate(rows):
-            for s in range(1, self.count + 1):
-                lam = duals[i, s - 1]
-                if lam != 0.0 and self.value(row, s) > 0.0:
-                    out[i] += lam * self.gradient(row, s)
-        return out
-
-    def dual_pull_rows(self, rows, eta, out=None) -> np.ndarray:
-        """The dual pull at rows whose duals were just reset with step eta.
-
-        Row i is sum_s (positive_parts(x_i)_s / eta) * clipped_subgradient(x_i, s),
-        that is weighted_subgradient_rows(rows, positive_parts_rows(rows) / eta).
-        rows is (..., d). eta is a number or an array that broadcasts against
-        rows and is constant along its last axis, so a batch of seeds can
-        carry one eta each and the kernel can spread each round's eta over
-        its rows, shaped like them; only eta[..., :1] is read. With out, an
-        array shaped like rows and distinct from it, the pull is written there
-        and out is returned.
-        """
-        rows = np.asarray(rows, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim:
-            eta = eta[..., :1]
-        flat = rows.reshape(-1, self.dimension)
-        duals = self.positive_parts_rows(flat).reshape(rows.shape[:-1] + (self.count,)) / eta
-        pull = self.weighted_subgradient_rows(flat, duals.reshape(len(flat), -1)).reshape(rows.shape)
-        if out is None:
-            return pull
-        out[...] = pull
-        return out
-
-    def _check_index(self, s: int):
-        if not 1 <= s <= self.count:
-            raise IndexError(f"constraint index {s} outside 1..{self.count}")
-
-
-class BoxConstraintSet(ConstraintSet):
+class BoxConstraintSet:
     """Box lower <= x_m <= upper as 2d one-sided constraints, in closed form.
 
     Constraints 1..d are the lower sides (lower - x_m), constraints d+1..2d the
     upper sides (x_m - upper). Every constraint gradient is a signed unit
     vector, so the shared gradient bound is exactly 1. The set holds only its
-    dimension and bounds; the dual-weighted subgradients take the generic loop.
+    dimension and bounds. It is the one constraint set the run path takes: the
+    round loop (algorithm._run_block) writes its dual pull out in closed form,
+    and netoco.reference states it constraint by constraint (box_constraints),
+    the form that pull is tested against.
     """
 
     def __init__(self, lower: float, upper: float, dimension: int):
@@ -180,28 +93,13 @@ class BoxConstraintSet(ConstraintSet):
         self.lower = float(lower)
         self.upper = float(upper)
         self.gradient_bound = 1.0
-        # The bounds of the pull's clip as float64 0-d arrays, which take the ufunc's fast path; the
-        # round loop (algorithm._run_block) writes this pull out and reads them too.
+        # The bounds as float64 0-d arrays, which take the ufunc's fast path: the projection's
+        # clip, and the clip of the dual pull that the round loop (algorithm._run_block) writes out.
         self._clip_bounds = np.array(self.lower), np.array(self.upper)
 
     @property
     def count(self) -> int:
         return 2 * self.dimension
-
-    def value(self, x, s: int) -> float:
-        self._check_index(s)
-        return float(self.values(x)[s - 1])
-
-    def gradient(self, x, s: int) -> np.ndarray:
-        """A fresh -e_m for the lower side of coordinate m, +e_m for its upper side."""
-        self._check_index(s)
-        grad = np.zeros(self.dimension)
-        grad[(s - 1) % self.dimension] = -1.0 if s <= self.dimension else 1.0
-        return grad
-
-    def values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([self.lower - x, x - self.upper])
 
     def positive_parts_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -214,25 +112,6 @@ class BoxConstraintSet(ConstraintSet):
         np.maximum(np.subtract(rows, self.upper, out=above), 0.0, out=above)
         return out
 
-    def dual_pull_rows(self, rows, eta, out=None) -> np.ndarray:
-        """The generic dual pull in closed form: (x - clip(x, lower, upper)) / eta.
-
-        At most one side of a coordinate is violated, and x - bound is exactly
-        -(bound - x), so this is the generic pull bit for bit, save one sign:
-        where a lower-side pull underflows, the quotient is -0.0 and the
-        generic pull +0.0. Adding +0.0 turns -0.0 into +0.0 and changes no
-        other value. The clip is the bare ufunc that np.clip calls; where it
-        picks a zero of either sign, x - clip(x) is a zero or x itself, so
-        that sign never reaches the pull. With out (shaped like rows, distinct
-        from it) every step writes there, with the same operands in the same
-        order. eta is read as the generic pull reads it; an eta shaped like
-        rows makes the divide a same-shape ufunc call. algorithm._run_block
-        runs these steps written out, on the same operands in the same order.
-        """
-        rows = np.asarray(rows, dtype=float)
-        clipped = _clip(rows, *self._clip_bounds, out)
-        return np.add(np.divide(np.subtract(rows, clipped, out), eta, out), _ZERO, out)
-
     def project(self, x) -> np.ndarray:
         # The bare ufunc that np.clip calls, on the float64 bounds, which also make the result float64:
         # the comparator's loop projects on every iteration.
@@ -241,6 +120,12 @@ class BoxConstraintSet(ConstraintSet):
     def max_vertex_norm(self) -> float:
         corner = max(abs(self.lower), abs(self.upper))
         return corner * math.sqrt(self.dimension)
+
+
+def _check_box(constraints, user: str):
+    """ValueError naming the type of a constraint set that is not a BoxConstraintSet."""
+    if not isinstance(constraints, BoxConstraintSet):
+        raise ValueError(f"{user} needs a BoxConstraintSet, got {type(constraints).__name__}")
 
 
 def _all_finite(a: np.ndarray) -> bool:

@@ -1,5 +1,11 @@
 """The paper's algorithm and metrics stated per unit: the oracle the kernel is tested against.
 
+The paper's long-term constraints g_s(x) <= 0 in general, one callable per
+constraint (ConstraintSet), with their default dual pull, and a box stated
+that way (box_constraints): every function here that takes constraints takes
+a BoxConstraintSet as well and works on its statement, so the kernel's
+closed-form box pull is held to the per-constraint loop.
+
 One slot's loss oracle and one constraint's clipped subgradient; a round's
 loss values and gradients and the consensus mix on fresh arrays, and a
 product of mixing matrices' distance from the average; one vector's ball
@@ -25,15 +31,109 @@ import numpy as np
 
 from .algorithm import HyperSchedule, _check_in_ball, _overflow_factors, _project_rows, _sphere_rngs, check_checkpoints
 from .metrics import Comparator, ConvergenceError
-from .network import TopologySchedule, WeightMatrix
-from .problems import ConstraintSet, RegressionRound, RegressionStream, _row_dots
+from .network import TopologySchedule, WeightMatrix, _integer
+from .problems import BoxConstraintSet, RegressionRound, RegressionStream, _check_box, _row_dots
 
 __all__ = [
-    "LossOracle", "regression_loss", "clipped_subgradient", "loss_values", "loss_gradients", "consensus_mix",
-    "product_deviation", "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian",
-    "primal_direction", "dual_update", "round_step", "RunState", "initial_state", "RoundRecord", "run_round_full",
-    "run_round_bandit", "record_run", "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
+    "ConstraintSet", "box_constraints", "LossOracle", "regression_loss", "clipped_subgradient", "loss_values",
+    "loss_gradients", "consensus_mix", "product_deviation", "project_ball", "sample_unit_sphere",
+    "one_point_estimator", "augmented_lagrangian", "primal_direction", "dual_update", "round_step", "RunState",
+    "initial_state", "RoundRecord", "run_round_full", "run_round_bandit", "record_run", "offline_comparator",
+    "system_cumulative_losses", "regret", "sreg", "cacv",
 ]
+
+
+class ConstraintSet:
+    """Inequality constraints c_s(x) <= 0, s = 1..p, with a shared gradient bound.
+
+    The general statement: one callable per constraint for its value and one
+    for its gradient, and vector forms (positive parts, dual-weighted clipped
+    subgradients and the dual pull over a batch of rows) that loop over them.
+    """
+
+    def __init__(self, dimension, values, gradients, gradient_bound):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        self.dimension = int(dimension)
+        self._values = tuple(values)
+        self._gradients = tuple(gradients)
+        if len(self._values) != len(self._gradients):
+            raise ValueError("values and gradients differ in length")
+        if not self._values:
+            raise ValueError("at least one constraint required")
+        self.gradient_bound = float(gradient_bound)
+
+    @property
+    def count(self) -> int:
+        return len(self._values)
+
+    def value(self, x, s: int) -> float:
+        self._check_index(s)
+        return float(self._values[s - 1](np.asarray(x, dtype=float)))
+
+    def gradient(self, x, s: int) -> np.ndarray:
+        self._check_index(s)
+        return np.asarray(self._gradients[s - 1](np.asarray(x, dtype=float)), dtype=float)
+
+    def values(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.array([f(x) for f in self._values], dtype=float)
+
+    def positive_parts(self, x) -> np.ndarray:
+        return np.clip(self.values(x), 0.0, None)
+
+    def positive_parts_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        return np.stack([self.positive_parts(row) for row in rows])
+
+    def weighted_subgradient_rows(self, rows, duals) -> np.ndarray:
+        """Row i of the result is sum_s duals[i, s] * clipped_subgradient(x_i, s)."""
+        rows = np.asarray(rows, dtype=float)
+        duals = np.asarray(duals, dtype=float)
+        out = np.zeros_like(rows)
+        for i, row in enumerate(rows):
+            for s in range(1, self.count + 1):
+                lam = duals[i, s - 1]
+                if lam != 0.0 and self.value(row, s) > 0.0:
+                    out[i] += lam * self.gradient(row, s)
+        return out
+
+    def dual_pull_rows(self, rows, eta) -> np.ndarray:
+        """The dual pull at rows whose duals were just reset with step eta, on fresh arrays.
+
+        Row i is sum_s (positive_parts(x_i)_s / eta) * clipped_subgradient(x_i, s),
+        that is weighted_subgradient_rows(rows, positive_parts_rows(rows) / eta).
+        rows is (..., d); eta is a number or an array with a last axis of 1
+        that broadcasts against rows, such as one eta per seed, (S, 1, 1).
+        """
+        rows = np.asarray(rows, dtype=float)
+        flat = rows.reshape(-1, self.dimension)
+        duals = self.positive_parts_rows(flat).reshape(rows.shape[:-1] + (self.count,)) / eta
+        return self.weighted_subgradient_rows(flat, duals.reshape(len(flat), -1)).reshape(rows.shape)
+
+    def _check_index(self, s: int):
+        if not 1 <= s <= self.count:
+            raise IndexError(f"constraint index {s} outside 1..{self.count}")
+
+
+def box_constraints(box: BoxConstraintSet) -> ConstraintSet:
+    """A box stated as its 2d one-sided constraints, one callable each.
+
+    Constraint m (1..d) is lower - x_m with gradient -e_m, constraint d + m is
+    x_m - upper with gradient +e_m, the layout of BoxConstraintSet's positive
+    parts; every gradient is a fresh vector. The run path's closed forms, the
+    box's positive_parts_rows and the kernel's dual pull, are tested against
+    this statement.
+    """
+    d, lower, upper = box.dimension, box.lower, box.upper
+    values = [lambda x, m=m: lower - x[m] for m in range(d)] + [lambda x, m=m: x[m] - upper for m in range(d)]
+    gradients = [lambda x, s=s: np.where(np.arange(d) == s % d, 1.0 if s >= d else -1.0, 0.0) for s in range(2 * d)]
+    return ConstraintSet(d, values, gradients, box.gradient_bound)
+
+
+def _stated(constraints) -> ConstraintSet:
+    """A BoxConstraintSet as box_constraints states it; a ConstraintSet as it is."""
+    return box_constraints(constraints) if isinstance(constraints, BoxConstraintSet) else constraints
 
 
 @dataclass(frozen=True)
@@ -82,9 +182,9 @@ def regression_loss(features, target, rho: float) -> LossOracle:
     )
 
 
-def clipped_subgradient(constraints: ConstraintSet, x, s: int) -> np.ndarray:
+def clipped_subgradient(constraints: ConstraintSet | BoxConstraintSet, x, s: int) -> np.ndarray:
     """Subgradient of max(c_s(x), 0): grad c_s where c_s(x) > 0, else zero."""
-    x = np.asarray(x, dtype=float)
+    x, constraints = np.asarray(x, dtype=float), _stated(constraints)
     if constraints.value(x, s) > 0.0:
         return constraints.gradient(x, s)
     return np.zeros(constraints.dimension)
@@ -109,8 +209,8 @@ def loss_gradients(losses, rows) -> np.ndarray:
 
     With rho == 0.0 the rho term, 0.0 * x, is skipped. That can only change
     the sign of a zero entry; the round step adds the dual pull next, whose
-    zeros are +0.0 (dual_pull_rows), and that sum has the same bits with
-    either sign.
+    zeros are +0.0 (ConstraintSet.dual_pull_rows and the kernel's closed form),
+    and that sum has the same bits with either sign.
     """
     residuals = _row_dots(losses.features, rows) - losses.targets
     gradients = residuals[..., None] * losses.features
@@ -172,17 +272,17 @@ def one_point_estimator(value: float, direction, dimension: int, eps: float) -> 
 
 
 def augmented_lagrangian(
-    oracle: LossOracle, constraints: ConstraintSet, x, lam, eta: float
+    oracle: LossOracle, constraints: ConstraintSet | BoxConstraintSet, x, lam, eta: float
 ) -> float:
     """Round objective: loss + dual-weighted violations - (eta/2) ||lambda||^2."""
     lam = np.asarray(lam, dtype=float)
-    violation = constraints.positive_parts(x)
+    violation = _stated(constraints).positive_parts(x)
     return float(oracle.value(np.asarray(x, dtype=float))) + float(lam @ violation) - 0.5 * eta * float(lam @ lam)
 
 
-def primal_direction(x, lam, gradient, constraints: ConstraintSet) -> np.ndarray:
+def primal_direction(x, lam, gradient, constraints: ConstraintSet | BoxConstraintSet) -> np.ndarray:
     """Descent direction: loss gradient plus dual-weighted clipped subgradients."""
-    lam = np.asarray(lam, dtype=float)
+    lam, constraints = np.asarray(lam, dtype=float), _stated(constraints)
     out = np.asarray(gradient, dtype=float).copy()
     for s in range(1, constraints.count + 1):
         if lam[s - 1] != 0.0:
@@ -190,11 +290,11 @@ def primal_direction(x, lam, gradient, constraints: ConstraintSet) -> np.ndarray
     return out
 
 
-def dual_update(constraints: ConstraintSet, x_next, eta: float) -> np.ndarray:
+def dual_update(constraints: ConstraintSet | BoxConstraintSet, x_next, eta: float) -> np.ndarray:
     """Exact argmax of the augmented Lagrangian over lambda >= 0."""
     if not eta > 0.0:
         raise ValueError("eta must be > 0")
-    return constraints.positive_parts(x_next) / eta
+    return _stated(constraints).positive_parts(x_next) / eta
 
 
 def _round_losses(stream: RegressionStream, t: int) -> RegressionRound:
@@ -233,7 +333,7 @@ class RunState:
 
 
 def initial_state(
-    n_units: int, constraints: ConstraintSet, *, seed: Optional[int] = None, bandit: bool = False
+    n_units: int, constraints: ConstraintSet | BoxConstraintSet, *, seed: Optional[int] = None, bandit: bool = False
 ) -> RunState:
     """All decisions and duals start at zero; bandit runs get per-unit streams."""
     rngs = None
@@ -261,6 +361,7 @@ class RoundRecord:
 def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
     """One round of one seed from an explicit state; directions is None for full information."""
     rows, radius, eta = state.decisions, hyper.decision_radius, hyper.eta(t)
+    constraints = _stated(constraints)
     eps = None if directions is None else hyper.eps(t)
     pull = constraints.weighted_subgradient_rows(rows, state.duals)
     nxt, observed, queries = round_step(rows, pull, round_losses, weights, hyper.beta(t), radius, directions, eps)
@@ -282,7 +383,7 @@ def run_round_full(
     round_losses,
     weights: WeightMatrix,
     hyper: HyperSchedule,
-    constraints: ConstraintSet,
+    constraints: ConstraintSet | BoxConstraintSet,
     t: int,
 ) -> tuple[RunState, RoundRecord]:
     """One synchronized full-information round; see netoco.algorithm's module docstring."""
@@ -294,7 +395,7 @@ def run_round_bandit(
     round_losses,
     weights: WeightMatrix,
     hyper: HyperSchedule,
-    constraints: ConstraintSet,
+    constraints: ConstraintSet | BoxConstraintSet,
     t: int,
 ) -> tuple[RunState, RoundRecord]:
     """One synchronized one-point bandit round; see netoco.algorithm's module docstring."""
@@ -309,7 +410,7 @@ def record_run(
     stream: RegressionStream,
     topology: TopologySchedule,
     hyper: HyperSchedule,
-    constraints: ConstraintSet,
+    constraints: ConstraintSet | BoxConstraintSet,
     seed: Optional[int] = None,
 ) -> RoundRecord:
     """One seed's run through every round of the stream, its rounds chained from the initial state.
@@ -318,6 +419,7 @@ def record_run(
     otherwise, on the stream's round t and the topology's weights at t; the
     records of the rounds are stacked, indexed [t - 1] on the first axis.
     """
+    constraints = _stated(constraints)
     state = initial_state(stream.n_units, constraints, seed=seed, bandit=hyper.is_bandit)
     run_round = run_round_bandit if hyper.is_bandit else run_round_full
     records = []
@@ -330,25 +432,28 @@ def record_run(
 
 def offline_comparator(
     stream: RegressionStream,
-    constraints,
+    constraints: BoxConstraintSet,
     T: int,
     *,
     tol: float = 1e-9,
     max_iters: int = 100_000,
 ) -> Comparator:
-    """Minimize the accumulated loss over the constraint region for one prefix, on one vector.
+    """Minimize the accumulated loss over the box for one prefix, on one vector.
 
     Projected gradient descent on the prefix's quadratic from the projected
     origin, with step 1/(sum ||a||^2 + 2 rho N T), until the iterate moves by
     at most tol: the solver metrics.offline_comparators takes for each of its
     rows. A prefix without curvature returns the projected origin after 0
-    iterations. The gap is left nan. ConvergenceError, naming T, if max_iters
-    iterations do not stop. ValueError if the constraints' dimension is not the stream's.
+    iterations. The gap is the Frank-Wolfe gap at the point, grad.(x - v) at
+    the box's vertex v that minimizes grad.v. ConvergenceError, naming T, if
+    max_iters iterations do not stop. ValueError if T is not an integer, if
+    the constraints' dimension is not the stream's, and, naming its type, if
+    they are not a BoxConstraintSet.
     """
-    if not hasattr(constraints, "project"):
-        raise ValueError("the comparator needs a constraint set with a projection")
+    _check_box(constraints, "the comparator")
     if constraints.dimension != stream.dimension:
         raise ValueError("constraint dimension does not match the stream")
+    T = _integer(T, "checkpoint")
     stats = stream.sufficient_statistics(T)
     gram, cross = stats.gram, stats.cross
     reg = 2.0 * stats.rho * stats.count
@@ -371,7 +476,9 @@ def offline_comparator(
     objective = float(
         0.5 * (x @ gram @ x) - cross @ x + 0.5 * stats.target_square_sum
     ) + 0.5 * reg * float(x @ x)
-    return Comparator(point=x, objective=objective, residual=residual, iterations=iterations)
+    grad = gram @ x - cross + reg * x
+    gap = float(grad @ (x - np.where(grad > 0.0, constraints.lower, constraints.upper)))
+    return Comparator(point=x, objective=objective, residual=residual, iterations=iterations, gap=gap)
 
 
 def system_cumulative_losses(record: RoundRecord, stream, T: int) -> np.ndarray:

@@ -33,6 +33,7 @@ from netoco.problems import (
     synthetic_stream,
 )
 from netoco.reference import (
+    box_constraints,
     clipped_subgradient,
     initial_state,
     offline_comparator,
@@ -146,7 +147,7 @@ def test_criterion_04_dual_update_vs_grid():
         x = rng.uniform(-0.5, 0.5, 3)
         eta = float(rng.uniform(0.05, 1.0))
         star = dual_update(box, x, eta)
-        violation = box.positive_parts(x)
+        violation = box_constraints(box).positive_parts(x)
         hi = 2.0 * float(violation.max()) / eta
         grid = np.arange(0.0, hi + 1e-4, 1e-4) if hi > 0 else np.zeros(1)
         for s in range(box.count):
@@ -283,6 +284,7 @@ def centralized_reference(stream, hyper, constraints, horizon):
     clipped constraint subgradients, project onto the ball, then reset each
     multiplier to its new violation over eta. No consensus; scalar loops only.
     """
+    constraints = box_constraints(constraints)
     x = np.zeros(stream.dimension)
     lam = np.zeros(constraints.count)
     states = []

@@ -16,6 +16,7 @@ from netoco.network import (
 from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
 from netoco.reference import (
     augmented_lagrangian,
+    box_constraints,
     clipped_subgradient,
     dual_update,
     initial_state,
@@ -125,6 +126,20 @@ class TestSchedules:
         with pytest.raises(ValueError, match="sigma"):
             make_schedule("strongly-convex-full", p=2, G=1.0, radius=1.0, horizon=8)
 
+    def test_guard_boundaries(self):
+        """p = 0 and radius = 0.0 are refused; p = 1 and the smallest radii are
+        not. A step size that underflows to 0.0 is refused too."""
+        good = dict(p=2, G=1.0, radius=1.0, horizon=8, c=0.5)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            make_schedule("convex-full", **{**good, "p": 0})
+        with pytest.raises(ValueError, match="radius must be > 0"):
+            make_schedule("convex-full", **{**good, "radius": 0.0})
+        assert make_schedule("convex-full", **{**good, "p": 1}).p == 1
+        assert make_schedule("convex-full", **{**good, "radius": 1e-300}).radius == 1e-300
+        # eta_1 = 2 p G^2 / sigma: G^2 is subnormal and the quotient underflows.
+        with pytest.raises(ValueError, match="eta_1 = 0 "):
+            make_schedule("strongly-convex-full", p=1, G=1e-160, radius=1.0, horizon=8, sigma=1e10)
+
     def test_bandit_shrinkage_of_one_or_more_is_rejected(self):
         # pi = 1/(R * T^(1/3)) = 1 exactly at R = 0.5, T = 8.
         with pytest.raises(ValueError, match="pi.*horizon 8"):
@@ -229,7 +244,7 @@ class TestDualUpdate:
         x = np.array([0.25, -0.4])
         eta = 0.2
         lam = dual_update(self.box, x, eta)
-        np.testing.assert_allclose(lam, self.box.positive_parts(x) / eta, rtol=1e-15)
+        np.testing.assert_allclose(lam, box_constraints(self.box).positive_parts(x) / eta, rtol=1e-15)
         assert np.all(lam >= 0)
 
     def test_maximizes_the_augmented_lagrangian(self):
@@ -254,7 +269,7 @@ class TestDualUpdate:
             x = rng.uniform(-0.5, 0.5, 2)
             eta = float(rng.uniform(0.1, 1.0))
             star = dual_update(self.box, x, eta)
-            violation = self.box.positive_parts(x)
+            violation = box_constraints(self.box).positive_parts(x)
             hi = max(2.0 * float(violation.max()) / eta, 1e-3)
             grid = np.arange(0.0, hi + 1e-4, 1e-4)
             for s in range(4):
@@ -285,7 +300,7 @@ class TestPrimalDirection:
             lam = rng.uniform(0, 2, 6)
             grad = rng.normal(size=3)
             via_loop = primal_direction(x, lam, grad, box)
-            via_rows = grad + box.weighted_subgradient_rows(x[None, :], lam[None, :])[0]
+            via_rows = grad + box_constraints(box).weighted_subgradient_rows(x[None, :], lam[None, :])[0]
             np.testing.assert_allclose(via_loop, via_rows, rtol=1e-12, atol=1e-15)
 
     def test_zero_duals_leave_the_gradient(self):
@@ -322,7 +337,7 @@ def literal_run(stream, topology, hyper, constraints, seed=None):
             y.append(x[i] - hyper.beta(t) * direction)
         w = topology.weights_at(t).entries
         x = [project_ball(sum(w[i, j] * y[j] for j in range(n)), hyper.decision_radius) for i in range(n)]
-        lam = [constraints.positive_parts(x[i]) / hyper.eta(t) for i in range(n)]
+        lam = [box_constraints(constraints).positive_parts(x[i]) / hyper.eta(t) for i in range(n)]
     return np.stack(decisions)
 
 

@@ -1,12 +1,14 @@
-"""The box constraint set answers in closed form, holds no per-constraint state,
-and leaves the dual-weighted subgradients to the one generic loop."""
+"""The box constraint set holds no per-constraint state, and the reference states
+it constraint by constraint (box_constraints), the form its closed forms are
+tested against."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from netoco.problems import BoxConstraintSet, ConstraintSet
+from netoco.problems import BoxConstraintSet
+from netoco.reference import box_constraints
 
 LOWER, UPPER = -0.15, 0.15
 
@@ -18,37 +20,39 @@ class TestScalars:
         return [rng.uniform(-0.4, 0.4, d), np.full(d, UPPER), np.full(d, LOWER), np.zeros(d)]
 
     def test_count(self, d):
-        assert BoxConstraintSet(LOWER, UPPER, d).count == 2 * d
+        box = BoxConstraintSet(LOWER, UPPER, d)
+        assert box.count == box_constraints(box).count == 2 * d
+        assert box_constraints(box).gradient_bound == box.gradient_bound == 1.0
 
     def test_values_are_the_signed_distances(self, d):
-        box = BoxConstraintSet(LOWER, UPPER, d)
+        stated = box_constraints(BoxConstraintSet(LOWER, UPPER, d))
         for x in self.rows(d):
             for m in range(d):
-                below, above = box.value(x, m + 1), box.value(x, d + m + 1)
+                below, above = stated.value(x, m + 1), stated.value(x, d + m + 1)
                 assert type(below) is float and type(above) is float
                 assert below == LOWER - x[m]
                 assert above == x[m] - UPPER
 
     def test_gradients_are_fresh_writable_unit_vectors(self, d):
-        box = BoxConstraintSet(LOWER, UPPER, d)
+        stated = box_constraints(BoxConstraintSet(LOWER, UPPER, d))
         x = self.rows(d)[0]
         for s in range(1, 2 * d + 1):
-            grad = box.gradient(x, s)
+            grad = stated.gradient(x, s)
             expected = np.zeros(d)
             expected[(s - 1) % d] = -1.0 if s <= d else 1.0
             assert grad.dtype == float and grad.flags.writeable
             np.testing.assert_array_equal(grad, expected)
-            assert grad is not box.gradient(x, s)
+            assert grad is not stated.gradient(x, s)
             grad[:] = 7.0  # a caller's write must not reach the next call
-            np.testing.assert_array_equal(box.gradient(x, s), expected)
+            np.testing.assert_array_equal(stated.gradient(x, s), expected)
 
     def test_indices_outside_the_set_raise(self, d):
-        box = BoxConstraintSet(LOWER, UPPER, d)
+        stated = box_constraints(BoxConstraintSet(LOWER, UPPER, d))
         for s in (0, 2 * d + 1):
             with pytest.raises(IndexError, match=f"constraint index {s} outside 1..{2 * d}"):
-                box.value(np.zeros(d), s)
+                stated.value(np.zeros(d), s)
             with pytest.raises(IndexError, match=f"constraint index {s} outside 1..{2 * d}"):
-                box.gradient(np.zeros(d), s)
+                stated.gradient(np.zeros(d), s)
 
 
 def test_an_empty_box_keeps_its_message():
@@ -66,7 +70,3 @@ def test_a_wide_box_holds_almost_nothing():
     assert box.count == 4000
     assert held < 2**20
 
-
-def test_the_box_takes_the_generic_subgradient_loop():
-    assert "weighted_subgradient_rows" not in BoxConstraintSet.__dict__
-    assert BoxConstraintSet.weighted_subgradient_rows is ConstraintSet.weighted_subgradient_rows

@@ -20,7 +20,7 @@ from netoco.cli import main
 from netoco.metrics import ConvergenceError, checkpoint_grid, checkpoint_series, offline_comparators
 from netoco.network import default_ring_6
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
-from netoco.reference import offline_comparator
+from netoco.reference import box_constraints, offline_comparator
 
 
 def assert_equals_the_oracle(stream, constraints, checkpoints):
@@ -161,10 +161,12 @@ def test_no_checkpoints_no_comparators():
 
 
 def test_non_integral_checkpoints_are_refused():
-    """A checkpoint is a prefix length; 16.9 is not truncated to T = 16."""
+    """A checkpoint is a prefix length; 16.9 is not truncated to T = 16, by either comparator."""
     stream, box = synthetic_stream(2, 2, 32, 0.0, seed=1), BoxConstraintSet(-1.0, 1.0, 2)
     with pytest.raises(ValueError, match="checkpoint must be an integer, got 16.9"):
         offline_comparators([stream], box, (16.9,))
+    with pytest.raises(ValueError, match="checkpoint must be an integer, got 16.9"):
+        offline_comparator(stream, box, 16.9)
 
 
 def test_the_streams_of_a_batch_share_their_dimension():
@@ -228,7 +230,23 @@ def test_the_gap_bounds_the_distance_to_a_tight_solve(name):
             assert c.gap >= c.objective - objective(stats, reference), (T, c.gap)
 
 
-def test_the_gap_is_nan_off_a_box():
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_the_gaps_equal_the_one_vector_gap(rho):
+    """offline_comparators' Frank-Wolfe gaps, on stacked points, against the gap
+    reference.offline_comparator takes at the same point on one vector, from the
+    vertex that minimizes grad.v. At rho > 0 the gradient's rho term counts."""
+    stream, box = synthetic_stream(3, 4, 200, rho, seed=11), BoxConstraintSet(-0.15, 0.15, 4)
+    checkpoints = (1, 2, 5, 50, 200)
+    (comparators,) = offline_comparators([stream], box, checkpoints)
+    gaps = [offline_comparator(stream, box, T).gap for T in checkpoints]
+    assert [c.gap for c in comparators] == pytest.approx(gaps, rel=1e-12, abs=0.0)
+    assert max(gaps) > 0.0
+
+
+def test_a_set_that_is_not_a_box_is_refused_by_name():
+    """Both comparators project onto a box; a set with another projection, and the
+    box stated constraint by constraint, are refused, naming their type."""
+
     class Ball:
         dimension = 3
 
@@ -236,8 +254,12 @@ def test_the_gap_is_nan_off_a_box():
             return x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1.0)
 
     stream = synthetic_stream(2, 3, 20, 1.0, seed=3)
-    (comparators,) = offline_comparators([stream], Ball(), (5, 20))
-    assert all(np.isnan(c.gap) and c.iterations > 0 for c in comparators)
+    for constraints in (Ball(), box_constraints(BoxConstraintSet(-0.15, 0.15, 3))):
+        message = f"the comparator needs a BoxConstraintSet, got {type(constraints).__name__}"
+        with pytest.raises(ValueError, match=message):
+            offline_comparators([stream], constraints, (5, 20))
+        with pytest.raises(ValueError, match=message):
+            offline_comparator(stream, constraints, 5)
 
 
 def test_a_comparator_that_does_not_converge_exits_2_naming_seed_and_checkpoint(

@@ -1,9 +1,16 @@
-"""The box's closed-form dual pull against the generic default, bit for bit."""
+"""The kernel's closed-form box pull against the generic default, bit for bit.
+
+The round loop (algorithm._run_block) writes the box's dual pull out; the
+generic default is reference.ConstraintSet.dual_pull_rows on the box stated
+constraint by constraint (reference.box_constraints).
+"""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from netoco.problems import BoxConstraintSet, ConstraintSet
+from netoco.algorithm import _round_views, _run_block, _scratch
+from netoco.problems import BoxConstraintSet
+from netoco.reference import box_constraints
 
 SMALLEST_SUBNORMAL = 5e-324
 
@@ -42,6 +49,28 @@ def pull_cases(draw):
     return BoxConstraintSet(lower, upper, d), rows, eta
 
 
+def kernel_pull(box, rows, eta):
+    """The pull _run_block leaves after one round that keeps the rows as they are.
+
+    Every row is a seed of one unit, mixed by the weights [[1.0]]. beta = 0,
+    zero features and targets and rho = 0 make the descent step a zero, and
+    the ball of radius 10 holds every drawn row, so the round's decisions are
+    the rows of committed[0]. eta comes spread over the rows, as the kernel's
+    step table spreads it. The pull buffer starts as garbage that beta = 0
+    multiplies away, so none of it may reach the result.
+    """
+    shape = (rows.size // rows.shape[-1], 1, rows.shape[-1])
+    committed = np.empty((2,) + shape)
+    committed[0] = rows.reshape(shape)
+    features, betas = np.zeros((2, 1) + shape)
+    etas = np.broadcast_to(eta, rows.shape).reshape((1,) + shape).copy()
+    pull = np.full(shape, 7.0)
+    views = _round_views(committed, features, np.zeros((1,) + shape[:-1]), betas, etas)
+    _run_block(views, pull, 0, (np.array([[1.0]]),), 10.0, 0.0, box, _scratch(shape))
+    np.testing.assert_array_equal(committed[1], committed[0])
+    return pull.reshape(rows.shape)
+
+
 def assert_same_bits(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual, expected)
@@ -55,15 +84,16 @@ def assert_same_bits(actual, expected):
 @example((BoxConstraintSet(0.0, 1.0, 1), np.array([[[-SMALLEST_SUBNORMAL]]]), np.array([[[1e300]]])))
 def test_box_pull_equals_the_generic_default(case):
     box, rows, eta = case
-    assert_same_bits(box.dual_pull_rows(rows, eta), ConstraintSet.dual_pull_rows(box, rows, eta))
+    assert_same_bits(kernel_pull(box, rows, eta), box_constraints(box).dual_pull_rows(rows, eta))
 
 
 def test_generic_default_is_the_weighted_subgradient_of_the_reset_duals():
     box = BoxConstraintSet(-0.15, 0.15, 3)
+    generic = box_constraints(box)
     rows = np.array([[0.2, -0.15, 0.0], [-0.3, 0.1, 0.15000000000000002]])
     eta = 0.25
-    expected = box.weighted_subgradient_rows(rows, box.positive_parts_rows(rows) / eta)
-    assert_same_bits(ConstraintSet.dual_pull_rows(box, rows, eta), expected)
+    expected = generic.weighted_subgradient_rows(rows, generic.positive_parts_rows(rows) / eta)
+    assert_same_bits(generic.dual_pull_rows(rows, eta), expected)
     np.testing.assert_allclose(
-        box.dual_pull_rows(rows, eta), [[0.2, 0.0, 0.0], [-0.6, 0.0, 0.0]], rtol=1e-12, atol=1e-15
+        kernel_pull(box, rows[None], eta)[0], [[0.2, 0.0, 0.0], [-0.6, 0.0, 0.0]], rtol=1e-12, atol=1e-15
     )

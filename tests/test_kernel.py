@@ -13,8 +13,8 @@ import netoco.algorithm as algorithm
 from netoco.algorithm import _check_in_ball, _sphere_block, _sphere_rngs, make_schedule, run_seeds
 from netoco.metrics import checkpoint_series
 from netoco.network import default_ring_6
-from netoco.problems import BoxConstraintSet, ConstraintSet, synthetic_stream
-from netoco.reference import loss_values, record_run, sample_unit_sphere
+from netoco.problems import BoxConstraintSet, synthetic_stream
+from netoco.reference import box_constraints, loss_values, record_run, sample_unit_sphere
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,6 +156,20 @@ class TestRunSeeds:
         assert f"'{key}': {value!r}" in theirs.split("schedule 1 has")[1]
         assert f"'{key}': {value!r}" not in ours
 
+    def test_a_seed_list_of_another_length_is_refused_under_full_information(self):
+        """Full information reads no seed, yet the counts must still agree."""
+        streams, schedules, box = batch("convex-full", (1,))
+        with pytest.raises(ValueError, match="need one stream, schedule and seed per run"):
+            run_seeds(streams, default_ring_6(), schedules, box, (1, 2), (HORIZON,))
+
+    def test_a_constraint_set_that_is_not_a_box_is_refused_by_name(self):
+        streams, schedules, box = batch("convex-full", (1,))
+        generic = box_constraints(box)
+        with pytest.raises(ValueError, match="the round kernel needs a BoxConstraintSet, got ConstraintSet"):
+            run_seeds(streams, default_ring_6(), schedules, generic, (1,), (HORIZON,))
+        with pytest.raises(ValueError, match="needs a BoxConstraintSet, got ConstraintSet"):
+            checkpoint_series(streams, default_ring_6(), schedules, generic, (1,), (HORIZON,))
+
     def test_checkpoints_past_the_horizon_are_rejected(self):
         streams, schedules, box = batch("convex-full", (1,))
         with pytest.raises(ValueError, match="checkpoints"):
@@ -222,36 +236,15 @@ def test_successive_blocks_are_lent_from_one_set_of_arrays(variant):
         assert np.shares_memory(first_queries, second_queries)
 
 
-def generic_constraints():
-    """Constraints with no closed forms in the kernel, and constraint gradients of
-    norms other than 1; the first is violated at x = 0, so round 1 already has a
-    violation while its duals, and so its pull, are still zero."""
-    a1, a3 = np.array([2.0, 1.0, 0.0, -0.5]), np.array([0.0, 0.0, 3.0, 0.5])
-    return ConstraintSet(
-        4,
-        values=[lambda x: 0.02 - a1 @ x, lambda x: x @ x - 0.01, lambda x: a3 @ x - 0.05],
-        gradients=[lambda x: -a1, lambda x: 2.0 * x, lambda x: a3],
-        gradient_bound=3.1,
-    )
-
-
-CONSTRAINT_SETS = {
-    "generic": lambda: (generic_constraints(), 0.3),
-    # x = 0 lies below every lower face.
-    "box-above-zero": lambda: (BoxConstraintSet(0.05, 0.2, 4), None),
-}
-
-
 @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
 @pytest.mark.parametrize("variant", ["convex-full", "strongly-convex-bandit"], ids=["full", "bandit"])
-@pytest.mark.parametrize("constraints", sorted(CONSTRAINT_SETS))
+@pytest.mark.parametrize("constraints", ["box-above-zero"])
 def test_kernel_run_equals_chained_rounds_for_other_constraint_sets(constraints, variant, horizon):
-    """The kernel pulls through dual_pull_rows, the round functions through the
-    duals of the state; both must give the same bits for any constraint set."""
-    box, radius = CONSTRAINT_SETS[constraints]()
-    (record,) = lent_blocks_equal_the_recorded_runs(variant, (9,), horizon, box, radius)
-    # Every constraint gradient is nonzero where its constraint is violated, so
-    # the violation of round 1 makes round 2 pull.
+    """The kernel pulls through the box's closed form, the round functions through
+    the duals of the state on the box stated constraint by constraint; both must
+    give the same bits for a box that x = 0 lies below, face by face."""
+    (record,) = lent_blocks_equal_the_recorded_runs(variant, (9,), horizon, BoxConstraintSet(0.05, 0.2, 4))
+    # The violation of round 1 makes round 2 pull.
     assert record.violations[0].max() > 0
 
 

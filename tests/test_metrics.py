@@ -17,14 +17,14 @@ from netoco.metrics import (
 from netoco.network import Graph, default_ring_6, schedule_from_graphs
 from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
 from netoco.reference import (
-    RoundRecord, cacv, offline_comparator, record_run, regret, sreg, system_cumulative_losses,
+    RoundRecord, box_constraints, cacv, offline_comparator, record_run, regret, sreg, system_cumulative_losses,
 )
 
 
 def constant_record(point, horizon, n_units, constraints):
     """A fabricated run record that commits the same point every round."""
     point = np.asarray(point, dtype=float)
-    violation = constraints.positive_parts(point)
+    violation = box_constraints(constraints).positive_parts(point)
     return RoundRecord(
         decisions=np.tile(point, (horizon, n_units, 1)),
         losses=np.zeros((horizon, n_units)),
@@ -88,7 +88,7 @@ class TestOfflineComparator:
 
     def test_rejects_constraints_without_projection(self):
         stream = synthetic_stream(1, 2, 2, rho=0.0, seed=0)
-        with pytest.raises(ValueError, match="projection"):
+        with pytest.raises(ValueError, match="the comparator needs a BoxConstraintSet, got object"):
             offline_comparator(stream, object(), 2)
 
     def test_reports_nonconvergence(self):

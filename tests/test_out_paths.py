@@ -3,9 +3,10 @@
 The round loop runs in buffers allocated once per run (bare calls with out,
 _project_rows scaling in place); reference.round_step states the same round
 on fresh arrays, from reference.loss_values or loss_gradients and
-consensus_mix, and dual_pull_rows gives either. Both must give the same bits,
-signed zeros included, and _row_dots, which calls c_einsum directly, those
-of np.einsum.
+consensus_mix, and the generic dual pull of the box stated constraint by
+constraint (reference.box_constraints) follows it. Both must give the same
+bits, signed zeros included, and _row_dots, which calls c_einsum directly,
+those of np.einsum.
 """
 
 import math
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from netoco.algorithm import _project_rows, _round_views, _run_block, _scratch
 from netoco.network import WeightMatrix
-from netoco.problems import BoxConstraintSet, ConstraintSet, RegressionRound, _row_dots
-from netoco.reference import loss_gradients, loss_values, round_step
+from netoco.problems import BoxConstraintSet, RegressionRound, _row_dots
+from netoco.reference import box_constraints, loss_gradients, loss_values, round_step
 
 SMALLEST_SUBNORMAL = 5e-324
 
@@ -62,15 +63,15 @@ def test_row_dots_are_the_bits_of_np_einsum(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.sampled_from(["generic", "box"]))
-def test_zero_rho_skips_only_bits_the_pull_restores(data, kind):
+@given(st.data())
+def test_zero_rho_skips_only_bits_the_pull_restores(data):
     """With rho == 0.0, values and gradients skip the 0.0 * x term. values
     keeps every bit of the formula with it; gradients may differ in the sign
     of a zero, and adding a dual pull (whose zeros are +0.0) erases that."""
     seeds, units, d = data.draw(shapes())
     features, rows = filled(data.draw, (seeds, units, d)), filled(data.draw, (seeds, units, d))
     round_losses = RegressionRound(features, filled(data.draw, (seeds, units)), 0.0)
-    constraints = BoxConstraintSet(-0.5, 0.25, d) if kind == "box" else generic_set(d)
+    constraints = box_constraints(BoxConstraintSet(-0.5, 0.25, d))
     eta = 10.0 ** data.draw(st.floats(-3.0, 3.0))
     with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e100 overflow alike on both paths
         r = _row_dots(features, rows) - round_losses.targets
@@ -78,36 +79,6 @@ def test_zero_rho_skips_only_bits_the_pull_restores(data, kind):
         with_term = np.add(np.multiply(r[..., None], features), (2.0 * 0.0) * rows)
         for pull in (np.zeros(rows.shape), constraints.dual_pull_rows(rows, eta)):
             assert_same_bits(loss_gradients(round_losses, rows) + pull, with_term + pull)
-
-
-def generic_set(d):
-    """No closed forms; the first constraint is violated at x = 0."""
-    return ConstraintSet(
-        d,
-        values=[lambda x: 0.02 - x.sum(), lambda x: x @ x - 0.01],
-        gradients=[lambda x: -np.ones(d), lambda x: 2.0 * x],
-        gradient_bound=2.0 * np.sqrt(d),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.sampled_from(["generic", "box"]))
-def test_dual_pull_in_place(data, kind):
-    seeds, units, d = data.draw(shapes())
-    rows = filled(data.draw, (seeds, units, d))
-    eta = np.array(
-        data.draw(st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), min_size=seeds, max_size=seeds))
-    )[:, None, None]
-    if kind == "box":
-        lower, upper = sorted(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2, unique=True)))
-        constraints = BoxConstraintSet(lower, upper, d)
-    else:
-        constraints = generic_set(d)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge pull over a tiny eta, alike on both paths
-        fresh = constraints.dual_pull_rows(rows, eta)
-        out = garbage(rows.shape)
-        assert constraints.dual_pull_rows(rows, eta, out=out) is out
-    assert_same_bits(out, fresh)
 
 
 # Radii whose squares round, underflow to a subnormal or zero, or overflow.
@@ -170,12 +141,12 @@ def sprinkled(rng, shape, low, high):
     st.sampled_from([1, 3]),
     st.sampled_from([0.0, 0.37]),
     st.booleans(),
-    st.sampled_from(["generic", "box"]),
 )
-def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandit, kind):
+def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandit):
     """_run_block on its per-run scratch against one round at a time on fresh
-    arrays: reference.round_step, then dual_pull_rows. The scratch starts as
-    NaN, so a value left from another round or read across seeds shows."""
+    arrays: reference.round_step, then the generic dual pull of the box. The
+    scratch starts as NaN, so a value left from another round or read across
+    seeds shows."""
     rng = np.random.default_rng(seed)
     rounds, units, d = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
     shape = (seeds, units, d)
@@ -186,7 +157,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     betas = np.broadcast_to(10.0 ** rng.uniform(-3.0, 0.0, (rounds, seeds, 1, 1)), (rounds,) + shape).copy()
     weights = tuple(WeightMatrix(rng.random((units, units))) for _ in range(2))
     start, radius = int(rng.integers(0, 4)), float(rng.choice([0.3, 1.5]))
-    constraints = BoxConstraintSet(-0.5, 0.25, d) if kind == "box" else generic_set(d)
+    box = BoxConstraintSet(-0.5, 0.25, d)
     eps = 0.1
     directions = sprinkled(rng, (rounds,) + shape, -1.0, 1.0)
 
@@ -202,7 +173,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     loop_pull = pull.copy()
     _run_block(
         _round_views(committed, features, targets, betas, etas, probes), loop_pull, start,
-        tuple(w.entries for w in weights), radius, rho, constraints, scratch, d / eps if bandit else None,
+        tuple(w.entries for w in weights), radius, rho, box, scratch, d / eps if bandit else None,
     )
 
     current = decisions
@@ -214,6 +185,6 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
         if bandit:
             assert_same_bits(queries[k], probe)
             assert_same_bits(observed[k], seen)
-        pull = constraints.dual_pull_rows(current, etas[k])
+        pull = box_constraints(box).dual_pull_rows(current, etas[k])
         assert_same_bits(committed[k + 1], current)
     assert_same_bits(loop_pull, pull)

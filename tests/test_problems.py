@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from netoco.problems import (
     BoxConstraintSet,
-    ConstraintSet,
     DatasetTable,
     ParseError,
     RegressionRound,
@@ -15,7 +14,7 @@ from netoco.problems import (
     serialize_libsvm,
     synthetic_stream,
 )
-from netoco.reference import clipped_subgradient, loss_gradients, loss_values, regression_loss
+from netoco.reference import box_constraints, clipped_subgradient, loss_gradients, loss_values, regression_loss
 
 
 def random_example(rng, dimension=4):
@@ -102,7 +101,7 @@ class TestBoxConstraints:
 
     def test_layout_lower_then_upper(self):
         x = np.array([0.2, 0.0, -0.3])
-        values = self.box.values(x)
+        values = box_constraints(self.box).values(x)
         np.testing.assert_allclose(values[:3], [-0.15 - 0.2, -0.15, -0.15 + 0.3])
         np.testing.assert_allclose(values[3:], [0.05, -0.15, -0.45])
         assert self.box.count == 6
@@ -132,27 +131,17 @@ class TestBoxConstraints:
     def test_positive_parts_rows_matches_generic_loop(self):
         rng = np.random.default_rng(3)
         rows = rng.uniform(-0.4, 0.4, size=(8, 3))
-        expected = np.stack([self.box.positive_parts(row) for row in rows])
+        expected = np.stack([box_constraints(self.box).positive_parts(row) for row in rows])
         np.testing.assert_array_equal(self.box.positive_parts_rows(rows), expected)
 
     def test_weighted_subgradients_match_generic_set(self):
-        """The closed-form box path agrees with a generic constraint set built
-        from the same callables."""
-        generic = ConstraintSet(
-            3,
-            values=[lambda x, s=s: self.box.value(x, s) for s in range(1, 7)],
-            gradients=[lambda x, s=s: self.box.gradient(x, s) for s in range(1, 7)],
-            gradient_bound=1.0,
-        )
+        """The generic set that states the box (box_constraints) weights -e_m where
+        x_m is below the lower face and +e_m where it is above the upper one."""
         rng = np.random.default_rng(4)
         rows = rng.uniform(-0.4, 0.4, size=(8, 3))
         duals = rng.uniform(0, 2, size=(8, 6))
-        np.testing.assert_allclose(
-            self.box.weighted_subgradient_rows(rows, duals),
-            generic.weighted_subgradient_rows(rows, duals),
-            atol=1e-15,
-            rtol=0,
-        )
+        expected = duals[:, 3:] * (rows > 0.15) - duals[:, :3] * (rows < -0.15)
+        np.testing.assert_array_equal(box_constraints(self.box).weighted_subgradient_rows(rows, duals), expected)
 
     def test_projection_and_vertex_norm(self):
         np.testing.assert_allclose(
@@ -166,9 +155,9 @@ class TestBoxConstraints:
 
     def test_index_bounds(self):
         with pytest.raises(IndexError):
-            self.box.value(np.zeros(3), 0)
+            box_constraints(self.box).value(np.zeros(3), 0)
         with pytest.raises(IndexError):
-            self.box.gradient(np.zeros(3), 7)
+            box_constraints(self.box).gradient(np.zeros(3), 7)
 
 
 class TestRoundPanel:

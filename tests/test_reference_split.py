@@ -20,7 +20,8 @@ RUN_PATH = ("algorithm", "problems", "metrics", "network", "bench", "cli")
 # What reference.py took from algorithm, then from metrics, then from problems, then the
 # fresh-array forms of a round's loss values and gradients (RegressionRound's methods before)
 # and of the mix (from network), then the contraction of mixing products (from network), then
-# the round's steps on fresh arrays, which the kernel's loop is checked against.
+# the round's steps on fresh arrays, which the kernel's loop is checked against, then the
+# general per-constraint statement (from problems), which the box's closed forms are checked against.
 MOVED = (
     "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian", "primal_direction",
     "dual_update", "RunState", "initial_state", "RoundRecord", "_round", "run_round_full", "run_round_bandit",
@@ -29,6 +30,7 @@ MOVED = (
     "loss_values", "loss_gradients", "consensus_mix",
     "product_deviation",
     "round_step",
+    "ConstraintSet",
 )
 
 # The kernel's loop and its private block layout, which the reference's round does not run.
@@ -102,6 +104,36 @@ def test_no_moved_name_is_left_in_a_run_path_module(module):
     assert top_level_names(parsed(module)) & set(MOVED) == set()
 
 
+def identifiers(tree) -> set:
+    """Every name a module's code uses: names, attributes, imports, definitions and arguments."""
+    found = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "name", "arg", "asname"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                found.update(value.split("."))
+    return found
+
+
+@pytest.mark.parametrize("module", RUN_PATH)
+def test_no_run_path_module_names_the_generic_constraint_set(module):
+    """The box is the one constraint set the run path knows; the general statement
+    lives in the reference, not in an import, annotation or attribute here."""
+    assert "ConstraintSet" not in identifiers(parsed(module))
+
+
+def test_the_name_check_sees_imports_annotations_and_attributes():
+    for source in (
+        "from .reference import ConstraintSet",
+        "import netoco.reference.ConstraintSet",
+        "def f(c: ConstraintSet): pass",
+        "problems.ConstraintSet",
+        "class ConstraintSet: pass",
+    ):
+        assert "ConstraintSet" in identifiers(ast.parse(source))
+    assert "ConstraintSet" not in identifiers(ast.parse("BoxConstraintSet('ConstraintSet')"))
+
+
 def test_the_reference_does_not_import_the_kernel_loop():
     """Neither imported nor reached as an attribute of the algorithm module."""
     named = {
@@ -139,3 +171,7 @@ def test_the_package_exports_its_library_api():
         if not name.startswith("_") and not isinstance(getattr(netoco, name), types.ModuleType)
     }
     assert exported == EXPORTS
+
+
+def test_the_package_exports_the_generic_constraint_set_from_the_reference():
+    assert netoco.ConstraintSet is reference.ConstraintSet

@@ -58,22 +58,6 @@ LIBRARY_API = (
     # A schedule's zeta, which bound_constants takes, and its weights by round, which the reference reads.
     "netoco.network.TopologySchedule.zeta",
     "netoco.network.TopologySchedule.weights_at",
-    # The constraint interface the kernel duck-types, and the box's per-constraint forms.
-    "netoco.problems.ConstraintSet.__init__",
-    "netoco.problems.ConstraintSet.count",
-    "netoco.problems.ConstraintSet.value",
-    "netoco.problems.ConstraintSet.gradient",
-    "netoco.problems.ConstraintSet.values",
-    "netoco.problems.ConstraintSet.positive_parts",
-    "netoco.problems.ConstraintSet.positive_parts_rows",
-    "netoco.problems.ConstraintSet.weighted_subgradient_rows",
-    "netoco.problems.ConstraintSet.dual_pull_rows",
-    "netoco.problems.ConstraintSet._check_index",
-    "netoco.problems.BoxConstraintSet.value",
-    "netoco.problems.BoxConstraintSet.gradient",
-    "netoco.problems.BoxConstraintSet.values",
-    # The box's dual pull as a call; the round loop writes it out, and picks it by its identity.
-    "netoco.problems.BoxConstraintSet.dual_pull_rows",
     # The libsvm writer that tools/make_datasets.py writes the bundled datasets through.
     "netoco.problems.serialize_libsvm",
 )
