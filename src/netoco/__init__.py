@@ -19,16 +19,7 @@ from .metrics import (
     communication_cost,
     offline_comparators,
 )
-from .network import (
-    Graph,
-    TopologySchedule,
-    WeightMatrix,
-    default_ring_6,
-    max_degree_weights,
-    schedule_from_graphs,
-    validate_mixing,
-    verify_window_connectivity,
-)
+from .network import Graph, TopologySchedule, default_ring_6, max_degree_weights, verify_window_connectivity
 from .problems import (
     BoxConstraintSet,
     DatasetTable,

@@ -348,12 +348,12 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, dimensio
     start + k + 1 reads its decisions from committed[k] and writes the
     decisions it leaves, projected onto the ball of the given radius, into
     committed[k + 1], under bandit feedback also its probes and the losses
-    observed there. It mixes with weights[(start + k) % len(weights)], the
-    entries of a WeightMatrix. pull holds the dual pull at committed[0] and is
-    left holding the pull at the last row. rho is the stream's;
-    dimension_over_eps is d / eps under bandit feedback; scratch is
-    _scratch(pull.shape). Nothing here checks containment or records
-    violations: the callers do that for the block at once.
+    observed there. It mixes with weights[(start + k) % len(weights)], an
+    (N, N) array, such as one of TopologySchedule.weights. pull holds the
+    dual pull at committed[0] and is left holding the pull at the last row.
+    rho is the stream's; dimension_over_eps is d / eps under bandit feedback;
+    scratch is _scratch(pull.shape). Nothing here checks containment or
+    records violations: the callers do that for the block at once.
 
     A round makes only the formula's numpy calls, each a bare ufunc, c_einsum
     or matmul writing into these arrays with the operands of the update in
@@ -521,7 +521,6 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
         eps = hyper.eps(1)
         dimension_over_eps = d / eps
 
-    weights = tuple(w.entries for w in topology.weights)
     radius = hyper.decision_radius
     shape = (len(streams), n, d)
     length = min(horizon, _BLOCK)
@@ -548,7 +547,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
         if bandit:
             _sphere_block(rngs, directions[:b])
             np.multiply(eps, directions[:b], offsets[:b])
-        _run_block(rounds[:b], pull, start, weights, radius, rho, constraints, scratch, dimension_over_eps)
+        _run_block(rounds[:b], pull, start, topology.weights, radius, rho, constraints, scratch, dimension_over_eps)
         # Containment of the block, before any of it is handed out: every
         # committed decision, the decisions left for round start + b + 1, every probe.
         _check_in_ball(committed[: b + 1], radius, start + 1, "decision", seeds)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algorithm import HyperSchedule, _check_in_ball, _overflow_factors, _project_rows, _sphere_rngs, check_checkpoints
 from .metrics import Comparator, ConvergenceError
-from .network import TopologySchedule, WeightMatrix, _integer
+from .network import TopologySchedule, _integer
 from .problems import BoxConstraintSet, RegressionRound, RegressionStream, _check_box, _row_dots
 
 __all__ = [
@@ -219,13 +219,13 @@ def loss_gradients(losses, rows) -> np.ndarray:
     return gradients + (2.0 * losses.rho) * np.asarray(rows)
 
 
-def consensus_mix(matrix: WeightMatrix, vectors) -> np.ndarray:
-    """Mix unit vectors: row i of the result is sum_j a_ij * vectors[j].
+def consensus_mix(weights, vectors) -> np.ndarray:
+    """Mix unit vectors: row i of the result is sum_j a_ij * vectors[j], for (N, N) weights a.
 
     vectors is (N,), (N, d), or (..., N, d) for a batch of independent
     networks that share the round's weights; each is mixed on its own.
     """
-    entries, stacked = matrix.entries, np.asarray(vectors, dtype=float)
+    entries, stacked = np.asarray(weights, dtype=float), np.asarray(vectors, dtype=float)
     if stacked.shape[-2 if stacked.ndim > 1 else 0] != len(entries):
         raise ValueError("one vector per node required")
     return np.matmul(entries, stacked)
@@ -235,9 +235,9 @@ def product_deviation(schedule: TopologySchedule, t: int, m: int) -> float:
     """Max |entry - 1/N| of the backward product A(t) A(t-1) ... A(m)."""
     if not 1 <= m <= t:
         raise ValueError("need 1 <= m <= t")
-    product = schedule.weights_at(m).entries
+    product = schedule.weights_at(m)
     for r in range(m + 1, t + 1):
-        product = schedule.weights_at(r).entries @ product
+        product = schedule.weights_at(r) @ product
     return float(np.abs(product - 1.0 / schedule.node_count).max())
 
 
@@ -302,15 +302,15 @@ def _round_losses(stream: RegressionStream, t: int) -> RegressionRound:
     return RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
 
 
-def round_step(rows, pull, losses, weights: WeightMatrix, beta, radius, directions=None, eps=None):
+def round_step(rows, pull, losses, weights, beta, radius, directions=None, eps=None):
     """Steps 1-4 of a round on fresh (..., N, d) arrays: (next rows, observed losses, probes).
 
     The gradient is loss_gradients at the rows or, under bandit feedback
     (directions given, with eps), the one-point estimate (d / eps) f(q) u at
     the probes q = rows + eps u, whose losses f(q) are the observed ones. The
     rows descend by beta times the gradient plus the dual pull, are mixed by
-    consensus_mix and projected onto the ball of the given radius. observed and
-    probes are None under full information.
+    consensus_mix with the (N, N) weights and projected onto the ball of the
+    given radius. observed and probes are None under full information.
     """
     observed = probes = None
     if directions is None:
@@ -381,7 +381,7 @@ def _round(state: RunState, round_losses, weights, hyper, constraints, t, direct
 def run_round_full(
     state: RunState,
     round_losses,
-    weights: WeightMatrix,
+    weights: np.ndarray,
     hyper: HyperSchedule,
     constraints: ConstraintSet | BoxConstraintSet,
     t: int,
@@ -393,7 +393,7 @@ def run_round_full(
 def run_round_bandit(
     state: RunState,
     round_losses,
-    weights: WeightMatrix,
+    weights: np.ndarray,
     hyper: HyperSchedule,
     constraints: ConstraintSet | BoxConstraintSet,
     t: int,

@@ -18,13 +18,7 @@ from netoco.algorithm import _lockstep, make_schedule
 from netoco.bench import list_presets, preset_config, run_suite
 from netoco.cli import main
 from netoco.metrics import bound_constants
-from netoco.network import (
-    Graph,
-    default_ring_6,
-    schedule_from_graphs,
-    validate_mixing,
-    verify_window_connectivity,
-)
+from netoco.network import Graph, TopologySchedule, default_ring_6, verify_window_connectivity
 from netoco.problems import (
     BoxConstraintSet,
     RegressionRound,
@@ -63,19 +57,24 @@ def best_of(repeats: int, fn) -> float:
 
 
 def test_criterion_01_weight_validity():
-    schedule = default_ring_6()
+    """Each matching's weights are 1/2 on its edges and the diagonal, and zero elsewhere."""
 
     def check():
-        for graph, weights in zip(schedule.graphs, schedule.weights):
-            assert validate_mixing(weights, graph).passed
+        schedule = default_ring_6()
+        for graph, weights in zip(schedule.graphs, schedule.weights, strict=True):
+            expected = np.eye(6)
+            for u, v in graph.edges:
+                expected[u - 1, v - 1] = expected[v - 1, u - 1] = 1.0
+            assert np.array_equal(weights, 0.5 * expected)
         assert schedule.zeta == 0.5  # exact, not approximate
+        return schedule
 
-    check()  # warm
+    schedule = check()  # warm
     elapsed = best_of(5, check)
     sums_off = max(
         max(
-            float(np.abs(w.entries.sum(axis=0) - 1.0).max()),
-            float(np.abs(w.entries.sum(axis=1) - 1.0).max()),
+            float(np.abs(w.sum(axis=0) - 1.0).max()),
+            float(np.abs(w.sum(axis=1) - 1.0).max()),
         )
         for w in schedule.weights
     )
@@ -84,14 +83,14 @@ def test_criterion_01_weight_validity():
         1,
         ok,
         f"zeta = {schedule.zeta}, row/col sums off by {sums_off:.2e} (<= 1e-12), "
-        f"validated in {elapsed * 1e6:.0f} us (< 1 ms)",
+        f"built and checked in {elapsed * 1e6:.0f} us (< 1 ms)",
     )
 
 
 def test_criterion_02_window_connectivity():
     full = default_ring_6()
     h1 = Graph(6, ((1, 2), (3, 4), (5, 6)))
-    only_h1 = schedule_from_graphs((h1,), window=2)
+    only_h1 = TopologySchedule((h1,), window=2)
 
     def check():
         assert verify_window_connectivity(full)
@@ -304,7 +303,7 @@ def centralized_reference(stream, hyper, constraints, horizon):
 
 def test_criterion_08_centralized_reduction():
     horizon = 1000
-    single = schedule_from_graphs([Graph(1, [])], window=1)
+    single = TopologySchedule([Graph(1, [])], window=1)
     box = BoxConstraintSet(-0.15, 0.15, 4)
     radius = box.max_vertex_norm()
     worst = 0.0

@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import netoco.algorithm as algorithm
 from netoco.algorithm import VARIANTS, _project_rows, make_schedule, run_seeds
-from netoco.network import (
-    Graph,
-    default_ring_6,
-    max_degree_weights,
-    schedule_from_graphs,
-)
+from netoco.network import Graph, TopologySchedule, default_ring_6, max_degree_weights
 from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
 from netoco.reference import (
     augmented_lagrangian,
@@ -32,11 +27,11 @@ from netoco.reference import (
 
 
 def single_node_topology():
-    return schedule_from_graphs([Graph(1, [])], window=1)
+    return TopologySchedule([Graph(1, [])], window=1)
 
 
 def pair_topology():
-    return schedule_from_graphs([Graph(2, [(1, 2)])], window=1)
+    return TopologySchedule([Graph(2, [(1, 2)])], window=1)
 
 
 def zero_stream(n_units, dimension, horizon, rho=0.0):
@@ -335,7 +330,7 @@ def literal_run(stream, topology, hyper, constraints, seed=None):
             for s in range(1, constraints.count + 1):
                 direction = direction + lam[i][s - 1] * clipped_subgradient(constraints, x[i], s)
             y.append(x[i] - hyper.beta(t) * direction)
-        w = topology.weights_at(t).entries
+        w = topology.weights_at(t)
         x = [project_ball(sum(w[i, j] * y[j] for j in range(n)), hyper.decision_radius) for i in range(n)]
         lam = [box_constraints(constraints).positive_parts(x[i]) / hyper.eta(t) for i in range(n)]
     return np.stack(decisions)
@@ -343,7 +338,7 @@ def literal_run(stream, topology, hyper, constraints, seed=None):
 
 def period_3_topology():
     """Three graphs on six nodes, none connected alone, their union a ring."""
-    return schedule_from_graphs(
+    return TopologySchedule(
         [Graph(6, [(1, 2), (4, 5)]), Graph(6, [(2, 3), (5, 6)]), Graph(6, [(3, 4), (6, 1)])], window=3
     )
 
@@ -405,7 +400,7 @@ class TestRoundReductions:
         state = initial_state(2, box)
         state.decisions[:] = np.array([[0.4, 0.0], [0.0, 0.8]])
         weights = max_degree_weights(Graph(2, [(1, 2)]))
-        np.testing.assert_array_equal(weights.entries, np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(weights, np.full((2, 2), 0.5))
         next_state, record = run_round_full(state, round_losses(stream, 1), weights, hyper, box, 1)
         # Zero loss and zero duals: y = x, so both land on the average.
         np.testing.assert_allclose(next_state.decisions, np.full((2, 2), [0.2, 0.4]))
@@ -416,7 +411,7 @@ class TestRoundReductions:
     def test_zero_losses_keep_the_origin_fixed(self):
         stream = zero_stream(3, 2, 8)
         box = BoxConstraintSet(-0.15, 0.15, 2)
-        topology = schedule_from_graphs([Graph(3, [(1, 2), (2, 3)])], window=1)
+        topology = TopologySchedule([Graph(3, [(1, 2), (2, 3)])], window=1)
         hyper = make_schedule("convex-full", p=4, G=1.0, radius=0.2, horizon=8, c=0.5)
         record = record_run(stream, topology, hyper, box)
         np.testing.assert_array_equal(record.decisions, np.zeros((8, 3, 2)))

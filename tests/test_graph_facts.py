@@ -6,13 +6,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from netoco.network import (
-    Graph,
-    TopologySchedule,
-    WeightMatrix,
-    max_degree_weights,
-    verify_window_connectivity,
-)
+from netoco.network import Graph, TopologySchedule, max_degree_weights, verify_window_connectivity
 
 
 def scan_degree(graph, i):
@@ -73,9 +67,7 @@ def schedules(draw):
     n = draw(st.integers(1, 7))
     period = draw(st.integers(1, 4))
     members = tuple(draw(graphs(n)) for _ in range(period))
-    # Weights play no part in connectivity; identity matrices keep the schedule valid.
-    weights = tuple(WeightMatrix(np.eye(n)) for _ in members)
-    return TopologySchedule(members, weights, window=draw(st.integers(1, 4)))
+    return TopologySchedule(members, window=draw(st.integers(1, 4)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -84,8 +76,8 @@ def test_degrees_and_weights_equal_the_per_node_scan(graph):
     """The degrees enter the weights twice: through the share's max degree and each diagonal entry."""
     weights = max_degree_weights(graph)
     entries, zeta = scan_weights(graph)
-    assert np.array_equal(weights.entries.view(np.int64), entries.view(np.int64))
-    assert TopologySchedule((graph,), (weights,), window=1).zeta == zeta
+    assert np.array_equal(weights.view(np.int64), entries.view(np.int64))
+    assert TopologySchedule((graph,), window=1).zeta == zeta
 
 
 @settings(max_examples=300, deadline=None)

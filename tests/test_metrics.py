@@ -14,7 +14,7 @@ from netoco.metrics import (
     checkpoint_series,
     communication_cost,
 )
-from netoco.network import Graph, default_ring_6, schedule_from_graphs
+from netoco.network import Graph, TopologySchedule, default_ring_6
 from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
 from netoco.reference import (
     RoundRecord, box_constraints, cacv, offline_comparator, record_run, regret, sreg, system_cumulative_losses,
@@ -182,13 +182,13 @@ class TestCommunicationCost:
 
     def test_complete_graph_on_four_nodes(self):
         k4 = Graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
-        schedule = schedule_from_graphs([k4], window=1)
+        schedule = TopologySchedule([k4], window=1)
         assert communication_cost(schedule, 7) == 7 * 12
 
     def test_partial_periods_split_correctly(self):
         sparse = Graph(3, [(1, 2)])
         dense = Graph(3, [(1, 2), (2, 3), (1, 3)])
-        schedule = schedule_from_graphs([sparse, dense], window=2)
+        schedule = TopologySchedule([sparse, dense], window=2)
         # Rounds alternate 1 edge, 3 edges: costs 2, 8, 10, 16, ...
         assert [communication_cost(schedule, T) for T in range(5)] == [0, 2, 8, 10, 16]
 

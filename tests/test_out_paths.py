@@ -15,7 +15,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from netoco.algorithm import _project_rows, _round_views, _run_block, _scratch
-from netoco.network import WeightMatrix
 from netoco.problems import BoxConstraintSet, RegressionRound, _row_dots
 from netoco.reference import box_constraints, loss_gradients, loss_values, round_step
 
@@ -155,7 +154,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     decisions, pull = sprinkled(rng, shape, -0.5, 0.5), sprinkled(rng, shape, -3.0, 3.0)
     etas = 10.0 ** rng.uniform(-2.0, 2.0, (rounds, seeds, 1, 1))
     betas = np.broadcast_to(10.0 ** rng.uniform(-3.0, 0.0, (rounds, seeds, 1, 1)), (rounds,) + shape).copy()
-    weights = tuple(WeightMatrix(rng.random((units, units))) for _ in range(2))
+    weights = tuple(rng.random((units, units)) for _ in range(2))
     start, radius = int(rng.integers(0, 4)), float(rng.choice([0.3, 1.5]))
     box = BoxConstraintSet(-0.5, 0.25, d)
     eps = 0.1
@@ -173,7 +172,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     loop_pull = pull.copy()
     _run_block(
         _round_views(committed, features, targets, betas, etas, probes), loop_pull, start,
-        tuple(w.entries for w in weights), radius, rho, box, scratch, d / eps if bandit else None,
+        weights, radius, rho, box, scratch, d / eps if bandit else None,
     )
 
     current = decisions

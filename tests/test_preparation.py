@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import netoco.bench
 from netoco.algorithm import VARIANTS, variant_spec
-from netoco.bench import ConfigError, ScenarioError, preset_config, run_suite, validate_scenario
+from netoco.bench import ConfigError, ScenarioError, load_config, preset_config, run_suite, validate_scenario
 from netoco.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,6 +168,45 @@ def test_validate_rejects_dataset_targets_that_overflow_as_run_does(tmp_path, ca
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: " + failure[len("fail: "):] + "\n"
     assert not out.exists()
+
+
+# The overflow guards at inputs where only the guard's full formula overflows, so that a
+# guard missing an operand, or with one changed, passes them or fails in other words.
+
+def test_realized_bounds_fail_where_only_g_squared_overflows(tmp_path):
+    """Rows of norm 2 and a target of 1e154 at R = 0.3: G = 2e154 and C = 5e307 are finite."""
+    (tmp_path / "rows.libsvm").write_text("1e154 1:1 2:1 3:1 4:1\n0 1:-1 2:-1 3:-1 4:-1\n", encoding="utf-8")
+    path = tmp_path / "rows.ini"
+    path.write_text(
+        "[problem]\nsource = dataset\ndataset = rows.libsvm\nunits = 1\n[topology]\ngraphs = -\n"
+        "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 1\n[run]\nseed_count = 1\n",
+        encoding="utf-8",
+    )
+    assert validate_scenario(load_config(path)) == [
+        "dataset rows: realized bounds G = 2e+154, G^2 = inf and C = 5e+307 must be finite; "
+        "lower/upper/radius, rho or the dataset targets are too large"
+    ]
+
+
+def test_the_feature_part_of_g_counts_rho_with_its_sign():
+    """(d + 2 rho) R = 12 R overflows when squared at R = 2e153, d = 4 and rho = 4; d R, (d - 2 rho) R
+    and (d + 2 / rho) R do not, and the realized bounds that would follow name other keys."""
+    config = replace(preset_config("synthetic-sc-rho1", seed_count=1, horizon=8), rho=4.0, radius=2e153)
+    assert validate_scenario(config) == [
+        "lower/upper/radius/rho too large: radius R = 2e+153, R^2 = 4e+306, corner norm 0.3 and the feature "
+        "part of G^2, (d R + 2 rho R)^2 = inf, must be finite"
+    ]
+
+
+@pytest.mark.parametrize("rho, overflows", [(4.5e-308, False), (4.4e-308, True)])
+def test_without_bounds_the_step_sizes_are_checked_at_g_1(rho, overflows):
+    """A box's constraint gradients have norm 1, so G >= 1 and G = 1 gives the smallest eta_1 = 8 G^2 / rho
+    at d = 4: finite at rho = 4.5e-308 and infinite at 4.4e-308, either way for G 1% off 1."""
+    config = replace(preset_config("synthetic-sc-rho1", seed_count=1, horizon=8), rho=rho, radius=1e160)
+    failures = validate_scenario(config)
+    assert failures[0].startswith("lower/upper/radius/rho too large: radius R = 1e+160, R^2 = inf")
+    expected = ["step sizes overflow: eta_1 = inf and beta_1 = 1.13636e+307 must be finite and positive"]
+    assert failures[1:] == (expected if overflows else [])
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -39,13 +39,12 @@ KERNEL_LOOP = {"_run_block", "_round_views", "_scratch"}
 EXPORTS = {
     "BoundConstants", "BoxConstraintSet", "ConstraintSet", "ConvergenceError", "DatasetTable", "Graph",
     "HyperSchedule", "LossOracle", "MetricSeries", "RegressionStream",
-    "ScenarioConfig", "TopologySchedule", "WeightMatrix", "averaged_metrics", "bound_constants", "cacv",
+    "ScenarioConfig", "TopologySchedule", "averaged_metrics", "bound_constants", "cacv",
     "checkpoint_grid", "checkpoint_series", "clipped_subgradient", "communication_cost", "consensus_mix",
     "dataset_stream", "default_ring_6", "list_presets", "load_config", "make_schedule", "max_degree_weights",
     "offline_comparator", "offline_comparators", "one_point_estimator", "parse_libsvm", "preset_config",
     "product_deviation", "project_ball", "regression_loss", "regret", "run_suite",
-    "sample_unit_sphere", "schedule_from_graphs", "serialize_libsvm", "sreg", "synthetic_stream",
-    "validate_mixing", "verify_window_connectivity",
+    "sample_unit_sphere", "serialize_libsvm", "sreg", "synthetic_stream", "verify_window_connectivity",
 }
 
 

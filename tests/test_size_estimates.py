@@ -1,5 +1,5 @@
 """What the size checks count: the kernel's block arrays beside the streams,
-and the copy an explicit topology's weights make while they are built."""
+and an explicit topology's weight matrices."""
 
 import math
 import os
@@ -11,7 +11,7 @@ import pytest
 import netoco.bench
 from netoco.algorithm import block_bytes, run_seeds
 from netoco.bench import _prepare, _seed_inputs, load_config, preset_config, validate_scenario
-from netoco.network import Graph, schedule_from_graphs
+from netoco.network import Graph, TopologySchedule
 
 SMALL_RUN = "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 128\n[run]\nseeds = 1\n"
 
@@ -24,7 +24,7 @@ def test_the_pairwise_residuals_of_a_block_count_against_memory(tmp_path):
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     # The fewest units whose two (128, 1, N, N) residual arrays exceed memory.
     units = math.isqrt(memory // (2 * 128 * 8)) + 1
-    assert 2 * units * units * 8 <= memory  # the ring's weights, and their copy, fit
+    assert units * units * 8 <= memory  # the ring's weights fit
     assert 128 * units * (4 + 1) * 8 <= memory  # so does the seed's stream
     path = tmp_path / "wide-ring.ini"
     path.write_text(
@@ -42,7 +42,7 @@ def test_block_bytes_is_what_run_seeds_allocates(preset):
     # 64 units on a ring: the (B, S, N, N) arrays of a block are most of it, as at scale.
     units = 64
     edges = tuple((i, i % units + 1) for i in range(1, units + 1))
-    topology = schedule_from_graphs([Graph(units, edges)], window=1)
+    topology = TopologySchedule([Graph(units, edges)], window=1)
     config = replace(
         preset_config(preset, seed_count=2, horizon=512), n_units=units, topology=topology
     )
@@ -63,7 +63,9 @@ def test_block_bytes_is_what_run_seeds_allocates(preset):
     assert 0.8 * estimate <= peak <= 1.25 * estimate
 
 
-def test_an_explicit_topology_counts_one_matrix_more_than_its_graphs(tmp_path, monkeypatch):
+def test_an_explicit_topology_counts_one_matrix_per_graph(tmp_path, monkeypatch):
+    """The count is what loading holds at its peak: the weights and a few small arrays."""
+    units = 400
     needs = []
     check = netoco.bench._memory_failure
 
@@ -73,9 +75,15 @@ def test_an_explicit_topology_counts_one_matrix_more_than_its_graphs(tmp_path, m
 
     monkeypatch.setattr(netoco.bench, "_memory_failure", recording)
     path = tmp_path / "three-graphs.ini"
-    path.write_text(
-        "[problem]\nunits = 5\n[topology]\ngraphs = 1-2 2-3 | 3-4 4-5 | 5-1\n" + SMALL_RUN,
-        encoding="utf-8",
-    )
+    graphs = f"{ring(units)} | 1-2 3-4 | 5-1"
+    path.write_text(f"[problem]\nunits = {units}\n[topology]\ngraphs = {graphs}\n" + SMALL_RUN, encoding="utf-8")
     load_config(path)
-    assert needs == [((3 + 1) * 5 * 5 * 8, "mixing weights")]
+    need = 3 * units * units * 8
+    assert needs == [(need, "mixing weights")]
+    tracemalloc.start()
+    try:
+        load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= peak <= 1.1 * need

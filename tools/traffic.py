@@ -55,7 +55,8 @@ LIBRARY_API = (
     "netoco.metrics.BoundConstants.sreg_bound",
     "netoco.metrics.BoundConstants.cacv_bound",
     "netoco.metrics.bound_constants",
-    # A schedule's zeta, which bound_constants takes, and its weights by round, which the reference reads.
+    # A schedule's zeta, the smallest of its max-degree weights, which bound_constants takes, and its
+    # weight array by round, which the reference reads.
     "netoco.network.TopologySchedule.zeta",
     "netoco.network.TopologySchedule.weights_at",
     # The libsvm writer that tools/make_datasets.py writes the bundled datasets through.
