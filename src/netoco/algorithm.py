@@ -249,15 +249,19 @@ def _overflow_factors(rows: np.ndarray, radius: float) -> np.ndarray:
     return np.minimum(radius / peaks / np.sqrt(_row_dots(unit, unit)), 1.0)
 
 
-def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
+def _project_rows(rows: np.ndarray, radius: float, squares: Optional[np.ndarray] = None) -> np.ndarray:
     """Project every row onto the ball in place and return rows.
 
     rows is (..., N, d), at least two-dimensional: the in-place steps write
     each row's norm into the array of row dots, which a single (d,) vector
     reduces to a scalar. A single vector goes through reference.project_ball.
-    When every row lies in the ball, rows are returned untouched, which are
-    the formula's bits; any other rows, NaN and overflowing ones included,
-    are scaled, an overflowing row from its entries scaled to a peak of 1.
+    squares, a (..., N) array whose contents are not read, takes the row dots
+    if given, so a caller with scratch of that shape (_run_block) allocates
+    nothing per call; without it they go into a fresh array
+    (reference.round_step). When every row lies in the ball, rows are
+    returned untouched, which are the formula's bits; any other rows, NaN and
+    overflowing ones included, are scaled, an overflowing row from its
+    entries scaled to a peak of 1.
     """
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
     # row is outside, rows already hold the projection's bits. sqrt rounds
@@ -266,12 +270,12 @@ def _project_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     # ufunc reduction at a round's size. max passes over a NaN that is not
     # first; the sum of the squares is NaN exactly when one of them is, so a
     # NaN row, like an infinite one, takes the scaling path.
-    scale = _c_einsum(_DOTS, rows, rows)
-    squares = scale.ravel().tolist()
-    total = sum(squares)
-    if total == total and math.sqrt(max(squares)) <= radius:
+    scale = _c_einsum(_DOTS, rows, rows) if squares is None else _c_einsum(_DOTS, rows, rows, out=squares)
+    listed = scale.ravel().tolist()
+    total = sum(listed)
+    if total == total and math.sqrt(max(listed)) <= radius:
         return rows
-    overflowed = np.isinf(scale) if math.inf in squares else None
+    overflowed = np.isinf(scale) if math.inf in listed else None
     np.sqrt(scale, scale)
     np.divide(radius, np.maximum(scale, radius, out=scale), scale)
     if overflowed is not None:  # as in reference.project_ball
@@ -354,6 +358,8 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, dimensio
     rho is the stream's; dimension_over_eps is d / eps under bandit feedback;
     scratch is _scratch(pull.shape). Nothing here checks containment or
     records violations: the callers do that for the block at once.
+    _project_rows writes its row dots into the squared norms of the scratch,
+    which the bandit rho term has used up by then.
 
     A round makes only the formula's numpy calls, each a bare ufunc, c_einsum
     or matmul writing into these arrays with the operands of the update in
@@ -405,7 +411,7 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, dimensio
             multiply(scaled_column, direction, nxt)
         multiply(beta, add(nxt, pull, nxt), nxt)
         matmul(entries, subtract(current, nxt, pull), nxt)
-        _project_rows(nxt, radius)
+        _project_rows(nxt, radius, squares)
         # (x - clip(x, lower, upper)) / eta + 0.0
         add(divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull), _ZERO, pull)
 
@@ -417,11 +423,12 @@ def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizo
     arrays, the features, decisions, spread etas and betas and bandit
     directions, offsets and probes, 7 d floats, with the targets and observed
     losses (the bandit arrays are counted for every variant); the p constraint
-    violations at the lent decisions; and the product and residuals that
-    RegressionRound.system_values builds, 2 N floats.
+    violations at the lent decisions; and the product of the decisions and the
+    features that RegressionRound.system_values holds, its residuals formed in
+    place, N floats.
     """
     block = min(horizon, _BLOCK)
-    return 8 * seeds * units * block * (7 * dimension + constraints + 2 + 2 * units)
+    return 8 * seeds * units * block * (7 * dimension + constraints + 2 + units)
 
 
 def _sphere_block(rngs, draws: np.ndarray):

@@ -426,15 +426,17 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
     of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
     When the seeds do not fit, the message leads with "horizon = T for one seed" if one seed alone
     does not fit either, since the seed count is then not at fault, and with the caller's lead if it does.
-    Nothing else a run keeps grows with T: the bounds, the dealing of dataset rows and the step
-    sizes take one 128-round block at a time, a synthetic stream's draws one 1024-round chunk,
-    the finiteness check makes no temporary, and the metrics keep a few rows per checkpoint.
-    Warm tracemalloc peak of run_suite over this estimate at T = 8192 (tests/test_run_memory.py
-    holds each to 1.25):
+    Nothing else a run keeps grows with T: the dealing of dataset rows and the step sizes take
+    one 128-round block at a time, the bounds one such block or about 128 KiB of temporaries,
+    whichever is larger, a synthetic stream's draws one 1024-round chunk, the finiteness check
+    makes no temporary, and the metrics keep a few rows per checkpoint. The block's share,
+    block_bytes, counts S B N (7 d + p + 2 + N) floats: the kernel's block arrays and the one
+    (B, S, N, N) product of the system losses. Warm tracemalloc peak of run_suite over this
+    estimate at T = 8192 (tests/test_run_memory.py holds each to 1.25):
 
         bodyfat-convex, 1 seed              1.02
         mg-sc, 1 seed                       1.06
-        synthetic-sc-bandit-rho1, 1 seed    1.11
+        synthetic-sc-bandit-rho1, 1 seed    1.12
         synthetic-convex-c0.5, 3 seeds      1.00
     """
     width = "a dataset's dimension >= 1" if dimension is None else f"dimension = {dimension}"
@@ -532,10 +534,11 @@ def _prepare(config: ScenarioConfig) -> tuple[list[str], Optional[_Prepared]]:
     radius = corner if config.radius is None else config.radius
     # Features lie in [-1, 1]^d for both sources, so this bounds the feature part of G.
     feature_g = (dimension + 2.0 * config.rho) * radius
-    if not all(map(math.isfinite, (radius, radius * radius, corner, feature_g * feature_g))):
+    # R^2 needs no check of its own: (d + 2 rho) R >= R, as d >= 1 and rho >= 0.
+    if not all(map(math.isfinite, (radius, corner, feature_g * feature_g))):
         failures.append(
             f"lower/upper/radius/rho too large: radius R = {radius:.6g}, "
-            f"R^2 = {radius * radius:.6g}, corner norm {corner:.6g} and the feature part of G^2, "
+            f"corner norm {corner:.6g} and the feature part of G^2, "
             f"(d R + 2 rho R)^2 = {feature_g * feature_g:.6g}, must be finite"
         )
     else:

@@ -137,11 +137,13 @@ def verify_window_connectivity(schedule: TopologySchedule) -> bool:
     """Check that the union graph over every window of B rounds is connected.
 
     Windows are [kB+1, (k+1)B] for k >= 0; by periodicity it suffices to test
-    k = 0 .. lcm(period, B)/B - 1. Each window's union is connected exactly
-    when one traversal from node 1 reaches every node.
+    k = 0 .. lcm(period, B)/B - 1. A window of at least one period holds every
+    graph, so its union is the period's whatever B is, and B is taken as
+    min(B, period): the walk is at most one period long. Each window's union
+    is connected exactly when one traversal from node 1 reaches every node.
     """
     n = schedule.node_count
-    b = schedule.window
+    b = min(schedule.window, schedule.period)
     windows = math.lcm(schedule.period, b) // b
     for k in range(windows):
         union = set()

@@ -72,6 +72,16 @@ def _blocks(horizon: int, length: int = _BLOCK):
         yield slice(start, min(start + length, horizon))
 
 
+def _bounds_block(n_units: int, dimension: int) -> int:
+    """Rounds per block of RegressionStream.bounds: _BLOCK, or more where N d is small.
+
+    A block of 2**14 // (N d) rounds holds 2**14 floats of each (T, N, d)
+    temporary, 128 KiB, so a small stream takes few blocks; a larger one
+    keeps _BLOCK rounds.
+    """
+    return max(_BLOCK, 2**14 // (n_units * dimension))
+
+
 class BoxConstraintSet:
     """Box lower <= x_m <= upper as 2d one-sided constraints, in closed form.
 
@@ -103,14 +113,17 @@ class BoxConstraintSet:
 
     def positive_parts_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
-        # np.clip with no upper bound is np.maximum, minus its call overhead.
-        # Both halves are computed in place: the kernel passes a whole block of
-        # rows, and temporaries of that size would raise peak memory.
-        out = np.empty(rows.shape[:-1] + (self.count,))
-        below, above = out[..., : self.dimension], out[..., self.dimension :]
-        np.maximum(np.subtract(self.lower, rows, out=below), 0.0, out=below)
-        np.maximum(np.subtract(rows, self.upper, out=above), 0.0, out=above)
-        return out
+        # lower - x and x - upper side by side in one contiguous (..., 2, d)
+        # array, whose (..., 2d) view is the constraint layout; then one
+        # np.maximum in place over both halves (np.clip with no upper bound,
+        # minus its call overhead). The kernel passes a whole block of rows,
+        # and temporaries of that size would raise peak memory.
+        lower, upper = self._clip_bounds
+        out = np.empty(rows.shape[:-1] + (2, self.dimension))
+        np.subtract(lower, rows, out=out[..., 0, :])
+        np.subtract(rows, upper, out=out[..., 1, :])
+        np.maximum(out, 0.0, out=out)
+        return out.reshape(rows.shape[:-1] + (self.count,))
 
     def project(self, x) -> np.ndarray:
         # The bare ufunc that np.clip calls, on the float64 bounds, which also make the result float64:
@@ -165,11 +178,16 @@ class RegressionRound:
     def system_values(self, points) -> np.ndarray:
         """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""
         points = np.asarray(points, dtype=float)
-        residuals = points @ np.swapaxes(self.features, -1, -2) - self.targets[..., None, :]
-        sq = _row_dots(points, points)
-        return 0.5 * _row_dots(residuals, residuals) + (
-            self.rho * self.features.shape[-2]
-        ) * sq
+        # The targets are subtracted inside the product's own array, and the
+        # terms are formed and summed in place: one array of the product's
+        # (..., M, N) size is held, with the bits of the fresh-array formula
+        # 0.5 * ||r||^2 + (rho N) * ||x||^2 over each residual row r.
+        residuals = points @ np.swapaxes(self.features, -1, -2)
+        np.subtract(residuals, self.targets[..., None, :], out=residuals)
+        values, squares = _row_dots(residuals, residuals), _row_dots(points, points)
+        np.multiply(0.5, values, out=values)
+        np.multiply(self.rho * self.features.shape[-2], squares, out=squares)
+        return np.add(values, squares, out=values)
 
 
 @dataclass(frozen=True)
@@ -188,8 +206,9 @@ class RegressionStream:
 
     features has shape (T, N, d) and targets shape (T, N); slot (i, t) holds
     the loss unit i sees at round t. The finiteness check makes no temporary
-    and the bounds pass over the stream in blocks of _BLOCK rounds, so no
-    temporary of theirs is larger than one block's.
+    and the bounds pass over the stream in blocks of _bounds_block(N, d)
+    rounds, so no temporary of theirs is larger than one such block's: one
+    _BLOCK-round block or about 128 KiB, whichever is larger.
     """
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, rho: float):
@@ -226,12 +245,13 @@ class RegressionStream:
     def bounds(self, radius: float) -> tuple[float, float]:
         """(G(radius), V(radius)) of the module docstring, maxima over slots, from one pass over blocks of rounds.
 
-        Each slot's reach is ||a|| R + |b|, with ||a|| from np.linalg.norm over
-        a block, so every slot has the bits of the whole-stream formula; the
+        The blocks are _bounds_block(N, d) rounds long. Each slot's reach is
+        ||a|| R + |b|, with ||a|| from np.linalg.norm over a block, so every
+        slot has the bits of the whole-stream formula whatever the split; the
         maxima of the blocks' maxima are the whole stream's maxima.
         """
         gradients, values = [], []
-        for rounds in _blocks(self.horizon):
+        for rounds in _blocks(self.horizon, _bounds_block(self.n_units, self.dimension)):
             norms = np.linalg.norm(self.features[rounds], axis=2)
             reach = norms * radius + np.abs(self.targets[rounds])
             gradients.append((reach * norms).max())

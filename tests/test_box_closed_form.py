@@ -70,3 +70,20 @@ def test_a_wide_box_holds_almost_nothing():
     assert box.count == 4000
     assert held < 2**20
 
+
+@pytest.mark.parametrize("lower, upper", [(LOWER, UPPER), (-1.0, 0.0), (-0.0, 1.0)])
+@pytest.mark.parametrize("shape", [(9, 1), (9, 4), (3, 2, 6, 4), (2, 1, 3, 14)])
+def test_positive_parts_have_the_bits_of_the_stated_constraints(lower, upper, shape):
+    """The closed form computes both sides of every coordinate into one array and
+    takes one positive part; the statement loops constraint by constraint. Rows
+    at signed zeros, exactly on either face, one ulp past it and beyond it."""
+    box = BoxConstraintSet(lower, upper, shape[-1])
+    places = [0.0, -0.0, lower, upper, np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf),
+              lower - 1.0, upper + 1.0, 0.5 * (lower + upper)]
+    # Every place at least once, shuffled over the rows and coordinates.
+    rows = np.random.default_rng(len(shape) * shape[-1]).permutation(np.resize(places, np.prod(shape))).reshape(shape)
+    got = box.positive_parts_rows(rows)
+    flat = rows.reshape(-1, shape[-1])
+    want = box_constraints(box).positive_parts_rows(flat).reshape(shape[:-1] + (2 * shape[-1],))
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()

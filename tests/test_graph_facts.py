@@ -2,6 +2,7 @@
 per-node scans and all-starts traversals they replace."""
 
 import math
+import time
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -64,10 +65,11 @@ def graphs(draw, n=None):
 
 @st.composite
 def schedules(draw):
+    """Windows from 1 to 2 periods + 1: shorter than a period, one period, and longer."""
     n = draw(st.integers(1, 7))
     period = draw(st.integers(1, 4))
     members = tuple(draw(graphs(n)) for _ in range(period))
-    return TopologySchedule(members, window=draw(st.integers(1, 4)))
+    return TopologySchedule(members, window=draw(st.integers(1, 2 * period + 1)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -84,3 +86,13 @@ def test_degrees_and_weights_equal_the_per_node_scan(graph):
 @given(schedules())
 def test_one_traversal_per_window_decides_like_every_start(schedule):
     assert verify_window_connectivity(schedule) == connected_from_every_start(schedule)
+
+
+def test_a_window_of_many_periods_is_decided_by_one_period():
+    """A window of at least one period holds every graph, so its union is the period's:
+    a window of 10**12 rounds over two matchings whose union is a 6-node path is
+    decided without walking it."""
+    halves = Graph(6, ((1, 2), (3, 4), (5, 6))), Graph(6, ((2, 3), (4, 5)))
+    began = time.perf_counter()
+    assert verify_window_connectivity(TopologySchedule(halves, window=10**12))
+    assert time.perf_counter() - began < 1.0

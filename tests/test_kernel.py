@@ -259,8 +259,8 @@ def push_a_decision_out(monkeypatch, broken_round=BROKEN_ROUND, seed_index=None)
     twice the radius."""
     original, calls = algorithm._project_rows, []
 
-    def sabotaged(rows, radius):
-        out = original(rows, radius)
+    def sabotaged(rows, radius, *scratch):
+        out = original(rows, radius, *scratch)
         calls.append(None)
         if len(calls) == broken_round - 1:
             pushed = out if seed_index is None else out[seed_index]
@@ -355,8 +355,8 @@ class TestDeferredContainment:
                 raise SystemExit("not running under -O")
             original, calls, starts = algorithm._project_rows, [], []
 
-            def sabotaged(rows, radius):
-                out = original(rows, radius)
+            def sabotaged(rows, radius, *scratch):
+                out = original(rows, radius, *scratch)
                 calls.append(None)
                 if len(calls) == {BROKEN_ROUND - 1}:
                     out[..., {BROKEN_UNIT - 1}, 0] = 2.0 * radius

@@ -6,7 +6,8 @@ on fresh arrays, from reference.loss_values or loss_gradients and
 consensus_mix, and the generic dual pull of the box stated constraint by
 constraint (reference.box_constraints) follows it. Both must give the same
 bits, signed zeros included, and _row_dots, which calls c_einsum directly,
-those of np.einsum.
+those of np.einsum. So must RegressionRound.system_values, which forms its
+terms in place, against its fresh-array expression.
 """
 
 import math
@@ -92,8 +93,17 @@ def test_projection_in_place_is_the_fresh_formula(data, radius):
         rows[..., -1, :] = 0.0
         rows[..., -1, 0] = on_sphere
     fresh = fresh_projection(rows, radius)
+    assert_projections_in_place(rows, radius, fresh)
+
+
+def assert_projections_in_place(rows, radius, fresh):
+    """_project_rows with its row dots in a scratch array, as _run_block calls it, and in a
+    fresh array, as reference.round_step does, both give the fresh formula's bits."""
+    in_scratch = rows.copy()
+    assert _project_rows(in_scratch, radius, garbage(rows.shape[:-1])) is in_scratch
     assert _project_rows(rows, radius) is rows
     assert_same_bits(rows, fresh)
+    assert_same_bits(in_scratch, fresh)
 
 
 def fresh_projection(rows, radius):
@@ -122,8 +132,7 @@ def test_a_nan_or_overflowing_row_after_the_first_is_scaled(data, radius, odd):
     flat[data.draw(st.integers(1, len(flat) - 1)), data.draw(st.integers(0, shape[-1] - 1))] = odd
     with np.errstate(over="ignore", invalid="ignore"):  # the odd row's square, on both paths
         fresh = fresh_projection(rows, radius)
-        assert _project_rows(rows, radius) is rows
-    assert_same_bits(rows, fresh)
+        assert_projections_in_place(rows, radius, fresh)
 
 
 def sprinkled(rng, shape, low, high):
@@ -187,3 +196,21 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
         pull = box_constraints(box).dual_pull_rows(current, etas[k])
         assert_same_bits(committed[k + 1], current)
     assert_same_bits(loop_pull, pull)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([0.0, 0.37]))
+def test_system_values_in_place_are_the_fresh_formula(data, rho):
+    """The residuals are formed inside the product's array and the two terms summed in
+    place; the fresh-array expression makes a new array at every step."""
+    seeds, units, d = data.draw(shapes())
+    rounds = data.draw(st.integers(1, 3))
+    features = filled(data.draw, (rounds, seeds, units, d))
+    targets = filled(data.draw, (rounds, seeds, units))
+    points = filled(data.draw, (rounds, seeds, data.draw(st.integers(1, 6)), d))
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e100 overflow alike on both paths
+        residuals = points @ np.swapaxes(features, -1, -2) - targets[..., None, :]
+        dots = np.einsum("...d,...d->...", residuals, residuals), np.einsum("...d,...d->...", points, points)
+        want = 0.5 * dots[0] + (rho * units) * dots[1]
+        got = RegressionRound(features, targets, rho).system_values(points)
+    assert_same_bits(got, want)

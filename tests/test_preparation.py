@@ -193,7 +193,7 @@ def test_the_feature_part_of_g_counts_rho_with_its_sign():
     and (d + 2 / rho) R do not, and the realized bounds that would follow name other keys."""
     config = replace(preset_config("synthetic-sc-rho1", seed_count=1, horizon=8), rho=4.0, radius=2e153)
     assert validate_scenario(config) == [
-        "lower/upper/radius/rho too large: radius R = 2e+153, R^2 = 4e+306, corner norm 0.3 and the feature "
+        "lower/upper/radius/rho too large: radius R = 2e+153, corner norm 0.3 and the feature "
         "part of G^2, (d R + 2 rho R)^2 = inf, must be finite"
     ]
 
@@ -204,7 +204,10 @@ def test_without_bounds_the_step_sizes_are_checked_at_g_1(rho, overflows):
     at d = 4: finite at rho = 4.5e-308 and infinite at 4.4e-308, either way for G 1% off 1."""
     config = replace(preset_config("synthetic-sc-rho1", seed_count=1, horizon=8), rho=rho, radius=1e160)
     failures = validate_scenario(config)
-    assert failures[0].startswith("lower/upper/radius/rho too large: radius R = 1e+160, R^2 = inf")
+    assert failures[0] == (
+        "lower/upper/radius/rho too large: radius R = 1e+160, corner norm 0.3 and the feature "
+        "part of G^2, (d R + 2 rho R)^2 = inf, must be finite"
+    )
     expected = ["step sizes overflow: eta_1 = inf and beta_1 = 1.13636e+307 must be finite and positive"]
     assert failures[1:] == (expected if overflows else [])
 

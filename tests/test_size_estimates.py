@@ -22,8 +22,8 @@ def ring(units):
 
 def test_the_pairwise_residuals_of_a_block_count_against_memory(tmp_path):
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # The fewest units whose two (128, 1, N, N) residual arrays exceed memory.
-    units = math.isqrt(memory // (2 * 128 * 8)) + 1
+    # The fewest units whose one (128, 1, N, N) residual array exceeds memory.
+    units = math.isqrt(memory // (128 * 8)) + 1
     assert units * units * 8 <= memory  # the ring's weights fit
     assert 128 * units * (4 + 1) * 8 <= memory  # so does the seed's stream
     path = tmp_path / "wide-ring.ini"
