@@ -426,13 +426,12 @@ def _stream_failure(lead: str, seeds: int, horizon: int, n_units: int, dimension
     of the kernel's arrays under a box's 2 d constraints. A dataset's dimension (None) counts as 1.
     When the seeds do not fit, the message leads with "horizon = T for one seed" if one seed alone
     does not fit either, since the seed count is then not at fault, and with the caller's lead if it does.
-    Nothing else a run keeps grows with T: the dealing of dataset rows and the step sizes take
-    one 128-round block at a time, the bounds one such block or about 128 KiB of temporaries,
-    whichever is larger, a synthetic stream's draws one 1024-round chunk, the finiteness check
-    makes no temporary, and the metrics keep a few rows per checkpoint. The block's share,
-    block_bytes, counts S B N (7 d + p + 2 + N) floats: the kernel's block arrays and the one
-    (B, S, N, N) product of the system losses. Warm tracemalloc peak of run_suite over this
-    estimate at T = 8192 (tests/test_run_memory.py holds each to 1.25):
+    Nothing else a run keeps grows with T: the bounds, the dealing of dataset rows and the step
+    sizes take one 128-round block at a time, a synthetic stream's draws one 1024-round chunk,
+    the finiteness check makes no temporary, and the metrics keep a few rows per checkpoint.
+    The block's share, block_bytes, counts S B N (7 d + p + 2 + N) floats: the kernel's block
+    arrays and the one (B, S, N, N) product of the system losses. Warm tracemalloc peak of
+    run_suite over this estimate at T = 8192 (tests/test_run_memory.py holds each to 1.25):
 
         bodyfat-convex, 1 seed              1.02
         mg-sc, 1 seed                       1.06

@@ -72,16 +72,6 @@ def _blocks(horizon: int, length: int = _BLOCK):
         yield slice(start, min(start + length, horizon))
 
 
-def _bounds_block(n_units: int, dimension: int) -> int:
-    """Rounds per block of RegressionStream.bounds: _BLOCK, or more where N d is small.
-
-    A block of 2**14 // (N d) rounds holds 2**14 floats of each (T, N, d)
-    temporary, 128 KiB, so a small stream takes few blocks; a larger one
-    keeps _BLOCK rounds.
-    """
-    return max(_BLOCK, 2**14 // (n_units * dimension))
-
-
 class BoxConstraintSet:
     """Box lower <= x_m <= upper as 2d one-sided constraints, in closed form.
 
@@ -206,9 +196,8 @@ class RegressionStream:
 
     features has shape (T, N, d) and targets shape (T, N); slot (i, t) holds
     the loss unit i sees at round t. The finiteness check makes no temporary
-    and the bounds pass over the stream in blocks of _bounds_block(N, d)
-    rounds, so no temporary of theirs is larger than one such block's: one
-    _BLOCK-round block or about 128 KiB, whichever is larger.
+    and the bounds pass over the stream in blocks of _BLOCK rounds, so no
+    temporary of theirs is larger than one block's.
     """
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, rho: float):
@@ -245,13 +234,12 @@ class RegressionStream:
     def bounds(self, radius: float) -> tuple[float, float]:
         """(G(radius), V(radius)) of the module docstring, maxima over slots, from one pass over blocks of rounds.
 
-        The blocks are _bounds_block(N, d) rounds long. Each slot's reach is
-        ||a|| R + |b|, with ||a|| from np.linalg.norm over a block, so every
-        slot has the bits of the whole-stream formula whatever the split; the
+        Each slot's reach is ||a|| R + |b|, with ||a|| from np.linalg.norm over
+        a block, so every slot has the bits of the whole-stream formula; the
         maxima of the blocks' maxima are the whole stream's maxima.
         """
         gradients, values = [], []
-        for rounds in _blocks(self.horizon, _bounds_block(self.n_units, self.dimension)):
+        for rounds in _blocks(self.horizon):
             norms = np.linalg.norm(self.features[rounds], axis=2)
             reach = norms * radius + np.abs(self.targets[rounds])
             gradients.append((reach * norms).max())

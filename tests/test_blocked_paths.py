@@ -1,14 +1,11 @@
-"""The set-up passes that work a block of rounds at a time give the bits of the
-whole-stream formulas: the bounds G and C, in blocks of _bounds_block(N, d)
-rounds (128, or about 128 KiB of each temporary where N d is small), and the
-dealing of dataset rows and the kernel's step sizes, in blocks of 128 rounds;
-so do synthetic streams, whose targets are written in place. The finiteness
-check, which makes no temporary, still finds a non-finite entry in the last
-block.
+"""The set-up passes that work a block of 128 rounds at a time give the bits of
+the whole-stream formulas: the bounds G and C, the dealing of dataset rows and
+the kernel's step sizes; so do synthetic streams, whose targets are written in
+place. The finiteness check, which makes no temporary, still finds a
+non-finite entry in the last block.
 
-The golden digests run T = 2048, a whole number of 128-round blocks; these
-horizons include a single round, one block short of full, one block and one
-round past, and for the bounds the same around their own longer blocks.
+The golden digests run T = 2048, a whole number of blocks; these horizons
+include a single round, one block short of full, one block and one round past.
 """
 
 from importlib import resources
@@ -23,7 +20,6 @@ from netoco.problems import (
     _SPAWN_DATA,
     _SPAWN_SHUFFLE,
     RegressionStream,
-    _bounds_block,
     dataset_stream,
     parse_libsvm,
     synthetic_stream,
@@ -73,23 +69,6 @@ def whole_dataset_stream_arrays(raw, n_units, horizon, seed):
 @pytest.mark.parametrize("rho", [0.0, 1.0])
 def test_synthetic_bounds_have_the_whole_stream_bits(T, rho):
     for d in (4, 14):
-        stream = synthetic_stream(N, d, T, rho, seed=T + d)
-        for radius in (0.15 * np.sqrt(d), 2.5):
-            assert_same_bounds(stream, radius)
-
-
-@pytest.mark.parametrize("n_units, d, length", [(N, 4, 682), (N, 14, 195), (4, 4, 1024), (200, 4, _BLOCK)])
-def test_the_bounds_block_holds_about_128_kib_of_each_temporary(n_units, d, length):
-    """2**14 // (N d) rounds where that is more than _BLOCK: N d = 24 and 84 do not divide 2**14, 16 does."""
-    assert _bounds_block(n_units, d) == length
-
-
-@pytest.mark.parametrize("d", [4, 14])
-@pytest.mark.parametrize("rho", [0.0, 1.0])
-def test_bounds_over_longer_blocks_have_the_whole_stream_bits(d, rho):
-    """Horizons one round short of a bounds block, one block, one round past it, and two blocks and a round."""
-    length = _bounds_block(N, d)
-    for T in (length - 1, length, length + 1, 2 * length + 1):
         stream = synthetic_stream(N, d, T, rho, seed=T + d)
         for radius in (0.15 * np.sqrt(d), 2.5):
             assert_same_bounds(stream, radius)

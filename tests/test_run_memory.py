@@ -1,9 +1,9 @@
 """What a run holds: each seed's stream once, one kernel block and O(K) metric rows.
 
 The size check (bench._stream_failure) estimates a run as its streams plus one
-128-round block of the kernel. The bounds (in blocks of about 128 KiB when
-that is more than 128 rounds), the dealing of dataset rows and the step sizes
-work a block at a time and the finiteness check makes no temporary, so the traced peak of a warm run stays close to that estimate,
+128-round block of the kernel. The bounds, the dealing of dataset rows and
+the step sizes work a block at a time and the finiteness check makes no
+temporary, so the traced peak of a warm run stays close to that estimate,
 and validate cannot pass a scenario that run cannot hold. A synthetic stream
 is drawn a 1024-round chunk at a time, so drawing it holds no more than its
 own arrays and one chunk's draw.

@@ -2,18 +2,19 @@
 
 Usage:
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload rate-suite [--pairs 10] [--seconds 30]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload rate-suite
 
 PARENT and CHANGE are the roots of two checkouts, such as the parent commit
 made with `git archive` and the working tree. A pair is one run of
-`perfbench/run.py --workload W --seed 0 --seconds S --trace 0` in each
-checkout, one after the other, each run importing netoco from its own src/.
-The side that runs first alternates from pair to pair, so a drift in the
-host's speed falls on both sides alike. The tool reads only the last line of
-each run's output, the benchmark's JSON result, and writes no file.
+`perfbench/run.py --workload W --seed 0 --trace 0` in each checkout, one
+after the other, each run importing netoco from its own src/ and lasting as
+long as the benchmark's default run. The side that runs first alternates from
+pair to pair, so a drift in the host's speed falls on both sides alike. The
+tool reads only the last line of each run's output, the benchmark's JSON
+result, and writes no file.
 
-It prints each pair's end-to-end metrics, then for each metric the median of
-each side, the parent's interquartile range (needs at least two pairs) and the
+It runs PAIRS pairs and prints each pair's end-to-end metrics, then for each
+metric the median of each side, the parent's interquartile range and the
 pairs the change won, strictly, in the metric's better direction. A claimed
 gain holds when the change wins nearly every pair and the medians differ by
 more than the parent's IQR. Exits 1 if a run fails or reads not correct.
@@ -28,16 +29,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
 # Metrics where a higher value is better; every other end-to-end metric is better lower.
 HIGHER_IS_BETTER = {"seed_rounds_per_ref_s"}
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str) -> dict:
     """The end-to-end metrics of one benchmark run in checkout, as {name: value}."""
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", "0", "--seconds", str(seconds), "--trace", "0",
-    ]
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace", "0"]
     child = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = child.stdout.splitlines()
     if child.returncode != 0 or not lines:
@@ -52,12 +51,9 @@ def wins(name: str, parent: float, change: float) -> bool:
     return change > parent if name in HIGHER_IS_BETTER else change < parent
 
 
-def iqr(values) -> str:
-    """The interquartile range of values, or "" for fewer than two."""
-    if len(values) < 2:
-        return ""
+def iqr(values) -> float:
     q1, _, q3 = statistics.quantiles(values, n=4)
-    return f"{q3 - q1:.4g}"
+    return q3 - q1
 
 
 def main(argv) -> int:
@@ -65,28 +61,24 @@ def main(argv) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
 
     pairs = []
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         sides = {}
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            sides[side] = run_once(getattr(args, side), args.workload, args.seconds)
+            sides[side] = run_once(getattr(args, side), args.workload)
         pairs.append(sides)
         cells = "  ".join(
             f"{name} {sides['parent'][name]:.6g} -> {value:.6g}" for name, value in sides["change"].items()
         )
         print(f"pair {k + 1} ({order[0]} first): {cells}", flush=True)
 
-    print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs")
+    print(f"{args.workload}, {PAIRS} pairs")
     print(f"{'metric':<24} {'parent':>11} {'change':>11} {'change %':>9} {'parent IQR':>11} {'won':>7}")
     for name in pairs[0]["parent"]:
         parent = [pair["parent"][name] for pair in pairs]
@@ -95,7 +87,7 @@ def main(argv) -> int:
         won = sum(wins(name, p, c) for p, c in zip(parent, change))
         print(
             f"{name:<24} {before:>11.6g} {after:>11.6g} {100.0 * (after - before) / before:>+9.2f} "
-            f"{iqr(parent):>11} {won:>3}/{len(pairs):<3}"
+            f"{iqr(parent):>11.4g} {won:>3}/{PAIRS:<3}"
         )
     return 0
 
