@@ -35,7 +35,9 @@ A round makes only the formula's numpy calls, each a bare ufunc, c_einsum or
 matmul that writes into those arrays: the loss step (the formulas of
 reference.loss_gradients, or reference.loss_values under bandit feedback), the
 descent step, the mix as np.matmul on the round's weight entries and the
-closed-form dual pull of the box, the one constraint set the kernel takes. At
+closed-form dual pull of the box, the one constraint set the kernel takes
+(its + 0.0, which turns an underflowed -0.0 into +0.0, only in a block whose
+largest eta_t lets a pull round to -0.0: _pull_can_be_negative_zero). At
 a round's size numpy's dispatch costs more than the arithmetic, so each step
 takes its cheapest path: the block's eta_t and beta_t come spread over the
 rows, so that the descent step and the dual pull's divide see operands of one
@@ -345,7 +347,26 @@ def _round_views(committed, features, targets, betas, etas, probes=None) -> tupl
 _HALF, _ZERO = np.array(0.5), np.array(0.0)
 
 
-def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, dimension_over_eps=None):
+def _pull_can_be_negative_zero(box: BoxConstraintSet, eta_max: float) -> bool:
+    """Whether the box's pull (x - clip(x, lower, upper)) / eta can round to -0.0 for some x and 0 < eta <= eta_max.
+
+    A row inside the box gives x - x = +0.0, as numpy 2.4.6's clip returns x
+    itself where x equals a face; a zero face keeps the answer True, since an
+    x = -0.0 there would give -0.0 under a clip that returns the face, and
+    older clips were not checked. A row beyond a face b lies at least gap from
+    it, the spacing of the floats beside b at its narrowest: ulp(|b|) / 2
+    below a power of two, the smallest subnormal below the normal range.
+    Subtraction and division round monotonically, so every quotient of such a
+    row is at least fl(gap / eta_max) in size, and is no zero unless that is.
+    """
+    faces = (box.lower, box.upper)
+    if 0.0 in faces:
+        return True
+    gap = min(max(math.ulp(abs(face)) / 2.0, math.ulp(0.0)) for face in faces)
+    return gap / float(eta_max) == 0.0
+
+
+def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero, dimension_over_eps=None):
     """Rounds start + 1, start + 2, ... of (..., N, d) decision rows, in place, one after another.
 
     rounds is _round_views of the block's arrays, one entry per round: round
@@ -378,9 +399,10 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, dimensio
     sum_s (positive_parts(x)_s / eta) * clipped_subgradient(x, s) bit for bit,
     save one sign: where a lower-side pull underflows, the quotient is -0.0
     and the generic pull +0.0. Adding +0.0 turns -0.0 into +0.0 and changes
-    no other value. The clip is the bare ufunc that np.clip calls; where it
-    picks a zero of either sign, x - clip(x) is a zero or x itself, so that
-    sign never reaches the pull.
+    no other value, and add_zero says whether to add it: the caller passes
+    _pull_can_be_negative_zero(box, eta_max) for the block's largest eta, so
+    a round pays for the add only in a block where a pull can be -0.0. The
+    clip is the bare ufunc that np.clip calls.
     """
     add, divide, multiply, subtract, matmul, einsum = np.add, np.divide, np.multiply, np.subtract, np.matmul, _c_einsum
     residuals, column, half, squares, scaled, scaled_column, rho_term = scratch
@@ -412,8 +434,10 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, dimensio
         multiply(beta, add(nxt, pull, nxt), nxt)
         matmul(entries, subtract(current, nxt, pull), nxt)
         _project_rows(nxt, radius, squares)
-        # (x - clip(x, lower, upper)) / eta + 0.0
-        add(divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull), _ZERO, pull)
+        # (x - clip(x, lower, upper)) / eta, + 0.0 where a quotient can round to -0.0
+        divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull)
+        if add_zero:
+            add(pull, _ZERO, pull)
 
 
 def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizon: int) -> int:
@@ -491,7 +515,8 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
     the directions, their eps multiples, the observed losses and the probes.
     The rounds' views of them (_round_views) are built once per run too; a
     shorter last block takes the first of them. The rounds run in place, one
-    _run_block call per block, so nothing here grows with T. ValueError,
+    _run_block call per block, told whether the block's largest eta_t needs
+    the pull's + 0.0, so nothing here grows with T. ValueError,
     naming its type, for constraints that are not a BoxConstraintSet.
     """
     _check_box(constraints, "the round kernel")
@@ -554,7 +579,10 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
         if bandit:
             _sphere_block(rngs, directions[:b])
             np.multiply(eps, directions[:b], offsets[:b])
-        _run_block(rounds[:b], pull, start, topology.weights, radius, rho, constraints, scratch, dimension_over_eps)
+        add_zero = _pull_can_be_negative_zero(constraints, etas[:b].max())
+        _run_block(
+            rounds[:b], pull, start, topology.weights, radius, rho, constraints, scratch, add_zero, dimension_over_eps
+        )
         # Containment of the block, before any of it is handed out: every
         # committed decision, the decisions left for round start + b + 1, every probe.
         _check_in_ball(committed[: b + 1], radius, start + 1, "decision", seeds)

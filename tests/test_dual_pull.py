@@ -1,18 +1,22 @@
 """The kernel's closed-form box pull against the generic default, bit for bit.
 
-The round loop (algorithm._run_block) writes the box's dual pull out; the
-generic default is reference.ConstraintSet.dual_pull_rows on the box stated
-constraint by constraint (reference.box_constraints).
+The round loop (algorithm._run_block) writes the box's dual pull out, and
+adds its + 0.0 only where algorithm._pull_can_be_negative_zero says a pull
+can round to -0.0; the generic default is reference.ConstraintSet.dual_pull_rows
+on the box stated constraint by constraint (reference.box_constraints).
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from netoco.algorithm import _round_views, _run_block, _scratch
+from netoco.algorithm import _pull_can_be_negative_zero, _round_views, _run_block, _scratch
 from netoco.problems import BoxConstraintSet
 from netoco.reference import box_constraints
 
 SMALLEST_SUBNORMAL = 5e-324
+# The largest eta_1 of the 16 presets (bodyfat-sc and bodyfat-sc-bandit); every preset's box is +-0.15.
+LARGEST_PRESET_ETA = 689657.2885937553
 
 # Faces at and near zero let a row sit a subnormal distance outside them.
 bounds = st.one_of(
@@ -57,7 +61,9 @@ def kernel_pull(box, rows, eta):
     the ball of radius 10 holds every drawn row, so the round's decisions are
     the rows of committed[0]. eta comes spread over the rows, as the kernel's
     step table spreads it. The pull buffer starts as garbage that beta = 0
-    multiplies away, so none of it may reach the result.
+    multiplies away, so none of it may reach the result. The loop adds the
+    pull's + 0.0 as the kernel decides for a block: by the rule, at the
+    largest eta.
     """
     shape = (rows.size // rows.shape[-1], 1, rows.shape[-1])
     committed = np.empty((2,) + shape)
@@ -66,7 +72,8 @@ def kernel_pull(box, rows, eta):
     etas = np.broadcast_to(eta, rows.shape).reshape((1,) + shape).copy()
     pull = np.full(shape, 7.0)
     views = _round_views(committed, features, np.zeros((1,) + shape[:-1]), betas, etas)
-    _run_block(views, pull, 0, (np.array([[1.0]]),), 10.0, 0.0, box, _scratch(shape))
+    add_zero = _pull_can_be_negative_zero(box, np.max(eta))
+    _run_block(views, pull, 0, (np.array([[1.0]]),), 10.0, 0.0, box, _scratch(shape), add_zero)
     np.testing.assert_array_equal(committed[1], committed[0])
     return pull.reshape(rows.shape)
 
@@ -82,9 +89,42 @@ def assert_same_bits(actual, expected):
 # One subnormal below the lower face with a large eta: the pull underflows to
 # zero, which the generic default gives as +0.0.
 @example((BoxConstraintSet(0.0, 1.0, 1), np.array([[[-SMALLEST_SUBNORMAL]]]), np.array([[[1e300]]])))
+# The rule's edges. One ulp below the face 1.0 is ulp(1.0) / 2 away, which over
+# 1.5 * 2**1022 rounds to -0.0: the add stays.
+@example((BoxConstraintSet(1.0, 2.0, 1), np.array([[[np.nextafter(1.0, 0.0)]]]), np.array([[[1.5 * 2.0**1022]]])))
+# The smallest subnormal over 1.0 is itself (dropped), over 2.0 a tie that rounds to -0.0 (kept).
+@example((BoxConstraintSet(SMALLEST_SUBNORMAL, 1.0, 1), np.array([[[0.0]]]), np.array([[[1.0]]])))
+@example((BoxConstraintSet(SMALLEST_SUBNORMAL, 1.0, 1), np.array([[[0.0]]]), np.array([[[2.0]]])))
+@example((BoxConstraintSet(0.0, 1.0, 2), np.array([[[-SMALLEST_SUBNORMAL, -0.0]]]), np.array([[[1.0]]])))
+@example((BoxConstraintSet(1e-310, 1.0, 1), np.array([[[np.nextafter(1e-310, 0.0)]]]), np.array([[[1e10]]])))
+@example(
+    (
+        BoxConstraintSet(-0.15, 0.15, 2),
+        np.array([[[np.nextafter(-0.15, -1.0), np.nextafter(0.15, 1.0)]]]),
+        np.array([[[LARGEST_PRESET_ETA]]]),
+    )
+)
 def test_box_pull_equals_the_generic_default(case):
     box, rows, eta = case
     assert_same_bits(kernel_pull(box, rows, eta), box_constraints(box).dual_pull_rows(rows, eta))
+
+
+@pytest.mark.parametrize(
+    "lower, upper, eta_max, can",
+    [
+        (1.0, 2.0, 1.5 * 2.0**1022, True),
+        (SMALLEST_SUBNORMAL, 1.0, 1.0, False),
+        (SMALLEST_SUBNORMAL, 1.0, 2.0, True),
+        (0.0, 1.0, 1.0, True),
+        (-1.0, -0.0, 1.0, True),
+        (1e-310, 1.0, 1e10, True),
+        (-0.15, 0.15, LARGEST_PRESET_ETA, False),
+    ],
+)
+def test_the_rule_at_its_edges(lower, upper, eta_max, can):
+    """The decision itself: the bit checks above cannot see an add that is kept
+    where no pull can be -0.0, nor a zero face, whose pulls numpy's clip keeps +0.0."""
+    assert _pull_can_be_negative_zero(BoxConstraintSet(lower, upper, 1), eta_max) is can
 
 
 def test_generic_default_is_the_weighted_subgradient_of_the_reset_duals():

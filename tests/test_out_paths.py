@@ -15,7 +15,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from netoco.algorithm import _project_rows, _round_views, _run_block, _scratch
+from netoco.algorithm import _project_rows, _pull_can_be_negative_zero, _round_views, _run_block, _scratch
 from netoco.problems import BoxConstraintSet, RegressionRound, _row_dots
 from netoco.reference import box_constraints, loss_gradients, loss_values, round_step
 
@@ -181,7 +181,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     loop_pull = pull.copy()
     _run_block(
         _round_views(committed, features, targets, betas, etas, probes), loop_pull, start,
-        weights, radius, rho, box, scratch, d / eps if bandit else None,
+        weights, radius, rho, box, scratch, _pull_can_be_negative_zero(box, etas.max()), d / eps if bandit else None,
     )
 
     current = decisions

@@ -9,9 +9,12 @@ made with `git archive` and the working tree. A pair is one run of
 `perfbench/run.py --workload W --seed 0 --trace 0` in each checkout, one
 after the other, each run importing netoco from its own src/ and lasting as
 long as the benchmark's default run. The side that runs first alternates from
-pair to pair, so a drift in the host's speed falls on both sides alike. The
-tool reads only the last line of each run's output, the benchmark's JSON
-result, and writes no file.
+pair to pair, so a drift in the host's speed falls on both sides alike. Each
+run has PYTHONDONTWRITEBYTECODE=1, and a checkout with a __pycache__ directory
+under src/ or perfbench/ is refused, so both sides compile netoco at import,
+as a fresh checkout does: stale bytecode on one side only skews setup_s and
+peak_rss_mb. The tool reads only the last line of each run's output, the
+benchmark's JSON result, and writes no file.
 
 It runs PAIRS pairs and prints each pair's end-to-end metrics, then for each
 metric the median of each side, the parent's interquartile range and the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,11 +41,15 @@ HIGHER_IS_BETTER = {"seed_rounds_per_ref_s"}
 def run_once(checkout: Path, workload: str) -> dict:
     """The end-to-end metrics of one benchmark run in checkout, as {name: value}."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace", "0"]
-    child = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    environment = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run(command, cwd=checkout, env=environment, capture_output=True, text=True)
     lines = child.stdout.splitlines()
     if child.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: exit {child.returncode}\n{child.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"{checkout}: the last line of the run's output is not JSON: {lines[-1]!r}") from None
     if result["correct"] is not True:
         raise SystemExit(f"{checkout}: not correct, {result['failed']} of {result['attempted']} failed")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
@@ -65,6 +73,10 @@ def main(argv) -> int:
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
+        for part in ("src", "perfbench"):
+            cache = next((checkout / part).rglob("__pycache__"), None)
+            if cache is not None:
+                parser.error(f"{cache} holds bytecode, which the other side may lack; remove it")
 
     pairs = []
     for k in range(PAIRS):
