@@ -17,7 +17,7 @@ proceeds in lockstep:
      maximizer of the round's augmented Lagrangian over lambda >= 0.
 
 Bandit variants commit inside the shrunk ball of radius (1 - pi) * R so that
-every probe stays inside the full ball; eps_t <= pi * R is enforced when the
+every probe stays inside the full ball; eps <= pi * R is enforced when the
 schedule is built, and both balls are checked at run time, once per block of
 rounds before the kernel hands the block out, raising RuntimeError that names
 the round, the unit and the seed of a probe or a decision outside its ball.
@@ -129,9 +129,9 @@ class HyperSchedule:
 
     Convex variants use constant eta_t = T^-c and beta_t = 1/(a p G^2 T^c);
     strongly convex variants decay as eta_t = 2 p G^2/(sigma t) and
-    beta_t = 1/(sigma t). Bandit variants add the probe radius
-    eps_t = T^-b and the ball shrinkage pi = 1/(R T^b), with b = c/3 for the
-    convex case and b = 1/3 for the strongly convex one.
+    beta_t = 1/(sigma t). Bandit variants add the probe radius eps = T^-b, the
+    same in every round, and the ball shrinkage pi = 1/(R T^b), with b = c/3
+    for the convex case and b = 1/3 for the strongly convex one.
     """
 
     variant: str
@@ -159,12 +159,10 @@ class HyperSchedule:
         return (1.0 - self.pi) * self.radius if self.is_bandit else self.radius
 
     def eta(self, t: int) -> float:
-        self._check_round(t)
-        return float(self._eta(t))
+        return float(self._eta(self._check_round(t)))
 
     def beta(self, t: int) -> float:
-        self._check_round(t)
-        return float(self._beta(t))
+        return float(self._beta(self._check_round(t)))
 
     def _eta(self, t):
         if self.is_strongly_convex:
@@ -176,15 +174,17 @@ class HyperSchedule:
             return 1.0 / (self.sigma * t)
         return 1.0 / (self.a * self.p * self.G * self.G * float(self.horizon) ** self.c)
 
-    def eps(self, t: int) -> float:
-        self._check_round(t)
-        if not self.is_bandit:
-            raise ValueError(f"variant {self.variant!r} has no probe radius")
-        return float(self.horizon) ** (-self.b)
+    @property
+    def eps(self) -> Optional[float]:
+        """The probe radius T^-b under bandit feedback; None under full information, like b."""
+        return None if self.b is None else float(self.horizon) ** (-self.b)
 
-    def _check_round(self, t: int):
+    def _check_round(self, t) -> int:
+        """t as an int; ValueError unless it is an integer in 1..horizon."""
+        t = _integer(t, "round")
         if not 1 <= t <= self.horizon:
             raise ValueError(f"round {t} outside 1..{self.horizon}")
+        return t
 
 
 def make_schedule(
@@ -200,6 +200,7 @@ def make_schedule(
 ) -> HyperSchedule:
     """Validate parameters and assemble the step schedule for a variant."""
     spec = variant_spec(variant)
+    p, horizon = _integer(p, "p"), _integer(horizon, "horizon")
     if p < 1:
         raise ValueError("p must be >= 1")
     if not G > 0.0:
@@ -220,22 +221,21 @@ def make_schedule(
                 f"shrinkage pi = {pi:.6g} >= 1: horizon {horizon} too short for "
                 f"radius {radius} at probe exponent b = {b:.6g}"
             )
-        # Probe containment: eps_t <= pi * radius, with equality at these formulas.
-        eps = float(horizon) ** (-b)
-        if eps > pi * radius * (1.0 + 1e-12):
-            raise ValueError("probe radius exceeds the shrinkage margin")
     hyper = HyperSchedule(
         variant=variant,
-        p=int(p),
+        p=p,
         G=float(G),
         radius=float(radius),
-        horizon=int(horizon),
+        horizon=horizon,
         a=float(a),
         c=None if strongly else float(c),
         sigma=float(sigma) if strongly else None,
         b=b,
         pi=pi,
     )
+    # Probe containment: eps <= pi * radius, with equality at these formulas.
+    if spec.bandit and hyper.eps > pi * hyper.radius * (1.0 + 1e-12):
+        raise ValueError("probe radius exceeds the shrinkage margin")
     # Round 1 has the largest step sizes of every variant. A product that
     # overflows in a denominator leaves a step of 0.0, not inf.
     eta, beta = hyper._eta(1.0), hyper._beta(1.0)
@@ -550,7 +550,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
         if any(seed is None for seed in seeds):
             raise ValueError("bandit runs need a seed")
         rngs = [_sphere_rngs(seed, n) for seed in seeds]
-        eps = hyper.eps(1)
+        eps = hyper.eps
         dimension_over_eps = d / eps
 
     radius = hyper.decision_radius

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algorithm import HyperSchedule, block_bytes, check_checkpoints, make_schedule, variant_spec
 from .metrics import ConvergenceError, MetricSeries, averaged_metrics, checkpoint_grid, checkpoint_series
-from .network import Graph, TopologySchedule, default_ring_6, verify_window_connectivity
+from .network import Graph, TopologySchedule, _integer, default_ring_6, verify_window_connectivity
 from .problems import (
     BoxConstraintSet,
     DatasetTable,
@@ -297,7 +297,11 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
             failures.append(message)
 
     def at_least(key, value, minimum):
-        rule(value is not None and value >= minimum, f"{key} must be >= {minimum}, got {value}")
+        """A failure unless value is an integer of at least minimum; a non-integer fails in the loader's words."""
+        try:
+            rule(value is not None and _integer(value, key) >= minimum, f"{key} must be >= {minimum}, got {value}")
+        except ValueError as exc:
+            failures.append(str(exc))
 
     source = config.source
     known = source in ("synthetic", "dataset")
@@ -330,10 +334,12 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
         failures.append(str(exc))
     at_least("horizon", config.horizon, 1)
     rule(config.checkpoints != (), "checkpoints must not be empty; omit the key for the default grid")
-    at_least("checkpoints", min(config.checkpoints or (), default=1), 1)
+    for checkpoint in config.checkpoints or ():
+        at_least("checkpoints", checkpoint, 1)
     rule(config.seeds, "seeds must not be empty")
     rule(len(set(config.seeds)) == len(config.seeds), "seeds must be distinct")
-    at_least("seeds", min(config.seeds, default=0), 0)
+    for seed in config.seeds:
+        at_least("seeds", seed, 0)
     at_least("workers", config.workers, 1)
     return failures
 
@@ -466,7 +472,7 @@ class SuiteResult:
     checkpoints: tuple[int, ...]
     seed_results: list[SeedResult]
     mean: MetricSeries
-    csv_path: Optional[Path]
+    csv_path: Path
 
 
 def _load_dataset(config: ScenarioConfig):
@@ -606,7 +612,7 @@ def _overflow_failures(
     under bandit feedback. A regret is the difference of two sums of at most
     N T losses, each at most C.
     """
-    gradient = dimension * C / hyper.eps(1) if hyper.is_bandit else G
+    gradient = dimension * C / hyper.eps if hyper.is_bandit else G
     reach = 2.0 * hyper.radius + hyper.beta(1) * gradient
     sums = 2.0 * config.n_units * config.horizon * C
     if all(map(math.isfinite, (reach * reach, sums))):
@@ -664,8 +670,8 @@ def _realized_bounds(stream, constraints, radius, rows: str) -> tuple[float, flo
     return G, C
 
 
-def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> SuiteResult:
-    """Run every seed of a scenario, average, and (by default) write its CSV.
+def run_suite(config: ScenarioConfig, *, out_dir=None) -> SuiteResult:
+    """Run every seed of a scenario, average, and write its CSV.
 
     One call, metrics.checkpoint_series, runs all seeds in lockstep as one
     batch and scores them; the workers setting is accepted but changes neither
@@ -694,13 +700,10 @@ def run_suite(config: ScenarioConfig, *, out_dir=None, write: bool = True) -> Su
         for seed, seed_series, (_, C, schedule) in zip(config.seeds, series, inputs)
     ]
     mean = averaged_metrics([r.series for r in seed_results])
-    csv_path = None
-    if write:
-        env_dir = os.environ.get(OUTPUT_DIR_ENV)
-        directory = Path(out_dir or env_dir or config.output_dir or "results")
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / f"{config.name}.csv"
-        csv_path.write_text(_render_csv(config, checkpoints, seed_results, mean), encoding="utf-8")
+    directory = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir or "results")
+    directory.mkdir(parents=True, exist_ok=True)
+    csv_path = directory / f"{config.name}.csv"
+    csv_path.write_text(_render_csv(config, checkpoints, seed_results, mean), encoding="utf-8")
     return SuiteResult(
         name=config.name,
         checkpoints=checkpoints,

@@ -194,6 +194,7 @@ def _solve_group(streams, constraints, prefixes, tol, max_iters) -> tuple[Compar
 
 def communication_cost(schedule: TopologySchedule, T: int) -> int:
     """Messages exchanged through round T: two per undirected edge per round."""
+    T = _integer(T, "T")
     if T < 0:
         raise ValueError("T must be >= 0")
     counts = [len(g.edges) for g in schedule.graphs]
@@ -204,6 +205,7 @@ def communication_cost(schedule: TopologySchedule, T: int) -> int:
 
 def checkpoint_grid(T: int) -> tuple[int, ...]:
     """Geometric prefix grid: ceil(T/16) * 2^k capped at T, plus T itself."""
+    T = _integer(T, "T")
     if T < 1:
         raise ValueError("T must be >= 1")
     points = []
@@ -339,6 +341,7 @@ def bound_constants(
     contraction gap, so c_hat would be nonpositive.
     """
     spec = variant_spec(variant)
+    n_units, window, p = _integer(n_units, "n_units"), _integer(window, "window"), _integer(p, "p")
     if n_units < 1 or window < 1 or p < 1:
         raise ValueError("n_units, window, p must all be >= 1")
     if not 0.0 < zeta <= 1.0:

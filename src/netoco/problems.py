@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import _integer
+
 try:
     from numpy._core.multiarray import c_einsum as _c_einsum
     from numpy._core.umath import clip as _clip
@@ -87,9 +89,9 @@ class BoxConstraintSet:
     def __init__(self, lower: float, upper: float, dimension: int):
         if not lower < upper:
             raise ValueError("need lower < upper")
-        if dimension < 1:
+        self.dimension = _integer(dimension, "dimension")
+        if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self.dimension = int(dimension)
         self.lower = float(lower)
         self.upper = float(upper)
         self.gradient_bound = 1.0
@@ -275,6 +277,8 @@ def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, see
     stored features straight into the targets (the same gemv as on the
     unit's own (T, d) draw, with a row stride), and the noise is added there.
     """
+    n_units, dimension = _integer(n_units, "n_units"), _integer(dimension, "dimension")
+    horizon = _integer(horizon, "horizon")
     if n_units < 1 or dimension < 1 or horizon < 1:
         raise ValueError("n_units, dimension, horizon must all be >= 1")
     xbar = np.zeros(dimension)
@@ -325,6 +329,7 @@ def dataset_stream(dataset: DatasetTable, n_units: int, horizon: int, rho: float
     across units, cycling when the grid is larger than the dataset, one
     block of rounds at a time straight into the stream's arrays.
     """
+    n_units, horizon = _integer(n_units, "n_units"), _integer(horizon, "horizon")
     if n_units < 1 or horizon < 1:
         raise ValueError("n_units and horizon must be >= 1")
     rows, dimension = dataset.features.shape

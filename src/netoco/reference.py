@@ -11,8 +11,8 @@ loss values and gradients and the consensus mix on fresh arrays, and a
 product of mixing matrices' distance from the average; one vector's ball
 projection, sphere direction and one-point estimate; the round's augmented
 Lagrangian, primal direction and dual reset; a round's steps on fresh arrays
-(round_step), one synchronized round of all units from an explicit RunState
-(run_round_full, run_round_bandit) and one seed's run chained from them
+(round_step), one synchronized round of all units from an explicit RunState,
+its feedback the schedule's (run_round), and one seed's run chained from it
 (record_run); and that run's regret and violation at one prefix length, its
 system loss added round by round, and the hindsight comparator of that
 prefix, solved on one vector. round_step and the kernel's in-place loop
@@ -38,7 +38,7 @@ __all__ = [
     "ConstraintSet", "box_constraints", "LossOracle", "regression_loss", "clipped_subgradient", "loss_values",
     "loss_gradients", "consensus_mix", "product_deviation", "project_ball", "sample_unit_sphere",
     "one_point_estimator", "augmented_lagrangian", "primal_direction", "dual_update", "round_step", "RunState",
-    "initial_state", "RoundRecord", "run_round_full", "run_round_bandit", "record_run", "offline_comparator",
+    "initial_state", "RoundRecord", "run_round", "record_run", "offline_comparator",
     "system_cumulative_losses", "regret", "sreg", "cacv",
 ]
 
@@ -333,18 +333,13 @@ class RunState:
 
 
 def initial_state(
-    n_units: int, constraints: ConstraintSet | BoxConstraintSet, *, seed: Optional[int] = None, bandit: bool = False
+    n_units: int, constraints: ConstraintSet | BoxConstraintSet, *, seed: Optional[int] = None
 ) -> RunState:
-    """All decisions and duals start at zero; bandit runs get per-unit streams."""
-    rngs = None
-    if bandit:
-        if seed is None:
-            raise ValueError("bandit runs need a seed")
-        rngs = _sphere_rngs(seed, n_units)
+    """All decisions and duals start at zero; a seed gives each unit the sphere stream bandit rounds draw from."""
     return RunState(
         decisions=np.zeros((n_units, constraints.dimension)),
         duals=np.zeros((n_units, constraints.count)),
-        rngs=rngs,
+        rngs=None if seed is None else _sphere_rngs(seed, n_units),
     )
 
 
@@ -358,13 +353,28 @@ class RoundRecord:
     queries: Optional[np.ndarray]  # bandit probes, (N, d)
 
 
-def _round(state: RunState, round_losses, weights, hyper, constraints, t, directions):
-    """One round of one seed from an explicit state; directions is None for full information."""
+def run_round(
+    state: RunState,
+    round_losses,
+    weights: np.ndarray,
+    hyper: HyperSchedule,
+    constraints: ConstraintSet | BoxConstraintSet,
+    t: int,
+) -> tuple[RunState, RoundRecord]:
+    """One synchronized round of one seed from an explicit state; see netoco.algorithm's module docstring.
+
+    The schedule decides the feedback: under bandit feedback each unit draws its
+    sphere direction from its stream in state.rngs, ValueError if there are none.
+    """
     rows, radius, eta = state.decisions, hyper.decision_radius, hyper.eta(t)
     constraints = _stated(constraints)
-    eps = None if directions is None else hyper.eps(t)
+    directions = None
+    if hyper.is_bandit:
+        if state.rngs is None:
+            raise ValueError("bandit rounds need per-unit rng streams")
+        directions = np.stack([sample_unit_sphere(rng, rows.shape[1]) for rng in state.rngs])
     pull = constraints.weighted_subgradient_rows(rows, state.duals)
-    nxt, observed, queries = round_step(rows, pull, round_losses, weights, hyper.beta(t), radius, directions, eps)
+    nxt, observed, queries = round_step(rows, pull, round_losses, weights, hyper.beta(t), radius, directions, hyper.eps)
     if queries is not None:
         _check_in_ball(queries, hyper.radius, t, "probe")
     _check_in_ball(nxt, radius, t + 1, "decision")
@@ -378,34 +388,6 @@ def _round(state: RunState, round_losses, weights, hyper, constraints, t, direct
     return RunState(decisions=nxt, duals=duals, rngs=state.rngs), record
 
 
-def run_round_full(
-    state: RunState,
-    round_losses,
-    weights: np.ndarray,
-    hyper: HyperSchedule,
-    constraints: ConstraintSet | BoxConstraintSet,
-    t: int,
-) -> tuple[RunState, RoundRecord]:
-    """One synchronized full-information round; see netoco.algorithm's module docstring."""
-    return _round(state, round_losses, weights, hyper, constraints, t, None)
-
-
-def run_round_bandit(
-    state: RunState,
-    round_losses,
-    weights: np.ndarray,
-    hyper: HyperSchedule,
-    constraints: ConstraintSet | BoxConstraintSet,
-    t: int,
-) -> tuple[RunState, RoundRecord]:
-    """One synchronized one-point bandit round; see netoco.algorithm's module docstring."""
-    if state.rngs is None:
-        raise ValueError("bandit rounds need per-unit rng streams")
-    dimension = state.decisions.shape[1]
-    directions = np.stack([sample_unit_sphere(rng, dimension) for rng in state.rngs])
-    return _round(state, round_losses, weights, hyper, constraints, t, directions)
-
-
 def record_run(
     stream: RegressionStream,
     topology: TopologySchedule,
@@ -415,13 +397,14 @@ def record_run(
 ) -> RoundRecord:
     """One seed's run through every round of the stream, its rounds chained from the initial state.
 
-    Round t is run_round_bandit under bandit feedback, run_round_full
-    otherwise, on the stream's round t and the topology's weights at t; the
-    records of the rounds are stacked, indexed [t - 1] on the first axis.
+    Round t is run_round on the stream's round t and the topology's weights
+    at t; the records of the rounds are stacked, indexed [t - 1] on the first
+    axis. ValueError for a bandit run without a seed.
     """
+    if hyper.is_bandit and seed is None:
+        raise ValueError("bandit runs need a seed")
     constraints = _stated(constraints)
-    state = initial_state(stream.n_units, constraints, seed=seed, bandit=hyper.is_bandit)
-    run_round = run_round_bandit if hyper.is_bandit else run_round_full
+    state = initial_state(stream.n_units, constraints, seed=seed)
     records = []
     for t in range(1, stream.horizon + 1):
         state, record = run_round(state, _round_losses(stream, t), topology.weights_at(t), hyper, constraints, t)

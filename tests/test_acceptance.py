@@ -35,7 +35,7 @@ from netoco.reference import (
     product_deviation,
     project_ball,
     regression_loss,
-    run_round_full,
+    run_round,
     sample_unit_sphere,
 )
 
@@ -321,7 +321,7 @@ def test_criterion_08_centralized_reduction():
         reference = centralized_reference(stream, hyper, box, horizon)
         state = initial_state(1, box)
         for t in range(1, horizon + 1):
-            state, _ = run_round_full(
+            state, _ = run_round(
                 state, RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho),
                 single.weights_at(t), hyper, box, t,
             )
@@ -341,11 +341,12 @@ def test_criterion_08_centralized_reduction():
 
 
 @pytest.fixture(scope="module")
-def synthetic_suite():
+def synthetic_suite(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("synthetic-suite")
     names = [n for n in list_presets() if n.startswith("synthetic-")]
     assert len(names) == 8
     start = time.perf_counter()
-    results = {name: run_suite(preset_config(name), write=False) for name in names}
+    results = {name: run_suite(preset_config(name), out_dir=out_dir) for name in names}
     elapsed = time.perf_counter() - start
     return results, elapsed
 

@@ -20,8 +20,7 @@ from netoco.reference import (
     project_ball,
     record_run,
     regression_loss,
-    run_round_bandit,
-    run_round_full,
+    run_round,
     sample_unit_sphere,
 )
 
@@ -72,19 +71,18 @@ class TestSchedules:
             "strongly-convex-bandit", p=2, G=1.0, radius=1.0, horizon=64, sigma=1.0
         )
         assert hyper.b == pytest.approx(1.0 / 3.0)
-        assert hyper.eps(1) == pytest.approx(0.25)  # 64 ** (-1/3)
-        assert hyper.eps(64) == pytest.approx(0.25)
+        assert hyper.eps == pytest.approx(0.25)  # 64 ** (-1/3)
         assert hyper.pi == pytest.approx(0.25)
         assert hyper.decision_radius == pytest.approx(0.75)
         # Probe containment margin holds with equality.
-        assert hyper.eps(1) == pytest.approx(hyper.pi * hyper.radius)
+        assert hyper.eps == pytest.approx(hyper.pi * hyper.radius)
 
     def test_convex_bandit_probe_exponent_is_a_third_of_c(self):
         hyper = make_schedule(
             "convex-bandit", p=2, G=1.0, radius=1.0, horizon=4096, c=0.75
         )
         assert hyper.b == pytest.approx(0.25)
-        assert hyper.eps(1) == pytest.approx(4096.0**-0.25)
+        assert hyper.eps == pytest.approx(4096.0**-0.25)
         assert hyper.pi == pytest.approx(4096.0**-0.25)
 
     def test_round_range_is_enforced(self):
@@ -97,8 +95,7 @@ class TestSchedules:
 
     def test_eps_rejected_outside_bandit_variants(self):
         hyper = make_schedule("convex-full", p=2, G=1.0, radius=1.0, horizon=8, c=0.5)
-        with pytest.raises(ValueError, match="probe"):
-            hyper.eps(1)
+        assert hyper.eps is None and hyper.b is None
 
     def test_parameter_validation(self):
         good = dict(p=2, G=1.0, radius=1.0, horizon=8, c=0.5)
@@ -323,7 +320,7 @@ def literal_run(stream, topology, hyper, constraints, seed=None):
         for i in range(n):
             oracle = regression_loss(stream.features[t - 1, i], stream.targets[t - 1, i], stream.rho)
             if bandit:
-                u, eps = sample_unit_sphere(rngs[i], d), hyper.eps(t)
+                u, eps = sample_unit_sphere(rngs[i], d), hyper.eps
                 direction = one_point_estimator(oracle.value(x[i] + eps * u), u, d, eps)
             else:
                 direction = oracle.gradient(x[i])
@@ -391,6 +388,37 @@ class TestRoundReductions:
         np.testing.assert_allclose(record.decisions, reference, rtol=0, atol=1e-12)
         assert record.violations.max() > 0  # the duals pull
 
+    @pytest.mark.parametrize("variant", ["convex-full", "strongly-convex-bandit"])
+    def test_each_seed_of_a_batch_equals_its_own_literal_loop(self, variant):
+        """Three seeds in lockstep over three of the kernel's blocks: each seed's lent
+        decisions within 1e-12 of the literal loop run on that seed alone."""
+        horizon, topology, seeds = 300, period_3_topology(), (1, 2, 3)
+        streams = [synthetic_stream(6, 4, horizon, rho=0.5, seed=24 + seed) for seed in seeds]
+        box = BoxConstraintSet(0.02, 0.15, 4)
+        radius = 1.0
+        strongly = variant.startswith("strongly")
+        schedules = [
+            make_schedule(
+                variant,
+                p=box.count,
+                G=max(stream.bounds(radius)[0], box.gradient_bound),
+                radius=radius,
+                horizon=horizon,
+                c=None if strongly else 0.5,
+                sigma=stream.strong_convexity if strongly else None,
+            )
+            for stream in streams
+        ]
+        assert len({hyper.G for hyper in schedules}) == 3  # the seeds' step sizes differ
+        blocks = [
+            committed.copy() for _, _, committed, *_ in algorithm._lockstep(streams, topology, schedules, box, seeds)
+        ]
+        assert len(blocks) == 3
+        decisions = np.concatenate(blocks)
+        for s, (stream, hyper, seed) in enumerate(zip(streams, schedules, seeds)):
+            reference = literal_run(stream, topology, hyper, box, seed=seed)
+            np.testing.assert_allclose(decisions[:, s], reference, rtol=0, atol=1e-12)
+
     def test_two_units_average_on_the_complete_pair(self):
         """One round on K2 with uniform weights: both units move to the
         projection of the mean of their descent points."""
@@ -401,7 +429,7 @@ class TestRoundReductions:
         state.decisions[:] = np.array([[0.4, 0.0], [0.0, 0.8]])
         weights = max_degree_weights(Graph(2, [(1, 2)]))
         np.testing.assert_array_equal(weights, np.full((2, 2), 0.5))
-        next_state, record = run_round_full(state, round_losses(stream, 1), weights, hyper, box, 1)
+        next_state, record = run_round(state, round_losses(stream, 1), weights, hyper, box, 1)
         # Zero loss and zero duals: y = x, so both land on the average.
         np.testing.assert_allclose(next_state.decisions, np.full((2, 2), [0.2, 0.4]))
         np.testing.assert_array_equal(record.decisions, [[0.4, 0.0], [0.0, 0.8]])
@@ -428,7 +456,7 @@ class TestRoundReductions:
         )
         state = initial_state(2, box)
         for t in range(1, horizon + 1):
-            state, _ = run_round_full(state, round_losses(stream, t), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, t)
+            state, _ = run_round(state, round_losses(stream, t), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, t)
             np.testing.assert_allclose(
                 state.duals,
                 box.positive_parts_rows(state.decisions) / hyper.eta(t),
@@ -446,7 +474,7 @@ class TestBanditRounds:
         record = record_run(stream, pair_topology(), hyper, box, seed=7)
         np.testing.assert_array_equal(record.decisions, np.zeros((16, 2, 3)))
         # Probes still wander at distance eps from each origin-committed point.
-        eps = hyper.eps(1)
+        eps = hyper.eps
         np.testing.assert_allclose(
             np.linalg.norm(record.queries, axis=2), eps, rtol=1e-12
         )
@@ -466,7 +494,7 @@ class TestBanditRounds:
         )
         record = record_run(stream, pair_topology(), hyper, box, seed=8)
         offsets = np.linalg.norm(record.queries - record.decisions, axis=2)
-        np.testing.assert_allclose(offsets, hyper.eps(1), rtol=1e-12)
+        np.testing.assert_allclose(offsets, hyper.eps, rtol=1e-12)
         # Observed losses equal the loss at the probe point.
         for t in (1, 17, 128):
             for i in (1, 2):
@@ -502,6 +530,27 @@ class TestBanditRounds:
         )
         with pytest.raises(ValueError, match="seed"):
             run_seeds([stream], pair_topology(), [hyper], box, [None], (8,))
+        with pytest.raises(ValueError, match="bandit runs need a seed"):
+            record_run(stream, pair_topology(), hyper, box)
+
+    def test_the_schedule_decides_whether_a_round_probes(self):
+        """One state with sphere streams: a bandit schedule's round probes, a
+        full-information schedule's round draws nothing and records no probes."""
+        box = BoxConstraintSet(-0.15, 0.15, 2)
+        stream = synthetic_stream(2, 2, 8, rho=1.0, seed=3)
+        weights = max_degree_weights(Graph(2, [(1, 2)]))
+        common = dict(p=box.count, G=10.0, radius=1.0, horizon=8, sigma=1.0)
+        bandit = make_schedule("strongly-convex-bandit", **common)
+        full = make_schedule("strongly-convex-full", **common)
+        state = initial_state(2, box, seed=4)
+        _, record = run_round(state, round_losses(stream, 1), weights, bandit, box, 1)
+        assert record.queries is not None
+        np.testing.assert_allclose(np.linalg.norm(record.queries - record.decisions, axis=1), bandit.eps, rtol=1e-12)
+        state = initial_state(2, box, seed=4)
+        _, record = run_round(state, round_losses(stream, 1), weights, full, box, 1)
+        assert record.queries is None
+        untouched = initial_state(2, box, seed=4).rngs
+        assert [r.standard_normal() for r in state.rngs] == [r.standard_normal() for r in untouched]
 
     def test_bandit_state_without_rngs_is_rejected(self):
         box = BoxConstraintSet(-0.15, 0.15, 2)
@@ -511,7 +560,7 @@ class TestBanditRounds:
         )
         state = initial_state(2, box)  # no rng streams
         with pytest.raises(ValueError, match="rng"):
-            run_round_bandit(state, round_losses(stream, 1), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, 1)
+            run_round(state, round_losses(stream, 1), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, 1)
 
 
 class TestRunSeedsOnOneSeed:
@@ -601,10 +650,10 @@ class TestInitialState:
 
     def test_bandit_gets_independent_per_unit_streams(self):
         box = BoxConstraintSet(-0.15, 0.15, 3)
-        state = initial_state(3, box, seed=11, bandit=True)
+        state = initial_state(3, box, seed=11)
         draws = [rng.standard_normal(4) for rng in state.rngs]
         assert not np.array_equal(draws[0], draws[1])
-        again = initial_state(3, box, seed=11, bandit=True)
+        again = initial_state(3, box, seed=11)
         np.testing.assert_array_equal(draws[0], again.rngs[0].standard_normal(4))
 
     def test_variants_tuple_is_exposed(self):

@@ -470,11 +470,6 @@ class TestRunSuite:
         result = run_suite(config)
         assert result.csv_path.resolve() == tmp_path / "results" / "scenario.csv"
         assert result.csv_path.exists()
-
-    def test_write_false_skips_the_file(self, tmp_path):
-        config = load_config(write_config(tmp_path, SC_SCENARIO))
-        result = run_suite(config, write=False)
-        assert result.csv_path is None
         assert len(result.seed_results) == 2
         assert result.seed_results[0].schedule.G > 0
         assert result.seed_results[0].C > 0
@@ -484,14 +479,14 @@ class TestRunSuite:
             "horizon = 32", "horizon = 12\ncheckpoints = 4 8 100"
         )
         config = load_config(write_config(tmp_path, body))
-        result = run_suite(config, write=False)
+        result = run_suite(config, out_dir=tmp_path)
         assert result.checkpoints == (4, 8, 12)
 
     def test_invalid_scenario_raises(self, tmp_path):
         body = SC_SCENARIO + "[constraints]\nradius = 0.01\n"
         config = load_config(write_config(tmp_path, body))
         with pytest.raises(ScenarioError, match="leaves the ball"):
-            run_suite(config, write=False)
+            run_suite(config, out_dir=tmp_path)
 
     def test_bandit_suite_runs_where_shrinkage_allows(self, tmp_path):
         body = (
@@ -500,7 +495,7 @@ class TestRunSuite:
             "[run]\nseeds = 1 2\n"
         )
         config = load_config(write_config(tmp_path, body, name="bandit.ini"))
-        result = run_suite(config, write=False)
+        result = run_suite(config, out_dir=tmp_path)
         assert result.checkpoints[-1] == 64
         # Distinct seeds see distinct sphere directions, so metrics differ.
         a, b = result.seed_results
@@ -522,7 +517,7 @@ class TestRunSuite:
             "[run]\nseeds = 1\n"
         )
         config = load_config(write_config(tmp_path, body, name="tiny.ini"))
-        result = run_suite(config, write=False)
+        result = run_suite(config, out_dir=tmp_path)
         assert result.checkpoints[-1] == 8
 
 

@@ -109,3 +109,31 @@ def test_a_key_the_loader_stops_at_is_named(tmp_path, case):
     with pytest.raises(ConfigError) as raised:
         load_config(path)
     assert str(raised.value) == expected
+
+
+# Integer fields replaced by values with a fraction, or by floats: the loader parses only
+# integers, so these reach the rules only through dataclasses.replace.
+REPLACE_ONLY_CASES = {
+    "dimension with a fraction": ({"dimension": 2.5}, ["dimension must be an integer, got 2.5"]),
+    "seed entry with a fraction": ({"seeds": (1.5, 2)}, ["seeds must be an integer, got 1.5"]),
+    "data seed with a fraction": ({"data_seed": 0.5}, ["seed must be an integer, got 0.5"]),
+    "horizon with a fraction": ({"horizon": 64.5}, ["horizon must be an integer, got 64.5"]),
+    "units as a float": ({"n_units": 6.0}, ["units must be an integer, got 6.0"]),
+    "workers with a fraction": ({"workers": 1.5}, ["workers must be an integer, got 1.5"]),
+    "checkpoint with a fraction": ({"checkpoints": (1, 2.5, 64)}, ["checkpoints must be an integer, got 2.5"]),
+    "two negative seeds": ({"seeds": (-1, 2, -3)}, ["seeds must be >= 0, got -1", "seeds must be >= 0, got -3"]),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLACE_ONLY_CASES))
+def test_a_replaced_integer_field_fails_in_the_loaders_words(tmp_path, case):
+    changes, expected = REPLACE_ONLY_CASES[case]
+    config = replace(preset_config("synthetic-convex-c0.5", seed_count=2, horizon=64), **changes)
+    assert validate_scenario(config) == expected
+    with pytest.raises(ScenarioError) as raised:
+        run_suite(config, out_dir=tmp_path / "out")
+    assert str(raised.value) == "; ".join(expected)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError) as raised:
+        apply_overrides(config)
+    assert str(raised.value) == "; ".join(expected)

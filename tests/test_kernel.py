@@ -202,14 +202,14 @@ def lent_blocks_equal_the_recorded_runs(variant, seeds, horizon=HORIZON, box=Non
 
 @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
 def test_kernel_run_equals_chained_bandit_rounds(horizon):
-    """The kernel draws sphere directions in blocks; run_round_bandit draws
-    them one round at a time from the same streams."""
+    """The kernel draws sphere directions in blocks; run_round under a bandit
+    schedule draws them one round at a time from the same streams."""
     lent_blocks_equal_the_recorded_runs("strongly-convex-bandit", (9,), horizon)
 
 
 @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda T: f"T{T}")
 def test_kernel_run_equals_chained_full_rounds(horizon):
-    """The kernel runs a block of rounds in one call; run_round_full one round."""
+    """The kernel runs a block of rounds in one call; run_round one round."""
     lent_blocks_equal_the_recorded_runs("convex-full", (9,), horizon)
 
 
@@ -335,7 +335,7 @@ class TestDeferredContainment:
             if 0 <= k < rounds:
                 # A direction of length 3 R / eps puts the probe x + eps * u at
                 # distance 3 R from a decision inside the ball of radius R.
-                directions[k, 0, BROKEN_UNIT - 1] *= 3.0 * hyper.radius / hyper.eps(1)
+                directions[k, 0, BROKEN_UNIT - 1] *= 3.0 * hyper.radius / hyper.eps
             drawn[0] += rounds
 
         monkeypatch.setattr(algorithm, "_sphere_block", stretched)

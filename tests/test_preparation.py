@@ -36,8 +36,8 @@ def parse_calls(monkeypatch):
     return calls
 
 
-def test_a_dataset_run_parses_its_file_once(parse_calls):
-    run_suite(preset_config("mg-convex", seed_count=1, horizon=32), write=False)
+def test_a_dataset_run_parses_its_file_once(parse_calls, tmp_path):
+    run_suite(preset_config("mg-convex", seed_count=1, horizon=32), out_dir=tmp_path)
     assert len(parse_calls) == 1
 
 
@@ -46,19 +46,19 @@ def test_validation_alone_parses_the_dataset(parse_calls):
     assert len(parse_calls) == 1
 
 
-def test_a_zero_horizon_is_a_failure_not_an_exception():
+def test_a_zero_horizon_is_a_failure_not_an_exception(tmp_path):
     config = replace(preset_config("synthetic-convex-c0.5"), horizon=0)
     failures = validate_scenario(config)
     assert any("horizon must be >= 1" in f for f in failures)
     with pytest.raises(ScenarioError, match="horizon"):
-        run_suite(config, write=False)
+        run_suite(config, out_dir=tmp_path)
 
 
-def test_an_empty_seed_list_is_a_failure_not_an_exception():
+def test_an_empty_seed_list_is_a_failure_not_an_exception(tmp_path):
     config = replace(preset_config("synthetic-sc-rho1", horizon=16), seeds=())
     assert validate_scenario(config) == ["seeds must not be empty"]
     with pytest.raises(ScenarioError, match="seeds must not be empty"):
-        run_suite(config, write=False)
+        run_suite(config, out_dir=tmp_path)
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def stream_calls(monkeypatch):
     return calls
 
 
-def test_streams_larger_than_memory_are_a_failure(stream_calls):
+def test_streams_larger_than_memory_are_a_failure(stream_calls, tmp_path):
     # The horizon as an override is checked in the loader, where one seed alone does not fit;
     # as a replaced field it reaches validation.
     with pytest.raises(ConfigError, match="horizon = 1000000000000000 for one seed, units = 6"):
@@ -80,7 +80,7 @@ def test_streams_larger_than_memory_are_a_failure(stream_calls):
     assert "2.235e+08 GiB of stream data" in failure
     assert "GiB of physical memory" in failure
     with pytest.raises(ScenarioError, match="physical memory"):
-        run_suite(config, write=False)
+        run_suite(config, out_dir=tmp_path)
     assert stream_calls == []
 
 

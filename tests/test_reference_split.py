@@ -24,7 +24,7 @@ RUN_PATH = ("algorithm", "problems", "metrics", "network", "bench", "cli")
 # general per-constraint statement (from problems), which the box's closed forms are checked against.
 MOVED = (
     "project_ball", "sample_unit_sphere", "one_point_estimator", "augmented_lagrangian", "primal_direction",
-    "dual_update", "RunState", "initial_state", "RoundRecord", "_round", "run_round_full", "run_round_bandit",
+    "dual_update", "RunState", "initial_state", "RoundRecord", "run_round",
     "offline_comparator", "system_cumulative_losses", "regret", "sreg", "cacv",
     "LossOracle", "regression_loss", "clipped_subgradient",
     "loss_values", "loss_gradients", "consensus_mix",

@@ -26,7 +26,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("preset, seeds", CASES)
-def test_a_runs_traced_peak_is_within_a_quarter_of_the_size_estimate(preset, seeds, monkeypatch):
+def test_a_runs_traced_peak_is_within_a_quarter_of_the_size_estimate(preset, seeds, monkeypatch, tmp_path):
     config = preset_config(preset, seed_count=seeds, horizon=8192)
     estimates = []
     check = netoco.bench._memory_failure
@@ -37,11 +37,11 @@ def test_a_runs_traced_peak_is_within_a_quarter_of_the_size_estimate(preset, see
         return check(need, what, kind)
 
     monkeypatch.setattr(netoco.bench, "_memory_failure", recording)
-    run_suite(config, write=False)  # warm-up: first-call allocations are not the run's
+    run_suite(config, out_dir=tmp_path)  # warm-up: first-call allocations are not the run's
     estimates.clear()
     tracemalloc.start()
     try:
-        run_suite(config, write=False)
+        run_suite(config, out_dir=tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
