@@ -37,7 +37,12 @@ reference.loss_gradients, or reference.loss_values under bandit feedback), the
 descent step, the mix as np.matmul on the round's weight entries and the
 closed-form dual pull of the box, the one constraint set the kernel takes
 (its + 0.0, which turns an underflowed -0.0 into +0.0, only in a block whose
-largest eta_t lets a pull round to -0.0: _pull_can_be_negative_zero). At
+largest eta_t lets a pull round to -0.0: _pull_can_be_negative_zero). A
+round whose new rows all satisfy ||x||^2 <= m^2 (1 - 1e-12), m = min(-lower,
+upper), lies strictly inside the box, where the pull is exactly +0.0: it
+skips the pull and leaves it at +0.0 (_inscribed_square), deciding from the
+largest squared row norm that _project_rows returns, so the test costs no
+numpy call; a box with m <= 0 never skips. At
 a round's size numpy's dispatch costs more than the arithmetic, so each step
 takes its cheapest path: the block's eta_t and beta_t come spread over the
 rows, so that the descent step and the dual pull's divide see operands of one
@@ -58,6 +63,7 @@ and in which parameters they need; variant_spec holds all three per variant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import cycle, islice, repeat
 from typing import Optional
@@ -251,8 +257,8 @@ def _overflow_factors(rows: np.ndarray, radius: float) -> np.ndarray:
     return np.minimum(radius / peaks / np.sqrt(_row_dots(unit, unit)), 1.0)
 
 
-def _project_rows(rows: np.ndarray, radius: float, squares: Optional[np.ndarray] = None) -> np.ndarray:
-    """Project every row onto the ball in place and return rows.
+def _project_rows(rows: np.ndarray, radius: float, squares: Optional[np.ndarray] = None) -> float:
+    """Project every row onto the ball in place; return the largest squared row norm, or inf if rows were scaled.
 
     rows is (..., N, d), at least two-dimensional: the in-place steps write
     each row's norm into the array of row dots, which a single (d,) vector
@@ -260,10 +266,12 @@ def _project_rows(rows: np.ndarray, radius: float, squares: Optional[np.ndarray]
     squares, a (..., N) array whose contents are not read, takes the row dots
     if given, so a caller with scratch of that shape (_run_block) allocates
     nothing per call; without it they go into a fresh array
-    (reference.round_step). When every row lies in the ball, rows are
-    returned untouched, which are the formula's bits; any other rows, NaN and
-    overflowing ones included, are scaled, an overflowing row from its
-    entries scaled to a peak of 1.
+    (reference.round_step). When every row lies in the ball, rows are left
+    untouched, which are the formula's bits, and the largest row dot comes
+    back as a Python float, which _run_block compares with the box's
+    inscribed ball (_inscribed_square). Any other rows, NaN and overflowing
+    ones included, are scaled, an overflowing row from its entries scaled to
+    a peak of 1, and math.inf comes back.
     """
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
     # row is outside, rows already hold the projection's bits. sqrt rounds
@@ -274,15 +282,16 @@ def _project_rows(rows: np.ndarray, radius: float, squares: Optional[np.ndarray]
     # NaN row, like an infinite one, takes the scaling path.
     scale = _c_einsum(_DOTS, rows, rows) if squares is None else _c_einsum(_DOTS, rows, rows, out=squares)
     listed = scale.ravel().tolist()
-    total = sum(listed)
-    if total == total and math.sqrt(max(listed)) <= radius:
-        return rows
+    total, largest = sum(listed), max(listed)
+    if total == total and math.sqrt(largest) <= radius:
+        return largest
     overflowed = np.isinf(scale) if math.inf in listed else None
     np.sqrt(scale, scale)
     np.divide(radius, np.maximum(scale, radius, out=scale), scale)
     if overflowed is not None:  # as in reference.project_ball
         scale[overflowed] = _overflow_factors(rows[overflowed], radius)
-    return np.multiply(rows, scale[..., None], rows)
+    np.multiply(rows, scale[..., None], rows)
+    return math.inf
 
 
 def _check_in_ball(rows: np.ndarray, radius: float, first_round: int = 1, kind: str = "row", seeds=None):
@@ -321,11 +330,12 @@ def _scratch(shape) -> tuple[np.ndarray, ...]:
     """The per-run scratch of _run_block for decision rows of the given (..., N, d) shape.
 
     (residuals, their (..., N, 1) view, half residuals, squared norms, scaled
-    observations, their (..., N, 1) view, the rho term): one entry per row,
-    or per row and coordinate for the rho term.
+    observations, their (..., N, 1) view, the rho term, the descended rows
+    y): one entry per row, or per row and coordinate for the last two.
     """
     residuals, half, squares, scaled = np.empty((4,) + shape[:-1])
-    return residuals, residuals[..., None], half, squares, scaled, scaled[..., None], np.empty(shape)
+    rho_term, descended = np.empty((2,) + shape)
+    return residuals, residuals[..., None], half, squares, scaled, scaled[..., None], rho_term, descended
 
 
 def _round_views(committed, features, targets, betas, etas, probes=None) -> tuple[tuple, ...]:
@@ -366,6 +376,32 @@ def _pull_can_be_negative_zero(box: BoxConstraintSet, eta_max: float) -> bool:
     return gap / float(eta_max) == 0.0
 
 
+# A row whose computed squared norm is at most m^2 (1 - _INSIDE_MARGIN) lies strictly
+# inside the box of inscribed radius m, where the box's dual pull is exactly +0.0.
+_INSIDE_MARGIN = 1e-12
+
+
+def _inscribed_square(box: BoxConstraintSet) -> float:
+    """The largest computed squared row norm that puts a row strictly inside the box; -1.0 if none does.
+
+    m = min(-lower, upper) is the radius of the box's inscribed ball about
+    the origin, and a row with ||x||^2 <= m^2 (1 - 1e-12) has every |x_j| <
+    m, inside both faces. _project_rows sums d rounded squares in rounded
+    adds, all of nonnegative terms, so its ||x||^2 is at least
+    x_j^2 (1 - u)^d for every j, u = 2^-53; the bound below takes three
+    roundings, each up by at most a factor 1 + u. So while (d + 4) u < 1e-12
+    (d up to 9,003) and the bound is a normal float, so that no square
+    underflows past it, a row under the bound lies strictly inside. A box
+    with m <= 0, or one where either condition fails, has no such rows:
+    -1.0 is below every squared norm.
+    """
+    inscribed = min(-box.lower, box.upper)
+    if not inscribed > 0.0 or not (box.dimension + 4) * 2.0**-53 < _INSIDE_MARGIN:
+        return -1.0
+    bound = inscribed * inscribed * (1.0 - _INSIDE_MARGIN)
+    return bound if sys.float_info.min <= bound < math.inf else -1.0
+
+
 def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero, dimension_over_eps=None):
     """Rounds start + 1, start + 2, ... of (..., N, d) decision rows, in place, one after another.
 
@@ -388,10 +424,10 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero
     generic dual pull, on fresh arrays: the statement of the round this loop
     is tested against, which shares only _project_rows with it. The
     gradient and the descent step beta * (gradient + pull) are built in the
-    next decisions' row, y = committed - that step in pull, and y is mixed
-    back into that row. rho, 2 rho and d / eps become float64 0-d arrays, and
-    whether rho is zero is decided, once per block. _project_rows is looked
-    up by name every round.
+    next decisions' row, y = committed - that step in the scratch, and y is
+    mixed back into that row. rho, 2 rho and d / eps become float64 0-d
+    arrays, and whether rho is zero is decided, once per block.
+    _project_rows is looked up by name every round.
 
     The dual pull is the closed form of the BoxConstraintSet box,
     (x - clip(x, lower, upper)) / eta, the one copy of it. At most one side of a coordinate is violated, and
@@ -403,14 +439,23 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero
     _pull_can_be_negative_zero(box, eta_max) for the block's largest eta, so
     a round pays for the add only in a block where a pull can be -0.0. The
     clip is the bare ufunc that np.clip calls.
+
+    A round whose new rows all lie strictly inside the box, by the largest
+    squared norm _project_rows returns (_inscribed_square), skips the pull:
+    there every x - clip(x) is x - x = +0.0, and the formula's pull is +0.0.
+    pull is zeroed once when a run of such rounds begins and left at +0.0
+    while it lasts. The next round still adds it to the gradient, which
+    turns a -0.0 gradient entry into the formula's +0.0.
     """
     add, divide, multiply, subtract, matmul, einsum = np.add, np.divide, np.multiply, np.subtract, np.matmul, _c_einsum
-    residuals, column, half, squares, scaled, scaled_column, rho_term = scratch
+    residuals, column, half, squares, scaled, scaled_column, rho_term, descended = scratch
     with_rho = bool(rho)
     rho, twice_rho = np.array(rho), np.array(2.0 * rho)
     if dimension_over_eps is not None:
         dimension_over_eps = np.array(dimension_over_eps)
     lower, upper = box._clip_bounds
+    inside = _inscribed_square(box)
+    pulling = True  # whether pull may hold anything but +0.0
     mixing = islice(cycle(weights), start % len(weights), None)
     for (current, nxt, features, targets, beta, eta, probe), entries in zip(rounds, mixing):
         if probe is None:  # (a.x - b) a + 2 rho x at the decisions
@@ -432,8 +477,13 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero
             multiply(dimension_over_eps, seen, scaled)
             multiply(scaled_column, direction, nxt)
         multiply(beta, add(nxt, pull, nxt), nxt)
-        matmul(entries, subtract(current, nxt, pull), nxt)
-        _project_rows(nxt, radius, squares)
+        matmul(entries, subtract(current, nxt, descended), nxt)
+        if _project_rows(nxt, radius, squares) <= inside:
+            if pulling:
+                pull.fill(0.0)
+                pulling = False
+            continue
+        pulling = True
         # (x - clip(x, lower, upper)) / eta, + 0.0 where a quotient can round to -0.0
         divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull)
         if add_zero:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -283,6 +284,14 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
     return TopologySchedule(graphs, window=window)
 
 
+def _minimum_failure(key: str, value, minimum: int) -> Optional[str]:
+    """The failure of value as key unless it is an integer of at least minimum; a non-integer fails in the loader's words."""
+    try:
+        return None if value is not None and _integer(value, key) >= minimum else f"{key} must be >= {minimum}, got {value}"
+    except ValueError as exc:
+        return str(exc)
+
+
 def _rule_failures(config: ScenarioConfig) -> list[str]:
     """Every rule on a config's own field values, in the order of the file's keys.
 
@@ -297,11 +306,8 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
             failures.append(message)
 
     def at_least(key, value, minimum):
-        """A failure unless value is an integer of at least minimum; a non-integer fails in the loader's words."""
-        try:
-            rule(value is not None and _integer(value, key) >= minimum, f"{key} must be >= {minimum}, got {value}")
-        except ValueError as exc:
-            failures.append(str(exc))
+        failure = _minimum_failure(key, value, minimum)
+        rule(failure is None, failure)
 
     source = config.source
     known = source in ("synthetic", "dataset")
@@ -314,9 +320,17 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
     at_least("units", config.n_units, 1)
     if source == "synthetic":
         at_least("dimension", config.dimension, 1)
+    not_numbers = []
     for key in ("rho", "lower", "upper", "radius", "c", "a"):
         value = getattr(config, key)
-        rule(value is None or math.isfinite(value), f"{key} must be finite")
+        if value is None and key in ("radius", "c"):  # the box's corner norm; no c for strongly convex variants
+            continue
+        if isinstance(value, numbers.Real):
+            rule(math.isfinite(value), f"{key} must be finite")
+        else:
+            not_numbers.append(f"{key} must be a number, got {value!r}")
+    if not_numbers:  # the rules below compare these fields as numbers
+        return failures + not_numbers
     rule(config.rho >= 0.0, "rho must be >= 0")
     at_least("seed", config.data_seed, 0)
     nodes = config.topology.node_count
@@ -403,21 +417,23 @@ def apply_overrides(
 ) -> ScenarioConfig:
     """Replace the seed list with 1..seed_count and set the other values given; None keeps one.
 
-    ConfigError joins every rule the result fails (_rule_failures), a seed_count below 1
-    among them; the size check made before 1..seed_count is built runs after the rules,
-    which it needs.
+    ConfigError joins every rule the result fails (_rule_failures), a seed_count that is
+    not an integer of at least 1 among them, in the rules' words; the size check made
+    before 1..seed_count is built runs after the rules, which it needs.
     """
     # Seed 1 stands in for 1..seed_count until the checks pass.
     seeds = None if seed_count is None else (1,)
     changes = {"horizon": horizon, "workers": workers, "seeds": seeds}
     config = replace(config, **{key: value for key, value in changes.items() if value is not None})
     failures = _rule_failures(config)
-    if seed_count is not None and seed_count < 1:
-        failures.append(f"seed_count must be >= 1, got {seed_count}")
+    count_failure = seed_count is not None and _minimum_failure("seed_count", seed_count, 1)
+    if count_failure:
+        failures.append(count_failure)
     if failures:
         raise ConfigError("; ".join(failures))
     if seed_count is None:
         return config
+    seed_count = _integer(seed_count, "seed_count")
     sizes = config.horizon, config.n_units, config.dimension
     failure = _stream_failure(f"seed_count = {seed_count} with horizon = {config.horizon}", seed_count, *sizes)
     if failure:  # raised before 1..seed_count is built

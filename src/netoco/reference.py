@@ -320,7 +320,8 @@ def round_step(rows, pull, losses, weights, beta, radius, directions=None, eps=N
         observed = loss_values(losses, probes)
         gradients = (rows.shape[-1] / eps) * observed[..., None] * directions
     mixed = consensus_mix(weights, rows - beta * (gradients + pull))
-    return _project_rows(mixed, radius), observed, probes
+    _project_rows(mixed, radius)
+    return mixed, observed, probes
 
 
 @dataclass

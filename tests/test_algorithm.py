@@ -1,6 +1,8 @@
 """Step schedules, the primal-dual round updates, and full runs: the kernel's (run_seeds) and the
 reference's chained rounds (record_run)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,14 +159,17 @@ class TestProjection:
         """(3e154, 4e154) . (3e154, 4e154) overflows; the row still has norm
         5e154 and projects to (0.6, 0.8), not to the origin."""
         np.testing.assert_allclose(project_ball(np.array([3e154, 4e154]), 1.0), [0.6, 0.8], rtol=1e-15)
-        rows = _project_rows(np.array([[3e154, 4e154], [3.0, 4.0]]), 1.0)
+        rows = np.array([[3e154, 4e154], [3.0, 4.0]])
+        assert _project_rows(rows, 1.0) == math.inf
         np.testing.assert_allclose(rows, [[0.6, 0.8], [0.6, 0.8]], rtol=1e-15)
         # Inside a ball larger than its norm, such a row stays where it is.
         np.testing.assert_array_equal(project_ball(np.array([3e154, 4e154]), 1e200), [3e154, 4e154])
-        rows = _project_rows(np.array([[3e154, 4e154], [3e200, 0.0]]), 1e200)
+        rows = np.array([[3e154, 4e154], [3e200, 0.0]])
+        assert _project_rows(rows, 1e200) == math.inf
         np.testing.assert_allclose(rows, [[3e154, 4e154], [1e200, 0.0]], rtol=1e-15)
         # A NaN row ahead of it does not hide the overflow.
-        rows = _project_rows(np.array([[np.nan, 0.0], [3e154, 4e154]]), 1.0)
+        rows = np.array([[np.nan, 0.0], [3e154, 4e154]])
+        assert _project_rows(rows, 1.0) == math.inf
         assert np.isnan(rows[0]).all()
         np.testing.assert_allclose(rows[1], [0.6, 0.8], rtol=1e-15)
 

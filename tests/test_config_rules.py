@@ -4,6 +4,7 @@ file fails load_config."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from netoco.bench import (
@@ -137,3 +138,51 @@ def test_a_replaced_integer_field_fails_in_the_loaders_words(tmp_path, case):
     with pytest.raises(ConfigError) as raised:
         apply_overrides(config)
     assert str(raised.value) == "; ".join(expected)
+
+
+# Float fields replaced by values that are no numbers: each fails in the loader's words for a
+# key it cannot parse, and the rules that compare the field as a number are not reached.
+NOT_A_NUMBER_CASES = {
+    "rho as text": ({"rho": "1"}, ["rho must be a number, got '1'"]),
+    "lower as text": ({"lower": "-0.15"}, ["lower must be a number, got '-0.15'"]),
+    "upper as None": ({"upper": None}, ["upper must be a number, got None"]),
+    "radius as text": ({"radius": "0.3"}, ["radius must be a number, got '0.3'"]),
+    "c as text": ({"c": "0.5"}, ["c must be a number, got '0.5'"]),
+    "a as None": ({"a": None}, ["a must be a number, got None"]),
+    "two of them": ({"rho": "1", "a": "2"}, ["rho must be a number, got '1'", "a must be a number, got '2'"]),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_A_NUMBER_CASES))
+def test_a_replaced_float_field_that_is_no_number_is_named(tmp_path, case):
+    changes, expected = NOT_A_NUMBER_CASES[case]
+    config = replace(preset_config("synthetic-convex-c0.5", seed_count=2, horizon=64), **changes)
+    assert validate_scenario(config) == expected
+    with pytest.raises(ScenarioError) as raised:
+        run_suite(config, out_dir=tmp_path / "out")
+    assert str(raised.value) == "; ".join(expected)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError) as raised:
+        apply_overrides(config)
+    assert str(raised.value) == "; ".join(expected)
+
+
+@pytest.mark.parametrize(
+    ("seed_count", "expected"),
+    [
+        (1.5, "seed_count must be an integer, got 1.5"),
+        ("2", "seed_count must be an integer, got '2'"),
+        (0, "seed_count must be >= 1, got 0"),
+    ],
+    ids=["fraction", "text", "zero"],
+)
+def test_a_seed_count_override_fails_in_the_rules_words(seed_count, expected):
+    """seed_count is read as the rules read an integer field; a numpy integer is one."""
+    config = preset_config("synthetic-convex-c0.5", seed_count=2, horizon=64)
+    with pytest.raises(ConfigError) as raised:
+        apply_overrides(config, seed_count=seed_count)
+    assert str(raised.value) == expected
+    with pytest.raises(ConfigError) as raised:
+        preset_config("synthetic-convex-c0.5", seed_count=seed_count, horizon=64)
+    assert str(raised.value) == expected
+    assert apply_overrides(config, seed_count=np.int64(3)).seeds == (1, 2, 3)

@@ -3,13 +3,16 @@
 The round loop (algorithm._run_block) writes the box's dual pull out, and
 adds its + 0.0 only where algorithm._pull_can_be_negative_zero says a pull
 can round to -0.0; the generic default is reference.ConstraintSet.dual_pull_rows
-on the box stated constraint by constraint (reference.box_constraints).
+on the box stated constraint by constraint (reference.box_constraints). A
+round whose rows all lie inside the box's inscribed ball about the origin
+skips the pull, which is +0.0 there.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import netoco.algorithm as algorithm
 from netoco.algorithm import _pull_can_be_negative_zero, _round_views, _run_block, _scratch
 from netoco.problems import BoxConstraintSet
 from netoco.reference import box_constraints
@@ -137,3 +140,70 @@ def test_generic_default_is_the_weighted_subgradient_of_the_reset_duals():
     np.testing.assert_allclose(
         kernel_pull(box, rows[None], eta)[0], [[0.2, 0.0, 0.0], [-0.6, 0.0, 0.0]], rtol=1e-12, atol=1e-15
     )
+
+
+def clip_calls(monkeypatch):
+    """The box clips _run_block makes from now on, one per round that takes the full pull."""
+    clip, calls = algorithm._clip, []
+
+    def counting(*args):
+        calls.append(None)
+        return clip(*args)
+
+    monkeypatch.setattr(algorithm, "_clip", counting)
+    return calls
+
+
+@pytest.mark.parametrize("face", ["lower", "upper"])
+def test_a_row_one_ulp_past_a_face_takes_the_full_pull(monkeypatch, face):
+    """One coordinate one ulp outside a face, the others zero: the row is outside the
+    box, so the round must clip, and the pull is the generic one, nonzero on that side."""
+    box = BoxConstraintSet(-0.15, 0.15, 3)
+    bound, outward = (box.lower, -np.inf) if face == "lower" else (box.upper, np.inf)
+    rows = np.array([[[np.nextafter(bound, outward), 0.0, -0.0]]])
+    calls = clip_calls(monkeypatch)
+    pull = kernel_pull(box, rows, 0.25)
+    assert len(calls) == 1
+    assert_same_bits(pull, box_constraints(box).dual_pull_rows(rows, 0.25))
+    assert np.sign(pull[0, 0, 0]) == np.sign(bound)
+
+
+def test_rows_inside_the_inscribed_ball_skip_the_pull(monkeypatch):
+    """Rows under the bound skip the clip and leave the pull at the formula's +0.0 over
+    a buffer of garbage; a row one ulp inside a face is in the box but not under the
+    bound, so that round takes the full pull, which is +0.0 as well."""
+    box = BoxConstraintSet(-0.15, 0.15, 3)
+    inside = np.array([[[0.1, -0.1, -0.0], [0.0, 1e-300, -0.05]]])
+    calls = clip_calls(monkeypatch)
+    assert_same_bits(kernel_pull(box, inside, 0.25), np.zeros(inside.shape))
+    assert calls == []
+    near_face = np.array([[[np.nextafter(box.upper, 0.0), 0.0, 0.0]]])
+    assert_same_bits(kernel_pull(box, near_face, 0.25), np.zeros(near_face.shape))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(0.0, 1.0), (-0.0, 1.0), (0.05, 0.2), (-1.0, 0.0), (-1.0, -0.5)],
+    ids=["lower-zero", "lower-negative-zero", "lower-above-zero", "upper-zero", "upper-below-zero"],
+)
+def test_a_box_without_the_origin_inside_never_skips(monkeypatch, lower, upper):
+    """min(-lower, upper) <= 0: no ball about the origin lies inside the box, so even a row
+    at the box's centre takes the full pull."""
+    box = BoxConstraintSet(lower, upper, 2)
+    centre = 0.5 * (lower + upper)
+    rows = np.array([[[centre, centre]], [[0.0, -0.0]]])
+    calls = clip_calls(monkeypatch)
+    assert_same_bits(kernel_pull(box, rows, 0.25), box_constraints(box).dual_pull_rows(rows, 0.25))
+    assert len(calls) == 1
+
+
+def test_a_square_that_underflows_does_not_pass_for_inside(monkeypatch):
+    """On the box +-1e-200 the bound m^2 (1 - 1e-12) underflows to 0.0, and so does the
+    square of 1e-170, a coordinate far outside the box: the round must still clip."""
+    box = BoxConstraintSet(-1e-200, 1e-200, 1)
+    rows = np.array([[[1e-170]]])
+    calls = clip_calls(monkeypatch)
+    pull = kernel_pull(box, rows, 0.25)
+    assert len(calls) == 1
+    assert_same_bits(pull, box_constraints(box).dual_pull_rows(rows, 0.25))
+    assert pull[0, 0, 0] > 0.0

@@ -13,7 +13,7 @@ import netoco.algorithm as algorithm
 from netoco.algorithm import _check_in_ball, _sphere_block, _sphere_rngs, make_schedule, run_seeds
 from netoco.metrics import checkpoint_series
 from netoco.network import default_ring_6
-from netoco.problems import BoxConstraintSet, synthetic_stream
+from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
 from netoco.reference import box_constraints, loss_values, record_run, sample_unit_sphere
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,7 +29,8 @@ def checkpoints_for(horizon):
     return tuple(T for T in (1, 7, 128, 129, 256) if T < horizon) + (horizon,)
 
 
-def batch(variant, seeds, horizon=HORIZON, box=None, radius=None):
+def batch(variant, seeds, horizon=HORIZON, box=None, radius=None, streams=None):
+    """Synthetic streams, unless given, with their schedules and the box (the presets' by default)."""
     box = BoxConstraintSet(-0.15, 0.15, 4) if box is None else box
     # A bandit schedule needs pi = 1 / (R T^b) < 1, so a one-round run needs R > 1.
     if horizon == 1:
@@ -37,7 +38,8 @@ def batch(variant, seeds, horizon=HORIZON, box=None, radius=None):
     elif radius is None:  # only a box has vertices
         radius = box.max_vertex_norm()
     rho = 1.0 if variant.startswith("strongly") else 0.0
-    streams = [synthetic_stream(6, 4, horizon, rho=rho, seed=40 + s) for s in seeds]
+    if streams is None:
+        streams = [synthetic_stream(6, 4, horizon, rho=rho, seed=40 + s) for s in seeds]
     schedules = [
         make_schedule(
             variant,
@@ -176,11 +178,11 @@ class TestRunSeeds:
             run_seeds(streams, default_ring_6(), schedules, box, (1,), (10, HORIZON + 1))
 
 
-def lent_blocks_equal_the_recorded_runs(variant, seeds, horizon=HORIZON, box=None, radius=None):
+def lent_blocks_equal_the_recorded_runs(variant, seeds, horizon=HORIZON, box=None, radius=None, streams=None):
     """Each block the kernel lends for a batch of seeds, read as it arrives, holds the
     rounds of each seed's run recorded by chaining the reference's round functions
     (reference.record_run). Returns the records."""
-    streams, schedules, box = batch(variant, seeds, horizon, box, radius)
+    streams, schedules, box = batch(variant, seeds, horizon, box, radius, streams)
     topology = default_ring_6()
     records = [record_run(stream, topology, hyper, box, seed) for stream, hyper, seed in zip(streams, schedules, seeds)]
     starts = []
@@ -248,6 +250,73 @@ def test_kernel_run_equals_chained_rounds_for_other_constraint_sets(constraints,
     assert record.violations[0].max() > 0
 
 
+def square_wave_streams(phases, horizon=HORIZON):
+    """One stream per phase, rho = 1: every unit sees the feature e_1 and the target +1 or -1,
+    switching every 12 rounds from round 1 - phase, so that under full information the
+    decisions swing through the origin and out again about every 12 rounds."""
+    features = np.zeros((horizon, 6, 4))
+    features[..., 0] = 1.0
+    t = np.arange(horizon)[:, None]
+    signs = [np.where((t + phase) // 12 % 2 == 0, 1.0, -1.0) for phase in phases]
+    return [RegressionStream(features, np.repeat(sign, 6, axis=1), 1.0) for sign in signs]
+
+
+def full_pulls_by_round(monkeypatch):
+    """One entry per round the kernel runs, appended as it projects: whether the round took the box's full pull."""
+    project, clip, pulled = algorithm._project_rows, algorithm._clip, []
+
+    def projecting(*args):
+        pulled.append(False)
+        return project(*args)
+
+    def clipping(*args):
+        pulled[-1] = True
+        return clip(*args)
+
+    monkeypatch.setattr(algorithm, "_project_rows", projecting)
+    monkeypatch.setattr(algorithm, "_clip", clipping)
+    return pulled
+
+
+class TestPullSkip:
+    """A round whose new decisions all lie strictly inside the box's inscribed ball,
+    ||x||^2 <= m^2 (1 - 1e-12) with m = min(-lower, upper) over every row of the batch,
+    skips the box's pull, whose formula gives +0.0 there; the others take it. Each run
+    below moves into and out of that ball within blocks and across block edges, in
+    both directions, and must keep the bits of the reference's chained rounds."""
+
+    @pytest.mark.parametrize(
+        ("variant", "seeds", "box", "radius"),
+        [
+            # Decisions follow a target that switches sign (square_wave_streams), seed 1 eight rounds ahead.
+            ("strongly-convex-full", (1, 2), BoxConstraintSet(-0.01, 0.01, 4), 0.3),
+            # The presets' box and synthetic streams; the probes' noise moves the decisions in and out.
+            ("strongly-convex-bandit", (3, 10), BoxConstraintSet(-0.15, 0.15, 4), None),
+        ],
+        ids=["full", "bandit"],
+    )
+    def test_the_skipped_rounds_keep_the_recorded_bits(self, monkeypatch, variant, seeds, box, radius):
+        streams = square_wave_streams((8, 0)) if variant.endswith("full") else None
+        pulled = full_pulls_by_round(monkeypatch)
+        records = lent_blocks_equal_the_recorded_runs(variant, seeds, HORIZON, box, radius, streams)
+        assert len(pulled) == HORIZON
+        inscribed = min(-box.lower, box.upper)
+        # Round t leaves the decisions of round t + 1, recorded for t < T.
+        squares = np.stack([np.einsum("tnd,tnd->tn", r.decisions[1:], r.decisions[1:]) for r in records], axis=1)
+        inside = [float(row.max()) <= inscribed * inscribed * (1.0 - 1e-12) for row in squares]
+        assert [not pull for pull in pulled[:-1]] == inside
+        # Both branches, a switch inside a block, and a switch each way at a block edge:
+        # edges maps each edge e where the rounds switch to whether round e, the last of its block, skipped.
+        assert any(inside[t] != inside[t - 1] for t in range(1, HORIZON - 1) if t % 128)
+        edges = {edge: inside[edge - 1] for edge in (128, 256) if inside[edge - 1] != inside[edge]}
+        assert sorted(edges.values()) == [False, True]
+        if variant.endswith("full"):
+            # The pull carried into the block that starts skipping is not zero: the decisions
+            # left by its last round violate the box, so the skip must clear the pull.
+            (edge,) = [edge for edge, skipped in edges.items() if not skipped]
+            assert max(record.violations[edge].max() for record in records) > 0.0
+
+
 # The projection of round 199 gives the decisions of round 200, in the kernel's
 # second block of rounds 129..256.
 BROKEN_ROUND, BROKEN_UNIT = 200, 3
@@ -260,13 +329,13 @@ def push_a_decision_out(monkeypatch, broken_round=BROKEN_ROUND, seed_index=None)
     original, calls = algorithm._project_rows, []
 
     def sabotaged(rows, radius, *scratch):
-        out = original(rows, radius, *scratch)
+        largest = original(rows, radius, *scratch)
         calls.append(None)
         if len(calls) == broken_round - 1:
-            pushed = out if seed_index is None else out[seed_index]
+            pushed = rows if seed_index is None else rows[seed_index]
             pushed[..., BROKEN_UNIT - 1, :] = 0.0
             pushed[..., BROKEN_UNIT - 1, 0] = 2.0 * radius
-        return out
+        return largest
 
     monkeypatch.setattr(algorithm, "_project_rows", sabotaged)
 
@@ -349,18 +418,18 @@ class TestDeferredContainment:
             f"""
             import netoco.algorithm as algorithm
             from netoco.network import default_ring_6
-            from netoco.problems import BoxConstraintSet, synthetic_stream
+            from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
 
             if __debug__:
                 raise SystemExit("not running under -O")
             original, calls, starts = algorithm._project_rows, [], []
 
             def sabotaged(rows, radius, *scratch):
-                out = original(rows, radius, *scratch)
+                largest = original(rows, radius, *scratch)
                 calls.append(None)
                 if len(calls) == {BROKEN_ROUND - 1}:
-                    out[..., {BROKEN_UNIT - 1}, 0] = 2.0 * radius
-                return out
+                    rows[..., {BROKEN_UNIT - 1}, 0] = 2.0 * radius
+                return largest
 
             lockstep = algorithm._lockstep
 

@@ -98,10 +98,15 @@ def test_projection_in_place_is_the_fresh_formula(data, radius):
 
 def assert_projections_in_place(rows, radius, fresh):
     """_project_rows with its row dots in a scratch array, as _run_block calls it, and in a
-    fresh array, as reference.round_step does, both give the fresh formula's bits."""
+    fresh array, as reference.round_step does, both write the fresh formula's bits into the
+    rows they were given. Both return the largest squared row norm when every row lies in
+    the ball (no NaN among the squares), and inf when they scale the rows."""
+    squares = np.einsum("...d,...d->...", rows, rows)
+    inside = not np.isnan(squares).any() and math.sqrt(squares.max()) <= radius
+    expected = float(squares.max()) if inside else math.inf
     in_scratch = rows.copy()
-    assert _project_rows(in_scratch, radius, garbage(rows.shape[:-1])) is in_scratch
-    assert _project_rows(rows, radius) is rows
+    assert _project_rows(in_scratch, radius, garbage(rows.shape[:-1])) == expected
+    assert _project_rows(rows, radius) == expected
     assert_same_bits(rows, fresh)
     assert_same_bits(in_scratch, fresh)
 
