@@ -7,10 +7,9 @@ reads it through the same loader, so every key has one default. One scenario
 runs its seed list as one lockstep batch, evaluates the metric series per
 seed with one comparator solve for the batch, averages across seeds, and
 writes one CSV per scenario with per-seed rows plus a seed = "mean"
-aggregate row per checkpoint. Identical configs produce byte-identical CSVs
-for any worker count: every seed's stream, schedule, and numbers depend only
-on its own integers (batching changes no bit of them), and assembly is
-ordered.
+aggregate row per checkpoint. Identical configs produce byte-identical CSVs:
+every seed's stream, schedule, and numbers depend only on its own integers
+(batching changes no bit of them), and assembly is ordered.
 """
 
 from __future__ import annotations
@@ -87,30 +86,25 @@ class ScenarioConfig:
     checkpoints: Optional[tuple[int, ...]]  # None: geometric grid from horizon
     seeds: tuple[int, ...]
     output_dir: Optional[str]
-    workers: int  # accepted and kept; seeds run as one batch whatever its value
     topology: TopologySchedule
 
 
 _SECTIONS = {
     "problem": {"source", "dataset", "units", "dimension", "rho", "seed"},
-    "topology": {"preset", "nodes", "window", "graphs"},
+    "topology": {"window", "graphs"},
     "constraints": {"lower", "upper", "radius"},
     "algorithm": {"variant", "c", "a", "horizon", "checkpoints"},
-    "run": {"seeds", "seed_count", "output", "workers"},
+    "run": {"seeds", "seed_count", "output", "workers"},  # workers: read and dropped, for perfbench's scenario files
 }
 
 
 def load_config(
-    path,
-    *,
-    seed_count: Optional[int] = None,
-    horizon: Optional[int] = None,
-    workers: Optional[int] = None,
+    path, *, seed_count: Optional[int] = None, horizon: Optional[int] = None
 ) -> ScenarioConfig:
     """Parse and validate a scenario file; unknown sections or keys are errors.
 
-    seed_count, horizon and workers, where given, replace the file's values
-    before the config's one check (apply_overrides).
+    seed_count and horizon, where given, replace the file's values before the
+    config's one check (apply_overrides).
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -121,14 +115,10 @@ def load_config(
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return _from_parser(
-        parser, path.stem, path.parent, seed_count=seed_count, horizon=horizon, workers=workers
-    )
+    return _from_parser(parser, path.stem, path.parent, seed_count=seed_count, horizon=horizon)
 
 
-def _from_parser(
-    parser, name: str, base_dir: Optional[Path], *, seed_count=None, horizon=None, workers=None
-) -> ScenarioConfig:
+def _from_parser(parser, name: str, base_dir: Optional[Path], *, seed_count=None, horizon=None) -> ScenarioConfig:
     """The config of parsed scenario keys, with every key's default; the only builder of one.
 
     Here: text to values, section and key names, and keys that exclude each other; the
@@ -190,7 +180,7 @@ def _from_parser(
     else:  # apply_overrides builds 1..count
         seeds, count = (), _parse_int(seed_count_text or "10", "seed_count")
     output_dir = get("run", "output")
-    workers_key = _parse_int(get("run", "workers", "1"), "workers")
+    _parse_int(get("run", "workers", "1"), "workers", minimum=1)  # perfbench's scenario files set it; it decides nothing
 
     return apply_overrides(ScenarioConfig(
         name=name,
@@ -210,9 +200,8 @@ def _from_parser(
         checkpoints=checkpoints,
         seeds=seeds,
         output_dir=output_dir,
-        workers=workers_key,
         topology=topology,
-    ), seed_count=count if seed_count is None else seed_count, horizon=horizon, workers=workers)
+    ), seed_count=count if seed_count is None else seed_count, horizon=horizon)
 
 
 def _tokens(text: str) -> list[str]:
@@ -237,21 +226,11 @@ def _parse_float(text, key) -> float:
 
 
 def _parse_topology(parser, n_units: int) -> TopologySchedule:
-    """The preset schedule, unless nodes, window or graphs make it explicit."""
-    preset = parser.get("topology", "preset", fallback=None)
-    explicit = any(parser.has_option("topology", key) for key in ("nodes", "window", "graphs"))
-    if preset or not explicit:
-        preset = (preset or "default-ring-6").strip()
-        if explicit:
-            raise ConfigError("topology preset excludes nodes/window/graphs")
-        if preset != "default-ring-6":
-            raise ConfigError(f"unknown topology preset {preset!r}")
+    """default_ring_6(), unless window or graphs make the schedule explicit, on nodes 1..units."""
+    if not any(parser.has_option("topology", key) for key in _SECTIONS["topology"]):
         return default_ring_6()
-    nodes = _parse_int(parser.get("topology", "nodes", fallback=str(n_units)), "nodes")
-    if nodes != n_units:
-        raise ConfigError(f"topology nodes = {nodes} but units = {n_units}")
-    if nodes < 1:
-        raise ConfigError(f"explicit topology needs units >= 1 nodes, got units = {nodes}")
+    if n_units < 1:
+        raise ConfigError(f"explicit topology needs units >= 1 nodes, got units = {n_units}")
     window = _parse_int(parser.get("topology", "window", fallback="1"), "window", minimum=1)
     graphs_text = parser.get("topology", "graphs", fallback=None)
     if not graphs_text:
@@ -268,7 +247,7 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
                 raise ConfigError(f"bad edge token {token!r}; expected i-j")
             edges.append((_parse_int(head, "edge"), _parse_int(tail, "edge")))
         try:
-            graphs.append(Graph(nodes, tuple(edges)))
+            graphs.append(Graph(n_units, tuple(edges)))
         except ValueError as exc:
             raise ConfigError(f"bad graph {segment.strip()!r}: {exc}") from None
     if not graphs:
@@ -276,8 +255,8 @@ def _parse_topology(parser, n_units: int) -> TopologySchedule:
     # One dense N x N weight matrix per graph, built where it is kept: load_config's traced
     # peak for three graphs on 400 nodes is 1.02 times this.
     failure = _memory_failure(
-        len(graphs) * nodes * nodes * 8,
-        f"explicit topology: {len(graphs)} graph(s) on units = {nodes} nodes", "mixing weights",
+        len(graphs) * n_units * n_units * 8,
+        f"explicit topology: {len(graphs)} graph(s) on units = {n_units} nodes", "mixing weights",
     )
     if failure:
         raise ConfigError(failure)
@@ -354,7 +333,6 @@ def _rule_failures(config: ScenarioConfig) -> list[str]:
     rule(len(set(config.seeds)) == len(config.seeds), "seeds must be distinct")
     for seed in config.seeds:
         at_least("seeds", seed, 0)
-    at_least("workers", config.workers, 1)
     return failures
 
 
@@ -398,22 +376,21 @@ def preset_config(
     *,
     seed_count: Optional[int] = None,
     horizon: Optional[int] = None,
-    workers: Optional[int] = None,
+    workers: Optional[int] = None,  # perfbench's workloads pass workers=1; checked, then dropped
 ) -> ScenarioConfig:
     """A preset's keys read as a scenario file's, with the overrides as load_config takes them."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see `netoco presets`")
+    failure = workers is not None and _minimum_failure("workers", workers, 1)
+    if failure:
+        raise ConfigError(failure)
     parser = configparser.ConfigParser()
     parser.read_dict(_PRESETS[name])
-    return _from_parser(parser, name, None, seed_count=seed_count, horizon=horizon, workers=workers)
+    return _from_parser(parser, name, None, seed_count=seed_count, horizon=horizon)
 
 
 def apply_overrides(
-    config: ScenarioConfig,
-    *,
-    seed_count: Optional[int] = None,
-    horizon: Optional[int] = None,
-    workers: Optional[int] = None,
+    config: ScenarioConfig, *, seed_count: Optional[int] = None, horizon: Optional[int] = None
 ) -> ScenarioConfig:
     """Replace the seed list with 1..seed_count and set the other values given; None keeps one.
 
@@ -423,7 +400,7 @@ def apply_overrides(
     """
     # Seed 1 stands in for 1..seed_count until the checks pass.
     seeds = None if seed_count is None else (1,)
-    changes = {"horizon": horizon, "workers": workers, "seeds": seeds}
+    changes = {"horizon": horizon, "seeds": seeds}
     config = replace(config, **{key: value for key, value in changes.items() if value is not None})
     failures = _rule_failures(config)
     count_failure = seed_count is not None and _minimum_failure("seed_count", seed_count, 1)
@@ -690,8 +667,7 @@ def run_suite(config: ScenarioConfig, *, out_dir=None) -> SuiteResult:
     """Run every seed of a scenario, average, and write its CSV.
 
     One call, metrics.checkpoint_series, runs all seeds in lockstep as one
-    batch and scores them; the workers setting is accepted but changes neither
-    the output nor the work done. The hindsight comparators of every seed's
+    batch and scores them. The hindsight comparators of every seed's
     checkpoints are solved together, in one stacked solve; one that does not
     converge raises ScenarioError naming the scenario, the first such seed,
     its checkpoint and the residual.

@@ -29,9 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed-count", type=int, help="replace the seed list with 1..k")
     run.add_argument("--horizon", type=int, help="override the horizon T")
     run.add_argument("--out", help="output directory for CSV files")
-    run.add_argument(
-        "--workers", type=int, help="accepted for old scripts; seeds always run as one batch"
-    )
 
     sub.add_parser("presets", help="list preset names")
 
@@ -60,7 +57,7 @@ def main(argv=None) -> int:
         if (args.config is None) == (args.preset is None):
             print("run needs a config file or --preset (not both)", file=sys.stderr)
             return 2
-        overrides = {"seed_count": args.seed_count, "horizon": args.horizon, "workers": args.workers}
+        overrides = {"seed_count": args.seed_count, "horizon": args.horizon}
         if args.preset is not None:
             config = preset_config(args.preset, **overrides)
         else:

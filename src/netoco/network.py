@@ -24,11 +24,13 @@ __all__ = [
 
 
 def _integer(value, name: str) -> int:
-    """value as an int, if it is one (a numpy integer too); ValueError naming it where int() would truncate."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """value as an int, if it is one (a numpy integer too, a bool not); ValueError naming it where int() would truncate."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

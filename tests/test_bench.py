@@ -56,7 +56,6 @@ rho = 0.5
 seed = 11
 
 [topology]
-nodes = 3
 window = 2
 graphs = 1-2 | 2-3
 
@@ -92,7 +91,6 @@ workers = 2
         assert config.checkpoints == (64, 128, 256)
         assert config.seeds == (5, 6, 7)
         assert config.output_dir == "out-here"
-        assert config.workers == 2
         assert config.topology.node_count == 3
         assert config.topology.period == 2
         assert config.topology.window == 2
@@ -113,7 +111,6 @@ workers = 2
         assert config.checkpoints is None
         assert config.seeds == tuple(range(1, 11))
         assert config.output_dir is None
-        assert config.workers == 1
         assert config.topology.node_count == 6
         assert config.topology.window == 2
 
@@ -195,37 +192,44 @@ workers = 2
                 "distinct",
             ),
             (
-                "[algorithm]\nvariant = convex-full\nc = 0.5\n[topology]\npreset = torus\n",
-                "unknown topology preset",
+                "[algorithm]\nvariant = convex-full\nc = 0.5\n[topology]\npreset = default-ring-6\n",
+                "unknown key 'preset' in \\[topology\\]",
             ),
             (
-                "[algorithm]\nvariant = convex-full\nc = 0.5\n"
-                "[topology]\npreset = default-ring-6\nnodes = 6\n",
-                "preset excludes",
+                "[algorithm]\nvariant = convex-full\nc = 0.5\n[topology]\nnodes = 6\n",
+                "unknown key 'nodes' in \\[topology\\]",
+            ),
+            (
+                "[algorithm]\nvariant = convex-full\nc = 0.5\n[run]\nworkers = 0\n",
+                "^workers must be >= 1, got 0$",
+            ),
+            (
+                "[algorithm]\nvariant = convex-full\nc = 0.5\n[run]\nworkers = two\n",
+                "^workers must be an integer, got 'two'$",
             ),
             (
                 "[problem]\nunits = 4\n[algorithm]\nvariant = convex-full\nc = 0.5\n",
                 "6 nodes but units = 4",
             ),
             (
-                "[problem]\nunits = 3\n[algorithm]\nvariant = convex-full\nc = 0.5\n"
-                "[topology]\nnodes = 2\ngraphs = 1-2\n",
-                "nodes = 2 but units = 3",
-            ),
-            (
                 "[problem]\nunits = 2\n[algorithm]\nvariant = convex-full\nc = 0.5\n"
-                "[topology]\nnodes = 2\nwindow = 1\n",
+                "[topology]\nwindow = 1\n",
                 "needs graphs",
             ),
             (
                 "[problem]\nunits = 2\n[algorithm]\nvariant = convex-full\nc = 0.5\n"
-                "[topology]\nnodes = 2\ngraphs = 1:2\n",
+                "[topology]\ngraphs = 1:2\n",
                 "bad edge token",
             ),
             (
                 "[problem]\nunits = 2\n[algorithm]\nvariant = convex-full\nc = 0.5\n"
-                "[topology]\nnodes = 2\ngraphs = 1-1\n",
+                "[topology]\ngraphs = 1-1\n",
                 "bad graph",
+            ),
+            (
+                "[problem]\nunits = 2\n[algorithm]\nvariant = convex-full\nc = 0.5\n"
+                "[topology]\ngraphs = 1-3\n",
+                "edge \\(1, 3\\) leaves 1..2",
             ),
         ],
     )
@@ -242,14 +246,14 @@ workers = 2
         path = write_config(
             tmp_path,
             "[problem]\nunits = 2\n[algorithm]\nvariant = convex-full\nc = 0.5\n"
-            "[topology]\nnodes = 2\nwindow = 2\ngraphs = 1-2 | -\n",
+            "[topology]\nwindow = 2\ngraphs = 1-2 | -\n",
         )
         topology = load_config(path).topology
         assert topology.period == 2
         assert len(topology.graph_at(1).edges) == 1
         assert len(topology.graph_at(2).edges) == 0
 
-    def test_empty_topology_section_is_the_default_preset(self, tmp_path):
+    def test_empty_topology_section_is_the_default_ring(self, tmp_path):
         path = write_config(
             tmp_path, "[algorithm]\nvariant = convex-full\nc = 0.5\n[topology]\n"
         )
@@ -298,10 +302,17 @@ class TestPresets:
             assert config.seeds == tuple(range(1, 11))
 
     def test_overrides(self):
-        config = preset_config("synthetic-sc-rho1", seed_count=3, horizon=64, workers=4)
+        config = preset_config("synthetic-sc-rho1", seed_count=3, horizon=64)
         assert config.seeds == (1, 2, 3)
         assert config.horizon == 64
-        assert config.workers == 4
+
+    def test_a_workers_argument_is_checked_and_dropped(self):
+        assert preset_config("mg-sc", workers=3) == preset_config("mg-sc")
+        for workers, message in ((0, "workers must be >= 1, got 0"), (1.5, "workers must be an integer, got 1.5"),
+                                 (True, "workers must be an integer, got True")):
+            with pytest.raises(ConfigError) as raised:
+                preset_config("mg-sc", workers=workers)
+            assert str(raised.value) == message
 
     def test_a_lookup_builds_one_topology_and_the_list_none(self, monkeypatch):
         built = []
@@ -336,8 +347,6 @@ class TestPresets:
             preset_config("mg-sc", seed_count=0)
         with pytest.raises(ConfigError, match="horizon"):
             preset_config("mg-sc", horizon=0)
-        with pytest.raises(ConfigError, match="workers"):
-            preset_config("mg-sc", workers=0)
 
 
 class TestValidateScenario:
@@ -371,7 +380,7 @@ class TestValidateScenario:
     def test_disconnected_window_is_reported(self, tmp_path):
         body = (
             "[problem]\nunits = 4\n"
-            "[topology]\nnodes = 4\nwindow = 2\ngraphs = 1-2 | 1-2 3-4\n"
+            "[topology]\nwindow = 2\ngraphs = 1-2 | 1-2 3-4\n"
             "[algorithm]\nvariant = convex-full\nc = 0.5\n"
         )
         config = load_config(write_config(tmp_path, body))
@@ -433,16 +442,11 @@ class TestRunSuite:
             seed_sregs = np.array([float(r[2]) for r in block[:2]])
             assert np.mean(seed_sregs) == pytest.approx(result.mean.sreg[k], rel=1e-15)
 
-    def test_byte_identical_across_invocations_and_worker_counts(self, tmp_path):
-        from dataclasses import replace
-
+    def test_byte_identical_across_invocations(self, tmp_path):
         config = load_config(write_config(tmp_path, SC_SCENARIO))
         first = run_suite(config, out_dir=tmp_path / "a")
         second = run_suite(config, out_dir=tmp_path / "b")
-        threaded = run_suite(replace(config, workers=4), out_dir=tmp_path / "c")
-        blob = first.csv_path.read_bytes()
-        assert second.csv_path.read_bytes() == blob
-        assert threaded.csv_path.read_bytes() == blob
+        assert second.csv_path.read_bytes() == first.csv_path.read_bytes()
 
     def test_output_directory_precedence(self, tmp_path, monkeypatch):
         body = SC_SCENARIO.replace(

@@ -42,7 +42,6 @@ CASES = {
         {"algorithm": {"checkpoints": ""}},
         ["checkpoints must not be empty; omit the key for the default grid"],
     ),
-    "no workers": ({"workers": 0}, {"run": {"workers": "0"}}, ["workers must be >= 1, got 0"]),
     "empty box": (
         {"lower": 1.0, "upper": 0.0},
         {"constraints": {"lower": "1.0", "upper": "0.0"}},
@@ -112,15 +111,18 @@ def test_a_key_the_loader_stops_at_is_named(tmp_path, case):
     assert str(raised.value) == expected
 
 
-# Integer fields replaced by values with a fraction, or by floats: the loader parses only
-# integers, so these reach the rules only through dataclasses.replace.
+# Integer fields replaced by values with a fraction, by floats or by bools: the loader parses
+# only integers, so these reach the rules only through dataclasses.replace.
 REPLACE_ONLY_CASES = {
     "dimension with a fraction": ({"dimension": 2.5}, ["dimension must be an integer, got 2.5"]),
     "seed entry with a fraction": ({"seeds": (1.5, 2)}, ["seeds must be an integer, got 1.5"]),
     "data seed with a fraction": ({"data_seed": 0.5}, ["seed must be an integer, got 0.5"]),
     "horizon with a fraction": ({"horizon": 64.5}, ["horizon must be an integer, got 64.5"]),
     "units as a float": ({"n_units": 6.0}, ["units must be an integer, got 6.0"]),
-    "workers with a fraction": ({"workers": 1.5}, ["workers must be an integer, got 1.5"]),
+    "seed entry as a bool": ({"seeds": (True, 2)}, ["seeds must be an integer, got True"]),
+    "units as a bool": (
+        {"n_units": True}, ["units must be an integer, got True", "topology has 6 nodes but units = True"],
+    ),
     "checkpoint with a fraction": ({"checkpoints": (1, 2.5, 64)}, ["checkpoints must be an integer, got 2.5"]),
     "two negative seeds": ({"seeds": (-1, 2, -3)}, ["seeds must be >= 0, got -1", "seeds must be >= 0, got -3"]),
 }
@@ -173,8 +175,9 @@ def test_a_replaced_float_field_that_is_no_number_is_named(tmp_path, case):
         (1.5, "seed_count must be an integer, got 1.5"),
         ("2", "seed_count must be an integer, got '2'"),
         (0, "seed_count must be >= 1, got 0"),
+        (True, "seed_count must be an integer, got True"),
     ],
-    ids=["fraction", "text", "zero"],
+    ids=["fraction", "text", "zero", "bool"],
 )
 def test_a_seed_count_override_fails_in_the_rules_words(seed_count, expected):
     """seed_count is read as the rules read an integer field; a numpy integer is one."""
@@ -186,3 +189,10 @@ def test_a_seed_count_override_fails_in_the_rules_words(seed_count, expected):
         preset_config("synthetic-convex-c0.5", seed_count=seed_count, horizon=64)
     assert str(raised.value) == expected
     assert apply_overrides(config, seed_count=np.int64(3)).seeds == (1, 2, 3)
+
+
+def test_a_bool_horizon_override_is_no_integer():
+    config = preset_config("synthetic-convex-c0.5", seed_count=2, horizon=64)
+    with pytest.raises(ConfigError) as raised:
+        apply_overrides(config, horizon=True)
+    assert str(raised.value) == "horizon must be an integer, got True"

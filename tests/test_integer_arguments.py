@@ -1,6 +1,6 @@
 """Every integer argument of the library is read as an integer: a value with a
-fraction, or a float that merely equals an integer, raises a ValueError naming
-the argument instead of being truncated or failing inside numpy."""
+fraction, a float that merely equals an integer, or a bool, raises a ValueError
+naming the argument instead of being truncated or failing inside numpy."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ CASES = {
     "box dimension": (lambda: BoxConstraintSet(-1, 1, 2.5), "dimension", 2.5),
     "schedule horizon": (lambda: make_schedule("convex-bandit", **{**BANDIT, "horizon": 100.9}), "horizon", 100.9),
     "schedule p": (lambda: make_schedule("convex-bandit", **{**BANDIT, "p": 8.7}), "p", 8.7),
+    "schedule p as a bool": (lambda: make_schedule("convex-bandit", **{**BANDIT, "p": True}), "p", True),
     "eta round": (lambda: make_schedule("convex-bandit", **BANDIT).eta(1.5), "round", 1.5),
     "beta round": (lambda: make_schedule("convex-bandit", **BANDIT).beta(1.5), "round", 1.5),
     "grid T": (lambda: checkpoint_grid(2.5), "T", 2.5),

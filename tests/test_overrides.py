@@ -44,7 +44,6 @@ def scenario_file(tmp_path):
     [
         ("--seed-count", "run", "seed_count must be >= 1, got 0"),
         ("--horizon", "algorithm", "horizon must be >= 1, got 0"),
-        ("--workers", "run", "workers must be >= 1, got 0"),
     ],
 )
 def test_file_run_rejects_a_zero_override_like_a_preset_run(
@@ -67,13 +66,19 @@ def test_file_run_rejects_a_zero_override_like_a_preset_run(
 def test_file_run_applies_the_overrides(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
-        ["run", str(scenario_file), "--seed-count", "2", "--horizon", "8", "--workers", "3",
-         "--out", str(out)]
+        ["run", str(scenario_file), "--seed-count", "2", "--horizon", "8", "--out", str(out)]
     )
     assert code == 0
     assert "scenario: T=8 seeds=2" in capsys.readouterr().out
     rows = (out / "scenario.csv").read_text(encoding="utf-8").splitlines()
     assert {row.split(",")[1] for row in rows[1:]} == {"1", "2", "mean"}
+
+
+def test_run_has_no_workers_flag(scenario_file, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["run", str(scenario_file), "--workers", "1"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
 
 # A file without a seed key, so the loader's default is 10 seeds.

@@ -1,5 +1,6 @@
 """The README's examples hold as written: the "Library use" example runs and prints finite
-SREG and CACV, the scenario file validates, and the preset table lists the presets' keys."""
+SREG and CACV, the scenario file validates and names the loader's keys, and the preset
+table lists the presets' keys."""
 
 import contextlib
 import io
@@ -42,6 +43,19 @@ def test_the_scenario_file_loads_and_validates(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(fenced_block("### Scenario files", "ini"), encoding="utf-8")
     assert validate_scenario(load_config(path)) == []
+
+
+def test_the_scenario_file_names_each_key_of_the_loader_once_in_its_section():
+    """A key line, set or commented out ("; key = ..."), under each [section] header of the
+    block; continuation comments are indented, so they name no key."""
+    named, section_name = [], None
+    for line in fenced_block("### Scenario files", "ini").splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line)
+        if header:
+            section_name = header[1]
+        elif key := re.match(r"(?:; )?(\w+) = ", line):
+            named.append((section_name, key[1]))
+    assert sorted(named) == sorted((name, key) for name, keys in bench._SECTIONS.items() for key in keys)
 
 
 def test_the_preset_table_lists_each_preset_and_its_keys_in_order():

@@ -1,13 +1,17 @@
-"""SHA-256 digests of every preset's CSV, for the golden-output test.
+"""SHA-256 digests of every preset's CSV, and its rows as numbers, for the golden-output tests.
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python tools/golden_digests.py          # print them as JSON
-    PYTHONPATH=src python tools/golden_digests.py --check  # compare with tests/golden_digests.json
-    PYTHONPATH=src python tools/golden_digests.py --write  # replace tests/golden_digests.json
+    PYTHONPATH=src python tools/golden_digests.py          # print both as JSON
+    PYTHONPATH=src python tools/golden_digests.py --check  # compare the digests with tests/golden_digests.json
+    PYTHONPATH=src python tools/golden_digests.py --write  # replace tests/golden_digests.json and golden_values.json
 
 --check prints each preset whose digest differs from the recorded one (and a
-numpy version mismatch) and exits 1 if there is any, 0 otherwise.
+numpy version mismatch) and exits 1 if there is any, 0 otherwise. The printed
+JSON is the digest record with one more key, csv_values: each preset's CSV as
+rows of numbers, the header first, the seed column an int or "mean". The
+digests pin the bits; tests/test_golden.py holds the values to
+tests/golden_values.json within a relative tolerance, which pins the numbers.
 
 Runs all presets at T = 2048 with seeds 1 and 2 (the shortest horizon every
 preset accepts) with BLAS pinned to one thread. Four BLAS calls on the path
@@ -41,6 +45,7 @@ import numpy as np
 from netoco.bench import list_presets, preset_config, run_suite
 
 GOLDEN_FILE = Path(__file__).resolve().parent.parent / "tests" / "golden_digests.json"
+VALUES_FILE = GOLDEN_FILE.with_name("golden_values.json")
 HORIZON = 2048
 SEED_COUNT = 2
 
@@ -56,14 +61,36 @@ def blas_core() -> str:
     return corename().decode()
 
 
-def digests() -> dict:
+def csv_rows(text: str) -> list[list]:
+    """A CSV's header, then each row as numbers: ints for checkpoint_T, seed (or "mean") and comm_cost."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    numbers = [
+        [int(T), seed if seed == "mean" else int(seed), *map(float, floats), int(comm)]
+        for T, seed, *floats, comm in rows
+    ]
+    return [header] + numbers
+
+
+def measure() -> tuple[dict, dict]:
+    """The digest record and each preset's rows as numbers, from one run of every preset."""
     with tempfile.TemporaryDirectory() as out_dir:
-        csv = {}
+        csv, values = {}, {}
         for name in list_presets():
             config = preset_config(name, seed_count=SEED_COUNT, horizon=HORIZON)
-            path = run_suite(config, out_dir=out_dir).csv_path
-            csv[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return dict(numpy=np.__version__, blas_core=blas_core(), horizon=HORIZON, seed_count=SEED_COUNT, csv_sha256=csv)
+            blob = run_suite(config, out_dir=out_dir).csv_path.read_bytes()
+            csv[name] = hashlib.sha256(blob).hexdigest()
+            values[name] = csv_rows(blob.decode("utf-8"))
+    record = dict(numpy=np.__version__, blas_core=blas_core(), horizon=HORIZON, seed_count=SEED_COUNT, csv_sha256=csv)
+    return record, values
+
+
+def values_text(values: dict) -> str:
+    """values as JSON with one CSV row a line; json writes floats by repr, so they read back exactly."""
+    presets = (
+        f" {json.dumps(name)}: [\n" + ",\n".join(f"  {json.dumps(row)}" for row in rows) + "\n ]"
+        for name, rows in sorted(values.items())
+    )
+    return "{\n" + ",\n".join(presets) + "\n}\n"
 
 
 def differences(measured: dict, recorded: dict) -> list[str]:
@@ -81,18 +108,20 @@ def differences(measured: dict, recorded: dict) -> list[str]:
 def main(argv) -> int:
     if argv not in ([], ["--write"], ["--check"]):
         raise SystemExit(f"usage: {sys.argv[0]} [--check | --write]")
-    measured = digests()
+    measured, values = measure()
     if argv == ["--check"]:
         lines = differences(measured, json.loads(GOLDEN_FILE.read_text(encoding="utf-8")))
         for line in lines:
             print(line)
         print(f"{len(lines)} difference(s) from {GOLDEN_FILE.name} on OpenBLAS core {measured['blas_core']}")
         return 1 if lines else 0
-    text = json.dumps(measured, indent=1, sort_keys=True) + "\n"
     if argv == ["--write"]:
-        GOLDEN_FILE.write_text(text, encoding="utf-8")
+        # The kernel is reported (above, and by a failing test), not recorded.
+        recorded = {key: value for key, value in measured.items() if key != "blas_core"}
+        GOLDEN_FILE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        VALUES_FILE.write_text(values_text(values), encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps({**measured, "csv_values": values}, sort_keys=True) + "\n")
     return 0
 
 
