@@ -42,13 +42,23 @@ round whose new rows all satisfy ||x||^2 <= m^2 (1 - 1e-12), m = min(-lower,
 upper), lies strictly inside the box, where the pull is exactly +0.0: it
 skips the pull and leaves it at +0.0 (_inscribed_square), deciding from the
 largest squared row norm that _project_rows returns, so the test costs no
-numpy call; a box with m <= 0 never skips. At
-a round's size numpy's dispatch costs more than the arithmetic, so each step
-takes its cheapest path: the block's eta_t and beta_t come spread over the
-rows, so that the descent step and the dual pull's divide see operands of one
-shape, the numbers of the formulas are float64 0-d arrays rather than Python
-floats, and _project_rows finds its largest row norm in a Python list.
-_project_rows is the one hook called by name every round. Every step keeps
+numpy call; a box with m <= 0 never skips. So does a round whose rows were
+scaled onto a ball that lies strictly inside the box. A round steps by at
+most beta_t g, g the bound on a loss step over the ball that _lockstep
+takes from the block's features and targets (_step_bounds), and mixing
+grows no row's norm by more than the weights' largest absolute row sum w:
+_run_block carries reach, an upper bound on every decision row's norm, and
+a round after a round without a pull whose reach stays under min(R, m),
+with margins for rounding (_reach_limits), makes no call after the mix at
+all, since _project_rows would leave its rows as they are and its pull is
++0.0. Nothing is undone or rerun: the skip is decided from Python floats,
+without reading the round's rows, and keeps the bits. At a round's size
+numpy's dispatch costs more than the arithmetic, so each step takes its
+cheapest path: the block's eta_t and beta_t come spread over the rows, so
+that the descent step and the dual pull's divide see operands of one shape,
+the numbers of the formulas are float64 0-d arrays rather than Python floats,
+and _project_rows finds its largest row norm in a Python list. _project_rows,
+called by name in each round that checks, is the one hook. Every step keeps
 the operands of its formula in their order, so each seed gets the bits of the
 same round on fresh arrays, reference.round_step, then the generic pull of
 the box stated constraint by constraint (reference.box_constraints): two
@@ -402,7 +412,98 @@ def _inscribed_square(box: BoxConstraintSet) -> float:
     return bound if sys.float_info.min <= bound < math.inf else -1.0
 
 
-def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero, dimension_over_eps=None):
+# The relative margin of _run_block's bound on the decisions' norms (reach), and the
+# least value a check resets it to. A block whose beta_t max(1, d / eps) passes
+# _STEP_CEILING gets no step bounds: see _reach_limits.
+_REACH_MARGIN = 1e-9
+_REACH_FLOOR = 2.0**-100
+_STEP_CEILING = 2.0**600
+
+
+def _step_bounds(features, targets, betas, radius, rho, dimension_over_eps=None) -> list:
+    """s_t for each round of a block: the largest beta_t g over its seeds and units, times 1 + 1e-9.
+
+    features (B, ..., N, d), targets (B, ..., N) and betas, spread over the
+    rows as _block_steps spreads them, are the block's. g bounds the norm of
+    a unit's loss step anywhere in the ball of the given radius R, which
+    holds every decision and probe: (||a|| R + |b|) ||a|| + 2 rho R under
+    full information, where |a.x - b| <= ||a|| R + |b|, and (d / eps)
+    (1/2 (||a|| R + |b|)^2 + rho R^2) under bandit feedback, whose direction
+    has norm 1. An inf or NaN bound just makes its round check; so does a
+    block whose beta_t max(1, d / eps) passes 2^600, where _reach_limits'
+    argument about underflow no longer holds.
+    """
+    if not betas.max() * max(1.0, dimension_over_eps or 1.0) <= _STEP_CEILING:
+        return [math.inf] * len(betas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(_row_dots(features, features))
+        residual = norms * radius + np.abs(targets)
+        if dimension_over_eps is None:
+            gradient = residual * norms + 2.0 * rho * radius
+        else:
+            gradient = dimension_over_eps * (0.5 * residual * residual + rho * radius * radius)
+        gradient *= betas[..., 0]
+        # Rounds as columns: a reduction down the rows costs a third of one along the short rows.
+        by_round = np.ascontiguousarray(gradient.reshape(len(gradient), -1).T)
+        return (by_round.max(axis=0) * (1.0 + _REACH_MARGIN)).tolist()
+
+
+def _mix_growth(weights) -> float:
+    """w (1 + 1e-9), w the largest absolute row sum of the weights and at least 1 (1 for max-degree weights)."""
+    return max(1.0, *(float(np.abs(w).sum(axis=-1).max()) for w in weights)) * (1.0 + _REACH_MARGIN)
+
+
+def _reach_limits(box: BoxConstraintSet, radius: float, units: int) -> tuple[float, bool]:
+    """The largest decision bound reach that lets a round of _run_block skip its projection and its pull, and
+    whether the ball of the given radius lies strictly inside the box, so that no projected row pulls.
+
+    The limit is min(radius, m) (1 - 1e-9), m = min(-lower, upper), or -1.0
+    when m <= 0 or the margins below do not hold: then no round skips. The
+    ball lies inside when 2^-100 <= radius and radius (1 + 1e-9) <=
+    m (1 - 1e-9), and never where the limit is -1.0.
+
+    reach bounds the norm of every decision row the last round left. A round
+    after a round without a pull descends from a pull of +0.0, so its rows
+    before the mix are y_j = x_j - step_j, ||step_j|| <= s_t (_step_bounds),
+    ||y_j|| <= reach + s_t, and a mixed row is at most w (_mix_growth) times
+    the largest of those: reach <- (reach + s_t) w (1 + 1e-9). In floating
+    point, with u = 2^-53, a step's norm exceeds its bound by fewer than
+    5 (d + 16) roundings (the row dots of d terms in the gradient and in the
+    bound's norms, a few products and sums each), and the probes lie at most
+    1e-12 R beyond R (make_schedule); s_t's margin of 1e-9 covers both. The
+    mix adds N terms, w is a sum of N and the update rounds three times,
+    fewer than 2 (N + 16) roundings, which growth's margin of 1e-9 covers.
+    Both hold while (N + d + 16) u < 1e-10. A check resets reach to
+    sqrt(largest + 2^-200) (1 + 1e-9), at least max(sqrt(largest), 2^-100)
+    (1 + 1e-9): the computed norm is below the true one by at most
+    (d + 4) u / 2, or, where squares underflow, by less than sqrt(d) 2^-537,
+    under the floor. Underflow elsewhere errs by at most 2^-1074 an
+    operation: skipping needs s_t <= R, and _step_bounds gives no bound where
+    beta_t max(1, d / eps) > 2^600, so the factors of a round lift such an
+    error to below 2^-200, far inside the floor's margin. So reach
+    bounds every true row norm, and reach <= the limit puts every row
+    strictly inside the ball, where _project_rows leaves the rows untouched,
+    and strictly inside the ball of radius m, inside both faces of the box,
+    where the pull is exactly +0.0.
+
+    A scaled row exceeds the radius by fewer than d / 2 + 5 roundings, and a
+    row _project_rows leaves has a computed norm of at most the radius, so
+    where the ball lies inside as above, every projected row lies strictly
+    inside the box too, whose pull is +0.0; radius >= 2^-100 keeps underflow
+    out of it. A check that scaled rows returns inf, so it resets reach to
+    inf, which decides as radius (1 + 1e-9) would: that exceeds the limit,
+    and reach only grows until the next check.
+    """
+    inscribed = min(-box.lower, box.upper)
+    if not (inscribed > 0.0 and (units + box.dimension + 16) * 2.0**-53 < 0.1 * _REACH_MARGIN):
+        return -1.0, False
+    ball_inside = _REACH_FLOOR <= radius and radius * (1.0 + _REACH_MARGIN) <= inscribed * (1.0 - _REACH_MARGIN)
+    return min(radius, inscribed) * (1.0 - _REACH_MARGIN), ball_inside
+
+
+def _run_block(
+    rounds, pull, start, weights, radius, rho, box, scratch, add_zero, steps, growth, dimension_over_eps=None
+):
     """Rounds start + 1, start + 2, ... of (..., N, d) decision rows, in place, one after another.
 
     rounds is _round_views of the block's arrays, one entry per round: round
@@ -427,7 +528,7 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero
     next decisions' row, y = committed - that step in the scratch, and y is
     mixed back into that row. rho, 2 rho and d / eps become float64 0-d
     arrays, and whether rho is zero is decided, once per block.
-    _project_rows is looked up by name every round.
+    _project_rows is looked up by name in every round that calls it.
 
     The dual pull is the closed form of the BoxConstraintSet box,
     (x - clip(x, lower, upper)) / eta, the one copy of it. At most one side of a coordinate is violated, and
@@ -443,9 +544,23 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero
     A round whose new rows all lie strictly inside the box, by the largest
     squared norm _project_rows returns (_inscribed_square), skips the pull:
     there every x - clip(x) is x - x = +0.0, and the formula's pull is +0.0.
-    pull is zeroed once when a run of such rounds begins and left at +0.0
-    while it lasts. The next round still adds it to the gradient, which
-    turns a -0.0 gradient entry into the formula's +0.0.
+    Where the ball lies strictly inside the box (_reach_limits), every
+    projected row does, scaled or not, and no round pulls. pull is zeroed
+    once when a run of such rounds begins and left at +0.0 while it lasts.
+    The next round still adds it to the gradient, which turns a -0.0
+    gradient entry into the formula's +0.0.
+
+    steps, one s_t per round (_step_bounds), and growth (_mix_growth) let a
+    round skip _project_rows as well: reach, an upper bound on the norm of
+    every row the last round left, starts at inf and, in a round after a
+    round without a pull, becomes (reach + s_t) growth. A round whose reach
+    is at most the limit of _reach_limits makes no call after the mix: its
+    rows lie inside the ball, so _project_rows would leave them as they are,
+    and strictly inside the box, so the pull stays +0.0. Any other round
+    projects as before and resets reach from the largest squared norm (inf
+    if rows were scaled), or to inf if it pulled, so the round after a pull
+    checks. The skip decides from Python floats alone and changes no bit;
+    with every s_t infinite, every round checks.
     """
     add, divide, multiply, subtract, matmul, einsum = np.add, np.divide, np.multiply, np.subtract, np.matmul, _c_einsum
     residuals, column, half, squares, scaled, scaled_column, rho_term, descended = scratch
@@ -454,10 +569,13 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero
     if dimension_over_eps is not None:
         dimension_over_eps = np.array(dimension_over_eps)
     lower, upper = box._clip_bounds
-    inside = _inscribed_square(box)
+    limit, ball_inside = _reach_limits(box, radius, pull.shape[-2])
+    inside = math.inf if ball_inside else _inscribed_square(box)  # the largest squared norm of a round without a pull
+    inf, sqrt, widen, floor = math.inf, math.sqrt, 1.0 + _REACH_MARGIN, _REACH_FLOOR * _REACH_FLOOR
+    reach = inf
     pulling = True  # whether pull may hold anything but +0.0
     mixing = islice(cycle(weights), start % len(weights), None)
-    for (current, nxt, features, targets, beta, eta, probe), entries in zip(rounds, mixing):
+    for (current, nxt, features, targets, beta, eta, probe), entries, step in zip(rounds, mixing, steps):
         if probe is None:  # (a.x - b) a + 2 rho x at the decisions
             einsum(_DOTS, features, current, out=residuals)
             subtract(residuals, targets, residuals)
@@ -478,11 +596,17 @@ def _run_block(rounds, pull, start, weights, radius, rho, box, scratch, add_zero
             multiply(scaled_column, direction, nxt)
         multiply(beta, add(nxt, pull, nxt), nxt)
         matmul(entries, subtract(current, nxt, descended), nxt)
-        if _project_rows(nxt, radius, squares) <= inside:
+        reach = (reach + step) * growth
+        if reach <= limit:  # inside the ball and the box: nothing to project, and the pull stays +0.0
+            continue
+        largest = _project_rows(nxt, radius, squares)
+        if largest <= inside:  # the pull is +0.0
+            reach = sqrt(largest + floor) * widen
             if pulling:
                 pull.fill(0.0)
                 pulling = False
             continue
+        reach = inf
         pulling = True
         # (x - clip(x, lower, upper)) / eta, + 0.0 where a quotient can round to -0.0
         divide(subtract(nxt, _clip(nxt, lower, upper, pull), pull), eta, pull)
@@ -566,7 +690,10 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
     The rounds' views of them (_round_views) are built once per run too; a
     shorter last block takes the first of them. The rounds run in place, one
     _run_block call per block, told whether the block's largest eta_t needs
-    the pull's + 0.0, so nothing here grows with T. ValueError,
+    the pull's + 0.0 and given the bounds on the block's steps (_step_bounds,
+    from the features and targets just copied in, never from a schedule's
+    G) and the weights' growth (_mix_growth, once per run), so nothing here
+    grows with T. ValueError,
     naming its type, for constraints that are not a BoxConstraintSet.
     """
     _check_box(constraints, "the round kernel")
@@ -619,6 +746,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
         probes = directions, offsets, observed, queries
     rounds = _round_views(committed, features, targets, betas, etas, probes)
     scratch = _scratch(shape)
+    growth = _mix_growth(topology.weights)
     for block in _blocks(horizon):
         start, b = block.start, block.stop - block.start
         for s, stream in enumerate(streams):
@@ -630,8 +758,10 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
             _sphere_block(rngs, directions[:b])
             np.multiply(eps, directions[:b], offsets[:b])
         add_zero = _pull_can_be_negative_zero(constraints, etas[:b].max())
+        steps = _step_bounds(features[:b], targets[:b], betas[:b], hyper.radius, rho, dimension_over_eps)
         _run_block(
-            rounds[:b], pull, start, topology.weights, radius, rho, constraints, scratch, add_zero, dimension_over_eps
+            rounds[:b], pull, start, topology.weights, radius, rho, constraints, scratch, add_zero, steps, growth,
+            dimension_over_eps,
         )
         # Containment of the block, before any of it is handed out: every
         # committed decision, the decisions left for round start + b + 1, every probe.

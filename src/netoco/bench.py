@@ -208,9 +208,18 @@ def _tokens(text: str) -> list[str]:
     return text.replace(",", " ").split()
 
 
+def _number_text(text) -> str:
+    """text stripped; ValueError for what int() and float() read but no scenario number holds: the digit
+    separator "_" (1_024) and non-ASCII characters, such as other scripts' digits, as parse_libsvm does."""
+    text = str(text).strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
+
+
 def _parse_int(text, key, minimum=None) -> int:
     try:
-        value = int(str(text).strip())
+        value = int(_number_text(text))
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {text!r}") from None
     if minimum is not None and value < minimum:
@@ -220,7 +229,7 @@ def _parse_int(text, key, minimum=None) -> int:
 
 def _parse_float(text, key) -> float:
     try:
-        return float(str(text).strip())
+        return float(_number_text(text))
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
 

@@ -183,6 +183,32 @@ workers = 2
                 "[algorithm]\nvariant = convex-full\nc = portion\n",
                 "must be a number",
             ),
+            # int() and float() read Python's digit separator and other scripts' digits; the loader does not.
+            (
+                "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = 1_024\n",
+                "^horizon must be an integer, got '1_024'$",
+            ),
+            (
+                "[algorithm]\nvariant = convex-full\nc = 0.5\n[run]\nseeds = 1_0 2\n",
+                "^seeds must be an integer, got '1_0'$",
+            ),
+            (
+                "[problem]\nrho = 1_0.5\n[algorithm]\nvariant = strongly-convex-full\n",
+                "^rho must be a number, got '1_0.5'$",
+            ),
+            (
+                "[problem]\nunits = 12\n[algorithm]\nvariant = convex-full\nc = 0.5\n"
+                "[topology]\ngraphs = 1-1_0\n",
+                "^edge must be an integer, got '1_0'$",
+            ),
+            (
+                "[algorithm]\nvariant = convex-full\nc = \uff10.\uff15\n",
+                "^c must be a number, got '\uff10.\uff15'$",
+            ),
+            (
+                "[algorithm]\nvariant = convex-full\nc = 0.5\nhorizon = \u0661\u0660\u0662\u0664\n",
+                "^horizon must be an integer, got '\u0661\u0660\u0662\u0664'$",
+            ),
             (
                 "[algorithm]\nvariant = convex-full\nc = 0.5\n[run]\nseeds = 1 2\nseed_count = 2\n",
                 "not both",

@@ -66,7 +66,8 @@ def kernel_pull(box, rows, eta):
     step table spreads it. The pull buffer starts as garbage that beta = 0
     multiplies away, so none of it may reach the result. The loop adds the
     pull's + 0.0 as the kernel decides for a block: by the rule, at the
-    largest eta.
+    largest eta. The round's step bound is beta = 0's, 0; as the first
+    round of a block, it checks all the same.
     """
     shape = (rows.size // rows.shape[-1], 1, rows.shape[-1])
     committed = np.empty((2,) + shape)
@@ -76,7 +77,7 @@ def kernel_pull(box, rows, eta):
     pull = np.full(shape, 7.0)
     views = _round_views(committed, features, np.zeros((1,) + shape[:-1]), betas, etas)
     add_zero = _pull_can_be_negative_zero(box, np.max(eta))
-    _run_block(views, pull, 0, (np.array([[1.0]]),), 10.0, 0.0, box, _scratch(shape), add_zero)
+    _run_block(views, pull, 0, (np.array([[1.0]]),), 10.0, 0.0, box, _scratch(shape), add_zero, [0.0], 1.0)
     np.testing.assert_array_equal(committed[1], committed[0])
     return pull.reshape(rows.shape)
 

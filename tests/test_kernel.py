@@ -11,6 +11,7 @@ import pytest
 
 import netoco.algorithm as algorithm
 from netoco.algorithm import _check_in_ball, _sphere_block, _sphere_rngs, make_schedule, run_seeds
+from netoco.bench import preset_config, run_suite
 from netoco.metrics import checkpoint_series
 from netoco.network import default_ring_6
 from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
@@ -29,8 +30,10 @@ def checkpoints_for(horizon):
     return tuple(T for T in (1, 7, 128, 129, 256) if T < horizon) + (horizon,)
 
 
-def batch(variant, seeds, horizon=HORIZON, box=None, radius=None, streams=None):
-    """Synthetic streams, unless given, with their schedules and the box (the presets' by default)."""
+def batch(variant, seeds, horizon=HORIZON, box=None, radius=None, streams=None, understated=1.0):
+    """Synthetic streams, unless given, with their schedules and the box (the presets' by default).
+
+    Each schedule's G is the stream's gradient bound over the understated factor."""
     box = BoxConstraintSet(-0.15, 0.15, 4) if box is None else box
     # A bandit schedule needs pi = 1 / (R T^b) < 1, so a one-round run needs R > 1.
     if horizon == 1:
@@ -44,7 +47,7 @@ def batch(variant, seeds, horizon=HORIZON, box=None, radius=None, streams=None):
         make_schedule(
             variant,
             p=box.count,
-            G=max(stream.bounds(radius)[0], box.gradient_bound),
+            G=max(stream.bounds(radius)[0], box.gradient_bound) / understated,
             radius=radius,
             horizon=horizon,
             c=None if variant.startswith("strongly") else 0.75,
@@ -178,11 +181,13 @@ class TestRunSeeds:
             run_seeds(streams, default_ring_6(), schedules, box, (1,), (10, HORIZON + 1))
 
 
-def lent_blocks_equal_the_recorded_runs(variant, seeds, horizon=HORIZON, box=None, radius=None, streams=None):
+def lent_blocks_equal_the_recorded_runs(
+    variant, seeds, horizon=HORIZON, box=None, radius=None, streams=None, understated=1.0
+):
     """Each block the kernel lends for a batch of seeds, read as it arrives, holds the
     rounds of each seed's run recorded by chaining the reference's round functions
     (reference.record_run). Returns the records."""
-    streams, schedules, box = batch(variant, seeds, horizon, box, radius, streams)
+    streams, schedules, box = batch(variant, seeds, horizon, box, radius, streams, understated)
     topology = default_ring_6()
     records = [record_run(stream, topology, hyper, box, seed) for stream, hyper, seed in zip(streams, schedules, seeds)]
     starts = []
@@ -261,19 +266,37 @@ def square_wave_streams(phases, horizon=HORIZON):
     return [RegressionStream(features, np.repeat(sign, 6, axis=1), 1.0) for sign in signs]
 
 
-def full_pulls_by_round(monkeypatch):
-    """One entry per round the kernel runs, appended as it projects: whether the round took the box's full pull."""
-    project, clip, pulled = algorithm._project_rows, algorithm._clip, []
+def each_round(monkeypatch, after_round):
+    """Call after_round(t, entry, radius) once round t of the kernel has run, where entry is
+    _round_views' entry of round t, so entry[1] holds the decisions of round t + 1; and
+    before round t + 1 runs. The calls come from the rounds as _run_block walks them,
+    whichever of its steps a round takes."""
+    run_block = algorithm._run_block
 
-    def projecting(*args):
-        pulled.append(False)
-        return project(*args)
+    def rounds_of(rounds, start, radius):
+        for k, entry in enumerate(rounds):
+            yield entry
+            after_round(start + k + 1, entry, radius)
+
+    def running(rounds, pull, start, weights, radius, *rest):
+        return run_block(rounds_of(rounds, start, radius), pull, start, weights, radius, *rest)
+
+    monkeypatch.setattr(algorithm, "_run_block", running)
+
+
+def full_pulls_by_round(monkeypatch):
+    """One entry per round the kernel runs, appended once the round has run: whether it took the box's full pull."""
+    clip, pulled, clipped = algorithm._clip, [], []
 
     def clipping(*args):
-        pulled[-1] = True
+        clipped.append(None)
         return clip(*args)
 
-    monkeypatch.setattr(algorithm, "_project_rows", projecting)
+    def after_round(t, entry, radius):
+        pulled.append(bool(clipped))
+        clipped.clear()
+
+    each_round(monkeypatch, after_round)
     monkeypatch.setattr(algorithm, "_clip", clipping)
     return pulled
 
@@ -317,27 +340,121 @@ class TestPullSkip:
             assert max(record.violations[edge].max() for record in records) > 0.0
 
 
+def walking_stream(horizon=HORIZON):
+    """rho = 0, and every unit sees the feature e_1 and the target 1 in every round, so that under
+    full information all units keep one decision, which walks along e_1 toward x_1 = 1."""
+    features = np.zeros((horizon, 6, 4))
+    features[..., 0] = 1.0
+    return RegressionStream(features, np.ones((horizon, 6)), 0.0)
+
+
+def calls_per_block(monkeypatch, name):
+    """For each _run_block call from now on, one per block, the number of calls to algorithm.name it makes."""
+    run_block, hook, counts = algorithm._run_block, getattr(algorithm, name), []
+
+    def running(*args):
+        counts.append(0)
+        return run_block(*args)
+
+    def counting(*args):
+        counts[-1] += 1
+        return hook(*args)
+
+    monkeypatch.setattr(algorithm, "_run_block", running)
+    monkeypatch.setattr(algorithm, name, counting)
+    return counts
+
+
+class TestStepBounds:
+    """A round skips _project_rows and the pull where reach, the bound that the block's
+    step bounds (_step_bounds, from its features and targets) give on the norm of every
+    decision row, stays under min(R, m) (1 - 1e-9). The skip must change no bit."""
+
+    def test_with_zero_step_bounds_a_run_leaves_the_ball_and_the_check_names_it(self, monkeypatch):
+        """With every s_t taken as 0, reach stays near the decisions' norm at round 2, so no
+        later round of the block projects, and the decisions, walking toward x_1 = 1, leave
+        the ball of radius 0.01. The block's containment check names the first round
+        outside and unit 1, the first of the six units that move as one."""
+        radius = 0.01
+        streams, schedules, box = batch("convex-full", (1,), radius=radius, streams=[walking_stream()])
+        run_seeds(streams, default_ring_6(), schedules, box, (1,), (HORIZON,))  # projected, it stays inside
+        beta, x, t = schedules[0].beta(1), 0.0, 1
+        while x * x <= (radius + 1e-12) ** 2:  # the check's tolerance; x_1 of round t + 1, as the kernel rounds it
+            x, t = x - beta * (x - 1.0), t + 1
+        assert 2 < t <= 128
+        monkeypatch.setattr(algorithm, "_step_bounds", lambda features, *rest: [0.0] * len(features))
+        with pytest.raises(RuntimeError, match=f"containment broken at round {t}: the decision of unit 1 of seed 1 "):
+            run_seeds(streams, default_ring_6(), schedules, box, (1,), (HORIZON,))
+
+    @pytest.mark.parametrize("variant", ["convex-full", "convex-bandit", "strongly-convex-full"])
+    def test_a_schedule_that_understates_the_gradients_keeps_the_recorded_bits(self, variant):
+        """G 50 times below the streams' gradient bound: beta_t of the convex variants
+        grows 2,500-fold and eta_t of the strongly convex one shrinks 2,500-fold. The
+        bounds come from the data, so every round keeps record_run's bits."""
+        lent_blocks_equal_the_recorded_runs(variant, (1, 2), understated=50.0)
+
+    def test_a_convex_preset_checks_at_most_twice_a_block(self, monkeypatch, tmp_path):
+        checks = calls_per_block(monkeypatch, "_project_rows")
+        run_suite(preset_config("synthetic-convex-c0.5", seed_count=3, horizon=2048), out_dir=tmp_path)
+        assert len(checks) == 16
+        assert max(checks) <= 2
+
+
+def scaled_rounds(monkeypatch):
+    """One entry per _project_rows call from now on: whether it scaled rows."""
+    project, scaled = algorithm._project_rows, []
+
+    def projecting(*args):
+        largest = project(*args)
+        scaled.append(largest == np.inf)
+        return largest
+
+    monkeypatch.setattr(algorithm, "_project_rows", projecting)
+    return scaled
+
+
+class TestScaledRoundsSkipThePull:
+    """A round whose rows _project_rows scaled leaves them on the decision ball; where that
+    ball lies strictly inside the box, radius (1 + 1e-9) <= m (1 - 1e-9), the pull is +0.0
+    and the round skips it."""
+
+    def test_the_bandit_preset_clips_in_no_round(self, monkeypatch, tmp_path):
+        """synthetic-bandit-c0.5: decision radius 0.0194 inside the box +-0.15."""
+        clips = calls_per_block(monkeypatch, "_clip")
+        scaled = scaled_rounds(monkeypatch)
+        run_suite(preset_config("synthetic-bandit-c0.5", seed_count=3, horizon=2048), out_dir=tmp_path)
+        assert sum(scaled) > 0
+        assert sum(clips) == 0
+
+    def test_a_run_whose_ball_lies_inside_the_box_keeps_the_recorded_bits(self, monkeypatch):
+        """R = 0.3 shrinks to the decision radius 0.15 at T = 300, inside the box +-0.2:
+        some rounds scale rows, and no round clips."""
+        clips = calls_per_block(monkeypatch, "_clip")
+        scaled = scaled_rounds(monkeypatch)
+        box = BoxConstraintSet(-0.2, 0.2, 4)
+        lent_blocks_equal_the_recorded_runs("strongly-convex-bandit", (3,), HORIZON, box, 0.3)
+        assert sum(scaled) > 0
+        assert sum(clips) == 0
+
+
 # The projection of round 199 gives the decisions of round 200, in the kernel's
 # second block of rounds 129..256.
 BROKEN_ROUND, BROKEN_UNIT = 200, 3
 
 
 def push_a_decision_out(monkeypatch, broken_round=BROKEN_ROUND, seed_index=None):
-    """Sabotage the projection that yields the decisions of broken_round: one
-    unit's row of every seed, or of the seed at seed_index only, lands at
-    twice the radius."""
-    original, calls = algorithm._project_rows, []
+    """Sabotage the round that yields the decisions of broken_round: once it has
+    run, one unit's row of every seed, or of the seed at seed_index only, lands
+    at twice the radius."""
 
-    def sabotaged(rows, radius, *scratch):
-        largest = original(rows, radius, *scratch)
-        calls.append(None)
-        if len(calls) == broken_round - 1:
+    def after_round(t, entry, radius):
+        if t == broken_round - 1:
+            rows = entry[1]
             pushed = rows if seed_index is None else rows[seed_index]
             pushed[..., BROKEN_UNIT - 1, :] = 0.0
             pushed[..., BROKEN_UNIT - 1, 0] = 2.0 * radius
-        return largest
 
-    monkeypatch.setattr(algorithm, "_project_rows", sabotaged)
+    each_round(monkeypatch, after_round)
 
 
 def record_yielded_blocks(monkeypatch):
@@ -422,14 +539,16 @@ class TestDeferredContainment:
 
             if __debug__:
                 raise SystemExit("not running under -O")
-            original, calls, starts = algorithm._project_rows, [], []
+            run_block, starts = algorithm._run_block, []
 
-            def sabotaged(rows, radius, *scratch):
-                largest = original(rows, radius, *scratch)
-                calls.append(None)
-                if len(calls) == {BROKEN_ROUND - 1}:
-                    rows[..., {BROKEN_UNIT - 1}, 0] = 2.0 * radius
-                return largest
+            def sabotaged(rounds, pull, start, weights, radius, *rest):
+                def pushing():
+                    for k, entry in enumerate(rounds):
+                        yield entry
+                        if start + k + 1 == {BROKEN_ROUND - 1}:
+                            entry[1][..., {BROKEN_UNIT - 1}, 0] = 2.0 * radius
+
+                return run_block(pushing(), pull, start, weights, radius, *rest)
 
             lockstep = algorithm._lockstep
 
@@ -438,7 +557,7 @@ class TestDeferredContainment:
                     starts.append(block[0])
                     yield block
 
-            algorithm._project_rows, algorithm._lockstep = sabotaged, recording
+            algorithm._run_block, algorithm._lockstep = sabotaged, recording
             box = BoxConstraintSet(-0.15, 0.15, 4)
             stream = synthetic_stream(6, 4, {HORIZON}, rho=0.0, seed=40)
             hyper = algorithm.make_schedule(

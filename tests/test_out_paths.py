@@ -15,7 +15,9 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from netoco.algorithm import _project_rows, _pull_can_be_negative_zero, _round_views, _run_block, _scratch
+from netoco.algorithm import (
+    _mix_growth, _project_rows, _pull_can_be_negative_zero, _round_views, _run_block, _scratch, _step_bounds,
+)
 from netoco.problems import BoxConstraintSet, RegressionRound, _row_dots
 from netoco.reference import box_constraints, loss_gradients, loss_values, round_step
 
@@ -154,12 +156,17 @@ def sprinkled(rng, shape, low, high):
     st.sampled_from([1, 3]),
     st.sampled_from([0.0, 0.37]),
     st.booleans(),
+    st.booleans(),
 )
-def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandit):
+def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandit, bounded):
     """_run_block on its per-run scratch against one round at a time on fresh
     arrays: reference.round_step, then the generic dual pull of the box. The
     scratch starts as NaN, so a value left from another round or read across
-    seeds shows."""
+    seeds shows. Without bounded every step bound is inf and every round
+    checks; bounded passes the step bounds and the weights' growth, as
+    _lockstep does, so that rounds may skip the projection. The directions
+    are then of norm 1, as the kernel's are, and the bounds hold in the ball
+    of radius + eps, which holds every probe."""
     rng = np.random.default_rng(seed)
     rounds, units, d = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
     shape = (seeds, units, d)
@@ -173,6 +180,12 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     box = BoxConstraintSet(-0.5, 0.25, d)
     eps = 0.1
     directions = sprinkled(rng, (rounds,) + shape, -1.0, 1.0)
+    steps, growth = [math.inf] * rounds, 1.0
+    if bounded:
+        directions[...] = rng.standard_normal(directions.shape)
+        directions /= np.sqrt(_row_dots(directions, directions))[..., None]
+        steps = _step_bounds(features, targets, betas, radius + eps, rho, d / eps if bandit else None)
+        growth = _mix_growth(weights)
 
     committed = np.empty((rounds + 1,) + shape)
     committed[0] = decisions
@@ -186,7 +199,8 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     loop_pull = pull.copy()
     _run_block(
         _round_views(committed, features, targets, betas, etas, probes), loop_pull, start,
-        weights, radius, rho, box, scratch, _pull_can_be_negative_zero(box, etas.max()), d / eps if bandit else None,
+        weights, radius, rho, box, scratch, _pull_can_be_negative_zero(box, etas.max()), steps, growth,
+        d / eps if bandit else None,
     )
 
     current = decisions

@@ -50,15 +50,31 @@ HORIZON = 2048
 SEED_COUNT = 2
 
 
-def blas_core() -> str:
-    """The kernel of numpy's bundled OpenBLAS (SkylakeX, Haswell, ...), or "unknown" without one."""
+def _openblas_function(name: str):
+    """A function of numpy's bundled OpenBLAS, or None without the library or the function."""
     try:
         [lib] = (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
-        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        return getattr(ctypes.CDLL(str(lib)), name)
     except (ValueError, OSError, AttributeError):  # no bundled library, several, or no such symbol
+        return None
+
+
+def blas_core() -> str:
+    """The kernel of numpy's bundled OpenBLAS (SkylakeX, Haswell, ...), or "unknown" without one."""
+    corename = _openblas_function("scipy_openblas_get_corename64_")
+    if corename is None:
         return "unknown"
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+def blas_threads() -> int:
+    """The thread count of numpy's bundled OpenBLAS, or 0 without one."""
+    threads = _openblas_function("scipy_openblas_get_num_threads64_")
+    if threads is None:
+        return 0
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return threads()
 
 
 def csv_rows(text: str) -> list[list]:
