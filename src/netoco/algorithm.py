@@ -37,22 +37,18 @@ reference.loss_gradients, or reference.loss_values under bandit feedback), the
 descent step, the mix as np.matmul on the round's weight entries and the
 closed-form dual pull of the box, the one constraint set the kernel takes
 (its + 0.0, which turns an underflowed -0.0 into +0.0, only in a block whose
-largest eta_t lets a pull round to -0.0: _pull_can_be_negative_zero). A
-round whose new rows all satisfy ||x||^2 <= m^2 (1 - 1e-12), m = min(-lower,
-upper), lies strictly inside the box, where the pull is exactly +0.0: it
-skips the pull and leaves it at +0.0 (_inscribed_square), deciding from the
-largest squared row norm that _project_rows returns, so the test costs no
-numpy call; a box with m <= 0 never skips. So does a round whose rows were
-scaled onto a ball that lies strictly inside the box. A round steps by at
-most beta_t g, g the bound on a loss step over the ball that _lockstep
-takes from the block's features and targets (_step_bounds), and mixing
-grows no row's norm by more than the weights' largest absolute row sum w:
-_run_block carries reach, an upper bound on every decision row's norm, and
-a round after a round without a pull whose reach stays under min(R, m),
-with margins for rounding (_reach_limits), makes no call after the mix at
-all, since _project_rows would leave its rows as they are and its pull is
-+0.0. Nothing is undone or rerun: the skip is decided from Python floats,
-without reading the round's rows, and keeps the bits. At a round's size
+largest eta_t lets a pull round to -0.0: _pull_can_be_negative_zero). One
+bound, two limits: a round steps by at most beta_t g, g the bound on a loss
+step over the ball that _lockstep takes from the block's features and
+targets (_step_bounds), and mixing grows no row's norm by more than the
+weights' largest absolute row sum, so _run_block carries reach, an upper
+bound on every decision row's norm. With margins for rounding
+(_reach_limits), a round whose reach stays under min(R, m), m = min(-lower,
+upper), skips _project_rows, which would leave its rows as they are, and a
+round whose reach stays under m once checked skips the pull, which is
+exactly +0.0 strictly inside the box; a box with m <= 0 never skips. Nothing
+is undone or rerun: the skips are decided from Python floats, without
+reading the round's rows, and keep the bits. At a round's size
 numpy's dispatch costs more than the arithmetic, so each step takes its
 cheapest path: the block's eta_t and beta_t come spread over the rows, so
 that the descent step and the dual pull's divide see operands of one shape,
@@ -73,7 +69,6 @@ and in which parameters they need; variant_spec holds all three per variant.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import cycle, islice, repeat
 from typing import Optional
@@ -278,10 +273,10 @@ def _project_rows(rows: np.ndarray, radius: float, squares: Optional[np.ndarray]
     nothing per call; without it they go into a fresh array
     (reference.round_step). When every row lies in the ball, rows are left
     untouched, which are the formula's bits, and the largest row dot comes
-    back as a Python float, which _run_block compares with the box's
-    inscribed ball (_inscribed_square). Any other rows, NaN and overflowing
-    ones included, are scaled, an overflowing row from its entries scaled to
-    a peak of 1, and math.inf comes back.
+    back as a Python float, from which _run_block bounds the rows' norms
+    (_reach_limits). Any other rows, NaN and overflowing ones included, are
+    scaled, an overflowing row from its entries scaled to a peak of 1, and
+    math.inf comes back.
     """
     # radius / max(norm, radius) is exactly 1.0 inside the ball, so when no
     # row is outside, rows already hold the projection's bits. sqrt rounds
@@ -386,32 +381,6 @@ def _pull_can_be_negative_zero(box: BoxConstraintSet, eta_max: float) -> bool:
     return gap / float(eta_max) == 0.0
 
 
-# A row whose computed squared norm is at most m^2 (1 - _INSIDE_MARGIN) lies strictly
-# inside the box of inscribed radius m, where the box's dual pull is exactly +0.0.
-_INSIDE_MARGIN = 1e-12
-
-
-def _inscribed_square(box: BoxConstraintSet) -> float:
-    """The largest computed squared row norm that puts a row strictly inside the box; -1.0 if none does.
-
-    m = min(-lower, upper) is the radius of the box's inscribed ball about
-    the origin, and a row with ||x||^2 <= m^2 (1 - 1e-12) has every |x_j| <
-    m, inside both faces. _project_rows sums d rounded squares in rounded
-    adds, all of nonnegative terms, so its ||x||^2 is at least
-    x_j^2 (1 - u)^d for every j, u = 2^-53; the bound below takes three
-    roundings, each up by at most a factor 1 + u. So while (d + 4) u < 1e-12
-    (d up to 9,003) and the bound is a normal float, so that no square
-    underflows past it, a row under the bound lies strictly inside. A box
-    with m <= 0, or one where either condition fails, has no such rows:
-    -1.0 is below every squared norm.
-    """
-    inscribed = min(-box.lower, box.upper)
-    if not inscribed > 0.0 or not (box.dimension + 4) * 2.0**-53 < _INSIDE_MARGIN:
-        return -1.0
-    bound = inscribed * inscribed * (1.0 - _INSIDE_MARGIN)
-    return bound if sys.float_info.min <= bound < math.inf else -1.0
-
-
 # The relative margin of _run_block's bound on the decisions' norms (reach), and the
 # least value a check resets it to. A block whose beta_t max(1, d / eps) passes
 # _STEP_CEILING gets no step bounds: see _reach_limits.
@@ -453,14 +422,14 @@ def _mix_growth(weights) -> float:
     return max(1.0, *(float(np.abs(w).sum(axis=-1).max()) for w in weights)) * (1.0 + _REACH_MARGIN)
 
 
-def _reach_limits(box: BoxConstraintSet, radius: float, units: int) -> tuple[float, bool]:
-    """The largest decision bound reach that lets a round of _run_block skip its projection and its pull, and
-    whether the ball of the given radius lies strictly inside the box, so that no projected row pulls.
+def _reach_limits(box: BoxConstraintSet, radius: float, units: int) -> tuple[float, float]:
+    """The two limits on _run_block's bound reach: at or below the first a round skips its projection, at or
+    below the second its pull.
 
-    The limit is min(radius, m) (1 - 1e-9), m = min(-lower, upper), or -1.0
-    when m <= 0 or the margins below do not hold: then no round skips. The
-    ball lies inside when 2^-100 <= radius and radius (1 + 1e-9) <=
-    m (1 - 1e-9), and never where the limit is -1.0.
+    They are min(radius, m) (1 - 1e-9) and m (1 - 1e-9), m = min(-lower,
+    upper) the radius of the box's inscribed ball about the origin; both are
+    -1.0, so that no round skips either, when m <= 0 or the margins below do
+    not hold.
 
     reach bounds the norm of every decision row the last round left. A round
     after a round without a pull descends from a pull of +0.0, so its rows
@@ -473,32 +442,28 @@ def _reach_limits(box: BoxConstraintSet, radius: float, units: int) -> tuple[flo
     1e-12 R beyond R (make_schedule); s_t's margin of 1e-9 covers both. The
     mix adds N terms, w is a sum of N and the update rounds three times,
     fewer than 2 (N + 16) roundings, which growth's margin of 1e-9 covers.
-    Both hold while (N + d + 16) u < 1e-10. A check resets reach to
-    sqrt(largest + 2^-200) (1 + 1e-9), at least max(sqrt(largest), 2^-100)
-    (1 + 1e-9): the computed norm is below the true one by at most
-    (d + 4) u / 2, or, where squares underflow, by less than sqrt(d) 2^-537,
-    under the floor. Underflow elsewhere errs by at most 2^-1074 an
-    operation: skipping needs s_t <= R, and _step_bounds gives no bound where
-    beta_t max(1, d / eps) > 2^600, so the factors of a round lift such an
-    error to below 2^-200, far inside the floor's margin. So reach
-    bounds every true row norm, and reach <= the limit puts every row
-    strictly inside the ball, where _project_rows leaves the rows untouched,
-    and strictly inside the ball of radius m, inside both faces of the box,
-    where the pull is exactly +0.0.
-
-    A scaled row exceeds the radius by fewer than d / 2 + 5 roundings, and a
-    row _project_rows leaves has a computed norm of at most the radius, so
-    where the ball lies inside as above, every projected row lies strictly
-    inside the box too, whose pull is +0.0; radius >= 2^-100 keeps underflow
-    out of it. A check that scaled rows returns inf, so it resets reach to
-    inf, which decides as radius (1 + 1e-9) would: that exceeds the limit,
-    and reach only grows until the next check.
+    Both hold while (N + d + 16) u < 1e-10. A check that leaves the rows as
+    they are resets reach to sqrt(largest + 2^-200) (1 + 1e-9), at least
+    max(sqrt(largest), 2^-100) (1 + 1e-9): the computed norm is below the
+    true one by at most (d + 4) u / 2, or, where squares underflow, by less
+    than sqrt(d) 2^-537, under the floor. A check that scales rows resets
+    reach to max(radius, 2^-100) (1 + 1e-9): a scaled row exceeds the radius
+    by fewer than d / 2 + 5 roundings, and where its squares underflow by
+    less than sqrt(d) 2^-537 more, under the floor. Underflow elsewhere errs
+    by at most 2^-1074 an operation: skipping needs s_t <= R, and
+    _step_bounds gives no bound where beta_t max(1, d / eps) > 2^600, so the
+    factors of a round lift such an error to below 2^-200, far inside the
+    floor's margin. So reach bounds every true row norm. reach at or below
+    the first limit puts every row strictly inside the ball, where
+    _project_rows would leave the rows untouched, and at or below the second
+    strictly inside the ball of radius m, inside both faces of the box, where
+    the pull is exactly +0.0. The first limit is at most the second, so a
+    round that skips its projection skips its pull too.
     """
     inscribed = min(-box.lower, box.upper)
     if not (inscribed > 0.0 and (units + box.dimension + 16) * 2.0**-53 < 0.1 * _REACH_MARGIN):
-        return -1.0, False
-    ball_inside = _REACH_FLOOR <= radius and radius * (1.0 + _REACH_MARGIN) <= inscribed * (1.0 - _REACH_MARGIN)
-    return min(radius, inscribed) * (1.0 - _REACH_MARGIN), ball_inside
+        return -1.0, -1.0
+    return min(radius, inscribed) * (1.0 - _REACH_MARGIN), inscribed * (1.0 - _REACH_MARGIN)
 
 
 def _run_block(
@@ -541,26 +506,23 @@ def _run_block(
     a round pays for the add only in a block where a pull can be -0.0. The
     clip is the bare ufunc that np.clip calls.
 
-    A round whose new rows all lie strictly inside the box, by the largest
-    squared norm _project_rows returns (_inscribed_square), skips the pull:
-    there every x - clip(x) is x - x = +0.0, and the formula's pull is +0.0.
-    Where the ball lies strictly inside the box (_reach_limits), every
-    projected row does, scaled or not, and no round pulls. pull is zeroed
-    once when a run of such rounds begins and left at +0.0 while it lasts.
-    The next round still adds it to the gradient, which turns a -0.0
-    gradient entry into the formula's +0.0.
-
-    steps, one s_t per round (_step_bounds), and growth (_mix_growth) let a
-    round skip _project_rows as well: reach, an upper bound on the norm of
-    every row the last round left, starts at inf and, in a round after a
-    round without a pull, becomes (reach + s_t) growth. A round whose reach
-    is at most the limit of _reach_limits makes no call after the mix: its
-    rows lie inside the ball, so _project_rows would leave them as they are,
-    and strictly inside the box, so the pull stays +0.0. Any other round
-    projects as before and resets reach from the largest squared norm (inf
-    if rows were scaled), or to inf if it pulled, so the round after a pull
-    checks. The skip decides from Python floats alone and changes no bit;
-    with every s_t infinite, every round checks.
+    One bound decides both of a round's skips. reach, an upper bound on the
+    norm of every row the last round left, starts at inf and, in a round
+    after a round without a pull, becomes (reach + s_t) growth, from steps,
+    one s_t per round (_step_bounds), and growth (_mix_growth). _reach_limits
+    gives two limits. A round whose reach is above the first projects and
+    resets reach: from the largest squared norm _project_rows returns, or to
+    max(radius, 2^-100) (1 + 1e-9) if it scaled rows. A round whose reach is
+    then at most the second has every row strictly inside the box, where
+    each x - clip(x) is x - x = +0.0 and the formula's pull is +0.0: it
+    skips the pull, which is zeroed once when a run of such rounds begins
+    and left at +0.0 while it lasts. The next round still adds it to the
+    gradient, which turns a -0.0 gradient entry into the formula's +0.0. So
+    a round at or below the first limit makes no call after the mix at all.
+    Any other round pulls and sets reach to inf, so the round after a pull
+    projects. The skips decide from Python floats alone and change no bit;
+    with every s_t infinite, every round projects. A NaN row makes reach
+    wrong, but the caller's containment check then fails the block.
     """
     add, divide, multiply, subtract, matmul, einsum = np.add, np.divide, np.multiply, np.subtract, np.matmul, _c_einsum
     residuals, column, half, squares, scaled, scaled_column, rho_term, descended = scratch
@@ -569,9 +531,9 @@ def _run_block(
     if dimension_over_eps is not None:
         dimension_over_eps = np.array(dimension_over_eps)
     lower, upper = box._clip_bounds
-    limit, ball_inside = _reach_limits(box, radius, pull.shape[-2])
-    inside = math.inf if ball_inside else _inscribed_square(box)  # the largest squared norm of a round without a pull
+    check_limit, pull_limit = _reach_limits(box, radius, pull.shape[-2])
     inf, sqrt, widen, floor = math.inf, math.sqrt, 1.0 + _REACH_MARGIN, _REACH_FLOOR * _REACH_FLOOR
+    on_ball = max(radius, _REACH_FLOOR) * widen  # reach after a check that scaled rows
     reach = inf
     pulling = True  # whether pull may hold anything but +0.0
     mixing = islice(cycle(weights), start % len(weights), None)
@@ -597,11 +559,10 @@ def _run_block(
         multiply(beta, add(nxt, pull, nxt), nxt)
         matmul(entries, subtract(current, nxt, descended), nxt)
         reach = (reach + step) * growth
-        if reach <= limit:  # inside the ball and the box: nothing to project, and the pull stays +0.0
-            continue
-        largest = _project_rows(nxt, radius, squares)
-        if largest <= inside:  # the pull is +0.0
-            reach = sqrt(largest + floor) * widen
+        if not reach <= check_limit:  # the rows may leave the ball: project them and bound them anew
+            largest = _project_rows(nxt, radius, squares)
+            reach = sqrt(largest + floor) * widen if largest < inf else on_ball
+        if reach <= pull_limit:  # strictly inside the box: the pull stays +0.0
             if pulling:
                 pull.fill(0.0)
                 pulling = False

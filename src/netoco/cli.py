@@ -8,6 +8,7 @@ import sys
 from .bench import (
     ConfigError,
     ScenarioError,
+    _parse_int,
     list_presets,
     load_config,
     preset_config,
@@ -26,8 +27,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scenario from a config file or preset")
     run.add_argument("config", nargs="?", help="scenario file (INI)")
     run.add_argument("--preset", help="preset name (see `netoco presets`)")
-    run.add_argument("--seed-count", type=int, help="replace the seed list with 1..k")
-    run.add_argument("--horizon", type=int, help="override the horizon T")
+    # Read as text, then as the loader reads its keys (_parse_int): int() would take 1_6 and other scripts' digits.
+    run.add_argument("--seed-count", help="replace the seed list with 1..k")
+    run.add_argument("--horizon", help="override the horizon T")
     run.add_argument("--out", help="output directory for CSV files")
 
     sub.add_parser("presets", help="list preset names")
@@ -58,6 +60,7 @@ def main(argv=None) -> int:
             print("run needs a config file or --preset (not both)", file=sys.stderr)
             return 2
         overrides = {"seed_count": args.seed_count, "horizon": args.horizon}
+        overrides = {key: None if text is None else _parse_int(text, key) for key, text in overrides.items()}
         if args.preset is not None:
             config = preset_config(args.preset, **overrides)
         else:

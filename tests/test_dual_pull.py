@@ -4,8 +4,9 @@ The round loop (algorithm._run_block) writes the box's dual pull out, and
 adds its + 0.0 only where algorithm._pull_can_be_negative_zero says a pull
 can round to -0.0; the generic default is reference.ConstraintSet.dual_pull_rows
 on the box stated constraint by constraint (reference.box_constraints). A
-round whose rows all lie inside the box's inscribed ball about the origin
-skips the pull, which is +0.0 there.
+round whose rows all lie strictly inside the box's inscribed ball about the
+origin, by the bound reach that its check resets from their largest squared
+norm (algorithm._reach_limits), skips the pull, which is +0.0 there.
 """
 
 import numpy as np
@@ -170,9 +171,10 @@ def test_a_row_one_ulp_past_a_face_takes_the_full_pull(monkeypatch, face):
 
 
 def test_rows_inside_the_inscribed_ball_skip_the_pull(monkeypatch):
-    """Rows under the bound skip the clip and leave the pull at the formula's +0.0 over
-    a buffer of garbage; a row one ulp inside a face is in the box but not under the
-    bound, so that round takes the full pull, which is +0.0 as well."""
+    """Rows whose reach, sqrt(largest + 2^-200) (1 + 1e-9), is under m (1 - 1e-9) skip the
+    clip and leave the pull at the formula's +0.0 over a buffer of garbage; a row one ulp
+    inside a face is in the box but above that limit, so that round takes the full pull,
+    which is +0.0 as well."""
     box = BoxConstraintSet(-0.15, 0.15, 3)
     inside = np.array([[[0.1, -0.1, -0.0], [0.0, 1e-300, -0.05]]])
     calls = clip_calls(monkeypatch)
@@ -199,8 +201,9 @@ def test_a_box_without_the_origin_inside_never_skips(monkeypatch, lower, upper):
 
 
 def test_a_square_that_underflows_does_not_pass_for_inside(monkeypatch):
-    """On the box +-1e-200 the bound m^2 (1 - 1e-12) underflows to 0.0, and so does the
-    square of 1e-170, a coordinate far outside the box: the round must still clip."""
+    """On the box +-1e-200 the square of 1e-170, a coordinate far outside the box, underflows
+    to 0.0; the bound the check resets reach to, sqrt(0.0 + 2^-200) (1 + 1e-9), stays above
+    the pull's limit 1e-200 (1 - 1e-9), so the round must still clip."""
     box = BoxConstraintSet(-1e-200, 1e-200, 1)
     rows = np.array([[[1e-170]]])
     calls = clip_calls(monkeypatch)

@@ -302,11 +302,13 @@ def full_pulls_by_round(monkeypatch):
 
 
 class TestPullSkip:
-    """A round whose new decisions all lie strictly inside the box's inscribed ball,
-    ||x||^2 <= m^2 (1 - 1e-12) with m = min(-lower, upper) over every row of the batch,
-    skips the box's pull, whose formula gives +0.0 there; the others take it. Each run
-    below moves into and out of that ball within blocks and across block edges, in
-    both directions, and must keep the bits of the reference's chained rounds."""
+    """A round whose new decisions all lie strictly inside the box's inscribed ball of radius
+    m = min(-lower, upper), by reach <= m (1 - 1e-9) (algorithm._reach_limits), skips the box's
+    pull, whose formula gives +0.0 there; the others take it. Each run below moves into and out
+    of that ball within blocks and across block edges, in both directions, and must keep the
+    bits of the reference's chained rounds. No row of these runs lies near enough to the
+    ball's edge for the margin to matter: the rounds that skip are exactly those whose rows
+    all satisfy ||x||^2 <= m^2 (1 - 1e-12)."""
 
     @pytest.mark.parametrize(
         ("variant", "seeds", "box", "radius"),
@@ -400,41 +402,89 @@ class TestStepBounds:
         assert max(checks) <= 2
 
 
-def scaled_rounds(monkeypatch):
-    """One entry per _project_rows call from now on: whether it scaled rows."""
-    project, scaled = algorithm._project_rows, []
+def checked_rounds(monkeypatch):
+    """One [scaled, clipped] entry per _project_rows call from now on: whether it scaled rows,
+    and whether its round went on to take the box's full pull. A round pulls only after a check."""
+    project, clip, rounds = algorithm._project_rows, algorithm._clip, []
 
     def projecting(*args):
         largest = project(*args)
-        scaled.append(largest == np.inf)
+        rounds.append([largest == np.inf, False])
         return largest
 
+    def clipping(*args):
+        rounds[-1][1] = True
+        return clip(*args)
+
     monkeypatch.setattr(algorithm, "_project_rows", projecting)
-    return scaled
+    monkeypatch.setattr(algorithm, "_clip", clipping)
+    return rounds
+
+
+def largest_radius_inside(inscribed):
+    """The largest radius R with R (1 + 1e-9) <= m (1 - 1e-9) for m = inscribed, as floats compute both sides."""
+    limit = inscribed * (1.0 - 1e-9)
+    radius = limit / (1.0 + 1e-9)
+    while radius * (1.0 + 1e-9) <= limit:
+        radius = np.nextafter(radius, np.inf)
+    while radius * (1.0 + 1e-9) > limit:
+        radius = np.nextafter(radius, 0.0)
+    return float(radius)
 
 
 class TestScaledRoundsSkipThePull:
     """A round whose rows _project_rows scaled leaves them on the decision ball; where that
     ball lies strictly inside the box, radius (1 + 1e-9) <= m (1 - 1e-9), the pull is +0.0
-    and the round skips it."""
+    and the round skips it. The check that scaled them resets reach to max(R, 2^-100) (1 + 1e-9),
+    which the pull's limit m (1 - 1e-9) decides against. The runs against record_run keep its
+    bits; the square waves (square_wave_streams) drive their decisions toward x_1 = +-1/3,
+    outside the ball, so that rounds scale rows."""
 
     def test_the_bandit_preset_clips_in_no_round(self, monkeypatch, tmp_path):
         """synthetic-bandit-c0.5: decision radius 0.0194 inside the box +-0.15."""
-        clips = calls_per_block(monkeypatch, "_clip")
-        scaled = scaled_rounds(monkeypatch)
+        rounds = checked_rounds(monkeypatch)
         run_suite(preset_config("synthetic-bandit-c0.5", seed_count=3, horizon=2048), out_dir=tmp_path)
-        assert sum(scaled) > 0
-        assert sum(clips) == 0
+        assert any(scaled for scaled, _ in rounds)
+        assert not any(clipped for _, clipped in rounds)
 
     def test_a_run_whose_ball_lies_inside_the_box_keeps_the_recorded_bits(self, monkeypatch):
         """R = 0.3 shrinks to the decision radius 0.15 at T = 300, inside the box +-0.2:
         some rounds scale rows, and no round clips."""
-        clips = calls_per_block(monkeypatch, "_clip")
-        scaled = scaled_rounds(monkeypatch)
+        rounds = checked_rounds(monkeypatch)
         box = BoxConstraintSet(-0.2, 0.2, 4)
         lent_blocks_equal_the_recorded_runs("strongly-convex-bandit", (3,), HORIZON, box, 0.3)
-        assert sum(scaled) > 0
-        assert sum(clips) == 0
+        assert any(scaled for scaled, _ in rounds)
+        assert not any(clipped for _, clipped in rounds)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["largest-inside", "next-float-above"])
+    def test_the_largest_radius_inside_the_box_skips_and_the_next_float_pulls(self, monkeypatch, above):
+        """At the largest R with R (1 + 1e-9) <= m (1 - 1e-9) no scaled round pulls; one float
+        above it, every scaled round pulls, though its pull is +0.0 as well."""
+        box = BoxConstraintSet(-0.2, 0.2, 4)
+        radius = largest_radius_inside(0.2)
+        if above:
+            radius = float(np.nextafter(radius, np.inf))
+        rounds = checked_rounds(monkeypatch)
+        lent_blocks_equal_the_recorded_runs(
+            "strongly-convex-full", (1, 2), HORIZON, box, radius, square_wave_streams((8, 0))
+        )
+        clipped = [clipped for scaled, clipped in rounds if scaled]
+        assert clipped and all(clip == above for clip in clipped)
+
+    @pytest.mark.parametrize(
+        ("inscribed", "pulls"), [(2.0**-105, True), (0.15, False)], ids=["box-2^-105", "box-0.15"]
+    )
+    def test_a_radius_under_the_floor_resets_reach_to_the_floor(self, monkeypatch, inscribed, pulls):
+        """R = 2^-110: a check that scales rows resets reach to 2^-100 (1 + 1e-9), not R (1 + 1e-9).
+        Inside a box of inscribed radius 2^-105 that is above the pull's limit, so every scaled
+        round pulls; inside the box +-0.15 it is below, and none does."""
+        box = BoxConstraintSet(-inscribed, inscribed, 4)
+        rounds = checked_rounds(monkeypatch)
+        lent_blocks_equal_the_recorded_runs(
+            "strongly-convex-full", (1, 2), HORIZON, box, 2.0**-110, square_wave_streams((8, 0))
+        )
+        clipped = [clipped for scaled, clipped in rounds if scaled]
+        assert clipped and all(clip == pulls for clip in clipped)
 
 
 # The projection of round 199 gives the decisions of round 200, in the kernel's

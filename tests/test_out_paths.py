@@ -166,7 +166,9 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     checks; bounded passes the step bounds and the weights' growth, as
     _lockstep does, so that rounds may skip the projection. The directions
     are then of norm 1, as the kernel's are, and the bounds hold in the ball
-    of radius + eps, which holds every probe."""
+    of radius + eps, which holds every probe. The box's inscribed ball has
+    radius 0.25, so radius 0.2 puts the decision ball inside the box, where
+    rounds that scale rows skip the pull."""
     rng = np.random.default_rng(seed)
     rounds, units, d = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
     shape = (seeds, units, d)
@@ -176,7 +178,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     etas = 10.0 ** rng.uniform(-2.0, 2.0, (rounds, seeds, 1, 1))
     betas = np.broadcast_to(10.0 ** rng.uniform(-3.0, 0.0, (rounds, seeds, 1, 1)), (rounds,) + shape).copy()
     weights = tuple(rng.random((units, units)) for _ in range(2))
-    start, radius = int(rng.integers(0, 4)), float(rng.choice([0.3, 1.5]))
+    start, radius = int(rng.integers(0, 4)), float(rng.choice([0.2, 0.3, 1.5]))
     box = BoxConstraintSet(-0.5, 0.25, d)
     eps = 0.1
     directions = sprinkled(rng, (rounds,) + shape, -1.0, 1.0)

@@ -74,6 +74,26 @@ def test_file_run_applies_the_overrides(scenario_file, tmp_path, capsys):
     assert {row.split(",")[1] for row in rows[1:]} == {"1", "2", "mean"}
 
 
+@pytest.mark.parametrize(
+    ("flag", "key", "text"),
+    [
+        ("--horizon", "horizon", "1_6"),
+        ("--seed-count", "seed_count", "1_0"),
+        ("--horizon", "horizon", "\u0661\u0666"),  # Arabic-Indic 16, which int() reads
+        ("--seed-count", "seed_count", "\u0663"),
+        ("--horizon", "horizon", "16.0"),
+    ],
+)
+def test_run_reads_its_integer_flags_as_the_loader_reads_its_keys(scenario_file, tmp_path, capsys, flag, key, text):
+    """A digit separator or another script's digits fail on the flag, exit 2, in the loader's
+    words, on a preset run and a file run alike, before anything runs."""
+    out = tmp_path / "out"
+    for source in (["--preset", "synthetic-convex-c0.5"], [str(scenario_file)]):
+        assert main(["run", *source, flag, text, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got {text!r}\n"
+    assert not out.exists()
+
+
 def test_run_has_no_workers_flag(scenario_file, capsys):
     with pytest.raises(SystemExit) as raised:
         main(["run", str(scenario_file), "--workers", "1"])

@@ -1,6 +1,7 @@
 """The README's examples hold as written: the "Library use" example runs and prints finite
-SREG and CACV, the scenario file validates and names the loader's keys, and the preset
-table lists the presets' keys."""
+SREG and CACV, the scenario file validates and names the loader's keys, the preset
+table lists the presets' keys, and the kernel's table counts the rounds that check and
+that pull."""
 
 import contextlib
 import io
@@ -8,8 +9,9 @@ import math
 import re
 from pathlib import Path
 
+import netoco.algorithm as algorithm
 from netoco import bench
-from netoco.bench import load_config, validate_scenario
+from netoco.bench import load_config, preset_config, run_suite, validate_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,3 +71,35 @@ def test_the_preset_table_lists_each_preset_and_its_keys_in_order():
         table[name.strip("`")] = {sec: values for sec, values in keys.items() if values}
     assert list(table) == list(bench._PRESETS)
     assert table == bench._PRESETS
+
+
+def test_the_kernel_table_counts_the_rounds_that_check_and_that_pull(monkeypatch, tmp_path):
+    """Each preset of the table run at S = 3 and T = 2048 makes as many _project_rows calls
+    (checks) and _clip calls (pulls) as the table says, so a lost skip fails here."""
+    text = README.read_text(encoding="utf-8")
+    pattern = r"^\| Preset \| Rounds that check \| Rounds that pull \|\n.*?\n(?!\|)"
+    _, _, *rows = re.search(pattern, text, re.DOTALL | re.MULTILINE)[0].splitlines()
+    table = {}
+    for row in rows:
+        name, checks, pulls = [cell.strip() for cell in row.strip("|").split("|")]
+        table[name.strip("`")] = tuple(int(re.match(r"[\d,]+", cell)[0].replace(",", "")) for cell in (checks, pulls))
+    assert len(table) == 8
+    counts = {"check": 0, "pull": 0}
+    project, clip = algorithm._project_rows, algorithm._clip
+
+    def checking(*args):
+        counts["check"] += 1
+        return project(*args)
+
+    def pulling(*args):
+        counts["pull"] += 1
+        return clip(*args)
+
+    monkeypatch.setattr(algorithm, "_project_rows", checking)
+    monkeypatch.setattr(algorithm, "_clip", pulling)
+    ran = {}
+    for name in table:
+        counts.update(check=0, pull=0)
+        run_suite(preset_config(name, seed_count=3, horizon=2048), out_dir=tmp_path)
+        ran[name] = counts["check"], counts["pull"]
+    assert ran == table
