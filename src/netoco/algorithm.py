@@ -77,7 +77,7 @@ import numpy as np
 
 from .network import TopologySchedule, _integer
 from .problems import (
-    _BLOCK, _DOTS, BoxConstraintSet, RegressionRound, _blocks, _c_einsum, _check_box, _clip, _row_dots,
+    _BLOCK, _DOTS, BoxConstraintSet, _blocks, _c_einsum, _check_box, _clip, _row_dots, system_values,
 )
 
 __all__ = [
@@ -583,8 +583,8 @@ def block_bytes(seeds: int, units: int, dimension: int, constraints: int, horizo
     directions, offsets and probes, 7 d floats, with the targets and observed
     losses (the bandit arrays are counted for every variant); the p constraint
     violations at the lent decisions; and the product of the decisions and the
-    features that RegressionRound.system_values holds, its residuals formed in
-    place, N floats.
+    features that problems.system_values holds, its residuals formed in place,
+    N floats.
     """
     block = min(horizon, _BLOCK)
     return 8 * seeds * units * block * (7 * dimension + constraints + 2 + units)
@@ -624,11 +624,11 @@ def _block_steps(schedules, start: int, etas: np.ndarray, betas: np.ndarray):
 def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxConstraintSet, seeds):
     """Run every seed of a batch in lockstep on (S, N, d) arrays, one block of rounds per yield.
 
-    Yields (start, block_losses, committed, violations, observed, queries) for
-    the block of B <= _BLOCK rounds start + 1..start + B: all seeds' losses of
-    the block as one RegressionRound over (B, S, N, d), the committed decisions
-    (B, S, N, d), the positive parts at them (B, S, N, p), and for bandit
-    variants the losses observed at the probes (B, S, N) and the probes
+    Yields (start, features, targets, committed, violations, observed, queries)
+    for the block of B <= _BLOCK rounds start + 1..start + B: all seeds'
+    features (B, S, N, d) and targets (B, S, N) of the block, the committed
+    decisions (B, S, N, d), the positive parts at them (B, S, N, p), and for
+    bandit variants the losses observed at the probes (B, S, N) and the probes
     (B, S, N, d) (None otherwise). All but the violations are views of the
     kernel's own arrays, lent until the next block is asked for, which
     refills them: a caller copies what it keeps. Each round carries only the
@@ -664,8 +664,6 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
     n, d, horizon, rho = first.n_units, first.dimension, first.horizon, first.rho
     if any((s.n_units, s.dimension, s.horizon, s.rho) != (n, d, horizon, rho) for s in streams):
         raise ValueError("the streams of one batch must agree on N, d, T and rho")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if topology.node_count != n:
         raise ValueError(f"topology has {topology.node_count} nodes, stream has {n} units")
     if constraints.dimension != d:
@@ -734,7 +732,7 @@ def _lockstep(streams, topology: TopologySchedule, schedules, constraints: BoxCo
         decided = committed[:b]
         violated = constraints.positive_parts_rows(decided.reshape(-1, d))
         violated = violated.reshape(decided.shape[:-1] + (constraints.count,))
-        yield start, RegressionRound(features[:b], targets[:b], rho), decided, violated, seen, probed
+        yield start, features[:b], targets[:b], decided, violated, seen, probed
         committed[0] = committed[b]  # the carry, once the lent block is done with
 
 
@@ -758,18 +756,18 @@ class CheckpointTotals:
     violations: np.ndarray  # (K, S): positive parts summed over units, constraints, rounds
 
 
-def _checkpoint_totals(blocks, checkpoints) -> CheckpointTotals:
+def _checkpoint_totals(blocks, checkpoints, rho: float) -> CheckpointTotals:
     """A run's running sums at the checkpoints, carried from block to block, so added round by round.
 
-    blocks yields (start, block_losses, committed, violations) for rounds start + 1..start + B
-    in order: the losses as one RegressionRound over (B, S, N, d), the committed decisions
-    (B, S, N, d) and their positive parts (B, S, N, p).
+    blocks yields (start, features, targets, committed, violations) for rounds start + 1..start + B
+    in order: the losses' features (B, S, N, d) and targets (B, S, N), which share rho, the
+    committed decisions (B, S, N, d) and their positive parts (B, S, N, p).
     """
     index = np.array(checkpoints) - 1
     system = violated = 0.0
     system_at, violated_at = [], []
-    for start, block_losses, committed, violations in blocks:
-        system_sums, violated_sums = block_losses.system_values(committed), violations.sum(axis=(2, 3))
+    for start, features, targets, committed, violations in blocks:
+        system_sums, violated_sums = system_values(features, targets, rho, committed), violations.sum(axis=(2, 3))
         system_sums[0] += system  # the carry, then a cumsum: the bits of one += per round
         violated_sums[0] += violated
         np.cumsum(system_sums, axis=0, out=system_sums)
@@ -804,4 +802,5 @@ def run_seeds(
     if not streams:
         raise ValueError("need at least one seed")
     checkpoints = check_checkpoints(checkpoints, streams[0].horizon)
-    return _checkpoint_totals((b[:4] for b in _lockstep(streams, topology, schedules, constraints, seeds)), checkpoints)
+    blocks = (b[:5] for b in _lockstep(streams, topology, schedules, constraints, seeds))
+    return _checkpoint_totals(blocks, checkpoints, streams[0].rho)

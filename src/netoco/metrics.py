@@ -129,18 +129,23 @@ def offline_comparators(
 
 
 def _solve_group(streams, constraints, prefixes, tol, max_iters) -> tuple[Comparator, ...]:
-    """offline_comparators for one group of (stream index, T) prefixes, in one loop on (K, d) iterates."""
+    """offline_comparators for one group of (stream index, T) prefixes, in one loop on (K, d) iterates.
+
+    A prefix's quadratic is its stream's sufficient_statistics(T), the arrays
+    (gram, cross, target_square_sum), with the regularizer's weight
+    2 rho (T N) formed from the stream's rho and N.
+    """
     K, d = len(prefixes), streams[prefixes[0][0]].dimension
     # The group's statistics, stacked; each prefix's own arrays are dropped as they are copied in.
     gram, cross = np.empty((K, d, d)), np.empty((K, d))
     halved_square_sums, reg, step = np.empty(K), np.empty((K, 1)), np.ones((K, 1))
     curved = np.zeros(K, dtype=bool)
     for k, (index, T) in enumerate(prefixes):
-        stats = streams[index].sufficient_statistics(T)
-        gram[k], cross[k] = stats.gram, stats.cross
-        halved_square_sums[k] = 0.5 * stats.target_square_sum
-        reg[k] = 2.0 * stats.rho * stats.count
-        curvature = float(np.trace(stats.gram)) + reg[k, 0]
+        stream = streams[index]
+        gram[k], cross[k], target_square_sum = stream.sufficient_statistics(T)
+        halved_square_sums[k] = 0.5 * target_square_sum
+        reg[k] = 2.0 * stream.rho * (T * stream.n_units)
+        curvature = float(np.trace(gram[k])) + reg[k, 0]
         if curvature > 0.0:
             curved[k], step[k] = True, 1.0 / curvature
 

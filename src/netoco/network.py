@@ -125,14 +125,17 @@ class TopologySchedule:
         return min(float(w[w > 0.0].min()) for w in self.weights)
 
     def graph_at(self, t: int) -> Graph:
-        if t < 1:
-            raise ValueError("rounds are 1-indexed")
-        return self.graphs[(t - 1) % self.period]
+        return self.graphs[self._slot(t)]
 
     def weights_at(self, t: int) -> np.ndarray:
+        return self.weights[self._slot(t)]
+
+    def _slot(self, t) -> int:
+        """Round t's index into the period; ValueError unless t is an integer >= 1."""
+        t = _integer(t, "round")
         if t < 1:
             raise ValueError("rounds are 1-indexed")
-        return self.weights[(t - 1) % self.period]
+        return (t - 1) % self.period
 
 
 def verify_window_connectivity(schedule: TopologySchedule) -> bool:

@@ -13,8 +13,10 @@ with analytic sups of the gradient norm and of the value over ||x|| <= R:
 and strong convexity modulus 2 * rho. A stream's (T, N, d) features and
 (T, N) targets hold one example per (unit, round) slot, and
 RegressionStream.bounds takes the same bounds as maxima over the realized
-data, since Gaussian targets admit no a-priori bound. One slot's loss oracle
-is reference.regression_loss.
+data, since Gaussian targets admit no a-priori bound. A round's losses travel
+as those arrays and rho: system_values sums all units' losses at query rows,
+and sufficient_statistics gives a prefix's quadratic data. One slot's loss
+oracle is reference.regression_loss.
 
 Long-term constraints are inequality functions c_s(x) <= 0 whose violated
 part enters the updates through the clipped subgradient: the gradient of c_s
@@ -43,9 +45,7 @@ except ImportError:  # numpy < 2
 
 __all__ = [
     "BoxConstraintSet",
-    "RegressionRound",
     "RegressionStream",
-    "SufficientStats",
     "synthetic_stream",
     "DatasetTable",
     "dataset_stream",
@@ -134,9 +134,9 @@ def _check_box(constraints, user: str):
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry is finite, with no temporary: a NaN propagates through min and max,
-    and an infinity is the min or the max."""
-    return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
+    """Whether every entry of a nonempty array is finite, with no temporary: a NaN propagates
+    through min and max, and an infinity is the min or the max."""
+    return math.isfinite(a.min()) and math.isfinite(a.max())
 
 
 _DOTS = "...d,...d->..."
@@ -150,47 +150,25 @@ def _row_dots(a, b) -> np.ndarray:
     return _c_einsum(_DOTS, a, b)
 
 
-class RegressionRound:
-    """All units' losses for one round, vectorized over the unit axis.
+def system_values(features, targets, rho, points) -> np.ndarray:
+    """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m]).
 
-    Leading axes batch independent rounds: features (..., N, d) and targets
-    (..., N) hold one round per batch entry, such as a stream's features[t - 1]
-    and targets[t - 1] for round t, and each batch entry's result is bit for
-    bit the one its own RegressionRound gives. The loss and its gradient at
-    each row are reference.loss_values and loss_gradients; algorithm._run_block
-    writes their steps, with the same operands in the same order, into its
-    per-run arrays, so the round loop gets their bits.
+    features (..., N, d) and targets (..., N) hold one round's losses per batch
+    entry, such as a stream's features[t - 1] and targets[t - 1] for round t,
+    and points (..., M, d) the query rows; each batch entry's result is bit
+    for bit the one it gets on its own.
     """
-
-    def __init__(self, features, targets, rho):
-        self.features = features  # (..., N, d)
-        self.targets = targets  # (..., N)
-        self.rho = rho
-
-    def system_values(self, points) -> np.ndarray:
-        """Sum of all units' losses at each query row: out[m] = sum_j loss_j(points[m])."""
-        points = np.asarray(points, dtype=float)
-        # The targets are subtracted inside the product's own array, and the
-        # terms are formed and summed in place: one array of the product's
-        # (..., M, N) size is held, with the bits of the fresh-array formula
-        # 0.5 * ||r||^2 + (rho N) * ||x||^2 over each residual row r.
-        residuals = points @ np.swapaxes(self.features, -1, -2)
-        np.subtract(residuals, self.targets[..., None, :], out=residuals)
-        values, squares = _row_dots(residuals, residuals), _row_dots(points, points)
-        np.multiply(0.5, values, out=values)
-        np.multiply(self.rho * self.features.shape[-2], squares, out=squares)
-        return np.add(values, squares, out=values)
-
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """Accumulated quadratic data for sum_{t<=T} sum_j loss_{j,t}."""
-
-    gram: np.ndarray  # sum a a^T
-    cross: np.ndarray  # sum a b
-    target_square_sum: float  # sum b^2
-    count: int  # number of (unit, round) terms
-    rho: float
+    points = np.asarray(points, dtype=float)
+    # The targets are subtracted inside the product's own array, and the
+    # terms are formed and summed in place: one array of the product's
+    # (..., M, N) size is held, with the bits of the fresh-array formula
+    # 0.5 * ||r||^2 + (rho N) * ||x||^2 over each residual row r.
+    residuals = points @ np.swapaxes(features, -1, -2)
+    np.subtract(residuals, targets[..., None, :], out=residuals)
+    values, squares = _row_dots(residuals, residuals), _row_dots(points, points)
+    np.multiply(0.5, values, out=values)
+    np.multiply(rho * features.shape[-2], squares, out=squares)
+    return np.add(values, squares, out=values)
 
 
 class RegressionStream:
@@ -207,6 +185,8 @@ class RegressionStream:
         targets = np.asarray(targets, dtype=float)
         if features.ndim != 3:
             raise ValueError("features must have shape (T, N, d)")
+        if 0 in features.shape:
+            raise ValueError(f"features must have T, N, d >= 1, got shape {features.shape}")
         if targets.shape != features.shape[:2]:
             raise ValueError("targets must have shape (T, N)")
         if not 0.0 <= rho < math.inf:  # NaN fails every comparison
@@ -251,18 +231,14 @@ class RegressionStream:
             0.5 * float(np.max(values)) + self.rho * radius * radius,
         )
 
-    def sufficient_statistics(self, T: int) -> SufficientStats:
+    def sufficient_statistics(self, T: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """(sum a a^T, sum a b, sum b^2) over the first T rounds' slots: the quadratic data of
+        sum_{t<=T} sum_j loss_{j,t}, whose rho term is rho times the T N slots' ||x||^2."""
         if not 1 <= T <= self.horizon:
             raise ValueError(f"prefix length {T} outside 1..{self.horizon}")
         rows = self.features[:T].reshape(-1, self.dimension)
         targets = self.targets[:T].reshape(-1)
-        return SufficientStats(
-            gram=rows.T @ rows,
-            cross=rows.T @ targets,
-            target_square_sum=float(targets @ targets),
-            count=rows.shape[0],
-            rho=self.rho,
-        )
+        return rows.T @ rows, rows.T @ targets, float(targets @ targets)
 
 
 def synthetic_stream(n_units: int, dimension: int, horizon: int, rho: float, seed: int) -> RegressionStream:

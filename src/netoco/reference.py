@@ -32,7 +32,7 @@ import numpy as np
 from .algorithm import HyperSchedule, _check_in_ball, _overflow_factors, _project_rows, _sphere_rngs, check_checkpoints
 from .metrics import Comparator, ConvergenceError
 from .network import TopologySchedule, _integer
-from .problems import BoxConstraintSet, RegressionRound, RegressionStream, _check_box, _row_dots
+from .problems import BoxConstraintSet, RegressionStream, _check_box, _row_dots, system_values
 
 __all__ = [
     "ConstraintSet", "box_constraints", "LossOracle", "regression_loss", "clipped_subgradient", "loss_values",
@@ -190,33 +190,33 @@ def clipped_subgradient(constraints: ConstraintSet | BoxConstraintSet, x, s: int
     return np.zeros(constraints.dimension)
 
 
-def loss_values(losses, rows) -> np.ndarray:
-    """0.5 (a.x - b)^2 + rho ||x||^2 at each row, for a RegressionRound's losses, on fresh arrays.
+def loss_values(features, targets, rho, rows) -> np.ndarray:
+    """0.5 (a.x - b)^2 + rho ||x||^2 at each row, on fresh arrays, for a round's features and targets.
 
     With rho == 0.0 the rho term is skipped: 0.0 * ||x||^2 is a zero for a
     finite row, and 0.5 r^2, which it would be added to, is never -0.0, so no
     bit changes.
     """
-    residuals = _row_dots(losses.features, rows) - losses.targets
+    residuals = _row_dots(features, rows) - targets
     values = 0.5 * residuals * residuals
-    if not losses.rho:
+    if not rho:
         return values
-    return values + losses.rho * _row_dots(rows, rows)
+    return values + rho * _row_dots(rows, rows)
 
 
-def loss_gradients(losses, rows) -> np.ndarray:
-    """(a.x - b) a + 2 rho x at each row, for a RegressionRound's losses, on fresh arrays.
+def loss_gradients(features, targets, rho, rows) -> np.ndarray:
+    """(a.x - b) a + 2 rho x at each row, on fresh arrays, for a round's features and targets.
 
     With rho == 0.0 the rho term, 0.0 * x, is skipped. That can only change
     the sign of a zero entry; the round step adds the dual pull next, whose
     zeros are +0.0 (ConstraintSet.dual_pull_rows and the kernel's closed form),
     and that sum has the same bits with either sign.
     """
-    residuals = _row_dots(losses.features, rows) - losses.targets
-    gradients = residuals[..., None] * losses.features
-    if not losses.rho:
+    residuals = _row_dots(features, rows) - targets
+    gradients = residuals[..., None] * features
+    if not rho:
         return gradients
-    return gradients + (2.0 * losses.rho) * np.asarray(rows)
+    return gradients + (2.0 * rho) * np.asarray(rows)
 
 
 def consensus_mix(weights, vectors) -> np.ndarray:
@@ -297,27 +297,23 @@ def dual_update(constraints: ConstraintSet | BoxConstraintSet, x_next, eta: floa
     return _stated(constraints).positive_parts(x_next) / eta
 
 
-def _round_losses(stream: RegressionStream, t: int) -> RegressionRound:
-    """All units' losses at round t of the stream."""
-    return RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
-
-
-def round_step(rows, pull, losses, weights, beta, radius, directions=None, eps=None):
+def round_step(rows, pull, features, targets, rho, weights, beta, radius, directions=None, eps=None):
     """Steps 1-4 of a round on fresh (..., N, d) arrays: (next rows, observed losses, probes).
 
-    The gradient is loss_gradients at the rows or, under bandit feedback
-    (directions given, with eps), the one-point estimate (d / eps) f(q) u at
-    the probes q = rows + eps u, whose losses f(q) are the observed ones. The
-    rows descend by beta times the gradient plus the dual pull, are mixed by
+    The round's losses are its features, targets and rho. The gradient is
+    loss_gradients at the rows or, under bandit feedback (directions given,
+    with eps), the one-point estimate (d / eps) f(q) u at the probes
+    q = rows + eps u, whose losses f(q) are the observed ones. The rows
+    descend by beta times the gradient plus the dual pull, are mixed by
     consensus_mix with the (N, N) weights and projected onto the ball of the
     given radius. observed and probes are None under full information.
     """
     observed = probes = None
     if directions is None:
-        gradients = loss_gradients(losses, rows)
+        gradients = loss_gradients(features, targets, rho, rows)
     else:
         probes = rows + eps * directions
-        observed = loss_values(losses, probes)
+        observed = loss_values(features, targets, rho, probes)
         gradients = (rows.shape[-1] / eps) * observed[..., None] * directions
     mixed = consensus_mix(weights, rows - beta * (gradients + pull))
     _project_rows(mixed, radius)
@@ -356,7 +352,7 @@ class RoundRecord:
 
 def run_round(
     state: RunState,
-    round_losses,
+    stream: RegressionStream,
     weights: np.ndarray,
     hyper: HyperSchedule,
     constraints: ConstraintSet | BoxConstraintSet,
@@ -364,10 +360,11 @@ def run_round(
 ) -> tuple[RunState, RoundRecord]:
     """One synchronized round of one seed from an explicit state; see netoco.algorithm's module docstring.
 
-    The schedule decides the feedback: under bandit feedback each unit draws its
+    Round t's losses are the stream's round t. The schedule decides the feedback: under bandit feedback each unit draws its
     sphere direction from its stream in state.rngs, ValueError if there are none.
     """
     rows, radius, eta = state.decisions, hyper.decision_radius, hyper.eta(t)
+    round_losses = stream.features[t - 1], stream.targets[t - 1], stream.rho
     constraints = _stated(constraints)
     directions = None
     if hyper.is_bandit:
@@ -375,13 +372,13 @@ def run_round(
             raise ValueError("bandit rounds need per-unit rng streams")
         directions = np.stack([sample_unit_sphere(rng, rows.shape[1]) for rng in state.rngs])
     pull = constraints.weighted_subgradient_rows(rows, state.duals)
-    nxt, observed, queries = round_step(rows, pull, round_losses, weights, hyper.beta(t), radius, directions, hyper.eps)
+    nxt, observed, queries = round_step(rows, pull, *round_losses, weights, hyper.beta(t), radius, directions, hyper.eps)
     if queries is not None:
         _check_in_ball(queries, hyper.radius, t, "probe")
     _check_in_ball(nxt, radius, t + 1, "decision")
     record = RoundRecord(
         decisions=rows,
-        losses=loss_values(round_losses, rows) if observed is None else observed,
+        losses=loss_values(*round_losses, rows) if observed is None else observed,
         violations=constraints.positive_parts_rows(rows),
         queries=queries,
     )
@@ -408,7 +405,7 @@ def record_run(
     state = initial_state(stream.n_units, constraints, seed=seed)
     records = []
     for t in range(1, stream.horizon + 1):
-        state, record = run_round(state, _round_losses(stream, t), topology.weights_at(t), hyper, constraints, t)
+        state, record = run_round(state, stream, topology.weights_at(t), hyper, constraints, t)
         records.append(record)
     columns = zip(*((r.decisions, r.losses, r.violations, r.queries) for r in records))
     return RoundRecord(*(None if column[0] is None else np.stack(column) for column in columns))
@@ -438,9 +435,8 @@ def offline_comparator(
     if constraints.dimension != stream.dimension:
         raise ValueError("constraint dimension does not match the stream")
     T = _integer(T, "checkpoint")
-    stats = stream.sufficient_statistics(T)
-    gram, cross = stats.gram, stats.cross
-    reg = 2.0 * stats.rho * stats.count
+    gram, cross, target_square_sum = stream.sufficient_statistics(T)
+    reg = 2.0 * stream.rho * (T * stream.n_units)
     x = constraints.project(np.zeros(stream.dimension))
     residual, iterations = 0.0, 0
     curvature = float(np.trace(gram)) + reg
@@ -458,7 +454,7 @@ def offline_comparator(
                 f"residual {residual:.3e} after {max_iters} iterations"
             )
     objective = float(
-        0.5 * (x @ gram @ x) - cross @ x + 0.5 * stats.target_square_sum
+        0.5 * (x @ gram @ x) - cross @ x + 0.5 * target_square_sum
     ) + 0.5 * reg * float(x @ x)
     grad = gram @ x - cross + reg * x
     gap = float(grad @ (x - np.where(grad > 0.0, constraints.lower, constraints.upper)))
@@ -468,7 +464,8 @@ def offline_comparator(
 def system_cumulative_losses(record: RoundRecord, stream, T: int) -> np.ndarray:
     """Entry i - 1: sum_{t<=T} sum_j loss_{j,t}(x_i(t)) at a record's committed decisions, added round by round."""
     check_checkpoints((T,), len(record.decisions))
-    return sum(_round_losses(stream, t).system_values(record.decisions[t - 1]) for t in range(1, T + 1))
+    rounds = zip(stream.features[:T], stream.targets[:T], record.decisions[:T])
+    return sum(system_values(features, targets, stream.rho, points) for features, targets, points in rounds)
 
 
 def regret(record: RoundRecord, stream, comparator: Comparator, i: int, T: int) -> float:

@@ -21,10 +21,10 @@ from netoco.metrics import bound_constants
 from netoco.network import Graph, TopologySchedule, default_ring_6, verify_window_connectivity
 from netoco.problems import (
     BoxConstraintSet,
-    RegressionRound,
     parse_libsvm,
     serialize_libsvm,
     synthetic_stream,
+    system_values,
 )
 from netoco.reference import (
     box_constraints,
@@ -219,7 +219,7 @@ def test_criterion_06_smoothing_error():
     a = rng.uniform(-1, 1, 4)
     b = float(a @ np.array([1.0, 1.0, 0.0, 0.0]) + rng.normal())
     rho = 1.0
-    panel = RegressionRound(a[None, :], np.array([b]), rho)
+    panel = a[None, :], np.array([b]), rho
     eps, n = 0.2, 10**5
     start = time.perf_counter()
     worst_margin = math.inf
@@ -228,10 +228,10 @@ def test_criterion_06_smoothing_error():
         x *= float(rng.uniform(0.0, 0.2)) / float(np.linalg.norm(x))
         draws = rng.standard_normal((n, 4))
         directions = draws / np.linalg.norm(draws, axis=1, keepdims=True)
-        values = panel.system_values(x + eps * directions)
+        values = system_values(*panel, x + eps * directions)
         smoothed = float(values.mean())
         se = float(values.std(ddof=1)) / math.sqrt(n)
-        exact = float(panel.system_values(x[None, :])[0])
+        exact = float(system_values(*panel, x[None, :])[0])
         norm_x = float(np.linalg.norm(x))
         lipschitz = (np.linalg.norm(a) * (norm_x + eps) + abs(b)) * np.linalg.norm(a) + 2 * rho * (
             norm_x + eps
@@ -263,7 +263,7 @@ def test_criterion_07_bandit_containment():
     )
     # Every committed decision and probe of the run, block by block as the kernel lends them.
     query_max = decision_max = 0.0
-    for _, _, committed, _, _, queries in _lockstep([stream], default_ring_6(), [hyper], box, [1]):
+    for _, _, _, committed, _, _, queries in _lockstep([stream], default_ring_6(), [hyper], box, [1]):
         query_max = max(query_max, float(np.linalg.norm(queries, axis=-1).max()))
         decision_max = max(decision_max, float(np.linalg.norm(committed, axis=-1).max()))
     shrunk = (1.0 - hyper.pi) * radius
@@ -321,10 +321,7 @@ def test_criterion_08_centralized_reduction():
         reference = centralized_reference(stream, hyper, box, horizon)
         state = initial_state(1, box)
         for t in range(1, horizon + 1):
-            state, _ = run_round(
-                state, RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho),
-                single.weights_at(t), hyper, box, t,
-            )
+            state, _ = run_round(state, stream, single.weights_at(t), hyper, box, t)
             ref_x, ref_lam = reference[t - 1]
             worst = max(
                 worst,
@@ -463,7 +460,7 @@ def test_criterion_11_comparator_vs_grid():
         points = np.stack([xs.ravel(), ys.ravel()], axis=1)
         totals = np.zeros(len(points))
         for t in range(1, 6):
-            totals += RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho).system_values(points)
+            totals += system_values(stream.features[t - 1], stream.targets[t - 1], stream.rho, points)
         worst = max(worst, abs(float(totals.min()) - comparator.objective))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 5.0

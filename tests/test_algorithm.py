@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import netoco.algorithm as algorithm
 from netoco.algorithm import VARIANTS, _project_rows, make_schedule, run_seeds
 from netoco.network import Graph, TopologySchedule, default_ring_6, max_degree_weights
-from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
+from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream
 from netoco.reference import (
     augmented_lagrangian,
     box_constraints,
@@ -40,11 +40,6 @@ def zero_stream(n_units, dimension, horizon, rho=0.0):
     return RegressionStream(
         np.zeros((horizon, n_units, dimension)), np.zeros((horizon, n_units)), rho
     )
-
-
-def round_losses(stream, t):
-    """All units' losses at round t, on the stream's arrays."""
-    return RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
 
 
 class TestSchedules:
@@ -416,7 +411,7 @@ class TestRoundReductions:
         ]
         assert len({hyper.G for hyper in schedules}) == 3  # the seeds' step sizes differ
         blocks = [
-            committed.copy() for _, _, committed, *_ in algorithm._lockstep(streams, topology, schedules, box, seeds)
+            committed.copy() for _, _, _, committed, *_ in algorithm._lockstep(streams, topology, schedules, box, seeds)
         ]
         assert len(blocks) == 3
         decisions = np.concatenate(blocks)
@@ -434,7 +429,7 @@ class TestRoundReductions:
         state.decisions[:] = np.array([[0.4, 0.0], [0.0, 0.8]])
         weights = max_degree_weights(Graph(2, [(1, 2)]))
         np.testing.assert_array_equal(weights, np.full((2, 2), 0.5))
-        next_state, record = run_round(state, round_losses(stream, 1), weights, hyper, box, 1)
+        next_state, record = run_round(state, stream, weights, hyper, box, 1)
         # Zero loss and zero duals: y = x, so both land on the average.
         np.testing.assert_allclose(next_state.decisions, np.full((2, 2), [0.2, 0.4]))
         np.testing.assert_array_equal(record.decisions, [[0.4, 0.0], [0.0, 0.8]])
@@ -461,7 +456,7 @@ class TestRoundReductions:
         )
         state = initial_state(2, box)
         for t in range(1, horizon + 1):
-            state, _ = run_round(state, round_losses(stream, t), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, t)
+            state, _ = run_round(state, stream, max_degree_weights(Graph(2, [(1, 2)])), hyper, box, t)
             np.testing.assert_allclose(
                 state.duals,
                 box.positive_parts_rows(state.decisions) / hyper.eta(t),
@@ -548,11 +543,11 @@ class TestBanditRounds:
         bandit = make_schedule("strongly-convex-bandit", **common)
         full = make_schedule("strongly-convex-full", **common)
         state = initial_state(2, box, seed=4)
-        _, record = run_round(state, round_losses(stream, 1), weights, bandit, box, 1)
+        _, record = run_round(state, stream, weights, bandit, box, 1)
         assert record.queries is not None
         np.testing.assert_allclose(np.linalg.norm(record.queries - record.decisions, axis=1), bandit.eps, rtol=1e-12)
         state = initial_state(2, box, seed=4)
-        _, record = run_round(state, round_losses(stream, 1), weights, full, box, 1)
+        _, record = run_round(state, stream, weights, full, box, 1)
         assert record.queries is None
         untouched = initial_state(2, box, seed=4).rngs
         assert [r.standard_normal() for r in state.rngs] == [r.standard_normal() for r in untouched]
@@ -565,7 +560,7 @@ class TestBanditRounds:
         )
         state = initial_state(2, box)  # no rng streams
         with pytest.raises(ValueError, match="rng"):
-            run_round(state, round_losses(stream, 1), max_degree_weights(Graph(2, [(1, 2)])), hyper, box, 1)
+            run_round(state, stream, max_degree_weights(Graph(2, [(1, 2)])), hyper, box, 1)
 
 
 class TestRunSeedsOnOneSeed:
@@ -637,7 +632,7 @@ class TestRunSeedsOnOneSeed:
         # The blocks run_seeds sums, as the kernel lends them.
         norms = [
             float(np.linalg.norm(committed, axis=-1).max())
-            for _, _, committed, *_ in algorithm._lockstep([stream], topology, [hyper], box, [None])
+            for _, _, _, committed, *_ in algorithm._lockstep([stream], topology, [hyper], box, [None])
         ]
         assert max(norms) <= hyper.radius + 1e-12
         # Large strongly convex first steps push to the ball boundary, so the

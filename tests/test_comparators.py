@@ -190,13 +190,19 @@ def test_both_comparators_refuse_constraints_of_another_dimension():
         offline_comparator(stream, box, 8)
 
 
-def reference_point(stats, box, start):
+def prefix_quadratic(stream, T):
+    """The prefix's (gram, cross, target_square_sum) and its regularizer's weight 2 rho (T N)."""
+    return stream.sufficient_statistics(T), 2.0 * stream.rho * (T * stream.n_units)
+
+
+def reference_point(quadratic, box, start):
     """A tight solve of the prefix's box QP: Newton steps on the coordinates
     not held at a bound, from start, until the point stops moving."""
-    hessian = stats.gram + 2.0 * stats.rho * stats.count * np.eye(len(start))
+    (gram, cross, _), reg = quadratic
+    hessian = gram + reg * np.eye(len(start))
     x = start.copy()
     for _ in range(50):
-        grad = hessian @ x - stats.cross
+        grad = hessian @ x - cross
         free = ~(((x <= box.lower) & (grad > 0.0)) | ((x >= box.upper) & (grad < 0.0)))
         y = x.copy()
         y[free] -= np.linalg.solve(hessian[np.ix_(free, free)], grad[free])
@@ -204,15 +210,15 @@ def reference_point(stats, box, start):
         if np.array_equal(y, x):
             break
         x = y
-    grad = hessian @ x - stats.cross
+    grad = hessian @ x - cross
     gap = np.maximum(grad * (x - box.lower), grad * (x - box.upper)).sum()
     return x, gap
 
 
-def objective(stats, x):
-    reg = 2.0 * stats.rho * stats.count
+def objective(quadratic, x):
+    (gram, cross, target_square_sum), reg = quadratic
     return float(
-        0.5 * (x @ stats.gram @ x) - stats.cross @ x + 0.5 * stats.target_square_sum
+        0.5 * (x @ gram @ x) - cross @ x + 0.5 * target_square_sum
     ) + 0.5 * reg * float(x @ x)
 
 
@@ -223,11 +229,11 @@ def test_the_gap_bounds_the_distance_to_a_tight_solve(name):
     for stream in streams:
         (comparators,) = offline_comparators([stream], box, checkpoints)
         for T, c in zip(checkpoints, comparators):
-            stats = stream.sufficient_statistics(T)
-            reference, reference_gap = reference_point(stats, box, c.point)
+            quadratic = prefix_quadratic(stream, T)
+            reference, reference_gap = reference_point(quadratic, box, c.point)
             assert reference_gap <= 1e-11
             assert np.isfinite(c.gap) and c.gap >= 0.0
-            assert c.gap >= c.objective - objective(stats, reference), (T, c.gap)
+            assert c.gap >= c.objective - objective(quadratic, reference), (T, c.gap)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5])

@@ -11,9 +11,11 @@ The bytes also depend on the OpenBLAS kernel picked for the CPU, which the
 thread pin does not fix, so a failing digest names the kernel it ran on. The
 values test asks only that the numbers agree to rounding, which holds where
 the bits do not: the largest move measured under another kernel or thread
-count is 1.5e-12 relative, against a tolerance of 1e-9. Two more children
-show it: one under OPENBLAS_CORETYPE=Haswell, and one on two BLAS threads,
-which loads numpy before the tool's one-thread pin can take effect.
+count is 1.5e-12 relative, against a tolerance of 1e-9. Three more children
+show it: one under OPENBLAS_CORETYPE=Haswell, one under Sandybridge, a kernel
+without FMA on which the mix (weights of 1/3) and problems.system_values'
+batched product move bits too, and one on two BLAS threads, which loads numpy
+before the tool's one-thread pin can take effect.
 """
 
 import json
@@ -87,8 +89,12 @@ def test_csv_values_match_recorded_values(measured, name):
 
 @pytest.mark.parametrize(
     ("environment", "threads"),
-    [({"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
-    ids=["haswell", "two-threads"],
+    [
+        ({"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_CORETYPE": "Sandybridge", "OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ],
+    ids=["haswell", "sandybridge", "two-threads"],
 )
 def test_the_values_hold_under_another_kernel_or_thread_count(measured, environment, threads):
     """The CSV bytes follow the BLAS kernel and thread count; the recorded values hold under both."""

@@ -32,6 +32,8 @@ CASES = {
     "bound window": (lambda: bound_constants("convex-full", **{**BOUNDS, "window": 1.5}), "window", 1.5),
     "bound units": (lambda: bound_constants("convex-full", **{**BOUNDS, "n_units": 6.5}), "n_units", 6.5),
     "bound p": (lambda: bound_constants("convex-full", **{**BOUNDS, "p": 12.0}), "p", 12.0),
+    "graph round": (lambda: default_ring_6().graph_at(2.0), "round", 2.0),
+    "weights round as a bool": (lambda: default_ring_6().weights_at(True), "round", True),
 }
 
 
@@ -48,3 +50,5 @@ def test_numpy_integers_are_integers():
     hyper = make_schedule("convex-bandit", **{**BANDIT, "horizon": np.int64(100), "p": np.int32(8)})
     assert type(hyper.horizon) is int and type(hyper.p) is int
     assert hyper.eta(np.int64(100)) == hyper.eta(1)
+    ring = default_ring_6()
+    assert ring.graph_at(np.int64(2)) is ring.graph_at(2) and ring.weights_at(np.int64(2)) is ring.weights_at(2)

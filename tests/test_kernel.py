@@ -191,12 +191,12 @@ def lent_blocks_equal_the_recorded_runs(
     topology = default_ring_6()
     records = [record_run(stream, topology, hyper, box, seed) for stream, hyper, seed in zip(streams, schedules, seeds)]
     starts = []
-    for start, block_losses, committed, violated, observed, queries in algorithm._lockstep(
+    for start, features, targets, committed, violated, observed, queries in algorithm._lockstep(
         streams, topology, schedules, box, seeds
     ):
         starts.append(start)
         rounds = slice(start, start + len(committed))
-        losses = loss_values(block_losses, committed) if queries is None else observed
+        losses = loss_values(features, targets, streams[0].rho, committed) if queries is None else observed
         for s, record in enumerate(records):
             np.testing.assert_array_equal(committed[:, s], record.decisions[rounds])
             np.testing.assert_array_equal(violated[:, s], record.violations[rounds])
@@ -233,11 +233,11 @@ def test_successive_blocks_are_lent_from_one_set_of_arrays(variant):
     seeds = (1, 2)
     streams, schedules, box = batch(variant, seeds)
     blocks = algorithm._lockstep(streams, default_ring_6(), schedules, box, seeds)
-    _, first_losses, first, _, first_observed, first_queries = next(blocks)
-    _, second_losses, second, _, second_observed, second_queries = next(blocks)
+    _, first_features, first_targets, first, _, first_observed, first_queries = next(blocks)
+    _, second_features, second_targets, second, _, second_observed, second_queries = next(blocks)
     assert np.shares_memory(first, second)
-    assert np.shares_memory(first_losses.features, second_losses.features)
-    assert np.shares_memory(first_losses.targets, second_losses.targets)
+    assert np.shares_memory(first_features, second_features)
+    assert np.shares_memory(first_targets, second_targets)
     if variant.endswith("bandit"):
         assert np.shares_memory(first_observed, second_observed)
         assert np.shares_memory(first_queries, second_queries)

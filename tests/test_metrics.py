@@ -15,7 +15,7 @@ from netoco.metrics import (
     communication_cost,
 )
 from netoco.network import Graph, TopologySchedule, default_ring_6
-from netoco.problems import BoxConstraintSet, RegressionRound, RegressionStream, synthetic_stream
+from netoco.problems import BoxConstraintSet, RegressionStream, synthetic_stream, system_values
 from netoco.reference import (
     RoundRecord, box_constraints, cacv, offline_comparator, record_run, regret, sreg, system_cumulative_losses,
 )
@@ -62,9 +62,9 @@ class TestOfflineComparator:
         stream = synthetic_stream(2, 2, 6, rho=2.0, seed=30)
         box = BoxConstraintSet(-5.0, 5.0, 2)  # wide enough to stay interior
         comparator = offline_comparator(stream, box, 6)
-        stats = stream.sufficient_statistics(6)
+        gram, cross, _ = stream.sufficient_statistics(6)
         closed_form = np.linalg.solve(
-            stats.gram + 2.0 * stats.rho * stats.count * np.eye(2), stats.cross
+            gram + 2.0 * stream.rho * (6 * stream.n_units) * np.eye(2), cross
         )
         np.testing.assert_allclose(comparator.point, closed_form, atol=1e-8)
 
@@ -79,7 +79,7 @@ class TestOfflineComparator:
         points = np.stack([xs.ravel(), ys.ravel()], axis=1)
         totals = np.zeros(len(points))
         for t in range(1, 7):
-            totals += RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho).system_values(points)
+            totals += system_values(stream.features[t - 1], stream.targets[t - 1], stream.rho, points)
         grid_best = float(totals.min())
         assert abs(grid_best - comparator.objective) <= 1e-5
         # The grid winner sits next to the iterate.
@@ -117,7 +117,7 @@ class TestRegret:
         value = regret(record, self.stream, self.comparator, 1, 10)
         stream = self.stream
         direct = sum(
-            RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho).system_values(corner[None, :])[0]
+            system_values(stream.features[t - 1], stream.targets[t - 1], stream.rho, corner[None, :])[0]
             for t in range(1, 11)
         )
         assert value == pytest.approx(direct - self.comparator.objective, rel=1e-12)

@@ -6,8 +6,8 @@ on fresh arrays, from reference.loss_values or loss_gradients and
 consensus_mix, and the generic dual pull of the box stated constraint by
 constraint (reference.box_constraints) follows it. Both must give the same
 bits, signed zeros included, and _row_dots, which calls c_einsum directly,
-those of np.einsum. So must RegressionRound.system_values, which forms its
-terms in place, against its fresh-array expression.
+those of np.einsum. So must problems.system_values, which forms its terms in
+place, against its fresh-array expression.
 """
 
 import math
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from netoco.algorithm import (
     _mix_growth, _project_rows, _pull_can_be_negative_zero, _round_views, _run_block, _scratch, _step_bounds,
 )
-from netoco.problems import BoxConstraintSet, RegressionRound, _row_dots
+from netoco.problems import BoxConstraintSet, _row_dots, system_values
 from netoco.reference import box_constraints, loss_gradients, loss_values, round_step
 
 SMALLEST_SUBNORMAL = 5e-324
@@ -72,15 +72,15 @@ def test_zero_rho_skips_only_bits_the_pull_restores(data):
     of a zero, and adding a dual pull (whose zeros are +0.0) erases that."""
     seeds, units, d = data.draw(shapes())
     features, rows = filled(data.draw, (seeds, units, d)), filled(data.draw, (seeds, units, d))
-    round_losses = RegressionRound(features, filled(data.draw, (seeds, units)), 0.0)
+    targets = filled(data.draw, (seeds, units))
     constraints = box_constraints(BoxConstraintSet(-0.5, 0.25, d))
     eta = 10.0 ** data.draw(st.floats(-3.0, 3.0))
     with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e100 overflow alike on both paths
-        r = _row_dots(features, rows) - round_losses.targets
-        assert_same_bits(loss_values(round_losses, rows), np.add(np.multiply(0.5 * r, r), 0.0 * _row_dots(rows, rows)))
+        r = _row_dots(features, rows) - targets
+        assert_same_bits(loss_values(features, targets, 0.0, rows), np.add(np.multiply(0.5 * r, r), 0.0 * _row_dots(rows, rows)))
         with_term = np.add(np.multiply(r[..., None], features), (2.0 * 0.0) * rows)
         for pull in (np.zeros(rows.shape), constraints.dual_pull_rows(rows, eta)):
-            assert_same_bits(loss_gradients(round_losses, rows) + pull, with_term + pull)
+            assert_same_bits(loss_gradients(features, targets, 0.0, rows) + pull, with_term + pull)
 
 
 # Radii whose squares round, underflow to a subnormal or zero, or overflow.
@@ -208,7 +208,7 @@ def test_a_block_of_the_round_loop_is_the_fresh_formulas(seed, seeds, rho, bandi
     current = decisions
     for k in range(rounds):
         current, seen, probe = round_step(
-            current, pull, RegressionRound(features[k], targets[k], rho), weights[(start + k) % 2], betas[k],
+            current, pull, features[k], targets[k], rho, weights[(start + k) % 2], betas[k],
             radius, directions[k] if bandit else None, eps,
         )
         if bandit:
@@ -233,5 +233,5 @@ def test_system_values_in_place_are_the_fresh_formula(data, rho):
         residuals = points @ np.swapaxes(features, -1, -2) - targets[..., None, :]
         dots = np.einsum("...d,...d->...", residuals, residuals), np.einsum("...d,...d->...", points, points)
         want = 0.5 * dots[0] + (rho * units) * dots[1]
-        got = RegressionRound(features, targets, rho).system_values(points)
+        got = system_values(features, targets, rho, points)
     assert_same_bits(got, want)

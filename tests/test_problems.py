@@ -1,5 +1,7 @@
 """Loss oracles, constraints, streams, and the sparse-text parser."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,12 @@ from netoco.problems import (
     BoxConstraintSet,
     DatasetTable,
     ParseError,
-    RegressionRound,
+    RegressionStream,
     dataset_stream,
     parse_libsvm,
     serialize_libsvm,
     synthetic_stream,
+    system_values,
 )
 from netoco.reference import box_constraints, clipped_subgradient, loss_gradients, loss_values, regression_loss
 
@@ -167,9 +170,9 @@ class TestRoundPanel:
         stream = synthetic_stream(n_units=5, dimension=3, horizon=4, rho=0.7, seed=11)
         rng = np.random.default_rng(5)
         for t in range(1, 5):
-            panel = RegressionRound(stream.features[t - 1], stream.targets[t - 1], stream.rho)
+            panel = stream.features[t - 1], stream.targets[t - 1], stream.rho
             rows = rng.uniform(-0.3, 0.3, size=(5, 3))
-            values, grads = loss_values(panel, rows), loss_gradients(panel, rows)
+            values, grads = loss_values(*panel, rows), loss_gradients(*panel, rows)
             for i in range(1, 6):
                 oracle = regression_loss(stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1], stream.rho)
                 assert values[i - 1] == pytest.approx(oracle.value(rows[i - 1]), rel=1e-12)
@@ -177,7 +180,7 @@ class TestRoundPanel:
                     grads[i - 1], oracle.gradient(rows[i - 1]), rtol=1e-12, atol=1e-15
                 )
             points = rng.uniform(-0.3, 0.3, size=(2, 3))
-            system = panel.system_values(points)
+            system = system_values(*panel, points)
             for k, point in enumerate(points):
                 direct = sum(
                     regression_loss(stream.features[t - 1, i - 1], stream.targets[t - 1, i - 1], stream.rho).value(point)
@@ -188,6 +191,7 @@ class TestRoundPanel:
     def test_sufficient_statistics_match_direct_accumulation(self):
         stream = synthetic_stream(n_units=3, dimension=4, horizon=6, rho=0.5, seed=12)
         stats = stream.sufficient_statistics(5)
+        assert len(stats) == 3
         gram = np.zeros((4, 4))
         cross = np.zeros(4)
         tss = 0.0
@@ -197,11 +201,25 @@ class TestRoundPanel:
                 gram += np.outer(features, features)
                 cross += features * target
                 tss += target**2
-        np.testing.assert_allclose(stats.gram, gram, rtol=1e-12)
-        np.testing.assert_allclose(stats.cross, cross, rtol=1e-12)
-        assert stats.target_square_sum == pytest.approx(tss, rel=1e-12)
-        assert stats.count == 15
-        assert stats.rho == 0.5
+        np.testing.assert_allclose(stats[0], gram, rtol=1e-12)
+        np.testing.assert_allclose(stats[1], cross, rtol=1e-12)
+        assert stats[2] == pytest.approx(tss, rel=1e-12)
+        # With the regularizer's weight 2 rho (T N), which the readers take from the stream,
+        # the statistics give the prefix's summed system losses.
+        x = np.array([0.1, -0.2, 0.05, 0.3])
+        summed = sum(system_values(stream.features[t], stream.targets[t], stream.rho, x[None, :])[0] for t in range(5))
+        reg = 2.0 * stream.rho * (5 * stream.n_units)
+        assert reg == 15.0
+        quadratic = 0.5 * (x @ stats[0] @ x) - stats[1] @ x + 0.5 * stats[2] + 0.5 * reg * (x @ x)
+        assert quadratic == pytest.approx(summed, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 6, 4), (8, 0, 4), (8, 6, 0)], ids=["T=0", "N=0", "d=0"])
+def test_a_stream_with_an_empty_axis_is_refused_by_its_shape(shape):
+    """A stream needs a round, a unit and a coordinate: an empty axis would reach the
+    bounds' maxima (or give bounds of 0.0) instead of failing where it is made."""
+    with pytest.raises(ValueError, match=re.escape(f"features must have T, N, d >= 1, got shape {shape}")):
+        RegressionStream(np.zeros(shape), np.zeros(shape[:2]), 0.0)
 
 
 class TestSyntheticStream:

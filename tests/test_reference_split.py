@@ -12,13 +12,12 @@ import pytest
 
 import netoco
 from netoco import reference
-from netoco.problems import RegressionRound
 
 PACKAGE = Path(netoco.__file__).resolve().parent
 RUN_PATH = ("algorithm", "problems", "metrics", "network", "bench", "cli")
 
 # What reference.py took from algorithm, then from metrics, then from problems, then the
-# fresh-array forms of a round's loss values and gradients (RegressionRound's methods before)
+# fresh-array forms of a round's loss values and gradients (methods of a run-path class before)
 # and of the mix (from network), then the contraction of mixing products (from network), then
 # the round's steps on fresh arrays, which the kernel's loop is checked against, then the
 # general per-constraint statement (from problems), which the box's closed forms are checked against.
@@ -159,9 +158,18 @@ def test_the_reference_defines_every_moved_name_once():
 
 
 def test_no_run_path_class_keeps_the_moved_loss_forms():
-    """RegressionRound keeps only the system sums the run needs; the loss values and
-    gradients on fresh arrays are reference.loss_values and loss_gradients."""
-    assert not hasattr(RegressionRound, "values") and not hasattr(RegressionRound, "gradients")
+    """A round's losses travel as arrays: no run-path class has a method for their values,
+    gradients or system sums. The run's system sums are the function problems.system_values,
+    and the loss values and gradients on fresh arrays are reference.loss_values and loss_gradients."""
+    methods = [
+        f"{module}.{node.name}.{item.name}"
+        for module in RUN_PATH
+        for node in parsed(module).body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in {"values", "gradients", "system_values"}
+    ]
+    assert methods == []
+    assert "system_values" in top_level_names(parsed("problems"))
 
 
 def test_the_package_exports_its_library_api():

@@ -14,13 +14,14 @@ digests pin the bits; tests/test_golden.py holds the values to
 tests/golden_values.json within a relative tolerance, which pins the numbers.
 
 Runs all presets at T = 2048 with seeds 1 and 2 (the shortest horizon every
-preset accepts) with BLAS pinned to one thread. Four BLAS calls on the path
+preset accepts) with BLAS pinned to one thread. Five BLAS calls on the path
 to a CSV round by the OpenBLAS kernel picked for the CPU, which the pin does
 not fix (the README's "Determinism" section has the measurements): the
 comparator's Gram product and cross term, whose rounding also depends on the
 thread count; the row dot of the bandit directions (algorithm._sphere_block);
-the mix's np.matmul on the round's weights; and synthetic_stream's per-unit
-gemv for the targets. So the digests hold on one thread and the kernel they
+the mix's np.matmul on the round's weights; synthetic_stream's per-unit gemv
+for the targets; and the system losses' batched product in
+problems.system_values (points @ swapaxes(features)). So the digests hold on one thread and the kernel they
 were recorded on. The output and the --check summary name the kernel that
 ran (blas_core). Write new digests only from a commit whose CSV output is
 known to be right, and say why.
